@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .costs import comparator_calls, predict_cost
-from .errors import AssumptionError, ConfigError, ProtocolError, StarfishError
+from .errors import AssumptionError, ConfigError, ProtocolError, RangeError, StarfishError
 from .fixedpoint import FixedPointCodec
 from .gates import (
     ComparisonKey,
@@ -219,7 +219,10 @@ def load_config(path=None, **overrides) -> RunConfig:
         if val is not None:
             values[key] = val
     cfg = RunConfig(**values)
-    cfg.codec()
+    try:
+        cfg.codec()
+    except RangeError as exc:
+        raise ConfigError(f"codec: {exc}") from exc
     cfg.unlearn_config()
     if not (0 <= cfg.target < cfg.n):
         raise ConfigError(f"target {cfg.target} outside client range [0, {cfg.n})")

@@ -1,13 +1,8 @@
-"""Fixed-point encoding over the ring Z_{2^w}.
+"""Fixed-point encoding over the ring Z_{2^64}.
 
-Real values are carried as two's-complement integers scaled by 2^p. The
-64-bit ring is the fast path (numpy uint64 with native wraparound); a
-128-bit ring is available for strict parameter regimes and falls back to
-object arrays of Python ints.
-
-A ring tensor is a plain numpy array: dtype uint64 for w=64, dtype object
-for w=128. Ownership of a share is implicit in which party's session holds
-the array.
+Real values are carried as two's-complement integers scaled by 2^p. A ring
+tensor is a plain numpy uint64 array with native wraparound. Ownership of a
+share is implicit in which party's session holds the array.
 """
 
 from __future__ import annotations
@@ -19,105 +14,70 @@ import numpy as np
 
 from .errors import RangeError, ShapeError
 
-_SUPPORTED_WORDS = (64, 128)
+WORD_BITS = 64
 
 
 class Ring:
-    """Arithmetic mod 2^word_bits on numpy arrays.
+    """Arithmetic mod 2^64 on numpy uint64 arrays.
 
     All operations wrap; callers that need signed semantics go through
     to_signed/from_signed.
     """
 
-    def __init__(self, word_bits: int = 64):
-        if word_bits not in _SUPPORTED_WORDS:
-            raise RangeError(f"word_bits must be one of {_SUPPORTED_WORDS}, got {word_bits}")
+    def __init__(self, word_bits: int = WORD_BITS):
+        if word_bits != WORD_BITS:
+            raise RangeError(f"word_bits must be {WORD_BITS}, got {word_bits}")
         self.word_bits = word_bits
         self.mask = (1 << word_bits) - 1
-        self._native = word_bits == 64
 
     # -- construction -------------------------------------------------
 
     def array(self, x) -> np.ndarray:
         """Coerce nonnegative raw words into a ring tensor."""
-        if self._native:
-            return np.asarray(x, dtype=np.uint64)
-        arr = np.asarray(x, dtype=object)
-        return self._mask_obj(arr)
+        return np.asarray(x, dtype=np.uint64)
 
     def zeros(self, shape) -> np.ndarray:
-        if self._native:
-            return np.zeros(shape, dtype=np.uint64)
-        return np.full(shape, 0, dtype=object)
+        return np.zeros(shape, dtype=np.uint64)
 
     def from_signed(self, x) -> np.ndarray:
         """Signed integers (python or numpy) to two's-complement words."""
-        if self._native:
-            return np.asarray(x, dtype=np.int64).view(np.uint64)
-        arr = np.asarray(x, dtype=object)
-        return self._mask_obj(arr)
+        return np.asarray(x, dtype=np.int64).view(np.uint64)
 
     def to_signed(self, v) -> np.ndarray:
         """Two's-complement lift to signed integers."""
-        if self._native:
-            return np.asarray(v, dtype=np.uint64).view(np.int64)
-        half = 1 << (self.word_bits - 1)
-        arr = np.asarray(v, dtype=object)
-        return np.where(arr >= half, arr - (self.mask + 1), arr)
+        return np.asarray(v, dtype=np.uint64).view(np.int64)
 
     def rand(self, rng: np.random.Generator, shape=()) -> np.ndarray:
         """Uniform ring elements from the given generator."""
-        if self._native:
-            return rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-        lo = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-        hi = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-        out = (np.asarray(hi, dtype=object) << 64) | np.asarray(lo, dtype=object)
-        return self._mask_obj(np.asarray(out, dtype=object))
-
-    def _mask_obj(self, arr: np.ndarray) -> np.ndarray:
-        flat = arr.reshape(-1)
-        for i, v in enumerate(flat):
-            flat[i] = int(v) & self.mask
-        return flat.reshape(arr.shape)
+        return rng.integers(0, 2**64, size=shape, dtype=np.uint64)
 
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a, b) -> np.ndarray:
-        return self._wrap(np.add(a, b))
+        return np.add(a, b)
 
     def sub(self, a, b) -> np.ndarray:
-        return self._wrap(np.subtract(a, b))
+        return np.subtract(a, b)
 
     def neg(self, a) -> np.ndarray:
-        if self._native:
-            return np.negative(np.asarray(a, dtype=np.uint64))
-        return self._mask_obj(np.negative(np.asarray(a, dtype=object)))
+        return np.negative(np.asarray(a, dtype=np.uint64))
 
     def mul(self, a, b) -> np.ndarray:
-        return self._wrap(np.multiply(a, b))
+        return np.multiply(a, b)
 
     def matmul(self, a, b) -> np.ndarray:
         a = np.asarray(a)
         b = np.asarray(b)
         if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
             raise ShapeError(f"matmul shapes {a.shape} x {b.shape}")
-        return self._wrap(np.matmul(a, b))
+        return np.matmul(a, b)
 
     def scale_int(self, a, k: int) -> np.ndarray:
         """Multiply by a public (possibly negative) integer constant."""
-        if self._native:
-            return np.multiply(np.asarray(a, dtype=np.uint64), np.uint64(k & self.mask))
-        return self._mask_obj(np.asarray(a, dtype=object) * (k & self.mask))
+        return np.multiply(np.asarray(a, dtype=np.uint64), np.uint64(k & self.mask))
 
     def shift_right_logical(self, a, k: int) -> np.ndarray:
-        if self._native:
-            return np.asarray(a, dtype=np.uint64) >> np.uint64(k)
-        return np.asarray(a, dtype=object) >> k  # nonnegative ints: same thing
-
-    def _wrap(self, arr: np.ndarray) -> np.ndarray:
-        if self._native:
-            return arr
-        return self._mask_obj(arr)
+        return np.asarray(a, dtype=np.uint64) >> np.uint64(k)
 
 
 @dataclass(frozen=True)
@@ -131,10 +91,12 @@ class FixedPointCodec:
 
     precision_p: int = 13
     range_e: int = 12
-    word_bits: int = 64
+    word_bits: int = WORD_BITS
     slack: int = 14
 
     def __post_init__(self):
+        if self.word_bits != WORD_BITS:
+            raise RangeError(f"word_bits must be {WORD_BITS}, got {self.word_bits}")
         if self.precision_p < 1 or self.range_e < 1 or self.slack < 0:
             raise RangeError("codec parameters must be positive (slack >= 0)")
         budget = 2 * self.precision_p + 2 * self.range_e + self.slack
@@ -168,9 +130,7 @@ class FixedPointCodec:
             )
         mag = np.floor(np.abs(arr) * self.scale + 0.5)
         signed = np.where(arr < 0, -mag, mag)
-        if self.word_bits == 64:
-            return signed.astype(np.int64).view(np.uint64)
-        return self.ring.from_signed(signed.astype(np.int64))
+        return signed.astype(np.int64).view(np.uint64)
 
     def decode(self, v) -> np.ndarray:
         """Ring words back to floats at precision p."""

@@ -2,10 +2,21 @@
 
 Arithmetic gates use Beaver triples from the dealer tape. Comparison,
 division and bit extraction run on XOR-shared bit tensors produced by an
-A2B conversion (each party contributes the bits of its own share, a
+A2B conversion (each party contributes its own share as one addend, a
 Kogge-Stone adder recombines them). Batched lanes share one round trip:
 every gate here is vectorized, so "T comparisons in parallel" is one
 circuit over T lanes.
+
+Boolean kernel representation: an XOR-shared bit tensor is held in its
+wire form, little-endian uint64 words over the flat bit sequence with zero
+pad bits. A full-width tensor has one word per lane, bit k of the value at
+bit k of the word, so a ring word is its own bit decomposition and the
+adder's shifts, sign bits and carry broadcasts are word shifts (x << s,
+x >> 63, 0 - c). A tensor with one bit per lane (comparison bits, carry-in
+folds) is lane-packed: 64 lanes per word, ceil(L/64) words. AND and XOR act
+on 64 bits per machine operation either way, and a round ships the words as
+they are (an AND layer whose bit count is not a multiple of 64 joins its two
+operands at the bit level, as the wire format has always done).
 
 Scale conventions: encoded reals sit at 2^-p. Products of two encoded
 operands land at 2^-2p and are truncated back unless the caller opts out
@@ -22,6 +33,9 @@ import numpy as np
 
 from .errors import RangeError, ShapeError, SingularRevealError
 from .sharing import Session
+from .transport import bit_word_count, pack_bit_words, pack_words, unpack_bit_words, unpack_words
+
+ONE = np.uint64(1)
 
 # -- local helpers ---------------------------------------------------------
 
@@ -164,11 +178,7 @@ def sp_public(sess: Session, x, raw, *, truncate: bool = True) -> np.ndarray:
         x = np.asarray(x)
         sess.meter.invoke("sec_sp", int(x.size // x.shape[-1]))
         pub = ring.array(raw)
-        prod = ring.mul(x, pub)
-        if sess.codec.word_bits == 64:
-            z = prod.sum(axis=-1, dtype=np.uint64)
-        else:
-            z = ring._wrap(prod.sum(axis=-1))
+        z = ring.mul(x, pub).sum(axis=-1, dtype=np.uint64)
         if truncate:
             z = sess.truncate(z)
         return z
@@ -185,37 +195,52 @@ def sec_sel(sess: Session, v0, v1, b) -> np.ndarray:
         return ring.add(out, sess.draw_zero(np.asarray(out).shape))
 
 
-# -- boolean kernel -----------------------------------------------------------
+# -- boolean kernel (representation: see the module docstring) ----------------
 
 
-def _bit_and(sess: Session, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """AND on XOR-shared bit tensors; one round for any batch shape."""
-    a, b, c = sess.draw_bit_triple(x.shape)
+def _pack_lanes(bits: np.ndarray) -> np.ndarray:
+    """Per-lane 0/1 words to a lane-packed tensor (zero pad bits)."""
+    return unpack_words(pack_bit_words(bits), bit_word_count(bits.size))
+
+
+def _unpack_lanes(words: np.ndarray, nbits: int) -> np.ndarray:
+    """The first nbits bits of packed words as 0/1 words, one per bit."""
+    return unpack_bit_words(pack_words(words), (nbits,)).astype(np.uint64)
+
+
+def _join_bits(e: np.ndarray, f: np.ndarray, nbits: int) -> np.ndarray:
+    """Packed words of e's nbits bits followed by f's."""
+    if nbits % 64 == 0:
+        return np.concatenate([e.reshape(-1), f.reshape(-1)])
+    return _pack_lanes(np.concatenate([_unpack_lanes(e, nbits), _unpack_lanes(f, nbits)]))
+
+
+def _split_bits(msg: np.ndarray, nbits: int, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of _join_bits."""
+    if nbits % 64 == 0:
+        e, f = msg.reshape((2,) + tuple(shape))
+        return e, f
+    bits = _unpack_lanes(msg, 2 * nbits)
+    return _pack_lanes(bits[:nbits]), _pack_lanes(bits[nbits:])
+
+
+def _bit_and(sess: Session, x: np.ndarray, y: np.ndarray, nbits: int | None = None) -> np.ndarray:
+    """AND on XOR-shared packed bit tensors; one round for any batch shape.
+
+    nbits is the logical bit count of a lane-packed operand; full-width
+    operands carry 64 bits per word.
+    """
+    nbits = 64 * x.size if nbits is None else nbits
+    a, b, c = (t.reshape(x.shape) for t in sess.draw_bit_triple(nbits))
     e_loc = x ^ a
     f_loc = y ^ b
-    msg = np.stack([e_loc, f_loc])
-    reply = sess.exchange_bits(msg)
-    e = e_loc ^ reply[0]
-    f = f_loc ^ reply[1]
+    e_peer, f_peer = _split_bits(sess.exchange_bits(_join_bits(e_loc, f_loc, nbits)), nbits, x.shape)
+    e = e_loc ^ e_peer
+    f = f_loc ^ f_peer
     z = c ^ (f & a) ^ (e & b)
     if sess.party == 0:
         z ^= e & f
     return z
-
-
-def _shift_up(bits: np.ndarray, s: int) -> np.ndarray:
-    out = np.zeros_like(bits)
-    out[..., s:] = bits[..., :-s]
-    return out
-
-
-def _ks_levels(width: int) -> list[int]:
-    levels = []
-    s = 1
-    while s < width:
-        levels.append(s)
-        s <<= 1
-    return levels
 
 
 def _adder(
@@ -226,61 +251,43 @@ def _adder(
     cin_share: np.ndarray | None = None,
     cin_public: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Kogge-Stone addition of XOR-shared bit tensors (LSB first).
+    """Kogge-Stone addition of full-width XOR-shared words.
 
-    Returns (sum bits, carry out). y=None means an all-zero addend, used
-    for conditional negation where only a carry-in enters.
+    Returns (sum words, per-lane carry out as 0/1 words). y=None means an
+    all-zero addend, used for conditional negation where only a carry-in
+    enters; cin_share holds per-lane 0/1 words.
     """
-    width = x.shape[-1]
     if y is None:
-        p = x.copy()
+        p = x
         g = np.zeros_like(x)
     else:
         p = x ^ y
         g = _bit_and(sess, x, y)
-    p_orig = p.copy()
     if cin_share is not None:
-        fold = _bit_and(sess, p[..., 0], np.broadcast_to(cin_share, p[..., 0].shape).copy())
-        g = g.copy()
-        g[..., 0] ^= fold
+        fold = _bit_and(sess, _pack_lanes(p & ONE), _pack_lanes(cin_share), nbits=p.size)
+        g = g ^ _unpack_lanes(fold, p.size).reshape(p.shape)
     elif cin_public:
-        g = g.copy()
-        g[..., 0] ^= p[..., 0]  # p0 AND 1 is local
-    for s in _ks_levels(width):
-        stacked_x = np.stack([p, p])
-        stacked_y = np.stack([_shift_up(g, s), _shift_up(p, s)])
-        res = _bit_and(sess, stacked_x, stacked_y)
-        g = g ^ res[0]
-        p = res[1]
-    carry = np.zeros_like(x)
-    carry[..., 1:] = g[..., :-1]
+        g = g ^ (p & ONE)  # p0 AND 1 is local
+    gp = np.stack([g, p])
+    s = 1
+    while s < 64:
+        # one AND layer: (g, p) <- (g ^ p & g<<s, p & p<<s)
+        res = _bit_and(sess, np.broadcast_to(gp[1], gp.shape), gp << s)
+        res[0] ^= gp[0]
+        gp = res
+        s <<= 1
+    g = gp[0]
+    carry = g << ONE
     if cin_share is not None:
-        carry[..., 0] = np.broadcast_to(cin_share, carry[..., 0].shape)
+        carry |= cin_share
     elif cin_public and sess.party == 0:
-        carry[..., 0] = 1
-    total = p_orig ^ carry
-    return total, g[..., -1]
-
-
-def _ring_bits(sess: Session, arr: np.ndarray) -> np.ndarray:
-    """Plain (non-shared) bit decomposition of ring words, LSB first."""
-    width = sess.codec.word_bits
-    arr = np.asarray(arr)
-    if sess.codec.word_bits == 64 and arr.dtype == np.uint64:
-        shifts = np.arange(width, dtype=np.uint64)
-        return ((arr[..., None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    flat = arr.reshape(-1)
-    out = np.zeros((flat.size, width), dtype=np.uint8)
-    for i, v in enumerate(flat):
-        iv = int(v)
-        for k in range(width):
-            out[i, k] = (iv >> k) & 1
-    return out.reshape(arr.shape + (width,))
+        carry |= ONE
+    return p ^ carry, g >> 63
 
 
 def _a2b(sess: Session, x: np.ndarray) -> np.ndarray:
-    """Arithmetic share to XOR-shared bits of the full value."""
-    mine = _ring_bits(sess, x)
+    """Arithmetic share to XOR-shared full-width words of the same value."""
+    mine = sess.ring.array(x)
     zeros = np.zeros_like(mine)
     xa = mine if sess.party == 0 else zeros
     xb = zeros if sess.party == 0 else mine
@@ -288,41 +295,31 @@ def _a2b(sess: Session, x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _b2a_bits(sess: Session, bits: np.ndarray) -> np.ndarray:
-    """XOR-shared bits to arithmetic shares of the same 0/1 values."""
+def _b2a_bits(sess: Session, bits: np.ndarray, nbits: int) -> np.ndarray:
+    """Packed XOR-shared bits to arithmetic shares of their 0/1 values, in bit order."""
     ring = sess.ring
-    r_bool, r_arith = sess.draw_shared_bit(bits.shape)
-    t_loc = bits ^ r_bool
-    t = t_loc ^ sess.exchange_bits(t_loc)
-    t_ring = ring.array(t.astype(np.uint64))
-    flip = ring.mul(t_ring, r_arith)
-    out = ring.sub(r_arith, ring.scale_int(flip, 2))
+    r_bool, r_arith = sess.draw_shared_bit(nbits)
+    t_loc = bits.reshape(-1) ^ r_bool
+    t = _unpack_lanes(t_loc ^ sess.exchange_bits(t_loc), nbits)
+    out = ring.sub(r_arith, ring.scale_int(ring.mul(t, r_arith), 2))
     if sess.party == 0:
-        out = ring.add(out, t_ring)
+        out = ring.add(out, t)
     return out
 
 
-def _b2a_word(sess: Session, bits: np.ndarray) -> np.ndarray:
-    """XOR-shared W-bit words to one arithmetic share (two's complement)."""
-    ring = sess.ring
-    arith = _b2a_bits(sess, bits)
-    width = bits.shape[-1]
-    if sess.codec.word_bits == 64:
-        powers = (np.uint64(1) << np.arange(width, dtype=np.uint64))
-        return (arith * powers).sum(axis=-1, dtype=np.uint64)
-    powers = np.array([1 << k for k in range(width)], dtype=object)
-    return ring._wrap((arith * powers).sum(axis=-1))
+def _b2a_word(sess: Session, words: np.ndarray) -> np.ndarray:
+    """XOR-shared full-width words to one arithmetic share each (two's complement)."""
+    arith = _b2a_bits(sess, words, 64 * words.size).reshape(words.shape + (64,))
+    return (arith << np.arange(64, dtype=np.uint64)).sum(axis=-1, dtype=np.uint64)
 
 
-def _bool_not(sess: Session, bits: np.ndarray) -> np.ndarray:
-    return bits ^ 1 if sess.party == 0 else bits.copy()
+def _bool_not(sess: Session, words: np.ndarray) -> np.ndarray:
+    return ~words if sess.party == 0 else words
 
 
-def _cond_negate(sess: Session, bits: np.ndarray, sign: np.ndarray) -> np.ndarray:
+def _cond_negate(sess: Session, words: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """Two's-complement negate where sign=1: (x XOR sign) + sign."""
-    mask = np.broadcast_to(sign[..., None], bits.shape)
-    flipped = bits ^ mask
-    total, _ = _adder(sess, flipped, None, cin_share=sign)
+    total, _ = _adder(sess, words ^ np.negative(sign), None, cin_share=sign)
     return total
 
 
@@ -332,9 +329,8 @@ def _cond_negate(sess: Session, bits: np.ndarray, sign: np.ndarray) -> np.ndarra
 def _ge_core(sess: Session, u, v) -> np.ndarray:
     """Arithmetic share of [u >= v] via the sign bit of u - v."""
     d = sess.ring.sub(*_broadcast(u, v))
-    bits = _a2b(sess, d)
-    ge_bit = _bool_not(sess, bits[..., -1])
-    return _b2a_bits(sess, ge_bit)
+    ge = _bool_not(sess, _a2b(sess, d)) >> 63
+    return _b2a_bits(sess, _pack_lanes(ge), ge.size).reshape(ge.shape)
 
 
 def sec_ge(sess: Session, u, v) -> np.ndarray:
@@ -546,34 +542,27 @@ def sec_div(sess: Session, u, v) -> np.ndarray:
     with sess.op("sec_div"):
         u, v = _broadcast(u, v)
         sess.meter.invoke("sec_div", int(u.size))
-        width = sess.codec.word_bits
         p = sess.codec.precision_p
 
         bits_u = _a2b(sess, u)
         bits_v = _a2b(sess, v)
-        s_u = bits_u[..., -1].copy()
-        s_v = bits_v[..., -1].copy()
+        s_u = bits_u >> 63
+        s_v = bits_v >> 63
         au = _cond_negate(sess, bits_u, s_u)
         av = _cond_negate(sess, bits_v, s_v)
 
-        # dividend = |u| << p, safe because |u| * 2^p < 2^(width-1)
-        dividend = np.zeros_like(au)
-        dividend[..., p:] = au[..., : width - p]
-
+        # dividend = |u| << p, safe because |u| * 2^p < 2^63
+        dividend = au << p
         neg_av = _bool_not(sess, av)
         remainder = np.zeros_like(au)
         quot = np.zeros_like(au)
         for i in range(div_iterations(sess.codec) - 1, -1, -1):
-            shifted = np.zeros_like(remainder)
-            shifted[..., 1:] = remainder[..., :-1]
-            shifted[..., 0] = dividend[..., i]
+            shifted = (remainder << ONE) | ((dividend >> i) & ONE)
             diff, carry = _adder(sess, shifted, neg_av, cin_public=1)
-            mask = np.broadcast_to(carry[..., None], diff.shape).copy()
-            swap = _bit_and(sess, mask, diff ^ shifted)
+            swap = _bit_and(sess, np.negative(carry), diff ^ shifted)
             remainder = shifted ^ swap
-            quot[..., i] = carry
-        s_q = s_u ^ s_v
-        signed_q = _cond_negate(sess, quot, s_q)
+            quot |= carry << i
+        signed_q = _cond_negate(sess, quot, s_u ^ s_v)
         return _b2a_word(sess, signed_q)
 
 
@@ -700,13 +689,11 @@ def _truncate_by(sess: Session, v: np.ndarray, bits: int) -> np.ndarray:
 
 def _encode_at(codec, values: np.ndarray, scale_bits: int) -> np.ndarray:
     vals = np.asarray(values, dtype=np.longdouble) * np.longdouble(2.0) ** scale_bits
-    limit = np.longdouble(2.0) ** (codec.word_bits - 1)
+    limit = np.longdouble(2.0) ** 63
     if np.any(np.abs(vals) >= limit):
         raise RangeError("value too large to re-encode at the extended scale")
     mag = np.floor(np.abs(vals) + 0.5)
     signed = np.where(vals < 0, -mag, mag)
     # int() on an integer-valued longdouble is exact; float64 casts are not
     flat = [int(v) & codec.ring.mask for v in signed.reshape(-1)]
-    if codec.word_bits == 64:
-        return np.array(flat, dtype=np.uint64).reshape(signed.shape)
-    return np.array(flat, dtype=object).reshape(signed.shape)
+    return np.array(flat, dtype=np.uint64).reshape(signed.shape)

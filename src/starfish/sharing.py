@@ -1,7 +1,8 @@
 """Additive secret sharing, the trusted dealer, sessions and metering.
 
-Two parties hold additive shares over Z_{2^w}. Boolean values are XOR
-shared bit tensors. Each party runs the same protocol program (SPMD) on
+Two parties hold additive shares over Z_{2^64}. Boolean values are XOR
+shared bit tensors held as packed little-endian uint64 words (the layout
+is described in gates). Each party runs the same protocol program (SPMD) on
 its own Session; every network round is a symmetric exchange where both
 parties send one frame and receive one frame.
 
@@ -10,6 +11,12 @@ material from the same dealer seed and keep only their own half. Draws
 happen in program order on both sides, which keeps the halves consistent.
 Consumed material is charged to the meter as offline bytes, as if a real
 dealer had shipped it ahead of time.
+
+Bit material (AND triples, and the random bits used by B2A) is drawn as
+packed words: one generator call yields every word of an item, and the pad
+bits past the requested bit count are zero. An item's offline charge is its
+packed wire size, the same charge as when the dealer drew one byte per bit;
+only the random contents differ from that form.
 
 Seed tree: all randomness comes from numpy SeedSequence keyed as
 (seed, stream_tag, *indices). Stream tags: 1 dealer, 2 party 0, 3 party 1,
@@ -29,9 +36,9 @@ from .fixedpoint import FixedPointCodec, Ring
 from .transport import (
     OP_TAGS,
     bit_payload_bytes,
+    bit_word_count,
     build_frame,
     inproc_pair,
-    pack_bit_words,
     pack_words,
     parse_frame,
     tcp_connect,
@@ -169,8 +176,17 @@ class DealerTape:
         if self._limit is not None and self._consumed > self._limit:
             raise DealerExhausted(f"dealer tape limit {self._limit} exceeded")
 
+    def _words(self, shape) -> np.ndarray:
+        """Uniform ring words from the tape.
+
+        The raw 64-bit outputs are the words Ring.rand would return from
+        the same generator, without the per-call overhead of integers().
+        """
+        size = int(np.prod(shape, dtype=np.int64))
+        return self._rng.bit_generator.random_raw(size).reshape(shape)
+
     def _split(self, full: np.ndarray) -> np.ndarray:
-        s0 = self.ring.rand(self._rng, np.asarray(full).shape)
+        s0 = self._words(np.asarray(full).shape)
         if self.party == 0:
             return s0
         return self.ring.sub(full, s0)
@@ -178,8 +194,8 @@ class DealerTape:
     def beaver(self, shape_x, shape_y, mode: str = "mul"):
         """Triple (a, b, c) with c = a*b (elementwise) or a@b (matmul)."""
         self._tick()
-        a = self.ring.rand(self._rng, shape_x)
-        b = self.ring.rand(self._rng, shape_y)
+        a = self._words(shape_x)
+        b = self._words(shape_y)
         if mode == "mul":
             c = self.ring.mul(a, b)
         elif mode == "matmul":
@@ -188,23 +204,34 @@ class DealerTape:
             raise ShapeError(f"unknown beaver mode {mode}")
         return self._split(a), self._split(b), self._split(c)
 
-    def bit_triple(self, shape):
-        """XOR-shared bit triple with c = a & b."""
+    def bit_triple(self, nbits: int):
+        """XOR-shared triple c = a & b over nbits bits, as packed words."""
         self._tick()
-        a = self._rng.integers(0, 2, size=shape, dtype=np.uint8)
-        b = self._rng.integers(0, 2, size=shape, dtype=np.uint8)
-        c = a & b
-        return self._split_bits(a), self._split_bits(b), self._split_bits(c)
+        nw = bit_word_count(nbits)
+        a, b, a0, b0, c0 = self._bit_words(self._words((5, nw)), nbits)
+        if self.party == 0:
+            return a0, b0, c0
+        return a ^ a0, b ^ b0, (a & b) ^ c0
 
-    def shared_bit(self, shape):
-        """The same random bit shared in both domains (boolean, arithmetic)."""
+    def shared_bit(self, nbits: int):
+        """nbits random bits shared in both domains.
+
+        Returns (packed XOR share, arithmetic share of each bit's 0/1 value
+        in bit order).
+        """
         self._tick()
-        r = self._rng.integers(0, 2, size=shape, dtype=np.uint8)
-        return self._split_bits(r), self._split(self.ring.array(r.astype(np.uint64)))
+        nw = bit_word_count(nbits)
+        raw = self._words(2 * nw + nbits)
+        r, r0 = self._bit_words(raw[: 2 * nw].reshape(2, nw), nbits)
+        s0 = raw[2 * nw :]
+        if self.party == 0:
+            return r0, s0
+        values = unpack_bit_words(pack_words(r), (nbits,)).astype(np.uint64)
+        return r ^ r0, self.ring.sub(values, s0)
 
     def zero_share(self, shape) -> np.ndarray:
         self._tick()
-        r = self.ring.rand(self._rng, shape)
+        r = self._words(shape)
         return r if self.party == 0 else self.ring.neg(r)
 
     def inv_mask(self, m: int) -> np.ndarray:
@@ -223,11 +250,12 @@ class DealerTape:
         full = self.ring.from_signed(raw)
         return self._split(full)
 
-    def _split_bits(self, full: np.ndarray) -> np.ndarray:
-        s0 = self._rng.integers(0, 2, size=full.shape, dtype=np.uint8)
-        if self.party == 0:
-            return s0
-        return full ^ s0
+    @staticmethod
+    def _bit_words(words: np.ndarray, nbits: int) -> np.ndarray:
+        """Random words over nbits bits: clear the pad bits of the last word."""
+        if nbits % 64:
+            words[..., -1] &= np.uint64((1 << (nbits % 64)) - 1)
+        return words
 
     # Offline cost of materials, in bytes, as shipped to one party.
 
@@ -304,15 +332,13 @@ class Session:
         self.meter.add_offline(self.current_op, cost)
         return trip
 
-    def draw_bit_triple(self, shape):
-        trip = self.dealer.bit_triple(shape)
-        nbits = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    def draw_bit_triple(self, nbits: int):
+        trip = self.dealer.bit_triple(nbits)
         self.meter.add_offline(self.current_op, DealerTape.bit_triple_cost(nbits))
         return trip
 
-    def draw_shared_bit(self, shape):
-        pair = self.dealer.shared_bit(shape)
-        nbits = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    def draw_shared_bit(self, nbits: int):
+        pair = self.dealer.shared_bit(nbits)
         self.meter.add_offline(self.current_op, DealerTape.shared_bit_cost(nbits, self._word_bytes))
         return pair
 
@@ -331,16 +357,16 @@ class Session:
 
     def exchange_words(self, arr: np.ndarray) -> np.ndarray:
         """Send a ring tensor, receive the peer's of the same shape."""
-        arr = np.asarray(arr)
-        payload = pack_words(arr, self.codec.word_bits)
-        reply = self._roundtrip(payload)
-        return unpack_words(reply, arr.shape, self.codec.word_bits)
+        return self._exchange(arr)
 
-    def exchange_bits(self, bits: np.ndarray) -> np.ndarray:
-        bits = np.asarray(bits, dtype=np.uint8)
-        payload = pack_bit_words(bits)
-        reply = self._roundtrip(payload)
-        return unpack_bit_words(reply, bits.shape)
+    def exchange_bits(self, words: np.ndarray) -> np.ndarray:
+        """Send a packed bit tensor, receive the peer's of the same shape."""
+        return self._exchange(words)
+
+    def _exchange(self, arr: np.ndarray) -> np.ndarray:
+        arr = np.asarray(arr)
+        reply = self._roundtrip(pack_words(arr))
+        return unpack_words(reply, arr.shape)
 
     def _roundtrip(self, payload: bytes) -> bytes:
         op = self.current_op

@@ -7,11 +7,13 @@ Frame layout, identical for both transports:
       8 bytes   session id (LE u64)
       2 bytes   operation tag (LE u16, see OP_TAGS)
       2 bytes   reserved (zero)
-      N words   ring elements, little-endian
+      N words   little-endian uint64 words
 
-Boolean payloads are packed little-endian-bit-first into words before they
-hit the wire, so byte accounting is the same for arithmetic and boolean
-traffic.
+Arithmetic payloads are ring elements. Boolean payloads are XOR-shared bit
+tensors, which the gates already hold as little-endian uint64 words over the
+flat bit sequence (bit i of the sequence is bit i % 64 of word i // 64, pad
+bits zero), so both kinds ship their in-memory words unchanged and byte
+accounting is the same for arithmetic and boolean traffic.
 """
 
 from __future__ import annotations
@@ -74,24 +76,16 @@ def estimate_link_time(rounds: int, nbytes: int, profile: str) -> float:
 # -- word packing -------------------------------------------------------
 
 
-def pack_words(arr: np.ndarray, word_bits: int) -> bytes:
-    flat = np.asarray(arr).reshape(-1)
-    if word_bits == 64:
-        return flat.astype("<u8").tobytes()
-    return b"".join(int(v).to_bytes(16, "little") for v in flat)
+def pack_words(arr: np.ndarray) -> bytes:
+    return np.asarray(arr).astype("<u8", copy=False).tobytes()
 
 
-def unpack_words(buf: bytes, shape, word_bits: int) -> np.ndarray:
-    if word_bits == 64:
-        arr = np.frombuffer(buf, dtype="<u8").astype(np.uint64)
-        return arr.reshape(shape)
-    step = 16
-    vals = [int.from_bytes(buf[i : i + step], "little") for i in range(0, len(buf), step)]
-    return np.array(vals, dtype=object).reshape(shape)
+def unpack_words(buf: bytes, shape) -> np.ndarray:
+    return np.frombuffer(buf, dtype="<u8").astype(np.uint64).reshape(shape)
 
 
 def pack_bit_words(bits: np.ndarray) -> bytes:
-    """Bit tensor (uint8 of 0/1) to little-endian words, zero padded."""
+    """One-bit-per-element tensor (0/1 values) to little-endian words, zero padded."""
     raw = np.packbits(np.asarray(bits, dtype=np.uint8).reshape(-1), bitorder="little")
     pad = (-len(raw)) % 8
     if pad:
@@ -100,14 +94,20 @@ def pack_bit_words(bits: np.ndarray) -> bytes:
 
 
 def unpack_bit_words(buf: bytes, shape) -> np.ndarray:
+    """The first prod(shape) bits of little-endian words, one uint8 per bit."""
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
     bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=count, bitorder="little")
     return bits.reshape(shape)
 
 
+def bit_word_count(nbits: int) -> int:
+    """Words holding nbits packed bits."""
+    return (nbits + 63) // 64
+
+
 def bit_payload_bytes(nbits: int) -> int:
     """Wire size of a packed bit payload (whole little-endian words)."""
-    return 8 * ((nbits + 63) // 64)
+    return 8 * bit_word_count(nbits)
 
 
 def build_frame(session_id: int, tag: int, payload_words: bytes) -> bytes:

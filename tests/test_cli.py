@@ -201,6 +201,15 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_wide_ring_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "wide.cfg"
+    path.write_text("word_bits = 128\n")
+    assert _run(["train", "--config", path, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "word_bits must be 64" in err
+    assert "Traceback" not in err
+
+
 # -- tcp transport ------------------------------------------------------------------
 
 

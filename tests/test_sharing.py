@@ -115,20 +115,51 @@ def test_dealer_matmul_triples_consistent():
     assert np.array_equal(CODEC.ring.add(c0, c1), CODEC.ring.matmul(a, b))
 
 
+def _words_to_bits(words):
+    """Reference unpack of packed words: bit i is bit i % 64 of word i // 64."""
+    return [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(64 * len(words))]
+
+
+NBITS = 100  # not a multiple of 64: the last word carries 28 pad bits
+
+
 def test_dealer_bit_triples_consistent():
     d0 = DealerTape(9, 0, CODEC)
     d1 = DealerTape(9, 1, CODEC)
-    a0, b0, c0 = d0.bit_triple((64,))
-    a1, b1, c1 = d1.bit_triple((64,))
-    assert np.array_equal(c0 ^ c1, (a0 ^ a1) & (b0 ^ b1))
+    a0, b0, c0 = d0.bit_triple(NBITS)
+    a1, b1, c1 = d1.bit_triple(NBITS)
+    a, b, c = a0 ^ a1, b0 ^ b1, c0 ^ c1
+    for words in (a, b, c, a0, b0, c0, a1, b1, c1):
+        assert words.dtype == np.uint64 and words.shape == (2,)
+        assert not any(_words_to_bits(words)[NBITS:]), "pad bits must be zero"
+    assert np.array_equal(c, a & b)
+    # the draw is random: neither all zeros nor all ones
+    assert 0 < sum(_words_to_bits(a)) < NBITS
+    assert 0 < sum(_words_to_bits(b)) < NBITS
 
 
 def test_dealer_shared_bit_domains_agree():
     d0 = DealerTape(9, 0, CODEC)
     d1 = DealerTape(9, 1, CODEC)
-    xb0, xa0 = d0.shared_bit((32,))
-    xb1, xa1 = d1.shared_bit((32,))
-    assert np.array_equal(CODEC.ring.add(xa0, xa1), (xb0 ^ xb1).astype(np.uint64))
+    xb0, xa0 = d0.shared_bit(NBITS)
+    xb1, xa1 = d1.shared_bit(NBITS)
+    bits = _words_to_bits(xb0 ^ xb1)
+    assert not any(bits[NBITS:]), "pad bits must be zero"
+    assert xa0.shape == xa1.shape == (NBITS,)
+    assert np.array_equal(CODEC.ring.add(xa0, xa1), np.array(bits[:NBITS], dtype=np.uint64))
+
+
+def test_dealer_bit_draws_charge_packed_sizes():
+    # offline bytes for bit material are the packed wire sizes: whole words
+    s0, _ = make_inproc_sessions(4)
+    with s0.op("sec_ge"):
+        s0.draw_bit_triple(NBITS)
+    assert s0.meter.stats("sec_ge").bytes_offline == 3 * 16
+    with s0.op("sec_div"):
+        s0.draw_shared_bit(NBITS)
+    assert s0.meter.stats("sec_div").bytes_offline == 16 + 8 * NBITS
+    assert DealerTape.bit_triple_cost(64) == 24 and DealerTape.bit_triple_cost(65) == 48
+    assert DealerTape.shared_bit_cost(1, 8) == 16
 
 
 def test_dealer_zero_share():
