@@ -14,10 +14,9 @@ from .errors import (
     TransportError,
     UnknownFunctionality,
 )
-from .fixedpoint import FixedPointCodec, Ring
+from .fixedpoint import FixedPointCodec
 from .sharing import (
     ArithShare,
-    BoolShare,
     Session,
     TranscriptMeter,
     keyed_rng,

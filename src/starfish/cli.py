@@ -61,8 +61,9 @@ from .sharing import (
 from .unlearn import (
     HistoryStore,
     LbfgsState,
-    RunResult,
     UnlearnConfig,
+    _agreed_run,
+    _meter_totals,
     aggregate_reveal,
     sec_tc,
     sec_ue,
@@ -130,7 +131,6 @@ class RunConfig:
     # fixed-point codec
     precision_p: int = 13
     range_e: int = 12
-    word_bits: int = 64
     slack: int = 14
     # plumbing
     transport: str = "inproc"
@@ -142,7 +142,6 @@ class RunConfig:
         return FixedPointCodec(
             precision_p=self.precision_p,
             range_e=self.range_e,
-            word_bits=self.word_bits,
             slack=self.slack,
         )
 
@@ -178,7 +177,7 @@ _PARSERS = {
     "mu": float, "lam_max": _parse_opt_float, "lip": _parse_opt_float,
     "spread": float, "start": float, "heterogeneity": float,
     "samples": int, "reg": float, "scale": float,
-    "precision_p": int, "range_e": int, "word_bits": int, "slack": int,
+    "precision_p": int, "range_e": int, "slack": int,
     "transport": _parse_transport, "party": _parse_party, "address": str,
     "out": str,
 }
@@ -251,13 +250,6 @@ def _run_protocol(cfg: RunConfig, proto):
         sess.chan.close()
 
 
-def _agreed_run(res: RunResult, peer: RunResult | None) -> RunResult:
-    if peer is not None:
-        if not np.array_equal(res.trajectory, peer.trajectory) or res.transcript != peer.transcript:
-            raise ProtocolError("parties disagree on public outputs")
-    return res
-
-
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -266,10 +258,6 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _history_path(out: Path, party: int) -> Path:
     return out / f"history.p{party}.sfh1"
-
-
-def _meter_rounds(sess: Session) -> int:
-    return sum(st.rounds for st in sess.meter.per_op.values())
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -315,8 +303,8 @@ def cmd_unlearn(cfg: RunConfig) -> int:
         if not path.exists():
             raise ConfigError(f"no training history at {path}; run train first")
         hist = HistoryStore.load(path)
-        stored = (hist.codec.precision_p, hist.codec.range_e, hist.codec.word_bits)
-        if stored != (codec.precision_p, codec.range_e, codec.word_bits):
+        stored = (hist.codec.precision_p, hist.codec.range_e)
+        if stored != (codec.precision_p, codec.range_e):
             raise ConfigError(f"history codec {stored} differs from configured codec")
         if (hist.n, hist.m, hist.t) != (ucfg.n, ucfg.m, ucfg.t):
             raise ConfigError(
@@ -580,12 +568,11 @@ def cmd_audit(cfg: RunConfig) -> int:
     def proto(sess: Session):
         local_rows = []
         for label, functionality, shape, runner in items:
-            before_rounds = _meter_rounds(sess)
-            before_bytes = sess.meter.total_online_bytes
+            before = _meter_totals(sess)
             before_inv = {op: st.invocations for op, st in sess.meter.per_op.items()}
             runner(sess)
-            measured = (_meter_rounds(sess) - before_rounds,
-                        sess.meter.total_online_bytes - before_bytes)
+            after = _meter_totals(sess)
+            measured = (after[0] - before[0], after[1] - before[1])
             local_rows.append((label, functionality, shape, measured))
             if functionality in ("sec_srt", "sec_rs"):
                 delta = {}

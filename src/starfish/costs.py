@@ -2,8 +2,10 @@
 
 Each formula mirrors the implemented circuit exchange by exchange, so the
 audit can demand exact equality between prediction and meter. The moving
-parts are the frame overhead (16 bytes), word size, the packed-bit payload
-rule (whole 64-bit words) and the Kogge-Stone level count.
+parts are the frame overhead (16 bytes), the 64-bit ring word
+(fixedpoint.WORD_BITS), the packed-bit payload rule (whole 64-bit words) and
+the Kogge-Stone level count. Only division depends on the codec (its quotient
+bit count), so only the formulas that reach sec_div take one.
 
 Shape conventions per functionality are documented in predict_cost.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import UnknownFunctionality
-from .fixedpoint import FixedPointCodec
+from .fixedpoint import WORD_BITS, WORD_BYTES, FixedPointCodec
 from .transport import FRAME_OVERHEAD, bit_payload_bytes
 
 
@@ -49,14 +51,15 @@ def ks_level_count(width: int) -> int:
 
 
 def div_iterations(codec: FixedPointCodec) -> int:
+    """Quotient bit count of sec_div: dividends are bounded by 2^(2p + e - 1)."""
     return 2 * codec.precision_p + codec.range_e - 1
 
 
 # -- circuit building blocks (one entry per exchange kind) -------------------
 
 
-def words_round(nwords: int, codec: FixedPointCodec) -> CostEstimate:
-    return CostEstimate(1, FRAME_OVERHEAD + (codec.word_bits // 8) * nwords)
+def words_round(nwords: int) -> CostEstimate:
+    return CostEstimate(1, FRAME_OVERHEAD + WORD_BYTES * nwords)
 
 
 def and_round(nbits: int) -> CostEstimate:
@@ -64,48 +67,47 @@ def and_round(nbits: int) -> CostEstimate:
     return CostEstimate(1, FRAME_OVERHEAD + bit_payload_bytes(2 * nbits))
 
 
-def adder_cost(lanes: int, codec: FixedPointCodec, *, with_operand: bool, shared_cin: bool) -> CostEstimate:
-    w = codec.word_bits
+def adder_cost(lanes: int, *, with_operand: bool, shared_cin: bool) -> CostEstimate:
     total = ZERO
     if with_operand:
-        total += and_round(lanes * w)
+        total += and_round(lanes * WORD_BITS)
     if shared_cin:
         total += and_round(lanes)
-    for _ in range(ks_level_count(w)):
-        total += and_round(2 * lanes * w)
+    for _ in range(ks_level_count(WORD_BITS)):
+        total += and_round(2 * lanes * WORD_BITS)
     return total
 
 
-def a2b_cost(lanes: int, codec: FixedPointCodec) -> CostEstimate:
-    return adder_cost(lanes, codec, with_operand=True, shared_cin=False)
+def a2b_cost(lanes: int) -> CostEstimate:
+    return adder_cost(lanes, with_operand=True, shared_cin=False)
 
 
 def b2a_bits_cost(nbits: int) -> CostEstimate:
     return CostEstimate(1, FRAME_OVERHEAD + bit_payload_bytes(nbits))
 
 
-def ge_cost(lanes: int, codec: FixedPointCodec) -> CostEstimate:
-    return a2b_cost(lanes, codec) + b2a_bits_cost(lanes)
+def ge_cost(lanes: int) -> CostEstimate:
+    return a2b_cost(lanes) + b2a_bits_cost(lanes)
 
 
-def mul_cost(broadcast_lanes: int, codec: FixedPointCodec) -> CostEstimate:
-    return words_round(2 * broadcast_lanes, codec)
+def mul_cost(broadcast_lanes: int) -> CostEstimate:
+    return words_round(2 * broadcast_lanes)
 
 
-def matmul_cost(shape_x, shape_y, codec: FixedPointCodec) -> CostEstimate:
-    return words_round(_lanes(shape_x) + _lanes(shape_y), codec)
+def matmul_cost(shape_x, shape_y) -> CostEstimate:
+    return words_round(_lanes(shape_x) + _lanes(shape_y))
 
 
-def comparator_cost(kind: str, lanes: int, codec: FixedPointCodec) -> CostEstimate:
+def comparator_cost(kind: str, lanes: int) -> CostEstimate:
     """Per-stage comparator circuits used inside the sort."""
     if kind == "plain":
-        return ge_cost(lanes, codec)
+        return ge_cost(lanes)
     if kind == "pair":
-        return mul_cost(2 * lanes, codec) + ge_cost(lanes, codec)
+        return mul_cost(2 * lanes) + ge_cost(lanes)
     if kind == "ge3":
-        return ge_cost(lanes, codec) + mul_cost(lanes, codec)
+        return ge_cost(lanes) + mul_cost(lanes)
     if kind == "ge4":
-        return mul_cost(2 * lanes, codec) + ge_cost(lanes, codec) + mul_cost(lanes, codec)
+        return mul_cost(2 * lanes) + ge_cost(lanes) + mul_cost(lanes)
     raise UnknownFunctionality(f"comparator kind {kind!r}")
 
 
@@ -125,43 +127,42 @@ def comparator_calls(t: int) -> int:
     return (ell * ell + ell) * size // 4
 
 
-def sort_cost(t: int, item_words: int, kind: str, codec: FixedPointCodec) -> CostEstimate:
+def sort_cost(t: int, item_words: int, kind: str) -> CostEstimate:
     size = padded_size(t)
     pairs = size // 2
-    per_stage = comparator_cost(kind, pairs, codec) + mul_cost(pairs * item_words, codec)
+    per_stage = comparator_cost(kind, pairs) + mul_cost(pairs * item_words)
     return per_stage * bitonic_stages(size)
 
 
-def max_cost(t: int, batch: int, codec: FixedPointCodec) -> CostEstimate:
+def max_cost(t: int, batch: int) -> CostEstimate:
     size = padded_size(t)
     total = ZERO
     while size > 1:
         half = size // 2
-        total += ge_cost(batch * half, codec) + mul_cost(batch * half, codec)
+        total += ge_cost(batch * half) + mul_cost(batch * half)
         size = half
     return total
 
 
 def div_cost(lanes: int, codec: FixedPointCodec) -> CostEstimate:
-    w = codec.word_bits
-    full = adder_cost(lanes, codec, with_operand=True, shared_cin=False)
-    neg = adder_cost(lanes, codec, with_operand=False, shared_cin=True)
+    full = adder_cost(lanes, with_operand=True, shared_cin=False)
+    neg = adder_cost(lanes, with_operand=False, shared_cin=True)
     total = full * 2 + neg * 2
-    total += (full + and_round(lanes * w)) * div_iterations(codec)
+    total += (full + and_round(lanes * WORD_BITS)) * div_iterations(codec)
     total += neg
-    total += b2a_bits_cost(lanes * w)
+    total += b2a_bits_cost(lanes * WORD_BITS)
     return total
 
 
-def mi_cost(m: int, batch: int, codec: FixedPointCodec) -> CostEstimate:
+def mi_cost(m: int, batch: int) -> CostEstimate:
     n = batch * m * m
-    return words_round(2 * n, codec) + words_round(n, codec)
+    return words_round(2 * n) + words_round(n)
 
 
 # -- composite protocol phases ------------------------------------------------
 
 
-def ue_cost(clients: int, m: int, pairs: int, codec: FixedPointCodec) -> CostEstimate:
+def ue_cost(clients: int, m: int, pairs: int) -> CostEstimate:
     """One secure update estimation round, all curvature lanes live.
 
     Per buffered pair: the revealed zero screen on u, scalar reciprocal
@@ -171,51 +172,51 @@ def ue_cost(clients: int, m: int, pairs: int, codec: FixedPointCodec) -> CostEst
     """
     total = ZERO
     for _ in range(pairs):
-        total += mul_cost(clients, codec) + ge_cost(clients, codec) + words_round(clients, codec)
-        total += mi_cost(1, clients, codec)
-        total += mul_cost(clients * m, codec)
-        total += matmul_cost((clients, m, m), (clients, m, m), codec) * 2
-        total += matmul_cost((clients, m, 1), (clients, 1, m), codec)
+        total += mul_cost(clients) + ge_cost(clients) + words_round(clients)
+        total += mi_cost(1, clients)
+        total += mul_cost(clients * m)
+        total += matmul_cost((clients, m, m), (clients, m, m)) * 2
+        total += matmul_cost((clients, m, 1), (clients, 1, m))
     if pairs > 0:
-        total += matmul_cost((clients, m, m), (clients, m, 1), codec)
-    total += words_round(m, codec)
+        total += matmul_cost((clients, m, m), (clients, m, 1))
+    total += words_round(m)
     return total
 
 
-def tc_cost(clients: int, m: int, codec: FixedPointCodec) -> CostEstimate:
-    total = mul_cost(clients * m, codec)          # gradient squares
-    total += mul_cost(clients, codec)             # threshold squares
-    total += ge_cost(clients * m, codec)          # coordinate exceed bits
-    total += ge_cost(clients, codec)              # count >= 1
-    total += words_round(clients, codec)          # reveal flags
+def tc_cost(clients: int, m: int) -> CostEstimate:
+    total = mul_cost(clients * m)     # gradient squares
+    total += mul_cost(clients)        # threshold squares
+    total += ge_cost(clients * m)     # coordinate exceed bits
+    total += ge_cost(clients)         # count >= 1
+    total += words_round(clients)     # reveal flags
     return total
 
 
 def rs_cost(t: int, t_prime: int, method: int, codec: FixedPointCodec, kept: int | None = None) -> CostEstimate:
     """Round selection with no zero-norm exclusions unless kept is given."""
     kept = t if kept is None else kept
-    total = ge_cost(t, codec) + words_round(t, codec)   # zero-norm flags, revealed
+    total = ge_cost(t) + words_round(t)          # zero-norm flags, revealed
     if method == 1:
-        total += sort_cost(kept, 3, "pair", codec)       # u, v, payload
+        total += sort_cost(kept, 3, "pair")     # u, v, payload
     else:
         total += div_cost(kept, codec)
-        total += sort_cost(kept, 2, "plain", codec)      # tau, payload
-    total += words_round(min(t_prime, kept), codec)      # reveal selected indices
+        total += sort_cost(kept, 2, "plain")    # tau, payload
+    total += words_round(min(t_prime, kept))    # reveal selected indices
     return total
 
 
 def rs_alt_cost(t: int, t_prime: int, method: int, m: int, codec: FixedPointCodec, kept: int | None = None) -> CostEstimate:
     kept = t if kept is None else kept
-    total = words_round(2 * t * m, codec)                # <g,g>, no precomputed norms
-    total += ge_cost(t, codec) + words_round(t, codec)   # zero-norm flags, revealed
-    total += ge_cost(kept, codec)                        # w = [u >= 0]
-    total += mul_cost(kept, codec)                       # a = u^2
+    total = words_round(2 * t * m)              # <g,g>, no precomputed norms
+    total += ge_cost(t) + words_round(t)        # zero-norm flags, revealed
+    total += ge_cost(kept)                      # w = [u >= 0]
+    total += mul_cost(kept)                     # a = u^2
     if method == 1:
-        total += sort_cost(kept, 4, "ge4", codec)        # w, a, v, payload
+        total += sort_cost(kept, 4, "ge4")      # w, a, v, payload
     else:
         total += div_cost(kept, codec)
-        total += sort_cost(kept, 3, "ge3", codec)        # w, b, payload
-    total += words_round(min(t_prime, kept), codec)
+        total += sort_cost(kept, 3, "ge3")      # w, b, payload
+    total += words_round(min(t_prime, kept))
     return total
 
 
@@ -241,51 +242,51 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
     if name in ("sec_add", "zero_gen", "sec_ran_gen", "sec_share"):
         return ZERO
     if name == "sec_rec":
-        return words_round(_lanes(shape), codec)
+        return words_round(_lanes(shape))
     if name == "sec_mul":
         if isinstance(shape, dict):
             sx, sy = shape["matmul"]
-            return matmul_cost(sx, sy, codec)
-        return mul_cost(_lanes(shape), codec)
+            return matmul_cost(sx, sy)
+        return mul_cost(_lanes(shape))
     if name == "sec_mul3":
         if isinstance(shape, dict):
             sx, sy, sz = shape["matmul"]
-            first = matmul_cost(sx, sy, codec)
+            first = matmul_cost(sx, sy)
             mid = (sx[0], sy[1])
-            return first + matmul_cost(mid, sz, codec)
-        return mul_cost(_lanes(shape), codec) * 2
+            return first + matmul_cost(mid, sz)
+        return mul_cost(_lanes(shape)) * 2
     if name == "sec_sp":
         lanes = _lanes(shape[:-1])
-        return words_round(2 * lanes * shape[-1], codec)
+        return words_round(2 * lanes * shape[-1])
     if name == "sec_sel":
-        return mul_cost(_lanes(shape), codec)
+        return mul_cost(_lanes(shape))
     if name == "sec_ge":
-        return ge_cost(_lanes(shape), codec)
+        return ge_cost(_lanes(shape))
     if name == "sec_ge2":
-        return mul_cost(2 * _lanes(shape), codec) + ge_cost(_lanes(shape), codec)
+        return mul_cost(2 * _lanes(shape)) + ge_cost(_lanes(shape))
     if name == "sec_ge3":
-        return comparator_cost("ge3", _lanes(shape), codec)
+        return comparator_cost("ge3", _lanes(shape))
     if name == "sec_ge4":
-        return comparator_cost("ge4", _lanes(shape), codec)
+        return comparator_cost("ge4", _lanes(shape))
     if name == "sec_max":
-        return max_cost(shape[-1], _lanes(shape[:-1]), codec)
+        return max_cost(shape[-1], _lanes(shape[:-1]))
     if name == "sec_srt":
-        return sort_cost(shape["t"], shape["item_words"], shape["comparator"], codec)
+        return sort_cost(shape["t"], shape["item_words"], shape["comparator"])
     if name == "sec_div":
         return div_cost(_lanes(shape), codec)
     if name == "sec_mi":
-        return mi_cost(shape["m"], shape.get("batch", 1), codec)
+        return mi_cost(shape["m"], shape.get("batch", 1))
     if name == "sec_ran_gen_inv":
         m = shape["m"]
         if m == 0:
-            return mul_cost(1, codec) + words_round(1, codec)
-        return mi_cost(m, 1, codec)
+            return mul_cost(1) + words_round(1)
+        return mi_cost(m, 1)
     if name == "threshold_determination":
-        return max_cost(shape["t"], shape["clients"], codec)
+        return max_cost(shape["t"], shape["clients"])
     if name == "sec_ue":
-        return ue_cost(shape["clients"], shape["m"], shape["pairs"], codec)
+        return ue_cost(shape["clients"], shape["m"], shape["pairs"])
     if name == "sec_tc":
-        return tc_cost(shape["clients"], shape["m"], codec)
+        return tc_cost(shape["clients"], shape["m"])
     if name == "sec_rs":
         return rs_cost(shape["t"], shape["t_prime"], shape["method"], codec, shape.get("kept"))
     if name == "sec_rs_alt":

@@ -1,83 +1,39 @@
 """Fixed-point encoding over the ring Z_{2^64}.
 
 Real values are carried as two's-complement integers scaled by 2^p. A ring
-tensor is a plain numpy uint64 array with native wraparound. Ownership of a
+tensor is a plain numpy uint64 array: numpy's array ufuncs (np.add,
+np.subtract, np.multiply, np.matmul, np.negative) wrap mod 2^64, which is
+the ring arithmetic. numpy *scalars* warn on wraparound, so code that may
+see a 0-d value calls the ufunc rather than an operator. Ownership of a
 share is implicit in which party's session holds the array.
+
+Range budget: encoded values stay below 2^(e-1) in magnitude at scale 2^-p,
+so a product of two of them sits below 2^(2p + 2e - 2) before truncation.
+The statistical slack on top of that keeps probabilistic share truncation
+from wrapping except with probability about 2^-slack, hence
+2p + 2e + slack <= 64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import RangeError, ShapeError
+from .errors import RangeError
 
 WORD_BITS = 64
+WORD_BYTES = WORD_BITS // 8
 
 
-class Ring:
-    """Arithmetic mod 2^64 on numpy uint64 arrays.
+def from_signed(x) -> np.ndarray:
+    """Signed integers (python or numpy) to two's-complement ring words."""
+    return np.asarray(x, dtype=np.int64).view(np.uint64)
 
-    All operations wrap; callers that need signed semantics go through
-    to_signed/from_signed.
-    """
 
-    def __init__(self, word_bits: int = WORD_BITS):
-        if word_bits != WORD_BITS:
-            raise RangeError(f"word_bits must be {WORD_BITS}, got {word_bits}")
-        self.word_bits = word_bits
-        self.mask = (1 << word_bits) - 1
-
-    # -- construction -------------------------------------------------
-
-    def array(self, x) -> np.ndarray:
-        """Coerce nonnegative raw words into a ring tensor."""
-        return np.asarray(x, dtype=np.uint64)
-
-    def zeros(self, shape) -> np.ndarray:
-        return np.zeros(shape, dtype=np.uint64)
-
-    def from_signed(self, x) -> np.ndarray:
-        """Signed integers (python or numpy) to two's-complement words."""
-        return np.asarray(x, dtype=np.int64).view(np.uint64)
-
-    def to_signed(self, v) -> np.ndarray:
-        """Two's-complement lift to signed integers."""
-        return np.asarray(v, dtype=np.uint64).view(np.int64)
-
-    def rand(self, rng: np.random.Generator, shape=()) -> np.ndarray:
-        """Uniform ring elements from the given generator."""
-        return rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def add(self, a, b) -> np.ndarray:
-        return np.add(a, b)
-
-    def sub(self, a, b) -> np.ndarray:
-        return np.subtract(a, b)
-
-    def neg(self, a) -> np.ndarray:
-        return np.negative(np.asarray(a, dtype=np.uint64))
-
-    def mul(self, a, b) -> np.ndarray:
-        return np.multiply(a, b)
-
-    def matmul(self, a, b) -> np.ndarray:
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-            raise ShapeError(f"matmul shapes {a.shape} x {b.shape}")
-        return np.matmul(a, b)
-
-    def scale_int(self, a, k: int) -> np.ndarray:
-        """Multiply by a public (possibly negative) integer constant."""
-        return np.multiply(np.asarray(a, dtype=np.uint64), np.uint64(k & self.mask))
-
-    def shift_right_logical(self, a, k: int) -> np.ndarray:
-        return np.asarray(a, dtype=np.uint64) >> np.uint64(k)
+def to_signed(v) -> np.ndarray:
+    """Two's-complement lift of ring words to signed integers."""
+    return np.asarray(v, dtype=np.uint64).view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -85,29 +41,19 @@ class FixedPointCodec:
     """Parameters of the fixed-point embedding.
 
     precision_p fractional bits, values bounded by 2^(range_e - 1) in
-    magnitude. The statistical slack is what keeps probabilistic share
-    truncation from wrapping: 2p + 2e + slack <= word_bits.
+    magnitude, slack bits of truncation headroom (see the module docstring).
     """
 
     precision_p: int = 13
     range_e: int = 12
-    word_bits: int = WORD_BITS
     slack: int = 14
 
     def __post_init__(self):
-        if self.word_bits != WORD_BITS:
-            raise RangeError(f"word_bits must be {WORD_BITS}, got {self.word_bits}")
         if self.precision_p < 1 or self.range_e < 1 or self.slack < 0:
             raise RangeError("codec parameters must be positive (slack >= 0)")
         budget = 2 * self.precision_p + 2 * self.range_e + self.slack
-        if budget > self.word_bits:
-            raise RangeError(
-                f"2p + 2e + slack = {budget} exceeds word_bits = {self.word_bits}"
-            )
-
-    @cached_property
-    def ring(self) -> Ring:
-        return Ring(self.word_bits)
+        if budget > WORD_BITS:
+            raise RangeError(f"2p + 2e + slack = {budget} exceeds the {WORD_BITS}-bit word")
 
     @property
     def scale(self) -> int:
@@ -133,13 +79,12 @@ class FixedPointCodec:
         return signed.astype(np.int64).view(np.uint64)
 
     def decode(self, v) -> np.ndarray:
-        """Ring words back to floats at precision p."""
+        """Words back to floats at precision p."""
         return self.decode_at(v, self.precision_p)
 
     def decode_at(self, v, scale_bits: int) -> np.ndarray:
         """Decode at a non-default scale (products before truncation sit at 2p)."""
-        signed = self.ring.to_signed(v)
-        return np.asarray(signed, dtype=np.float64) / float(1 << scale_bits)
+        return np.asarray(to_signed(v), dtype=np.float64) / float(1 << scale_bits)
 
     def quantize(self, x) -> np.ndarray:
         """Snap floats to the representable grid (encode then decode)."""
@@ -147,26 +92,15 @@ class FixedPointCodec:
 
     # -- share truncation ----------------------------------------------
 
-    def truncate_local(self, v, party: int) -> np.ndarray:
-        """Per-party share truncation by p bits.
+    def truncate_local(self, v, party: int, bits: int | None = None) -> np.ndarray:
+        """Per-party share truncation by bits (p unless given).
 
         Party 0 shifts its share; party 1 shifts the negation and negates
         back. Reconstruction lands within one unit in the last place of the
         true shifted value except with probability about 2^-slack.
         """
-        ring = self.ring
+        shift = np.uint64(self.precision_p if bits is None else bits)
+        v = np.asarray(v, dtype=np.uint64)
         if party == 0:
-            return ring.shift_right_logical(v, self.precision_p)
-        return ring.neg(ring.shift_right_logical(ring.neg(v), self.precision_p))
-
-
-def encode(x, codec: FixedPointCodec) -> np.ndarray:
-    return codec.encode(x)
-
-
-def decode(v, codec: FixedPointCodec) -> np.ndarray:
-    return codec.decode(v)
-
-
-def truncate_local(v, codec: FixedPointCodec, party: int) -> np.ndarray:
-    return codec.truncate_local(v, party)
+            return v >> shift
+        return np.negative(np.negative(v) >> shift)

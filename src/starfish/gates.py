@@ -31,7 +31,9 @@ from typing import Callable
 
 import numpy as np
 
+from .costs import div_iterations
 from .errors import RangeError, ShapeError, SingularRevealError
+from .fixedpoint import from_signed
 from .sharing import Session
 from .transport import bit_word_count, pack_bit_words, pack_words, unpack_bit_words, unpack_words
 
@@ -42,14 +44,14 @@ ONE = np.uint64(1)
 
 def const_share(sess: Session, raw) -> np.ndarray:
     """Share of a public ring value: party 0 holds it, party 1 holds zero."""
-    arr = sess.ring.array(raw)
-    return arr if sess.party == 0 else sess.ring.zeros(arr.shape)
+    arr = np.asarray(raw, dtype=np.uint64)
+    return arr if sess.party == 0 else np.zeros_like(arr)
 
 
 def add_public(sess: Session, x, raw) -> np.ndarray:
     if sess.party == 0:
-        return sess.ring.add(x, sess.ring.array(raw))
-    return sess.ring.array(x)
+        return np.add(x, np.asarray(raw, dtype=np.uint64))
+    return np.asarray(x, dtype=np.uint64)
 
 
 def _broadcast(x, y):
@@ -60,7 +62,7 @@ def _broadcast(x, y):
 def _open(sess: Session, x) -> np.ndarray:
     """Reveal inside the current gate scope (attributed to that gate)."""
     theirs = sess.exchange_words(np.asarray(x))
-    return sess.ring.add(x, theirs)
+    return np.add(x, theirs)
 
 
 def _exchange_concat(sess: Session, parts: list[np.ndarray]) -> list[np.ndarray]:
@@ -81,39 +83,32 @@ def _exchange_concat(sess: Session, parts: list[np.ndarray]) -> list[np.ndarray]
 
 
 def _beaver_mul(sess: Session, x, y, *, matmul: bool = False, truncate: bool = True):
-    ring = sess.ring
     x = np.asarray(x)
     y = np.asarray(y)
     if matmul:
-        a, b, c = sess.draw_beaver(x.shape, y.shape, "matmul")
-        d_loc = ring.sub(x, a)
-        e_loc = ring.sub(y, b)
-        d, e = _exchange_concat(sess, [d_loc, e_loc])
-        d = ring.add(d_loc, d)
-        e = ring.add(e_loc, e)
-        z = ring.add(c, ring.add(ring.matmul(d, b), ring.matmul(a, e)))
-        if sess.party == 0:
-            z = ring.add(z, ring.matmul(d, e))
+        if x.shape[-1] != y.shape[-2 if y.ndim > 1 else 0]:
+            raise ShapeError(f"matmul shapes {x.shape} x {y.shape}")
+        product = np.matmul
     else:
         x, y = _broadcast(x, y)
-        a, b, c = sess.draw_beaver(x.shape, y.shape, "mul")
-        d_loc = ring.sub(x, a)
-        e_loc = ring.sub(y, b)
-        d, e = _exchange_concat(sess, [d_loc, e_loc])
-        d = ring.add(d_loc, d)
-        e = ring.add(e_loc, e)
-        z = ring.add(c, ring.add(ring.mul(d, b), ring.mul(e, a)))
-        if sess.party == 0:
-            z = ring.add(z, ring.mul(d, e))
+        product = np.multiply
+    a, b, c = sess.draw_beaver(x.shape, y.shape, "matmul" if matmul else "mul")
+    d_loc = np.subtract(x, a)
+    e_loc = np.subtract(y, b)
+    d, e = _exchange_concat(sess, [d_loc, e_loc])
+    d = np.add(d_loc, d)
+    e = np.add(e_loc, e)
+    z = np.add(c, np.add(product(d, b), product(a, e)))
+    if sess.party == 0:
+        z = np.add(z, product(d, e))
     if truncate:
         z = sess.truncate(z)
     return z
 
 
 def _mul_public_core(sess: Session, x, raw, *, matmul: bool = False, truncate: bool = True):
-    ring = sess.ring
-    pub = ring.array(raw)
-    z = ring.matmul(x, pub) if matmul else ring.mul(x, pub)
+    pub = np.asarray(raw, dtype=np.uint64)
+    z = np.matmul(x, pub) if matmul else np.multiply(x, pub)
     if truncate:
         z = sess.truncate(z)
     return z
@@ -126,7 +121,7 @@ def sec_add(sess: Session, x, y) -> np.ndarray:
     """Share-wise addition. Zero rounds, zero bytes."""
     with sess.op("sec_add"):
         sess.meter.invoke("sec_add", int(np.broadcast(np.asarray(x), np.asarray(y)).size))
-        return sess.ring.add(x, y)
+        return np.add(x, y)
 
 
 def sec_mul(sess: Session, x, y, *, matmul: bool = False, truncate: bool = True) -> np.ndarray:
@@ -174,11 +169,9 @@ def sec_sp(sess: Session, x, y, *, truncate: bool = True) -> np.ndarray:
 def sp_public(sess: Session, x, raw, *, truncate: bool = True) -> np.ndarray:
     """Inner product with a public vector: local, zero communication."""
     with sess.op("sec_sp"):
-        ring = sess.ring
         x = np.asarray(x)
         sess.meter.invoke("sec_sp", int(x.size // x.shape[-1]))
-        pub = ring.array(raw)
-        z = ring.mul(x, pub).sum(axis=-1, dtype=np.uint64)
+        z = np.multiply(x, np.asarray(raw, dtype=np.uint64)).sum(axis=-1, dtype=np.uint64)
         if truncate:
             z = sess.truncate(z)
         return z
@@ -187,12 +180,10 @@ def sp_public(sess: Session, x, raw, *, truncate: bool = True) -> np.ndarray:
 def sec_sel(sess: Session, v0, v1, b) -> np.ndarray:
     """Oblivious select v0 + b*(v1 - v0), re-randomized with a zero share."""
     with sess.op("sec_sel"):
-        ring = sess.ring
         sess.meter.invoke("sec_sel", int(np.asarray(b).size))
-        diff = ring.sub(v1, v0)
-        picked = _beaver_mul(sess, b, diff, truncate=False)
-        out = ring.add(v0, picked)
-        return ring.add(out, sess.draw_zero(np.asarray(out).shape))
+        picked = _beaver_mul(sess, b, np.subtract(v1, v0), truncate=False)
+        out = np.add(v0, picked)
+        return np.add(out, sess.draw_zero(np.asarray(out).shape))
 
 
 # -- boolean kernel (representation: see the module docstring) ----------------
@@ -287,7 +278,7 @@ def _adder(
 
 def _a2b(sess: Session, x: np.ndarray) -> np.ndarray:
     """Arithmetic share to XOR-shared full-width words of the same value."""
-    mine = sess.ring.array(x)
+    mine = np.asarray(x, dtype=np.uint64)
     zeros = np.zeros_like(mine)
     xa = mine if sess.party == 0 else zeros
     xb = zeros if sess.party == 0 else mine
@@ -297,13 +288,12 @@ def _a2b(sess: Session, x: np.ndarray) -> np.ndarray:
 
 def _b2a_bits(sess: Session, bits: np.ndarray, nbits: int) -> np.ndarray:
     """Packed XOR-shared bits to arithmetic shares of their 0/1 values, in bit order."""
-    ring = sess.ring
     r_bool, r_arith = sess.draw_shared_bit(nbits)
     t_loc = bits.reshape(-1) ^ r_bool
     t = _unpack_lanes(t_loc ^ sess.exchange_bits(t_loc), nbits)
-    out = ring.sub(r_arith, ring.scale_int(ring.mul(t, r_arith), 2))
+    out = r_arith - ((t * r_arith) << ONE)  # r XOR t = r + t - 2tr
     if sess.party == 0:
-        out = ring.add(out, t)
+        out += t
     return out
 
 
@@ -328,7 +318,7 @@ def _cond_negate(sess: Session, words: np.ndarray, sign: np.ndarray) -> np.ndarr
 
 def _ge_core(sess: Session, u, v) -> np.ndarray:
     """Arithmetic share of [u >= v] via the sign bit of u - v."""
-    d = sess.ring.sub(*_broadcast(u, v))
+    d = np.subtract(*_broadcast(u, v))
     ge = _bool_not(sess, _a2b(sess, d)) >> 63
     return _b2a_bits(sess, _pack_lanes(ge), ge.size).reshape(ge.shape)
 
@@ -344,19 +334,12 @@ def sec_ge2(sess: Session, u1, v1, u2, v2) -> np.ndarray:
     """[u1/v1 >= u2/v2] for positive v1, v2 by exact cross multiplication."""
     with sess.op("sec_ge2"):
         sess.meter.invoke("sec_ge2", int(np.asarray(u1).size))
-        lhs_rhs = _beaver_mul(
-            sess,
-            np.stack(_broadcast(u1, u2)),
-            np.stack(_broadcast(v2, v1)),
-            truncate=False,
-        )
-        return _ge_core(sess, lhs_rhs[0], lhs_rhs[1])
+        return comparator_pair(sess, {"u": u1, "v": v1}, {"u": u2, "v": v2})
 
 
 def sec_max(sess: Session, vals) -> np.ndarray:
     """Oblivious max over the last axis (tournament of sec_ge/sec_sel)."""
     with sess.op("sec_max"):
-        ring = sess.ring
         vals = np.asarray(vals)
         lanes = int(vals.size // vals.shape[-1])
         sess.meter.invoke("sec_max", lanes)
@@ -371,14 +354,14 @@ def sec_max(sess: Session, vals) -> np.ndarray:
             a = vals[..., :half]
             b = vals[..., half:]
             g = _ge_core(sess, a, b)
-            picked = _beaver_mul(sess, g, ring.sub(a, b), truncate=False)
-            vals = ring.add(b, picked)
+            picked = _beaver_mul(sess, g, np.subtract(a, b), truncate=False)
+            vals = np.add(b, picked)
         return vals[..., 0]
 
 
-def _min_sentinel_raw(sess: Session) -> int:
+def _min_sentinel_raw(sess: Session) -> np.ndarray:
     codec = sess.codec
-    return -(1 << (codec.precision_p + codec.range_e - 1)) & codec.ring.mask
+    return from_signed(-(1 << (codec.precision_p + codec.range_e - 1)))
 
 
 # -- oblivious sort -----------------------------------------------------------
@@ -417,8 +400,8 @@ def comparator_pair(sess: Session, a: dict, b: dict) -> np.ndarray:
     """Fraction order u1/v1 >= u2/v2 with positive denominators."""
     lhs_rhs = _beaver_mul(
         sess,
-        np.stack([a["u"], b["u"]]),
-        np.stack([b["v"], a["v"]]),
+        np.stack(_broadcast(a["u"], b["u"])),
+        np.stack(_broadcast(b["v"], a["v"])),
         truncate=False,
     )
     return _ge_core(sess, lhs_rhs[0], lhs_rhs[1])
@@ -451,7 +434,6 @@ def sec_srt(
             if key.variant not in SORT_VARIANTS:
                 raise ShapeError(f"no default comparator for variant {key.variant!r}")
             comparator, sentinel = SORT_VARIANTS[key.variant]
-        ring = sess.ring
         t = key.length()
         size = 1 << (t - 1).bit_length()
         # working copies: the network scatters in place
@@ -464,7 +446,7 @@ def sec_srt(
                 pad = np.broadcast_to(pad_val, (size - t,) + parts[name].shape[1:]).copy()
                 parts[name] = np.concatenate([parts[name], pad], axis=0)
             if payload is not None:
-                pad_val = const_share(sess, ring.from_signed(-1))
+                pad_val = const_share(sess, from_signed(-1))
                 pad = np.broadcast_to(pad_val, (size - t,) + payload.shape[1:]).copy()
                 payload = np.concatenate([payload, pad], axis=0)
 
@@ -483,25 +465,25 @@ def sec_srt(
                 sess.meter.invoke("sec_sel", len(hi_idx))
                 # positions sorting ascending flip the comparator bit locally
                 sign = np.where(desc, 1, -1)
-                s = ring.mul(b, ring.from_signed(sign))
+                s = np.multiply(b, from_signed(sign))
                 if sess.party == 0:
-                    s = ring.add(s, ring.from_signed(np.where(desc, 0, 1)))
+                    s = np.add(s, from_signed(np.where(desc, 0, 1)))
                 cols = [parts[n][hi_idx].copy() for n in names]
                 lows = [parts[n][lo_idx].copy() for n in names]
                 if payload is not None:
                     cols.append(payload[hi_idx].copy())
                     lows.append(payload[lo_idx].copy())
-                diffs = [ring.sub(c, lo) for c, lo in zip(cols, lows)]
+                diffs = [np.subtract(c, lo) for c, lo in zip(cols, lows)]
                 flat_diffs = np.concatenate([d.reshape(len(hi_idx), -1) for d in diffs], axis=1)
                 picked = _beaver_mul(sess, s[:, None], flat_diffs, truncate=False)
-                picked = ring.add(picked, sess.draw_zero(flat_diffs.shape))
+                picked = np.add(picked, sess.draw_zero(flat_diffs.shape))
                 pos = 0
                 for idx, name in enumerate(names + (["__payload__"] if payload is not None else [])):
                     width = cols[idx].reshape(len(hi_idx), -1).shape[1]
                     chunk = picked[:, pos : pos + width].reshape(cols[idx].shape)
                     pos += width
-                    new_hi = ring.add(lows[idx], chunk)
-                    new_lo = ring.sub(ring.add(cols[idx], lows[idx]), new_hi)
+                    new_hi = np.add(lows[idx], chunk)
+                    new_lo = np.subtract(np.add(cols[idx], lows[idx]), new_hi)
                     if name == "__payload__":
                         payload[hi_idx] = new_hi
                         payload[lo_idx] = new_lo
@@ -525,11 +507,6 @@ def _bitonic_stage(size: int, k: int, j: int):
 
 
 # -- division ------------------------------------------------------------------
-
-
-def div_iterations(codec) -> int:
-    """Quotient bit count: dividends are bounded by 2^(2p + e - 1)."""
-    return 2 * codec.precision_p + codec.range_e - 1
 
 
 def sec_div(sess: Session, u, v) -> np.ndarray:
@@ -578,7 +555,6 @@ def sec_ran_gen_inv(sess: Session, shape=(), *, tries: int = 16, cond_bound: flo
     """
     with sess.op("sec_ran_gen_inv"):
         sess.meter.invoke("sec_ran_gen_inv")
-        ring = sess.ring
         matrix = len(shape) == 2
         for _ in range(tries):
             if matrix:
@@ -590,8 +566,8 @@ def sec_ran_gen_inv(sess: Session, shape=(), *, tries: int = 16, cond_bound: flo
                 if np.isfinite(np.linalg.cond(dec)) and np.linalg.cond(dec) < cond_bound:
                     return u
             else:
-                u = ring.rand(sess.rng, shape)
-                w = ring.rand(sess.rng, shape)
+                u = sess.rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+                w = sess.rng.integers(0, 2**64, size=shape, dtype=np.uint64)
                 prod = _beaver_mul(sess, u, w, truncate=False)
                 revealed = _open(sess, prod)
                 if np.all(np.asarray(revealed) != 0):
@@ -633,7 +609,6 @@ def sec_mi(sess: Session, x, *, tries: int = 8, cond_bound: float = 1e8) -> np.n
     """
     with sess.op("sec_mi"):
         sess.meter.invoke("sec_mi")
-        ring = sess.ring
         codec = sess.codec
         arr = np.asarray(x)
         scalar = arr.ndim == 0
@@ -665,11 +640,9 @@ def sec_mi(sess: Session, x, *, tries: int = 8, cond_bound: float = 1e8) -> np.n
             if not ok:
                 continue
             inv_pub = np.stack([_invert_longdouble(dec[b]) for b in range(dec.shape[0])])
-            enc = _encode_at(codec, inv_pub, two_p)
-            res = ring.matmul(masks, enc)
+            res = np.matmul(masks, _encode_at(inv_pub, two_p))
             # one shift by 2p rather than two by p: a single rounding event
-            sess.meter.add_truncations(res.size)
-            out = _truncate_by(sess, res, two_p)
+            out = sess.truncate(res, bits=two_p)
             break
         if out is None:
             raise SingularRevealError(f"masked product stayed singular after {tries} draws")
@@ -680,14 +653,7 @@ def sec_mi(sess: Session, x, *, tries: int = 8, cond_bound: float = 1e8) -> np.n
         return out.reshape(np.asarray(x).shape)
 
 
-def _truncate_by(sess: Session, v: np.ndarray, bits: int) -> np.ndarray:
-    ring = sess.ring
-    if sess.party == 0:
-        return ring.shift_right_logical(v, bits)
-    return ring.neg(ring.shift_right_logical(ring.neg(v), bits))
-
-
-def _encode_at(codec, values: np.ndarray, scale_bits: int) -> np.ndarray:
+def _encode_at(values: np.ndarray, scale_bits: int) -> np.ndarray:
     vals = np.asarray(values, dtype=np.longdouble) * np.longdouble(2.0) ** scale_bits
     limit = np.longdouble(2.0) ** 63
     if np.any(np.abs(vals) >= limit):
@@ -695,5 +661,5 @@ def _encode_at(codec, values: np.ndarray, scale_bits: int) -> np.ndarray:
     mag = np.floor(np.abs(vals) + 0.5)
     signed = np.where(vals < 0, -mag, mag)
     # int() on an integer-valued longdouble is exact; float64 casts are not
-    flat = [int(v) & codec.ring.mask for v in signed.reshape(-1)]
+    flat = [int(v) % 2**64 for v in signed.reshape(-1)]
     return np.array(flat, dtype=np.uint64).reshape(signed.shape)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateRoundError
+from .fixedpoint import WORD_BITS, from_signed, to_signed
 from .gates import (
     ComparisonKey,
     _beaver_mul,
@@ -37,6 +38,8 @@ from .gates import (
 )
 from .sharing import Session, sec_rec
 
+KAPPA = 128  # statistical security parameter of the method-switching formula
+
 
 def switching_threshold(ell_q: int, kappa: int) -> int:
     """Largest T for which the cross-multiplication method is cheaper."""
@@ -51,8 +54,6 @@ class SelectionParams:
     t: int
     sigma: float
     t_prime: int | None = None
-    ell_q: int = 64
-    kappa: int = 128
     t_delta: int | None = None
 
     def __post_init__(self):
@@ -65,7 +66,7 @@ class SelectionParams:
         if not (1 <= self.t_prime <= self.t):
             raise ConfigError(f"t_prime {self.t_prime} outside [1, {self.t}]")
         if self.t_delta is None:
-            self.t_delta = switching_threshold(self.ell_q, self.kappa)
+            self.t_delta = switching_threshold(WORD_BITS, KAPPA)
 
 
 @dataclass
@@ -103,29 +104,23 @@ class SelectionResult:
 
 
 def _sign_aware_combine(sess: Session, w1, w2, z) -> np.ndarray:
-    ring = sess.ring
-    s = add_public(sess, ring.add(w1, w2), ring.mask)  # w1 + w2 - 1
+    s = add_public(sess, np.add(w1, w2), from_signed(-1))  # w1 + w2 - 1
     zs = _beaver_mul(sess, z, s, truncate=False)
-    return add_public(sess, ring.add(ring.neg(w2), zs), 1)
+    return add_public(sess, np.subtract(zs, w2), 1)
 
 
 def sec_ge3(sess: Session, w1, b1, w2, b2) -> np.ndarray:
     """Compare sign/ratio pairs; inputs share w in {0,1} and b = a/v >= 0."""
     with sess.op("sec_ge3"):
         sess.meter.invoke("sec_ge3", int(np.asarray(w1).size))
-        z = _ge_core(sess, b1, b2)
-        return _sign_aware_combine(sess, w1, w2, z)
+        return _comparator_ge3(sess, {"w": w1, "b": b1}, {"w": w2, "b": b2})
 
 
 def sec_ge4(sess: Session, w1, a1, v1, w2, a2, v2) -> np.ndarray:
     """Same order as sec_ge3 with the ratios held as (a, v), v > 0."""
     with sess.op("sec_ge4"):
         sess.meter.invoke("sec_ge4", int(np.asarray(w1).size))
-        cross = _beaver_mul(
-            sess, np.stack([a1, a2]), np.stack([v2, v1]), truncate=False
-        )
-        z = _ge_core(sess, cross[0], cross[1])
-        return _sign_aware_combine(sess, w1, w2, z)
+        return _comparator_ge4(sess, {"w": w1, "a": a1, "v": v1}, {"w": w2, "a": a2, "v": v2})
 
 
 def _comparator_ge3(sess: Session, x: dict, y: dict) -> np.ndarray:
@@ -168,17 +163,17 @@ def _public_delta_norms(deltas: np.ndarray, codec) -> np.ndarray:
 def _keep_nonzero(sess: Session, magnitudes, cut: int = 1) -> np.ndarray:
     """Reveal [magnitude >= cut raw units] flags and return kept round indices."""
     flags = sec_ge(sess, magnitudes, const_share(sess, cut))
-    revealed = sess.ring.to_signed(sec_rec(sess, flags))
+    revealed = to_signed(sec_rec(sess, flags))
     return np.flatnonzero(revealed == 1)
 
 
 def _index_payload(sess: Session, indices: np.ndarray) -> np.ndarray:
-    return const_share(sess, sess.ring.from_signed(indices))
+    return const_share(sess, from_signed(indices))
 
 
 def _reveal_selection(sess: Session, payload: np.ndarray, count: int) -> np.ndarray:
     raw = sec_rec(sess, payload[:count])
-    out = sess.ring.to_signed(raw).astype(np.int64)
+    out = to_signed(raw).astype(np.int64)
     # -1 marks a padding slot; it can only outrank a real item when truncation
     # noise zeroed that item's denominator, and such rounds carry no signal
     return out[out >= 0]
@@ -257,7 +252,7 @@ def sec_rs_alt(
 
         u = sp_public(sess, grads, codec.encode(deltas))
         v = mul_public(sess, gg[kept], codec.encode(delta_norms[kept] ** 2))
-        w = sec_ge(sess, u, const_share(sess, sess.ring.zeros(u.shape)))
+        w = sec_ge(sess, u, const_share(sess, 0))
         a = sec_mul(sess, u, u)
         payload = _index_payload(sess, kept)
 

@@ -1,10 +1,11 @@
 """Additive secret sharing, the trusted dealer, sessions and metering.
 
-Two parties hold additive shares over Z_{2^64}. Boolean values are XOR
-shared bit tensors held as packed little-endian uint64 words (the layout
-is described in gates). Each party runs the same protocol program (SPMD) on
-its own Session; every network round is a symmetric exchange where both
-parties send one frame and receive one frame.
+Two parties hold additive shares over Z_{2^64}, as plain uint64 arrays
+(see fixedpoint). Boolean values are XOR shared bit tensors held as packed
+little-endian uint64 words (the layout is described in gates). Each party
+runs the same protocol program (SPMD) on its own Session; every network
+round is a symmetric exchange where both parties send one frame and
+receive one frame.
 
 The dealer is simulated: both sessions derive the full preprocessed
 material from the same dealer seed and keep only their own half. Draws
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DealerExhausted, ProtocolError, ShapeError, TransportError
-from .fixedpoint import FixedPointCodec, Ring
+from .fixedpoint import WORD_BYTES, FixedPointCodec, from_signed
 from .transport import (
     OP_TAGS,
     bit_payload_bytes,
@@ -66,30 +67,20 @@ class ArithShare:
     value: np.ndarray
 
 
-@dataclass(frozen=True)
-class BoolShare:
-    party: int
-    bits: np.ndarray
-
-
 def sec_share(v, codec: FixedPointCodec, rng: np.random.Generator):
     """Split v into two additive shares.
 
-    Floating input is encoded first; integer or object input is taken as
-    ring words already.
+    Floating input is encoded first; integer input is taken as ring words
+    already.
     """
     arr = np.asarray(v)
-    if arr.dtype.kind == "f":
-        raw = codec.encode(arr)
-    else:
-        raw = codec.ring.array(arr)
-    s0 = codec.ring.rand(rng, raw.shape)
-    s1 = codec.ring.sub(raw, s0)
-    return ArithShare(0, s0), ArithShare(1, s1)
+    raw = codec.encode(arr) if arr.dtype.kind == "f" else np.asarray(arr, dtype=np.uint64)
+    s0 = rng.integers(0, 2**64, size=raw.shape, dtype=np.uint64)
+    return ArithShare(0, s0), ArithShare(1, np.subtract(raw, s0))
 
 
 def reconstruct(sh0: ArithShare, sh1: ArithShare, codec: FixedPointCodec) -> np.ndarray:
-    return codec.ring.add(sh0.value, sh1.value)
+    return np.add(sh0.value, sh1.value)
 
 
 # -- metering -------------------------------------------------------------
@@ -118,9 +109,7 @@ class TranscriptMeter:
     grand total must equal what the transport shipped (checked in tests).
     """
 
-    def __init__(self, word_bits: int = 64):
-        self.ell_q = word_bits
-        self.ell_plain = word_bits
+    def __init__(self):
         self.per_op: dict[str, OpStats] = defaultdict(OpStats)
         self.total_online_bytes = 0
         self.truncations = 0
@@ -145,7 +134,6 @@ class TranscriptMeter:
             "ops": {op: s.as_dict() for op, s in sorted(self.per_op.items())},
             "total_online_bytes": self.total_online_bytes,
             "truncations": self.truncations,
-            "ell_q": self.ell_q,
         }
 
     def stats(self, op: str) -> OpStats:
@@ -166,7 +154,6 @@ class DealerTape:
     def __init__(self, seed: int, party: int, codec: FixedPointCodec, limit: int | None = None):
         self.party = party
         self.codec = codec
-        self.ring = codec.ring
         self._rng = keyed_rng(seed, STREAM_DEALER)
         self._limit = limit
         self._consumed = 0
@@ -179,8 +166,8 @@ class DealerTape:
     def _words(self, shape) -> np.ndarray:
         """Uniform ring words from the tape.
 
-        The raw 64-bit outputs are the words Ring.rand would return from
-        the same generator, without the per-call overhead of integers().
+        The raw 64-bit outputs are the words integers(0, 2**64, uint64)
+        would return from the same generator, without its per-call overhead.
         """
         size = int(np.prod(shape, dtype=np.int64))
         return self._rng.bit_generator.random_raw(size).reshape(shape)
@@ -189,7 +176,7 @@ class DealerTape:
         s0 = self._words(np.asarray(full).shape)
         if self.party == 0:
             return s0
-        return self.ring.sub(full, s0)
+        return np.subtract(full, s0)
 
     def beaver(self, shape_x, shape_y, mode: str = "mul"):
         """Triple (a, b, c) with c = a*b (elementwise) or a@b (matmul)."""
@@ -197,9 +184,9 @@ class DealerTape:
         a = self._words(shape_x)
         b = self._words(shape_y)
         if mode == "mul":
-            c = self.ring.mul(a, b)
+            c = np.multiply(a, b)
         elif mode == "matmul":
-            c = self.ring.matmul(a, b)
+            c = np.matmul(a, b)
         else:
             raise ShapeError(f"unknown beaver mode {mode}")
         return self._split(a), self._split(b), self._split(c)
@@ -227,12 +214,12 @@ class DealerTape:
         if self.party == 0:
             return r0, s0
         values = unpack_bit_words(pack_words(r), (nbits,)).astype(np.uint64)
-        return r ^ r0, self.ring.sub(values, s0)
+        return r ^ r0, np.subtract(values, s0)
 
     def zero_share(self, shape) -> np.ndarray:
         self._tick()
         r = self._words(shape)
-        return r if self.party == 0 else self.ring.neg(r)
+        return r if self.party == 0 else np.negative(r)
 
     def inv_mask(self, m: int) -> np.ndarray:
         """Share of a random mask matrix with entries uniform on [-1, 1).
@@ -247,8 +234,7 @@ class DealerTape:
         raw = self._rng.integers(-scale, scale, size=(m, m), dtype=np.int64)
         while m == 1 and raw[0, 0] == 0:
             raw = self._rng.integers(-scale, scale, size=(m, m), dtype=np.int64)
-        full = self.ring.from_signed(raw)
-        return self._split(full)
+        return self._split(from_signed(raw))
 
     @staticmethod
     def _bit_words(words: np.ndarray, nbits: int) -> np.ndarray:
@@ -260,7 +246,7 @@ class DealerTape:
     # Offline cost of materials, in bytes, as shipped to one party.
 
     @staticmethod
-    def beaver_cost(shape_x, shape_y, mode: str, word_bytes: int) -> int:
+    def beaver_cost(shape_x, shape_y, mode: str) -> int:
         nx = int(np.prod(shape_x, dtype=np.int64)) if shape_x else 1
         ny = int(np.prod(shape_y, dtype=np.int64)) if shape_y else 1
         if mode == "mul":
@@ -268,15 +254,15 @@ class DealerTape:
         else:
             batch = int(np.prod(shape_x[:-2], dtype=np.int64)) if len(shape_x) > 2 else 1
             nc = batch * shape_x[-2] * shape_y[-1]
-        return word_bytes * (nx + ny + nc)
+        return WORD_BYTES * (nx + ny + nc)
 
     @staticmethod
     def bit_triple_cost(nbits: int) -> int:
         return 3 * bit_payload_bytes(nbits)
 
     @staticmethod
-    def shared_bit_cost(nbits: int, word_bytes: int) -> int:
-        return bit_payload_bytes(nbits) + word_bytes * nbits
+    def shared_bit_cost(nbits: int) -> int:
+        return bit_payload_bytes(nbits) + WORD_BYTES * nbits
 
 
 # -- session ---------------------------------------------------------------
@@ -304,7 +290,6 @@ class Session:
         self.party = party
         self.chan = channel
         self.codec = codec
-        self.ring: Ring = codec.ring
         self.dealer = dealer
         self.meter = meter
         self.rng = rng
@@ -322,13 +307,9 @@ class Session:
 
     # -- dealer draws with offline accounting ----------------------------
 
-    @property
-    def _word_bytes(self) -> int:
-        return self.codec.word_bits // 8
-
     def draw_beaver(self, shape_x, shape_y, mode: str = "mul"):
         trip = self.dealer.beaver(shape_x, shape_y, mode)
-        cost = DealerTape.beaver_cost(tuple(shape_x), tuple(shape_y), mode, self._word_bytes)
+        cost = DealerTape.beaver_cost(tuple(shape_x), tuple(shape_y), mode)
         self.meter.add_offline(self.current_op, cost)
         return trip
 
@@ -339,18 +320,18 @@ class Session:
 
     def draw_shared_bit(self, nbits: int):
         pair = self.dealer.shared_bit(nbits)
-        self.meter.add_offline(self.current_op, DealerTape.shared_bit_cost(nbits, self._word_bytes))
+        self.meter.add_offline(self.current_op, DealerTape.shared_bit_cost(nbits))
         return pair
 
     def draw_zero(self, shape):
         z = self.dealer.zero_share(shape)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        self.meter.add_offline(self.current_op, self._word_bytes * n)
+        self.meter.add_offline(self.current_op, WORD_BYTES * n)
         return z
 
     def draw_inv_mask(self, m: int):
         r = self.dealer.inv_mask(m)
-        self.meter.add_offline(self.current_op, self._word_bytes * m * m)
+        self.meter.add_offline(self.current_op, WORD_BYTES * m * m)
         return r
 
     # -- rounds -----------------------------------------------------------
@@ -383,9 +364,9 @@ class Session:
 
     # -- truncation accounting -------------------------------------------
 
-    def truncate(self, v: np.ndarray) -> np.ndarray:
+    def truncate(self, v: np.ndarray, bits: int | None = None) -> np.ndarray:
         self.meter.add_truncations(np.asarray(v).size)
-        return self.codec.truncate_local(v, self.party)
+        return self.codec.truncate_local(v, self.party, bits)
 
 
 class _OpScope:
@@ -410,7 +391,7 @@ def sec_rec(sess: Session, x: np.ndarray, lanes: int | None = None) -> np.ndarra
     with sess.op("sec_rec"):
         sess.meter.invoke("sec_rec", lanes if lanes is not None else 1)
         theirs = sess.exchange_words(x)
-        return sess.ring.add(x, theirs)
+        return np.add(x, theirs)
 
 
 def zero_gen(sess: Session, shape=()) -> np.ndarray:
@@ -428,7 +409,7 @@ def sec_ran_gen(sess: Session, shape=()) -> np.ndarray:
     """
     with sess.op("sec_ran_gen"):
         sess.meter.invoke("sec_ran_gen")
-        return sess.ring.rand(sess.rng, shape)
+        return sess.rng.integers(0, 2**64, size=shape, dtype=np.uint64)
 
 
 # -- pair harness ------------------------------------------------------------
@@ -444,7 +425,7 @@ def make_inproc_sessions(
     sessions = []
     for party, chan in ((0, chan0), (1, chan1)):
         dealer = DealerTape(seed, party, codec, limit=dealer_limit)
-        meter = TranscriptMeter(codec.word_bits)
+        meter = TranscriptMeter()
         rng = keyed_rng(seed, STREAM_PARTY, party)
         sessions.append(Session(party, chan, codec, dealer, meter, rng, session_id=seed))
     return sessions[0], sessions[1]
@@ -463,7 +444,7 @@ def make_tcp_session(
     codec = codec or FixedPointCodec()
     chan = tcp_listen(address) if party == 0 else tcp_connect(address)
     dealer = DealerTape(seed, party, codec, limit=dealer_limit)
-    meter = TranscriptMeter(codec.word_bits)
+    meter = TranscriptMeter()
     rng = keyed_rng(seed, STREAM_PARTY, party)
     return Session(party, chan, codec, dealer, meter, rng, session_id=seed)
 

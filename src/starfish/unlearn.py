@@ -22,7 +22,7 @@ import numpy as np
 
 from .costs import predict_cost  # noqa: F401  (cost entry point lives with the protocol)
 from .errors import ConfigError, ProtocolError, SingularRevealError
-from .fixedpoint import FixedPointCodec
+from .fixedpoint import WORD_BITS, FixedPointCodec, to_signed
 from .gates import const_share, mul_public, sec_ge, sec_max, sec_mi, sec_mul, sp_public
 from .roundsel import SelectionInputs, SelectionParams, SelectionResult, sec_rs
 from .sharing import (
@@ -114,8 +114,8 @@ def client_round(pool: ClientPool, j: int, model: np.ndarray, alpha: float, code
 
 def _keyed_split(codec: FixedPointCodec, rng: np.random.Generator, value, party: int) -> np.ndarray:
     raw = codec.encode(np.asarray(value, dtype=np.float64))
-    s0 = codec.ring.rand(rng, raw.shape)
-    return s0 if party == 0 else codec.ring.sub(raw, s0)
+    s0 = rng.integers(0, 2**64, size=raw.shape, dtype=np.uint64)
+    return s0 if party == 0 else np.subtract(raw, s0)
 
 
 def _meter_totals(sess: Session) -> tuple[int, int]:
@@ -172,7 +172,7 @@ class HistoryStore:
         header = _SFH1.pack(
             b"SFH1", 1, self.party, 0,
             self.n, self.m, self.t,
-            codec.word_bits, codec.precision_p, codec.range_e,
+            WORD_BITS, codec.precision_p, codec.range_e,
             self.eta_l,
         )
         with open(path, "wb") as fh:
@@ -191,7 +191,9 @@ class HistoryStore:
         magic, version, party, _, n, m, t, word_bits, p, e, eta_l = _SFH1.unpack_from(blob)
         if version != 1:
             raise ConfigError(f"unsupported history version {version}")
-        codec = FixedPointCodec(precision_p=p, range_e=e, word_bits=word_bits)
+        if word_bits != WORD_BITS:
+            raise ConfigError(f"{path} has {word_bits}-bit words, expected {WORD_BITS}")
+        codec = FixedPointCodec(precision_p=p, range_e=e)
         off = _SFH1.size
         def take(count, dtype):
             nonlocal off
@@ -296,7 +298,7 @@ def sec_ue(sess: Session, gradients: np.ndarray, state: LbfgsState) -> np.ndarra
         sess.meter.invoke("sec_ue")
         if not state.pairs:
             return gradients.copy()
-        codec, ring = sess.codec, sess.ring
+        codec = sess.codec
         nr, m = gradients.shape
         def eye_shares(count):
             block = np.broadcast_to(codec.encode(np.eye(m)), (count, m, m))
@@ -308,7 +310,7 @@ def sec_ue(sess: Session, gradients: np.ndarray, state: LbfgsState) -> np.ndarra
             u = sp_public(sess, dg, enc_dm)
             usq = sec_mul(sess, u, u, truncate=False)  # exact at double scale
             zflag = sec_ge(sess, usq, const_share(sess, 1))
-            live = np.flatnonzero(ring.to_signed(sec_rec(sess, zflag)) == 1)
+            live = np.flatnonzero(to_signed(sec_rec(sess, zflag)) == 1)
             if live.size == 0:
                 continue
             rho = sec_mi(sess, u[live])
@@ -317,11 +319,11 @@ def sec_ue(sess: Session, gradients: np.ndarray, state: LbfgsState) -> np.ndarra
                 sess, rdg[:, :, None],
                 np.broadcast_to(enc_dm, (live.size, 1, m)), matmul=True,
             )
-            v = ring.sub(eye_shares(live.size), outer)
+            v = np.subtract(eye_shares(live.size), outer)
             vt = np.ascontiguousarray(np.swapaxes(v, -1, -2))
             folded = sec_mul(sess, sec_mul(sess, vt, h[live], matmul=True), v, matmul=True)
             rank_one = sec_mul(sess, rdg[:, :, None], dg[live][:, None, :], matmul=True)
-            h[live] = ring.add(folded, rank_one)
+            h[live] = np.add(folded, rank_one)
             used = True
         if not used:
             return gradients.copy()
@@ -337,12 +339,6 @@ def aggregate_reveal(sess: Session, estimates: np.ndarray, model: np.ndarray, et
     return model - eta * avg, avg
 
 
-@dataclass
-class CorrectionFlags:
-    round_index: int
-    flags: np.ndarray  # revealed {0,1} per remaining client
-
-
 def sec_tc(sess: Session, estimates: np.ndarray, threshold_shares: np.ndarray) -> np.ndarray:
     """Reveal one flag per client: does any |coordinate| reach the threshold?
 
@@ -356,7 +352,7 @@ def sec_tc(sess: Session, estimates: np.ndarray, threshold_shares: np.ndarray) -
         exceed = sec_ge(sess, sq, dsq[:, None])
         count = exceed.sum(axis=-1, dtype=np.uint64)
         flag = sec_ge(sess, count, const_share(sess, 1))
-        return sess.ring.to_signed(sec_rec(sess, flag)).astype(np.int64)
+        return to_signed(sec_rec(sess, flag)).astype(np.int64)
 
 
 # -- the full stage II -------------------------------------------------------
@@ -373,6 +369,14 @@ class RunResult:
 
     def transcript_jsonl(self) -> str:
         return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in self.transcript)
+
+
+def _agreed_run(res: RunResult, peer: RunResult | None) -> RunResult:
+    """Return res after checking the peer's public outputs, if any, equal it bit for bit."""
+    if peer is not None:
+        if not np.array_equal(res.trajectory, peer.trajectory) or res.transcript != peer.transcript:
+            raise ProtocolError("parties disagree on public outputs")
+    return res
 
 
 def _record(transcript: list, sess: Session, op: str, before: tuple[int, int], flags=None) -> None:
@@ -438,7 +442,7 @@ def starfish_run(
         m_hat, _ = aggregate_reveal(sess, estimates, m_hat, config.eta_u)
         trajectory.append(m_hat.copy())
         _record(transcript, sess, "sec_ue", before)
-        state.push(sess.ring.sub(estimates, g_round), m_hat_prev - history.models[r])
+        state.push(np.subtract(estimates, g_round), m_hat_prev - history.models[r])
 
     return RunResult(model=m_hat, trajectory=np.array(trajectory), transcript=transcript,
                      selected=selection.chronological(),
@@ -463,6 +467,4 @@ def simulate(config: UnlearnConfig, pool: ClientPool, target: int, codec: FixedP
     run_pair(proto, sessions)
     h0, r0 = outputs[0]
     h1, r1 = outputs[1]
-    if not np.array_equal(r0.trajectory, r1.trajectory) or r0.transcript != r1.transcript:
-        raise ProtocolError("parties disagree on public outputs")
-    return r0, {0: h0, 1: h1}, sessions
+    return _agreed_run(r0, r1), {0: h0, 1: h1}, sessions

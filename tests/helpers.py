@@ -10,6 +10,7 @@ from starfish import (
     sec_rec,
     sec_share,
 )
+from starfish.fixedpoint import to_signed
 
 CODEC = FixedPointCodec()
 
@@ -37,8 +38,8 @@ def raw_share_pair(raw, key=9000, codec=CODEC):
     """Shares of already-raw ring words (bits at scale 1, double-scale values)."""
     rng = keyed_rng(key, 1)
     full = np.asarray(raw, dtype=np.uint64)
-    s0 = codec.ring.rand(rng, full.shape)
-    return {0: s0, 1: codec.ring.sub(full, s0)}
+    s0 = rng.integers(0, 2**64, size=full.shape, dtype=np.uint64)
+    return {0: s0, 1: np.subtract(full, s0)}
 
 
 def reveal(sess, x):
@@ -46,4 +47,4 @@ def reveal(sess, x):
 
 
 def reveal_raw(sess, x):
-    return sess.ring.to_signed(sec_rec(sess, x))
+    return to_signed(sec_rec(sess, x))

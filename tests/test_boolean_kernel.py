@@ -185,7 +185,7 @@ def test_sec_ge_matches_reference(lanes, data):
     assert np.array_equal(out, ((u - v) < np.uint64(1 << 63)).astype(np.uint64))
     expected = _a2b_cost_list(lanes) + [costs.b2a_bits_cost(lanes)]
     assert frames[:-1] == _bytes(expected)  # the last frame is the reveal
-    assert sum(frames[:-1]) == costs.ge_cost(lanes, CODEC).online_bytes
+    assert sum(frames[:-1]) == costs.ge_cost(lanes).online_bytes
 
 
 @pytest.mark.parametrize("lanes", LANES)

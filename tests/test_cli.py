@@ -2,6 +2,7 @@
 
 import json
 import socket
+import struct
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from starfish.cli import RunConfig, load_config, main, parse_config_text
 from starfish.costs import CostEstimate
 from starfish.errors import ConfigError, ProtocolError
+from starfish.unlearn import HistoryStore
 
 
 # -- config file parsing -------------------------------------------------------
@@ -133,6 +135,26 @@ def test_unlearn_rejects_mismatched_history(small_cfg, tmp_path, capsys):
     assert "does not match config" in capsys.readouterr().err
 
 
+def test_unlearn_rejects_a_wide_word_history(small_cfg, tmp_path, capsys):
+    # the SFH1 header's word size (<u2) follows magic, version, party, pad, n, m, t
+    offset = struct.calcsize("<4sBBHIII")
+    out = tmp_path / "run"
+    assert _run(["train", "--config", small_cfg, "--out", out]) == 0
+    for party in (0, 1):
+        path = out / f"history.p{party}.sfh1"
+        blob = bytearray(path.read_bytes())
+        assert blob[offset : offset + 2] == (64).to_bytes(2, "little")
+        blob[offset : offset + 2] = (128).to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ConfigError, match="128-bit words"):
+            HistoryStore.load(path)
+    capsys.readouterr()
+    assert _run(["unlearn", "--config", small_cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "128-bit words" in err
+    assert "Traceback" not in err
+
+
 def test_compare_writes_report(small_cfg, tmp_path, capsys):
     out = tmp_path / "cmp"
     assert _run(["compare", "--config", small_cfg, "--out", out]) == 0
@@ -202,11 +224,12 @@ def test_bad_config_exit_code(tmp_path, capsys):
 
 
 def test_wide_ring_is_a_config_error(tmp_path, capsys):
+    # the ring width is fixed at 64 bits; it is not a config key
     path = tmp_path / "wide.cfg"
     path.write_text("word_bits = 128\n")
     assert _run(["train", "--config", path, "--out", tmp_path / "out"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "word_bits must be 64" in err
+    assert err.startswith("error: ") and "unknown key 'word_bits'" in err
     assert "Traceback" not in err
 
 

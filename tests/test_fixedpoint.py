@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from starfish import FixedPointCodec, RangeError
-from starfish.fixedpoint import Ring
+from starfish.fixedpoint import from_signed, to_signed
 
 CODEC = FixedPointCodec()
 ULP = 2.0 ** -CODEC.precision_p
@@ -43,9 +43,7 @@ def test_range_guard():
 
 def test_codec_parameter_budget():
     with pytest.raises(RangeError):
-        FixedPointCodec(precision_p=16, range_e=12, word_bits=64, slack=14)
-    with pytest.raises(RangeError):
-        FixedPointCodec(word_bits=128)
+        FixedPointCodec(precision_p=16, range_e=12, slack=14)
     with pytest.raises(RangeError):
         FixedPointCodec(precision_p=0)
 
@@ -57,7 +55,7 @@ def test_quantize_idempotent():
 
 
 def test_decode_at_double_scale():
-    prod = CODEC.ring.mul(CODEC.encode(1.5), CODEC.encode(2.0))
+    prod = np.multiply(CODEC.encode(1.5), CODEC.encode(2.0))
     assert CODEC.decode_at(prod, 2 * CODEC.precision_p) == 3.0
 
 
@@ -69,16 +67,15 @@ def test_roundtrip_half_ulp(x):
 def test_share_truncation_monte_carlo():
     # split a double-scale product into random shares, truncate each side,
     # reconstruct: the result is floor(v / 2^p) or one above, never worse
-    ring = CODEC.ring
     rng = np.random.default_rng(7)
     n = 100_000
     x = CODEC.quantize(rng.uniform(-4.0, 4.0, size=n))
     y = CODEC.quantize(rng.uniform(-4.0, 4.0, size=n))
-    raw2p = ring.mul(CODEC.encode(x), CODEC.encode(y))
-    s0 = ring.rand(rng, raw2p.shape)
-    s1 = ring.sub(raw2p, s0)
-    got = ring.to_signed(ring.add(CODEC.truncate_local(s0, 0), CODEC.truncate_local(s1, 1)))
-    want = ring.to_signed(raw2p) >> np.int64(CODEC.precision_p)
+    raw2p = np.multiply(CODEC.encode(x), CODEC.encode(y))
+    s0 = rng.integers(0, 2**64, size=raw2p.shape, dtype=np.uint64)
+    s1 = np.subtract(raw2p, s0)
+    got = to_signed(np.add(CODEC.truncate_local(s0, 0), CODEC.truncate_local(s1, 1)))
+    want = to_signed(raw2p) >> np.int64(CODEC.precision_p)
     diff = got - want
     assert set(np.unique(diff).tolist()) <= {0, 1}
     # the wrap event has probability ~2^-slack per trial; the rounding-up
@@ -88,30 +85,29 @@ def test_share_truncation_monte_carlo():
 
 def test_truncation_exact_on_grid_multiples():
     # values whose low p bits are zero truncate with no error at all
-    ring = CODEC.ring
     rng = np.random.default_rng(8)
     vals = CODEC.quantize(rng.uniform(-100.0, 100.0, size=1000))
-    raw2p = ring.from_signed((vals * CODEC.scale * CODEC.scale).astype(np.int64))
-    s0 = ring.rand(rng, raw2p.shape)
-    s1 = ring.sub(raw2p, s0)
-    got = ring.add(CODEC.truncate_local(s0, 0), CODEC.truncate_local(s1, 1))
+    raw2p = from_signed((vals * CODEC.scale * CODEC.scale).astype(np.int64))
+    s0 = rng.integers(0, 2**64, size=raw2p.shape, dtype=np.uint64)
+    s1 = np.subtract(raw2p, s0)
+    got = np.add(CODEC.truncate_local(s0, 0), CODEC.truncate_local(s1, 1))
+    assert np.array_equal(CODEC.decode(got), vals)
+
+
+def test_truncation_by_explicit_bit_count():
+    # sec_mi truncates a 2p-scale product by 2p bits in one step
+    rng = np.random.default_rng(9)
+    vals = CODEC.quantize(rng.uniform(-100.0, 100.0, size=1000))
+    raw4p = from_signed((vals * CODEC.scale).astype(np.int64) << np.int64(2 * CODEC.precision_p))
+    s0 = rng.integers(0, 2**64, size=raw4p.shape, dtype=np.uint64)
+    s1 = np.subtract(raw4p, s0)
+    bits = 2 * CODEC.precision_p
+    got = np.add(CODEC.truncate_local(s0, 0, bits), CODEC.truncate_local(s1, 1, bits))
     assert np.array_equal(CODEC.decode(got), vals)
 
 
 def test_ring_signed_roundtrip():
-    r = Ring(64)
     vals = np.array([0, 1, -1, 2**62, -(2**62)], dtype=np.int64)
-    assert np.array_equal(r.to_signed(r.from_signed(vals)), vals)
-
-
-def test_ring_wraparound():
-    r = Ring(64)
-    top = np.uint64(2**64 - 1)
-    assert r.add(top, np.uint64(1)) == 0
-    assert r.sub(np.uint64(0), np.uint64(1)) == top
-
-
-def test_ring_rejects_odd_width():
-    for bits in (32, 128):
-        with pytest.raises(RangeError):
-            Ring(bits)
+    assert np.array_equal(to_signed(from_signed(vals)), vals)
+    assert from_signed(-1) == np.uint64(2**64 - 1)
+    assert to_signed(np.uint64(2**63)) == -(2**63)

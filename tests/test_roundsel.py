@@ -11,7 +11,7 @@ from starfish import (
     run_pair,
     switching_threshold,
 )
-from starfish.costs import comparator_calls
+from starfish.costs import comparator_calls, predict_cost
 from starfish.errors import ConfigError, DegenerateRoundError
 from starfish.gates import sec_ge
 from starfish.roundsel import sec_ge3, sec_ge4, sec_rs, sec_rs_alt
@@ -33,6 +33,21 @@ def test_switching_threshold_degenerate_case():
 def test_switching_threshold_monotone_in_word_size():
     assert switching_threshold(128, 128) > switching_threshold(64, 128)
     assert switching_threshold(64, 40) < switching_threshold(64, 128)
+
+
+def test_switching_threshold_matches_cost_crossover():
+    # with every round kept, the cost model's online bytes cross over
+    # between 2^27 and 2^28 rounds, and the auto-switch point lies there too
+    def online(t, method):
+        shape = {"t": t, "t_prime": t, "method": method}
+        return predict_cost("sec_rs", shape, CODEC).online_bytes
+
+    below, above = 2**27, 2**28
+    assert online(below, 1) == 7_338_991_873_248 < online(below, 2) == 7_368_083_565_056
+    assert online(above, 2) == 15_638_579_968_448 < online(above, 1) == 15_760_785_210_976
+    t_delta = SelectionParams(t=1, sigma=1.0).t_delta
+    assert t_delta == switching_threshold(64, 128) == 158_000_786
+    assert below < t_delta < above
 
 
 def test_switching_threshold_validation():
