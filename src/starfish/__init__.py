@@ -3,7 +3,6 @@
 from .errors import (
     AssumptionError,
     ConfigError,
-    DealerExhausted,
     DegenerateRoundError,
     DivisionDomainError,
     ProtocolError,

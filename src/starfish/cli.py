@@ -2,7 +2,7 @@
 
 Configuration is a flat ``key = value`` text file; every key has a default,
 so each subcommand also runs bare. One seed feeds the whole PRG tree
-(dealer tape, party randomness, synthetic task data, client share splits),
+(dealer tape, synthetic task data, client share splits, audit inputs),
 which is what makes repeated runs byte-identical.
 
 Exit codes: 0 success, 1 bad configuration or input, 2 protocol failure,
@@ -32,7 +32,6 @@ from .gates import (
     sec_max,
     sec_mi,
     sec_mul,
-    sec_ran_gen_inv,
     sec_sel,
     sec_sp,
     sec_srt,
@@ -499,10 +498,6 @@ def _audit_battery(cfg: RunConfig):
         x = _share_for(sess, rng, a)
         sec_mi(sess, x)
     item("sec_mi matrix 3x3", "sec_mi", {"m": 3}, run_mi_matrix)
-
-    def run_rgi(sess):
-        sec_ran_gen_inv(sess)
-    item("sec_ran_gen_inv scalar", "sec_ran_gen_inv", {"m": 0}, run_rgi)
 
     def run_td(sess):
         rng = rng_for(13)

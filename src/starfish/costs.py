@@ -224,14 +224,13 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
     """Predicted (rounds, online bytes) one party sends for one invocation.
 
     Shape argument by functionality:
-      sec_add/zero_gen/sec_ran_gen: ignored
+      sec_add/zero_gen/sec_share: ignored
       sec_rec/sec_ge/sec_ge2/sec_ge3/sec_ge4/sec_div/sec_sel: lane shape tuple
-      sec_mul/sec_mul3: lane shape tuple, or dict {"matmul": (sx, sy[, sz])}
+      sec_mul: lane shape tuple, or dict {"matmul": (sx, sy)}
       sec_sp: shape tuple (..., k)
       sec_max: shape tuple (..., T), max over the last axis
       sec_srt: dict {"t", "item_words", "comparator"}
       sec_mi: dict {"m", "batch"} (single accepted attempt)
-      sec_ran_gen_inv: dict {"m"} (0 = scalar; single attempt)
       threshold_determination: dict {"clients", "t"}
       sec_ue: dict {"clients", "m", "pairs"}
       sec_tc: dict {"clients", "m"}
@@ -239,7 +238,7 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
       sec_rs_alt: dict {"t", "t_prime", "method", "m", "kept"?}
     """
     name = functionality
-    if name in ("sec_add", "zero_gen", "sec_ran_gen", "sec_share"):
+    if name in ("sec_add", "zero_gen", "sec_share"):
         return ZERO
     if name == "sec_rec":
         return words_round(_lanes(shape))
@@ -248,13 +247,6 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
             sx, sy = shape["matmul"]
             return matmul_cost(sx, sy)
         return mul_cost(_lanes(shape))
-    if name == "sec_mul3":
-        if isinstance(shape, dict):
-            sx, sy, sz = shape["matmul"]
-            first = matmul_cost(sx, sy)
-            mid = (sx[0], sy[1])
-            return first + matmul_cost(mid, sz)
-        return mul_cost(_lanes(shape)) * 2
     if name == "sec_sp":
         lanes = _lanes(shape[:-1])
         return words_round(2 * lanes * shape[-1])
@@ -276,11 +268,6 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
         return div_cost(_lanes(shape), codec)
     if name == "sec_mi":
         return mi_cost(shape["m"], shape.get("batch", 1))
-    if name == "sec_ran_gen_inv":
-        m = shape["m"]
-        if m == 0:
-            return mul_cost(1) + words_round(1)
-        return mi_cost(m, 1)
     if name == "threshold_determination":
         return max_cost(shape["t"], shape["clients"])
     if name == "sec_ue":

@@ -29,20 +29,12 @@ class TransportError(ProtocolError):
     """Channel failure: framing violation, peer loss, tag mismatch."""
 
 
-class DealerExhausted(ProtocolError):
-    """A capped dealer tape ran out of preprocessed material."""
-
-
 class DivisionDomainError(ProtocolError):
     """sec_div divisor outside its admissible domain."""
 
 
 class SingularRevealError(ProtocolError):
     """sec_mi revealed a masked product that cannot be inverted."""
-
-
-class SingularCurvatureError(ProtocolError):
-    """Revealed masked curvature product is zero; the L-BFGS pair is unusable."""
 
 
 class DegenerateRoundError(ProtocolError):

@@ -139,18 +139,6 @@ def mul_public(sess: Session, x, raw, *, matmul: bool = False, truncate: bool = 
         return _mul_public_core(sess, x, raw, matmul=matmul, truncate=truncate)
 
 
-def sec_mul3(sess: Session, x, y, z, *, matmul: bool = False, truncate: bool = True) -> np.ndarray:
-    """Three-operand product, staged as two sequential Beaver products.
-
-    Two rounds instead of the single-round three-party construction; the
-    cost table reflects this implementation.
-    """
-    with sess.op("sec_mul3"):
-        sess.meter.invoke("sec_mul3")
-        xy = _beaver_mul(sess, x, y, matmul=matmul, truncate=truncate)
-        return _beaver_mul(sess, xy, z, matmul=matmul, truncate=truncate)
-
-
 def sec_sp(sess: Session, x, y, *, truncate: bool = True) -> np.ndarray:
     """Inner product along the last axis, one truncation of the summed terms."""
     with sess.op("sec_sp"):
@@ -543,36 +531,12 @@ def sec_div(sess: Session, u, v) -> np.ndarray:
         return _b2a_word(sess, signed_q)
 
 
-# -- random invertible draws and masked inversion --------------------------------
+# -- masked inversion ------------------------------------------------------------
 
-
-def sec_ran_gen_inv(sess: Session, shape=(), *, tries: int = 16, cond_bound: float = 1e8):
-    """Shared random value accepted only if provably invertible.
-
-    Scalar mode draws full-ring values and rejects on a zero revealed
-    product. Matrix mode draws encode-grid entries and rejects when the
-    revealed masked product is ill conditioned.
-    """
-    with sess.op("sec_ran_gen_inv"):
-        sess.meter.invoke("sec_ran_gen_inv")
-        matrix = len(shape) == 2
-        for _ in range(tries):
-            if matrix:
-                u = sess.draw_inv_mask(shape[0])
-                w = sess.draw_inv_mask(shape[0])
-                prod = _beaver_mul(sess, u, w, matmul=True, truncate=False)
-                revealed = _open(sess, prod)
-                dec = sess.codec.decode_at(revealed, 2 * sess.codec.precision_p)
-                if np.isfinite(np.linalg.cond(dec)) and np.linalg.cond(dec) < cond_bound:
-                    return u
-            else:
-                u = sess.rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-                w = sess.rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-                prod = _beaver_mul(sess, u, w, truncate=False)
-                revealed = _open(sess, prod)
-                if np.all(np.asarray(revealed) != 0):
-                    return u
-        raise SingularRevealError(f"no invertible draw in {tries} tries")
+# sec_mi draws a fresh mask this many times before giving up, and rejects a
+# revealed product whose condition number exceeds MI_MAX_COND.
+MI_TRIES = 8
+MI_MAX_COND = 1e8
 
 
 def _invert_longdouble(n: np.ndarray) -> np.ndarray:
@@ -599,7 +563,7 @@ def _invert_longdouble(n: np.ndarray) -> np.ndarray:
     return inv
 
 
-def sec_mi(sess: Session, x, *, tries: int = 8, cond_bound: float = 1e8) -> np.ndarray:
+def sec_mi(sess: Session, x) -> np.ndarray:
     """Masked inverse: reveal N = X*R, invert in the clear, return R * N^-1.
 
     The mask comes from the dealer with entries on [-1, 1); the clear-side
@@ -626,7 +590,7 @@ def sec_mi(sess: Session, x, *, tries: int = 8, cond_bound: float = 1e8) -> np.n
 
         two_p = 2 * codec.precision_p
         out = None
-        for _ in range(tries):
+        for _ in range(MI_TRIES):
             masks = np.stack([sess.draw_inv_mask(m) for _ in range(mat.shape[0])])
             prod = _beaver_mul(sess, mat, masks, matmul=True, truncate=False)
             revealed = _open(sess, prod)
@@ -634,7 +598,7 @@ def sec_mi(sess: Session, x, *, tries: int = 8, cond_bound: float = 1e8) -> np.n
             ok = True
             for b in range(dec.shape[0]):
                 cond = np.linalg.cond(dec[b]) if m > 1 else (np.inf if dec[b, 0, 0] == 0 else 1.0)
-                if not np.isfinite(cond) or cond > cond_bound:
+                if not np.isfinite(cond) or cond > MI_MAX_COND:
                     ok = False
                     break
             if not ok:
@@ -645,7 +609,7 @@ def sec_mi(sess: Session, x, *, tries: int = 8, cond_bound: float = 1e8) -> np.n
             out = sess.truncate(res, bits=two_p)
             break
         if out is None:
-            raise SingularRevealError(f"masked product stayed singular after {tries} draws")
+            raise SingularRevealError(f"masked product stayed singular after {MI_TRIES} draws")
         if scalar:
             return out[0, 0, 0]
         if lanes:

@@ -20,8 +20,9 @@ packed wire size, the same charge as when the dealer drew one byte per bit;
 only the random contents differ from that form.
 
 Seed tree: all randomness comes from numpy SeedSequence keyed as
-(seed, stream_tag, *indices). Stream tags: 1 dealer, 2 party 0, 3 party 1,
-4 client data, 5 client share splits, 6 baselines, 7 audit inputs.
+(seed, stream_tag, *indices). Stream tags: 1 dealer, 4 client data,
+5 client share splits, 6 baselines, 7 audit inputs. The parties draw no
+randomness of their own: every mask comes from the dealer tape.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DealerExhausted, ProtocolError, ShapeError, TransportError
+from .errors import ProtocolError, ShapeError, TransportError
 from .fixedpoint import WORD_BYTES, FixedPointCodec, from_signed
 from .transport import (
     OP_TAGS,
@@ -49,7 +50,6 @@ from .transport import (
 )
 
 STREAM_DEALER = 1
-STREAM_PARTY = 2  # spawn key (2, party)
 STREAM_DATA = 4
 STREAM_CLIENT_SHARES = 5
 STREAM_BASELINE = 6
@@ -147,21 +147,13 @@ class DealerTape:
     """This party's view of the preprocessed tape.
 
     Material is generated lazily from the dealer seed, in consumption
-    order. An optional item limit models a finite tape; exceeding it
-    raises DealerExhausted.
+    order.
     """
 
-    def __init__(self, seed: int, party: int, codec: FixedPointCodec, limit: int | None = None):
+    def __init__(self, seed: int, party: int, codec: FixedPointCodec):
         self.party = party
         self.codec = codec
         self._rng = keyed_rng(seed, STREAM_DEALER)
-        self._limit = limit
-        self._consumed = 0
-
-    def _tick(self) -> None:
-        self._consumed += 1
-        if self._limit is not None and self._consumed > self._limit:
-            raise DealerExhausted(f"dealer tape limit {self._limit} exceeded")
 
     def _words(self, shape) -> np.ndarray:
         """Uniform ring words from the tape.
@@ -180,7 +172,6 @@ class DealerTape:
 
     def beaver(self, shape_x, shape_y, mode: str = "mul"):
         """Triple (a, b, c) with c = a*b (elementwise) or a@b (matmul)."""
-        self._tick()
         a = self._words(shape_x)
         b = self._words(shape_y)
         if mode == "mul":
@@ -193,7 +184,6 @@ class DealerTape:
 
     def bit_triple(self, nbits: int):
         """XOR-shared triple c = a & b over nbits bits, as packed words."""
-        self._tick()
         nw = bit_word_count(nbits)
         a, b, a0, b0, c0 = self._bit_words(self._words((5, nw)), nbits)
         if self.party == 0:
@@ -206,7 +196,6 @@ class DealerTape:
         Returns (packed XOR share, arithmetic share of each bit's 0/1 value
         in bit order).
         """
-        self._tick()
         nw = bit_word_count(nbits)
         raw = self._words(2 * nw + nbits)
         r, r0 = self._bit_words(raw[: 2 * nw].reshape(2, nw), nbits)
@@ -217,7 +206,6 @@ class DealerTape:
         return r ^ r0, np.subtract(values, s0)
 
     def zero_share(self, shape) -> np.ndarray:
-        self._tick()
         r = self._words(shape)
         return r if self.party == 0 else np.negative(r)
 
@@ -229,7 +217,6 @@ class DealerTape:
         job. The 1x1 case rejects an exact zero, which would be a singular
         mask no retry could fix.
         """
-        self._tick()
         scale = self.codec.scale
         raw = self._rng.integers(-scale, scale, size=(m, m), dtype=np.int64)
         while m == 1 and raw[0, 0] == 0:
@@ -269,7 +256,7 @@ class DealerTape:
 
 
 class Session:
-    """One party's protocol context: channel, dealer view, meter, RNG.
+    """One party's protocol context: channel, dealer view, meter.
 
     A session is single threaded; it may be handed between threads but not
     used from two at once.
@@ -282,7 +269,6 @@ class Session:
         codec: FixedPointCodec,
         dealer: DealerTape,
         meter: TranscriptMeter,
-        rng: np.random.Generator,
         session_id: int,
     ):
         if party not in (0, 1):
@@ -292,7 +278,6 @@ class Session:
         self.codec = codec
         self.dealer = dealer
         self.meter = meter
-        self.rng = rng
         self.session_id = session_id & 0xFFFFFFFFFFFFFFFF
         self._op_stack: list[str] = []
 
@@ -401,52 +386,23 @@ def zero_gen(sess: Session, shape=()) -> np.ndarray:
         return sess.draw_zero(shape)
 
 
-def sec_ran_gen(sess: Session, shape=()) -> np.ndarray:
-    """Share of a uniform ring value unknown to both parties.
-
-    Each party contributes its own uniform share; no communication is
-    needed and neither party learns the sum.
-    """
-    with sess.op("sec_ran_gen"):
-        sess.meter.invoke("sec_ran_gen")
-        return sess.rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-
-
 # -- pair harness ------------------------------------------------------------
 
 
-def make_inproc_sessions(
-    seed: int,
-    codec: FixedPointCodec | None = None,
-    dealer_limit: int | None = None,
-) -> tuple[Session, Session]:
+def make_inproc_sessions(seed: int, codec: FixedPointCodec | None = None) -> tuple[Session, Session]:
     codec = codec or FixedPointCodec()
     chan0, chan1 = inproc_pair()
-    sessions = []
-    for party, chan in ((0, chan0), (1, chan1)):
-        dealer = DealerTape(seed, party, codec, limit=dealer_limit)
-        meter = TranscriptMeter()
-        rng = keyed_rng(seed, STREAM_PARTY, party)
-        sessions.append(Session(party, chan, codec, dealer, meter, rng, session_id=seed))
-    return sessions[0], sessions[1]
+    return (Session(0, chan0, codec, DealerTape(seed, 0, codec), TranscriptMeter(), session_id=seed),
+            Session(1, chan1, codec, DealerTape(seed, 1, codec), TranscriptMeter(), session_id=seed))
 
 
-def make_tcp_session(
-    seed: int,
-    party: int,
-    address: str,
-    codec: FixedPointCodec | None = None,
-    dealer_limit: int | None = None,
-) -> Session:
+def make_tcp_session(seed: int, party: int, address: str, codec: FixedPointCodec | None = None) -> Session:
     """One party's session over a socket; party 0 listens, party 1 dials."""
     if party not in (0, 1):
         raise ProtocolError(f"party must be 0 or 1, got {party}")
     codec = codec or FixedPointCodec()
     chan = tcp_listen(address) if party == 0 else tcp_connect(address)
-    dealer = DealerTape(seed, party, codec, limit=dealer_limit)
-    meter = TranscriptMeter()
-    rng = keyed_rng(seed, STREAM_PARTY, party)
-    return Session(party, chan, codec, dealer, meter, rng, session_id=seed)
+    return Session(party, chan, codec, DealerTape(seed, party, codec), TranscriptMeter(), session_id=seed)
 
 
 def run_pair(proto, sessions: tuple[Session, Session]):

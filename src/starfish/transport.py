@@ -37,10 +37,8 @@ OP_TAGS = {
     "sec_share": 0x0001,
     "sec_rec": 0x0002,
     "zero_gen": 0x0003,
-    "sec_ran_gen": 0x0004,
     "sec_add": 0x0010,
     "sec_mul": 0x0011,
-    "sec_mul3": 0x0012,
     "sec_sp": 0x0013,
     "sec_sel": 0x0014,
     "sec_ge": 0x0015,
@@ -48,7 +46,6 @@ OP_TAGS = {
     "sec_max": 0x0017,
     "sec_srt": 0x0018,
     "sec_div": 0x0019,
-    "sec_ran_gen_inv": 0x001a,
     "sec_mi": 0x001b,
     "sec_ge3": 0x0020,
     "sec_ge4": 0x0021,
@@ -59,19 +56,6 @@ OP_TAGS = {
     "stage1": 0x0040,
     "other": 0x00ff,
 }
-
-# Simulated link profiles (latency seconds, bandwidth bytes/s). Used for
-# estimated wall-clock columns in reports; transfers are never slowed down.
-PROFILES = {
-    "lan": (0.17e-3, 1e9),
-    "wan": (72e-3, 100e6),
-}
-
-
-def estimate_link_time(rounds: int, nbytes: int, profile: str) -> float:
-    latency, bandwidth = PROFILES[profile]
-    return rounds * latency + nbytes / bandwidth
-
 
 # -- word packing -------------------------------------------------------
 

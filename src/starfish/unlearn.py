@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import predict_cost  # noqa: F401  (cost entry point lives with the protocol)
-from .errors import ConfigError, ProtocolError, SingularRevealError
+from .errors import ConfigError, ProtocolError
 from .fixedpoint import WORD_BITS, FixedPointCodec, to_signed
 from .gates import const_share, mul_public, sec_ge, sec_max, sec_mi, sec_mul, sp_public
-from .roundsel import SelectionInputs, SelectionParams, SelectionResult, sec_rs
+from .roundsel import SelectionInputs, SelectionParams, sec_rs
 from .sharing import (
     STREAM_CLIENT_SHARES,
     Session,
@@ -213,14 +212,11 @@ def stage_one(
     pool: ClientPool,
     config: UnlearnConfig,
     on_round=None,
-    resume: HistoryStore | None = None,
 ) -> HistoryStore:
     """Federated training with assistive-information sharing.
 
     Aggregation reveals only the summed gradient; per-client contributions
-    stay shared in the history. A store from a shorter run of the same
-    config can be passed as resume; client share splits are keyed by round,
-    so the continued run reproduces the single-run history bit for bit.
+    stay shared in the history.
     """
     if pool.n != config.n:
         raise ConfigError(f"pool has {pool.n} clients, config says {config.n}")
@@ -232,19 +228,7 @@ def stage_one(
     norms = np.zeros((t, n), dtype=np.uint64)
     thresholds = np.zeros((t, n), dtype=np.uint64)
 
-    done = 0
-    if resume is not None:
-        if (resume.n, resume.m) != (n, m) or resume.t > t:
-            raise ConfigError("resumed history does not fit this config")
-        if resume.eta_l != config.eta_l or resume.party != sess.party:
-            raise ConfigError("resumed history was written under another config")
-        done = resume.t
-        models[: done + 1] = resume.models
-        grads[:done] = resume.grads
-        norms[:done] = resume.norms
-        thresholds[:done] = resume.thresholds
-
-    for i in range(done, t):
+    for i in range(t):
         for j in range(n):
             g, norm, delta = client_round(pool, j, models[i], config.alpha, codec)
             rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_STAGE1, i, j)

@@ -8,10 +8,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from starfish.cli import RunConfig, load_config, main, parse_config_text
+from starfish.cli import RunConfig, _audit_battery, load_config, main, parse_config_text
 from starfish.costs import CostEstimate
 from starfish.errors import ConfigError, ProtocolError
-from starfish.unlearn import HistoryStore
+from starfish.sharing import make_inproc_sessions, run_pair
+from starfish.transport import OP_TAGS
+from starfish.unlearn import HistoryStore, simulate
 
 
 # -- config file parsing -------------------------------------------------------
@@ -191,8 +193,23 @@ def test_compare_full_sigma_matches_random_subset(tmp_path, capsys):
 def test_audit_passes(capsys):
     assert _run(["audit", "--seed", 0]) == 0
     printed = capsys.readouterr().out
-    assert "all 19 functionalities match" in printed
+    assert "all 18 functionalities match" in printed
     assert "MISMATCH" not in printed
+
+
+def test_every_metered_round_has_its_own_wire_tag():
+    # the default-config protocol run and the audit battery put no round on
+    # the wire under an untagged op or the catch-all tag
+    cfg = RunConfig()
+    _, _, sessions = simulate(cfg.unlearn_config(), cfg.build_task().pool(), cfg.target,
+                              codec=cfg.codec())
+    battery = _audit_battery(cfg)
+    audit = make_inproc_sessions(cfg.seed, codec=cfg.codec())
+    run_pair(lambda sess: [runner(sess) for *_, runner in battery], audit)
+    tagged = set(OP_TAGS) - {"other"}
+    for sess in (*sessions, *audit):
+        live = {op for op, st in sess.meter.per_op.items() if st.rounds > 0}
+        assert live and live <= tagged, live - tagged
 
 
 def test_audit_detects_a_cost_regression(monkeypatch, capsys):

@@ -20,7 +20,6 @@ from starfish.gates import (
     sec_ge2,
     sec_max,
     sec_mul,
-    sec_mul3,
     sec_sel,
     sec_sp,
     sec_srt,
@@ -94,12 +93,6 @@ def test_sec_mul_matmul_cost():
     b = share_pair(CODEC.quantize(RNG.uniform(-1, 1, size=(4, 4))), key=8)
     got = measured("sec_mul", lambda s: sec_mul(s, a[s.party], b[s.party], matmul=True))
     assert got == predict_cost("sec_mul", {"matmul": ((4, 4), (4, 4))}, CODEC).as_tuple()
-
-
-def test_sec_mul3_cost():
-    a, b, c = vals(8, 9), vals(8, 10), vals(8, 11)
-    got = measured("sec_mul3", lambda s: sec_mul3(s, a[s.party], b[s.party], c[s.party]))
-    assert got == predict_cost("sec_mul3", (8,), CODEC).as_tuple()
 
 
 def test_sec_sp_cost():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import CODEC, both, raw_share_pair, reveal, reveal_raw, share_pair
-from starfish.costs import comparator_calls
+from starfish.costs import comparator_calls, predict_cost
 from starfish.errors import DivisionDomainError, ShapeError, SingularRevealError
 from starfish.gates import (
+    MI_TRIES,
     ComparisonKey,
     const_share,
     sec_add,
@@ -17,8 +18,6 @@ from starfish.gates import (
     sec_max,
     sec_mi,
     sec_mul,
-    sec_mul3,
-    sec_ran_gen_inv,
     sec_sel,
     sec_sp,
     sec_srt,
@@ -71,18 +70,6 @@ def test_sec_mul_matmul_identity_and_random():
     got, _ = both(lambda s: reveal(s, sec_mul(s, b[s.party], c[s.party], matmul=True)))
     err = np.abs(got - x @ y)
     assert float(err.max()) <= 8 * 2.0 ** (-CODEC.precision_p + 1)
-
-
-def test_sec_mul3_identities_and_value():
-    x = grid(RNG.uniform(-2, 2, size=8))
-    one = share_pair(grid(np.ones(8)), key=8)
-    xs = share_pair(x, key=9)
-    got, _ = both(lambda s: reveal(s, sec_mul3(s, one[s.party], one[s.party], xs[s.party])))
-    assert np.array_equal(got, x)
-
-    a, b, c = share_pair(grid(2.0), key=10), share_pair(grid(3.0), key=11), share_pair(grid(4.0), key=12)
-    got, _ = both(lambda s: reveal(s, sec_mul3(s, a[s.party], b[s.party], c[s.party])))
-    assert abs(float(got) - 24.0) <= 2 * ERROR_BUDGETS["sec_mul"]
 
 
 def test_sec_sp_identities():
@@ -281,68 +268,7 @@ def test_division_oracle_guards_zero():
         exact_gate_oracle("sec_div", np.array([1.0]), np.array([0.0]))
 
 
-# -- random invertible draws and masked inversion ----------------------------------
-
-
-def test_sec_ran_gen_inv_scalar_nonzero():
-    def proto(sess):
-        u = sec_ran_gen_inv(sess, (1000,))
-        return reveal_raw(sess, u)
-
-    got, _ = both(proto, seed=60)
-    assert np.all(got != 0)
-
-
-def test_sec_ran_gen_inv_matrix_invertible():
-    def proto(sess):
-        u = sec_ran_gen_inv(sess, (2, 2))
-        return reveal(sess, u)
-
-    got, _ = both(proto, seed=61)
-    assert np.isfinite(np.linalg.cond(got))
-    assert abs(np.linalg.det(got)) > 0
-
-
-class _FirstZeroRng:
-    """Wraps a generator; the very first integers() call comes back all zero."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self._first = True
-
-    def integers(self, *args, **kwargs):
-        if self._first:
-            self._first = False
-            return np.zeros(kwargs.get("size", ()), dtype=kwargs.get("dtype", np.int64))
-        return self._rng.integers(*args, **kwargs)
-
-
-def test_sec_ran_gen_inv_retries_on_zero_draw():
-    from starfish import make_inproc_sessions, run_pair
-
-    sessions = make_inproc_sessions(62)
-    for sess in sessions:
-        sess.rng = _FirstZeroRng(sess.rng)
-
-    def proto(sess):
-        u = sec_ran_gen_inv(sess, (4,))
-        return reveal_raw(sess, u)
-
-    r0, r1 = run_pair(proto, sessions)
-    assert np.array_equal(r0, r1)
-    assert np.all(r0 != 0)
-    # two attempts: one rejected reveal, one accepted
-    assert sessions[0].meter.stats("sec_ran_gen_inv").rounds == 4
-
-
-def test_sec_ran_gen_inv_gives_up_on_impossible_bound():
-    def proto(sess):
-        return sec_ran_gen_inv(sess, (2, 2), tries=3, cond_bound=1.0)
-
-    from starfish import make_inproc_sessions, run_pair
-
-    with pytest.raises(SingularRevealError):
-        run_pair(proto, make_inproc_sessions(63))
+# -- masked inversion --------------------------------------------------------------
 
 
 def test_sec_mi_scalar_lanes():
@@ -376,16 +302,47 @@ def test_sec_mi_product_bound():
     assert residual <= 4 * 2.0 ** (-CODEC.precision_p + 2)
 
 
+class _ZeroFirstMask:
+    """Wraps a dealer's inv_mask; the first mask it hands out is all zero."""
+
+    def __init__(self, draw):
+        self._draw = draw
+        self._first = True
+
+    def __call__(self, m):
+        if self._first:
+            self._first = False
+            return np.zeros((m, m), dtype=np.uint64)
+        return self._draw(m)
+
+
+def test_sec_mi_retries_after_a_singular_mask():
+    from starfish import make_inproc_sessions, run_pair
+
+    x = grid(np.array([0.5, 2.0]))
+    xs = share_pair(x, key=72)
+    sessions = make_inproc_sessions(73)
+    for sess in sessions:
+        sess.dealer.inv_mask = _ZeroFirstMask(sess.dealer.inv_mask)
+    r0, r1 = run_pair(lambda s: reveal(s, sec_mi(s, xs[s.party])), sessions)
+    assert np.array_equal(r0, r1)
+    assert float(np.max(np.abs(r0 - 1.0 / x))) <= ERROR_BUDGETS["sec_mi"]
+    # two attempts: the zero-masked product is rejected, the redraw accepted
+    per_try = predict_cost("sec_mi", {"m": 1, "batch": 2}, CODEC).rounds
+    assert sessions[0].meter.stats("sec_mi").rounds == 2 * per_try
+
+
 def test_sec_mi_zero_raises():
     from starfish import make_inproc_sessions, run_pair
 
     zero = share_pair(np.zeros(()), key=68)
-
-    def proto(sess):
-        return sec_mi(sess, zero[sess.party], tries=2)
-
+    sessions = make_inproc_sessions(69)
     with pytest.raises(SingularRevealError):
-        run_pair(proto, make_inproc_sessions(69))
+        run_pair(lambda sess: sec_mi(sess, zero[sess.party]), sessions)
+    # the give-up path ran every attempt: one masked product and one reveal each
+    per_try = predict_cost("sec_mi", {"m": 1}, CODEC).rounds
+    for sess in sessions:
+        assert sess.meter.stats("sec_mi").rounds == MI_TRIES * per_try
 
 
 def test_sec_mi_rejects_non_square():

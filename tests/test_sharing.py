@@ -13,10 +13,10 @@ from starfish import (
     sec_rec,
     sec_share,
 )
-from starfish.errors import DealerExhausted, ProtocolError
+from starfish.errors import ProtocolError
 from starfish.fixedpoint import to_signed
 from starfish.gates import sec_ge, sec_mul, sec_sel
-from starfish.sharing import DealerTape, sec_ran_gen, zero_gen
+from starfish.sharing import DealerTape, zero_gen
 
 
 def test_share_reconstruct_exact():
@@ -48,16 +48,6 @@ def test_zero_gen_reconstructs_zero():
         r0, r1 = run_pair(proto, make_inproc_sessions(seed))
         assert np.array_equal(r0, np.zeros(8))
         assert np.array_equal(r0, r1)
-
-
-def test_sec_ran_gen_sum_uniform():
-    def proto(sess):
-        return sec_ran_gen(sess, (100_000,))
-    s0, s1 = run_pair(proto, make_inproc_sessions(3))
-    assert not np.array_equal(s0, s1)
-    full = np.add(s0, s1)
-    counts = np.bincount((full >> np.uint64(56)).astype(np.int64), minlength=256)
-    assert scipy.stats.chisquare(counts).pvalue >= 0.01
 
 
 def test_meter_matches_transport_totals():
@@ -178,14 +168,6 @@ def test_dealer_inv_mask_scalar_never_zero():
     for _ in range(500):
         m = np.add(d0.inv_mask(1), d1.inv_mask(1))
         assert to_signed(m)[0, 0] != 0
-
-
-def test_dealer_limit():
-    d = DealerTape(9, 0, CODEC, limit=2)
-    d.beaver((1,), (1,))
-    d.beaver((1,), (1,))
-    with pytest.raises(DealerExhausted):
-        d.beaver((1,), (1,))
 
 
 def test_keyed_rng_deterministic_and_keyed():

@@ -62,13 +62,6 @@ def test_bit_payload_whole_words():
     assert tr.bit_payload_bytes(65) == 16
 
 
-def test_link_time_profiles():
-    lan = tr.estimate_link_time(10, 10**6, "lan")
-    wan = tr.estimate_link_time(10, 10**6, "wan")
-    assert lan == pytest.approx(10 * 0.17e-3 + 10**6 / 1e9)
-    assert wan > lan
-
-
 def test_inproc_channel_roundtrip_and_close():
     a, b = tr.inproc_pair()
     a.send(b"ping")

@@ -266,37 +266,6 @@ def test_stage_one_matches_plaintext_models():
     assert np.array_equal(got, mirror.models)
 
 
-def test_stage_one_resume_is_bit_identical():
-    task = quadratic_task(3, 3, mu=1.0, lam_max=1.1, lip=1.1, seed=3)
-    short = UnlearnConfig(n=3, m=3, t=3, alpha=0.4, eta_l=0.08, seed=3)
-    full = UnlearnConfig(n=3, m=3, t=6, alpha=0.4, eta_l=0.08, seed=3)
-
-    def proto(sess):
-        head = stage_one(sess, task.pool(), short)
-        resumed = stage_one(sess, task.pool(), full, resume=head)
-        single = stage_one(sess, task.pool(), full)
-        assert np.array_equal(resumed.models, single.models)
-        assert np.array_equal(resumed.grads, single.grads)
-        assert np.array_equal(resumed.norms, single.norms)
-        assert np.array_equal(resumed.thresholds, single.thresholds)
-        return resumed.models
-
-    both(proto, seed=3)
-
-
-def test_stage_one_rejects_mismatched_resume():
-    task = quadratic_task(3, 3, seed=4)
-    short = UnlearnConfig(n=3, m=3, t=2, eta_l=0.05, seed=4)
-    other = UnlearnConfig(n=3, m=3, t=4, eta_l=0.01, seed=4)
-
-    def proto(sess):
-        head = stage_one(sess, task.pool(), short)
-        stage_one(sess, task.pool(), other, resume=head)
-
-    with pytest.raises(ConfigError):
-        run_pair(proto, make_inproc_sessions(4))
-
-
 def test_stage_one_round_callback():
     task = quadratic_task(2, 2, seed=5)
     cfg = UnlearnConfig(n=2, m=2, t=3, eta_l=0.05, seed=5)
