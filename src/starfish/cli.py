@@ -28,7 +28,6 @@ from .gates import (
     sec_add,
     sec_div,
     sec_ge,
-    sec_ge2,
     sec_max,
     sec_mi,
     sec_mul,
@@ -456,12 +455,6 @@ def _audit_battery(cfg: RunConfig):
         v = _share_for(sess, rng, floats(rng, (8,)))
         sec_ge(sess, u, v)
     item("sec_ge (8,)", "sec_ge", (8,), run_ge)
-
-    def run_ge2(sess):
-        rng = rng_for(7)
-        args = [_share_for(sess, rng, floats(rng, (8,), hi=1.0)) for _ in range(4)]
-        sec_ge2(sess, *args)
-    item("sec_ge2 (8,)", "sec_ge2", (8,), run_ge2)
 
     def run_max(sess):
         rng = rng_for(8)

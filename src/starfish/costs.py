@@ -99,7 +99,7 @@ def matmul_cost(shape_x, shape_y) -> CostEstimate:
 
 
 def comparator_cost(kind: str, lanes: int) -> CostEstimate:
-    """Per-stage comparator circuits used inside the sort."""
+    """Per-stage circuit of each sort order in gates.SORT_VARIANTS."""
     if kind == "plain":
         return ge_cost(lanes)
     if kind == "pair":
@@ -225,11 +225,12 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
 
     Shape argument by functionality:
       sec_add/zero_gen/sec_share: ignored
-      sec_rec/sec_ge/sec_ge2/sec_ge3/sec_ge4/sec_div/sec_sel: lane shape tuple
+      sec_rec/sec_ge/sec_div/sec_sel: lane shape tuple
       sec_mul: lane shape tuple, or dict {"matmul": (sx, sy)}
       sec_sp: shape tuple (..., k)
       sec_max: shape tuple (..., T), max over the last axis
-      sec_srt: dict {"t", "item_words", "comparator"}
+      sec_srt: dict {"t", "item_words", "comparator"}, comparator one of the
+        sort orders in gates.SORT_VARIANTS (plain, pair, ge3, ge4)
       sec_mi: dict {"m", "batch"} (single accepted attempt)
       threshold_determination: dict {"clients", "t"}
       sec_ue: dict {"clients", "m", "pairs"}
@@ -254,12 +255,6 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
         return mul_cost(_lanes(shape))
     if name == "sec_ge":
         return ge_cost(_lanes(shape))
-    if name == "sec_ge2":
-        return mul_cost(2 * _lanes(shape)) + ge_cost(_lanes(shape))
-    if name == "sec_ge3":
-        return comparator_cost("ge3", _lanes(shape))
-    if name == "sec_ge4":
-        return comparator_cost("ge4", _lanes(shape))
     if name == "sec_max":
         return max_cost(shape[-1], _lanes(shape[:-1]))
     if name == "sec_srt":

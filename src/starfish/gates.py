@@ -7,6 +7,13 @@ Kogge-Stone adder recombines them). Batched lanes share one round trip:
 every gate here is vectorized, so "T comparisons in parallel" is one
 circuit over T lanes.
 
+The oblivious sort ranks items under one of the orders in SORT_VARIANTS:
+plain values, fractions u/v by cross multiplication (pair), and the two
+sign-aware orders of the no-norm round selection (ge3 on ratios, ge4 on
+(numerator, denominator) pairs). Each order is a comparator plus the
+minus-infinity sentinel that pads a sort to a power of two; costs prices
+the comparators under the same names.
+
 Boolean kernel representation: an XOR-shared bit tensor is held in its
 wire form, little-endian uint64 words over the flat bit sequence with zero
 pad bits. A full-width tensor has one word per lane, bit k of the value at
@@ -27,11 +34,10 @@ arithmetic shares of {0, 1} at scale 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .costs import div_iterations
+from .costs import div_iterations, padded_size
 from .errors import RangeError, ShapeError, SingularRevealError
 from .fixedpoint import from_signed
 from .sharing import Session
@@ -106,14 +112,6 @@ def _beaver_mul(sess: Session, x, y, *, matmul: bool = False, truncate: bool = T
     return z
 
 
-def _mul_public_core(sess: Session, x, raw, *, matmul: bool = False, truncate: bool = True):
-    pub = np.asarray(raw, dtype=np.uint64)
-    z = np.matmul(x, pub) if matmul else np.multiply(x, pub)
-    if truncate:
-        z = sess.truncate(z)
-    return z
-
-
 # -- arithmetic gates ----------------------------------------------------------
 
 
@@ -136,7 +134,9 @@ def mul_public(sess: Session, x, raw, *, matmul: bool = False, truncate: bool = 
     """Product with a public ring tensor: no triple, no communication."""
     with sess.op("sec_mul"):
         sess.meter.invoke("sec_mul", 1 if matmul else int(np.asarray(x).size))
-        return _mul_public_core(sess, x, raw, matmul=matmul, truncate=truncate)
+        pub = np.asarray(raw, dtype=np.uint64)
+        z = np.matmul(x, pub) if matmul else np.multiply(x, pub)
+        return sess.truncate(z) if truncate else z
 
 
 def sec_sp(sess: Session, x, y, *, truncate: bool = True) -> np.ndarray:
@@ -318,13 +318,6 @@ def sec_ge(sess: Session, u, v) -> np.ndarray:
         return _ge_core(sess, u, v)
 
 
-def sec_ge2(sess: Session, u1, v1, u2, v2) -> np.ndarray:
-    """[u1/v1 >= u2/v2] for positive v1, v2 by exact cross multiplication."""
-    with sess.op("sec_ge2"):
-        sess.meter.invoke("sec_ge2", int(np.asarray(u1).size))
-        return comparator_pair(sess, {"u": u1, "v": v1}, {"u": u2, "v": v2})
-
-
 def sec_max(sess: Session, vals) -> np.ndarray:
     """Oblivious max over the last axis (tournament of sec_ge/sec_sel)."""
     with sess.op("sec_max"):
@@ -332,7 +325,7 @@ def sec_max(sess: Session, vals) -> np.ndarray:
         lanes = int(vals.size // vals.shape[-1])
         sess.meter.invoke("sec_max", lanes)
         t = vals.shape[-1]
-        size = 1 << (t - 1).bit_length()
+        size = padded_size(t)
         if size != t:
             pad_val = const_share(sess, _min_sentinel_raw(sess))
             pad = np.broadcast_to(pad_val, vals.shape[:-1] + (size - t,)).copy()
@@ -359,21 +352,17 @@ def _min_sentinel_raw(sess: Session) -> np.ndarray:
 class ComparisonKey:
     """Sortable record: named shared components plus a swapped-along payload.
 
-    Every component is an array whose leading axis indexes the T items.
-    The comparator decides ordering from the components; the payload (round
-    indices here) just rides along through the swaps.
+    Every component is a (T,) array over the T items. The variant names the
+    sort order in SORT_VARIANTS, which decides ordering from the components;
+    the payload (round indices here) just rides along through the swaps.
     """
 
     variant: str
     parts: dict[str, np.ndarray]
     payload: np.ndarray | None = None
 
-    def length(self) -> int:
-        return next(iter(self.parts.values())).shape[0]
 
-
-Comparator = Callable[[Session, dict, dict], np.ndarray]
-SentinelFn = Callable[[Session], dict]
+# -- sort orders: comparator(a, b) shares [a >= b]; sentinel() is minus infinity
 
 
 def comparator_plain(sess: Session, a: dict, b: dict) -> np.ndarray:
@@ -399,88 +388,95 @@ def sentinel_pair(sess: Session) -> dict:
     return {"u": _min_sentinel_raw(sess), "v": sess.codec.encode(1.0)}
 
 
-SORT_VARIANTS: dict[str, tuple[Comparator, SentinelFn]] = {
+# Sign-aware orders on signed scores s_i = w_i * sqrt(b_i), with w in {0, 1}
+# the sign and b >= 0 the squared magnitude. Plaintext rule for [s1 >= s2]:
+#   signs differ       -> the positive one wins
+#   both positive      -> compare b
+#   both negative      -> larger b loses
+# With z = [b1 >= b2] all four cases collapse to f = 1 - w2 + z*(w1 + w2 - 1).
+
+
+def _sign_aware_combine(sess: Session, w1, w2, z) -> np.ndarray:
+    s = add_public(sess, np.add(w1, w2), from_signed(-1))  # w1 + w2 - 1
+    zs = _beaver_mul(sess, z, s, truncate=False)
+    return add_public(sess, np.subtract(zs, w2), 1)
+
+
+def comparator_ge3(sess: Session, a: dict, b: dict) -> np.ndarray:
+    """Sign-aware order with the magnitudes held as ratios b = a/v >= 0."""
+    return _sign_aware_combine(sess, a["w"], b["w"], _ge_core(sess, a["b"], b["b"]))
+
+
+def sentinel_ge3(sess: Session) -> dict:
+    codec = sess.codec
+    # negative sign with a ratio above any representable real one
+    return {"w": 0, "b": 1 << (codec.precision_p + codec.range_e)}
+
+
+def comparator_ge4(sess: Session, a: dict, b: dict) -> np.ndarray:
+    """comparator_ge3's order with the ratios held as (a, v), v > 0."""
+    z = comparator_pair(sess, {"u": a["a"], "v": a["v"]}, {"u": b["a"], "v": b["v"]})
+    return _sign_aware_combine(sess, a["w"], b["w"], z)
+
+
+def sentinel_ge4(sess: Session) -> dict:
+    codec = sess.codec
+    # a/v maximal at v = one raw unit; a*v stays far below the ring modulus
+    return {"w": 0, "a": 1 << (2 * codec.precision_p + codec.range_e), "v": 1}
+
+
+SORT_VARIANTS = {
     "plain": (comparator_plain, sentinel_plain),
     "pair": (comparator_pair, sentinel_pair),
+    "ge3": (comparator_ge3, sentinel_ge3),
+    "ge4": (comparator_ge4, sentinel_ge4),
 }
 
 
-def sec_srt(
-    sess: Session,
-    key: ComparisonKey,
-    comparator: Comparator | None = None,
-    sentinel: SentinelFn | None = None,
-) -> ComparisonKey:
+def sec_srt(sess: Session, key: ComparisonKey) -> ComparisonKey:
     """Descending bitonic sort; (l^2+l)/4 * T comparator calls at T = 2^l.
 
     Items beyond a non-power-of-two length are padded with the variant's
-    minus-infinity sentinel and sink to the tail.
+    minus-infinity sentinel and sink to the tail. The network swaps whole
+    rows of one (padded T, W) matrix whose columns are the parts in sorted
+    name order, then the payload.
     """
     with sess.op("sec_srt"):
         sess.meter.invoke("sec_srt")
-        if comparator is None or sentinel is None:
-            if key.variant not in SORT_VARIANTS:
-                raise ShapeError(f"no default comparator for variant {key.variant!r}")
-            comparator, sentinel = SORT_VARIANTS[key.variant]
-        t = key.length()
-        size = 1 << (t - 1).bit_length()
-        # working copies: the network scatters in place
-        parts = {k: np.array(v, copy=True) for k, v in key.parts.items()}
-        payload = None if key.payload is None else np.array(key.payload, copy=True)
+        comparator, sentinel = SORT_VARIANTS[key.variant]
+        names = sorted(key.parts)
+        cols = [key.parts[n] for n in names] + ([] if key.payload is None else [key.payload])
+        rows = np.stack(cols, axis=1)
+        t = len(rows)
+        size = padded_size(t)
         if size != t:
             pads = sentinel(sess)
-            for name in parts:
-                pad_val = const_share(sess, pads[name])
-                pad = np.broadcast_to(pad_val, (size - t,) + parts[name].shape[1:]).copy()
-                parts[name] = np.concatenate([parts[name], pad], axis=0)
-            if payload is not None:
-                pad_val = const_share(sess, from_signed(-1))
-                pad = np.broadcast_to(pad_val, (size - t,) + payload.shape[1:]).copy()
-                payload = np.concatenate([payload, pad], axis=0)
+            # a padded payload slot reads -1
+            pad = [pads[n] for n in names] + ([] if key.payload is None else [from_signed(-1)])
+            pad = const_share(sess, np.array(pad, dtype=np.uint64))
+            rows = np.concatenate([rows, np.broadcast_to(pad, (size - t, len(cols)))])
 
-        names = sorted(parts)
         k = 2
         while k <= size:
             j = k // 2
             while j >= 1:
                 hi_idx, lo_idx, desc = _bitonic_stage(size, k, j)
-                b = comparator(
-                    sess,
-                    {n: parts[n][hi_idx] for n in names},
-                    {n: parts[n][lo_idx] for n in names},
-                )
+                hi, lo = rows[hi_idx], rows[lo_idx]
+                b = comparator(sess, dict(zip(names, hi.T)), dict(zip(names, lo.T)))
                 sess.meter.invoke("comparator", len(hi_idx))
                 sess.meter.invoke("sec_sel", len(hi_idx))
                 # positions sorting ascending flip the comparator bit locally
-                sign = np.where(desc, 1, -1)
-                s = np.multiply(b, from_signed(sign))
+                s = np.multiply(b, from_signed(np.where(desc, 1, -1)))
                 if sess.party == 0:
                     s = np.add(s, from_signed(np.where(desc, 0, 1)))
-                cols = [parts[n][hi_idx].copy() for n in names]
-                lows = [parts[n][lo_idx].copy() for n in names]
-                if payload is not None:
-                    cols.append(payload[hi_idx].copy())
-                    lows.append(payload[lo_idx].copy())
-                diffs = [np.subtract(c, lo) for c, lo in zip(cols, lows)]
-                flat_diffs = np.concatenate([d.reshape(len(hi_idx), -1) for d in diffs], axis=1)
-                picked = _beaver_mul(sess, s[:, None], flat_diffs, truncate=False)
-                picked = np.add(picked, sess.draw_zero(flat_diffs.shape))
-                pos = 0
-                for idx, name in enumerate(names + (["__payload__"] if payload is not None else [])):
-                    width = cols[idx].reshape(len(hi_idx), -1).shape[1]
-                    chunk = picked[:, pos : pos + width].reshape(cols[idx].shape)
-                    pos += width
-                    new_hi = np.add(lows[idx], chunk)
-                    new_lo = np.subtract(np.add(cols[idx], lows[idx]), new_hi)
-                    if name == "__payload__":
-                        payload[hi_idx] = new_hi
-                        payload[lo_idx] = new_lo
-                    else:
-                        parts[name][hi_idx] = new_hi
-                        parts[name][lo_idx] = new_lo
+                picked = _beaver_mul(sess, s[:, None], np.subtract(hi, lo), truncate=False)
+                picked = np.add(picked, sess.draw_zero(hi.shape))
+                rows[hi_idx] = np.add(lo, picked)
+                rows[lo_idx] = np.subtract(hi, picked)
                 j //= 2
             k *= 2
-        return ComparisonKey(key.variant, parts, payload)
+        payload = None if key.payload is None else rows[:, -1]
+        return ComparisonKey(key.variant, dict(zip(names, rows.T)), payload)
 
 
 def _bitonic_stage(size: int, k: int, j: int):

@@ -10,7 +10,9 @@ global model update and pick the top T' rounds. Two equivalent orderings:
 Method 1 sends fewer bytes until T crosses switching_threshold; the auto
 path picks accordingly. The alternate entry point works without the
 precomputed gradient norms by ranking sign-adjusted squared ratios, which
-is an order-preserving transform of the cosine.
+is an order-preserving transform of the cosine. Every ordering is one of
+the sort orders in gates.SORT_VARIANTS: "pair" and "plain" for methods 1
+and 2, the sign-aware "ge4" and "ge3" for the alternate entry point.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ from .errors import ConfigError, DegenerateRoundError
 from .fixedpoint import WORD_BITS, from_signed, to_signed
 from .gates import (
     ComparisonKey,
-    _beaver_mul,
-    _ge_core,
-    add_public,
     const_share,
     mul_public,
     sec_div,
@@ -93,63 +92,6 @@ class SelectionResult:
         return np.sort(self.indices)
 
 
-# -- sign-aware comparators ----------------------------------------------------
-#
-# Plaintext rule for f = [item1 >= item2] on signed scores s_i = w_i * sqrt(b_i)
-# (w in {0,1} encodes sign, b >= 0 the squared magnitude):
-#   signs differ       -> the positive one wins
-#   both positive      -> compare b
-#   both negative      -> larger b loses
-# With z = [b1 >= b2] all four cases collapse to f = 1 - w2 + z*(w1 + w2 - 1).
-
-
-def _sign_aware_combine(sess: Session, w1, w2, z) -> np.ndarray:
-    s = add_public(sess, np.add(w1, w2), from_signed(-1))  # w1 + w2 - 1
-    zs = _beaver_mul(sess, z, s, truncate=False)
-    return add_public(sess, np.subtract(zs, w2), 1)
-
-
-def sec_ge3(sess: Session, w1, b1, w2, b2) -> np.ndarray:
-    """Compare sign/ratio pairs; inputs share w in {0,1} and b = a/v >= 0."""
-    with sess.op("sec_ge3"):
-        sess.meter.invoke("sec_ge3", int(np.asarray(w1).size))
-        return _comparator_ge3(sess, {"w": w1, "b": b1}, {"w": w2, "b": b2})
-
-
-def sec_ge4(sess: Session, w1, a1, v1, w2, a2, v2) -> np.ndarray:
-    """Same order as sec_ge3 with the ratios held as (a, v), v > 0."""
-    with sess.op("sec_ge4"):
-        sess.meter.invoke("sec_ge4", int(np.asarray(w1).size))
-        return _comparator_ge4(sess, {"w": w1, "a": a1, "v": v1}, {"w": w2, "a": a2, "v": v2})
-
-
-def _comparator_ge3(sess: Session, x: dict, y: dict) -> np.ndarray:
-    z = _ge_core(sess, x["b"], y["b"])
-    return _sign_aware_combine(sess, x["w"], y["w"], z)
-
-
-def _sentinel_ge3(sess: Session) -> dict:
-    codec = sess.codec
-    # negative sign with a ratio above any representable real one
-    big = 1 << (codec.precision_p + codec.range_e)
-    return {"w": 0, "b": big}
-
-
-def _comparator_ge4(sess: Session, x: dict, y: dict) -> np.ndarray:
-    cross = _beaver_mul(
-        sess, np.stack([x["a"], y["a"]]), np.stack([y["v"], x["v"]]), truncate=False
-    )
-    z = _ge_core(sess, cross[0], cross[1])
-    return _sign_aware_combine(sess, x["w"], y["w"], z)
-
-
-def _sentinel_ge4(sess: Session) -> dict:
-    codec = sess.codec
-    # a/v maximal at v = one raw unit; a*v stays far below the ring modulus
-    big = 1 << (2 * codec.precision_p + codec.range_e)
-    return {"w": 0, "a": big, "v": 1}
-
-
 # -- selection pipeline --------------------------------------------------------
 
 
@@ -213,11 +155,9 @@ def sec_rs(
 
         if method == 1:
             key = ComparisonKey(variant="pair", parts={"u": u, "v": v}, payload=payload)
-            sorted_key = sec_srt(sess, key)
         else:
-            tau = sec_div(sess, u, v)
-            key = ComparisonKey(variant="plain", parts={"v": tau}, payload=payload)
-            sorted_key = sec_srt(sess, key)
+            key = ComparisonKey(variant="plain", parts={"v": sec_div(sess, u, v)}, payload=payload)
+        sorted_key = sec_srt(sess, key)
 
         count = min(params.t_prime, kept.size)
         indices = _reveal_selection(sess, sorted_key.payload, count)
@@ -258,11 +198,9 @@ def sec_rs_alt(
 
         if method == 1:
             key = ComparisonKey(variant="ge4", parts={"w": w, "a": a, "v": v}, payload=payload)
-            sorted_key = sec_srt(sess, key, comparator=_comparator_ge4, sentinel=_sentinel_ge4)
         else:
-            b = sec_div(sess, a, v)
-            key = ComparisonKey(variant="ge3", parts={"w": w, "b": b}, payload=payload)
-            sorted_key = sec_srt(sess, key, comparator=_comparator_ge3, sentinel=_sentinel_ge3)
+            key = ComparisonKey(variant="ge3", parts={"w": w, "b": sec_div(sess, a, v)}, payload=payload)
+        sorted_key = sec_srt(sess, key)
 
         count = min(params.t_prime, kept.size)
         indices = _reveal_selection(sess, sorted_key.payload, count)

@@ -11,13 +11,14 @@ The dealer is simulated: both sessions derive the full preprocessed
 material from the same dealer seed and keep only their own half. Draws
 happen in program order on both sides, which keeps the halves consistent.
 Consumed material is charged to the meter as offline bytes, as if a real
-dealer had shipped it ahead of time.
+dealer had shipped it ahead of time: each draw charges the summed size of
+the arrays it hands out.
 
 Bit material (AND triples, and the random bits used by B2A) is drawn as
 packed words: one generator call yields every word of an item, and the pad
-bits past the requested bit count are zero. An item's offline charge is its
-packed wire size, the same charge as when the dealer drew one byte per bit;
-only the random contents differ from that form.
+bits past the requested bit count are zero. An item's offline charge is
+therefore its packed wire size, the same charge as when the dealer drew one
+byte per bit; only the random contents differ from that form.
 
 Seed tree: all randomness comes from numpy SeedSequence keyed as
 (seed, stream_tag, *indices). Stream tags: 1 dealer, 4 client data,
@@ -34,10 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolError, ShapeError, TransportError
-from .fixedpoint import WORD_BYTES, FixedPointCodec, from_signed
+from .fixedpoint import FixedPointCodec, from_signed
 from .transport import (
     OP_TAGS,
-    bit_payload_bytes,
     bit_word_count,
     build_frame,
     inproc_pair,
@@ -230,27 +230,6 @@ class DealerTape:
             words[..., -1] &= np.uint64((1 << (nbits % 64)) - 1)
         return words
 
-    # Offline cost of materials, in bytes, as shipped to one party.
-
-    @staticmethod
-    def beaver_cost(shape_x, shape_y, mode: str) -> int:
-        nx = int(np.prod(shape_x, dtype=np.int64)) if shape_x else 1
-        ny = int(np.prod(shape_y, dtype=np.int64)) if shape_y else 1
-        if mode == "mul":
-            nc = max(nx, ny)
-        else:
-            batch = int(np.prod(shape_x[:-2], dtype=np.int64)) if len(shape_x) > 2 else 1
-            nc = batch * shape_x[-2] * shape_y[-1]
-        return WORD_BYTES * (nx + ny + nc)
-
-    @staticmethod
-    def bit_triple_cost(nbits: int) -> int:
-        return 3 * bit_payload_bytes(nbits)
-
-    @staticmethod
-    def shared_bit_cost(nbits: int) -> int:
-        return bit_payload_bytes(nbits) + WORD_BYTES * nbits
-
 
 # -- session ---------------------------------------------------------------
 
@@ -290,33 +269,35 @@ class Session:
     def current_op(self) -> str:
         return self._op_stack[-1] if self._op_stack else "other"
 
-    # -- dealer draws with offline accounting ----------------------------
+    # -- dealer draws, charged as offline bytes ---------------------------
+
+    def _charge(self, *material: np.ndarray) -> None:
+        """Offline bytes of what the dealer handed out to this party."""
+        self.meter.add_offline(self.current_op, sum(m.nbytes for m in material))
 
     def draw_beaver(self, shape_x, shape_y, mode: str = "mul"):
         trip = self.dealer.beaver(shape_x, shape_y, mode)
-        cost = DealerTape.beaver_cost(tuple(shape_x), tuple(shape_y), mode)
-        self.meter.add_offline(self.current_op, cost)
+        self._charge(*trip)
         return trip
 
     def draw_bit_triple(self, nbits: int):
         trip = self.dealer.bit_triple(nbits)
-        self.meter.add_offline(self.current_op, DealerTape.bit_triple_cost(nbits))
+        self._charge(*trip)
         return trip
 
     def draw_shared_bit(self, nbits: int):
         pair = self.dealer.shared_bit(nbits)
-        self.meter.add_offline(self.current_op, DealerTape.shared_bit_cost(nbits))
+        self._charge(*pair)
         return pair
 
     def draw_zero(self, shape):
         z = self.dealer.zero_share(shape)
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        self.meter.add_offline(self.current_op, WORD_BYTES * n)
+        self._charge(z)
         return z
 
     def draw_inv_mask(self, m: int):
         r = self.dealer.inv_mask(m)
-        self.meter.add_offline(self.current_op, WORD_BYTES * m * m)
+        self._charge(r)
         return r
 
     # -- rounds -----------------------------------------------------------

@@ -31,29 +31,18 @@ HEADER = struct.Struct("<QHH")  # session id, op tag, reserved
 LEN = struct.Struct("<I")
 FRAME_OVERHEAD = LEN.size + HEADER.size  # 16 bytes per frame
 
-# Operation tags for the wire frame. One tag per metered functionality;
-# 0x00ff marks traffic outside any labelled gate.
+# Operation tags for the wire frame: one per gate that opens the innermost
+# op scope around a round; 0x00ff marks traffic outside any labelled gate.
 OP_TAGS = {
-    "sec_share": 0x0001,
     "sec_rec": 0x0002,
-    "zero_gen": 0x0003,
-    "sec_add": 0x0010,
     "sec_mul": 0x0011,
     "sec_sp": 0x0013,
     "sec_sel": 0x0014,
     "sec_ge": 0x0015,
-    "sec_ge2": 0x0016,
     "sec_max": 0x0017,
     "sec_srt": 0x0018,
     "sec_div": 0x0019,
     "sec_mi": 0x001b,
-    "sec_ge3": 0x0020,
-    "sec_ge4": 0x0021,
-    "sec_rs": 0x0022,
-    "threshold_determination": 0x0030,
-    "sec_ue": 0x0031,
-    "sec_tc": 0x0032,
-    "stage1": 0x0040,
     "other": 0x00ff,
 }
 

@@ -235,8 +235,7 @@ def stage_one(
             grads[i, j] = _keyed_split(codec, rng, g, sess.party)
             norms[i, j] = _keyed_split(codec, rng, norm, sess.party)
             thresholds[i, j] = _keyed_split(codec, rng, delta, sess.party)
-        with sess.op("stage1"):
-            total = sec_rec(sess, grads[i].sum(axis=0, dtype=np.uint64))
+        total = sec_rec(sess, grads[i].sum(axis=0, dtype=np.uint64))
         avg = codec.decode(total) / n
         models[i + 1] = models[i] - config.eta_l * avg
         if on_round is not None:
@@ -317,8 +316,7 @@ def sec_ue(sess: Session, gradients: np.ndarray, state: LbfgsState) -> np.ndarra
 
 def aggregate_reveal(sess: Session, estimates: np.ndarray, model: np.ndarray, eta: float):
     """Average the shared estimates, reveal, and step the recovered model."""
-    with sess.op("sec_ue"):
-        total = sec_rec(sess, estimates.sum(axis=0, dtype=np.uint64))
+    total = sec_rec(sess, estimates.sum(axis=0, dtype=np.uint64))
     avg = sess.codec.decode(total) / estimates.shape[0]
     return model - eta * avg, avg
 

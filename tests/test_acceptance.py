@@ -29,10 +29,10 @@ from starfish.cli import main
 from starfish.costs import comparator_calls, predict_cost
 from starfish.gates import (
     ComparisonKey,
+    comparator_pair,
     sec_add,
     sec_div,
     sec_ge,
-    sec_ge2,
     sec_max,
     sec_mi,
     sec_mul,
@@ -114,8 +114,8 @@ def test_criterion_1_gate_oracle_equivalence():
         if float(np.min(np.abs(u1 / v1 - u2 / v2))) > 1e-3:
             break
     shs = [share_pair(v, key=110 + i) for i, v in enumerate((u1, v1, u2, v2))]
-    got, _ = both(lambda s: reveal_raw(
-        s, sec_ge2(s, *(sh[s.party] for sh in shs))))
+    got, _ = both(lambda s: reveal_raw(s, comparator_pair(
+        s, {"u": shs[0][s.party], "v": shs[1][s.party]}, {"u": shs[2][s.party], "v": shs[3][s.party]})))
     check("sec_ge", got, (u1 / v1 >= u2 / v2).astype(np.int64), budget=0.0)
 
     # correction flags, including zero thresholds and exact boundary rows

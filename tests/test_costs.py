@@ -7,6 +7,7 @@ from helpers import CODEC, raw_share_pair, share_pair
 from starfish.costs import (
     CostEstimate,
     comparator_calls,
+    comparator_cost,
     ks_level_count,
     padded_size,
     predict_cost,
@@ -14,10 +15,10 @@ from starfish.costs import (
 from starfish.errors import UnknownFunctionality
 from starfish.gates import (
     ComparisonKey,
+    comparator_pair,
     sec_add,
     sec_div,
     sec_ge,
-    sec_ge2,
     sec_max,
     sec_mul,
     sec_sel,
@@ -121,12 +122,13 @@ def test_sec_ge_cost():
 
 
 def test_sec_ge2_cost():
+    # the pair sort order's comparator alone, outside any gate scope
     u1, v1, u2, v2 = vals(8, 20), vals(8, 21), vals(8, 22), vals(8, 23)
     got = measured(
-        "sec_ge2",
-        lambda s: sec_ge2(s, u1[s.party], v1[s.party], u2[s.party], v2[s.party]),
+        "other",
+        lambda s: comparator_pair(s, {"u": u1[s.party], "v": v1[s.party]}, {"u": u2[s.party], "v": v2[s.party]}),
     )
-    assert got == predict_cost("sec_ge2", (8,), CODEC).as_tuple()
+    assert got == comparator_cost("pair", 8).as_tuple()
 
 
 def test_sec_max_cost():

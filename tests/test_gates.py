@@ -1,20 +1,24 @@
 """Every gate against its exact oracle, at the published error budgets."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import CODEC, both, raw_share_pair, reveal, reveal_raw, share_pair
-from starfish.costs import comparator_calls, predict_cost
+from starfish.costs import comparator_calls, comparator_cost, predict_cost
 from starfish.errors import DivisionDomainError, ShapeError, SingularRevealError
 from starfish.gates import (
     MI_TRIES,
+    SORT_VARIANTS,
     ComparisonKey,
+    comparator_pair,
     const_share,
     sec_add,
     sec_div,
     sec_ge,
-    sec_ge2,
     sec_max,
     sec_mi,
     sec_mul,
@@ -140,7 +144,8 @@ def test_sec_ge2_ratio_cases():
     def ge2(nums):
         u1, v1, u2, v2 = (share_pair(grid(v), key=29 + i) for i, v in enumerate(nums))
         got, _ = both(
-            lambda s: reveal_raw(s, sec_ge2(s, u1[s.party], v1[s.party], u2[s.party], v2[s.party]))
+            lambda s: reveal_raw(s, comparator_pair(
+                s, {"u": u1[s.party], "v": v1[s.party]}, {"u": u2[s.party], "v": v2[s.party]}))
         )
         return int(got)
 
@@ -233,6 +238,46 @@ def test_sec_srt_pads_odd_lengths():
 
     got, _ = both(proto)
     assert np.array_equal(got, np.argsort(-vals, kind="stable"))
+
+
+def _order_instance(variant, t):
+    # tie-free plaintext parts of one sort order, and the score it ranks by
+    rng = np.random.default_rng(61)
+    w = rng.integers(0, 2, size=t)
+    x = grid(rng.permutation(np.linspace(0.5, 2.5, t)))
+    y = grid(rng.uniform(0.5, 2.0, size=t))
+    sign = np.where(w == 1, 1.0, -1.0)
+    return {
+        "plain": ({"v": sign * x}, sign * x),
+        "pair": ({"u": sign * x, "v": y}, sign * x / y),
+        "ge3": ({"w": w, "b": x}, sign * x),
+        "ge4": ({"w": w, "a": x, "v": y}, sign * x / y),
+    }[variant]
+
+
+@pytest.mark.parametrize("variant", sorted(SORT_VARIANTS))
+def test_every_sort_order_sorts_a_padded_instance_at_its_cost(variant):
+    # the table holds exactly the orders the cost model prices
+    priced = set(re.findall(r'kind == "(\w+)"', inspect.getsource(comparator_cost)))
+    assert priced == set(SORT_VARIANTS)
+    t = 5  # padded to 8: three sentinel items
+    parts, score = _order_instance(variant, t)
+    assert np.unique(score).size == t
+    shares = {
+        n: raw_share_pair(v.astype(np.uint64), key=60 + i) if n == "w" else share_pair(v, key=60 + i)
+        for i, (n, v) in enumerate(sorted(parts.items()))
+    }
+    payload = raw_share_pair(np.arange(t, dtype=np.uint64), key=59)
+
+    def proto(sess):
+        key = ComparisonKey(variant, {n: sh[sess.party] for n, sh in shares.items()}, payload[sess.party])
+        return reveal_raw(sess, sec_srt(sess, key).payload)[:t]
+
+    got, sessions = both(proto)
+    assert np.array_equal(got, np.argsort(-score, kind="stable"))
+    want = predict_cost("sec_srt", {"t": t, "item_words": len(parts) + 1, "comparator": variant}, CODEC)
+    st = sessions[0].meter.stats("sec_srt")
+    assert (st.rounds, st.bytes_online) == want.as_tuple()
 
 
 # -- division --------------------------------------------------------------------

@@ -13,8 +13,8 @@ from starfish import (
 )
 from starfish.costs import comparator_calls, predict_cost
 from starfish.errors import ConfigError, DegenerateRoundError
-from starfish.gates import sec_ge
-from starfish.roundsel import sec_ge3, sec_ge4, sec_rs, sec_rs_alt
+from starfish.gates import comparator_ge3, comparator_ge4, sec_ge
+from starfish.roundsel import sec_rs, sec_rs_alt
 
 RNG = np.random.default_rng(11)
 
@@ -251,9 +251,8 @@ def test_sign_aware_comparator_grid():
     b2s = share_pair(np.array([c[3] for c in cases]), key=34)
 
     def proto(sess):
-        f = sec_ge3(
-            sess, w1s[sess.party], b1s[sess.party], w2s[sess.party], b2s[sess.party]
-        )
+        p = sess.party
+        f = comparator_ge3(sess, {"w": w1s[p], "b": b1s[p]}, {"w": w2s[p], "b": b2s[p]})
         return reveal_raw(sess, f).tolist()
 
     r0, r1 = run_pair(proto, make_inproc_sessions(35))
@@ -279,7 +278,8 @@ def test_sign_aware_ratio_comparator():
 
     def proto(sess):
         p = sess.party
-        f = sec_ge4(sess, w1s[p], a1s[p], v1s[p], w2s[p], a2s[p], v2s[p])
+        f = comparator_ge4(sess, {"w": w1s[p], "a": a1s[p], "v": v1s[p]},
+                           {"w": w2s[p], "a": a2s[p], "v": v2s[p]})
         return reveal_raw(sess, f).tolist()
 
     r0, r1 = run_pair(proto, make_inproc_sessions(42))

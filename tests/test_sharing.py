@@ -149,8 +149,13 @@ def test_dealer_bit_draws_charge_packed_sizes():
     with s0.op("sec_div"):
         s0.draw_shared_bit(NBITS)
     assert s0.meter.stats("sec_div").bytes_offline == 16 + 8 * NBITS
-    assert DealerTape.bit_triple_cost(64) == 24 and DealerTape.bit_triple_cost(65) == 48
-    assert DealerTape.shared_bit_cost(1) == 16
+    for nbits, charge in ((64, 24), (65, 48)):
+        with s0.op(f"triple{nbits}"):
+            s0.draw_bit_triple(nbits)
+        assert s0.meter.stats(f"triple{nbits}").bytes_offline == charge
+    with s0.op("bit1"):
+        s0.draw_shared_bit(1)
+    assert s0.meter.stats("bit1").bytes_offline == 16
 
 
 def test_dealer_zero_share():
