@@ -5,6 +5,11 @@ so each subcommand also runs bare. One seed feeds the whole PRG tree
 (dealer tape, synthetic task data, client share splits, audit inputs),
 which is what makes repeated runs byte-identical.
 
+The audit runs one table of rows, one per gate or protocol phase, each on
+inputs drawn from its own audit stream. It checks every row's metered rounds
+and online bytes against predict_cost, and the comparator calls of the two
+sorting rows against comparator_calls.
+
 Exit codes: 0 success, 1 bad configuration or input, 2 protocol failure,
 3 cost audit mismatch.
 """
@@ -379,221 +384,122 @@ def cmd_compare(cfg: RunConfig) -> int:
 # -- the audit battery ---------------------------------------------------------
 
 
-def _share_for(sess: Session, rng, values) -> np.ndarray:
-    pair = sec_share(values, sess.codec, rng)
-    return pair[sess.party].value
-
-
 def _audit_battery(cfg: RunConfig):
-    """(label, shape for predict_cost, runner) triples, one per functionality.
+    """(label, functionality, shape for predict_cost, runner) rows, one per gate or phase.
 
     Runners draw their inputs from the audit PRG stream, so both parties
     derive identical shares and the battery is deterministic under the seed.
     """
-    items = []
 
-    def item(label, functionality, shape, runner):
-        items.append((label, functionality, shape, runner))
-
-    def rng_for(idx):
-        return keyed_rng(cfg.seed, STREAM_AUDIT, idx)
-
-    def floats(rng, shape, lo=0.25, hi=2.0):
+    def floats(rng, shape, lo, hi):
         mag = rng.uniform(lo, hi, size=shape)
         sign = np.where(rng.integers(0, 2, size=shape) == 1, 1.0, -1.0)
         return mag * sign
 
-    def run_add(sess):
-        rng = rng_for(0)
-        x = _share_for(sess, rng, floats(rng, (8,)))
-        y = _share_for(sess, rng, floats(rng, (8,)))
-        sec_add(sess, x, y)
-    item("sec_add (8,)", "sec_add", (8,), run_add)
+    def shared(sess, idx, *specs):
+        """This party's shares of values drawn from audit stream idx, each split
+        right after its draw: a (shape, lo, hi) spec draws signed floats with
+        magnitudes in [lo, hi), a callable draws from the generator itself."""
+        rng = keyed_rng(cfg.seed, STREAM_AUDIT, idx)
+        return [sec_share(spec(rng) if callable(spec) else floats(rng, *spec), sess.codec, rng)
+                [sess.party].value for spec in specs]
 
-    def run_zero(sess):
-        zero_gen(sess, (8,))
-    item("zero_gen (8,)", "zero_gen", (8,), run_zero)
+    v8, u8, p8 = ((8,), 0.25, 2.0), ((8,), 0.25, 1.0), ((8,), 0.5, 2.0)  # wide, unit, divisor
 
-    def run_rec(sess):
-        rng = rng_for(1)
-        x = _share_for(sess, rng, floats(rng, (8,)))
-        sec_rec(sess, x)
-    item("sec_rec (8,)", "sec_rec", (8,), run_rec)
+    def run_srt(s):
+        u, v, payload = shared(s, 9, v8, p8, lambda _: np.arange(8, dtype=np.uint64))
+        sec_srt(s, ComparisonKey(variant="pair", parts={"u": u, "v": v}, payload=payload))
 
-    def run_mul(sess):
-        rng = rng_for(2)
-        x = _share_for(sess, rng, floats(rng, (8,)))
-        y = _share_for(sess, rng, floats(rng, (8,)))
-        sec_mul(sess, x, y)
-    item("sec_mul (8,)", "sec_mul", (8,), run_mul)
+    def run_td(s):
+        (shares,) = shared(s, 13, ((6, 4), 0.1, 1.0))
+        threshold_determination(s, HistoryStore(
+            party=s.party, codec=s.codec, eta_l=cfg.eta_l, models=np.zeros((7, 2)),
+            grads=np.zeros((6, 4, 2), dtype=np.uint64), norms=np.zeros((6, 4), dtype=np.uint64),
+            thresholds=shares))
 
-    def run_matmul(sess):
-        rng = rng_for(3)
-        x = _share_for(sess, rng, floats(rng, (4, 4), hi=1.0))
-        y = _share_for(sess, rng, floats(rng, (4, 4), hi=1.0))
-        sec_mul(sess, x, y, matmul=True)
-    item("sec_mul matmul 4x4", "sec_mul", {"matmul": ((4, 4), (4, 4))}, run_matmul)
+    def run_ue(s):
+        # per-pair folds, H @ G, aggregate reveal; the public dM of a secant
+        # pair is drawn right after its shared dG is split
+        dms = []
 
-    def run_sp(sess):
-        rng = rng_for(4)
-        x = _share_for(sess, rng, floats(rng, (8,), hi=1.0))
-        y = _share_for(sess, rng, floats(rng, (8,), hi=1.0))
-        sec_sp(sess, x, y)
-    item("sec_sp k=8", "sec_sp", (8,), run_sp)
+        def after_dm(draw):
+            def spec(rng):
+                dms.append(rng.uniform(0.5, 1.5, size=(3,)))
+                return draw(rng)
+            return spec
 
-    def run_sel(sess):
-        rng = rng_for(5)
-        v0 = _share_for(sess, rng, floats(rng, (8,)))
-        v1 = _share_for(sess, rng, floats(rng, (8,)))
-        b = _share_for(sess, rng, rng.integers(0, 2, size=(8,)))
-        sec_sel(sess, v0, v1, b)
-    item("sec_sel (8,)", "sec_sel", (8,), run_sel)
+        dg = lambda rng: rng.uniform(0.5, 1.5, size=(4, 3))  # noqa: E731
+        dg1, dg2, grads = shared(s, 14, dg, after_dm(dg), after_dm(lambda rng: floats(rng, (4, 3), 0.25, 1.0)))
+        state = LbfgsState(capacity=2, pairs=[(dg1, dms[0]), (dg2, dms[1])])
+        aggregate_reveal(s, sec_ue(s, grads, state), np.zeros(3), 0.1)
 
-    def run_ge(sess):
-        rng = rng_for(6)
-        u = _share_for(sess, rng, floats(rng, (8,)))
-        v = _share_for(sess, rng, floats(rng, (8,)))
-        sec_ge(sess, u, v)
-    item("sec_ge (8,)", "sec_ge", (8,), run_ge)
+    def run_rs(s):
+        # the public updates are drawn between the gradients and their split
+        drawn = []
 
-    def run_max(sess):
-        rng = rng_for(8)
-        vals = _share_for(sess, rng, floats(rng, (4, 8)))
-        sec_max(sess, vals)
-    item("sec_max 4x8", "sec_max", (4, 8), run_max)
+        def grads(rng):
+            drawn[:] = floats(rng, (16, 3), 0.3, 1.0), floats(rng, (16, 3), 0.25, 1.0)
+            return drawn[0]
 
-    def run_srt(sess):
-        rng = rng_for(9)
-        u = _share_for(sess, rng, floats(rng, (8,)))
-        v = _share_for(sess, rng, floats(rng, (8,), lo=0.5))
-        payload = _share_for(sess, rng, np.arange(8, dtype=np.uint64))
-        key = ComparisonKey(variant="pair", parts={"u": u, "v": v}, payload=payload)
-        sec_srt(sess, key)
-    item("sec_srt T=8 pair", "sec_srt",
-         {"t": 8, "item_words": 3, "comparator": "pair"}, run_srt)
+        g, norms = shared(s, 16, grads, lambda _: np.linalg.norm(s.codec.quantize(drawn[0]), axis=1))
+        sec_rs(s, SelectionInputs(g, drawn[1], norms), SelectionParams(t=16, sigma=0.625), method=1)
 
-    def run_div(sess):
-        rng = rng_for(10)
-        u = _share_for(sess, rng, floats(rng, (8,), hi=1.0))
-        v = _share_for(sess, rng, floats(rng, (8,), lo=0.5))
-        sec_div(sess, u, v)
-    item("sec_div (8,)", "sec_div", (8,), run_div)
-
-    def run_mi_scalar(sess):
-        rng = rng_for(11)
-        x = _share_for(sess, rng, floats(rng, (4,), lo=0.5))
-        sec_mi(sess, x)
-    item("sec_mi scalars (4,)", "sec_mi", {"m": 1, "batch": 4}, run_mi_scalar)
-
-    def run_mi_matrix(sess):
-        rng = rng_for(12)
-        a = 2.0 * np.eye(3) + 0.25 * rng.uniform(-1.0, 1.0, size=(3, 3))
-        x = _share_for(sess, rng, a)
-        sec_mi(sess, x)
-    item("sec_mi matrix 3x3", "sec_mi", {"m": 3}, run_mi_matrix)
-
-    def run_td(sess):
-        rng = rng_for(13)
-        shares = _share_for(sess, rng, floats(rng, (6, 4), lo=0.1, hi=1.0))
-        hist = HistoryStore(
-            party=sess.party, codec=sess.codec, eta_l=cfg.eta_l,
-            models=np.zeros((7, 2)),
-            grads=np.zeros((6, 4, 2), dtype=np.uint64),
-            norms=np.zeros((6, 4), dtype=np.uint64),
-            thresholds=shares,
-        )
-        threshold_determination(sess, hist)
-    item("threshold_determination n=4 T=6", "threshold_determination",
-         {"clients": 4, "t": 6}, run_td)
-
-    def run_ue(sess):
-        # the full estimation round: per-pair folds, H @ G, aggregate reveal
-        rng = rng_for(14)
-        state = LbfgsState(capacity=2)
-        for _ in range(2):
-            dg = _share_for(sess, rng, rng.uniform(0.5, 1.5, size=(4, 3)))
-            dm = rng.uniform(0.5, 1.5, size=(3,))
-            state.push(dg, dm)
-        grads = _share_for(sess, rng, floats(rng, (4, 3), hi=1.0))
-        est = sec_ue(sess, grads, state)
-        aggregate_reveal(sess, est, np.zeros(3), 0.1)
-    item("sec_ue n=4 m=3 pairs=2", "sec_ue",
-         {"clients": 4, "m": 3, "pairs": 2}, run_ue)
-
-    def run_tc(sess):
-        rng = rng_for(15)
-        est = _share_for(sess, rng, floats(rng, (4, 3)))
-        thr = _share_for(sess, rng, rng.uniform(0.1, 1.0, size=(4,)))
-        sec_tc(sess, est, thr)
-    item("sec_tc n=4 m=3", "sec_tc", {"clients": 4, "m": 3}, run_tc)
-
-    def run_rs(sess):
-        rng = rng_for(16)
-        grads = rng.uniform(0.3, 1.0, size=(16, 3)) * np.where(
-            rng.integers(0, 2, size=(16, 3)) == 1, 1.0, -1.0)
-        norms = np.linalg.norm(sess.codec.quantize(grads), axis=1)
-        deltas = rng.uniform(0.25, 1.0, size=(16, 3)) * np.where(
-            rng.integers(0, 2, size=(16, 3)) == 1, 1.0, -1.0)
-        inputs = SelectionInputs(
-            target_grads=_share_for(sess, rng, grads),
-            deltas=deltas,
-            target_norms=_share_for(sess, rng, norms),
-        )
-        params = SelectionParams(t=16, sigma=0.625)
-        sec_rs(sess, inputs, params, method=1)
-    item("sec_rs T=16 T'=10 method 1", "sec_rs",
-         {"t": 16, "t_prime": 10, "method": 1, "kept": 16}, run_rs)
-
-    return items
+    return [
+        ("sec_add (8,)", "sec_add", (8,), lambda s: sec_add(s, *shared(s, 0, v8, v8))),
+        ("zero_gen (8,)", "zero_gen", (8,), lambda s: zero_gen(s, (8,))),
+        ("sec_rec (8,)", "sec_rec", (8,), lambda s: sec_rec(s, *shared(s, 1, v8))),
+        ("sec_mul (8,)", "sec_mul", (8,), lambda s: sec_mul(s, *shared(s, 2, v8, v8))),
+        ("sec_mul matmul 4x4", "sec_mul", {"matmul": ((4, 4), (4, 4))},
+         lambda s: sec_mul(s, *shared(s, 3, ((4, 4), 0.25, 1.0), ((4, 4), 0.25, 1.0)), matmul=True)),
+        ("sec_sp k=8", "sec_sp", (8,), lambda s: sec_sp(s, *shared(s, 4, u8, u8))),
+        ("sec_sel (8,)", "sec_sel", (8,),
+         lambda s: sec_sel(s, *shared(s, 5, v8, v8, lambda rng: rng.integers(0, 2, size=(8,))))),
+        ("sec_ge (8,)", "sec_ge", (8,), lambda s: sec_ge(s, *shared(s, 6, v8, v8))),
+        ("sec_max 4x8", "sec_max", (4, 8), lambda s: sec_max(s, *shared(s, 8, ((4, 8), 0.25, 2.0)))),
+        ("sec_srt T=8 pair", "sec_srt", {"t": 8, "item_words": 3, "comparator": "pair"}, run_srt),
+        ("sec_div (8,)", "sec_div", (8,), lambda s: sec_div(s, *shared(s, 10, u8, p8))),
+        ("sec_mi scalars (4,)", "sec_mi", {"m": 1, "batch": 4},
+         lambda s: sec_mi(s, *shared(s, 11, ((4,), 0.5, 2.0)))),
+        ("sec_mi matrix 3x3", "sec_mi", {"m": 3}, lambda s: sec_mi(s, *shared(
+            s, 12, lambda rng: 2.0 * np.eye(3) + 0.25 * rng.uniform(-1.0, 1.0, size=(3, 3))))),
+        ("threshold_determination n=4 T=6", "threshold_determination", {"clients": 4, "t": 6}, run_td),
+        ("sec_ue n=4 m=3 pairs=2", "sec_ue", {"clients": 4, "m": 3, "pairs": 2}, run_ue),
+        ("sec_tc n=4 m=3", "sec_tc", {"clients": 4, "m": 3}, lambda s: sec_tc(s, *shared(
+            s, 15, ((4, 3), 0.25, 2.0), lambda rng: rng.uniform(0.1, 1.0, size=(4,))))),
+        ("sec_rs T=16 T'=10 method 1", "sec_rs", {"t": 16, "t_prime": 10, "method": 1, "kept": 16},
+         run_rs),
+    ]
 
 
 def cmd_audit(cfg: RunConfig) -> int:
-    codec = cfg.codec()
-    items = _audit_battery(cfg)
-    rows: list = []
-    breakdown: dict = {}
+    rows = _audit_battery(cfg)
 
     def proto(sess: Session):
-        local_rows = []
-        for label, functionality, shape, runner in items:
-            before = _meter_totals(sess)
-            before_inv = {op: st.invocations for op, st in sess.meter.per_op.items()}
+        # (rounds, online bytes, comparator calls) each row adds to a fresh meter
+        deltas, before = [], (0, 0, 0)
+        for *_, runner in rows:
             runner(sess)
-            after = _meter_totals(sess)
-            measured = (after[0] - before[0], after[1] - before[1])
-            local_rows.append((label, functionality, shape, measured))
-            if functionality in ("sec_srt", "sec_rs"):
-                delta = {}
-                for op, st in sess.meter.per_op.items():
-                    d = st.invocations - before_inv.get(op, 0)
-                    if d:
-                        delta[op] = d
-                breakdown[label] = delta
-        return local_rows
+            after = (*_meter_totals(sess), sess.meter.per_op["comparator"].invocations)
+            deltas.append([b - a for a, b in zip(before, after)])
+            before = after
+        return deltas
 
-    res, _, _ = _run_protocol(cfg, proto)
-    rows = res
-
+    deltas, _, _ = _run_protocol(cfg, proto)
     failures = 0
+    sorts = []
     name_w = max(len(label) for label, *_ in rows)
     print(f"{'functionality':{name_w}}  {'rounds':>13}  {'online bytes':>17}  status")
-    for label, functionality, shape, measured in rows:
-        want = predict_cost(functionality, shape, codec)
-        ok = measured == (want.rounds, want.online_bytes)
-        failures += 0 if ok else 1
-        print(f"{label:{name_w}}  {measured[0]:>5d} / {want.rounds:<5d}"
-              f"  {measured[1]:>7d} / {want.online_bytes:<7d}  {'ok' if ok else 'MISMATCH'}")
-
-    for label, delta in sorted(breakdown.items()):
-        t = 16 if "sec_rs" in label else 8
-        expected = comparator_calls(t)
-        got = delta.get("comparator", 0)
-        print(f"{label}: comparators={got} (formula {expected})"
-              + (f", sec_sp lanes={delta.get('sec_sp', 0)},"
-                 f" sec_mul lanes={delta.get('sec_mul', 0)}"
-                 if "sec_rs" in label else ""))
-        if got != expected:
-            failures += 1
+    for (label, functionality, shape, _), (rounds, sent, comparators) in zip(rows, deltas):
+        want = predict_cost(functionality, shape, cfg.codec())
+        ok = (rounds, sent) == (want.rounds, want.online_bytes)
+        failures += not ok
+        print(f"{label:{name_w}}  {rounds:>5d} / {want.rounds:<5d}"
+              f"  {sent:>7d} / {want.online_bytes:<7d}  {'ok' if ok else 'MISMATCH'}")
+        if functionality in ("sec_srt", "sec_rs"):
+            sorts.append((label, comparators, comparator_calls(shape["t"])))
+    for label, got, expected in sorts:
+        print(f"{label}: comparators={got} (formula {expected})")
+        failures += got != expected
 
     if failures:
         print(f"audit: {failures} mismatches")

@@ -15,15 +15,12 @@ minus-infinity sentinel that pads a sort to a power of two; costs prices
 the comparators under the same names.
 
 Boolean kernel representation: an XOR-shared bit tensor is held in its
-wire form, little-endian uint64 words over the flat bit sequence with zero
-pad bits. A full-width tensor has one word per lane, bit k of the value at
-bit k of the word, so a ring word is its own bit decomposition and the
-adder's shifts, sign bits and carry broadcasts are word shifts (x << s,
-x >> 63, 0 - c). A tensor with one bit per lane (comparison bits, carry-in
-folds) is lane-packed: 64 lanes per word, ceil(L/64) words. AND and XOR act
-on 64 bits per machine operation either way, and a round ships the words as
-they are (an AND layer whose bit count is not a multiple of 64 joins its two
-operands at the bit level, as the wire format has always done).
+wire form, the packed words described in transport. A full-width tensor has
+one word per lane, bit k of the value at bit k of the word, so a ring word
+is its own bit decomposition and the adder's shifts, sign bits and carry
+broadcasts are word shifts (x << s, x >> 63, 0 - c). A tensor with one bit
+per lane (comparison bits, carry-in folds) is lane-packed: 64 lanes per
+word, ceil(L/64) words.
 
 Scale conventions: encoded reals sit at 2^-p. Products of two encoded
 operands land at 2^-2p and are truncated back unless the caller opts out
@@ -117,58 +114,47 @@ def _beaver_mul(sess: Session, x, y, *, matmul: bool = False, truncate: bool = T
 
 def sec_add(sess: Session, x, y) -> np.ndarray:
     """Share-wise addition. Zero rounds, zero bytes."""
-    with sess.op("sec_add"):
-        sess.meter.invoke("sec_add", int(np.broadcast(np.asarray(x), np.asarray(y)).size))
+    with sess.op("sec_add", int(np.broadcast(np.asarray(x), np.asarray(y)).size)):
         return np.add(x, y)
 
 
 def sec_mul(sess: Session, x, y, *, matmul: bool = False, truncate: bool = True) -> np.ndarray:
     """Beaver product of two shared tensors (one round)."""
-    with sess.op("sec_mul"):
-        n = 1 if matmul else int(np.broadcast(np.asarray(x), np.asarray(y)).size)
-        sess.meter.invoke("sec_mul", n)
+    n = 1 if matmul else int(np.broadcast(np.asarray(x), np.asarray(y)).size)
+    with sess.op("sec_mul", n):
         return _beaver_mul(sess, x, y, matmul=matmul, truncate=truncate)
 
 
-def mul_public(sess: Session, x, raw, *, matmul: bool = False, truncate: bool = True) -> np.ndarray:
+def mul_public(sess: Session, x, raw, *, matmul: bool = False) -> np.ndarray:
     """Product with a public ring tensor: no triple, no communication."""
-    with sess.op("sec_mul"):
-        sess.meter.invoke("sec_mul", 1 if matmul else int(np.asarray(x).size))
+    with sess.op("sec_mul", 1 if matmul else int(np.asarray(x).size)):
         pub = np.asarray(raw, dtype=np.uint64)
-        z = np.matmul(x, pub) if matmul else np.multiply(x, pub)
-        return sess.truncate(z) if truncate else z
+        return sess.truncate(np.matmul(x, pub) if matmul else np.multiply(x, pub))
 
 
-def sec_sp(sess: Session, x, y, *, truncate: bool = True) -> np.ndarray:
+def sec_sp(sess: Session, x, y) -> np.ndarray:
     """Inner product along the last axis, one truncation of the summed terms."""
-    with sess.op("sec_sp"):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        if x.shape[-1] != y.shape[-1]:
-            raise ShapeError(f"sec_sp shapes {x.shape} x {y.shape}")
-        x, y = _broadcast(x, y)
-        sess.meter.invoke("sec_sp", int(x.size // x.shape[-1]))
-        xm = x[..., None, :]
-        ym = y[..., :, None]
-        z = _beaver_mul(sess, xm, ym, matmul=True, truncate=truncate)
+    x = np.asarray(x)
+    y = np.asarray(y)
+    if x.shape[-1] != y.shape[-1]:
+        raise ShapeError(f"sec_sp shapes {x.shape} x {y.shape}")
+    x, y = _broadcast(x, y)
+    with sess.op("sec_sp", int(x.size // x.shape[-1])):
+        z = _beaver_mul(sess, x[..., None, :], y[..., :, None], matmul=True)
         return z[..., 0, 0]
 
 
-def sp_public(sess: Session, x, raw, *, truncate: bool = True) -> np.ndarray:
+def sp_public(sess: Session, x, raw) -> np.ndarray:
     """Inner product with a public vector: local, zero communication."""
-    with sess.op("sec_sp"):
-        x = np.asarray(x)
-        sess.meter.invoke("sec_sp", int(x.size // x.shape[-1]))
+    x = np.asarray(x)
+    with sess.op("sec_sp", int(x.size // x.shape[-1])):
         z = np.multiply(x, np.asarray(raw, dtype=np.uint64)).sum(axis=-1, dtype=np.uint64)
-        if truncate:
-            z = sess.truncate(z)
-        return z
+        return sess.truncate(z)
 
 
 def sec_sel(sess: Session, v0, v1, b) -> np.ndarray:
     """Oblivious select v0 + b*(v1 - v0), re-randomized with a zero share."""
-    with sess.op("sec_sel"):
-        sess.meter.invoke("sec_sel", int(np.asarray(b).size))
+    with sess.op("sec_sel", int(np.asarray(b).size)):
         picked = _beaver_mul(sess, b, np.subtract(v1, v0), truncate=False)
         out = np.add(v0, picked)
         return np.add(out, sess.draw_zero(np.asarray(out).shape))
@@ -313,17 +299,14 @@ def _ge_core(sess: Session, u, v) -> np.ndarray:
 
 def sec_ge(sess: Session, u, v) -> np.ndarray:
     """Exact signed comparison; output is a shared {0,1} at scale 1."""
-    with sess.op("sec_ge"):
-        sess.meter.invoke("sec_ge", int(np.broadcast(np.asarray(u), np.asarray(v)).size))
+    with sess.op("sec_ge", int(np.broadcast(np.asarray(u), np.asarray(v)).size)):
         return _ge_core(sess, u, v)
 
 
 def sec_max(sess: Session, vals) -> np.ndarray:
     """Oblivious max over the last axis (tournament of sec_ge/sec_sel)."""
-    with sess.op("sec_max"):
-        vals = np.asarray(vals)
-        lanes = int(vals.size // vals.shape[-1])
-        sess.meter.invoke("sec_max", lanes)
+    vals = np.asarray(vals)
+    with sess.op("sec_max", int(vals.size // vals.shape[-1])):
         t = vals.shape[-1]
         size = padded_size(t)
         if size != t:
@@ -442,7 +425,6 @@ def sec_srt(sess: Session, key: ComparisonKey) -> ComparisonKey:
     name order, then the payload.
     """
     with sess.op("sec_srt"):
-        sess.meter.invoke("sec_srt")
         comparator, sentinel = SORT_VARIANTS[key.variant]
         names = sorted(key.parts)
         cols = [key.parts[n] for n in names] + ([] if key.payload is None else [key.payload])
@@ -500,9 +482,8 @@ def sec_div(sess: Session, u, v) -> np.ndarray:
     and a representable quotient. The circuit produces garbage on v = 0,
     so callers guard the domain at the plaintext level.
     """
-    with sess.op("sec_div"):
-        u, v = _broadcast(u, v)
-        sess.meter.invoke("sec_div", int(u.size))
+    u, v = _broadcast(u, v)
+    with sess.op("sec_div", int(u.size)):
         p = sess.codec.precision_p
 
         bits_u = _a2b(sess, u)
@@ -568,7 +549,6 @@ def sec_mi(sess: Session, x) -> np.ndarray:
     case (the reciprocal used for curvature scalars).
     """
     with sess.op("sec_mi"):
-        sess.meter.invoke("sec_mi")
         codec = sess.codec
         arr = np.asarray(x)
         scalar = arr.ndim == 0

@@ -54,11 +54,6 @@ class QuadraticClient:
         d = model - self.opt
         return 0.5 * float(d @ self.matrix @ d)
 
-    @classmethod
-    def empty(cls, m: int) -> "QuadraticClient":
-        """A client that holds no data: zero weight, zero gradient."""
-        return cls(matrix=np.zeros((m, m)), opt=np.zeros(m), weight=0)
-
 
 @dataclass
 class LogisticClient:
@@ -214,6 +209,9 @@ def quadratic_task(
     return ConvexTask("quadratic", clients, m0, mu=mu, lip=lip)
 
 
+HELDOUT_SAMPLES = 256  # test-error sample of the logistic task
+
+
 def logistic_task(
     n: int,
     m: int,
@@ -222,7 +220,6 @@ def logistic_task(
     reg: float = 0.5,
     scale: float = 1.0,
     seed: int = 0,
-    heldout_samples: int = 256,
 ) -> ConvexTask:
     """Synthetic binary classification split evenly across clients."""
     if n < 2 or m < 1 or samples < 1:
@@ -242,7 +239,7 @@ def logistic_task(
     for _ in range(n):
         x, y = draw(samples)
         clients.append(LogisticClient(features=x, labels=y, reg=reg))
-    heldout = draw(heldout_samples)
+    heldout = draw(HELDOUT_SAMPLES)
     stacked = np.vstack([c.features for c in clients])
     # sigmoid'' <= 1/4 bounds the data term's curvature
     lip = reg + float(np.linalg.eigvalsh(stacked.T @ stacked)[-1]) / (4.0 * stacked.shape[0])
@@ -449,22 +446,20 @@ def train_from_scratch(
     task: ConvexTask,
     excluded: int | None = None,
     rounds: int | None = None,
-    eta: float | None = None,
 ) -> np.ndarray:
     """Weighted FedAvg over the remaining clients; returns the whole
     trajectory, one row per round, starting at the initial model.
 
-    The step size defaults to the recovery rate so retrained and recovered
+    The step size is the recovery rate, so retrained and recovered
     trajectories are directly comparable.
     """
     rounds = config.t if rounds is None else int(rounds)
     if rounds < 0:
         raise ConfigError("round count cannot be negative")
-    eta = config.eta_u if eta is None else float(eta)
     model = task.initial_model.copy()
     trajectory = [model.copy()]
     for _ in range(rounds):
-        model = model - eta * task.gradient(model, excluded=excluded)
+        model = model - config.eta_u * task.gradient(model, excluded=excluded)
         trajectory.append(model.copy())
     return np.array(trajectory)
 
@@ -632,7 +627,7 @@ def _exact_minv(mat) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in inv])
 
 
-def exact_gate_oracle(gate: str, *inputs, codec: FixedPointCodec | None = None):
+def exact_gate_oracle(gate: str, *inputs):
     """Exact-arithmetic mirror of one gate's plaintext function.
 
     Inputs are plain float values already on the codec grid; comparisons and

@@ -134,7 +134,6 @@ def sec_rs(
     rounds survive, all survivors are returned.
     """
     with sess.op("sec_rs"):
-        sess.meter.invoke("sec_rs")
         if inputs.target_norms is None:
             raise ConfigError("sec_rs needs precomputed norms; use sec_rs_alt")
         if method is None:
@@ -176,7 +175,6 @@ def sec_rs_alt(
     order, so the selected set matches sec_rs on tie-free inputs.
     """
     with sess.op("sec_rs_alt"):
-        sess.meter.invoke("sec_rs_alt")
         if method is None:
             method = 1 if params.t <= params.t_delta else 2
         codec = sess.codec

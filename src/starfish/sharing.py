@@ -2,10 +2,9 @@
 
 Two parties hold additive shares over Z_{2^64}, as plain uint64 arrays
 (see fixedpoint). Boolean values are XOR shared bit tensors held as packed
-little-endian uint64 words (the layout is described in gates). Each party
-runs the same protocol program (SPMD) on its own Session; every network
-round is a symmetric exchange where both parties send one frame and
-receive one frame.
+words in the wire layout described in transport. Each party runs the same
+protocol program (SPMD) on its own Session; every network round is a
+symmetric exchange where both parties send one frame and receive one frame.
 
 The dealer is simulated: both sessions derive the full preprocessed
 material from the same dealer seed and keep only their own half. Draws
@@ -79,7 +78,7 @@ def sec_share(v, codec: FixedPointCodec, rng: np.random.Generator):
     return ArithShare(0, s0), ArithShare(1, np.subtract(raw, s0))
 
 
-def reconstruct(sh0: ArithShare, sh1: ArithShare, codec: FixedPointCodec) -> np.ndarray:
+def reconstruct(sh0: ArithShare, sh1: ArithShare) -> np.ndarray:
     return np.add(sh0.value, sh1.value)
 
 
@@ -262,8 +261,13 @@ class Session:
 
     # -- op labelling ----------------------------------------------------
 
-    def op(self, name: str):
-        return _OpScope(self, name)
+    def op(self, name: str, lanes: int = 1):
+        """Scope of one invocation of name over lanes lanes.
+
+        Entering it counts the invocation; rounds and dealer draws inside
+        are charged to name.
+        """
+        return _OpScope(self, name, lanes)
 
     @property
     def current_op(self) -> str:
@@ -336,11 +340,13 @@ class Session:
 
 
 class _OpScope:
-    def __init__(self, sess: Session, name: str):
+    def __init__(self, sess: Session, name: str, lanes: int):
         self.sess = sess
         self.name = name
+        self.lanes = lanes
 
     def __enter__(self):
+        self.sess.meter.invoke(self.name, self.lanes)
         self.sess._op_stack.append(self.name)
         return self.sess
 
@@ -352,10 +358,9 @@ class _OpScope:
 # -- session-level primitives ----------------------------------------------
 
 
-def sec_rec(sess: Session, x: np.ndarray, lanes: int | None = None) -> np.ndarray:
+def sec_rec(sess: Session, x: np.ndarray) -> np.ndarray:
     """Reveal a shared tensor to both parties (one symmetric round)."""
     with sess.op("sec_rec"):
-        sess.meter.invoke("sec_rec", lanes if lanes is not None else 1)
         theirs = sess.exchange_words(x)
         return np.add(x, theirs)
 
@@ -363,7 +368,6 @@ def sec_rec(sess: Session, x: np.ndarray, lanes: int | None = None) -> np.ndarra
 def zero_gen(sess: Session, shape=()) -> np.ndarray:
     """Fresh share of zero from the dealer tape (no communication)."""
     with sess.op("zero_gen"):
-        sess.meter.invoke("zero_gen")
         return sess.draw_zero(shape)
 
 

@@ -10,10 +10,13 @@ Frame layout, identical for both transports:
       N words   little-endian uint64 words
 
 Arithmetic payloads are ring elements. Boolean payloads are XOR-shared bit
-tensors, which the gates already hold as little-endian uint64 words over the
-flat bit sequence (bit i of the sequence is bit i % 64 of word i // 64, pad
-bits zero), so both kinds ship their in-memory words unchanged and byte
-accounting is the same for arithmetic and boolean traffic.
+tensors in packed form: little-endian uint64 words over the flat bit
+sequence, bit i of the sequence at bit i % 64 of word i // 64, the pad bits
+after the last one zero. Two bit tensors shipped in one round are joined at
+the bit level, so only the final word carries pad bits. The gates and the
+dealer hold bit tensors in this form already, so both kinds of payload ship
+their in-memory words unchanged and byte accounting is the same for
+arithmetic and boolean traffic.
 """
 
 from __future__ import annotations

@@ -278,7 +278,6 @@ def sec_ue(sess: Session, gradients: np.ndarray, state: LbfgsState) -> np.ndarra
     estimate is the stored gradient itself.
     """
     with sess.op("sec_ue"):
-        sess.meter.invoke("sec_ue")
         if not state.pairs:
             return gradients.copy()
         codec = sess.codec
@@ -328,7 +327,6 @@ def sec_tc(sess: Session, estimates: np.ndarray, threshold_shares: np.ndarray) -
     exact on the encoded values.
     """
     with sess.op("sec_tc"):
-        sess.meter.invoke("sec_tc")
         sq = sec_mul(sess, estimates, estimates, truncate=False)
         dsq = sec_mul(sess, threshold_shares, threshold_shares, truncate=False)
         exceed = sec_ge(sess, sq, dsq[:, None])

@@ -195,6 +195,8 @@ def test_audit_passes(capsys):
     printed = capsys.readouterr().out
     assert "all 17 functionalities match" in printed
     assert "MISMATCH" not in printed
+    assert "sec_srt T=8 pair: comparators=24 (formula 24)" in printed
+    assert "sec_rs T=16 T'=10 method 1: comparators=80 (formula 80)" in printed
 
 
 def test_every_metered_round_has_its_own_wire_tag():
@@ -222,6 +224,17 @@ def test_audit_detects_a_cost_regression(monkeypatch, capsys):
     )
     assert _run(["audit", "--seed", 0]) == 3
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_audit_detects_a_comparator_count_regression(monkeypatch, capsys):
+    import starfish.cli as cli
+
+    monkeypatch.setattr(cli, "comparator_calls", lambda t: 1)
+    assert _run(["audit", "--seed", 0]) == 3
+    printed = capsys.readouterr().out
+    assert "comparators=24 (formula 1)" in printed
+    assert "MISMATCH" not in printed
+    assert "audit: 2 mismatches" in printed
 
 
 def test_protocol_failure_exit_code(monkeypatch, capsys):

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+parameter a package function declares is read in its body."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,32 @@ def test_every_import_is_used(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used_names(tree)}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """function(param) for every declared parameter its body never reads.
+
+    self/cls, _-prefixed names and the parameters of dunder protocol methods
+    (whose signatures the protocol fixes) are exempt.
+    """
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(fn, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{name}({p.arg})" for p in params
+                   if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = unread_parameters(ast.parse(path.read_text(), filename=str(path)))
+    assert not unread, f"{path.name}: unread parameters {unread}"

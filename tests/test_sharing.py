@@ -23,7 +23,7 @@ def test_share_reconstruct_exact():
     rng = keyed_rng(0, 0)
     grid = CODEC.quantize(rng.uniform(-100, 100, size=10_000))
     sh0, sh1 = sec_share(grid, CODEC, rng)
-    assert np.array_equal(CODEC.decode(reconstruct(sh0, sh1, CODEC)), grid)
+    assert np.array_equal(CODEC.decode(reconstruct(sh0, sh1)), grid)
 
 
 def test_share_of_zero_is_masked():
