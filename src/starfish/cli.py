@@ -7,8 +7,9 @@ which is what makes repeated runs byte-identical.
 
 The audit runs one table of rows, one per gate or protocol phase, each on
 inputs drawn from its own audit stream. It checks every row's metered rounds
-and online bytes against predict_cost, and the comparator calls of the two
-sorting rows against comparator_calls.
+and online bytes against predict_cost, and the comparator calls of the
+sorting and selecting rows against comparator_calls, or against one call
+per pair where costs.ranks makes sec_rs rank instead of sort.
 
 Exit codes: 0 success, 1 bad configuration or input, 2 protocol failure,
 3 cost audit mismatch.
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .costs import comparator_calls, predict_cost
+from .costs import RS_ORDERS, comparator_calls, predict_cost, ranks
 from .errors import AssumptionError, ConfigError, ProtocolError, RangeError, StarfishError
 from .fixedpoint import FixedPointCodec
 from .gates import (
@@ -433,16 +434,19 @@ def _audit_battery(cfg: RunConfig):
         state = LbfgsState(capacity=2, pairs=[(dg1, dms[0]), (dg2, dms[1])])
         aggregate_reveal(s, sec_ue(s, grads, state), np.zeros(3), 0.1)
 
-    def run_rs(s):
-        # the public updates are drawn between the gradients and their split
-        drawn = []
+    def run_rs(idx, t, t_prime):
+        def runner(s):
+            # the public updates are drawn between the gradients and their split
+            drawn = []
 
-        def grads(rng):
-            drawn[:] = floats(rng, (16, 3), 0.3, 1.0), floats(rng, (16, 3), 0.25, 1.0)
-            return drawn[0]
+            def grads(rng):
+                drawn[:] = floats(rng, (t, 3), 0.3, 1.0), floats(rng, (t, 3), 0.25, 1.0)
+                return drawn[0]
 
-        g, norms = shared(s, 16, grads, lambda _: np.linalg.norm(s.codec.quantize(drawn[0]), axis=1))
-        sec_rs(s, SelectionInputs(g, drawn[1], norms), SelectionParams(t=16, sigma=0.625), method=1)
+            g, norms = shared(s, idx, grads, lambda _: np.linalg.norm(s.codec.quantize(drawn[0]), axis=1))
+            params = SelectionParams(t=t, sigma=t_prime / t, t_prime=t_prime)
+            sec_rs(s, SelectionInputs(g, drawn[1], norms), params, method=1)
+        return runner
 
     return [
         ("sec_add (8,)", "sec_add", (8,), lambda s: sec_add(s, *shared(s, 0, v8, v8))),
@@ -467,8 +471,18 @@ def _audit_battery(cfg: RunConfig):
         ("sec_tc n=4 m=3", "sec_tc", {"clients": 4, "m": 3}, lambda s: sec_tc(s, *shared(
             s, 15, ((4, 3), 0.25, 2.0), lambda rng: rng.uniform(0.1, 1.0, size=(4,))))),
         ("sec_rs T=16 T'=10 method 1", "sec_rs", {"t": 16, "t_prime": 10, "method": 1, "kept": 16},
-         run_rs),
+         run_rs(16, 16, 10)),
+        ("sec_rs T=12 T'=8 method 1", "sec_rs", {"t": 12, "t_prime": 8, "method": 1, "kept": 12},
+         run_rs(17, 12, 8)),
     ]
+
+
+def _expected_comparators(functionality: str, shape) -> int:
+    """A bitonic sort's comparator calls, or one per pair where sec_rs ranks."""
+    t = shape["t"]
+    if functionality == "sec_rs" and ranks(shape["kept"], shape["t_prime"], *RS_ORDERS[shape["method"]]):
+        return t * (t - 1) // 2
+    return comparator_calls(t)
 
 
 def cmd_audit(cfg: RunConfig) -> int:
@@ -496,7 +510,7 @@ def cmd_audit(cfg: RunConfig) -> int:
         print(f"{label:{name_w}}  {rounds:>5d} / {want.rounds:<5d}"
               f"  {sent:>7d} / {want.online_bytes:<7d}  {'ok' if ok else 'MISMATCH'}")
         if functionality in ("sec_srt", "sec_rs"):
-            sorts.append((label, comparators, comparator_calls(shape["t"])))
+            sorts.append((label, comparators, _expected_comparators(functionality, shape)))
     for label, got, expected in sorts:
         print(f"{label}: comparators={got} (formula {expected})")
         failures += got != expected

@@ -7,6 +7,12 @@ parts are the frame overhead (16 bytes), the 64-bit ring word
 the Kogge-Stone level count. Only division depends on the codec (its quotient
 bit count), so only the formulas that reach sec_div take one.
 
+Round selection ranks the kept rounds by pairwise wins (sec_rank, constant
+rounds, T(T-1)/2 comparators) rather than bitonic sorting them wherever
+ranks() says that ships no more online bytes, each path counted with its
+own reveal: T flags after ranking, T' indices after sorting. The rule reads
+only public sizes, so both parties and these formulas take the same path.
+
 Shape conventions per functionality are documented in predict_cost.
 """
 
@@ -134,6 +140,29 @@ def sort_cost(t: int, item_words: int, kind: str) -> CostEstimate:
     return per_stage * bitonic_stages(size)
 
 
+def rank_cost(t: int, kind: str) -> CostEstimate:
+    """sec_rank: one comparator layer over the T(T-1)/2 pairs, one [rank < count]."""
+    return comparator_cost(kind, t * (t - 1) // 2) + ge_cost(t)
+
+
+def ranks(kept: int, t_prime: int, item_words: int, kind: str) -> bool:
+    """Whether selecting t_prime of kept items ranks rather than sorts them.
+
+    Ranking reveals kept membership flags, sorting reveals t_prime indices;
+    a tie in bytes goes to ranking.
+    """
+    rank = rank_cost(kept, kind) + words_round(kept)
+    sort = sort_cost(kept, item_words, kind) + words_round(t_prime)
+    return rank.online_bytes <= sort.online_bytes
+
+
+def select_cost(kept: int, t_prime: int, item_words: int, kind: str) -> CostEstimate:
+    """Rank or sort kept > t_prime scored items and reveal the selection."""
+    if ranks(kept, t_prime, item_words, kind):
+        return rank_cost(kept, kind) + words_round(kept)
+    return sort_cost(kept, item_words, kind) + words_round(t_prime)
+
+
 def max_cost(t: int, batch: int) -> CostEstimate:
     size = padded_size(t)
     total = ZERO
@@ -192,32 +221,37 @@ def tc_cost(clients: int, m: int) -> CostEstimate:
     return total
 
 
+# (item words = parts + payload, sort order) of each selection method
+RS_ORDERS = {1: (3, "pair"), 2: (2, "plain")}           # (u, v) / tau
+RS_ALT_ORDERS = {1: (4, "ge4"), 2: (3, "ge3")}          # (w, a, v) / (w, b)
+
+
 def rs_cost(t: int, t_prime: int, method: int, codec: FixedPointCodec, kept: int | None = None) -> CostEstimate:
-    """Round selection with no zero-norm exclusions unless kept is given."""
+    """Round selection with no zero-norm exclusions unless kept is given.
+
+    When no more than t_prime rounds are kept they are all selected, and
+    nothing past the revealed zero-norm flags runs.
+    """
     kept = t if kept is None else kept
     total = ge_cost(t) + words_round(t)          # zero-norm flags, revealed
-    if method == 1:
-        total += sort_cost(kept, 3, "pair")     # u, v, payload
-    else:
+    if kept <= t_prime:
+        return total
+    if method == 2:
         total += div_cost(kept, codec)
-        total += sort_cost(kept, 2, "plain")    # tau, payload
-    total += words_round(min(t_prime, kept))    # reveal selected indices
-    return total
+    return total + select_cost(kept, t_prime, *RS_ORDERS[method])
 
 
 def rs_alt_cost(t: int, t_prime: int, method: int, m: int, codec: FixedPointCodec, kept: int | None = None) -> CostEstimate:
     kept = t if kept is None else kept
     total = words_round(2 * t * m)              # <g,g>, no precomputed norms
     total += ge_cost(t) + words_round(t)        # zero-norm flags, revealed
+    if kept <= t_prime:
+        return total
     total += ge_cost(kept)                      # w = [u >= 0]
     total += mul_cost(kept)                     # a = u^2
-    if method == 1:
-        total += sort_cost(kept, 4, "ge4")      # w, a, v, payload
-    else:
+    if method == 2:
         total += div_cost(kept, codec)
-        total += sort_cost(kept, 3, "ge3")      # w, b, payload
-    total += words_round(min(t_prime, kept))
-    return total
+    return total + select_cost(kept, t_prime, *RS_ALT_ORDERS[method])
 
 
 def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstimate:
@@ -231,6 +265,7 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
       sec_max: shape tuple (..., T), max over the last axis
       sec_srt: dict {"t", "item_words", "comparator"}, comparator one of the
         sort orders in gates.SORT_VARIANTS (plain, pair, ge3, ge4)
+      sec_rank: dict {"t", "comparator"}, comparator as for sec_srt
       sec_mi: dict {"m", "batch"} (single accepted attempt)
       threshold_determination: dict {"clients", "t"}
       sec_ue: dict {"clients", "m", "pairs"}
@@ -259,6 +294,8 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
         return max_cost(shape[-1], _lanes(shape[:-1]))
     if name == "sec_srt":
         return sort_cost(shape["t"], shape["item_words"], shape["comparator"])
+    if name == "sec_rank":
+        return rank_cost(shape["t"], shape["comparator"])
     if name == "sec_div":
         return div_cost(_lanes(shape), codec)
     if name == "sec_mi":

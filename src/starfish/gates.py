@@ -12,7 +12,9 @@ plain values, fractions u/v by cross multiplication (pair), and the two
 sign-aware orders of the no-norm round selection (ge3 on ratios, ge4 on
 (numerator, denominator) pairs). Each order is a comparator plus the
 minus-infinity sentinel that pads a sort to a power of two; costs prices
-the comparators under the same names.
+the comparators under the same names. sec_rank uses the same comparators
+for constant-round selection: one comparator layer over all pairs yields
+each item's rank, and only [rank < count] is computed, never the order.
 
 Boolean kernel representation: an XOR-shared bit tensor is held in its
 wire form, the packed words described in transport. A full-width tensor has
@@ -356,15 +358,20 @@ def sentinel_plain(sess: Session) -> dict:
     return {"v": _min_sentinel_raw(sess)}
 
 
-def comparator_pair(sess: Session, a: dict, b: dict) -> np.ndarray:
-    """Fraction order u1/v1 >= u2/v2 with positive denominators."""
-    lhs_rhs = _beaver_mul(
+def _cross_products(sess: Session, a: dict, b: dict) -> np.ndarray:
+    """Exact (u1*v2, u2*v1) in one round, stacked on a leading axis."""
+    return _beaver_mul(
         sess,
         np.stack(_broadcast(a["u"], b["u"])),
         np.stack(_broadcast(b["v"], a["v"])),
         truncate=False,
     )
-    return _ge_core(sess, lhs_rhs[0], lhs_rhs[1])
+
+
+def comparator_pair(sess: Session, a: dict, b: dict) -> np.ndarray:
+    """Fraction order u1/v1 >= u2/v2 with positive denominators."""
+    lhs, rhs = _cross_products(sess, a, b)
+    return _ge_core(sess, lhs, rhs)
 
 
 def sentinel_pair(sess: Session) -> dict:
@@ -374,12 +381,15 @@ def sentinel_pair(sess: Session) -> dict:
 # Sign-aware orders on signed scores s_i = w_i * sqrt(b_i), with w in {0, 1}
 # the sign and b >= 0 the squared magnitude. Plaintext rule for [s1 >= s2]:
 #   signs differ       -> the positive one wins
-#   both positive      -> compare b
-#   both negative      -> larger b loses
-# With z = [b1 >= b2] all four cases collapse to f = 1 - w2 + z*(w1 + w2 - 1).
+#   both positive      -> b1 >= b2
+#   both negative      -> b1 <= b2, i.e. not b1 > b2
+# With z = [b1 + w1 - 1 >= b2] on the raw integer magnitudes, which is
+# [b1 >= b2] when w1 = 1 and [b1 > b2] when w1 = 0, all four cases collapse
+# to f = 1 - w2 + z*(w1 + w2 - 1), and a tie resolves to a >= b either way.
 
 
-def _sign_aware_combine(sess: Session, w1, w2, z) -> np.ndarray:
+def _sign_aware_combine(sess: Session, w1, w2, b1, b2) -> np.ndarray:
+    z = _ge_core(sess, add_public(sess, np.add(b1, w1), from_signed(-1)), b2)
     s = add_public(sess, np.add(w1, w2), from_signed(-1))  # w1 + w2 - 1
     zs = _beaver_mul(sess, z, s, truncate=False)
     return add_public(sess, np.subtract(zs, w2), 1)
@@ -387,7 +397,7 @@ def _sign_aware_combine(sess: Session, w1, w2, z) -> np.ndarray:
 
 def comparator_ge3(sess: Session, a: dict, b: dict) -> np.ndarray:
     """Sign-aware order with the magnitudes held as ratios b = a/v >= 0."""
-    return _sign_aware_combine(sess, a["w"], b["w"], _ge_core(sess, a["b"], b["b"]))
+    return _sign_aware_combine(sess, a["w"], b["w"], a["b"], b["b"])
 
 
 def sentinel_ge3(sess: Session) -> dict:
@@ -398,8 +408,8 @@ def sentinel_ge3(sess: Session) -> dict:
 
 def comparator_ge4(sess: Session, a: dict, b: dict) -> np.ndarray:
     """comparator_ge3's order with the ratios held as (a, v), v > 0."""
-    z = comparator_pair(sess, {"u": a["a"], "v": a["v"]}, {"u": b["a"], "v": b["v"]})
-    return _sign_aware_combine(sess, a["w"], b["w"], z)
+    lhs, rhs = _cross_products(sess, {"u": a["a"], "v": a["v"]}, {"u": b["a"], "v": b["v"]})
+    return _sign_aware_combine(sess, a["w"], b["w"], lhs, rhs)
 
 
 def sentinel_ge4(sess: Session) -> dict:
@@ -470,6 +480,32 @@ def _bitonic_stage(size: int, k: int, j: int):
     lo = l[take]
     desc = (hi & k) == 0  # these blocks keep the larger item on top
     return hi, lo, desc
+
+
+def sec_rank(sess: Session, key: ComparisonKey, count: int) -> np.ndarray:
+    """Shared [rank < count] flags of the T items of key, in item order.
+
+    Constant rounds: one layer of the variant's comparator over all
+    T(T-1)/2 pairs i < j, where item i beats item j iff [i >= j] (the earlier
+    item wins ties, as in a stable descending sort), each item's losses
+    summed locally, then one comparison [count - 1 >= losses]. Only the
+    membership of the top count is computed, not their order; the payload
+    is not used.
+    """
+    comparator, _ = SORT_VARIANTS[key.variant]
+    names = sorted(key.parts)
+    t = len(key.parts[names[0]])
+    with sess.op("sec_rank", t):
+        i, j = np.triu_indices(t, 1)
+        wins = comparator(sess, {n: key.parts[n][i] for n in names}, {n: key.parts[n][j] for n in names})
+        sess.meter.invoke("comparator", i.size)
+        # an item loses to each earlier item that beats it (its column sum)
+        # and to each later item it does not beat (T-1-index minus its row sum)
+        beats = np.zeros((t, t), dtype=np.uint64)
+        beats[i, j] = wins
+        net = np.subtract(beats.sum(axis=0, dtype=np.uint64), beats.sum(axis=1, dtype=np.uint64))
+        losses = add_public(sess, net, t - 1 - np.arange(t))
+        return _ge_core(sess, const_share(sess, count - 1), losses)
 
 
 # -- division ------------------------------------------------------------------

@@ -4,8 +4,8 @@ Rank the training history by the target client's cosine similarity to the
 global model update and pick the top T' rounds. Two equivalent orderings:
 
   Method 1 keeps the score as a (numerator, denominator) pair and lets the
-  sort comparator cross-multiply, so no secure division ever runs.
-  Method 2 divides once per round up front and sorts plain quotients.
+  comparator cross-multiply, so no secure division ever runs.
+  Method 2 divides once per round up front and compares plain quotients.
 
 Method 1 sends fewer bytes until T crosses switching_threshold; the auto
 path picks accordingly. The alternate entry point works without the
@@ -13,6 +13,19 @@ precomputed gradient norms by ranking sign-adjusted squared ratios, which
 is an order-preserving transform of the cosine. Every ordering is one of
 the sort orders in gates.SORT_VARIANTS: "pair" and "plain" for methods 1
 and 2, the sign-aware "ge4" and "ge3" for the alternate entry point.
+
+Zero-norm rounds are dropped first through revealed flags, which makes the
+kept rounds public. What follows depends on public sizes only:
+
+  kept <= T'      every kept round is selected; nothing more runs or is revealed.
+  costs.ranks     sec_rank counts each round's pairwise wins in constant
+                  rounds and reveals one membership flag per kept round:
+                  the selected set, not its order.
+  otherwise       sec_srt bitonic sorts the kept rounds and reveals the top
+                  T' round indices in rank order.
+
+costs.ranks picks ranking whenever it ships no more online bytes than the
+sort; stage II only uses the selected set (SelectionResult.chronological).
 """
 
 from __future__ import annotations
@@ -22,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import ranks
 from .errors import ConfigError, DegenerateRoundError
 from .fixedpoint import WORD_BITS, from_signed, to_signed
 from .gates import (
@@ -31,6 +45,7 @@ from .gates import (
     sec_div,
     sec_ge,
     sec_mul,
+    sec_rank,
     sec_sp,
     sec_srt,
     sp_public,
@@ -84,7 +99,13 @@ class SelectionInputs:
 
 @dataclass
 class SelectionResult:
-    indices: np.ndarray        # round indices, best similarity first
+    """The selected rounds of one target client.
+
+    indices are best similarity first when the kept rounds were sorted, and
+    ascending when they were ranked (only the set is revealed) or all kept.
+    """
+
+    indices: np.ndarray
     method: int
     kept: np.ndarray           # rounds that survived the zero-norm filter
 
@@ -121,6 +142,15 @@ def _reveal_selection(sess: Session, payload: np.ndarray, count: int) -> np.ndar
     return out[out >= 0]
 
 
+def _select(sess: Session, variant: str, parts: dict, kept: np.ndarray, t_prime: int) -> np.ndarray:
+    """The t_prime best of more than t_prime kept rounds under the variant's order."""
+    if ranks(kept.size, t_prime, len(parts) + 1, variant):
+        flags = sec_rec(sess, sec_rank(sess, ComparisonKey(variant, parts), t_prime))
+        return kept[to_signed(flags) == 1]
+    sorted_key = sec_srt(sess, ComparisonKey(variant, parts, _index_payload(sess, kept)))
+    return _reveal_selection(sess, sorted_key.payload, t_prime)
+
+
 def sec_rs(
     sess: Session,
     inputs: SelectionInputs,
@@ -130,8 +160,8 @@ def sec_rs(
     """Select the T' most cosine-similar rounds for the target client.
 
     Zero-gradient rounds are filtered out through revealed flags before the
-    oblivious part; they carry no signal worth unlearning. If fewer than T'
-    rounds survive, all survivors are returned.
+    oblivious part; they carry no signal worth unlearning. If no more than
+    T' rounds survive, all survivors are returned.
     """
     with sess.op("sec_rs"):
         if inputs.target_norms is None:
@@ -142,24 +172,19 @@ def sec_rs(
         delta_norms = _public_delta_norms(inputs.deltas, codec)
 
         kept = _keep_nonzero(sess, inputs.target_norms)
-        if kept.size == 0:
-            return SelectionResult(indices=np.empty(0, np.int64), method=method, kept=kept)
+        if kept.size <= params.t_prime:
+            return SelectionResult(indices=kept, method=method, kept=kept)
         grads = inputs.target_grads[kept]
         norms = inputs.target_norms[kept]
         deltas = inputs.deltas[kept]
 
         u = sp_public(sess, grads, codec.encode(deltas))
         v = mul_public(sess, norms, codec.encode(delta_norms[kept]))
-        payload = _index_payload(sess, kept)
-
         if method == 1:
-            key = ComparisonKey(variant="pair", parts={"u": u, "v": v}, payload=payload)
+            variant, parts = "pair", {"u": u, "v": v}
         else:
-            key = ComparisonKey(variant="plain", parts={"v": sec_div(sess, u, v)}, payload=payload)
-        sorted_key = sec_srt(sess, key)
-
-        count = min(params.t_prime, kept.size)
-        indices = _reveal_selection(sess, sorted_key.payload, count)
+            variant, parts = "plain", {"v": sec_div(sess, u, v)}
+        indices = _select(sess, variant, parts, kept, params.t_prime)
         return SelectionResult(indices=indices, method=method, kept=kept)
 
 
@@ -183,8 +208,8 @@ def sec_rs_alt(
         gg = sec_sp(sess, inputs.target_grads, inputs.target_grads)
         # truncation can leave +-1 raw on an exact zero, so cut at 2 units
         kept = _keep_nonzero(sess, gg, cut=2)
-        if kept.size == 0:
-            return SelectionResult(indices=np.empty(0, np.int64), method=method, kept=kept)
+        if kept.size <= params.t_prime:
+            return SelectionResult(indices=kept, method=method, kept=kept)
         grads = inputs.target_grads[kept]
         deltas = inputs.deltas[kept]
 
@@ -192,14 +217,9 @@ def sec_rs_alt(
         v = mul_public(sess, gg[kept], codec.encode(delta_norms[kept] ** 2))
         w = sec_ge(sess, u, const_share(sess, 0))
         a = sec_mul(sess, u, u)
-        payload = _index_payload(sess, kept)
-
         if method == 1:
-            key = ComparisonKey(variant="ge4", parts={"w": w, "a": a, "v": v}, payload=payload)
+            variant, parts = "ge4", {"w": w, "a": a, "v": v}
         else:
-            key = ComparisonKey(variant="ge3", parts={"w": w, "b": sec_div(sess, a, v)}, payload=payload)
-        sorted_key = sec_srt(sess, key)
-
-        count = min(params.t_prime, kept.size)
-        indices = _reveal_selection(sess, sorted_key.payload, count)
+            variant, parts = "ge3", {"w": w, "b": sec_div(sess, a, v)}
+        indices = _select(sess, variant, parts, kept, params.t_prime)
         return SelectionResult(indices=indices, method=method, kept=kept)

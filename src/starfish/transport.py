@@ -46,6 +46,7 @@ OP_TAGS = {
     "sec_srt": 0x0018,
     "sec_div": 0x0019,
     "sec_mi": 0x001b,
+    "sec_rank": 0x001c,
     "other": 0x00ff,
 }
 

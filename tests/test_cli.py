@@ -193,10 +193,12 @@ def test_compare_full_sigma_matches_random_subset(tmp_path, capsys):
 def test_audit_passes(capsys):
     assert _run(["audit", "--seed", 0]) == 0
     printed = capsys.readouterr().out
-    assert "all 17 functionalities match" in printed
+    assert "all 18 functionalities match" in printed
     assert "MISMATCH" not in printed
     assert "sec_srt T=8 pair: comparators=24 (formula 24)" in printed
+    # T=16 sorts; T=12 ranks, one comparator call per pair
     assert "sec_rs T=16 T'=10 method 1: comparators=80 (formula 80)" in printed
+    assert "sec_rs T=12 T'=8 method 1: comparators=66 (formula 66)" in printed
 
 
 def test_every_metered_round_has_its_own_wire_tag():

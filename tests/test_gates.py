@@ -22,6 +22,7 @@ from starfish.gates import (
     sec_max,
     sec_mi,
     sec_mul,
+    sec_rank,
     sec_sel,
     sec_sp,
     sec_srt,
@@ -278,6 +279,47 @@ def test_every_sort_order_sorts_a_padded_instance_at_its_cost(variant):
     want = predict_cost("sec_srt", {"t": t, "item_words": len(parts) + 1, "comparator": variant}, CODEC)
     st = sessions[0].meter.stats("sec_srt")
     assert (st.rounds, st.bytes_online) == want.as_tuple()
+
+
+def _tied_instance(variant, t, seed):
+    # t items drawn with replacement from four rows of distinct scores, two
+    # of each sign, so exact duplicates straddle most cutoffs
+    w = np.array([1, 0, 1, 0])
+    x = grid([1.5, 0.75, 0.5, 1.25])
+    y = grid([0.75, 1.5, 2.0, 1.0])
+    sign = np.where(w == 1, 1.0, -1.0)
+    parts, score = {
+        "plain": ({"v": sign * x}, sign * x),
+        "pair": ({"u": sign * x, "v": y}, sign * x / y),
+        "ge3": ({"w": w, "b": x}, sign * x),
+        "ge4": ({"w": w, "a": x, "v": y}, sign * x / y),
+    }[variant]
+    assert np.unique(score).size == 4
+    pick = np.random.default_rng(seed).integers(0, 4, size=t)
+    return {n: v[pick] for n, v in parts.items()}, score[pick]
+
+
+@pytest.mark.parametrize("variant", sorted(SORT_VARIANTS))
+@pytest.mark.parametrize("t", [2, 3, 5, 10, 12])
+def test_sec_rank_selects_the_stable_top_set_at_its_cost(variant, t):
+    parts, score = _tied_instance(variant, t, seed=t)
+    shares = {
+        n: raw_share_pair(v.astype(np.uint64), key=70 + i) if n == "w" else share_pair(v, key=70 + i)
+        for i, (n, v) in enumerate(sorted(parts.items()))
+    }
+    for count in sorted({1, (t + 1) // 2, t - 1}):
+
+        def proto(sess):
+            key = ComparisonKey(variant, {n: sh[sess.party] for n, sh in shares.items()})
+            return reveal_raw(sess, sec_rank(sess, key, count))
+
+        got, sessions = both(proto)
+        want = np.sort(np.argsort(-score, kind="stable")[:count])
+        assert np.array_equal(np.flatnonzero(got == 1), want), (count, got, score)
+        st = sessions[0].meter.stats("sec_rank")
+        shape = {"t": t, "comparator": variant}
+        assert (st.rounds, st.bytes_online) == predict_cost("sec_rank", shape, CODEC).as_tuple()
+        assert sessions[0].meter.stats("comparator").invocations == t * (t - 1) // 2
 
 
 # -- division --------------------------------------------------------------------
