@@ -4,6 +4,7 @@ from .errors import (
     AssumptionError,
     ConfigError,
     DegenerateRoundError,
+    DivergenceError,
     DivisionDomainError,
     ProtocolError,
     RangeError,
@@ -32,7 +33,6 @@ from .roundsel import (
     SelectionParams,
     SelectionResult,
     sec_rs,
-    sec_rs_alt,
     switching_threshold,
 )
 from .unlearn import (

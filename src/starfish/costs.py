@@ -12,6 +12,8 @@ rounds, T(T-1)/2 comparators) rather than bitonic sorting them wherever
 ranks() says that ships no more online bytes, each path counted with its
 own reveal: T flags after ranking, T' indices after sorting. The rule reads
 only public sizes, so both parties and these formulas take the same path.
+RS_ORDERS names the sort order of each comparison method; between them the
+two methods use every order in gates.SORT_VARIANTS.
 
 Shape conventions per functionality are documented in predict_cost.
 """
@@ -110,10 +112,6 @@ def comparator_cost(kind: str, lanes: int) -> CostEstimate:
         return ge_cost(lanes)
     if kind == "pair":
         return mul_cost(2 * lanes) + ge_cost(lanes)
-    if kind == "ge3":
-        return ge_cost(lanes) + mul_cost(lanes)
-    if kind == "ge4":
-        return mul_cost(2 * lanes) + ge_cost(lanes) + mul_cost(lanes)
     raise UnknownFunctionality(f"comparator kind {kind!r}")
 
 
@@ -223,7 +221,6 @@ def tc_cost(clients: int, m: int) -> CostEstimate:
 
 # (item words = parts + payload, sort order) of each selection method
 RS_ORDERS = {1: (3, "pair"), 2: (2, "plain")}           # (u, v) / tau
-RS_ALT_ORDERS = {1: (4, "ge4"), 2: (3, "ge3")}          # (w, a, v) / (w, b)
 
 
 def rs_cost(t: int, t_prime: int, method: int, codec: FixedPointCodec, kept: int | None = None) -> CostEstimate:
@@ -241,19 +238,6 @@ def rs_cost(t: int, t_prime: int, method: int, codec: FixedPointCodec, kept: int
     return total + select_cost(kept, t_prime, *RS_ORDERS[method])
 
 
-def rs_alt_cost(t: int, t_prime: int, method: int, m: int, codec: FixedPointCodec, kept: int | None = None) -> CostEstimate:
-    kept = t if kept is None else kept
-    total = words_round(2 * t * m)              # <g,g>, no precomputed norms
-    total += ge_cost(t) + words_round(t)        # zero-norm flags, revealed
-    if kept <= t_prime:
-        return total
-    total += ge_cost(kept)                      # w = [u >= 0]
-    total += mul_cost(kept)                     # a = u^2
-    if method == 2:
-        total += div_cost(kept, codec)
-    return total + select_cost(kept, t_prime, *RS_ALT_ORDERS[method])
-
-
 def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstimate:
     """Predicted (rounds, online bytes) one party sends for one invocation.
 
@@ -264,14 +248,13 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
       sec_sp: shape tuple (..., k)
       sec_max: shape tuple (..., T), max over the last axis
       sec_srt: dict {"t", "item_words", "comparator"}, comparator one of the
-        sort orders in gates.SORT_VARIANTS (plain, pair, ge3, ge4)
+        sort orders in gates.SORT_VARIANTS (plain, pair)
       sec_rank: dict {"t", "comparator"}, comparator as for sec_srt
       sec_mi: dict {"m", "batch"} (single accepted attempt)
       threshold_determination: dict {"clients", "t"}
       sec_ue: dict {"clients", "m", "pairs"}
       sec_tc: dict {"clients", "m"}
       sec_rs: dict {"t", "t_prime", "method", "kept"?}
-      sec_rs_alt: dict {"t", "t_prime", "method", "m", "kept"?}
     """
     name = functionality
     if name in ("sec_add", "zero_gen", "sec_share"):
@@ -308,6 +291,4 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
         return tc_cost(shape["clients"], shape["m"])
     if name == "sec_rs":
         return rs_cost(shape["t"], shape["t_prime"], shape["method"], codec, shape.get("kept"))
-    if name == "sec_rs_alt":
-        return rs_alt_cost(shape["t"], shape["t_prime"], shape["method"], shape["m"], codec, shape.get("kept"))
     raise UnknownFunctionality(f"no cost model for {functionality!r}")

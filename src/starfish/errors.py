@@ -41,6 +41,14 @@ class DegenerateRoundError(ProtocolError):
     """Round selection saw a zero model update where one is required."""
 
 
+class DivergenceError(ProtocolError):
+    """Stage II recovery left the codec's range at a given recovery round."""
+
+    def __init__(self, round_index: int, detail: str):
+        super().__init__(f"recovery diverged at round {round_index}: {detail}")
+        self.round_index = round_index
+
+
 class AssumptionError(StarfishError):
     """A theoretical precondition (mu > 2, eta_u = mu/L) does not hold."""
 

@@ -8,13 +8,12 @@ every gate here is vectorized, so "T comparisons in parallel" is one
 circuit over T lanes.
 
 The oblivious sort ranks items under one of the orders in SORT_VARIANTS:
-plain values, fractions u/v by cross multiplication (pair), and the two
-sign-aware orders of the no-norm round selection (ge3 on ratios, ge4 on
-(numerator, denominator) pairs). Each order is a comparator plus the
-minus-infinity sentinel that pads a sort to a power of two; costs prices
-the comparators under the same names. sec_rank uses the same comparators
-for constant-round selection: one comparator layer over all pairs yields
-each item's rank, and only [rank < count] is computed, never the order.
+plain values, or fractions u/v by cross multiplication (pair). Each order
+is a comparator plus the minus-infinity sentinel that pads a sort to a
+power of two; costs prices the comparators under the same names. sec_rank
+uses the same comparators for constant-round selection: one comparator
+layer over all pairs yields each item's rank, and only [rank < count] is
+computed, never the order.
 
 Boolean kernel representation: an XOR-shared bit tensor is held in its
 wire form, the packed words described in transport. A full-width tensor has
@@ -358,19 +357,17 @@ def sentinel_plain(sess: Session) -> dict:
     return {"v": _min_sentinel_raw(sess)}
 
 
-def _cross_products(sess: Session, a: dict, b: dict) -> np.ndarray:
-    """Exact (u1*v2, u2*v1) in one round, stacked on a leading axis."""
-    return _beaver_mul(
+def comparator_pair(sess: Session, a: dict, b: dict) -> np.ndarray:
+    """Fraction order u1/v1 >= u2/v2 with positive denominators.
+
+    Both exact cross products u1*v2 and u2*v1 come from one Beaver round.
+    """
+    lhs, rhs = _beaver_mul(
         sess,
         np.stack(_broadcast(a["u"], b["u"])),
         np.stack(_broadcast(b["v"], a["v"])),
         truncate=False,
     )
-
-
-def comparator_pair(sess: Session, a: dict, b: dict) -> np.ndarray:
-    """Fraction order u1/v1 >= u2/v2 with positive denominators."""
-    lhs, rhs = _cross_products(sess, a, b)
     return _ge_core(sess, lhs, rhs)
 
 
@@ -378,51 +375,9 @@ def sentinel_pair(sess: Session) -> dict:
     return {"u": _min_sentinel_raw(sess), "v": sess.codec.encode(1.0)}
 
 
-# Sign-aware orders on signed scores s_i = w_i * sqrt(b_i), with w in {0, 1}
-# the sign and b >= 0 the squared magnitude. Plaintext rule for [s1 >= s2]:
-#   signs differ       -> the positive one wins
-#   both positive      -> b1 >= b2
-#   both negative      -> b1 <= b2, i.e. not b1 > b2
-# With z = [b1 + w1 - 1 >= b2] on the raw integer magnitudes, which is
-# [b1 >= b2] when w1 = 1 and [b1 > b2] when w1 = 0, all four cases collapse
-# to f = 1 - w2 + z*(w1 + w2 - 1), and a tie resolves to a >= b either way.
-
-
-def _sign_aware_combine(sess: Session, w1, w2, b1, b2) -> np.ndarray:
-    z = _ge_core(sess, add_public(sess, np.add(b1, w1), from_signed(-1)), b2)
-    s = add_public(sess, np.add(w1, w2), from_signed(-1))  # w1 + w2 - 1
-    zs = _beaver_mul(sess, z, s, truncate=False)
-    return add_public(sess, np.subtract(zs, w2), 1)
-
-
-def comparator_ge3(sess: Session, a: dict, b: dict) -> np.ndarray:
-    """Sign-aware order with the magnitudes held as ratios b = a/v >= 0."""
-    return _sign_aware_combine(sess, a["w"], b["w"], a["b"], b["b"])
-
-
-def sentinel_ge3(sess: Session) -> dict:
-    codec = sess.codec
-    # negative sign with a ratio above any representable real one
-    return {"w": 0, "b": 1 << (codec.precision_p + codec.range_e)}
-
-
-def comparator_ge4(sess: Session, a: dict, b: dict) -> np.ndarray:
-    """comparator_ge3's order with the ratios held as (a, v), v > 0."""
-    lhs, rhs = _cross_products(sess, {"u": a["a"], "v": a["v"]}, {"u": b["a"], "v": b["v"]})
-    return _sign_aware_combine(sess, a["w"], b["w"], lhs, rhs)
-
-
-def sentinel_ge4(sess: Session) -> dict:
-    codec = sess.codec
-    # a/v maximal at v = one raw unit; a*v stays far below the ring modulus
-    return {"w": 0, "a": 1 << (2 * codec.precision_p + codec.range_e), "v": 1}
-
-
 SORT_VARIANTS = {
     "plain": (comparator_plain, sentinel_plain),
     "pair": (comparator_pair, sentinel_pair),
-    "ge3": (comparator_ge3, sentinel_ge3),
-    "ge4": (comparator_ge4, sentinel_ge4),
 }
 
 

@@ -8,11 +8,9 @@ global model update and pick the top T' rounds. Two equivalent orderings:
   Method 2 divides once per round up front and compares plain quotients.
 
 Method 1 sends fewer bytes until T crosses switching_threshold; the auto
-path picks accordingly. The alternate entry point works without the
-precomputed gradient norms by ranking sign-adjusted squared ratios, which
-is an order-preserving transform of the cosine. Every ordering is one of
-the sort orders in gates.SORT_VARIANTS: "pair" and "plain" for methods 1
-and 2, the sign-aware "ge4" and "ge3" for the alternate entry point.
+path picks accordingly. The two orderings are the sort orders "pair" and
+"plain" of gates.SORT_VARIANTS. Both read the target's gradient norms,
+which stage I shares next to its gradients.
 
 Zero-norm rounds are dropped first through revealed flags, which makes the
 kept rounds public. What follows depends on public sizes only:
@@ -44,9 +42,7 @@ from .gates import (
     mul_public,
     sec_div,
     sec_ge,
-    sec_mul,
     sec_rank,
-    sec_sp,
     sec_srt,
     sp_public,
 )
@@ -68,7 +64,6 @@ class SelectionParams:
     t: int
     sigma: float
     t_prime: int | None = None
-    t_delta: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.sigma <= 1.0):
@@ -79,8 +74,11 @@ class SelectionParams:
             self.t_prime = math.ceil(self.sigma * self.t)
         if not (1 <= self.t_prime <= self.t):
             raise ConfigError(f"t_prime {self.t_prime} outside [1, {self.t}]")
-        if self.t_delta is None:
-            self.t_delta = switching_threshold(WORD_BITS, KAPPA)
+
+    @property
+    def t_delta(self) -> int:
+        """Largest history length that selects with method 1."""
+        return switching_threshold(WORD_BITS, KAPPA)
 
 
 @dataclass
@@ -88,13 +86,12 @@ class SelectionInputs:
     """Per-round material for one target client, leading axis = round.
 
     target_grads and target_norms are this party's raw shares; deltas are
-    the public global model updates M_i - M_{i-1}. norms may be None for
-    the no-precomputation variant.
+    the public global model updates M_i - M_{i-1}.
     """
 
     target_grads: np.ndarray
     deltas: np.ndarray
-    target_norms: np.ndarray | None = None
+    target_norms: np.ndarray
 
 
 @dataclass
@@ -123,32 +120,11 @@ def _public_delta_norms(deltas: np.ndarray, codec) -> np.ndarray:
     return norms
 
 
-def _keep_nonzero(sess: Session, magnitudes, cut: int = 1) -> np.ndarray:
-    """Reveal [magnitude >= cut raw units] flags and return kept round indices."""
-    flags = sec_ge(sess, magnitudes, const_share(sess, cut))
+def _keep_nonzero(sess: Session, magnitudes) -> np.ndarray:
+    """Reveal [magnitude > 0] flags and return kept round indices."""
+    flags = sec_ge(sess, magnitudes, const_share(sess, 1))
     revealed = to_signed(sec_rec(sess, flags))
     return np.flatnonzero(revealed == 1)
-
-
-def _index_payload(sess: Session, indices: np.ndarray) -> np.ndarray:
-    return const_share(sess, from_signed(indices))
-
-
-def _reveal_selection(sess: Session, payload: np.ndarray, count: int) -> np.ndarray:
-    raw = sec_rec(sess, payload[:count])
-    out = to_signed(raw).astype(np.int64)
-    # -1 marks a padding slot; it can only outrank a real item when truncation
-    # noise zeroed that item's denominator, and such rounds carry no signal
-    return out[out >= 0]
-
-
-def _select(sess: Session, variant: str, parts: dict, kept: np.ndarray, t_prime: int) -> np.ndarray:
-    """The t_prime best of more than t_prime kept rounds under the variant's order."""
-    if ranks(kept.size, t_prime, len(parts) + 1, variant):
-        flags = sec_rec(sess, sec_rank(sess, ComparisonKey(variant, parts), t_prime))
-        return kept[to_signed(flags) == 1]
-    sorted_key = sec_srt(sess, ComparisonKey(variant, parts, _index_payload(sess, kept)))
-    return _reveal_selection(sess, sorted_key.payload, t_prime)
 
 
 def sec_rs(
@@ -164,8 +140,6 @@ def sec_rs(
     T' rounds survive, all survivors are returned.
     """
     with sess.op("sec_rs"):
-        if inputs.target_norms is None:
-            raise ConfigError("sec_rs needs precomputed norms; use sec_rs_alt")
         if method is None:
             method = 1 if params.t <= params.t_delta else 2
         codec = sess.codec
@@ -184,42 +158,15 @@ def sec_rs(
             variant, parts = "pair", {"u": u, "v": v}
         else:
             variant, parts = "plain", {"v": sec_div(sess, u, v)}
-        indices = _select(sess, variant, parts, kept, params.t_prime)
-        return SelectionResult(indices=indices, method=method, kept=kept)
-
-
-def sec_rs_alt(
-    sess: Session,
-    inputs: SelectionInputs,
-    params: SelectionParams,
-    method: int | None = None,
-) -> SelectionResult:
-    """Round selection without precomputed norms.
-
-    Scores rounds by sign(u) * u^2 / (<g,g>*|dM|^2), the squared-cosine
-    order, so the selected set matches sec_rs on tie-free inputs.
-    """
-    with sess.op("sec_rs_alt"):
-        if method is None:
-            method = 1 if params.t <= params.t_delta else 2
-        codec = sess.codec
-        delta_norms = _public_delta_norms(inputs.deltas, codec)
-
-        gg = sec_sp(sess, inputs.target_grads, inputs.target_grads)
-        # truncation can leave +-1 raw on an exact zero, so cut at 2 units
-        kept = _keep_nonzero(sess, gg, cut=2)
-        if kept.size <= params.t_prime:
-            return SelectionResult(indices=kept, method=method, kept=kept)
-        grads = inputs.target_grads[kept]
-        deltas = inputs.deltas[kept]
-
-        u = sp_public(sess, grads, codec.encode(deltas))
-        v = mul_public(sess, gg[kept], codec.encode(delta_norms[kept] ** 2))
-        w = sec_ge(sess, u, const_share(sess, 0))
-        a = sec_mul(sess, u, u)
-        if method == 1:
-            variant, parts = "ge4", {"w": w, "a": a, "v": v}
+        if ranks(kept.size, params.t_prime, len(parts) + 1, variant):
+            flags = sec_rec(sess, sec_rank(sess, ComparisonKey(variant, parts), params.t_prime))
+            indices = kept[to_signed(flags) == 1]
         else:
-            variant, parts = "ge3", {"w": w, "b": sec_div(sess, a, v)}
-        indices = _select(sess, variant, parts, kept, params.t_prime)
+            payload = const_share(sess, from_signed(kept))
+            sorted_key = sec_srt(sess, ComparisonKey(variant, parts, payload))
+            top = to_signed(sec_rec(sess, sorted_key.payload[: params.t_prime])).astype(np.int64)
+            # -1 marks a padding slot; it can only outrank a real item when truncation
+            # noise zeroed that item's denominator, and such rounds carry no signal
+            indices = top[top >= 0]
         return SelectionResult(indices=indices, method=method, kept=kept)
+

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, DivergenceError, ProtocolError, RangeError
 from .fixedpoint import WORD_BITS, FixedPointCodec, to_signed
 from .gates import const_share, mul_public, sec_ge, sec_max, sec_mi, sec_mul, sp_public
 from .roundsel import SelectionInputs, SelectionParams, sec_rs
@@ -400,29 +400,34 @@ def starfish_run(
     check_rounds = 0
 
     for i, r in enumerate(selection.chronological(), start=1):
-        g_round = history.grads[r][remaining]
-        before = _meter_totals(sess)
-        estimates = sec_ue(sess, g_round, state)
-        flags = None
-        if i % config.t_c == 0:
+        # the recovered model and its gradients are public: a value that
+        # leaves the codec's range means the recovery diverged at round i
+        try:
+            g_round = history.grads[r][remaining]
+            before = _meter_totals(sess)
+            estimates = sec_ue(sess, g_round, state)
+            flags = None
+            if i % config.t_c == 0:
+                _record(transcript, sess, "sec_ue", before)
+                before = _meter_totals(sess)
+                flags = sec_tc(sess, estimates, thresh_rem)
+                check_rounds += 1
+                estimates = np.array(estimates, copy=True)
+                for idx, j in enumerate(remaining):
+                    if flags[idx]:
+                        corrections[j] += 1
+                        exact = codec.quantize(pool.gradient(j, m_hat))
+                        rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_CORRECTION, int(i), int(j))
+                        estimates[idx] = _keyed_split(codec, rng, exact, sess.party)
+                _record(transcript, sess, "sec_tc", before, flags=flags)
+                before = _meter_totals(sess)
+            m_hat_prev = m_hat
+            m_hat, _ = aggregate_reveal(sess, estimates, m_hat, config.eta_u)
+            trajectory.append(m_hat.copy())
             _record(transcript, sess, "sec_ue", before)
-            before = _meter_totals(sess)
-            flags = sec_tc(sess, estimates, thresh_rem)
-            check_rounds += 1
-            estimates = np.array(estimates, copy=True)
-            for idx, j in enumerate(remaining):
-                if flags[idx]:
-                    corrections[j] += 1
-                    exact = codec.quantize(pool.gradient(j, m_hat))
-                    rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_CORRECTION, int(i), int(j))
-                    estimates[idx] = _keyed_split(codec, rng, exact, sess.party)
-            _record(transcript, sess, "sec_tc", before, flags=flags)
-            before = _meter_totals(sess)
-        m_hat_prev = m_hat
-        m_hat, _ = aggregate_reveal(sess, estimates, m_hat, config.eta_u)
-        trajectory.append(m_hat.copy())
-        _record(transcript, sess, "sec_ue", before)
-        state.push(np.subtract(estimates, g_round), m_hat_prev - history.models[r])
+            state.push(np.subtract(estimates, g_round), m_hat_prev - history.models[r])
+        except RangeError as exc:
+            raise DivergenceError(i, str(exc)) from exc
 
     return RunResult(model=m_hat, trajectory=np.array(trajectory), transcript=transcript,
                      selected=selection.chronological(),

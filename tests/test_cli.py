@@ -250,6 +250,18 @@ def test_protocol_failure_exit_code(monkeypatch, capsys):
     assert "protocol error" in capsys.readouterr().err
 
 
+def test_diverged_recovery_exit_code(tmp_path, capsys):
+    # the README run.cfg at t=16: the correction step of recovery round 10
+    # meets a gradient the codec cannot represent
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 20\nm = 8\nt = 16\nsigma = 0.6\nalpha = 0.4\nbeta = 0.1\n"
+                   "buffer_b = 2\ntask = quadratic\n")
+    assert _run(["compare", "--config", cfg, "--seed", 7, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("protocol error: recovery diverged at round 10: ")
+    assert "Traceback" not in err
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("warp_speed = 9\n")

@@ -25,7 +25,7 @@ from starfish.gates import (
     sec_sp,
     sec_srt,
 )
-from starfish.roundsel import SelectionInputs, SelectionParams, sec_rs, sec_rs_alt
+from starfish.roundsel import SelectionInputs, SelectionParams, sec_rs
 from starfish.sharing import sec_rec
 
 RNG = np.random.default_rng(7)
@@ -170,8 +170,7 @@ def test_mi_scalar_lane_convention():
     assert got.as_tuple() == (2, want.online_bytes)
 
 
-@pytest.mark.parametrize("fn", [sec_rs, sec_rs_alt])
-def test_selection_costs_match_the_meter_on_every_path(fn):
+def test_selection_costs_match_the_meter_on_every_path():
     # kept in 2..40 crosses the non-monotone rank/sort rule several times;
     # odd kept adds one zero round, and kept = 5 (mod 10) selects every kept round
     from starfish import make_inproc_sessions, run_pair
@@ -190,15 +189,15 @@ def test_selection_costs_match_the_meter_on_every_path(fn):
         params = SelectionParams(t=t, sigma=1.0, t_prime=t_prime)
         for method in (1, 2):
             def proto(sess):
-                norms = nsh[sess.party] if fn is sec_rs else None
-                return fn(sess, SelectionInputs(gsh[sess.party], deltas, norms), params, method=method).kept
+                inputs = SelectionInputs(gsh[sess.party], deltas, nsh[sess.party])
+                return sec_rs(sess, inputs, params, method=method).kept
 
             sessions = make_inproc_sessions(kept)
             got_kept, _ = run_pair(proto, sessions)
             assert got_kept.size == kept
             meter = sessions[0].meter
             got = (sum(st.rounds for st in meter.per_op.values()), meter.total_online_bytes)
-            shape = {"t": t, "t_prime": t_prime, "method": method, "kept": kept, "m": m}
-            assert got == predict_cost(fn.__name__, shape, CODEC).as_tuple(), (kept, method)
+            shape = {"t": t, "t_prime": t_prime, "method": method, "kept": kept}
+            assert got == predict_cost("sec_rs", shape, CODEC).as_tuple(), (kept, method)
             paths[method].add(next((op for op in ("sec_rank", "sec_srt") if meter.stats(op).rounds), None))
     assert paths[1] == paths[2] == {"sec_rank", "sec_srt", None}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import CODEC, both, raw_share_pair, reveal, reveal_raw, share_pair
-from starfish.costs import comparator_calls, comparator_cost, predict_cost
+from starfish.costs import RS_ORDERS, comparator_calls, comparator_cost, predict_cost
 from starfish.errors import DivisionDomainError, ShapeError, SingularRevealError
 from starfish.gates import (
     MI_TRIES,
@@ -251,23 +251,20 @@ def _order_instance(variant, t):
     return {
         "plain": ({"v": sign * x}, sign * x),
         "pair": ({"u": sign * x, "v": y}, sign * x / y),
-        "ge3": ({"w": w, "b": x}, sign * x),
-        "ge4": ({"w": w, "a": x, "v": y}, sign * x / y),
     }[variant]
 
 
 @pytest.mark.parametrize("variant", sorted(SORT_VARIANTS))
 def test_every_sort_order_sorts_a_padded_instance_at_its_cost(variant):
-    # the table holds exactly the orders the cost model prices
+    # the table holds exactly the orders the cost model prices, and each is
+    # the order of some round-selection method
     priced = set(re.findall(r'kind == "(\w+)"', inspect.getsource(comparator_cost)))
     assert priced == set(SORT_VARIANTS)
+    assert {kind for _, kind in RS_ORDERS.values()} == set(SORT_VARIANTS)
     t = 5  # padded to 8: three sentinel items
     parts, score = _order_instance(variant, t)
     assert np.unique(score).size == t
-    shares = {
-        n: raw_share_pair(v.astype(np.uint64), key=60 + i) if n == "w" else share_pair(v, key=60 + i)
-        for i, (n, v) in enumerate(sorted(parts.items()))
-    }
+    shares = {n: share_pair(v, key=60 + i) for i, (n, v) in enumerate(sorted(parts.items()))}
     payload = raw_share_pair(np.arange(t, dtype=np.uint64), key=59)
 
     def proto(sess):
@@ -291,8 +288,6 @@ def _tied_instance(variant, t, seed):
     parts, score = {
         "plain": ({"v": sign * x}, sign * x),
         "pair": ({"u": sign * x, "v": y}, sign * x / y),
-        "ge3": ({"w": w, "b": x}, sign * x),
-        "ge4": ({"w": w, "a": x, "v": y}, sign * x / y),
     }[variant]
     assert np.unique(score).size == 4
     pick = np.random.default_rng(seed).integers(0, 4, size=t)
@@ -303,10 +298,7 @@ def _tied_instance(variant, t, seed):
 @pytest.mark.parametrize("t", [2, 3, 5, 10, 12])
 def test_sec_rank_selects_the_stable_top_set_at_its_cost(variant, t):
     parts, score = _tied_instance(variant, t, seed=t)
-    shares = {
-        n: raw_share_pair(v.astype(np.uint64), key=70 + i) if n == "w" else share_pair(v, key=70 + i)
-        for i, (n, v) in enumerate(sorted(parts.items()))
-    }
+    shares = {n: share_pair(v, key=70 + i) for i, (n, v) in enumerate(sorted(parts.items()))}
     for count in sorted({1, (t + 1) // 2, t - 1}):
 
         def proto(sess):

@@ -1,9 +1,9 @@
-"""Round selection: the switching threshold, both methods, both variants."""
+"""Round selection: the switching threshold and both comparison methods."""
 
 import numpy as np
 import pytest
 
-from helpers import CODEC, raw_share_pair, reveal_raw, share_pair
+from helpers import CODEC, share_pair
 from starfish import (
     SelectionInputs,
     SelectionParams,
@@ -13,8 +13,8 @@ from starfish import (
 )
 from starfish.costs import comparator_calls, ge_cost, predict_cost, words_round
 from starfish.errors import ConfigError, DegenerateRoundError
-from starfish.gates import comparator_ge3, comparator_ge4, sec_ge
-from starfish.roundsel import sec_rs, sec_rs_alt
+from starfish import roundsel
+from starfish.roundsel import sec_rs
 
 RNG = np.random.default_rng(11)
 
@@ -91,17 +91,17 @@ def _spec_instance():
     return grads, norms, deltas
 
 
-def _run_selection(fn, grads, norms, deltas, params, method=None, seed=7, keys=(1, 2)):
-    gsh = share_pair(grads, key=keys[0])
-    nsh = None if norms is None else share_pair(norms, key=keys[1])
+def _run_selection(grads, norms, deltas, params, method=None, seed=7):
+    gsh = share_pair(grads, key=1)
+    nsh = share_pair(norms, key=2)
 
     def proto(sess):
         inp = SelectionInputs(
             target_grads=gsh[sess.party],
             deltas=deltas,
-            target_norms=None if nsh is None else nsh[sess.party],
+            target_norms=nsh[sess.party],
         )
-        res = fn(sess, inp, params, method=method)
+        res = sec_rs(sess, inp, params, method=method)
         return res.indices.tolist(), res.chronological().tolist(), res.method
 
     sessions = make_inproc_sessions(seed)
@@ -114,7 +114,7 @@ def _run_selection(fn, grads, norms, deltas, params, method=None, seed=7, keys=(
 def test_sec_rs_known_cosines(method):
     grads, norms, deltas = _spec_instance()
     (order, chron, meth), sessions = _run_selection(
-        sec_rs, grads, norms, deltas, SelectionParams(t=4, sigma=0.5), method=method
+        grads, norms, deltas, SelectionParams(t=4, sigma=0.5), method=method
     )
     # indices are ranked only on the sort path, so check the set; T=4 makes
     # as many comparator calls on either path
@@ -123,20 +123,11 @@ def test_sec_rs_known_cosines(method):
     assert sessions[0].meter.stats("comparator").invocations == comparator_calls(4) == 4 * 3 // 2
 
 
-@pytest.mark.parametrize("method", [1, 2])
-def test_sec_rs_alt_matches_on_the_same_instance(method):
-    grads, _, deltas = _spec_instance()
-    (order, chron, _), _ = _run_selection(
-        sec_rs_alt, grads, None, deltas, SelectionParams(t=4, sigma=0.5), method=method
-    )
-    assert chron == [0, 3]
-
-
 def test_full_sigma_returns_a_permutation():
     # every kept round is selected, so only the zero-norm flags are computed
     grads, norms, deltas = _spec_instance()
     (order, chron, _), sessions = _run_selection(
-        sec_rs, grads, norms, deltas, SelectionParams(t=4, sigma=1.0)
+        grads, norms, deltas, SelectionParams(t=4, sigma=1.0)
     )
     assert order == chron == [0, 1, 2, 3]
     meter = sessions[0].meter
@@ -145,23 +136,15 @@ def test_full_sigma_returns_a_permutation():
     assert meter.stats("comparator").invocations == 0
 
 
-def test_alt_sign_dominance():
-    # a tiny positive cosine must outrank a large negative one
-    grads = CODEC.quantize(np.array([[-3.0, 0.0], [0.1, 0.0]]))
-    deltas = np.tile(CODEC.quantize(np.array([1.0, 0.0])), (2, 1))
-    (order, _, _), _ = _run_selection(
-        sec_rs_alt, grads, None, deltas, SelectionParams(t=2, sigma=0.5)
-    )
-    assert order == [1]
-
-
-def test_method_auto_switch():
+def test_method_auto_switch(monkeypatch):
     grads, norms, deltas = _spec_instance()
-    params = SelectionParams(t=4, sigma=0.5, t_delta=2)  # t exceeds the threshold
-    (_, _, meth), _ = _run_selection(sec_rs, grads, norms, deltas, params)
+    params = SelectionParams(t=4, sigma=0.5)
+    monkeypatch.setattr(roundsel, "switching_threshold", lambda *_: 2)  # t exceeds it
+    assert params.t_delta == 2
+    (_, _, meth), _ = _run_selection(grads, norms, deltas, params)
     assert meth == 2
-    params = SelectionParams(t=4, sigma=0.5, t_delta=10)
-    (_, _, meth), _ = _run_selection(sec_rs, grads, norms, deltas, params)
+    monkeypatch.setattr(roundsel, "switching_threshold", lambda *_: 10)
+    (_, _, meth), _ = _run_selection(grads, norms, deltas, params)
     assert meth == 1
 
 
@@ -172,7 +155,7 @@ def test_zero_norm_rounds_are_excluded():
     grads[1] = 0.0
     norms[1] = 0.0
     (order, chron, _), _ = _run_selection(
-        sec_rs, grads, norms, deltas, SelectionParams(t=4, sigma=1.0)
+        grads, norms, deltas, SelectionParams(t=4, sigma=1.0)
     )
     assert 1 not in order
     assert chron == [0, 2, 3]  # all survivors, fewer than t_prime
@@ -182,13 +165,7 @@ def test_degenerate_update_raises():
     grads, norms, _ = _spec_instance()
     deltas = np.zeros((4, 2))
     with pytest.raises(DegenerateRoundError):
-        _run_selection(sec_rs, grads, norms, deltas, SelectionParams(t=4, sigma=0.5))
-
-
-def test_sec_rs_requires_norms():
-    grads, _, deltas = _spec_instance()
-    with pytest.raises(ConfigError):
-        _run_selection(sec_rs, grads, None, deltas, SelectionParams(t=4, sigma=0.5))
+        _run_selection(grads, norms, deltas, SelectionParams(t=4, sigma=0.5))
 
 
 # -- random tie-free instances -----------------------------------------------------
@@ -216,10 +193,9 @@ def test_methods_agree_on_random_instances():
         params = SelectionParams(t=t, sigma=0.5)
         want = np.sort(np.argsort(-scores, kind="stable")[: params.t_prime]).tolist()
         picks = []
-        for fn, method in ((sec_rs, 1), (sec_rs, 2), (sec_rs_alt, 1), (sec_rs_alt, 2)):
-            norms_arg = norms if fn is sec_rs else None
+        for method in (1, 2):
             (_, chron, _), _ = _run_selection(
-                fn, grads, norms_arg, deltas, params, method=method, seed=seed
+                grads, norms, deltas, params, method=method, seed=seed
             )
             picks.append(chron)
         assert all(p == want for p in picks), (seed, picks, want)
@@ -228,61 +204,6 @@ def test_methods_agree_on_random_instances():
 def test_comparator_count_at_sixteen():
     grads, norms, deltas, _ = _tie_free_instance(16, 3, seed=99)
     (_, _, _), sessions = _run_selection(
-        sec_rs, grads, norms, deltas, SelectionParams(t=16, sigma=0.5)
+        grads, norms, deltas, SelectionParams(t=16, sigma=0.5)
     )
     assert sessions[0].meter.stats("comparator").invocations == comparator_calls(16) == 80
-
-
-# -- the sign-aware comparators -----------------------------------------------------
-
-
-def test_sign_aware_comparator_grid():
-    # exhaustive over sign pairs and magnitude order, ties included: the
-    # comparator is the true order [s1 >= s2] of the signed scores
-    cases = []
-    for w1 in (0, 1):
-        for w2 in (0, 1):
-            for b1, b2 in ((2.0, 1.0), (1.0, 2.0), (1.5, 1.5)):
-                s1 = (b1 if w1 else -b1)
-                s2 = (b2 if w2 else -b2)
-                cases.append((w1, b1, w2, b2, int(s1 >= s2)))
-
-    w1s = raw_share_pair(np.array([c[0] for c in cases], dtype=np.uint64), key=31)
-    b1s = share_pair(np.array([c[1] for c in cases]), key=32)
-    w2s = raw_share_pair(np.array([c[2] for c in cases], dtype=np.uint64), key=33)
-    b2s = share_pair(np.array([c[3] for c in cases]), key=34)
-
-    def proto(sess):
-        p = sess.party
-        f = comparator_ge3(sess, {"w": w1s[p], "b": b1s[p]}, {"w": w2s[p], "b": b2s[p]})
-        return reveal_raw(sess, f).tolist()
-
-    r0, r1 = run_pair(proto, make_inproc_sessions(35))
-    assert r0 == r1 == [c[4] for c in cases]
-
-
-def test_sign_aware_ratio_comparator():
-    # same order relation with the ratio held as (numerator, denominator)
-    cases = [
-        (1, 1.0, 2.0, 1, 1.0, 4.0, 1),   # 0.5 >= 0.25
-        (1, 1.0, 4.0, 1, 1.0, 2.0, 0),
-        (0, 1.0, 2.0, 1, 1.0, 8.0, 0),   # negative loses to positive
-        (1, 1.0, 8.0, 0, 1.0, 2.0, 1),
-        (0, 1.0, 2.0, 0, 1.0, 4.0, 0),   # -1/2 < -1/4: larger magnitude loses
-        (0, 1.0, 4.0, 0, 1.0, 2.0, 1),
-    ]
-    w1s = raw_share_pair(np.array([c[0] for c in cases], dtype=np.uint64), key=36)
-    a1s = share_pair(np.array([c[1] for c in cases]), key=37)
-    v1s = share_pair(np.array([c[2] for c in cases]), key=38)
-    w2s = raw_share_pair(np.array([c[3] for c in cases], dtype=np.uint64), key=39)
-    a2s = share_pair(np.array([c[4] for c in cases]), key=40)
-    v2s = share_pair(np.array([c[5] for c in cases]), key=41)
-
-    def proto(sess):
-        p = sess.party
-        f = comparator_ge4(sess, {"w": w1s[p], "a": a1s[p], "v": v1s[p]},
-                           {"w": w2s[p], "a": a2s[p], "v": v2s[p]})
-        return reveal_raw(sess, f).tolist()
-
-    r0, r1 = run_pair(proto, make_inproc_sessions(42))
-    assert r0 == r1 == [c[6] for c in cases]
