@@ -26,21 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .costs import RS_ORDERS, comparator_calls, predict_cost, ranks
-from .errors import AssumptionError, ConfigError, ProtocolError, RangeError, StarfishError
+from .costs import RS_KEY_WIDTH, comparator_calls, predict_cost, ranks
+from .errors import AssumptionError, ConfigError, ProtocolError, StarfishError
 from .fixedpoint import FixedPointCodec
-from .gates import (
-    ComparisonKey,
-    sec_add,
-    sec_div,
-    sec_ge,
-    sec_max,
-    sec_mi,
-    sec_mul,
-    sec_sel,
-    sec_sp,
-    sec_srt,
-)
+from .gates import sec_add, sec_div, sec_ge, sec_max, sec_mi, sec_mul, sec_sel, sec_sp, sec_srt
 from .oracle import (
     bound_report,
     logistic_task,
@@ -132,10 +121,6 @@ class RunConfig:
     samples: int = 16
     reg: float = 0.5
     scale: float = 1.0
-    # fixed-point codec
-    precision_p: int = 13
-    range_e: int = 12
-    slack: int = 14
     # plumbing
     transport: str = "inproc"
     party: int | None = None
@@ -143,11 +128,7 @@ class RunConfig:
     out: str = "starfish-out"
 
     def codec(self) -> FixedPointCodec:
-        return FixedPointCodec(
-            precision_p=self.precision_p,
-            range_e=self.range_e,
-            slack=self.slack,
-        )
+        return FixedPointCodec()
 
     def unlearn_config(self) -> UnlearnConfig:
         return UnlearnConfig(
@@ -181,7 +162,6 @@ _PARSERS = {
     "mu": float, "lam_max": _parse_opt_float, "lip": _parse_opt_float,
     "spread": float, "start": float, "heterogeneity": float,
     "samples": int, "reg": float, "scale": float,
-    "precision_p": int, "range_e": int, "slack": int,
     "transport": _parse_transport, "party": _parse_party, "address": str,
     "out": str,
 }
@@ -222,10 +202,6 @@ def load_config(path=None, **overrides) -> RunConfig:
         if val is not None:
             values[key] = val
     cfg = RunConfig(**values)
-    try:
-        cfg.codec()
-    except RangeError as exc:
-        raise ConfigError(f"codec: {exc}") from exc
     cfg.unlearn_config()
     if not (0 <= cfg.target < cfg.n):
         raise ConfigError(f"target {cfg.target} outside client range [0, {cfg.n})")
@@ -347,14 +323,18 @@ def cmd_compare(cfg: RunConfig) -> int:
     plain = plaintext_starfish(ucfg, task, cfg.target, codec=codec)
     horizon = math.ceil(len(res.selected) / ucfg.sigma)
     retrained = train_from_scratch(ucfg, task, excluded=cfg.target, rounds=horizon)
-    random_run = random_selection_baseline(ucfg, task, cfg.target, codec=codec)
-
     report = metrics(task, ucfg, res.trajectory, retrained, res.transcript)
     report["selected"] = [int(r) for r in res.selected]
-    report["selected_random"] = [int(r) for r in random_run.selected]
     report["corrections"] = {str(j): int(c) for j, c in sorted(res.corrections.items())}
     report["distance_plain_mirror"] = float(np.linalg.norm(res.model - plain.model))
-    report["distance_random_baseline"] = float(np.linalg.norm(random_run.model - retrained[-1]))
+    try:
+        random_run = random_selection_baseline(ucfg, task, cfg.target, codec=codec)
+        report["selected_random"] = [int(r) for r in random_run.selected]
+        report["distance_random_baseline"] = float(np.linalg.norm(random_run.model - retrained[-1]))
+    except StarfishError as exc:
+        # a baseline that cannot finish must not discard the finished secure run
+        report["selected_random"] = report["distance_random_baseline"] = None
+        report["random_baseline_error"] = f"{type(exc).__name__}: {exc}"
     try:
         report["bound"] = bound_report(
             task, ucfg, cfg.target, codec=codec, recovered=res.trajectory).as_dict()
@@ -367,7 +347,10 @@ def cmd_compare(cfg: RunConfig) -> int:
     (out / "transcript.jsonl").write_text(res.transcript_jsonl())
 
     print(f"secure vs retrained final distance: {report['distance_final']:.6f}")
-    print(f"random-selection baseline distance: {report['distance_random_baseline']:.6f}")
+    if report["distance_random_baseline"] is None:
+        print(f"random-selection baseline: failed ({report['random_baseline_error']})")
+    else:
+        print(f"random-selection baseline distance: {report['distance_random_baseline']:.6f}")
     print(f"secure vs plaintext mirror:         {report['distance_plain_mirror']:.3e}")
     print(f"test error recovered={report['ter_recovered']:.6f} "
           f"retrained={report['ter_retrained']:.6f}")
@@ -409,7 +392,7 @@ def _audit_battery(cfg: RunConfig):
 
     def run_srt(s):
         u, v, payload = shared(s, 9, v8, p8, lambda _: np.arange(8, dtype=np.uint64))
-        sec_srt(s, ComparisonKey(variant="pair", parts={"u": u, "v": v}, payload=payload))
+        sec_srt(s, np.stack([u, v, payload], axis=1), 2)
 
     def run_td(s):
         (shares,) = shared(s, 13, ((6, 4), 0.1, 1.0))
@@ -460,7 +443,7 @@ def _audit_battery(cfg: RunConfig):
          lambda s: sec_sel(s, *shared(s, 5, v8, v8, lambda rng: rng.integers(0, 2, size=(8,))))),
         ("sec_ge (8,)", "sec_ge", (8,), lambda s: sec_ge(s, *shared(s, 6, v8, v8))),
         ("sec_max 4x8", "sec_max", (4, 8), lambda s: sec_max(s, *shared(s, 8, ((4, 8), 0.25, 2.0)))),
-        ("sec_srt T=8 pair", "sec_srt", {"t": 8, "item_words": 3, "comparator": "pair"}, run_srt),
+        ("sec_srt T=8 pair", "sec_srt", {"t": 8, "item_words": 3, "width": 2}, run_srt),
         ("sec_div (8,)", "sec_div", (8,), lambda s: sec_div(s, *shared(s, 10, u8, p8))),
         ("sec_mi scalars (4,)", "sec_mi", {"m": 1, "batch": 4},
          lambda s: sec_mi(s, *shared(s, 11, ((4,), 0.5, 2.0)))),
@@ -480,7 +463,7 @@ def _audit_battery(cfg: RunConfig):
 def _expected_comparators(functionality: str, shape) -> int:
     """A bitonic sort's comparator calls, or one per pair where sec_rs ranks."""
     t = shape["t"]
-    if functionality == "sec_rs" and ranks(shape["kept"], shape["t_prime"], *RS_ORDERS[shape["method"]]):
+    if functionality == "sec_rs" and ranks(shape["kept"], shape["t_prime"], RS_KEY_WIDTH[shape["method"]]):
         return t * (t - 1) // 2
     return comparator_calls(t)
 

@@ -12,8 +12,9 @@ rounds, T(T-1)/2 comparators) rather than bitonic sorting them wherever
 ranks() says that ships no more online bytes, each path counted with its
 own reveal: T flags after ranking, T' indices after sorting. The rule reads
 only public sizes, so both parties and these formulas take the same path.
-RS_ORDERS names the sort order of each comparison method; between them the
-two methods use every order in gates.SORT_VARIANTS.
+The comparator is priced by the width of its keys: 1 for values, 2 for
+(u, v) fractions, which cross multiply first. RS_KEY_WIDTH gives the key
+width of each selection method.
 
 Shape conventions per functionality are documented in predict_cost.
 """
@@ -106,13 +107,10 @@ def matmul_cost(shape_x, shape_y) -> CostEstimate:
     return words_round(_lanes(shape_x) + _lanes(shape_y))
 
 
-def comparator_cost(kind: str, lanes: int) -> CostEstimate:
-    """Per-stage circuit of each sort order in gates.SORT_VARIANTS."""
-    if kind == "plain":
-        return ge_cost(lanes)
-    if kind == "pair":
-        return mul_cost(2 * lanes) + ge_cost(lanes)
-    raise UnknownFunctionality(f"comparator kind {kind!r}")
+def comparator_cost(width: int, lanes: int) -> CostEstimate:
+    """gates.comparator on lanes rows of width-column keys."""
+    cross = mul_cost(2 * lanes) if width == 2 else ZERO
+    return cross + ge_cost(lanes)
 
 
 def padded_size(t: int) -> int:
@@ -131,34 +129,34 @@ def comparator_calls(t: int) -> int:
     return (ell * ell + ell) * size // 4
 
 
-def sort_cost(t: int, item_words: int, kind: str) -> CostEstimate:
+def sort_cost(t: int, item_words: int, width: int) -> CostEstimate:
     size = padded_size(t)
     pairs = size // 2
-    per_stage = comparator_cost(kind, pairs) + mul_cost(pairs * item_words)
+    per_stage = comparator_cost(width, pairs) + mul_cost(pairs * item_words)
     return per_stage * bitonic_stages(size)
 
 
-def rank_cost(t: int, kind: str) -> CostEstimate:
+def rank_cost(t: int, width: int) -> CostEstimate:
     """sec_rank: one comparator layer over the T(T-1)/2 pairs, one [rank < count]."""
-    return comparator_cost(kind, t * (t - 1) // 2) + ge_cost(t)
+    return comparator_cost(width, t * (t - 1) // 2) + ge_cost(t)
 
 
-def ranks(kept: int, t_prime: int, item_words: int, kind: str) -> bool:
+def ranks(kept: int, t_prime: int, width: int) -> bool:
     """Whether selecting t_prime of kept items ranks rather than sorts them.
 
-    Ranking reveals kept membership flags, sorting reveals t_prime indices;
-    a tie in bytes goes to ranking.
+    Ranking reveals kept membership flags; sorting rows of the key plus a
+    round index reveals t_prime indices. A tie in bytes goes to ranking.
     """
-    rank = rank_cost(kept, kind) + words_round(kept)
-    sort = sort_cost(kept, item_words, kind) + words_round(t_prime)
+    rank = rank_cost(kept, width) + words_round(kept)
+    sort = sort_cost(kept, width + 1, width) + words_round(t_prime)
     return rank.online_bytes <= sort.online_bytes
 
 
-def select_cost(kept: int, t_prime: int, item_words: int, kind: str) -> CostEstimate:
+def select_cost(kept: int, t_prime: int, width: int) -> CostEstimate:
     """Rank or sort kept > t_prime scored items and reveal the selection."""
-    if ranks(kept, t_prime, item_words, kind):
-        return rank_cost(kept, kind) + words_round(kept)
-    return sort_cost(kept, item_words, kind) + words_round(t_prime)
+    if ranks(kept, t_prime, width):
+        return rank_cost(kept, width) + words_round(kept)
+    return sort_cost(kept, width + 1, width) + words_round(t_prime)
 
 
 def max_cost(t: int, batch: int) -> CostEstimate:
@@ -219,8 +217,8 @@ def tc_cost(clients: int, m: int) -> CostEstimate:
     return total
 
 
-# (item words = parts + payload, sort order) of each selection method
-RS_ORDERS = {1: (3, "pair"), 2: (2, "plain")}           # (u, v) / tau
+# key width of each selection method: (u, v) fractions / quotients
+RS_KEY_WIDTH = {1: 2, 2: 1}
 
 
 def rs_cost(t: int, t_prime: int, method: int, codec: FixedPointCodec, kept: int | None = None) -> CostEstimate:
@@ -235,7 +233,7 @@ def rs_cost(t: int, t_prime: int, method: int, codec: FixedPointCodec, kept: int
         return total
     if method == 2:
         total += div_cost(kept, codec)
-    return total + select_cost(kept, t_prime, *RS_ORDERS[method])
+    return total + select_cost(kept, t_prime, RS_KEY_WIDTH[method])
 
 
 def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstimate:
@@ -247,9 +245,9 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
       sec_mul: lane shape tuple, or dict {"matmul": (sx, sy)}
       sec_sp: shape tuple (..., k)
       sec_max: shape tuple (..., T), max over the last axis
-      sec_srt: dict {"t", "item_words", "comparator"}, comparator one of the
-        sort orders in gates.SORT_VARIANTS (plain, pair)
-      sec_rank: dict {"t", "comparator"}, comparator as for sec_srt
+      sec_srt: dict {"t", "item_words", "width"}: T rows of item_words words,
+        sorted by their first width (1 or 2) columns
+      sec_rank: dict {"t", "width"}
       sec_mi: dict {"m", "batch"} (single accepted attempt)
       threshold_determination: dict {"clients", "t"}
       sec_ue: dict {"clients", "m", "pairs"}
@@ -276,9 +274,9 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
     if name == "sec_max":
         return max_cost(shape[-1], _lanes(shape[:-1]))
     if name == "sec_srt":
-        return sort_cost(shape["t"], shape["item_words"], shape["comparator"])
+        return sort_cost(shape["t"], shape["item_words"], shape["width"])
     if name == "sec_rank":
-        return rank_cost(shape["t"], shape["comparator"])
+        return rank_cost(shape["t"], shape["width"])
     if name == "sec_div":
         return div_cost(_lanes(shape), codec)
     if name == "sec_mi":

@@ -7,13 +7,15 @@ Kogge-Stone adder recombines them). Batched lanes share one round trip:
 every gate here is vectorized, so "T comparisons in parallel" is one
 circuit over T lanes.
 
-The oblivious sort ranks items under one of the orders in SORT_VARIANTS:
-plain values, or fractions u/v by cross multiplication (pair). Each order
-is a comparator plus the minus-infinity sentinel that pads a sort to a
-power of two; costs prices the comparators under the same names. sec_rank
-uses the same comparators for constant-round selection: one comparator
-layer over all pairs yields each item's rank, and only [rank < count] is
-computed, never the order.
+Sort and rank keys are (T, width) share matrices, one row per item: width 1
+holds values, width 2 holds fractions (u, v) with v > 0. One comparator
+orders both, fractions by cross multiplication, and costs prices it by
+width. sec_srt sorts whole rows by their key columns, so a payload column
+rides along; it pads to a power of two with minus-infinity rows (the most
+negative numerator, 1 in a denominator column, -1 in payload columns).
+sec_rank uses the same comparator for constant-round selection: one
+comparator layer over all pairs yields each item's rank, and only
+[rank < count] is computed, never the order.
 
 Boolean kernel representation: an XOR-shared bit tensor is held in its
 wire form, the packed words described in transport. A full-width tensor has
@@ -30,8 +32,6 @@ arithmetic shares of {0, 1} at scale 1.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,12 +153,15 @@ def sp_public(sess: Session, x, raw) -> np.ndarray:
         return sess.truncate(z)
 
 
+def _select(sess: Session, v0, v1, b) -> np.ndarray:
+    out = np.add(v0, _beaver_mul(sess, b, np.subtract(v1, v0), truncate=False))
+    return np.add(out, sess.draw_zero(np.asarray(out).shape))
+
+
 def sec_sel(sess: Session, v0, v1, b) -> np.ndarray:
     """Oblivious select v0 + b*(v1 - v0), re-randomized with a zero share."""
     with sess.op("sec_sel", int(np.asarray(b).size)):
-        picked = _beaver_mul(sess, b, np.subtract(v1, v0), truncate=False)
-        out = np.add(v0, picked)
-        return np.add(out, sess.draw_zero(np.asarray(out).shape))
+        return _select(sess, v0, v1, b)
 
 
 # -- boolean kernel (representation: see the module docstring) ----------------
@@ -311,7 +314,7 @@ def sec_max(sess: Session, vals) -> np.ndarray:
         t = vals.shape[-1]
         size = padded_size(t)
         if size != t:
-            pad_val = const_share(sess, _min_sentinel_raw(sess))
+            pad_val = const_share(sess, _minus_infinity(sess))
             pad = np.broadcast_to(pad_val, vals.shape[:-1] + (size - t,)).copy()
             vals = np.concatenate([vals, pad], axis=-1)
         while vals.shape[-1] > 1:
@@ -324,84 +327,47 @@ def sec_max(sess: Session, vals) -> np.ndarray:
         return vals[..., 0]
 
 
-def _min_sentinel_raw(sess: Session) -> np.ndarray:
+def _minus_infinity(sess: Session) -> np.ndarray:
+    """-2^(e-1) as a ring word, below every encodable value."""
     codec = sess.codec
     return from_signed(-(1 << (codec.precision_p + codec.range_e - 1)))
 
 
-# -- oblivious sort -----------------------------------------------------------
+# -- oblivious sort and rank ----------------------------------------------------
 
 
-@dataclass
-class ComparisonKey:
-    """Sortable record: named shared components plus a swapped-along payload.
+def comparator(sess: Session, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Shared [a >= b] per row of two (L, width) key matrices.
 
-    Every component is a (T,) array over the T items. The variant names the
-    sort order in SORT_VARIANTS, which decides ordering from the components;
-    the payload (round indices here) just rides along through the swaps.
+    Width 1 compares values. Width 2 compares fractions u/v with positive
+    denominators: both exact cross products u_a*v_b and u_b*v_a come from
+    one Beaver round.
     """
-
-    variant: str
-    parts: dict[str, np.ndarray]
-    payload: np.ndarray | None = None
-
-
-# -- sort orders: comparator(a, b) shares [a >= b]; sentinel() is minus infinity
-
-
-def comparator_plain(sess: Session, a: dict, b: dict) -> np.ndarray:
-    return _ge_core(sess, a["v"], b["v"])
-
-
-def sentinel_plain(sess: Session) -> dict:
-    return {"v": _min_sentinel_raw(sess)}
-
-
-def comparator_pair(sess: Session, a: dict, b: dict) -> np.ndarray:
-    """Fraction order u1/v1 >= u2/v2 with positive denominators.
-
-    Both exact cross products u1*v2 and u2*v1 come from one Beaver round.
-    """
-    lhs, rhs = _beaver_mul(
-        sess,
-        np.stack(_broadcast(a["u"], b["u"])),
-        np.stack(_broadcast(b["v"], a["v"])),
-        truncate=False,
-    )
+    sess.meter.invoke("comparator", len(a))
+    if a.shape[1] == 1:
+        return _ge_core(sess, a[:, 0], b[:, 0])
+    lhs, rhs = _beaver_mul(sess, np.stack([a[:, 0], b[:, 0]]), np.stack([b[:, 1], a[:, 1]]), truncate=False)
     return _ge_core(sess, lhs, rhs)
 
 
-def sentinel_pair(sess: Session) -> dict:
-    return {"u": _min_sentinel_raw(sess), "v": sess.codec.encode(1.0)}
-
-
-SORT_VARIANTS = {
-    "plain": (comparator_plain, sentinel_plain),
-    "pair": (comparator_pair, sentinel_pair),
-}
-
-
-def sec_srt(sess: Session, key: ComparisonKey) -> ComparisonKey:
+def sec_srt(sess: Session, rows: np.ndarray, width: int) -> np.ndarray:
     """Descending bitonic sort; (l^2+l)/4 * T comparator calls at T = 2^l.
 
-    Items beyond a non-power-of-two length are padded with the variant's
-    minus-infinity sentinel and sink to the tail. The network swaps whole
-    rows of one (padded T, W) matrix whose columns are the parts in sorted
-    name order, then the payload.
+    Sorts the rows of a (T, W) matrix by their first width columns, the key;
+    the other columns (round indices here) ride along through the swaps.
+    A non-power-of-two T is padded with minus-infinity rows that sink to the
+    tail: the most negative numerator, 1 in any further key column, -1 in
+    every payload column. Returns the padded sorted matrix.
     """
     with sess.op("sec_srt"):
-        comparator, sentinel = SORT_VARIANTS[key.variant]
-        names = sorted(key.parts)
-        cols = [key.parts[n] for n in names] + ([] if key.payload is None else [key.payload])
-        rows = np.stack(cols, axis=1)
-        t = len(rows)
+        rows = np.array(rows, dtype=np.uint64)
+        t, cols = rows.shape
         size = padded_size(t)
         if size != t:
-            pads = sentinel(sess)
-            # a padded payload slot reads -1
-            pad = [pads[n] for n in names] + ([] if key.payload is None else [from_signed(-1)])
-            pad = const_share(sess, np.array(pad, dtype=np.uint64))
-            rows = np.concatenate([rows, np.broadcast_to(pad, (size - t, len(cols)))])
+            pad = np.full(cols, from_signed(-1), dtype=np.uint64)
+            pad[0] = _minus_infinity(sess)
+            pad[1:width] = sess.codec.encode(1.0)
+            rows = np.concatenate([rows, np.broadcast_to(const_share(sess, pad), (size - t, cols))])
 
         k = 2
         while k <= size:
@@ -409,21 +375,18 @@ def sec_srt(sess: Session, key: ComparisonKey) -> ComparisonKey:
             while j >= 1:
                 hi_idx, lo_idx, desc = _bitonic_stage(size, k, j)
                 hi, lo = rows[hi_idx], rows[lo_idx]
-                b = comparator(sess, dict(zip(names, hi.T)), dict(zip(names, lo.T)))
-                sess.meter.invoke("comparator", len(hi_idx))
+                b = comparator(sess, hi[:, :width], lo[:, :width])
                 sess.meter.invoke("sec_sel", len(hi_idx))
                 # positions sorting ascending flip the comparator bit locally
                 s = np.multiply(b, from_signed(np.where(desc, 1, -1)))
                 if sess.party == 0:
                     s = np.add(s, from_signed(np.where(desc, 0, 1)))
-                picked = _beaver_mul(sess, s[:, None], np.subtract(hi, lo), truncate=False)
-                picked = np.add(picked, sess.draw_zero(hi.shape))
-                rows[hi_idx] = np.add(lo, picked)
-                rows[lo_idx] = np.subtract(hi, picked)
+                top = _select(sess, lo, hi, s[:, None])
+                rows[hi_idx] = top
+                rows[lo_idx] = np.subtract(hi + lo, top)
                 j //= 2
             k *= 2
-        payload = None if key.payload is None else rows[:, -1]
-        return ComparisonKey(key.variant, dict(zip(names, rows.T)), payload)
+        return rows
 
 
 def _bitonic_stage(size: int, k: int, j: int):
@@ -437,23 +400,19 @@ def _bitonic_stage(size: int, k: int, j: int):
     return hi, lo, desc
 
 
-def sec_rank(sess: Session, key: ComparisonKey, count: int) -> np.ndarray:
-    """Shared [rank < count] flags of the T items of key, in item order.
+def sec_rank(sess: Session, key: np.ndarray, count: int) -> np.ndarray:
+    """Shared [rank < count] flags of the T rows of a (T, width) key, in row order.
 
-    Constant rounds: one layer of the variant's comparator over all
-    T(T-1)/2 pairs i < j, where item i beats item j iff [i >= j] (the earlier
-    item wins ties, as in a stable descending sort), each item's losses
-    summed locally, then one comparison [count - 1 >= losses]. Only the
-    membership of the top count is computed, not their order; the payload
-    is not used.
+    Constant rounds: one comparator layer over all T(T-1)/2 pairs i < j,
+    where item i beats item j iff [i >= j] (the earlier item wins ties, as
+    in a stable descending sort), each item's losses summed locally, then
+    one comparison [count - 1 >= losses]. Only the membership of the top
+    count is computed, not their order.
     """
-    comparator, _ = SORT_VARIANTS[key.variant]
-    names = sorted(key.parts)
-    t = len(key.parts[names[0]])
+    t = len(key)
     with sess.op("sec_rank", t):
         i, j = np.triu_indices(t, 1)
-        wins = comparator(sess, {n: key.parts[n][i] for n in names}, {n: key.parts[n][j] for n in names})
-        sess.meter.invoke("comparator", i.size)
+        wins = comparator(sess, key[i], key[j])
         # an item loses to each earlier item that beats it (its column sum)
         # and to each later item it does not beat (T-1-index minus its row sum)
         beats = np.zeros((t, t), dtype=np.uint64)

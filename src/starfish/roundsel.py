@@ -8,9 +8,10 @@ global model update and pick the top T' rounds. Two equivalent orderings:
   Method 2 divides once per round up front and compares plain quotients.
 
 Method 1 sends fewer bytes until T crosses switching_threshold; the auto
-path picks accordingly. The two orderings are the sort orders "pair" and
-"plain" of gates.SORT_VARIANTS. Both read the target's gradient norms,
-which stage I shares next to its gradients.
+path picks accordingly. The score is a key matrix with one row per kept
+round: (u, v) under method 1, the quotient under method 2, ordered by the
+one gates.comparator. Both read the target's gradient norms, which stage I
+shares next to its gradients.
 
 Zero-norm rounds are dropped first through revealed flags, which makes the
 kept rounds public. What follows depends on public sizes only:
@@ -19,8 +20,8 @@ kept rounds public. What follows depends on public sizes only:
   costs.ranks     sec_rank counts each round's pairwise wins in constant
                   rounds and reveals one membership flag per kept round:
                   the selected set, not its order.
-  otherwise       sec_srt bitonic sorts the kept rounds and reveals the top
-                  T' round indices in rank order.
+  otherwise       sec_srt bitonic sorts the key with each round's index as a
+                  payload column and reveals the top T' indices in rank order.
 
 costs.ranks picks ranking whenever it ships no more online bytes than the
 sort; stage II only uses the selected set (SelectionResult.chronological).
@@ -36,16 +37,7 @@ import numpy as np
 from .costs import ranks
 from .errors import ConfigError, DegenerateRoundError
 from .fixedpoint import WORD_BITS, from_signed, to_signed
-from .gates import (
-    ComparisonKey,
-    const_share,
-    mul_public,
-    sec_div,
-    sec_ge,
-    sec_rank,
-    sec_srt,
-    sp_public,
-)
+from .gates import const_share, mul_public, sec_div, sec_ge, sec_rank, sec_srt, sp_public
 from .sharing import Session, sec_rec
 
 KAPPA = 128  # statistical security parameter of the method-switching formula
@@ -154,17 +146,14 @@ def sec_rs(
 
         u = sp_public(sess, grads, codec.encode(deltas))
         v = mul_public(sess, norms, codec.encode(delta_norms[kept]))
-        if method == 1:
-            variant, parts = "pair", {"u": u, "v": v}
-        else:
-            variant, parts = "plain", {"v": sec_div(sess, u, v)}
-        if ranks(kept.size, params.t_prime, len(parts) + 1, variant):
-            flags = sec_rec(sess, sec_rank(sess, ComparisonKey(variant, parts), params.t_prime))
+        key = np.stack([u, v], axis=1) if method == 1 else sec_div(sess, u, v)[:, None]
+        width = key.shape[1]
+        if ranks(kept.size, params.t_prime, width):
+            flags = sec_rec(sess, sec_rank(sess, key, params.t_prime))
             indices = kept[to_signed(flags) == 1]
         else:
-            payload = const_share(sess, from_signed(kept))
-            sorted_key = sec_srt(sess, ComparisonKey(variant, parts, payload))
-            top = to_signed(sec_rec(sess, sorted_key.payload[: params.t_prime])).astype(np.int64)
+            rows = sec_srt(sess, np.column_stack([key, const_share(sess, from_signed(kept))]), width)
+            top = to_signed(sec_rec(sess, rows[: params.t_prime, -1])).astype(np.int64)
             # -1 marks a padding slot; it can only outrank a real item when truncation
             # noise zeroed that item's denominator, and such rounds carry no signal
             indices = top[top >= 0]

@@ -31,6 +31,7 @@ from .sharing import (
     make_inproc_sessions,
     run_pair,
     sec_rec,
+    sec_share,
 )
 
 _SHARE_STAGE1 = 0
@@ -109,12 +110,6 @@ def client_round(pool: ClientPool, j: int, model: np.ndarray, alpha: float, code
     else:
         delta = float(np.quantile(np.abs(g), 1.0 - alpha, method="lower"))
     return g, norm, delta
-
-
-def _keyed_split(codec: FixedPointCodec, rng: np.random.Generator, value, party: int) -> np.ndarray:
-    raw = codec.encode(np.asarray(value, dtype=np.float64))
-    s0 = rng.integers(0, 2**64, size=raw.shape, dtype=np.uint64)
-    return s0 if party == 0 else np.subtract(raw, s0)
 
 
 def _meter_totals(sess: Session) -> tuple[int, int]:
@@ -232,9 +227,9 @@ def stage_one(
         for j in range(n):
             g, norm, delta = client_round(pool, j, models[i], config.alpha, codec)
             rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_STAGE1, i, j)
-            grads[i, j] = _keyed_split(codec, rng, g, sess.party)
-            norms[i, j] = _keyed_split(codec, rng, norm, sess.party)
-            thresholds[i, j] = _keyed_split(codec, rng, delta, sess.party)
+            grads[i, j] = sec_share(g, codec, rng)[sess.party].value
+            norms[i, j] = sec_share(norm, codec, rng)[sess.party].value
+            thresholds[i, j] = sec_share(delta, codec, rng)[sess.party].value
         total = sec_rec(sess, grads[i].sum(axis=0, dtype=np.uint64))
         avg = codec.decode(total) / n
         models[i + 1] = models[i] - config.eta_l * avg
@@ -359,16 +354,6 @@ def _agreed_run(res: RunResult, peer: RunResult | None) -> RunResult:
     return res
 
 
-def _record(transcript: list, sess: Session, op: str, before: tuple[int, int], flags=None) -> None:
-    rounds, sent = _meter_totals(sess)
-    transcript.append({
-        "op": op,
-        "rounds": rounds - before[0],
-        "bytes": sent - before[1],
-        "flags": None if flags is None else [int(f) for f in flags],
-    })
-
-
 def starfish_run(
     sess: Session,
     history: HistoryStore,
@@ -381,15 +366,25 @@ def starfish_run(
         raise ConfigError(f"target {target} outside client range")
     codec = sess.codec
     transcript: list = []
+    last = _meter_totals(sess)
 
-    before = _meter_totals(sess)
+    def record(op: str, flags=None) -> None:
+        """Append op's rounds and bytes since the previous record."""
+        nonlocal last
+        now = _meter_totals(sess)
+        transcript.append({
+            "op": op,
+            "rounds": now[0] - last[0],
+            "bytes": now[1] - last[1],
+            "flags": None if flags is None else [int(f) for f in flags],
+        })
+        last = now
+
     thresholds = threshold_determination(sess, history)
-    _record(transcript, sess, "threshold_determination", before)
-
+    record("threshold_determination")
     params = SelectionParams(t=history.t, sigma=config.sigma)
-    before = _meter_totals(sess)
     selection = sec_rs(sess, history.selection_inputs(target), params)
-    _record(transcript, sess, "sec_rs", before)
+    record("sec_rs")
 
     remaining = [j for j in range(history.n) if j != target]
     thresh_rem = thresholds[remaining]
@@ -404,12 +399,9 @@ def starfish_run(
         # leaves the codec's range means the recovery diverged at round i
         try:
             g_round = history.grads[r][remaining]
-            before = _meter_totals(sess)
             estimates = sec_ue(sess, g_round, state)
-            flags = None
             if i % config.t_c == 0:
-                _record(transcript, sess, "sec_ue", before)
-                before = _meter_totals(sess)
+                record("sec_ue")
                 flags = sec_tc(sess, estimates, thresh_rem)
                 check_rounds += 1
                 estimates = np.array(estimates, copy=True)
@@ -418,13 +410,12 @@ def starfish_run(
                         corrections[j] += 1
                         exact = codec.quantize(pool.gradient(j, m_hat))
                         rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_CORRECTION, int(i), int(j))
-                        estimates[idx] = _keyed_split(codec, rng, exact, sess.party)
-                _record(transcript, sess, "sec_tc", before, flags=flags)
-                before = _meter_totals(sess)
+                        estimates[idx] = sec_share(exact, codec, rng)[sess.party].value
+                record("sec_tc", flags)
             m_hat_prev = m_hat
             m_hat, _ = aggregate_reveal(sess, estimates, m_hat, config.eta_u)
             trajectory.append(m_hat.copy())
-            _record(transcript, sess, "sec_ue", before)
+            record("sec_ue")
             state.push(np.subtract(estimates, g_round), m_hat_prev - history.models[r])
         except RangeError as exc:
             raise DivergenceError(i, str(exc)) from exc

@@ -29,8 +29,7 @@ from starfish import roundsel
 from starfish.cli import main
 from starfish.costs import comparator_calls, predict_cost
 from starfish.gates import (
-    ComparisonKey,
-    comparator_pair,
+    comparator,
     sec_add,
     sec_div,
     sec_ge,
@@ -113,9 +112,9 @@ def test_criterion_1_gate_oracle_equivalence():
         v1, v2 = _grid(rng, 0.5, 3, 1024), _grid(rng, 0.5, 3, 1024)
         if float(np.min(np.abs(u1 / v1 - u2 / v2))) > 1e-3:
             break
-    shs = [share_pair(v, key=110 + i) for i, v in enumerate((u1, v1, u2, v2))]
-    got, _ = both(lambda s: reveal_raw(s, comparator_pair(
-        s, {"u": shs[0][s.party], "v": shs[1][s.party]}, {"u": shs[2][s.party], "v": shs[3][s.party]})))
+    a = share_pair(np.stack([u1, v1], axis=1), key=110)
+    b = share_pair(np.stack([u2, v2], axis=1), key=111)
+    got, _ = both(lambda s: reveal_raw(s, comparator(s, a[s.party], b[s.party])))
     check("sec_ge", got, (u1 / v1 >= u2 / v2).astype(np.int64), budget=0.0)
 
     # correction flags, including zero thresholds and exact boundary rows
@@ -155,8 +154,7 @@ def test_criterion_1_gate_oracle_equivalence():
         for keys in trials:
             ksh = sec_share(keys, sess.codec, srng)[sess.party].value
             psh = sec_share(np.arange(4), sess.codec, srng)[sess.party].value
-            key = ComparisonKey(variant="plain", parts={"v": ksh}, payload=psh)
-            out.append(reveal_raw(sess, sec_srt(sess, key).payload))
+            out.append(reveal_raw(sess, sec_srt(sess, np.stack([ksh, psh], axis=1), 1)[:, -1]))
         return np.stack(out)
 
     got, _ = both(sort_all)
@@ -282,8 +280,7 @@ def test_criterion_5_comparator_counts_and_audit():
         vals = share_pair(CODEC.quantize(np.arange(t, dtype=np.float64)), key=500 + t)
 
         def proto(sess):
-            key = ComparisonKey(variant="plain", parts={"v": vals[sess.party]})
-            return reveal(sess, sec_srt(sess, key).parts["v"])
+            return reveal(sess, sec_srt(sess, vals[sess.party][:, None], 1)[:, 0])
 
         _, sessions = both(proto)
         assert comparator_calls(t) == want

@@ -39,6 +39,10 @@ def test_parse_config_text_typed_values():
 def test_parse_config_text_rejects_unknown_key():
     with pytest.raises(ConfigError, match=r"cfg:2: unknown key 'rounds'"):
         parse_config_text("n = 4\nrounds = 7\n", origin="cfg")
+    # the codec is fixed; its parameters are not config keys
+    for key in ("precision_p", "range_e", "slack"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config_text(f"{key} = 13\n")
 
 
 def test_parse_config_text_rejects_duplicates():
@@ -135,6 +139,21 @@ def test_unlearn_rejects_mismatched_history(small_cfg, tmp_path, capsys):
     other.write_text(SMALL.replace("t = 6", "t = 8"))
     assert _run(["unlearn", "--config", other, "--out", out]) == 1
     assert "does not match config" in capsys.readouterr().err
+
+
+def test_unlearn_rejects_a_history_of_another_codec(small_cfg, tmp_path, capsys):
+    # the SFH1 header's precision p (<B) follows the word size
+    offset = struct.calcsize("<4sBBHIIIH")
+    out = tmp_path / "run"
+    assert _run(["train", "--config", small_cfg, "--out", out]) == 0
+    path = out / "history.p0.sfh1"
+    blob = bytearray(path.read_bytes())
+    assert blob[offset] == 13
+    blob[offset] = 12
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert _run(["unlearn", "--config", small_cfg, "--out", out]) == 1
+    assert "history codec (12, 12) differs from configured codec" in capsys.readouterr().err
 
 
 def test_unlearn_rejects_a_wide_word_history(small_cfg, tmp_path, capsys):
@@ -250,16 +269,35 @@ def test_protocol_failure_exit_code(monkeypatch, capsys):
     assert "protocol error" in capsys.readouterr().err
 
 
+README_CFG = "n = 20\nm = 8\nsigma = 0.6\nalpha = 0.4\nbeta = 0.1\nbuffer_b = 2\ntask = quadratic\n"
+
+
 def test_diverged_recovery_exit_code(tmp_path, capsys):
     # the README run.cfg at t=16: the correction step of recovery round 10
     # meets a gradient the codec cannot represent
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n = 20\nm = 8\nt = 16\nsigma = 0.6\nalpha = 0.4\nbeta = 0.1\n"
-                   "buffer_b = 2\ntask = quadratic\n")
+    cfg.write_text(README_CFG + "t = 16\n")
     assert _run(["compare", "--config", cfg, "--seed", 7, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("protocol error: recovery diverged at round 10: ")
     assert "Traceback" not in err
+
+
+def test_compare_keeps_the_secure_run_when_the_random_baseline_fails(tmp_path, capsys):
+    # the README run.cfg at t=24: the secure run finishes, the random-selection
+    # baseline meets a gradient the codec cannot represent
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(README_CFG + "t = 24\n")
+    out = tmp_path / "out"
+    assert _run(["compare", "--config", cfg, "--seed", 7, "--out", out]) == 0
+    printed = capsys.readouterr().out
+    assert "random-selection baseline: failed (RangeError: magnitude >= 2^11" in printed
+    report = json.loads((out / "compare.json").read_text())
+    assert report["selected"] and report["distance_plain_mirror"] >= 0.0
+    assert report["bound"] is not None and "distance_final" in report
+    assert report["selected_random"] is None and report["distance_random_baseline"] is None
+    assert report["random_baseline_error"].startswith("RangeError: magnitude >= 2^11")
+    assert (out / "transcript.jsonl").exists()
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

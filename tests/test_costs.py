@@ -11,11 +11,12 @@ from starfish.costs import (
     ks_level_count,
     padded_size,
     predict_cost,
+    ranks,
+    words_round,
 )
 from starfish.errors import UnknownFunctionality
 from starfish.gates import (
-    ComparisonKey,
-    comparator_pair,
+    comparator,
     sec_add,
     sec_div,
     sec_ge,
@@ -123,13 +124,11 @@ def test_sec_ge_cost():
 
 
 def test_sec_ge2_cost():
-    # the pair sort order's comparator alone, outside any gate scope
-    u1, v1, u2, v2 = vals(8, 20), vals(8, 21), vals(8, 22), vals(8, 23)
-    got = measured(
-        "other",
-        lambda s: comparator_pair(s, {"u": u1[s.party], "v": v1[s.party]}, {"u": u2[s.party], "v": v2[s.party]}),
-    )
-    assert got == comparator_cost("pair", 8).as_tuple()
+    # the comparator on width-2 (u, v) keys alone, outside any gate scope
+    a = share_pair(CODEC.quantize(RNG.uniform(0.5, 2, size=(8, 2))), key=20)
+    b = share_pair(CODEC.quantize(RNG.uniform(0.5, 2, size=(8, 2))), key=21)
+    got = measured("other", lambda s: comparator(s, a[s.party], b[s.party]))
+    assert got == comparator_cost(2, 8).as_tuple()
 
 
 def test_sec_max_cost():
@@ -144,16 +143,11 @@ def test_sec_srt_cost():
     payload = raw_share_pair(np.arange(8, dtype=np.uint64), key=27)
 
     def proto(sess):
-        key = ComparisonKey(
-            variant="pair",
-            parts={"u": u[sess.party], "v": v[sess.party]},
-            payload=payload[sess.party],
-        )
-        sec_srt(sess, key)
+        sec_srt(sess, np.stack([u[sess.party], v[sess.party], payload[sess.party]], axis=1), 2)
         return 0
 
     got = measured("sec_srt", proto)
-    assert got == predict_cost("sec_srt", {"t": 8, "item_words": 3, "comparator": "pair"}, CODEC).as_tuple()
+    assert got == predict_cost("sec_srt", {"t": 8, "item_words": 3, "width": 2}, CODEC).as_tuple()
 
 
 def test_sec_div_cost():
@@ -201,3 +195,12 @@ def test_selection_costs_match_the_meter_on_every_path():
             assert got == predict_cost("sec_rs", shape, CODEC).as_tuple(), (kept, method)
             paths[method].add(next((op for op in ("sec_rank", "sec_srt") if meter.stats(op).rounds), None))
     assert paths[1] == paths[2] == {"sec_rank", "sec_srt", None}
+
+
+def test_rank_rule_at_six_selected_rounds():
+    # the byte counts pick ranking at these kept sizes (T' = 6, T in 7..129)
+    # and sorting everywhere else; the sort ships the key plus a round index
+    both_widths = [7, *range(9, 14), *range(17, 24), *range(33, 40)]
+    want = {1: both_widths, 2: [*both_widths, 40, 65]}
+    for width, ranked in want.items():
+        assert [t for t in range(7, 130) if ranks(t, 6, width)] == ranked

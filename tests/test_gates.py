@@ -1,20 +1,15 @@
 """Every gate against its exact oracle, at the published error budgets."""
 
-import inspect
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import CODEC, both, raw_share_pair, reveal, reveal_raw, share_pair
-from starfish.costs import RS_ORDERS, comparator_calls, comparator_cost, predict_cost
+from starfish.costs import comparator_calls, predict_cost
 from starfish.errors import DivisionDomainError, ShapeError, SingularRevealError
 from starfish.gates import (
     MI_TRIES,
-    SORT_VARIANTS,
-    ComparisonKey,
-    comparator_pair,
+    comparator,
     const_share,
     sec_add,
     sec_div,
@@ -143,12 +138,10 @@ def test_sec_ge_mass_agreement():
 
 def test_sec_ge2_ratio_cases():
     def ge2(nums):
-        u1, v1, u2, v2 = (share_pair(grid(v), key=29 + i) for i, v in enumerate(nums))
-        got, _ = both(
-            lambda s: reveal_raw(s, comparator_pair(
-                s, {"u": u1[s.party], "v": v1[s.party]}, {"u": u2[s.party], "v": v2[s.party]}))
-        )
-        return int(got)
+        a = share_pair(grid([nums[:2]]), key=29)
+        b = share_pair(grid([nums[2:]]), key=30)
+        got, _ = both(lambda s: reveal_raw(s, comparator(s, a[s.party], b[s.party])))
+        return int(got[0])
 
     assert ge2((3.0, 4.0, 2.0, 3.0)) == 1   # 3/4 >= 2/3
     assert ge2((1.0, 2.0, 1.0, 2.0)) == 1   # equal ratios
@@ -197,13 +190,8 @@ def test_sec_srt_sorts_and_counts_comparators():
     payload = raw_share_pair(np.arange(t, dtype=np.uint64), key=46)
 
     def proto(sess):
-        key = ComparisonKey(
-            variant="pair",
-            parts={"u": us[sess.party], "v": vs[sess.party]},
-            payload=payload[sess.party],
-        )
-        out = sec_srt(sess, key)
-        return reveal_raw(sess, out.payload)
+        rows = np.stack([us[sess.party], vs[sess.party], payload[sess.party]], axis=1)
+        return reveal_raw(sess, sec_srt(sess, rows, 2)[:, -1])
 
     got, sessions = both(proto)
     want = np.argsort(-(u / v), kind="stable")
@@ -218,9 +206,8 @@ def test_sec_srt_eight_items_cost_and_stability():
     payload = raw_share_pair(np.arange(t, dtype=np.uint64), key=48)
 
     def proto(sess):
-        key = ComparisonKey(variant="plain", parts={"v": vs[sess.party]}, payload=payload[sess.party])
-        out = sec_srt(sess, key)
-        return reveal_raw(sess, out.payload)
+        rows = np.stack([vs[sess.party], payload[sess.party]], axis=1)
+        return reveal_raw(sess, sec_srt(sess, rows, 1)[:, -1])
 
     got, sessions = both(proto)
     assert np.array_equal(got, np.arange(t))  # sorted input comes back unchanged
@@ -233,83 +220,77 @@ def test_sec_srt_pads_odd_lengths():
     payload = raw_share_pair(np.arange(5, dtype=np.uint64), key=50)
 
     def proto(sess):
-        key = ComparisonKey(variant="plain", parts={"v": vs[sess.party]}, payload=payload[sess.party])
-        out = sec_srt(sess, key)
-        return reveal_raw(sess, out.payload)[:5]
+        rows = np.stack([vs[sess.party], payload[sess.party]], axis=1)
+        return reveal_raw(sess, sec_srt(sess, rows, 1)[:5, -1])
 
     got, _ = both(proto)
     assert np.array_equal(got, np.argsort(-vals, kind="stable"))
 
 
-def _order_instance(variant, t):
-    # tie-free plaintext parts of one sort order, and the score it ranks by
+# key widths: values, and (u, v) fractions ordered by u/v
+KEY_WIDTHS = [pytest.param(1, id="plain"), pytest.param(2, id="pair")]
+
+
+def _key(width, sign, x, y):
+    # a (T, width) plaintext key of signed magnitudes x over denominators y,
+    # and the score it orders by
+    num = sign * x
+    return (num[:, None], num) if width == 1 else (np.stack([num, y], axis=1), num / y)
+
+
+def _order_instance(width, t):
+    # a tie-free plaintext key
     rng = np.random.default_rng(61)
     w = rng.integers(0, 2, size=t)
     x = grid(rng.permutation(np.linspace(0.5, 2.5, t)))
     y = grid(rng.uniform(0.5, 2.0, size=t))
-    sign = np.where(w == 1, 1.0, -1.0)
-    return {
-        "plain": ({"v": sign * x}, sign * x),
-        "pair": ({"u": sign * x, "v": y}, sign * x / y),
-    }[variant]
+    return _key(width, np.where(w == 1, 1.0, -1.0), x, y)
 
 
-@pytest.mark.parametrize("variant", sorted(SORT_VARIANTS))
-def test_every_sort_order_sorts_a_padded_instance_at_its_cost(variant):
-    # the table holds exactly the orders the cost model prices, and each is
-    # the order of some round-selection method
-    priced = set(re.findall(r'kind == "(\w+)"', inspect.getsource(comparator_cost)))
-    assert priced == set(SORT_VARIANTS)
-    assert {kind for _, kind in RS_ORDERS.values()} == set(SORT_VARIANTS)
-    t = 5  # padded to 8: three sentinel items
-    parts, score = _order_instance(variant, t)
+@pytest.mark.parametrize("width", KEY_WIDTHS)
+def test_every_sort_order_sorts_a_padded_instance_at_its_cost(width):
+    t = 5  # padded to 8: three minus-infinity rows
+    key, score = _order_instance(width, t)
     assert np.unique(score).size == t
-    shares = {n: share_pair(v, key=60 + i) for i, (n, v) in enumerate(sorted(parts.items()))}
+    shares = share_pair(key, key=60)
     payload = raw_share_pair(np.arange(t, dtype=np.uint64), key=59)
 
     def proto(sess):
-        key = ComparisonKey(variant, {n: sh[sess.party] for n, sh in shares.items()}, payload[sess.party])
-        return reveal_raw(sess, sec_srt(sess, key).payload)[:t]
+        rows = np.column_stack([shares[sess.party], payload[sess.party]])
+        return reveal_raw(sess, sec_srt(sess, rows, width)[:t, -1])
 
     got, sessions = both(proto)
     assert np.array_equal(got, np.argsort(-score, kind="stable"))
-    want = predict_cost("sec_srt", {"t": t, "item_words": len(parts) + 1, "comparator": variant}, CODEC)
+    want = predict_cost("sec_srt", {"t": t, "item_words": width + 1, "width": width}, CODEC)
     st = sessions[0].meter.stats("sec_srt")
     assert (st.rounds, st.bytes_online) == want.as_tuple()
 
 
-def _tied_instance(variant, t, seed):
+def _tied_instance(width, t, seed):
     # t items drawn with replacement from four rows of distinct scores, two
     # of each sign, so exact duplicates straddle most cutoffs
-    w = np.array([1, 0, 1, 0])
-    x = grid([1.5, 0.75, 0.5, 1.25])
-    y = grid([0.75, 1.5, 2.0, 1.0])
-    sign = np.where(w == 1, 1.0, -1.0)
-    parts, score = {
-        "plain": ({"v": sign * x}, sign * x),
-        "pair": ({"u": sign * x, "v": y}, sign * x / y),
-    }[variant]
+    sign = np.where(np.array([1, 0, 1, 0]) == 1, 1.0, -1.0)
+    key, score = _key(width, sign, grid([1.5, 0.75, 0.5, 1.25]), grid([0.75, 1.5, 2.0, 1.0]))
     assert np.unique(score).size == 4
     pick = np.random.default_rng(seed).integers(0, 4, size=t)
-    return {n: v[pick] for n, v in parts.items()}, score[pick]
+    return key[pick], score[pick]
 
 
-@pytest.mark.parametrize("variant", sorted(SORT_VARIANTS))
+@pytest.mark.parametrize("width", KEY_WIDTHS)
 @pytest.mark.parametrize("t", [2, 3, 5, 10, 12])
-def test_sec_rank_selects_the_stable_top_set_at_its_cost(variant, t):
-    parts, score = _tied_instance(variant, t, seed=t)
-    shares = {n: share_pair(v, key=70 + i) for i, (n, v) in enumerate(sorted(parts.items()))}
+def test_sec_rank_selects_the_stable_top_set_at_its_cost(width, t):
+    key, score = _tied_instance(width, t, seed=t)
+    shares = share_pair(key, key=70)
     for count in sorted({1, (t + 1) // 2, t - 1}):
 
         def proto(sess):
-            key = ComparisonKey(variant, {n: sh[sess.party] for n, sh in shares.items()})
-            return reveal_raw(sess, sec_rank(sess, key, count))
+            return reveal_raw(sess, sec_rank(sess, shares[sess.party], count))
 
         got, sessions = both(proto)
         want = np.sort(np.argsort(-score, kind="stable")[:count])
         assert np.array_equal(np.flatnonzero(got == 1), want), (count, got, score)
         st = sessions[0].meter.stats("sec_rank")
-        shape = {"t": t, "comparator": variant}
+        shape = {"t": t, "width": width}
         assert (st.rounds, st.bytes_online) == predict_cost("sec_rank", shape, CODEC).as_tuple()
         assert sessions[0].meter.stats("comparator").invocations == t * (t - 1) // 2
 

@@ -17,6 +17,7 @@ from starfish import (
     run_pair,
     simulate,
 )
+from starfish.costs import predict_cost, words_round
 from starfish.errors import ConfigError
 from starfish.oracle import _plain_estimate
 from starfish.unlearn import (
@@ -310,7 +311,7 @@ def test_pipeline_matches_the_float_mirror():
 
 def test_transcript_structure():
     task, cfg = _small_run()
-    res, _, _ = simulate(cfg, task.pool(), target=1)
+    res, _, sessions = simulate(cfg, task.pool(), target=1)
     ops = [r["op"] for r in res.transcript]
     assert ops[0] == "threshold_determination"
     assert ops[1] == "sec_rs"
@@ -323,6 +324,18 @@ def test_transcript_structure():
     for rec in res.transcript:
         if rec["op"] != "sec_tc":
             assert rec["flags"] is None
+    # each record holds its phase's traffic alone: the fixed-size phases
+    # match their predictions, and the records add up to everything metered
+    # after stage I's t model reveals
+    first = res.transcript[0]
+    td = predict_cost("threshold_determination", {"clients": cfg.n, "t": cfg.t}, CODEC)
+    assert (first["rounds"], first["bytes"]) == td.as_tuple()
+    tc = predict_cost("sec_tc", {"clients": cfg.n - 1, "m": cfg.m}, CODEC)
+    assert all((rec["rounds"], rec["bytes"]) == tc.as_tuple() for rec in tc_records)
+    meter = sessions[0].meter
+    stage_two = (sum(st.rounds for st in meter.per_op.values()) - cfg.t,
+                 meter.total_online_bytes - cfg.t * words_round(cfg.m).online_bytes)
+    assert tuple(sum(rec[k] for rec in res.transcript) for k in ("rounds", "bytes")) == stage_two
     # jsonl rendering: one record per line
     lines = res.transcript_jsonl().strip().split("\n")
     assert len(lines) == len(res.transcript)
