@@ -320,21 +320,31 @@ def cmd_compare(cfg: RunConfig) -> int:
     res, peer, _ = _run_protocol(cfg, proto)
     res = _agreed_run(res, peer)
 
-    plain = plaintext_starfish(ucfg, task, cfg.target, codec=codec)
+    # a reference run that cannot finish must not discard the finished secure
+    # run: its error is recorded and the fields that need it are null
+    errors = {}
+
+    def attempt(error_key, run):
+        try:
+            return run()
+        except StarfishError as exc:
+            errors[error_key] = f"{type(exc).__name__}: {exc}"
+            return None
+
     horizon = math.ceil(len(res.selected) / ucfg.sigma)
-    retrained = train_from_scratch(ucfg, task, excluded=cfg.target, rounds=horizon)
-    report = metrics(task, ucfg, res.trajectory, retrained, res.transcript)
+    plain = attempt("plain_mirror_error", lambda: plaintext_starfish(ucfg, task, cfg.target, codec=codec))
+    retrained = attempt("retrain_error", lambda: train_from_scratch(
+        ucfg, task, excluded=cfg.target, rounds=horizon))
+    random_run = attempt("random_baseline_error", lambda: random_selection_baseline(
+        ucfg, task, cfg.target, codec=codec))
+    report = metrics(task, ucfg, res.trajectory, retrained, res.transcript) | errors
     report["selected"] = [int(r) for r in res.selected]
     report["corrections"] = {str(j): int(c) for j, c in sorted(res.corrections.items())}
-    report["distance_plain_mirror"] = float(np.linalg.norm(res.model - plain.model))
-    try:
-        random_run = random_selection_baseline(ucfg, task, cfg.target, codec=codec)
-        report["selected_random"] = [int(r) for r in random_run.selected]
-        report["distance_random_baseline"] = float(np.linalg.norm(random_run.model - retrained[-1]))
-    except StarfishError as exc:
-        # a baseline that cannot finish must not discard the finished secure run
-        report["selected_random"] = report["distance_random_baseline"] = None
-        report["random_baseline_error"] = f"{type(exc).__name__}: {exc}"
+    report["distance_plain_mirror"] = (None if plain is None
+                                       else float(np.linalg.norm(res.model - plain.model)))
+    report["selected_random"] = None if random_run is None else [int(r) for r in random_run.selected]
+    report["distance_random_baseline"] = (None if random_run is None or retrained is None
+                                          else float(np.linalg.norm(random_run.model - retrained[-1])))
     try:
         report["bound"] = bound_report(
             task, ucfg, cfg.target, codec=codec, recovered=res.trajectory).as_dict()
@@ -346,14 +356,17 @@ def cmd_compare(cfg: RunConfig) -> int:
     (out / "compare.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     (out / "transcript.jsonl").write_text(res.transcript_jsonl())
 
-    print(f"secure vs retrained final distance: {report['distance_final']:.6f}")
-    if report["distance_random_baseline"] is None:
-        print(f"random-selection baseline: failed ({report['random_baseline_error']})")
-    else:
-        print(f"random-selection baseline distance: {report['distance_random_baseline']:.6f}")
-    print(f"secure vs plaintext mirror:         {report['distance_plain_mirror']:.3e}")
-    print(f"test error recovered={report['ter_recovered']:.6f} "
-          f"retrained={report['ter_retrained']:.6f}")
+    def num(key, spec=".6f"):
+        return "n/a" if report[key] is None else format(report[key], spec)
+
+    for key, what in (("retrain_error", "retraining"), ("random_baseline_error", "random-selection baseline"),
+                      ("plain_mirror_error", "plaintext mirror")):
+        if key in report:
+            print(f"{what}: failed ({report[key]})")
+    print(f"secure vs retrained final distance: {num('distance_final')}")
+    print(f"random-selection baseline distance: {num('distance_random_baseline')}")
+    print(f"secure vs plaintext mirror:         {num('distance_plain_mirror', '.3e')}")
+    print(f"test error recovered={report['ter_recovered']:.6f} retrained={num('ter_retrained')}")
     print(f"ARP: {report['arp']:.2f}%")
     if report["bound"] is None:
         print(f"bound: skipped ({report['bound_skipped']})")
@@ -453,8 +466,8 @@ def _audit_battery(cfg: RunConfig):
         ("sec_ue n=4 m=3 pairs=2", "sec_ue", {"clients": 4, "m": 3, "pairs": 2}, run_ue),
         ("sec_tc n=4 m=3", "sec_tc", {"clients": 4, "m": 3}, lambda s: sec_tc(s, *shared(
             s, 15, ((4, 3), 0.25, 2.0), lambda rng: rng.uniform(0.1, 1.0, size=(4,))))),
-        ("sec_rs T=16 T'=10 method 1", "sec_rs", {"t": 16, "t_prime": 10, "method": 1, "kept": 16},
-         run_rs(16, 16, 10)),
+        ("sec_rs T=32 T'=10 method 1", "sec_rs", {"t": 32, "t_prime": 10, "method": 1, "kept": 32},
+         run_rs(16, 32, 10)),
         ("sec_rs T=12 T'=8 method 1", "sec_rs", {"t": 12, "t_prime": 8, "method": 1, "kept": 12},
          run_rs(17, 12, 8)),
     ]

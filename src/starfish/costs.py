@@ -4,8 +4,11 @@ Each formula mirrors the implemented circuit exchange by exchange, so the
 audit can demand exact equality between prediction and meter. The moving
 parts are the frame overhead (16 bytes), the 64-bit ring word
 (fixedpoint.WORD_BITS), the packed-bit payload rule (whole 64-bit words) and
-the Kogge-Stone level count. Only division depends on the codec (its quotient
-bit count), so only the formulas that reach sec_div take one.
+the Kogge-Stone level count. Comparisons (ge_cost) are priced as the
+carry-only sign circuit, whose levels shrink by half each time; the full
+Kogge-Stone adder (adder_cost) is priced only inside division. Only division
+depends on the codec (its quotient bit count), so only the formulas that
+reach sec_div take one.
 
 Round selection ranks the kept rounds by pairwise wins (sec_rank, constant
 rounds, T(T-1)/2 comparators) rather than bitonic sorting them wherever
@@ -87,16 +90,18 @@ def adder_cost(lanes: int, *, with_operand: bool, shared_cin: bool) -> CostEstim
     return total
 
 
-def a2b_cost(lanes: int) -> CostEstimate:
-    return adder_cost(lanes, with_operand=True, shared_cin=False)
-
-
 def b2a_bits_cost(nbits: int) -> CostEstimate:
     return CostEstimate(1, FRAME_OVERHEAD + bit_payload_bytes(nbits))
 
 
 def ge_cost(lanes: int) -> CostEstimate:
-    return a2b_cost(lanes) + b2a_bits_cost(lanes)
+    """Sign-only comparison: the generate layer, one carry-only level per
+    Kogge-Stone level (level k ships its g and p ANDs for 2^k lanes per
+    word), and the B2A of the sign bits."""
+    total = and_round(lanes * WORD_BITS)
+    for k in range(1, ks_level_count(WORD_BITS) + 1):
+        total += and_round(2 * WORD_BITS * -(-lanes >> k))
+    return total + b2a_bits_cost(lanes)
 
 
 def mul_cost(broadcast_lanes: int) -> CostEstimate:

@@ -1,9 +1,12 @@
 """Two-party gates over additively shared ring tensors.
 
-Arithmetic gates use Beaver triples from the dealer tape. Comparison,
-division and bit extraction run on XOR-shared bit tensors produced by an
-A2B conversion (each party contributes its own share as one addend, a
-Kogge-Stone adder recombines them). Batched lanes share one round trip:
+Arithmetic gates use Beaver triples from the dealer tape. Comparison and
+division run on XOR-shared bits where each party contributes its own share
+as one addend. A comparison needs only the sign of the sum, so it runs a
+carry-only prefix tree that computes the carry into the top bit (the MSB
+extraction of ABY3 and SecureNN): as many rounds as the Kogge-Stone adder,
+about a quarter of its AND gates. The full Kogge-Stone adder (the A2B
+conversion) remains only for division. Batched lanes share one round trip:
 every gate here is vectorized, so "T comparisons in parallel" is one
 circuit over T lanes.
 
@@ -23,7 +26,8 @@ one word per lane, bit k of the value at bit k of the word, so a ring word
 is its own bit decomposition and the adder's shifts, sign bits and carry
 broadcasts are word shifts (x << s, x >> 63, 0 - c). A tensor with one bit
 per lane (comparison bits, carry-in folds) is lane-packed: 64 lanes per
-word, ceil(L/64) words.
+word, ceil(L/64) words. Level k of the carry-only tree keeps 64/2^k live
+bits per lane and ships 2^k lanes per word (see _ge_core).
 
 Scale conventions: encoded reals sit at 2^-p. Products of two encoded
 operands land at 2^-2p and are truncated back unless the caller opts out
@@ -196,8 +200,9 @@ def _split_bits(msg: np.ndarray, nbits: int, shape) -> tuple[np.ndarray, np.ndar
 def _bit_and(sess: Session, x: np.ndarray, y: np.ndarray, nbits: int | None = None) -> np.ndarray:
     """AND on XOR-shared packed bit tensors; one round for any batch shape.
 
-    nbits is the logical bit count of a lane-packed operand; full-width
-    operands carry 64 bits per word.
+    y may broadcast against x, whose shape is the result's. nbits is the
+    logical bit count of a lane-packed operand; full-width operands carry 64
+    bits per word.
     """
     nbits = 64 * x.size if nbits is None else nbits
     a, b, c = (t.reshape(x.shape) for t in sess.draw_bit_triple(nbits))
@@ -294,11 +299,49 @@ def _cond_negate(sess: Session, words: np.ndarray, sign: np.ndarray) -> np.ndarr
 # -- comparison gates ---------------------------------------------------------
 
 
+# (s, mask of the upper s bits of every 2s-bit block) for the six carry levels
+_CARRY_LEVELS = [(np.uint64(s), np.uint64(sum(1 << q for q in range(64) if q & s)))
+                 for s in (1, 2, 4, 8, 16, 32)]
+_LANE_SHIFTS = np.arange(64, dtype=np.uint64)
+
+
+def _merge_pairs(words: np.ndarray, s: np.uint64, upper: np.uint64) -> np.ndarray:
+    """Pairs of words along the last axis to one: the upper s bits of each
+    2s-bit block of the first, the same bits of the second shifted into the
+    lower s. An odd last word stays alone."""
+    kept = words & upper
+    merged = kept[..., ::2]
+    merged[..., : kept.shape[-1] // 2] |= kept[..., 1::2] >> s
+    return merged
+
+
 def _ge_core(sess: Session, u, v) -> np.ndarray:
-    """Arithmetic share of [u >= v] via the sign bit of u - v."""
+    """Arithmetic share of [u >= v] via the sign bit of u - v.
+
+    The parties' shares d0, d1 of d = u - v are the addends of an XOR-shared
+    sum whose bit 63 is d0_63 ^ d1_63 ^ c63, with c63 the carry out of
+    (d0 << 1) + (d1 << 1). One full-width AND layer gives the generate bits g
+    (the propagate bits p are local). Six carry-only levels follow: level s
+    updates (g, p) <- (g ^ p & g<<s, p & p<<s) only at the bits -1 mod 2s,
+    the prefix nodes the top carry needs. Those are the upper s bits of each
+    2s-bit block once the earlier levels' shifts are undone, so merging word
+    pairs packs the level's live bits, 2s lanes per word, lane t of a group
+    at t places right of its own bit positions. One B2A turns the sign bits
+    into arithmetic shares.
+    """
     d = np.subtract(*_broadcast(u, v))
-    ge = _bool_not(sess, _a2b(sess, d)) >> 63
-    return _b2a_bits(sess, _pack_lanes(ge), ge.size).reshape(ge.shape)
+    flat = d.reshape(-1)
+    mine = flat << ONE
+    zeros = np.zeros_like(mine)
+    gp = np.stack([_bit_and(sess, *((mine, zeros) if sess.party == 0 else (zeros, mine))), mine])
+    for s, upper in _CARRY_LEVELS:
+        merged = _merge_pairs(np.concatenate([gp, gp << s]), s, upper)  # g, p, g<<s, p<<s
+        gp = _bit_and(sess, merged[2:], merged[1])
+        gp[0] ^= merged[0]
+    # lane t of each 64-lane word sits t places right of bit 63
+    top = (gp[0][:, None] << _LANE_SHIFTS).reshape(-1)[: flat.size]
+    ge = _bool_not(sess, flat ^ top) >> 63
+    return _b2a_bits(sess, _pack_lanes(ge), ge.size).reshape(d.shape)
 
 
 def sec_ge(sess: Session, u, v) -> np.ndarray:

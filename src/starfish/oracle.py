@@ -297,15 +297,16 @@ def selection_scores(history: PlainHistory, target: int, codec: FixedPointCodec)
     Returns (scores, keep): rounds whose stored gradient norm snaps to zero
     are unkeepable and get a -inf score.
     """
-    updates = codec.quantize(history.model_updates())
-    dnorm = codec.quantize(np.linalg.norm(history.model_updates(), axis=1))
+    updates = history.model_updates()
+    dnorm = np.linalg.norm(updates, axis=1)
     if np.any(dnorm == 0.0):
-        raise DegenerateRoundError("a training round moved the model by less than one grid step")
+        raise DegenerateRoundError("a training round left the model unchanged")
+    directions = codec.quantize(updates / dnorm[:, None])
     grads = history.grads[:, target]
     gnorm = codec.quantize(history.norms[:, target])
     keep = gnorm > 0.0
-    u = (grads * updates).sum(axis=1)
-    v = np.where(keep, gnorm * dnorm, 1.0)
+    u = (grads * directions).sum(axis=1)
+    v = np.where(keep, gnorm, 1.0)
     return np.where(keep, u / v, -np.inf), keep
 
 
@@ -321,8 +322,8 @@ def selection_margin(history: PlainHistory, target: int, t_prime: int, codec: Fi
     """Score gap across the selection boundary (inf if nothing is rejected).
 
     Tie-free harnesses assert this is wide relative to one truncation ulp
-    over the smallest norm product, which is the slack the secure comparator
-    can consume.
+    over the smallest gradient norm (the score's denominator), which is the
+    slack the secure comparator can consume.
     """
     scores, keep = selection_scores(history, target, codec)
     ranked = np.sort(scores[keep])[::-1]
@@ -688,21 +689,27 @@ def metrics(
     task: ConvexTask,
     config: UnlearnConfig,
     recovered: np.ndarray,
-    retrained: np.ndarray,
+    retrained: np.ndarray | None,
     transcript: list | None = None,
 ) -> dict:
     """JSON-ready report: held-out error, distance curve, participation.
 
     ARP counts, per remaining client, the checking rounds whose flag fired:
-    100 (1 - T_r / T). With no corrections at all it is exactly 100.
+    100 (1 - T_r / T). With no corrections at all it is exactly 100. With no
+    retrained trajectory the fields that compare against it are None.
     """
     recovered = np.asarray(recovered, dtype=np.float64)
-    retrained = np.asarray(retrained, dtype=np.float64)
-    steps = recovered.shape[0] - 1
-    distances = []
-    for i in range(1, steps + 1):
-        ref = min(math.ceil(i / config.sigma), retrained.shape[0] - 1)
-        distances.append(float(np.linalg.norm(recovered[i] - retrained[ref])))
+    report = {"ter_recovered": task.test_error(recovered[-1]), "ter_retrained": None,
+              "distance_final": None, "distances": None}
+    if retrained is not None:
+        retrained = np.asarray(retrained, dtype=np.float64)
+        distances = []
+        for i in range(1, recovered.shape[0]):
+            ref = min(math.ceil(i / config.sigma), retrained.shape[0] - 1)
+            distances.append(float(np.linalg.norm(recovered[i] - retrained[ref])))
+        report.update(ter_retrained=task.test_error(retrained[-1]),
+                      distance_final=float(np.linalg.norm(recovered[-1] - retrained[-1])),
+                      distances=distances)
     flag_totals = None
     for rec in transcript or []:
         if rec.get("op") == "sec_tc" and rec.get("flags") is not None:
@@ -712,10 +719,4 @@ def metrics(
         arp = 100.0
     else:
         arp = float(np.mean((config.t - flag_totals) / config.t) * 100.0)
-    return {
-        "ter_recovered": task.test_error(recovered[-1]),
-        "ter_retrained": task.test_error(retrained[-1]),
-        "distance_final": float(np.linalg.norm(recovered[-1] - retrained[-1])),
-        "distances": distances,
-        "arp": arp,
-    }
+    return report | {"arp": arp}

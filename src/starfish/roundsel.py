@@ -10,8 +10,10 @@ global model update and pick the top T' rounds. Two equivalent orderings:
 Method 1 sends fewer bytes until T crosses switching_threshold; the auto
 path picks accordingly. The score is a key matrix with one row per kept
 round: (u, v) under method 1, the quotient under method 2, ordered by the
-one gates.comparator. Both read the target's gradient norms, which stage I
-shares next to its gradients.
+one gates.comparator. u is the inner product of the target's gradient with
+the direction Delta/|Delta| of the public update, and v is the gradient's
+norm, which stage I shares next to the gradient. Only an exactly-zero update
+has no direction.
 
 Zero-norm rounds are dropped first through revealed flags, which makes the
 kept rounds public. What follows depends on public sizes only:
@@ -37,7 +39,7 @@ import numpy as np
 from .costs import ranks
 from .errors import ConfigError, DegenerateRoundError
 from .fixedpoint import WORD_BITS, from_signed, to_signed
-from .gates import const_share, mul_public, sec_div, sec_ge, sec_rank, sec_srt, sp_public
+from .gates import const_share, sec_div, sec_ge, sec_rank, sec_srt, sp_public
 from .sharing import Session, sec_rec
 
 KAPPA = 128  # statistical security parameter of the method-switching formula
@@ -105,10 +107,10 @@ class SelectionResult:
 # -- selection pipeline --------------------------------------------------------
 
 
-def _public_delta_norms(deltas: np.ndarray, codec) -> np.ndarray:
+def _public_delta_norms(deltas: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(np.asarray(deltas, dtype=np.float64), axis=-1)
-    if np.any(codec.encode(norms) == 0):
-        raise DegenerateRoundError("a global update has (near-)zero norm")
+    if np.any(norms == 0):
+        raise DegenerateRoundError("a global update is exactly zero")
     return norms
 
 
@@ -135,17 +137,16 @@ def sec_rs(
         if method is None:
             method = 1 if params.t <= params.t_delta else 2
         codec = sess.codec
-        delta_norms = _public_delta_norms(inputs.deltas, codec)
+        delta_norms = _public_delta_norms(inputs.deltas)
 
         kept = _keep_nonzero(sess, inputs.target_norms)
         if kept.size <= params.t_prime:
             return SelectionResult(indices=kept, method=method, kept=kept)
-        grads = inputs.target_grads[kept]
-        norms = inputs.target_norms[kept]
-        deltas = inputs.deltas[kept]
-
-        u = sp_public(sess, grads, codec.encode(deltas))
-        v = mul_public(sess, norms, codec.encode(delta_norms[kept]))
+        # the cosine ignores the scale of the public update, so encode its
+        # direction: a small update on the grid would lose its digits
+        directions = inputs.deltas[kept] / delta_norms[kept, None]
+        u = sp_public(sess, inputs.target_grads[kept], codec.encode(directions))
+        v = inputs.target_norms[kept]
         key = np.stack([u, v], axis=1) if method == 1 else sec_div(sess, u, v)[:, None]
         width = key.shape[1]
         if ranks(kept.size, params.t_prime, width):
@@ -153,9 +154,8 @@ def sec_rs(
             indices = kept[to_signed(flags) == 1]
         else:
             rows = sec_srt(sess, np.column_stack([key, const_share(sess, from_signed(kept))]), width)
-            top = to_signed(sec_rec(sess, rows[: params.t_prime, -1])).astype(np.int64)
-            # -1 marks a padding slot; it can only outrank a real item when truncation
-            # noise zeroed that item's denominator, and such rounds carry no signal
-            indices = top[top >= 0]
+            # padding rows sink below every kept round, whose v is at least one
+            # grid step, so the top T' are all rounds
+            indices = to_signed(sec_rec(sess, rows[: params.t_prime, -1])).astype(np.int64)
         return SelectionResult(indices=indices, method=method, kept=kept)
 

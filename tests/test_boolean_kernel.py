@@ -1,10 +1,12 @@
 """The packed boolean kernel against a bit-per-uint8 reference.
 
 The reference keeps one bit per uint8, LSB first along the last axis, and
-runs the same Kogge-Stone circuit in the clear. Every XOR-shared result of
-the kernel reconstructs to a deterministic function of its inputs, so the
-secure outputs must equal the reference exactly, for any input (division
-by zero included, where both produce the same well-defined garbage).
+runs the Kogge-Stone adder in the clear; the comparison reads the sign bit
+of its full sum where the kernel runs a carry-only tree. Every XOR-shared
+result of the kernel reconstructs to a deterministic function of its
+inputs, so the secure outputs must equal the reference exactly, for any
+input (division by zero included, where both produce the same well-defined
+garbage).
 """
 
 import numpy as np
@@ -137,6 +139,12 @@ def _a2b_cost_list(lanes):
     return [costs.and_round(lanes * WIDTH)] + [costs.and_round(2 * lanes * WIDTH)] * 6
 
 
+def _ge_cost_list(lanes):
+    """The generate layer, six carry-only levels at 2^k lanes per word, the B2A."""
+    levels = [costs.and_round(2 * WIDTH * -(-lanes // 2**k)) for k in range(1, 7)]
+    return [costs.and_round(lanes * WIDTH), *levels, costs.b2a_bits_cost(lanes)]
+
+
 def _negate_cost_list(lanes):
     return [costs.and_round(lanes)] + [costs.and_round(2 * lanes * WIDTH)] * 6
 
@@ -183,9 +191,34 @@ def test_sec_ge_matches_reference(lanes, data):
     out, frames = _run_recorded(proto, seed)
     assert np.array_equal(out, ref_ge(su, sv))
     assert np.array_equal(out, ((u - v) < np.uint64(1 << 63)).astype(np.uint64))
-    expected = _a2b_cost_list(lanes) + [costs.b2a_bits_cost(lanes)]
-    assert frames[:-1] == _bytes(expected)  # the last frame is the reveal
+    assert frames[:-1] == _bytes(_ge_cost_list(lanes))  # the last frame is the reveal
     assert sum(frames[:-1]) == costs.ge_cost(lanes).online_bytes
+
+
+# u - v at the sign boundary; on even lanes party 0's share of u - v is fixed
+# so that the carry into bit 63 ripples through every position (all ones) or
+# through none (zero)
+EDGE_DIFFS = [0, 1, MASK, 1 << 63, (1 << 63) - 1]
+EDGE_SHARES = [0, MASK, 1 << 63, 1]
+
+
+@pytest.mark.parametrize("lanes", (1, 3, 63, 64, 65, 130))
+def test_sec_ge_edge_values(lanes):
+    rng = np.random.default_rng(lanes)
+    u = rng.integers(0, 2**64, size=lanes, dtype=np.uint64)
+    v = u - np.array([EDGE_DIFFS[i % 5] for i in range(lanes)], dtype=np.uint64)
+    su, sv = _split(u, lanes), _split(v, lanes + 1)
+    su[0][::2] = [EDGE_SHARES[i % 4] for i in range(0, lanes, 2)]
+    sv[0][::2] = 0
+    su[1], sv[1] = u - su[0], v - sv[0]
+
+    def proto(sess):
+        return sec_rec(sess, gates.sec_ge(sess, su[sess.party], sv[sess.party]))
+
+    out, frames = _run_recorded(proto, lanes)
+    assert np.array_equal(out, ref_ge(su, sv))
+    assert out.tolist() == [int(EDGE_DIFFS[i % 5] < 1 << 63) for i in range(lanes)]
+    assert frames[:-1] == _bytes(_ge_cost_list(lanes))
 
 
 @pytest.mark.parametrize("lanes", LANES)

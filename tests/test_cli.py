@@ -10,7 +10,7 @@ import pytest
 
 from starfish.cli import RunConfig, _audit_battery, load_config, main, parse_config_text
 from starfish.costs import CostEstimate
-from starfish.errors import ConfigError, ProtocolError
+from starfish.errors import ConfigError, ProtocolError, RangeError
 from starfish.sharing import make_inproc_sessions, run_pair
 from starfish.transport import OP_TAGS
 from starfish.unlearn import HistoryStore, simulate
@@ -215,8 +215,8 @@ def test_audit_passes(capsys):
     assert "all 18 functionalities match" in printed
     assert "MISMATCH" not in printed
     assert "sec_srt T=8 pair: comparators=24 (formula 24)" in printed
-    # T=16 sorts; T=12 ranks, one comparator call per pair
-    assert "sec_rs T=16 T'=10 method 1: comparators=80 (formula 80)" in printed
+    # T=32 sorts; T=12 ranks, one comparator call per pair
+    assert "sec_rs T=32 T'=10 method 1: comparators=240 (formula 240)" in printed
     assert "sec_rs T=12 T'=8 method 1: comparators=66 (formula 66)" in printed
 
 
@@ -273,13 +273,13 @@ README_CFG = "n = 20\nm = 8\nsigma = 0.6\nalpha = 0.4\nbeta = 0.1\nbuffer_b = 2\
 
 
 def test_diverged_recovery_exit_code(tmp_path, capsys):
-    # the README run.cfg at t=16: the correction step of recovery round 10
-    # meets a gradient the codec cannot represent
+    # the README run.cfg at t=16: recovery round 8 meets a value the codec
+    # cannot represent
     cfg = tmp_path / "run.cfg"
     cfg.write_text(README_CFG + "t = 16\n")
     assert _run(["compare", "--config", cfg, "--seed", 7, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("protocol error: recovery diverged at round 10: ")
+    assert err.startswith("protocol error: recovery diverged at round 8: ")
     assert "Traceback" not in err
 
 
@@ -297,6 +297,30 @@ def test_compare_keeps_the_secure_run_when_the_random_baseline_fails(tmp_path, c
     assert report["bound"] is not None and "distance_final" in report
     assert report["selected_random"] is None and report["distance_random_baseline"] is None
     assert report["random_baseline_error"].startswith("RangeError: magnitude >= 2^11")
+    assert (out / "transcript.jsonl").exists()
+
+
+@pytest.mark.parametrize("target, error_key, nulled", [
+    ("plaintext_starfish", "plain_mirror_error", ["distance_plain_mirror"]),
+    ("train_from_scratch", "retrain_error",
+     ["distance_final", "distances", "ter_retrained", "distance_random_baseline"]),
+])
+def test_compare_records_a_failing_reference_run(monkeypatch, small_cfg, tmp_path, capsys,
+                                                  target, error_key, nulled):
+    import starfish.cli as cli
+
+    def explode(*args, **kwargs):
+        raise RangeError("magnitude >= 2^11 not representable")
+
+    monkeypatch.setattr(cli, target, explode)
+    out = tmp_path / "out"
+    assert _run(["compare", "--config", small_cfg, "--out", out]) == 0
+    printed = capsys.readouterr().out
+    assert "failed (RangeError: magnitude >= 2^11 not representable)" in printed
+    report = json.loads((out / "compare.json").read_text())
+    assert report[error_key] == "RangeError: magnitude >= 2^11 not representable"
+    assert all(report[key] is None for key in nulled)
+    assert report["selected"] and report["selected_random"] and report["arp"] >= 0.0
     assert (out / "transcript.jsonl").exists()
 
 

@@ -200,7 +200,7 @@ def test_selection_costs_match_the_meter_on_every_path():
 def test_rank_rule_at_six_selected_rounds():
     # the byte counts pick ranking at these kept sizes (T' = 6, T in 7..129)
     # and sorting everywhere else; the sort ships the key plus a round index
-    both_widths = [7, *range(9, 14), *range(17, 24), *range(33, 40)]
-    want = {1: both_widths, 2: [*both_widths, 40, 65]}
+    want = {1: [*range(7, 30), *range(33, 49), *range(65, 78)],
+            2: [*range(7, 29), *range(33, 48), *range(65, 77)]}
     for width, ranked in want.items():
         assert [t for t in range(7, 130) if ranks(t, 6, width)] == ranked

@@ -177,6 +177,15 @@ def test_degenerate_update_is_an_error():
         selection_scores(hist, 0, CODEC)
 
 
+def test_update_below_one_grid_step_keeps_its_score():
+    # the cosine ignores each update's length, down to one far below the grid
+    hist = _cosine_history([[1, 0], [0, 1], [-1, 0], [1, math.sqrt(3)]])
+    lengths = np.array([2.0, 1.0, 3.0, 1e-6])
+    hist.models[1:] = np.cumsum(lengths)[:, None] * [1.0, 0.0]
+    scores, _ = selection_scores(hist, 0, CODEC)
+    assert np.allclose(scores, [1.0, 0.0, -1.0, 0.5], atol=1e-3)
+
+
 def test_full_sigma_matches_random_baseline_selection():
     task = quadratic_task(4, 4, seed=8)
     cfg = UnlearnConfig(n=4, m=4, t=6, sigma=1.0, alpha=0.4, beta=0.5,

@@ -44,8 +44,8 @@ def test_switching_threshold_matches_cost_crossover():
         return predict_cost("sec_rs", shape, CODEC).online_bytes
 
     below, above = 2**27, 2**28
-    assert online(below, 1) == 7_338_991_873_240 < online(below, 2) == 7_368_083_565_048
-    assert online(above, 2) == 15_638_579_968_440 < online(above, 1) == 15_760_785_210_968
+    assert online(below, 1) == 3_246_022_257_880 < online(below, 2) == 3_275_113_949_688
+    assert online(above, 2) == 6_849_466_268_088 < online(above, 1) == 6_971_671_510_616
     t_delta = SelectionParams(t=1, sigma=1.0).t_delta
     assert t_delta == switching_threshold(64, 128) == 158_000_786
     assert below < t_delta < above
@@ -168,6 +168,17 @@ def test_degenerate_update_raises():
         _run_selection(grads, norms, deltas, SelectionParams(t=4, sigma=0.5))
 
 
+@pytest.mark.parametrize("method", [1, 2])
+def test_updates_below_one_grid_step_select_by_direction(method):
+    # only an exactly-zero update is degenerate; the cosine ignores the scale
+    grads, norms, deltas = _spec_instance()
+    deltas = deltas * np.array([1e-6, 3.0, 1e-5, 2e-6])[:, None]
+    (order, chron, _), _ = _run_selection(
+        grads, norms, deltas, SelectionParams(t=4, sigma=0.5), method=method
+    )
+    assert sorted(order) == chron == [0, 3]
+
+
 # -- random tie-free instances -----------------------------------------------------
 
 
@@ -201,9 +212,10 @@ def test_methods_agree_on_random_instances():
         assert all(p == want for p in picks), (seed, picks, want)
 
 
-def test_comparator_count_at_sixteen():
-    grads, norms, deltas, _ = _tie_free_instance(16, 3, seed=99)
+def test_comparator_count_at_thirty_two():
+    # T=32, T'=10 sorts (smaller histories at this T' rank)
+    grads, norms, deltas, _ = _tie_free_instance(32, 3, seed=99)
     (_, _, _), sessions = _run_selection(
-        grads, norms, deltas, SelectionParams(t=16, sigma=0.5)
+        grads, norms, deltas, SelectionParams(t=32, sigma=0.3, t_prime=10)
     )
-    assert sessions[0].meter.stats("comparator").invocations == comparator_calls(16) == 80
+    assert sessions[0].meter.stats("comparator").invocations == comparator_calls(32) == 240
