@@ -3,7 +3,6 @@
 from .errors import (
     AssumptionError,
     ConfigError,
-    DegenerateRoundError,
     DivergenceError,
     DivisionDomainError,
     ProtocolError,

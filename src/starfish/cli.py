@@ -8,8 +8,8 @@ which is what makes repeated runs byte-identical.
 The audit runs one table of rows, one per gate or protocol phase, each on
 inputs drawn from its own audit stream. It checks every row's metered rounds
 and online bytes against predict_cost, and the comparator calls of the
-sorting and selecting rows against comparator_calls, or against one call
-per pair where costs.ranks makes sec_rs rank instead of sort.
+sorting and selecting rows against comparator_calls (the top-k network),
+or against one call per pair where costs.ranks makes sec_rs rank instead.
 
 Exit codes: 0 success, 1 bad configuration or input, 2 protocol failure,
 3 cost audit mismatch.
@@ -405,7 +405,7 @@ def _audit_battery(cfg: RunConfig):
 
     def run_srt(s):
         u, v, payload = shared(s, 9, v8, p8, lambda _: np.arange(8, dtype=np.uint64))
-        sec_srt(s, np.stack([u, v, payload], axis=1), 2)
+        sec_srt(s, np.stack([u, v, payload], axis=1), 2, 8)
 
     def run_td(s):
         (shares,) = shared(s, 13, ((6, 4), 0.1, 1.0))
@@ -456,7 +456,7 @@ def _audit_battery(cfg: RunConfig):
          lambda s: sec_sel(s, *shared(s, 5, v8, v8, lambda rng: rng.integers(0, 2, size=(8,))))),
         ("sec_ge (8,)", "sec_ge", (8,), lambda s: sec_ge(s, *shared(s, 6, v8, v8))),
         ("sec_max 4x8", "sec_max", (4, 8), lambda s: sec_max(s, *shared(s, 8, ((4, 8), 0.25, 2.0)))),
-        ("sec_srt T=8 pair", "sec_srt", {"t": 8, "item_words": 3, "width": 2}, run_srt),
+        ("sec_srt T=8 pair", "sec_srt", {"t": 8, "item_words": 3, "width": 2, "count": 8}, run_srt),
         ("sec_div (8,)", "sec_div", (8,), lambda s: sec_div(s, *shared(s, 10, u8, p8))),
         ("sec_mi scalars (4,)", "sec_mi", {"m": 1, "batch": 4},
          lambda s: sec_mi(s, *shared(s, 11, ((4,), 0.5, 2.0)))),
@@ -468,17 +468,21 @@ def _audit_battery(cfg: RunConfig):
             s, 15, ((4, 3), 0.25, 2.0), lambda rng: rng.uniform(0.1, 1.0, size=(4,))))),
         ("sec_rs T=32 T'=10 method 1", "sec_rs", {"t": 32, "t_prime": 10, "method": 1, "kept": 32},
          run_rs(16, 32, 10)),
+        ("sec_rs T=128 T'=7 method 1", "sec_rs", {"t": 128, "t_prime": 7, "method": 1, "kept": 128},
+         run_rs(18, 128, 7)),
         ("sec_rs T=12 T'=8 method 1", "sec_rs", {"t": 12, "t_prime": 8, "method": 1, "kept": 12},
          run_rs(17, 12, 8)),
     ]
 
 
 def _expected_comparators(functionality: str, shape) -> int:
-    """A bitonic sort's comparator calls, or one per pair where sec_rs ranks."""
-    t = shape["t"]
-    if functionality == "sec_rs" and ranks(shape["kept"], shape["t_prime"], RS_KEY_WIDTH[shape["method"]]):
-        return t * (t - 1) // 2
-    return comparator_calls(t)
+    """The top-k network's comparator calls, or one per pair where sec_rs ranks."""
+    if functionality == "sec_srt":
+        return comparator_calls(shape["t"], shape["count"])
+    kept, t_prime = shape["kept"], shape["t_prime"]
+    if ranks(kept, t_prime, RS_KEY_WIDTH[shape["method"]]):
+        return kept * (kept - 1) // 2
+    return comparator_calls(kept, t_prime)
 
 
 def cmd_audit(cfg: RunConfig) -> int:

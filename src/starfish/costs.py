@@ -11,9 +11,10 @@ depends on the codec (its quotient bit count), so only the formulas that
 reach sec_div take one.
 
 Round selection ranks the kept rounds by pairwise wins (sec_rank, constant
-rounds, T(T-1)/2 comparators) rather than bitonic sorting them wherever
-ranks() says that ships no more online bytes, each path counted with its
-own reveal: T flags after ranking, T' indices after sorting. The rule reads
+rounds, T(T-1)/2 comparators) rather than running the top-T' network over
+them (sec_srt, priced layer by layer from _topk_layers) wherever ranks()
+says that ships no more online bytes, each path counted with its own
+reveal: T flags after ranking, T' indices after the network. The rule reads
 only public sizes, so both parties and these formulas take the same path.
 The comparator is priced by the width of its keys: 1 for values, 2 for
 (u, v) fractions, which cross multiply first. RS_KEY_WIDTH gives the key
@@ -97,10 +98,11 @@ def b2a_bits_cost(nbits: int) -> CostEstimate:
 def ge_cost(lanes: int) -> CostEstimate:
     """Sign-only comparison: the generate layer, one carry-only level per
     Kogge-Stone level (level k ships its g and p ANDs for 2^k lanes per
-    word), and the B2A of the sign bits."""
+    word; the last level only its g AND), and the B2A of the sign bits."""
+    levels = ks_level_count(WORD_BITS)
     total = and_round(lanes * WORD_BITS)
-    for k in range(1, ks_level_count(WORD_BITS) + 1):
-        total += and_round(2 * WORD_BITS * -(-lanes >> k))
+    for k in range(1, levels + 1):
+        total += and_round((1 if k == levels else 2) * WORD_BITS * -(-lanes >> k))
     return total + b2a_bits_cost(lanes)
 
 
@@ -122,23 +124,36 @@ def padded_size(t: int) -> int:
     return 1 << max(t - 1, 0).bit_length()
 
 
-def bitonic_stages(size: int) -> int:
-    ell = padded_size(size).bit_length() - 1
-    return ell * (ell + 1) // 2
+def _topk_layers(t: int, count: int) -> list[int]:
+    """Pairs compared by each layer of sec_srt's top-count network.
 
-
-def comparator_calls(t: int) -> int:
-    """(l^2 + l)/4 * T for padded length T = 2^l."""
+    With N = padded_size(t) and K = padded_size(count) capped at N: the
+    bitonic stages up to blocks of K (N/2 pairs each), then per merge level
+    one half-cleaner over the n/2 pairs of n rows and log2 K merge stages
+    over the n/4 pairs of the n/2 rows it keeps. At K = N this is the full
+    bitonic sort.
+    """
     size = padded_size(t)
-    ell = size.bit_length() - 1
-    return (ell * ell + ell) * size // 4
+    k = min(padded_size(count), size)
+    ell = k.bit_length() - 1
+    layers = [size // 2] * (ell * (ell + 1) // 2)
+    while size > k:
+        size //= 2
+        layers += [size] + [size // 2] * ell
+    return layers
 
 
-def sort_cost(t: int, item_words: int, width: int) -> CostEstimate:
-    size = padded_size(t)
-    pairs = size // 2
-    per_stage = comparator_cost(width, pairs) + mul_cost(pairs * item_words)
-    return per_stage * bitonic_stages(size)
+def comparator_calls(t: int, count: int) -> int:
+    """Comparator calls of sec_srt; (l^2 + l)/4 * T at count >= T = 2^l."""
+    return sum(_topk_layers(t, count))
+
+
+def sort_cost(t: int, item_words: int, width: int, count: int) -> CostEstimate:
+    """sec_srt: per layer one comparator and one select of whole rows."""
+    total = ZERO
+    for pairs in _topk_layers(t, count):
+        total += comparator_cost(width, pairs) + mul_cost(pairs * item_words)
+    return total
 
 
 def rank_cost(t: int, width: int) -> CostEstimate:
@@ -147,21 +162,24 @@ def rank_cost(t: int, width: int) -> CostEstimate:
 
 
 def ranks(kept: int, t_prime: int, width: int) -> bool:
-    """Whether selecting t_prime of kept items ranks rather than sorts them.
+    """Whether selecting t_prime of kept items ranks them rather than running
+    the top-t_prime network.
 
-    Ranking reveals kept membership flags; sorting rows of the key plus a
-    round index reveals t_prime indices. A tie in bytes goes to ranking.
+    Ranking reveals kept membership flags; the network over rows of the key
+    plus a round index reveals t_prime indices. A tie in bytes goes to
+    ranking.
     """
     rank = rank_cost(kept, width) + words_round(kept)
-    sort = sort_cost(kept, width + 1, width) + words_round(t_prime)
+    sort = sort_cost(kept, width + 1, width, t_prime) + words_round(t_prime)
     return rank.online_bytes <= sort.online_bytes
 
 
 def select_cost(kept: int, t_prime: int, width: int) -> CostEstimate:
-    """Rank or sort kept > t_prime scored items and reveal the selection."""
+    """Rank kept > t_prime scored items or run the top-t_prime network over
+    them, and reveal the selection."""
     if ranks(kept, t_prime, width):
         return rank_cost(kept, width) + words_round(kept)
-    return sort_cost(kept, width + 1, width) + words_round(t_prime)
+    return sort_cost(kept, width + 1, width, t_prime) + words_round(t_prime)
 
 
 def max_cost(t: int, batch: int) -> CostEstimate:
@@ -250,8 +268,8 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
       sec_mul: lane shape tuple, or dict {"matmul": (sx, sy)}
       sec_sp: shape tuple (..., k)
       sec_max: shape tuple (..., T), max over the last axis
-      sec_srt: dict {"t", "item_words", "width"}: T rows of item_words words,
-        sorted by their first width (1 or 2) columns
+      sec_srt: dict {"t", "item_words", "width", "count"}: the top count of T
+        rows of item_words words, ordered by their first width (1 or 2) columns
       sec_rank: dict {"t", "width"}
       sec_mi: dict {"m", "batch"} (single accepted attempt)
       threshold_determination: dict {"clients", "t"}
@@ -279,7 +297,7 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
     if name == "sec_max":
         return max_cost(shape[-1], _lanes(shape[:-1]))
     if name == "sec_srt":
-        return sort_cost(shape["t"], shape["item_words"], shape["width"])
+        return sort_cost(shape["t"], shape["item_words"], shape["width"], shape["count"])
     if name == "sec_rank":
         return rank_cost(shape["t"], shape["width"])
     if name == "sec_div":

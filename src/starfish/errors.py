@@ -37,10 +37,6 @@ class SingularRevealError(ProtocolError):
     """sec_mi revealed a masked product that cannot be inverted."""
 
 
-class DegenerateRoundError(ProtocolError):
-    """Round selection saw a zero model update where one is required."""
-
-
 class DivergenceError(ProtocolError):
     """Stage II recovery left the codec's range at a given recovery round."""
 

@@ -13,8 +13,11 @@ circuit over T lanes.
 Sort and rank keys are (T, width) share matrices, one row per item: width 1
 holds values, width 2 holds fractions (u, v) with v > 0. One comparator
 orders both, fractions by cross multiplication, and costs prices it by
-width. sec_srt sorts whole rows by their key columns, so a payload column
-rides along; it pads to a power of two with minus-infinity rows (the most
+width. sec_srt returns the top count rows best first through a bitonic
+top-k network: bitonic-sorted blocks of padded_size(count) rows, merged
+pairwise by half-cleaners that keep only each pair's max; at count >= T it
+is the full bitonic sort. It moves whole rows, so a payload column rides
+along, and pads to a power of two with minus-infinity rows (the most
 negative numerator, 1 in a denominator column, -1 in payload columns).
 sec_rank uses the same comparator for constant-round selection: one
 comparator layer over all pairs yields each item's rank, and only
@@ -326,8 +329,8 @@ def _ge_core(sess: Session, u, v) -> np.ndarray:
     the prefix nodes the top carry needs. Those are the upper s bits of each
     2s-bit block once the earlier levels' shifts are undone, so merging word
     pairs packs the level's live bits, 2s lanes per word, lane t of a group
-    at t places right of its own bit positions. One B2A turns the sign bits
-    into arithmetic shares.
+    at t places right of its own bit positions. The last level (s = 32) ANDs
+    only g. One B2A turns the sign bits into arithmetic shares.
     """
     d = np.subtract(*_broadcast(u, v))
     flat = d.reshape(-1)
@@ -336,7 +339,8 @@ def _ge_core(sess: Session, u, v) -> np.ndarray:
     gp = np.stack([_bit_and(sess, *((mine, zeros) if sess.party == 0 else (zeros, mine))), mine])
     for s, upper in _CARRY_LEVELS:
         merged = _merge_pairs(np.concatenate([gp, gp << s]), s, upper)  # g, p, g<<s, p<<s
-        gp = _bit_and(sess, merged[2:], merged[1])
+        # the last level updates only g: nothing reads its p
+        gp = _bit_and(sess, merged[2:3] if s == 32 else merged[2:], merged[1])
         gp[0] ^= merged[0]
     # lane t of each 64-lane word sits t places right of bit 63
     top = (gp[0][:, None] << _LANE_SHIFTS).reshape(-1)[: flat.size]
@@ -393,14 +397,20 @@ def comparator(sess: Session, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _ge_core(sess, lhs, rhs)
 
 
-def sec_srt(sess: Session, rows: np.ndarray, width: int) -> np.ndarray:
-    """Descending bitonic sort; (l^2+l)/4 * T comparator calls at T = 2^l.
+def sec_srt(sess: Session, rows: np.ndarray, width: int, count: int) -> np.ndarray:
+    """The top count rows of a (T, W) matrix, best first, by a bitonic top-k network.
 
-    Sorts the rows of a (T, W) matrix by their first width columns, the key;
-    the other columns (round indices here) ride along through the swaps.
-    A non-power-of-two T is padded with minus-infinity rows that sink to the
-    tail: the most negative numerator, 1 in any further key column, -1 in
-    every payload column. Returns the padded sorted matrix.
+    Rows are ordered descending by their first width columns, the key; the
+    other columns (round indices here) ride along. A non-power-of-two T is
+    padded to N rows with minus-infinity rows that sink to the tail: the
+    most negative numerator, 1 in any further key column, -1 in every
+    payload column. With K = padded_size(count) capped at N, the bitonic
+    stages up to blocks of K leave blocks sorted alternately descending and
+    ascending. Each merge level then keeps the max of rows i and i + K of
+    each block pair, the top K of 2K as a bitonic block, and re-sorts the
+    blocks with log2 K merge stages (Shanbhag, Pirk & Madden, SIGMOD 2018).
+    At count >= T the network is the full bitonic sort. Comparator calls:
+    costs.comparator_calls(T, count). Returns min(count, T) rows.
     """
     with sess.op("sec_srt"):
         rows = np.array(rows, dtype=np.uint64)
@@ -411,25 +421,40 @@ def sec_srt(sess: Session, rows: np.ndarray, width: int) -> np.ndarray:
             pad[0] = _minus_infinity(sess)
             pad[1:width] = sess.codec.encode(1.0)
             rows = np.concatenate([rows, np.broadcast_to(const_share(sess, pad), (size - t, cols))])
-
+        block = min(padded_size(count), size)
         k = 2
-        while k <= size:
-            j = k // 2
-            while j >= 1:
-                hi_idx, lo_idx, desc = _bitonic_stage(size, k, j)
-                hi, lo = rows[hi_idx], rows[lo_idx]
-                b = comparator(sess, hi[:, :width], lo[:, :width])
-                sess.meter.invoke("sec_sel", len(hi_idx))
-                # positions sorting ascending flip the comparator bit locally
-                s = np.multiply(b, from_signed(np.where(desc, 1, -1)))
-                if sess.party == 0:
-                    s = np.add(s, from_signed(np.where(desc, 0, 1)))
-                top = _select(sess, lo, hi, s[:, None])
-                rows[hi_idx] = top
-                rows[lo_idx] = np.subtract(hi + lo, top)
-                j //= 2
+        while k <= block:
+            _bitonic_merge(sess, rows, width, k)
             k *= 2
-        return rows
+        while len(rows) > block:
+            # half-cleaner: row i of each descending block against row i of
+            # the ascending block after it; only the max goes on
+            first = (np.arange(len(rows)) & block) == 0
+            hi, lo = rows[first], rows[~first]
+            b = comparator(sess, hi[:, :width], lo[:, :width])
+            sess.meter.invoke("sec_sel", len(hi))
+            rows = _select(sess, lo, hi, b[:, None])
+            _bitonic_merge(sess, rows, width, block)
+        return rows[: min(count, t)]
+
+
+def _bitonic_merge(sess: Session, rows: np.ndarray, width: int, k: int) -> None:
+    """Sort bitonic blocks of k rows in place, alternately descending and
+    ascending: log2 k compare-exchange layers."""
+    j = k // 2
+    while j >= 1:
+        hi_idx, lo_idx, desc = _bitonic_stage(len(rows), k, j)
+        hi, lo = rows[hi_idx], rows[lo_idx]
+        b = comparator(sess, hi[:, :width], lo[:, :width])
+        sess.meter.invoke("sec_sel", len(hi_idx))
+        # positions sorting ascending flip the comparator bit locally
+        s = np.multiply(b, from_signed(np.where(desc, 1, -1)))
+        if sess.party == 0:
+            s = np.add(s, from_signed(np.where(desc, 0, 1)))
+        top = _select(sess, lo, hi, s[:, None])
+        rows[hi_idx] = top
+        rows[lo_idx] = np.subtract(hi + lo, top)
+        j //= 2
 
 
 def _bitonic_stage(size: int, k: int, j: int):

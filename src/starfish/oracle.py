@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     AssumptionError,
     ConfigError,
-    DegenerateRoundError,
     DivisionDomainError,
     ShapeError,
     SingularRevealError,
@@ -294,17 +293,16 @@ def selection_scores(history: PlainHistory, target: int, codec: FixedPointCodec)
     """Cosine scores of the target's stored gradients against the public
     model updates, evaluated on the grid the secure selector sees.
 
-    Returns (scores, keep): rounds whose stored gradient norm snaps to zero
-    are unkeepable and get a -inf score.
+    Returns (scores, keep): rounds whose stored gradient norm snaps to zero,
+    or whose model update is exactly zero (it has no direction), are
+    unkeepable and get a -inf score.
     """
     updates = history.model_updates()
     dnorm = np.linalg.norm(updates, axis=1)
-    if np.any(dnorm == 0.0):
-        raise DegenerateRoundError("a training round left the model unchanged")
-    directions = codec.quantize(updates / dnorm[:, None])
+    directions = codec.quantize(updates / np.where(dnorm > 0.0, dnorm, 1.0)[:, None])
     grads = history.grads[:, target]
     gnorm = codec.quantize(history.norms[:, target])
-    keep = gnorm > 0.0
+    keep = (gnorm > 0.0) & (dnorm > 0.0)
     u = (grads * directions).sum(axis=1)
     v = np.where(keep, gnorm, 1.0)
     return np.where(keep, u / v, -np.inf), keep

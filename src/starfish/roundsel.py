@@ -16,17 +16,20 @@ norm, which stage I shares next to the gradient. Only an exactly-zero update
 has no direction.
 
 Zero-norm rounds are dropped first through revealed flags, which makes the
-kept rounds public. What follows depends on public sizes only:
+kept rounds public; rounds with an exactly-zero public update are dropped
+from them locally. What follows depends on public sizes only:
 
   kept <= T'      every kept round is selected; nothing more runs or is revealed.
   costs.ranks     sec_rank counts each round's pairwise wins in constant
                   rounds and reveals one membership flag per kept round:
                   the selected set, not its order.
-  otherwise       sec_srt bitonic sorts the key with each round's index as a
-                  payload column and reveals the top T' indices in rank order.
+  otherwise       sec_srt runs its bitonic top-T' network over the key with
+                  each round's index as a payload column and reveals the top
+                  T' indices in rank order.
 
 costs.ranks picks ranking whenever it ships no more online bytes than the
-sort; stage II only uses the selected set (SelectionResult.chronological).
+top-T' network; stage II only uses the selected set
+(SelectionResult.chronological).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import ranks
-from .errors import ConfigError, DegenerateRoundError
+from .errors import ConfigError
 from .fixedpoint import WORD_BITS, from_signed, to_signed
 from .gates import const_share, sec_div, sec_ge, sec_rank, sec_srt, sp_public
 from .sharing import Session, sec_rec
@@ -107,13 +110,6 @@ class SelectionResult:
 # -- selection pipeline --------------------------------------------------------
 
 
-def _public_delta_norms(deltas: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(np.asarray(deltas, dtype=np.float64), axis=-1)
-    if np.any(norms == 0):
-        raise DegenerateRoundError("a global update is exactly zero")
-    return norms
-
-
 def _keep_nonzero(sess: Session, magnitudes) -> np.ndarray:
     """Reveal [magnitude > 0] flags and return kept round indices."""
     flags = sec_ge(sess, magnitudes, const_share(sess, 1))
@@ -130,16 +126,19 @@ def sec_rs(
     """Select the T' most cosine-similar rounds for the target client.
 
     Zero-gradient rounds are filtered out through revealed flags before the
-    oblivious part; they carry no signal worth unlearning. If no more than
-    T' rounds survive, all survivors are returned.
+    oblivious part; they carry no signal worth unlearning. Rounds whose
+    public update is exactly zero have no direction and are dropped too,
+    at no cost. If no more than T' rounds survive, all survivors are
+    returned.
     """
     with sess.op("sec_rs"):
         if method is None:
             method = 1 if params.t <= params.t_delta else 2
         codec = sess.codec
-        delta_norms = _public_delta_norms(inputs.deltas)
+        delta_norms = np.linalg.norm(np.asarray(inputs.deltas, dtype=np.float64), axis=-1)
 
         kept = _keep_nonzero(sess, inputs.target_norms)
+        kept = kept[delta_norms[kept] > 0]  # a zero update has no direction
         if kept.size <= params.t_prime:
             return SelectionResult(indices=kept, method=method, kept=kept)
         # the cosine ignores the scale of the public update, so encode its
@@ -153,9 +152,10 @@ def sec_rs(
             flags = sec_rec(sess, sec_rank(sess, key, params.t_prime))
             indices = kept[to_signed(flags) == 1]
         else:
-            rows = sec_srt(sess, np.column_stack([key, const_share(sess, from_signed(kept))]), width)
+            rows = np.column_stack([key, const_share(sess, from_signed(kept))])
+            top = sec_srt(sess, rows, width, params.t_prime)
             # padding rows sink below every kept round, whose v is at least one
             # grid step, so the top T' are all rounds
-            indices = to_signed(sec_rec(sess, rows[: params.t_prime, -1])).astype(np.int64)
+            indices = to_signed(sec_rec(sess, top[:, -1])).astype(np.int64)
         return SelectionResult(indices=indices, method=method, kept=kept)
 

@@ -154,7 +154,7 @@ def test_criterion_1_gate_oracle_equivalence():
         for keys in trials:
             ksh = sec_share(keys, sess.codec, srng)[sess.party].value
             psh = sec_share(np.arange(4), sess.codec, srng)[sess.party].value
-            out.append(reveal_raw(sess, sec_srt(sess, np.stack([ksh, psh], axis=1), 1)[:, -1]))
+            out.append(reveal_raw(sess, sec_srt(sess, np.stack([ksh, psh], axis=1), 1, 4)[:, -1]))
         return np.stack(out)
 
     got, _ = both(sort_all)
@@ -280,10 +280,10 @@ def test_criterion_5_comparator_counts_and_audit():
         vals = share_pair(CODEC.quantize(np.arange(t, dtype=np.float64)), key=500 + t)
 
         def proto(sess):
-            return reveal(sess, sec_srt(sess, vals[sess.party][:, None], 1)[:, 0])
+            return reveal(sess, sec_srt(sess, vals[sess.party][:, None], 1, t)[:, 0])
 
         _, sessions = both(proto)
-        assert comparator_calls(t) == want
+        assert comparator_calls(t, t) == want
         assert sessions[0].meter.stats("comparator").invocations == want
     assert main(["audit", "--seed", "0"]) == 0
     print("criterion 5 PASS: comparator counts 6/24/80 measured; audit exit 0")

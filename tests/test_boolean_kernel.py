@@ -140,8 +140,9 @@ def _a2b_cost_list(lanes):
 
 
 def _ge_cost_list(lanes):
-    """The generate layer, six carry-only levels at 2^k lanes per word, the B2A."""
-    levels = [costs.and_round(2 * WIDTH * -(-lanes // 2**k)) for k in range(1, 7)]
+    """The generate layer, six carry-only levels at 2^k lanes per word (g and
+    p ANDs, the last level's g alone), the B2A."""
+    levels = [costs.and_round((2 if k < 6 else 1) * WIDTH * -(-lanes // 2**k)) for k in range(1, 7)]
     return [costs.and_round(lanes * WIDTH), *levels, costs.b2a_bits_cost(lanes)]
 
 

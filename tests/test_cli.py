@@ -212,11 +212,13 @@ def test_compare_full_sigma_matches_random_subset(tmp_path, capsys):
 def test_audit_passes(capsys):
     assert _run(["audit", "--seed", 0]) == 0
     printed = capsys.readouterr().out
-    assert "all 18 functionalities match" in printed
+    assert "all 19 functionalities match" in printed
     assert "MISMATCH" not in printed
     assert "sec_srt T=8 pair: comparators=24 (formula 24)" in printed
-    # T=32 sorts; T=12 ranks, one comparator call per pair
-    assert "sec_rs T=32 T'=10 method 1: comparators=240 (formula 240)" in printed
+    # T=32 and T=128 run the top-k network (one and four merge levels);
+    # T=12 ranks, one comparator call per pair
+    assert "sec_rs T=32 T'=10 method 1: comparators=208 (formula 208)" in printed
+    assert "sec_rs T=128 T'=7 method 1: comparators=684 (formula 684)" in printed
     assert "sec_rs T=12 T'=8 method 1: comparators=66 (formula 66)" in printed
 
 
@@ -250,12 +252,12 @@ def test_audit_detects_a_cost_regression(monkeypatch, capsys):
 def test_audit_detects_a_comparator_count_regression(monkeypatch, capsys):
     import starfish.cli as cli
 
-    monkeypatch.setattr(cli, "comparator_calls", lambda t: 1)
+    monkeypatch.setattr(cli, "comparator_calls", lambda t, count: 1)
     assert _run(["audit", "--seed", 0]) == 3
     printed = capsys.readouterr().out
     assert "comparators=24 (formula 1)" in printed
     assert "MISMATCH" not in printed
-    assert "audit: 2 mismatches" in printed
+    assert "audit: 3 mismatches" in printed
 
 
 def test_protocol_failure_exit_code(monkeypatch, capsys):
@@ -273,23 +275,27 @@ README_CFG = "n = 20\nm = 8\nsigma = 0.6\nalpha = 0.4\nbeta = 0.1\nbuffer_b = 2\
 
 
 def test_diverged_recovery_exit_code(tmp_path, capsys):
-    # the README run.cfg at t=16: recovery round 8 meets a value the codec
+    # the README run.cfg at t=16: recovery round 10 meets a value the codec
     # cannot represent
     cfg = tmp_path / "run.cfg"
     cfg.write_text(README_CFG + "t = 16\n")
     assert _run(["compare", "--config", cfg, "--seed", 7, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("protocol error: recovery diverged at round 8: ")
+    assert err.startswith("protocol error: recovery diverged at round 10: ")
     assert "Traceback" not in err
 
 
-def test_compare_keeps_the_secure_run_when_the_random_baseline_fails(tmp_path, capsys):
-    # the README run.cfg at t=24: the secure run finishes, the random-selection
-    # baseline meets a gradient the codec cannot represent
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(README_CFG + "t = 24\n")
+def test_compare_keeps_the_secure_run_when_the_random_baseline_fails(monkeypatch, small_cfg, tmp_path, capsys):
+    # the secure run finishes, the random-selection baseline meets a gradient
+    # the codec cannot represent
+    import starfish.cli as cli
+
+    def explode(*args, **kwargs):
+        raise RangeError("magnitude >= 2^11 not representable")
+
+    monkeypatch.setattr(cli, "random_selection_baseline", explode)
     out = tmp_path / "out"
-    assert _run(["compare", "--config", cfg, "--seed", 7, "--out", out]) == 0
+    assert _run(["compare", "--config", small_cfg, "--out", out]) == 0
     printed = capsys.readouterr().out
     assert "random-selection baseline: failed (RangeError: magnitude >= 2^11" in printed
     report = json.loads((out / "compare.json").read_text())

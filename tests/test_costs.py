@@ -8,6 +8,7 @@ from starfish.costs import (
     CostEstimate,
     comparator_calls,
     comparator_cost,
+    ge_cost,
     ks_level_count,
     padded_size,
     predict_cost,
@@ -60,10 +61,22 @@ def test_unknown_functionality():
 
 
 def test_comparator_call_formula():
-    assert comparator_calls(4) == 6
-    assert comparator_calls(8) == 24
-    assert comparator_calls(16) == 80
-    assert comparator_calls(5) == comparator_calls(8)  # padded up
+    # count >= T: the full bitonic sort, (l^2 + l)/4 * T
+    assert comparator_calls(4, 4) == 6
+    assert comparator_calls(8, 8) == 24
+    assert comparator_calls(16, 16) == 80
+    assert comparator_calls(128, 128) == 1792
+    assert comparator_calls(5, 5) == comparator_calls(8, 8) == comparator_calls(8, 100)  # padded up
+    # top-k: blocks of K = padded_size(count) sorted, then per merge level of
+    # n rows one half-cleaner (n/2) and log2 K merge stages (n/4 each)
+    assert comparator_calls(32, 10) == 16 * 10 + (16 + 4 * 8) == 208
+    assert comparator_calls(128, 7) == 64 * 6 + (64 + 3 * 32) + (32 + 3 * 16) + (16 + 3 * 8) + (8 + 3 * 4) == 684
+    assert comparator_calls(8, 1) == 4 + 2 + 1 == 7
+
+
+def test_ge_cost_bytes():
+    # the last carry level ANDs only g; rounds stay at 8
+    assert [ge_cost(lanes).as_tuple() for lanes in (1, 64, 8192)] == [(8, 328), (8, 3160), (8, 388224)]
 
 
 def test_padded_size_and_levels():
@@ -143,11 +156,11 @@ def test_sec_srt_cost():
     payload = raw_share_pair(np.arange(8, dtype=np.uint64), key=27)
 
     def proto(sess):
-        sec_srt(sess, np.stack([u[sess.party], v[sess.party], payload[sess.party]], axis=1), 2)
+        sec_srt(sess, np.stack([u[sess.party], v[sess.party], payload[sess.party]], axis=1), 2, 8)
         return 0
 
     got = measured("sec_srt", proto)
-    assert got == predict_cost("sec_srt", {"t": 8, "item_words": 3, "width": 2}, CODEC).as_tuple()
+    assert got == predict_cost("sec_srt", {"t": 8, "item_words": 3, "width": 2, "count": 8}, CODEC).as_tuple()
 
 
 def test_sec_div_cost():
@@ -199,8 +212,9 @@ def test_selection_costs_match_the_meter_on_every_path():
 
 def test_rank_rule_at_six_selected_rounds():
     # the byte counts pick ranking at these kept sizes (T' = 6, T in 7..129)
-    # and sorting everywhere else; the sort ships the key plus a round index
-    want = {1: [*range(7, 30), *range(33, 49), *range(65, 78)],
-            2: [*range(7, 29), *range(33, 48), *range(65, 77)]}
+    # and the top-6 network everywhere else, which ships the key plus a round
+    # index through blocks of 8
+    want = {1: [*range(7, 25), 33, 34],
+            2: [*range(7, 24), 33]}
     for width, ranked in want.items():
         assert [t for t in range(7, 130) if ranks(t, 6, width)] == ranked

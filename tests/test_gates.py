@@ -191,12 +191,12 @@ def test_sec_srt_sorts_and_counts_comparators():
 
     def proto(sess):
         rows = np.stack([us[sess.party], vs[sess.party], payload[sess.party]], axis=1)
-        return reveal_raw(sess, sec_srt(sess, rows, 2)[:, -1])
+        return reveal_raw(sess, sec_srt(sess, rows, 2, t)[:, -1])
 
     got, sessions = both(proto)
     want = np.argsort(-(u / v), kind="stable")
     assert np.array_equal(got, want)
-    assert sessions[0].meter.stats("comparator").invocations == comparator_calls(t)
+    assert sessions[0].meter.stats("comparator").invocations == comparator_calls(t, t)
 
 
 def test_sec_srt_eight_items_cost_and_stability():
@@ -207,11 +207,11 @@ def test_sec_srt_eight_items_cost_and_stability():
 
     def proto(sess):
         rows = np.stack([vs[sess.party], payload[sess.party]], axis=1)
-        return reveal_raw(sess, sec_srt(sess, rows, 1)[:, -1])
+        return reveal_raw(sess, sec_srt(sess, rows, 1, t)[:, -1])
 
     got, sessions = both(proto)
     assert np.array_equal(got, np.arange(t))  # sorted input comes back unchanged
-    assert sessions[0].meter.stats("comparator").invocations == comparator_calls(8) == 24
+    assert sessions[0].meter.stats("comparator").invocations == comparator_calls(8, 8) == 24
 
 
 def test_sec_srt_pads_odd_lengths():
@@ -221,7 +221,7 @@ def test_sec_srt_pads_odd_lengths():
 
     def proto(sess):
         rows = np.stack([vs[sess.party], payload[sess.party]], axis=1)
-        return reveal_raw(sess, sec_srt(sess, rows, 1)[:5, -1])
+        return reveal_raw(sess, sec_srt(sess, rows, 1, 5)[:, -1])
 
     got, _ = both(proto)
     assert np.array_equal(got, np.argsort(-vals, kind="stable"))
@@ -257,13 +257,44 @@ def test_every_sort_order_sorts_a_padded_instance_at_its_cost(width):
 
     def proto(sess):
         rows = np.column_stack([shares[sess.party], payload[sess.party]])
-        return reveal_raw(sess, sec_srt(sess, rows, width)[:t, -1])
+        return reveal_raw(sess, sec_srt(sess, rows, width, t)[:, -1])
 
     got, sessions = both(proto)
     assert np.array_equal(got, np.argsort(-score, kind="stable"))
-    want = predict_cost("sec_srt", {"t": t, "item_words": width + 1, "width": width}, CODEC)
+    want = predict_cost("sec_srt", {"t": t, "item_words": width + 1, "width": width, "count": t}, CODEC)
     st = sessions[0].meter.stats("sec_srt")
     assert (st.rounds, st.bytes_online) == want.as_tuple()
+
+
+TOPK_GRID = sorted({(t, count) for t in (1, 2, 5, 8, 9, 33, 64, 100, 128) for count in (1, 2, 7, 8, t)})
+
+
+@pytest.mark.parametrize("width", KEY_WIDTHS)
+@pytest.mark.parametrize("t, count", TOPK_GRID)
+def test_sec_srt_top_count_at_its_cost(width, t, count):
+    key, score = _order_instance(width, t)
+    assert np.unique(score).size == t
+    shares = share_pair(key, key=62)
+    payload = raw_share_pair(np.arange(t, dtype=np.uint64), key=63)
+
+    def proto(sess):
+        rows = np.column_stack([shares[sess.party], payload[sess.party]])
+        return reveal_raw(sess, sec_srt(sess, rows, width, count)[:, -1])
+
+    got, sessions = both(proto)
+    assert np.array_equal(got, np.argsort(-score, kind="stable")[:count])
+    shape = {"t": t, "item_words": width + 1, "width": width, "count": count}
+    st = sessions[0].meter.stats("sec_srt")
+    assert (st.rounds, st.bytes_online) == predict_cost("sec_srt", shape, CODEC).as_tuple()
+    calls = sessions[0].meter.stats("comparator").invocations
+    assert calls == comparator_calls(t, count)
+    if count >= t:
+        # the full bitonic sort: l(l+1)/2 stages of N/2 compare-exchanges at
+        # N = 2^l, each a comparator (8 rounds, one more to cross multiply
+        # width-2 keys) and one select round
+        ell = max(t - 1, 0).bit_length()
+        stages = ell * (ell + 1) // 2
+        assert (calls, st.rounds) == (stages * (1 << ell) // 2, stages * (8 + width))
 
 
 def _tied_instance(width, t, seed):

@@ -24,7 +24,6 @@ from starfish import (
 from starfish.errors import (
     AssumptionError,
     ConfigError,
-    DegenerateRoundError,
     DivisionDomainError,
     ShapeError,
     SingularRevealError,
@@ -168,13 +167,6 @@ def test_cosine_selection_skips_zero_norm_rounds():
     _, keep = selection_scores(hist, 0, CODEC)
     assert keep.tolist() == [True, False, True, True]
     assert np.array_equal(cosine_selection(hist, 0, 3, CODEC), [0, 2, 3])
-
-
-def test_degenerate_update_is_an_error():
-    hist = _cosine_history([[1, 0], [0, 1]])
-    hist.models[2] = hist.models[1]  # second round did not move the model
-    with pytest.raises(DegenerateRoundError):
-        selection_scores(hist, 0, CODEC)
 
 
 def test_update_below_one_grid_step_keeps_its_score():

@@ -12,8 +12,9 @@ from starfish import (
     switching_threshold,
 )
 from starfish.costs import comparator_calls, ge_cost, predict_cost, words_round
-from starfish.errors import ConfigError, DegenerateRoundError
+from starfish.errors import ConfigError
 from starfish import roundsel
+from starfish.oracle import PlainHistory, cosine_selection
 from starfish.roundsel import sec_rs
 
 RNG = np.random.default_rng(11)
@@ -44,8 +45,8 @@ def test_switching_threshold_matches_cost_crossover():
         return predict_cost("sec_rs", shape, CODEC).online_bytes
 
     below, above = 2**27, 2**28
-    assert online(below, 1) == 3_246_022_257_880 < online(below, 2) == 3_275_113_949_688
-    assert online(above, 2) == 6_849_466_268_088 < online(above, 1) == 6_971_671_510_616
+    assert online(below, 1) == 3_239_646_915_800 < online(below, 2) == 3_268_738_607_608
+    assert online(above, 2) == 6_835_776_059_832 < online(above, 1) == 6_957_981_302_360
     t_delta = SelectionParams(t=1, sigma=1.0).t_delta
     assert t_delta == switching_threshold(64, 128) == 158_000_786
     assert below < t_delta < above
@@ -116,11 +117,10 @@ def test_sec_rs_known_cosines(method):
     (order, chron, meth), sessions = _run_selection(
         grads, norms, deltas, SelectionParams(t=4, sigma=0.5), method=method
     )
-    # indices are ranked only on the sort path, so check the set; T=4 makes
-    # as many comparator calls on either path
+    # T=4, T'=2 ranks: one comparator call per pair
     assert sorted(order) == chron == [0, 3]
     assert meth == method
-    assert sessions[0].meter.stats("comparator").invocations == comparator_calls(4) == 4 * 3 // 2
+    assert sessions[0].meter.stats("comparator").invocations == 4 * 3 // 2
 
 
 def test_full_sigma_returns_a_permutation():
@@ -159,13 +159,6 @@ def test_zero_norm_rounds_are_excluded():
     )
     assert 1 not in order
     assert chron == [0, 2, 3]  # all survivors, fewer than t_prime
-
-
-def test_degenerate_update_raises():
-    grads, norms, _ = _spec_instance()
-    deltas = np.zeros((4, 2))
-    with pytest.raises(DegenerateRoundError):
-        _run_selection(grads, norms, deltas, SelectionParams(t=4, sigma=0.5))
 
 
 @pytest.mark.parametrize("method", [1, 2])
@@ -212,10 +205,45 @@ def test_methods_agree_on_random_instances():
         assert all(p == want for p in picks), (seed, picks, want)
 
 
+# (T, T') where the T - 2 rounds with a nonzero update are all selected,
+# ranked, or run through the top-k network
+ZERO_UPDATE_CASES = [pytest.param(8, 6, None, id="all-kept"),
+                     pytest.param(8, 3, "sec_rank", id="rank"),
+                     pytest.param(16, 2, "sec_srt", id="sort")]
+
+
+@pytest.mark.parametrize("method", [1, 2])
+@pytest.mark.parametrize("t, t_prime, path", ZERO_UPDATE_CASES)
+def test_zero_update_is_never_selected(t, t_prime, path, method):
+    # an exactly-zero public update has no direction: its round leaves the
+    # selection at zero rounds (here the two best-scoring rounds), and the
+    # secure selection equals the mirror's
+    grads, norms, deltas, scores = _tie_free_instance(t, 3, seed=t + t_prime)
+    zero = np.argsort(-scores)[:2]
+    deltas[zero] = 0.0
+    hist = PlainHistory(models=np.vstack([np.zeros(3), np.cumsum(deltas, axis=0)]),
+                        grads=grads[:, None, :], norms=norms[:, None], deltas=np.zeros((t, 1)))
+    updates = hist.model_updates()
+    assert np.array_equal(np.flatnonzero(~updates.any(axis=1)), np.sort(zero))
+    params = SelectionParams(t=t, sigma=1.0, t_prime=t_prime)
+    (_, chron, _), sessions = _run_selection(grads, norms, updates, params, method=method)
+    assert not set(zero.tolist()) & set(chron)
+    assert chron == cosine_selection(hist, 0, t_prime, CODEC).tolist()
+    rest = np.setdiff1d(np.arange(t), zero)
+    assert chron == sorted(rest[np.argsort(-scores[rest])[:t_prime]].tolist())
+    # the zero-norm flags still run over all T rounds
+    meter = sessions[0].meter
+    got = (sum(st.rounds for st in meter.per_op.values()), meter.total_online_bytes)
+    shape = {"t": t, "t_prime": t_prime, "method": method, "kept": t - 2}
+    assert got == predict_cost("sec_rs", shape, CODEC).as_tuple()
+    assert next((op for op in ("sec_rank", "sec_srt") if meter.stats(op).rounds), None) == path
+
+
 def test_comparator_count_at_thirty_two():
-    # T=32, T'=10 sorts (smaller histories at this T' rank)
+    # T=32, T'=10 runs the top-k network (smaller histories at this T' rank):
+    # sorted blocks of 16 (160 calls), then one merge level (16 + 4 * 8)
     grads, norms, deltas, _ = _tie_free_instance(32, 3, seed=99)
     (_, _, _), sessions = _run_selection(
         grads, norms, deltas, SelectionParams(t=32, sigma=0.3, t_prime=10)
     )
-    assert sessions[0].meter.stats("comparator").invocations == comparator_calls(32) == 240
+    assert sessions[0].meter.stats("comparator").invocations == comparator_calls(32, 10) == 208
