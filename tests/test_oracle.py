@@ -169,6 +169,15 @@ def test_cosine_selection_skips_zero_norm_rounds():
     assert np.array_equal(cosine_selection(hist, 0, 3, CODEC), [0, 2, 3])
 
 
+def test_zero_update_round_is_unkeepable():
+    hist = _cosine_history([[1, 0], [0, 1], [0.5, 0]])
+    hist.models[2] = hist.models[1]  # second round did not move the model
+    scores, keep = selection_scores(hist, 0, CODEC)
+    assert keep.tolist() == [True, False, True]
+    assert scores[1] == -np.inf
+    assert np.array_equal(cosine_selection(hist, 0, 3, CODEC), [0, 2])
+
+
 def test_update_below_one_grid_step_keeps_its_score():
     # the cosine ignores each update's length, down to one far below the grid
     hist = _cosine_history([[1, 0], [0, 1], [-1, 0], [1, math.sqrt(3)]])
