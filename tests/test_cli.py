@@ -285,17 +285,13 @@ def test_diverged_recovery_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_compare_keeps_the_secure_run_when_the_random_baseline_fails(monkeypatch, small_cfg, tmp_path, capsys):
-    # the secure run finishes, the random-selection baseline meets a gradient
-    # the codec cannot represent
-    import starfish.cli as cli
-
-    def explode(*args, **kwargs):
-        raise RangeError("magnitude >= 2^11 not representable")
-
-    monkeypatch.setattr(cli, "random_selection_baseline", explode)
+def test_compare_keeps_the_secure_run_when_the_random_baseline_fails(tmp_path, capsys):
+    # the README run.cfg at t=30, seed 10: the secure run finishes, the
+    # random-selection baseline meets a gradient the codec cannot represent
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(README_CFG + "t = 30\n")
     out = tmp_path / "out"
-    assert _run(["compare", "--config", small_cfg, "--out", out]) == 0
+    assert _run(["compare", "--config", cfg, "--seed", 10, "--out", out]) == 0
     printed = capsys.readouterr().out
     assert "random-selection baseline: failed (RangeError: magnitude >= 2^11" in printed
     report = json.loads((out / "compare.json").read_text())
