@@ -90,6 +90,13 @@ def _parse_party(v: str):
     return party
 
 
+def _parse_address(v: str) -> str:
+    host, _, port = v.rpartition(":")
+    if not (host and port.isdecimal() and 1 <= int(port) <= 65535):
+        raise ConfigError(f"address must be host:port with a port in 1..65535, got {v!r}")
+    return v
+
+
 def _parse_opt_float(v: str):
     return None if v.lower() in ("", "none") else float(v)
 
@@ -162,7 +169,7 @@ _PARSERS = {
     "mu": float, "lam_max": _parse_opt_float, "lip": _parse_opt_float,
     "spread": float, "start": float, "heterogeneity": float,
     "samples": int, "reg": float, "scale": float,
-    "transport": _parse_transport, "party": _parse_party, "address": str,
+    "transport": _parse_transport, "party": _parse_party, "address": _parse_address,
     "out": str,
 }
 

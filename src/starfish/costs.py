@@ -5,10 +5,10 @@ audit can demand exact equality between prediction and meter. The moving
 parts are the frame overhead (16 bytes), the 64-bit ring word
 (fixedpoint.WORD_BITS), the packed-bit payload rule (whole 64-bit words) and
 the Kogge-Stone level count. Comparisons (ge_cost) are priced as the
-carry-only sign circuit, whose levels shrink by half each time; the full
-Kogge-Stone adder (adder_cost) is priced only inside division. Only division
-depends on the codec (its quotient bit count), so only the formulas that
-reach sec_div take one.
+carry-only sign circuit, whose levels shrink by half each time. Division
+(div_cost) is built on that comparison and Beaver products, one of each per
+quotient bit. Only division depends on the codec (its quotient bit count),
+so only the formulas that reach sec_div take one.
 
 Round selection ranks the kept rounds by pairwise wins (sec_rank, constant
 rounds, T(T-1)/2 comparators) rather than running the top-T' network over
@@ -64,8 +64,8 @@ def ks_level_count(width: int) -> int:
 
 
 def div_iterations(codec: FixedPointCodec) -> int:
-    """Quotient bit count of sec_div: dividends are bounded by 2^(2p + e - 1)."""
-    return 2 * codec.precision_p + codec.range_e - 1
+    """Quotient bit count of sec_div: a representable quotient is below 2^(p + e - 1) raw."""
+    return codec.precision_p + codec.range_e - 1
 
 
 # -- circuit building blocks (one entry per exchange kind) -------------------
@@ -78,17 +78,6 @@ def words_round(nwords: int) -> CostEstimate:
 def and_round(nbits: int) -> CostEstimate:
     # an AND layer ships the two masked operands together
     return CostEstimate(1, FRAME_OVERHEAD + bit_payload_bytes(2 * nbits))
-
-
-def adder_cost(lanes: int, *, with_operand: bool, shared_cin: bool) -> CostEstimate:
-    total = ZERO
-    if with_operand:
-        total += and_round(lanes * WORD_BITS)
-    if shared_cin:
-        total += and_round(lanes)
-    for _ in range(ks_level_count(WORD_BITS)):
-        total += and_round(2 * lanes * WORD_BITS)
-    return total
 
 
 def b2a_bits_cost(nbits: int) -> CostEstimate:
@@ -193,13 +182,9 @@ def max_cost(t: int, batch: int) -> CostEstimate:
 
 
 def div_cost(lanes: int, codec: FixedPointCodec) -> CostEstimate:
-    full = adder_cost(lanes, with_operand=True, shared_cin=False)
-    neg = adder_cost(lanes, with_operand=False, shared_cin=True)
-    total = full * 2 + neg * 2
-    total += (full + and_round(lanes * WORD_BITS)) * div_iterations(codec)
-    total += neg
-    total += b2a_bits_cost(lanes * WORD_BITS)
-    return total
+    """Signs, magnitudes, one comparison and one product per quotient bit, the sign."""
+    step = ge_cost(lanes) + mul_cost(lanes)
+    return ge_cost(2 * lanes) + mul_cost(3 * lanes) + step * div_iterations(codec) + mul_cost(lanes)
 
 
 def mi_cost(m: int, batch: int) -> CostEstimate:

@@ -1,14 +1,15 @@
 """Two-party gates over additively shared ring tensors.
 
-Arithmetic gates use Beaver triples from the dealer tape. Comparison and
-division run on XOR-shared bits where each party contributes its own share
-as one addend. A comparison needs only the sign of the sum, so it runs a
-carry-only prefix tree that computes the carry into the top bit (the MSB
-extraction of ABY3 and SecureNN): as many rounds as the Kogge-Stone adder,
-about a quarter of its AND gates. The full Kogge-Stone adder (the A2B
-conversion) remains only for division. Batched lanes share one round trip:
-every gate here is vectorized, so "T comparisons in parallel" is one
-circuit over T lanes.
+Arithmetic gates use Beaver triples from the dealer tape. Comparison runs
+on XOR-shared bits where each party contributes its own share as one
+addend. It needs only the sign of the sum, so it runs a carry-only prefix
+tree that computes the carry into the top bit (the MSB extraction of ABY3
+and SecureNN): as many rounds as a Kogge-Stone adder, about a quarter of its
+AND gates. That sign circuit is the only boolean circuit: division is
+restoring division on arithmetic shares, one comparison and one Beaver
+product per quotient bit. Batched lanes share one round trip: every gate
+here is vectorized, so "T comparisons in parallel" is one circuit over T
+lanes.
 
 Sort and rank keys are (T, width) share matrices, one row per item: width 1
 holds values, width 2 holds fractions (u, v) with v > 0. One comparator
@@ -26,11 +27,11 @@ comparator layer over all pairs yields each item's rank, and only
 Boolean kernel representation: an XOR-shared bit tensor is held in its
 wire form, the packed words described in transport. A full-width tensor has
 one word per lane, bit k of the value at bit k of the word, so a ring word
-is its own bit decomposition and the adder's shifts, sign bits and carry
-broadcasts are word shifts (x << s, x >> 63, 0 - c). A tensor with one bit
-per lane (comparison bits, carry-in folds) is lane-packed: 64 lanes per
-word, ceil(L/64) words. Level k of the carry-only tree keeps 64/2^k live
-bits per lane and ships 2^k lanes per word (see _ge_core).
+is its own bit decomposition and the carry tree's shifts and sign bits are
+word shifts (x << s, x >> 63). A tensor with one bit per lane (comparison
+bits) is lane-packed: 64 lanes per word, ceil(L/64) words. Level k of the
+carry-only tree keeps 64/2^k live bits per lane and ships 2^k lanes per
+word (see _ge_core).
 
 Scale conventions: encoded reals sit at 2^-p. Products of two encoded
 operands land at 2^-2p and are truncated back unless the caller opts out
@@ -184,92 +185,19 @@ def _unpack_lanes(words: np.ndarray, nbits: int) -> np.ndarray:
     return unpack_bit_words(pack_words(words), (nbits,)).astype(np.uint64)
 
 
-def _join_bits(e: np.ndarray, f: np.ndarray, nbits: int) -> np.ndarray:
-    """Packed words of e's nbits bits followed by f's."""
-    if nbits % 64 == 0:
-        return np.concatenate([e.reshape(-1), f.reshape(-1)])
-    return _pack_lanes(np.concatenate([_unpack_lanes(e, nbits), _unpack_lanes(f, nbits)]))
-
-
-def _split_bits(msg: np.ndarray, nbits: int, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of _join_bits."""
-    if nbits % 64 == 0:
-        e, f = msg.reshape((2,) + tuple(shape))
-        return e, f
-    bits = _unpack_lanes(msg, 2 * nbits)
-    return _pack_lanes(bits[:nbits]), _pack_lanes(bits[nbits:])
-
-
-def _bit_and(sess: Session, x: np.ndarray, y: np.ndarray, nbits: int | None = None) -> np.ndarray:
-    """AND on XOR-shared packed bit tensors; one round for any batch shape.
-
-    y may broadcast against x, whose shape is the result's. nbits is the
-    logical bit count of a lane-packed operand; full-width operands carry 64
-    bits per word.
-    """
-    nbits = 64 * x.size if nbits is None else nbits
-    a, b, c = (t.reshape(x.shape) for t in sess.draw_bit_triple(nbits))
+def _bit_and(sess: Session, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """AND on XOR-shared full-width packed bit tensors; one round for any
+    batch shape. y may broadcast against x, whose shape is the result's."""
+    a, b, c = (t.reshape(x.shape) for t in sess.draw_bit_triple(64 * x.size))
     e_loc = x ^ a
     f_loc = y ^ b
-    e_peer, f_peer = _split_bits(sess.exchange_bits(_join_bits(e_loc, f_loc, nbits)), nbits, x.shape)
+    e_peer, f_peer = sess.exchange_bits(np.concatenate([e_loc, f_loc])).reshape((2,) + x.shape)
     e = e_loc ^ e_peer
     f = f_loc ^ f_peer
     z = c ^ (f & a) ^ (e & b)
     if sess.party == 0:
         z ^= e & f
     return z
-
-
-def _adder(
-    sess: Session,
-    x: np.ndarray,
-    y: np.ndarray | None,
-    *,
-    cin_share: np.ndarray | None = None,
-    cin_public: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kogge-Stone addition of full-width XOR-shared words.
-
-    Returns (sum words, per-lane carry out as 0/1 words). y=None means an
-    all-zero addend, used for conditional negation where only a carry-in
-    enters; cin_share holds per-lane 0/1 words.
-    """
-    if y is None:
-        p = x
-        g = np.zeros_like(x)
-    else:
-        p = x ^ y
-        g = _bit_and(sess, x, y)
-    if cin_share is not None:
-        fold = _bit_and(sess, _pack_lanes(p & ONE), _pack_lanes(cin_share), nbits=p.size)
-        g = g ^ _unpack_lanes(fold, p.size).reshape(p.shape)
-    elif cin_public:
-        g = g ^ (p & ONE)  # p0 AND 1 is local
-    gp = np.stack([g, p])
-    s = 1
-    while s < 64:
-        # one AND layer: (g, p) <- (g ^ p & g<<s, p & p<<s)
-        res = _bit_and(sess, np.broadcast_to(gp[1], gp.shape), gp << s)
-        res[0] ^= gp[0]
-        gp = res
-        s <<= 1
-    g = gp[0]
-    carry = g << ONE
-    if cin_share is not None:
-        carry |= cin_share
-    elif cin_public and sess.party == 0:
-        carry |= ONE
-    return p ^ carry, g >> 63
-
-
-def _a2b(sess: Session, x: np.ndarray) -> np.ndarray:
-    """Arithmetic share to XOR-shared full-width words of the same value."""
-    mine = np.asarray(x, dtype=np.uint64)
-    zeros = np.zeros_like(mine)
-    xa = mine if sess.party == 0 else zeros
-    xb = zeros if sess.party == 0 else mine
-    total, _ = _adder(sess, xa, xb)
-    return total
 
 
 def _b2a_bits(sess: Session, bits: np.ndarray, nbits: int) -> np.ndarray:
@@ -283,20 +211,8 @@ def _b2a_bits(sess: Session, bits: np.ndarray, nbits: int) -> np.ndarray:
     return out
 
 
-def _b2a_word(sess: Session, words: np.ndarray) -> np.ndarray:
-    """XOR-shared full-width words to one arithmetic share each (two's complement)."""
-    arith = _b2a_bits(sess, words, 64 * words.size).reshape(words.shape + (64,))
-    return (arith << np.arange(64, dtype=np.uint64)).sum(axis=-1, dtype=np.uint64)
-
-
 def _bool_not(sess: Session, words: np.ndarray) -> np.ndarray:
     return ~words if sess.party == 0 else words
-
-
-def _cond_negate(sess: Session, words: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Two's-complement negate where sign=1: (x XOR sign) + sign."""
-    total, _ = _adder(sess, words ^ np.negative(sign), None, cin_share=sign)
-    return total
 
 
 # -- comparison gates ---------------------------------------------------------
@@ -496,34 +412,31 @@ def sec_rank(sess: Session, key: np.ndarray, count: int) -> np.ndarray:
 def sec_div(sess: Session, u, v) -> np.ndarray:
     """Fixed-point quotient round toward zero of (u << p) / v.
 
-    Sign-magnitude long division on XOR-shared bits; exact given v != 0
-    and a representable quotient. The circuit produces garbage on v = 0,
-    so callers guard the domain at the plaintext level.
+    Restoring division on arithmetic shares. One batched comparison gives
+    the signs of u and v, one Beaver round the magnitudes and the product of
+    the signs. Then for each of the div_iterations quotient bits i, high to
+    low, c = [R >= |v| << i] and R -= c * (|v| << i), with R starting at
+    |u| << p; one last Beaver round applies the sign to sum(c << i).
+
+    Exact for v != 0 and a representable quotient, |q| < 2^(e-1). Outside
+    that domain (v = 0 included) the magnitude saturates at every quotient
+    bit set, so the result is +-(2^(p+e-1) - 1) raw with the sign of u / v
+    (of u when v = 0). Callers guard the domain at the plaintext level.
     """
     u, v = _broadcast(u, v)
     with sess.op("sec_div", int(u.size)):
-        p = sess.codec.precision_p
-
-        bits_u = _a2b(sess, u)
-        bits_v = _a2b(sess, v)
-        s_u = bits_u >> 63
-        s_v = bits_v >> 63
-        au = _cond_negate(sess, bits_u, s_u)
-        av = _cond_negate(sess, bits_v, s_v)
-
-        # dividend = |u| << p, safe because |u| * 2^p < 2^63
-        dividend = au << p
-        neg_av = _bool_not(sess, av)
-        remainder = np.zeros_like(au)
+        # s = 2 [x >= 0] - 1: +1 on non-negative x, -1 on negative
+        ge = _ge_core(sess, np.stack([u, v]), np.zeros_like(u))
+        s_u, s_v = add_public(sess, ge << ONE, from_signed(-1))
+        au, av, sign = _beaver_mul(sess, np.stack([u, v, s_u]), np.stack([s_u, s_v, s_v]), truncate=False)
+        remainder = au << np.uint64(sess.codec.precision_p)
         quot = np.zeros_like(au)
         for i in range(div_iterations(sess.codec) - 1, -1, -1):
-            shifted = (remainder << ONE) | ((dividend >> i) & ONE)
-            diff, carry = _adder(sess, shifted, neg_av, cin_public=1)
-            swap = _bit_and(sess, np.negative(carry), diff ^ shifted)
-            remainder = shifted ^ swap
-            quot |= carry << i
-        signed_q = _cond_negate(sess, quot, s_u ^ s_v)
-        return _b2a_word(sess, signed_q)
+            step = av << np.uint64(i)
+            c = _ge_core(sess, remainder, step)
+            remainder = np.subtract(remainder, _beaver_mul(sess, c, step, truncate=False))
+            quot = np.add(quot, c << np.uint64(i))
+        return _beaver_mul(sess, quot, sign, truncate=False)
 
 
 # -- masked inversion ------------------------------------------------------------

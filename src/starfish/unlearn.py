@@ -187,6 +187,10 @@ class HistoryStore:
             raise ConfigError(f"unsupported history version {version}")
         if word_bits != WORD_BITS:
             raise ConfigError(f"{path} has {word_bits}-bit words, expected {WORD_BITS}")
+        # models, grads, norms and thresholds, all 8-byte words
+        size = _SFH1.size + 8 * ((t + 1) * m + t * n * m + 2 * t * n)
+        if len(blob) != size:
+            raise ConfigError(f"{path} holds {len(blob)} bytes, its header implies {size}")
         codec = FixedPointCodec(precision_p=p, range_e=e)
         off = _SFH1.size
         def take(count, dtype):

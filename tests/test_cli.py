@@ -176,6 +176,22 @@ def test_unlearn_rejects_a_wide_word_history(small_cfg, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", [lambda blob: blob[:-100], lambda blob: blob + b"\0"],
+                         ids=["truncated", "one-extra-byte"])
+def test_unlearn_rejects_a_history_of_the_wrong_length(small_cfg, tmp_path, capsys, edit):
+    out = tmp_path / "run"
+    assert _run(["train", "--config", small_cfg, "--out", out]) == 0
+    path = out / "history.p0.sfh1"
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ConfigError, match="its header implies"):
+        HistoryStore.load(path)
+    capsys.readouterr()
+    assert _run(["unlearn", "--config", small_cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "its header implies" in err
+    assert "Traceback" not in err
+
+
 def test_compare_writes_report(small_cfg, tmp_path, capsys):
     out = tmp_path / "cmp"
     assert _run(["compare", "--config", small_cfg, "--out", out]) == 0
@@ -371,6 +387,19 @@ def test_tcp_train_two_processes(tmp_path, capsys):
     assert _run(["unlearn", "--config", tmp_path / "plain.cfg", "--out", out]) == 1
     (tmp_path / "plain.cfg").write_text(SMALL)
     assert _run(["unlearn", "--config", tmp_path / "plain.cfg", "--out", out]) == 0
+
+
+def test_address_must_be_host_and_port(tmp_path, capsys):
+    assert parse_config_text("address = 127.0.0.1:29477\n") == {"address": "127.0.0.1:29477"}
+    for bad in ("nohost", "host:abc", "host:70000", ":80", "host:0"):
+        with pytest.raises(ConfigError, match="address must be host:port"):
+            parse_config_text(f"address = {bad}\n")
+    cfg = tmp_path / "nohost.cfg"
+    cfg.write_text(SMALL + "transport = tcp\naddress = nohost\n")
+    assert _run(["train", "--config", cfg, "--party", 0, "--out", tmp_path / "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "address must be host:port" in err
+    assert "Traceback" not in err
 
 
 def test_tcp_requires_party(small_cfg, tmp_path, capsys):

@@ -38,18 +38,26 @@ def test_switching_threshold_monotone_in_word_size():
 
 def test_switching_threshold_matches_cost_crossover():
     # with every round kept and all but one selected (so both methods sort),
-    # the cost model's online bytes cross over between 2^27 and 2^28 rounds,
-    # and the auto-switch point lies there too
-    def online(t, method):
-        shape = {"t": t, "t_prime": t - 1, "method": method}
-        return predict_cost("sec_rs", shape, CODEC).online_bytes
+    # the cost model's online bytes cross over between 2^11 and 2^12 rounds
+    # and its rounds between 2^20 and 2^21. The paper's auto-switch point
+    # lies above both: this engine's division is cheaper than the paper's
+    # word-size model assumes, so method 2 is taken later than it pays off
+    def cost(t, method):
+        return predict_cost("sec_rs", {"t": t, "t_prime": t - 1, "method": method}, CODEC)
 
-    below, above = 2**27, 2**28
-    assert online(below, 1) == 3_239_646_915_800 < online(below, 2) == 3_268_738_607_608
-    assert online(above, 2) == 6_835_776_059_832 < online(above, 1) == 6_957_981_302_360
+    def online(t, method):
+        return cost(t, method).online_bytes
+
+    assert online(2**11, 1) == 8_749_016 < online(2**11, 2) == 8_947_672
+    assert online(2**12, 2) == 19_834_520 < online(2**12, 1) == 20_619_608
+    assert cost(2**20, 1).rounds == 2110 < cost(2**20, 2).rounds == 2126
+    assert cost(2**21, 2).rounds == 2315 < cost(2**21, 1).rounds == 2320
+    # method 1 runs no division, so its figures at the paper's threshold stay
+    assert online(2**27, 2) == 2_247_475_913_560 < online(2**27, 1) == 3_239_646_915_800
+    assert online(2**28, 2) == 4_793_250_673_432 < online(2**28, 1) == 6_957_981_302_360
     t_delta = SelectionParams(t=1, sigma=1.0).t_delta
     assert t_delta == switching_threshold(64, 128) == 158_000_786
-    assert below < t_delta < above
+    assert 2**27 < t_delta < 2**28
 
 
 def test_switching_threshold_validation():
