@@ -49,7 +49,6 @@ from .sharing import (
     run_pair,
     sec_rec,
     sec_share,
-    zero_gen,
 )
 from .unlearn import (
     HistoryStore,
@@ -69,32 +68,8 @@ from .unlearn import (
 # -- configuration ------------------------------------------------------------
 
 
-def _parse_task(v: str) -> str:
-    if v not in ("quadratic", "logistic"):
-        raise ConfigError(f"task must be quadratic or logistic, got {v!r}")
-    return v
-
-
-def _parse_transport(v: str) -> str:
-    if v not in ("inproc", "tcp"):
-        raise ConfigError(f"transport must be inproc or tcp, got {v!r}")
-    return v
-
-
-def _parse_party(v: str):
-    if v.lower() in ("", "none"):
-        return None
-    party = int(v)
-    if party not in (0, 1):
-        raise ConfigError(f"party must be 0 or 1, got {v}")
-    return party
-
-
-def _parse_address(v: str) -> str:
-    host, _, port = v.rpartition(":")
-    if not (host and port.isdecimal() and 1 <= int(port) <= 65535):
-        raise ConfigError(f"address must be host:port with a port in 1..65535, got {v!r}")
-    return v
+def _parse_opt_int(v: str):
+    return None if v.lower() in ("", "none") else int(v)
 
 
 def _parse_opt_float(v: str):
@@ -103,7 +78,11 @@ def _parse_opt_float(v: str):
 
 @dataclass
 class RunConfig:
-    """Every knob of a run. Key names in the config file match field names."""
+    """Every knob of a run. Key names in the config file match field names.
+
+    Construction checks every value, whether it came from a file or a
+    keyword, and raises ConfigError on the first bad one.
+    """
 
     # protocol
     n: int = 4
@@ -133,6 +112,20 @@ class RunConfig:
     party: int | None = None
     address: str = "127.0.0.1:29477"
     out: str = "starfish-out"
+
+    def __post_init__(self):
+        if self.task not in ("quadratic", "logistic"):
+            raise ConfigError(f"task must be quadratic or logistic, got {self.task!r}")
+        if self.transport not in ("inproc", "tcp"):
+            raise ConfigError(f"transport must be inproc or tcp, got {self.transport!r}")
+        if self.party not in (None, 0, 1):
+            raise ConfigError(f"party must be 0 or 1, got {self.party}")
+        host, _, port = self.address.rpartition(":")
+        if not (host and port.isdecimal() and 1 <= int(port) <= 65535):
+            raise ConfigError(f"address must be host:port with a port in 1..65535, got {self.address!r}")
+        self.unlearn_config()
+        if not (0 <= self.target < self.n):
+            raise ConfigError(f"target {self.target} outside client range [0, {self.n})")
 
     def codec(self) -> FixedPointCodec:
         return FixedPointCodec()
@@ -165,17 +158,19 @@ _PARSERS = {
     "sigma": float, "alpha": float, "beta": float,
     "buffer_b": int, "eta_l": float, "eta_u": _parse_opt_float,
     "seed": int, "target": int,
-    "task": _parse_task,
+    "task": str,
     "mu": float, "lam_max": _parse_opt_float, "lip": _parse_opt_float,
     "spread": float, "start": float, "heterogeneity": float,
     "samples": int, "reg": float, "scale": float,
-    "transport": _parse_transport, "party": _parse_party, "address": _parse_address,
+    "transport": str, "party": _parse_opt_int, "address": str,
     "out": str,
 }
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
-    """Flat key = value lines; # starts a comment; unknown keys are errors."""
+    """Flat key = value lines; # starts a comment; unknown keys are errors.
+
+    Values are only converted to their types here; RunConfig checks them."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -208,11 +203,7 @@ def load_config(path=None, **overrides) -> RunConfig:
     for key, val in overrides.items():
         if val is not None:
             values[key] = val
-    cfg = RunConfig(**values)
-    cfg.unlearn_config()
-    if not (0 <= cfg.target < cfg.n):
-        raise ConfigError(f"target {cfg.target} outside client range [0, {cfg.n})")
-    return cfg
+    return RunConfig(**values)
 
 
 # -- session plumbing ----------------------------------------------------------
@@ -290,6 +281,8 @@ def cmd_unlearn(cfg: RunConfig) -> int:
         if not path.exists():
             raise ConfigError(f"no training history at {path}; run train first")
         hist = HistoryStore.load(path)
+        if hist.party != sess.party:
+            raise ConfigError(f"{path} holds party {hist.party}'s history, not party {sess.party}'s")
         stored = (hist.codec.precision_p, hist.codec.range_e)
         if stored != (codec.precision_p, codec.range_e):
             raise ConfigError(f"history codec {stored} differs from configured codec")
@@ -453,7 +446,6 @@ def _audit_battery(cfg: RunConfig):
 
     return [
         ("sec_add (8,)", "sec_add", (8,), lambda s: sec_add(s, *shared(s, 0, v8, v8))),
-        ("zero_gen (8,)", "zero_gen", (8,), lambda s: zero_gen(s, (8,))),
         ("sec_rec (8,)", "sec_rec", (8,), lambda s: sec_rec(s, *shared(s, 1, v8))),
         ("sec_mul (8,)", "sec_mul", (8,), lambda s: sec_mul(s, *shared(s, 2, v8, v8))),
         ("sec_mul matmul 4x4", "sec_mul", {"matmul": ((4, 4), (4, 4))},

@@ -4,15 +4,17 @@ Each formula mirrors the implemented circuit exchange by exchange, so the
 audit can demand exact equality between prediction and meter. The moving
 parts are the frame overhead (16 bytes), the 64-bit ring word
 (fixedpoint.WORD_BITS), the packed-bit payload rule (whole 64-bit words) and
-the Kogge-Stone level count. Comparisons (ge_cost) are priced as the
-carry-only sign circuit, whose levels shrink by half each time. Division
-(div_cost) is built on that comparison and Beaver products, one of each per
-quotient bit. Only division depends on the codec (its quotient bit count),
-so only the formulas that reach sec_div take one.
+the six carry levels over a 64-bit word. Every Beaver product, elementwise
+or matmul, ships its two masked operands at their own shapes (mul_cost).
+Comparisons (ge_cost) are priced as the carry-only sign circuit, whose
+levels shrink by half each time. Division (div_cost) is built on that
+comparison and Beaver products, one of each per quotient bit. Only division
+depends on the codec (its quotient bit count), so only the formulas that
+reach sec_div take one.
 
 Round selection ranks the kept rounds by pairwise wins (sec_rank, constant
 rounds, T(T-1)/2 comparators) rather than running the top-T' network over
-them (sec_srt, priced layer by layer from _topk_layers) wherever ranks()
+them (sec_srt, priced layer by layer from topk_layers) wherever ranks()
 says that ships no more online bytes, each path counted with its own
 reveal: T flags after ranking, T' indices after the network. The rule reads
 only public sizes, so both parties and these formulas take the same path.
@@ -85,9 +87,9 @@ def b2a_bits_cost(nbits: int) -> CostEstimate:
 
 
 def ge_cost(lanes: int) -> CostEstimate:
-    """Sign-only comparison: the generate layer, one carry-only level per
-    Kogge-Stone level (level k ships its g and p ANDs for 2^k lanes per
-    word; the last level only its g AND), and the B2A of the sign bits."""
+    """Sign-only comparison: the generate layer, the six carry-only levels of
+    a 64-bit word (level k ships its g and p ANDs for 2^k lanes per word;
+    the last level only its g AND), and the B2A of the sign bits."""
     levels = ks_level_count(WORD_BITS)
     total = and_round(lanes * WORD_BITS)
     for k in range(1, levels + 1):
@@ -95,17 +97,14 @@ def ge_cost(lanes: int) -> CostEstimate:
     return total + b2a_bits_cost(lanes)
 
 
-def mul_cost(broadcast_lanes: int) -> CostEstimate:
-    return words_round(2 * broadcast_lanes)
-
-
-def matmul_cost(shape_x, shape_y) -> CostEstimate:
-    return words_round(_lanes(shape_x) + _lanes(shape_y))
+def mul_cost(x_lanes: int, y_lanes: int) -> CostEstimate:
+    """A Beaver product, elementwise or matmul: both masked operands, one round."""
+    return words_round(x_lanes + y_lanes)
 
 
 def comparator_cost(width: int, lanes: int) -> CostEstimate:
     """gates.comparator on lanes rows of width-column keys."""
-    cross = mul_cost(2 * lanes) if width == 2 else ZERO
+    cross = mul_cost(2 * lanes, 2 * lanes) if width == 2 else ZERO
     return cross + ge_cost(lanes)
 
 
@@ -113,35 +112,50 @@ def padded_size(t: int) -> int:
     return 1 << max(t - 1, 0).bit_length()
 
 
-def _topk_layers(t: int, count: int) -> list[int]:
-    """Pairs compared by each layer of sec_srt's top-count network.
+def topk_layers(t: int, count: int) -> list[tuple[int, int]]:
+    """The (k, j) layers of sec_srt's top-count network, in order.
 
     With N = padded_size(t) and K = padded_size(count) capped at N: the
-    bitonic stages up to blocks of K (N/2 pairs each), then per merge level
-    one half-cleaner over the n/2 pairs of n rows and log2 K merge stages
-    over the n/4 pairs of the n/2 rows it keeps. At K = N this is the full
-    bitonic sort.
+    bitonic stages (k, j) for k = 2..K and j = k/2..1, then per merge level
+    a half-cleaner, marked j = 0, that keeps one row of each pair, and the
+    log2 K stages (K, j) over the rows it keeps. At K = N this is the full
+    bitonic sort. Every layer compares half of its rows.
     """
     size = padded_size(t)
-    k = min(padded_size(count), size)
-    ell = k.bit_length() - 1
-    layers = [size // 2] * (ell * (ell + 1) // 2)
-    while size > k:
+    block = min(padded_size(count), size)
+
+    def merge(k):
+        return [(k, k >> i) for i in range(1, k.bit_length())]
+
+    layers = [layer for i in range(1, block.bit_length()) for layer in merge(1 << i)]
+    while size > block:
         size //= 2
-        layers += [size] + [size // 2] * ell
+        layers += [(block, 0)] + merge(block)
     return layers
+
+
+def _layer_pairs(t: int, count: int) -> list[int]:
+    """Pairs compared by each topk_layers layer: half the rows, which each
+    half-cleaner halves."""
+    rows = padded_size(t)
+    pairs = []
+    for _, j in topk_layers(t, count):
+        pairs.append(rows // 2)
+        if j == 0:
+            rows //= 2
+    return pairs
 
 
 def comparator_calls(t: int, count: int) -> int:
     """Comparator calls of sec_srt; (l^2 + l)/4 * T at count >= T = 2^l."""
-    return sum(_topk_layers(t, count))
+    return sum(_layer_pairs(t, count))
 
 
 def sort_cost(t: int, item_words: int, width: int, count: int) -> CostEstimate:
-    """sec_srt: per layer one comparator and one select of whole rows."""
+    """sec_srt: per layer one comparator and one select of whole rows by a bit column."""
     total = ZERO
-    for pairs in _topk_layers(t, count):
-        total += comparator_cost(width, pairs) + mul_cost(pairs * item_words)
+    for pairs in _layer_pairs(t, count):
+        total += comparator_cost(width, pairs) + mul_cost(pairs, pairs * item_words)
     return total
 
 
@@ -176,15 +190,16 @@ def max_cost(t: int, batch: int) -> CostEstimate:
     total = ZERO
     while size > 1:
         half = size // 2
-        total += ge_cost(batch * half) + mul_cost(batch * half)
+        total += ge_cost(batch * half) + mul_cost(batch * half, batch * half)
         size = half
     return total
 
 
 def div_cost(lanes: int, codec: FixedPointCodec) -> CostEstimate:
     """Signs, magnitudes, one comparison and one product per quotient bit, the sign."""
-    step = ge_cost(lanes) + mul_cost(lanes)
-    return ge_cost(2 * lanes) + mul_cost(3 * lanes) + step * div_iterations(codec) + mul_cost(lanes)
+    step = ge_cost(lanes) + mul_cost(lanes, lanes)
+    return (ge_cost(2 * lanes) + mul_cost(3 * lanes, 3 * lanes) + step * div_iterations(codec)
+            + mul_cost(lanes, lanes))
 
 
 def mi_cost(m: int, batch: int) -> CostEstimate:
@@ -205,20 +220,20 @@ def ue_cost(clients: int, m: int, pairs: int) -> CostEstimate:
     """
     total = ZERO
     for _ in range(pairs):
-        total += mul_cost(clients) + ge_cost(clients) + words_round(clients)
+        total += mul_cost(clients, clients) + ge_cost(clients) + words_round(clients)
         total += mi_cost(1, clients)
-        total += mul_cost(clients * m)
-        total += matmul_cost((clients, m, m), (clients, m, m)) * 2
-        total += matmul_cost((clients, m, 1), (clients, 1, m))
+        total += mul_cost(clients, clients * m)
+        total += mul_cost(clients * m * m, clients * m * m) * 2
+        total += mul_cost(clients * m, clients * m)
     if pairs > 0:
-        total += matmul_cost((clients, m, m), (clients, m, 1))
+        total += mul_cost(clients * m * m, clients * m)
     total += words_round(m)
     return total
 
 
 def tc_cost(clients: int, m: int) -> CostEstimate:
-    total = mul_cost(clients * m)     # gradient squares
-    total += mul_cost(clients)        # threshold squares
+    total = mul_cost(clients * m, clients * m)  # gradient squares
+    total += mul_cost(clients, clients)         # threshold squares
     total += ge_cost(clients * m)     # coordinate exceed bits
     total += ge_cost(clients)         # count >= 1
     total += words_round(clients)     # reveal flags
@@ -248,9 +263,10 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
     """Predicted (rounds, online bytes) one party sends for one invocation.
 
     Shape argument by functionality:
-      sec_add/zero_gen/sec_share: ignored
-      sec_rec/sec_ge/sec_div/sec_sel: lane shape tuple
-      sec_mul: lane shape tuple, or dict {"matmul": (sx, sy)}
+      sec_add/sec_share: ignored
+      sec_rec/sec_ge/sec_div: lane shape tuple
+      sec_mul/sec_sel: lane shape tuple of both operands, or for sec_mul a
+        dict {"matmul": (sx, sy)}
       sec_sp: shape tuple (..., k)
       sec_max: shape tuple (..., T), max over the last axis
       sec_srt: dict {"t", "item_words", "width", "count"}: the top count of T
@@ -263,20 +279,16 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
       sec_rs: dict {"t", "t_prime", "method", "kept"?}
     """
     name = functionality
-    if name in ("sec_add", "zero_gen", "sec_share"):
+    if name in ("sec_add", "sec_share"):
         return ZERO
     if name == "sec_rec":
         return words_round(_lanes(shape))
-    if name == "sec_mul":
-        if isinstance(shape, dict):
-            sx, sy = shape["matmul"]
-            return matmul_cost(sx, sy)
-        return mul_cost(_lanes(shape))
+    if name in ("sec_mul", "sec_sel"):
+        sx, sy = shape["matmul"] if isinstance(shape, dict) else (shape, shape)
+        return mul_cost(_lanes(sx), _lanes(sy))
     if name == "sec_sp":
         lanes = _lanes(shape[:-1])
         return words_round(2 * lanes * shape[-1])
-    if name == "sec_sel":
-        return mul_cost(_lanes(shape))
     if name == "sec_ge":
         return ge_cost(_lanes(shape))
     if name == "sec_max":

@@ -1,6 +1,7 @@
 """Two-party gates over additively shared ring tensors.
 
-Arithmetic gates use Beaver triples from the dealer tape. Comparison runs
+Arithmetic gates use Beaver triples from the dealer tape, drawn at the
+operands' own shapes; numpy broadcasting forms the product. Comparison runs
 on XOR-shared bits where each party contributes its own share as one
 addend. It needs only the sign of the sum, so it runs a carry-only prefix
 tree that computes the carry into the top bit (the MSB extraction of ABY3
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .costs import div_iterations, padded_size
+from .costs import div_iterations, padded_size, topk_layers
 from .errors import RangeError, ShapeError, SingularRevealError
 from .fixedpoint import from_signed
 from .sharing import Session
@@ -64,11 +65,6 @@ def add_public(sess: Session, x, raw) -> np.ndarray:
     if sess.party == 0:
         return np.add(x, np.asarray(raw, dtype=np.uint64))
     return np.asarray(x, dtype=np.uint64)
-
-
-def _broadcast(x, y):
-    bx, by = np.broadcast_arrays(np.asarray(x), np.asarray(y))
-    return bx.copy(), by.copy()
 
 
 def _open(sess: Session, x) -> np.ndarray:
@@ -95,15 +91,14 @@ def _exchange_concat(sess: Session, parts: list[np.ndarray]) -> list[np.ndarray]
 
 
 def _beaver_mul(sess: Session, x, y, *, matmul: bool = False, truncate: bool = True):
+    """Beaver product of x and y from a triple at the operands' own shapes:
+    d = x - a and e = y - b ship lanes(x) + lanes(y) words in one round, and
+    numpy broadcasting forms c = a * b (or a @ b) and z."""
     x = np.asarray(x)
     y = np.asarray(y)
-    if matmul:
-        if x.shape[-1] != y.shape[-2 if y.ndim > 1 else 0]:
-            raise ShapeError(f"matmul shapes {x.shape} x {y.shape}")
-        product = np.matmul
-    else:
-        x, y = _broadcast(x, y)
-        product = np.multiply
+    if matmul and x.shape[-1] != y.shape[-2 if y.ndim > 1 else 0]:
+        raise ShapeError(f"matmul shapes {x.shape} x {y.shape}")
+    product = np.matmul if matmul else np.multiply
     a, b, c = sess.draw_beaver(x.shape, y.shape, "matmul" if matmul else "mul")
     d_loc = np.subtract(x, a)
     e_loc = np.subtract(y, b)
@@ -147,7 +142,7 @@ def sec_sp(sess: Session, x, y) -> np.ndarray:
     y = np.asarray(y)
     if x.shape[-1] != y.shape[-1]:
         raise ShapeError(f"sec_sp shapes {x.shape} x {y.shape}")
-    x, y = _broadcast(x, y)
+    x, y = np.broadcast_arrays(x, y)
     with sess.op("sec_sp", int(x.size // x.shape[-1])):
         z = _beaver_mul(sess, x[..., None, :], y[..., :, None], matmul=True)
         return z[..., 0, 0]
@@ -162,12 +157,13 @@ def sp_public(sess: Session, x, raw) -> np.ndarray:
 
 
 def _select(sess: Session, v0, v1, b) -> np.ndarray:
-    out = np.add(v0, _beaver_mul(sess, b, np.subtract(v1, v0), truncate=False))
-    return np.add(out, sess.draw_zero(np.asarray(out).shape))
+    # the Beaver output holds the dealer's fresh share of c, so the result is
+    # already a fresh sharing: a zero share on top would re-randomize nothing
+    return np.add(v0, _beaver_mul(sess, b, np.subtract(v1, v0), truncate=False))
 
 
 def sec_sel(sess: Session, v0, v1, b) -> np.ndarray:
-    """Oblivious select v0 + b*(v1 - v0), re-randomized with a zero share."""
+    """Oblivious select v0 + b*(v1 - v0); b may broadcast against v0 and v1."""
     with sess.op("sec_sel", int(np.asarray(b).size)):
         return _select(sess, v0, v1, b)
 
@@ -248,7 +244,7 @@ def _ge_core(sess: Session, u, v) -> np.ndarray:
     at t places right of its own bit positions. The last level (s = 32) ANDs
     only g. One B2A turns the sign bits into arithmetic shares.
     """
-    d = np.subtract(*_broadcast(u, v))
+    d = np.asarray(np.subtract(u, v))
     flat = d.reshape(-1)
     mine = flat << ONE
     zeros = np.zeros_like(mine)
@@ -284,9 +280,7 @@ def sec_max(sess: Session, vals) -> np.ndarray:
             half = vals.shape[-1] // 2
             a = vals[..., :half]
             b = vals[..., half:]
-            g = _ge_core(sess, a, b)
-            picked = _beaver_mul(sess, g, np.subtract(a, b), truncate=False)
-            vals = np.add(b, picked)
+            vals = _select(sess, b, a, _ge_core(sess, a, b))
         return vals[..., 0]
 
 
@@ -325,7 +319,8 @@ def sec_srt(sess: Session, rows: np.ndarray, width: int, count: int) -> np.ndarr
     ascending. Each merge level then keeps the max of rows i and i + K of
     each block pair, the top K of 2K as a bitonic block, and re-sorts the
     blocks with log2 K merge stages (Shanbhag, Pirk & Madden, SIGMOD 2018).
-    At count >= T the network is the full bitonic sort. Comparator calls:
+    At count >= T the network is the full bitonic sort. The layers are
+    costs.topk_layers(T, count); comparator calls are
     costs.comparator_calls(T, count). Returns min(count, T) rows.
     """
     with sess.op("sec_srt"):
@@ -337,51 +332,30 @@ def sec_srt(sess: Session, rows: np.ndarray, width: int, count: int) -> np.ndarr
             pad[0] = _minus_infinity(sess)
             pad[1:width] = sess.codec.encode(1.0)
             rows = np.concatenate([rows, np.broadcast_to(const_share(sess, pad), (size - t, cols))])
-        block = min(padded_size(count), size)
-        k = 2
-        while k <= block:
-            _bitonic_merge(sess, rows, width, k)
-            k *= 2
-        while len(rows) > block:
-            # half-cleaner: row i of each descending block against row i of
-            # the ascending block after it; only the max goes on
-            first = (np.arange(len(rows)) & block) == 0
-            hi, lo = rows[first], rows[~first]
+        for k, j in topk_layers(t, count):
+            # row i against row i + span for each i with bit span clear: a
+            # stage compares at distance j, a half-cleaner (j = 0) row i of
+            # each descending block of k against row i of the ascending one
+            span = j or k
+            idx = np.arange(len(rows))
+            hi_idx = idx[(idx & span) == 0]
+            lo_idx = hi_idx + span
+            hi, lo = rows[hi_idx], rows[lo_idx]
             b = comparator(sess, hi[:, :width], lo[:, :width])
-            sess.meter.invoke("sec_sel", len(hi))
-            rows = _select(sess, lo, hi, b[:, None])
-            _bitonic_merge(sess, rows, width, block)
+            sess.meter.invoke("sec_sel", len(hi_idx))
+            # positions sorting ascending flip the comparator bit locally; a
+            # half-cleaner always keeps the max (every hi_idx has bit k clear)
+            desc = (hi_idx & k) == 0
+            s = np.multiply(b, from_signed(np.where(desc, 1, -1)))
+            if sess.party == 0:
+                s = np.add(s, from_signed(np.where(desc, 0, 1)))
+            top = _select(sess, lo, hi, s[:, None])
+            if j:
+                rows[hi_idx] = top
+                rows[lo_idx] = np.subtract(hi + lo, top)
+            else:
+                rows = top
         return rows[: min(count, t)]
-
-
-def _bitonic_merge(sess: Session, rows: np.ndarray, width: int, k: int) -> None:
-    """Sort bitonic blocks of k rows in place, alternately descending and
-    ascending: log2 k compare-exchange layers."""
-    j = k // 2
-    while j >= 1:
-        hi_idx, lo_idx, desc = _bitonic_stage(len(rows), k, j)
-        hi, lo = rows[hi_idx], rows[lo_idx]
-        b = comparator(sess, hi[:, :width], lo[:, :width])
-        sess.meter.invoke("sec_sel", len(hi_idx))
-        # positions sorting ascending flip the comparator bit locally
-        s = np.multiply(b, from_signed(np.where(desc, 1, -1)))
-        if sess.party == 0:
-            s = np.add(s, from_signed(np.where(desc, 0, 1)))
-        top = _select(sess, lo, hi, s[:, None])
-        rows[hi_idx] = top
-        rows[lo_idx] = np.subtract(hi + lo, top)
-        j //= 2
-
-
-def _bitonic_stage(size: int, k: int, j: int):
-    """Disjoint compare-exchange pairs for one (k, j) stage."""
-    i = np.arange(size)
-    l = i ^ j
-    take = l > i
-    hi = i[take]
-    lo = l[take]
-    desc = (hi & k) == 0  # these blocks keep the larger item on top
-    return hi, lo, desc
 
 
 def sec_rank(sess: Session, key: np.ndarray, count: int) -> np.ndarray:
@@ -423,7 +397,7 @@ def sec_div(sess: Session, u, v) -> np.ndarray:
     bit set, so the result is +-(2^(p+e-1) - 1) raw with the sign of u / v
     (of u when v = 0). Callers guard the domain at the plaintext level.
     """
-    u, v = _broadcast(u, v)
+    u, v = np.broadcast_arrays(u, v)
     with sess.op("sec_div", int(u.size)):
         # s = 2 [x >= 0] - 1: +1 on non-negative x, -1 on negative
         ge = _ge_core(sess, np.stack([u, v]), np.zeros_like(u))

@@ -170,7 +170,8 @@ class DealerTape:
         return np.subtract(full, s0)
 
     def beaver(self, shape_x, shape_y, mode: str = "mul"):
-        """Triple (a, b, c) with c = a*b (elementwise) or a@b (matmul)."""
+        """Triple (a, b, c) with a, b at the operands' shapes and c = a*b
+        (elementwise, broadcast) or a@b (matmul)."""
         a = self._words(shape_x)
         b = self._words(shape_y)
         if mode == "mul":
@@ -203,10 +204,6 @@ class DealerTape:
             return r0, s0
         values = unpack_bit_words(pack_words(r), (nbits,)).astype(np.uint64)
         return r ^ r0, np.subtract(values, s0)
-
-    def zero_share(self, shape) -> np.ndarray:
-        r = self._words(shape)
-        return r if self.party == 0 else np.negative(r)
 
     def inv_mask(self, m: int) -> np.ndarray:
         """Share of a random mask matrix with entries uniform on [-1, 1).
@@ -294,11 +291,6 @@ class Session:
         self._charge(*pair)
         return pair
 
-    def draw_zero(self, shape):
-        z = self.dealer.zero_share(shape)
-        self._charge(z)
-        return z
-
     def draw_inv_mask(self, m: int):
         r = self.dealer.inv_mask(m)
         self._charge(r)
@@ -363,12 +355,6 @@ def sec_rec(sess: Session, x: np.ndarray) -> np.ndarray:
     with sess.op("sec_rec"):
         theirs = sess.exchange_words(x)
         return np.add(x, theirs)
-
-
-def zero_gen(sess: Session, shape=()) -> np.ndarray:
-    """Fresh share of zero from the dealer tape (no communication)."""
-    with sess.op("zero_gen"):
-        return sess.draw_zero(shape)
 
 
 # -- pair harness ------------------------------------------------------------

@@ -216,8 +216,9 @@ def test_sec_div_matches_reference(lanes, data):
     out, frames = _run_recorded(proto, seed)
     iterations = gates.div_iterations(CODEC)
     assert np.array_equal(out, ref_div(u, v, CODEC.precision_p, iterations))
-    step = _ge_cost_list(lanes) + [costs.mul_cost(lanes)]
-    expected = _ge_cost_list(2 * lanes) + [costs.mul_cost(3 * lanes)] + step * iterations + [costs.mul_cost(lanes)]
+    step = _ge_cost_list(lanes) + [costs.mul_cost(lanes, lanes)]
+    expected = (_ge_cost_list(2 * lanes) + [costs.mul_cost(3 * lanes, 3 * lanes)] + step * iterations
+                + [costs.mul_cost(lanes, lanes)])
     assert frames[:-1] == _bytes(expected)
     assert sum(frames[:-1]) == costs.div_cost(lanes, CODEC).online_bytes
 

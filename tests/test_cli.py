@@ -55,10 +55,11 @@ def test_parse_config_text_rejects_malformed_lines():
         parse_config_text("just words\n")
     with pytest.raises(ConfigError, match=r"bad value for n"):
         parse_config_text("n = four\n")
+    # the parser only converts types; RunConfig checks the values
     with pytest.raises(ConfigError, match="party must be 0 or 1"):
-        parse_config_text("party = 2\n")
+        RunConfig(**parse_config_text("party = 2\n"))
     with pytest.raises(ConfigError, match="task must be"):
-        parse_config_text("task = linear\n")
+        RunConfig(**parse_config_text("task = linear\n"))
 
 
 def test_load_config_defaults():
@@ -84,6 +85,20 @@ def test_load_config_guards(tmp_path):
     path.write_text("target = 7\nn = 4\n")
     with pytest.raises(ConfigError, match="outside client range"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("task", "linear", "task must be quadratic or logistic"),
+    ("transport", "bogus", "transport must be inproc or tcp"),
+    ("party", 2, "party must be 0 or 1"),
+    ("address", "nocolon", "address must be host:port"),
+])
+def test_run_config_checks_keyword_values(key, value, message):
+    # a keyword override gets the same checks as a config file line
+    with pytest.raises(ConfigError, match=message):
+        load_config(None, **{key: value})
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**{key: value})
 
 
 def test_run_config_builds_both_task_families():
@@ -192,6 +207,18 @@ def test_unlearn_rejects_a_history_of_the_wrong_length(small_cfg, tmp_path, caps
     assert "Traceback" not in err
 
 
+def test_unlearn_rejects_the_other_partys_history(small_cfg, tmp_path, capsys):
+    # party 0's history copied over party 1's: caught before any round runs
+    out = tmp_path / "run"
+    assert _run(["train", "--config", small_cfg, "--out", out]) == 0
+    (out / "history.p1.sfh1").write_bytes((out / "history.p0.sfh1").read_bytes())
+    capsys.readouterr()
+    assert _run(["unlearn", "--config", small_cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "history.p1.sfh1 holds party 0's history, not party 1's" in err
+    assert "Traceback" not in err
+
+
 def test_compare_writes_report(small_cfg, tmp_path, capsys):
     out = tmp_path / "cmp"
     assert _run(["compare", "--config", small_cfg, "--out", out]) == 0
@@ -228,7 +255,7 @@ def test_compare_full_sigma_matches_random_subset(tmp_path, capsys):
 def test_audit_passes(capsys):
     assert _run(["audit", "--seed", 0]) == 0
     printed = capsys.readouterr().out
-    assert "all 19 functionalities match" in printed
+    assert "all 18 functionalities match" in printed
     assert "MISMATCH" not in printed
     assert "sec_srt T=8 pair: comparators=24 (formula 24)" in printed
     # T=32 and T=128 run the top-k network (one and four merge levels);
@@ -302,10 +329,10 @@ def test_diverged_recovery_exit_code(tmp_path, capsys):
 
 
 def test_compare_keeps_the_secure_run_when_the_random_baseline_fails(tmp_path, capsys):
-    # the README run.cfg at t=30, seed 10: the secure run finishes, the
+    # the README run.cfg at t=40, seed 10: the secure run finishes, the
     # random-selection baseline meets a gradient the codec cannot represent
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(README_CFG + "t = 30\n")
+    cfg.write_text(README_CFG + "t = 40\n")
     out = tmp_path / "out"
     assert _run(["compare", "--config", cfg, "--seed", 10, "--out", out]) == 0
     printed = capsys.readouterr().out
@@ -390,10 +417,10 @@ def test_tcp_train_two_processes(tmp_path, capsys):
 
 
 def test_address_must_be_host_and_port(tmp_path, capsys):
-    assert parse_config_text("address = 127.0.0.1:29477\n") == {"address": "127.0.0.1:29477"}
+    assert RunConfig(**parse_config_text("address = 127.0.0.1:29477\n")).address == "127.0.0.1:29477"
     for bad in ("nohost", "host:abc", "host:70000", ":80", "host:0"):
         with pytest.raises(ConfigError, match="address must be host:port"):
-            parse_config_text(f"address = {bad}\n")
+            RunConfig(**parse_config_text(f"address = {bad}\n"))
     cfg = tmp_path / "nohost.cfg"
     cfg.write_text(SMALL + "transport = tcp\naddress = nohost\n")
     assert _run(["train", "--config", cfg, "--party", 0, "--out", tmp_path / "x"]) == 1

@@ -13,6 +13,7 @@ from starfish.costs import (
     padded_size,
     predict_cost,
     ranks,
+    topk_layers,
     words_round,
 )
 from starfish.errors import UnknownFunctionality
@@ -72,6 +73,15 @@ def test_comparator_call_formula():
     assert comparator_calls(32, 10) == 16 * 10 + (16 + 4 * 8) == 208
     assert comparator_calls(128, 7) == 64 * 6 + (64 + 3 * 32) + (32 + 3 * 16) + (16 + 3 * 8) + (8 + 3 * 4) == 684
     assert comparator_calls(8, 1) == 4 + 2 + 1 == 7
+
+
+def test_topk_layers():
+    # (k, j) stages; j = 0 marks a half-cleaner between blocks of k rows
+    assert topk_layers(8, 8) == [(2, 1), (4, 2), (4, 1), (8, 4), (8, 2), (8, 1)]
+    assert topk_layers(5, 100) == topk_layers(8, 8)
+    assert topk_layers(8, 3) == [(2, 1), (4, 2), (4, 1), (4, 0), (4, 2), (4, 1)]
+    assert topk_layers(8, 1) == [(1, 0)] * 3
+    assert topk_layers(1, 1) == []
 
 
 def test_ge_cost_bytes():
@@ -213,8 +223,9 @@ def test_selection_costs_match_the_meter_on_every_path():
 def test_rank_rule_at_six_selected_rounds():
     # the byte counts pick ranking at these kept sizes (T' = 6, T in 7..129)
     # and the top-6 network everywhere else, which ships the key plus a round
-    # index through blocks of 8
-    want = {1: [*range(7, 25), 33, 34],
-            2: [*range(7, 24), 33]}
+    # index through blocks of 8. At width 2 the network also wins at T = 16,
+    # which fills its padded size; from 17 it pads to 32 rows
+    want = {1: [*range(7, 24)],
+            2: [*range(7, 16), *range(17, 23)]}
     for width, ranked in want.items():
         assert [t for t in range(7, 130) if ranks(t, 6, width)] == ranked

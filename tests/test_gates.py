@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import CODEC, both, raw_share_pair, reveal, reveal_raw, share_pair
-from starfish.costs import comparator_calls, predict_cost
+from starfish import gates
+from starfish.costs import comparator_calls, predict_cost, topk_layers, words_round
 from starfish.errors import DivisionDomainError, ShapeError, SingularRevealError
 from starfish.gates import (
     MI_TRIES,
@@ -95,6 +96,20 @@ def test_sec_sp_long_vector_budget():
     assert abs(float(got) - float(exact)) <= ERROR_BUDGETS["sec_sp"]
 
 
+def test_sec_mul_column_times_matrix_at_operand_shapes():
+    # the triple is drawn at the operands' shapes: d ships P words, e P*W
+    p, w = 6, 5
+    x = RNG.integers(-1000, 1000, size=(p, 1))
+    y = RNG.integers(-1000, 1000, size=(p, w))
+    a = raw_share_pair(x.astype(np.uint64), key=25)
+    b = raw_share_pair(y.astype(np.uint64), key=26)
+    got, sessions = both(lambda s: reveal_raw(s, sec_mul(s, a[s.party], b[s.party], truncate=False)))
+    assert np.array_equal(got, x * y)
+    st = sessions[0].meter.stats("sec_mul")
+    assert (st.rounds, st.bytes_online) == words_round(p + p * w).as_tuple()
+    assert st.bytes_offline == 8 * (p + p * w + p * w)  # a, b, and c = a * b
+
+
 # -- selection and comparison ------------------------------------------------
 
 
@@ -116,6 +131,22 @@ def test_sec_sel_endpoints():
     assert float(got) == -1.5
     got, _ = both(lambda s: reveal(s, sec_sel(s, a[s.party], b[s.party], one[s.party])))
     assert float(got) == 2.5
+
+
+@pytest.mark.parametrize("shapes", [((8,), (8,)), ((4, 1), (4, 3))], ids=["lanes", "column"])
+def test_sec_sel_offline_charge_is_its_triple(shapes):
+    # the Beaver output is already a fresh sharing: no zero share is drawn
+    b_shape, v_shape = shapes
+    bits = RNG.integers(0, 2, size=b_shape)
+    v0, v1 = grid(RNG.uniform(-5, 5, size=v_shape)), grid(RNG.uniform(-5, 5, size=v_shape))
+    a, b = share_pair(v0, key=27), share_pair(v1, key=28)
+    c = raw_share_pair(bits.astype(np.uint64), key=29)
+    got, sessions = both(lambda s: reveal(s, sec_sel(s, a[s.party], b[s.party], c[s.party])))
+    assert np.array_equal(got, np.where(bits == 1, v1, v0))
+    st = sessions[0].meter.stats("sec_sel")
+    lanes_b, lanes_v = bits.size, v0.size
+    assert st.bytes_offline == 8 * (lanes_b + lanes_v + lanes_v)
+    assert (st.rounds, st.bytes_online) == words_round(lanes_b + lanes_v).as_tuple()
 
 
 def test_sec_ge_known_cases():
@@ -295,6 +326,39 @@ def test_sec_srt_top_count_at_its_cost(width, t, count):
         ell = max(t - 1, 0).bit_length()
         stages = ell * (ell + 1) // 2
         assert (calls, st.rounds) == (stages * (1 << ell) // 2, stages * (8 + width))
+
+
+@pytest.mark.parametrize("t", [5, 8, 13, 128])
+@pytest.mark.parametrize("count", [1, 3, 7, "t"])
+def test_sec_srt_walks_the_topk_layers(monkeypatch, t, count):
+    # one comparator call per layer, over half the rows; a half-cleaner
+    # (j = 0) keeps one row of each pair
+    count = t if count == "t" else count
+    calls = []
+
+    def recording(sess, a, b):
+        if sess.party == 0:
+            calls.append(len(a))
+        return comparator(sess, a, b)
+
+    monkeypatch.setattr(gates, "comparator", recording)
+    key, score = _order_instance(1, t)
+    shares = share_pair(key, key=64)
+    payload = raw_share_pair(np.arange(t, dtype=np.uint64), key=65)
+
+    def proto(sess):
+        rows = np.column_stack([shares[sess.party], payload[sess.party]])
+        return reveal_raw(sess, sec_srt(sess, rows, 1, count)[:, -1])
+
+    got, _ = both(proto)
+    assert np.array_equal(got, np.argsort(-score, kind="stable")[:count])
+    rows, want = 1 << max(t - 1, 0).bit_length(), []
+    for _, j in topk_layers(t, count):
+        want.append(rows // 2)
+        if j == 0:
+            rows //= 2
+    assert calls == want
+    assert sum(calls) == comparator_calls(t, count)
 
 
 def _tied_instance(width, t, seed):

@@ -38,7 +38,7 @@ def test_switching_threshold_monotone_in_word_size():
 
 def test_switching_threshold_matches_cost_crossover():
     # with every round kept and all but one selected (so both methods sort),
-    # the cost model's online bytes cross over between 2^11 and 2^12 rounds
+    # the cost model's online bytes cross over between 2^12 and 2^13 rounds
     # and its rounds between 2^20 and 2^21. The paper's auto-switch point
     # lies above both: this engine's division is cheaper than the paper's
     # word-size model assumes, so method 2 is taken later than it pays off
@@ -48,13 +48,13 @@ def test_switching_threshold_matches_cost_crossover():
     def online(t, method):
         return cost(t, method).online_bytes
 
-    assert online(2**11, 1) == 8_749_016 < online(2**11, 2) == 8_947_672
-    assert online(2**12, 2) == 19_834_520 < online(2**12, 1) == 20_619_608
+    assert online(2**11, 1) == 7_667_672 < online(2**11, 2) == 8_407_000
+    assert online(2**12, 1) == 18_063_704 < online(2**12, 2) == 18_556_568
+    assert online(2**13, 2) == 40_900_584 < online(2**13, 1) == 42_047_352
     assert cost(2**20, 1).rounds == 2110 < cost(2**20, 2).rounds == 2126
     assert cost(2**21, 2).rounds == 2315 < cost(2**21, 1).rounds == 2320
-    # method 1 runs no division, so its figures at the paper's threshold stay
-    assert online(2**27, 2) == 2_247_475_913_560 < online(2**27, 1) == 3_239_646_915_800
-    assert online(2**28, 2) == 4_793_250_673_432 < online(2**28, 1) == 6_957_981_302_360
+    assert online(2**27, 2) == 2_044_538_708_824 < online(2**27, 1) == 2_833_772_506_328
+    assert online(2**28, 2) == 4_357_311_492_888 < online(2**28, 1) == 6_086_102_941_272
     t_delta = SelectionParams(t=1, sigma=1.0).t_delta
     assert t_delta == switching_threshold(64, 128) == 158_000_786
     assert 2**27 < t_delta < 2**28

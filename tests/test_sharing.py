@@ -16,7 +16,7 @@ from starfish import (
 from starfish.errors import ProtocolError
 from starfish.fixedpoint import to_signed
 from starfish.gates import sec_ge, sec_mul, sec_sel
-from starfish.sharing import DealerTape, zero_gen
+from starfish.sharing import DealerTape
 
 
 def test_share_reconstruct_exact():
@@ -39,15 +39,6 @@ def test_share_marginal_uniform():
     sh0, _ = sec_share(np.full(100_000, 1.5), CODEC, rng)
     counts = np.bincount((sh0.value >> np.uint64(56)).astype(np.int64), minlength=256)
     assert scipy.stats.chisquare(counts).pvalue >= 0.01
-
-
-def test_zero_gen_reconstructs_zero():
-    for seed in (0, 1, 2):
-        def proto(sess):
-            return sess.codec.decode(sec_rec(sess, zero_gen(sess, (8,))))
-        r0, r1 = run_pair(proto, make_inproc_sessions(seed))
-        assert np.array_equal(r0, np.zeros(8))
-        assert np.array_equal(r0, r1)
 
 
 def test_meter_matches_transport_totals():
@@ -156,15 +147,6 @@ def test_dealer_bit_draws_charge_packed_sizes():
     with s0.op("bit1"):
         s0.draw_shared_bit(1)
     assert s0.meter.stats("bit1").bytes_offline == 16
-
-
-def test_dealer_zero_share():
-    d0 = DealerTape(9, 0, CODEC)
-    d1 = DealerTape(9, 1, CODEC)
-    assert np.array_equal(
-        np.add(d0.zero_share((8,)), d1.zero_share((8,))),
-        np.zeros(8, np.uint64),
-    )
 
 
 def test_dealer_inv_mask_scalar_never_zero():
