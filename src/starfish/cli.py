@@ -18,10 +18,11 @@ Exit codes: 0 success, 1 bad configuration or input, 2 protocol failure,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from .oracle import (
     bound_report,
     logistic_task,
     metrics,
+    plaintext_history,
     plaintext_starfish,
     quadratic_task,
     random_selection_baseline,
@@ -209,6 +211,17 @@ def load_config(path=None, **overrides) -> RunConfig:
 # -- session plumbing ----------------------------------------------------------
 
 
+def _session_id(cfg: RunConfig) -> int:
+    """64-bit TCP session id: a SHA-256 digest of every protocol and task key.
+
+    The plumbing keys, which the two parties of one run may set differently,
+    are left out. Parties whose configurations differ then fail the frame
+    header check at their first round, before any tensor is unpacked.
+    """
+    keys = {k: v for k, v in asdict(cfg).items() if k not in ("transport", "party", "address", "out")}
+    return int.from_bytes(hashlib.sha256(repr(keys).encode()).digest()[:8], "little")
+
+
 def _run_protocol(cfg: RunConfig, proto):
     """Run proto on both parties (inproc) or on this process's party (tcp).
 
@@ -221,7 +234,7 @@ def _run_protocol(cfg: RunConfig, proto):
         return r0, r1, sessions[0]
     if cfg.party is None:
         raise ConfigError("tcp transport needs --party 0 or 1")
-    sess = make_tcp_session(cfg.seed, cfg.party, cfg.address, codec=codec)
+    sess = make_tcp_session(cfg.seed, cfg.party, cfg.address, codec=codec, session_id=_session_id(cfg))
     try:
         return proto(sess), None, sess
     finally:
@@ -270,11 +283,21 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_unlearn(cfg: RunConfig) -> int:
+    """Unlearn cfg.target from the saved history of this configured run.
+
+    Besides the header's codec and shape, the history must come from this
+    run: its stored eta_l must equal the config's, and its first two models
+    must equal the plaintext mirror's after one round, which is bit-identical
+    to stage I. Another seed or task population moves the first model update.
+    A logistic task's reg does not: its first gradient is taken at the zero
+    start, where the l2 term vanishes.
+    """
     out = _out_dir(cfg)
     task = cfg.build_task()
     pool = task.pool()
     ucfg = cfg.unlearn_config()
     codec = cfg.codec()
+    first_models = plaintext_history(replace(ucfg, t=1), pool, codec).models
 
     def proto(sess: Session):
         path = _history_path(out, sess.party)
@@ -289,6 +312,9 @@ def cmd_unlearn(cfg: RunConfig) -> int:
         if (hist.n, hist.m, hist.t) != (ucfg.n, ucfg.m, ucfg.t):
             raise ConfigError(
                 f"history shape (n={hist.n}, m={hist.m}, t={hist.t}) does not match config")
+        if hist.eta_l != ucfg.eta_l or not np.array_equal(hist.models[:2], first_models):
+            raise ConfigError(f"{path} holds the history of another run: its seed, task or eta_l "
+                              "differs from the config's")
         return starfish_run(sess, hist, pool, ucfg, cfg.target)
 
     res, peer, _ = _run_protocol(cfg, proto)

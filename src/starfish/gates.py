@@ -422,89 +422,71 @@ MI_MAX_COND = 1e8
 
 
 def _invert_longdouble(n: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan inverse at extended precision, partial pivoting."""
-    m = n.shape[0]
-    a = n.astype(np.longdouble).copy()
-    inv = np.eye(m, dtype=np.longdouble)
-    for col in range(m):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0:
+    """Gauss-Jordan inverses of a (B, m, m) batch at extended precision.
+
+    Partial pivoting; each column step pivots, scales and eliminates in every
+    matrix of the batch at once. The pivot row is eliminated with a zero
+    factor, which leaves it as it is.
+    """
+    a = n.astype(np.longdouble)
+    inv = np.broadcast_to(np.eye(n.shape[-1], dtype=np.longdouble), a.shape).copy()
+    batch = np.arange(len(a))
+    for col in range(a.shape[-1]):
+        piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+        if np.any(a[batch, piv, col] == 0):
             raise SingularRevealError("masked matrix is singular")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
-        scale = a[col, col]
-        a[col] /= scale
-        inv[col] /= scale
-        for row in range(m):
-            if row != col:
-                f = a[row, col]
-                if f != 0:
-                    a[row] -= f * a[col]
-                    inv[row] -= f * inv[col]
+        if np.any(piv != col):
+            for t in (a, inv):
+                t[batch, col], t[batch, piv] = t[batch, piv], t[batch, col]
+        scale = a[:, col, col, None].copy()
+        a[:, col] /= scale
+        inv[:, col] /= scale
+        f = a[:, :, col, None].copy()
+        f[:, col] = 0
+        a -= f * a[:, None, col]
+        inv -= f * inv[:, None, col]
     return inv
 
 
 def sec_mi(sess: Session, x) -> np.ndarray:
-    """Masked inverse: reveal N = X*R, invert in the clear, return R * N^-1.
+    """Masked inverse (Bar-Ilan & Beaver): reveal N = X*R, invert in the
+    clear, return R * N^-1.
 
-    The mask comes from the dealer with entries on [-1, 1); the clear-side
-    inverse is computed at extended precision and re-encoded at 2p so the
-    final public product only needs one truncation. Scalars are the 1x1
-    case (the reciprocal used for curvature scalars).
+    One shape rule: a tensor of rank < 2 is a batch of 1x1 matrices (the
+    reciprocals used for curvature scalars), anything else is (..., m, m).
+    Each try draws one dealer mask per matrix, with entries on [-1, 1), opens
+    every masked product in one round and checks all their condition numbers
+    at once; an exactly singular product reads inf. If any exceeds
+    MI_MAX_COND every mask is redrawn. The clear-side inverses are computed at
+    extended precision and re-encoded at 2p, so the final public product
+    needs only one truncation.
     """
+    arr = np.asarray(x)
     with sess.op("sec_mi"):
-        codec = sess.codec
-        arr = np.asarray(x)
-        scalar = arr.ndim == 0
-        lanes = arr.ndim == 1
-        if scalar:
-            arr = arr.reshape(1)
-        if arr.ndim == 1:
-            m = 1
-            mat = arr.reshape(-1, 1, 1)
-        else:
-            if arr.shape[-1] != arr.shape[-2]:
-                raise ShapeError(f"sec_mi needs a square matrix, got {arr.shape}")
-            m = arr.shape[-1]
-            mat = arr.reshape((-1,) + arr.shape[-2:]) if arr.ndim > 2 else arr[None]
-
-        two_p = 2 * codec.precision_p
-        out = None
+        if arr.ndim >= 2 and arr.shape[-1] != arr.shape[-2]:
+            raise ShapeError(f"sec_mi needs a square matrix, got {arr.shape}")
+        m = arr.shape[-1] if arr.ndim >= 2 else 1
+        mat = arr.reshape(-1, m, m)
+        two_p = 2 * sess.codec.precision_p
         for _ in range(MI_TRIES):
-            masks = np.stack([sess.draw_inv_mask(m) for _ in range(mat.shape[0])])
-            prod = _beaver_mul(sess, mat, masks, matmul=True, truncate=False)
-            revealed = _open(sess, prod)
-            dec = codec.decode_at(revealed, two_p)
-            ok = True
-            for b in range(dec.shape[0]):
-                cond = np.linalg.cond(dec[b]) if m > 1 else (np.inf if dec[b, 0, 0] == 0 else 1.0)
-                if not np.isfinite(cond) or cond > MI_MAX_COND:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            inv_pub = np.stack([_invert_longdouble(dec[b]) for b in range(dec.shape[0])])
-            res = np.matmul(masks, _encode_at(inv_pub, two_p))
-            # one shift by 2p rather than two by p: a single rounding event
-            out = sess.truncate(res, bits=two_p)
-            break
-        if out is None:
-            raise SingularRevealError(f"masked product stayed singular after {MI_TRIES} draws")
-        if scalar:
-            return out[0, 0, 0]
-        if lanes:
-            return out[:, 0, 0]
-        return out.reshape(np.asarray(x).shape)
+            masks = np.stack([sess.draw_inv_mask(m) for _ in range(len(mat))])
+            revealed = _open(sess, _beaver_mul(sess, mat, masks, matmul=True, truncate=False))
+            dec = sess.codec.decode_at(revealed, two_p)
+            if np.all(np.linalg.cond(dec) <= MI_MAX_COND):
+                res = np.matmul(masks, _encode_at(_invert_longdouble(dec), two_p))
+                # one shift by 2p rather than two by p: a single rounding event
+                return sess.truncate(res, bits=two_p).reshape(arr.shape)
+        raise SingularRevealError(f"masked product stayed singular after {MI_TRIES} draws")
 
 
 def _encode_at(values: np.ndarray, scale_bits: int) -> np.ndarray:
+    """Ring words of values at 2^-scale_bits, rounding half away from zero.
+
+    The rounding is done at extended precision; an integer-valued longdouble
+    below 2^63 then casts to int64 exactly, where a float64 cast would not.
+    """
     vals = np.asarray(values, dtype=np.longdouble) * np.longdouble(2.0) ** scale_bits
-    limit = np.longdouble(2.0) ** 63
-    if np.any(np.abs(vals) >= limit):
+    signed = np.copysign(np.floor(np.abs(vals) + 0.5), vals)
+    if np.any(np.abs(signed) >= np.longdouble(2.0) ** 63):
         raise RangeError("value too large to re-encode at the extended scale")
-    mag = np.floor(np.abs(vals) + 0.5)
-    signed = np.where(vals < 0, -mag, mag)
-    # int() on an integer-valued longdouble is exact; float64 casts are not
-    flat = [int(v) % 2**64 for v in signed.reshape(-1)]
-    return np.array(flat, dtype=np.uint64).reshape(signed.shape)
+    return from_signed(signed)

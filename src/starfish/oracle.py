@@ -601,10 +601,7 @@ def _exact_div(u, v) -> np.ndarray:
 
 
 def _exact_minv(mat) -> np.ndarray:
-    """Gauss-Jordan over rationals; mirrors the singularity error."""
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ShapeError(f"matrix inverse needs a square matrix, got {mat.shape}")
+    """Gauss-Jordan over rationals on one square matrix; mirrors the singularity error."""
     m = mat.shape[0]
     a = [[Fraction(float(x)) for x in row] for row in mat]
     inv = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
@@ -664,19 +661,13 @@ def exact_gate_oracle(gate: str, *inputs):
     if gate == "sec_div":
         return _exact_div(*inputs)
     if gate == "sec_mi":
-        (x,) = inputs
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim <= 1:
-            flat = np.atleast_1d(arr)
-            out = np.empty_like(flat)
-            for i, v in enumerate(flat):
-                if v == 0.0:
-                    raise SingularRevealError("exact inverse of zero")
-                out[i] = float(1 / Fraction(float(v)))
-            return out.reshape(arr.shape)
-        if arr.ndim == 2:
-            return _exact_minv(arr)
-        return np.stack([_exact_minv(block) for block in arr])
+        # sec_mi's shape rule: rank < 2 is a batch of 1x1 matrices
+        arr = np.asarray(inputs[0], dtype=np.float64)
+        if arr.ndim >= 2 and arr.shape[-1] != arr.shape[-2]:
+            raise ShapeError(f"matrix inverse needs a square matrix, got {arr.shape}")
+        m = arr.shape[-1] if arr.ndim >= 2 else 1
+        blocks = [_exact_minv(block) for block in arr.reshape(-1, m, m)]
+        return np.array(blocks, dtype=np.float64).reshape(arr.shape)
     raise UnknownFunctionality(f"no exact oracle for {gate!r}")
 
 

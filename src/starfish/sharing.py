@@ -308,7 +308,10 @@ class Session:
 
     def _exchange(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)
-        reply = self._roundtrip(pack_words(arr))
+        payload = pack_words(arr)
+        reply = self._roundtrip(payload)
+        if len(reply) != len(payload):
+            raise TransportError(f"peer sent a {len(reply)}-byte payload, expected {arr.size} words")
         return unpack_words(reply, arr.shape)
 
     def _roundtrip(self, payload: bytes) -> bytes:
@@ -319,7 +322,8 @@ class Session:
         self.meter.add_round(op, len(frame))
         sid, rtag, reply = parse_frame(self.chan.recv())
         if sid != self.session_id:
-            raise TransportError(f"session id mismatch: {sid:#x} != {self.session_id:#x}")
+            raise TransportError(f"session id mismatch: {sid:#x} != {self.session_id:#x}; "
+                                 "the parties' configurations differ")
         if rtag != tag:
             raise TransportError(f"op tag mismatch: got {rtag:#x}, expected {tag:#x}")
         return reply
@@ -367,13 +371,18 @@ def make_inproc_sessions(seed: int, codec: FixedPointCodec | None = None) -> tup
             Session(1, chan1, codec, DealerTape(seed, 1, codec), TranscriptMeter(), session_id=seed))
 
 
-def make_tcp_session(seed: int, party: int, address: str, codec: FixedPointCodec | None = None) -> Session:
-    """One party's session over a socket; party 0 listens, party 1 dials."""
+def make_tcp_session(seed: int, party: int, address: str, codec: FixedPointCodec | None = None,
+                     session_id: int | None = None) -> Session:
+    """One party's session over a socket; party 0 listens, party 1 dials.
+
+    Every frame carries session_id (the seed by default) and a reply under
+    another id is rejected, so the parties must agree on it."""
     if party not in (0, 1):
         raise ProtocolError(f"party must be 0 or 1, got {party}")
     codec = codec or FixedPointCodec()
     chan = tcp_listen(address) if party == 0 else tcp_connect(address)
-    return Session(party, chan, codec, DealerTape(seed, party, codec), TranscriptMeter(), session_id=seed)
+    return Session(party, chan, codec, DealerTape(seed, party, codec), TranscriptMeter(),
+                   session_id=seed if session_id is None else session_id)
 
 
 def run_pair(proto, sessions: tuple[Session, Session]):

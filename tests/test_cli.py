@@ -156,6 +156,23 @@ def test_unlearn_rejects_mismatched_history(small_cfg, tmp_path, capsys):
     assert "does not match config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, edit", [
+    (["--seed", 7], ""),
+    ([], "mu = 2.5\n"),
+    ([], "eta_l = 0.04\n"),
+])
+def test_unlearn_rejects_the_history_of_another_run(small_cfg, tmp_path, capsys, argv, edit):
+    out = tmp_path / "run"
+    assert _run(["train", "--config", small_cfg, "--out", out]) == 0
+    other = tmp_path / "other.cfg"
+    other.write_text(SMALL + edit)
+    assert _run(["unlearn", "--config", other, "--out", out, *argv]) == 1
+    err = capsys.readouterr().err
+    assert "history.p" in err and "holds the history of another run" in err
+    # the same config is accepted
+    assert _run(["unlearn", "--config", small_cfg, "--out", out]) == 0
+
+
 def test_unlearn_rejects_a_history_of_another_codec(small_cfg, tmp_path, capsys):
     # the SFH1 header's precision p (<B) follows the word size
     offset = struct.calcsize("<4sBBHIIIH")
@@ -395,18 +412,29 @@ def _free_port() -> int:
         return s.getsockname()[1]
 
 
-def test_tcp_train_two_processes(tmp_path, capsys):
-    cfg = tmp_path / "tcp.cfg"
-    cfg.write_text(SMALL + f"transport = tcp\naddress = 127.0.0.1:{_free_port()}\n")
-    out = tmp_path / "tcp-run"
-
-    def run_party(party):
-        return _run(["train", "--config", cfg, "--party", party, "--out", out])
-
+def _tcp_pair(command, configs, out):
+    """Run command as party 0 and party 1, each with its own config; exit codes."""
     with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(run_party, p) for p in (0, 1)]
-        codes = [f.result(timeout=60) for f in futures]
-    assert codes == [0, 0]
+        futures = [pool.submit(_run, [command, "--config", cfg, "--party", p, "--out", out])
+                   for p, cfg in enumerate(configs)]
+        return [f.result(timeout=60) for f in futures]
+
+
+def _write_cfgs(tmp_path, base, *edits):
+    """One config file per edit, all on the same fresh loopback address."""
+    base += f"transport = tcp\naddress = 127.0.0.1:{_free_port()}\n"
+    paths = []
+    for i, extra in enumerate(edits):
+        path = tmp_path / f"party{i}.cfg"
+        path.write_text(base + extra)
+        paths.append(path)
+    return paths
+
+
+def test_tcp_train_two_processes(tmp_path, capsys):
+    (cfg,) = _write_cfgs(tmp_path, SMALL, "")
+    out = tmp_path / "tcp-run"
+    assert _tcp_pair("train", [cfg, cfg], out) == [0, 0]
     assert (out / "history.p0.sfh1").exists()
     assert (out / "history.p1.sfh1").exists()
 
@@ -414,6 +442,26 @@ def test_tcp_train_two_processes(tmp_path, capsys):
     assert _run(["unlearn", "--config", tmp_path / "plain.cfg", "--out", out]) == 1
     (tmp_path / "plain.cfg").write_text(SMALL)
     assert _run(["unlearn", "--config", tmp_path / "plain.cfg", "--out", out]) == 0
+
+
+def test_tcp_train_parties_with_different_configs_stop_at_round_one(tmp_path, capsys):
+    cfgs = _write_cfgs(tmp_path, SMALL.replace("m = 3\n", ""), "m = 4\n", "m = 5\n")
+    assert _tcp_pair("train", cfgs, tmp_path / "run") == [2, 2]
+    err = capsys.readouterr().err
+    assert err.count("the parties' configurations differ") == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "run" / "history.p0.sfh1").exists()
+
+
+def test_tcp_unlearn_parties_with_different_configs_stop_at_round_one(small_cfg, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert _run(["train", "--config", small_cfg, "--out", out]) == 0
+    cfgs = _write_cfgs(tmp_path, SMALL, "eta_u = 0.2\n", "eta_u = 0.25\n")
+    assert _tcp_pair("unlearn", cfgs, out) == [2, 2]
+    err = capsys.readouterr().err
+    assert err.count("the parties' configurations differ") == 2
+    assert "Traceback" not in err
+    assert not (out / "model.npy").exists()
 
 
 def test_address_must_be_host_and_port(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import CODEC, both, raw_share_pair, reveal, reveal_raw, share_pair
 from starfish import gates
 from starfish.costs import comparator_calls, predict_cost, topk_layers, words_round
-from starfish.errors import DivisionDomainError, ShapeError, SingularRevealError
+from starfish.errors import DivisionDomainError, RangeError, ShapeError, SingularRevealError
 from starfish.gates import (
     MI_TRIES,
     comparator,
@@ -484,6 +484,83 @@ def test_sec_mi_retries_after_a_singular_mask():
     assert float(np.max(np.abs(r0 - 1.0 / x))) <= ERROR_BUDGETS["sec_mi"]
     # two attempts: the zero-masked product is rejected, the redraw accepted
     per_try = predict_cost("sec_mi", {"m": 1, "batch": 2}, CODEC).rounds
+    assert sessions[0].meter.stats("sec_mi").rounds == 2 * per_try
+
+
+def _well_conditioned(shape):
+    m = shape[-1]
+    return grid(2.0 * np.eye(m) + 0.3 * RNG.uniform(-1.0, 1.0, size=shape))
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 3), (2, 3, 2, 2)])
+def test_sec_mi_batch_of_matrices(shape):
+    x = _well_conditioned(shape)
+    xs = share_pair(x, key=74)
+    got, sessions = both(lambda s: reveal(s, sec_mi(s, xs[s.party])))
+    assert got.shape == shape
+    assert float(np.max(np.abs(got - exact_gate_oracle("sec_mi", x)))) <= ERROR_BUDGETS["sec_mi"]
+    # one try for the whole batch: one masked product and one open
+    batch = int(np.prod(shape[:-2]))
+    want = predict_cost("sec_mi", {"m": shape[-1], "batch": batch}, CODEC).rounds
+    assert sessions[0].meter.stats("sec_mi").rounds == want
+
+
+def test_sec_mi_scalar():
+    x = grid(-2.5)
+    xs = share_pair(x, key=75)
+    got, _ = both(lambda s: reveal(s, sec_mi(s, xs[s.party])))
+    assert np.shape(got) == ()
+    assert abs(float(got) - float(exact_gate_oracle("sec_mi", x))) <= ERROR_BUDGETS["sec_mi"]
+
+
+def test_encode_at_rounds_like_python_ints():
+    two = np.longdouble(2.0)
+    k = np.arange(-6, 7).astype(np.longdouble)
+    vals = np.concatenate([
+        k + np.longdouble(0.5), k - np.longdouble(0.5), k + np.longdouble(0.25),
+        two ** 62 + k + np.longdouble(0.5), -(two ** 62) - k - np.longdouble(0.5),
+        two ** 62 + k, two ** 63 - np.longdouble(1.5) - np.abs(k),
+    ])
+    # the reference rule: round half away from zero, then int() per element
+    mag = np.floor(np.abs(vals) + np.longdouble(0.5))
+    ref = [int(v) % 2**64 for v in np.where(vals < 0, -mag, mag)]
+    assert gates._encode_at(vals, 0).tolist() == ref
+    # at a scale: the same words, in the input's shape
+    scaled = gates._encode_at(vals.reshape(7, 13) / two ** 26, 26)
+    assert scaled.shape == (7, 13) and scaled.reshape(-1).tolist() == ref
+    with pytest.raises(RangeError):
+        gates._encode_at(np.array([two ** 63 - np.longdouble(0.5)]), 0)
+
+
+class _SingularSecondMask:
+    """Wraps a dealer's inv_mask; counts draws and hands out an all-zero
+    second mask, so the second matrix of a batch's first try is singular."""
+
+    def __init__(self, draw):
+        self._draw = draw
+        self.draws = 0
+
+    def __call__(self, m):
+        self.draws += 1
+        if self.draws == 2:
+            return np.zeros((m, m), dtype=np.uint64)
+        return self._draw(m)
+
+
+def test_sec_mi_batch_redraws_every_mask_after_one_singular_product():
+    from starfish import make_inproc_sessions, run_pair
+
+    x = _well_conditioned((3, 2, 2))
+    xs = share_pair(x, key=76)
+    sessions = make_inproc_sessions(77)
+    for sess in sessions:
+        sess.dealer.inv_mask = _SingularSecondMask(sess.dealer.inv_mask)
+    r0, r1 = run_pair(lambda s: reveal(s, sec_mi(s, xs[s.party])), sessions)
+    assert np.array_equal(r0, r1)
+    assert float(np.max(np.abs(r0 - exact_gate_oracle("sec_mi", x)))) <= ERROR_BUDGETS["sec_mi"]
+    # the rejected try and the accepted one each drew a mask per matrix
+    assert [sess.dealer.inv_mask.draws for sess in sessions] == [6, 6]
+    per_try = predict_cost("sec_mi", {"m": 2, "batch": 3}, CODEC).rounds
     assert sessions[0].meter.stats("sec_mi").rounds == 2 * per_try
 
 

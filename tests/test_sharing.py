@@ -13,7 +13,7 @@ from starfish import (
     sec_rec,
     sec_share,
 )
-from starfish.errors import ProtocolError
+from starfish.errors import ProtocolError, TransportError
 from starfish.fixedpoint import to_signed
 from starfish.gates import sec_ge, sec_mul, sec_sel
 from starfish.sharing import DealerTape
@@ -172,4 +172,14 @@ def test_run_pair_reraises_the_real_error():
         sec_rec(sess, np.zeros(1, np.uint64))  # blocks until the peer closes
 
     with pytest.raises(ProtocolError, match="boom"):
+        run_pair(proto, make_inproc_sessions(0))
+
+
+def test_exchange_rejects_a_reply_of_another_length():
+    words = {0: 4, 1: 5}
+
+    def proto(sess):
+        sess.exchange_words(np.zeros(words[sess.party], dtype=np.uint64))
+
+    with pytest.raises(TransportError, match=r"expected [45] words"):
         run_pair(proto, make_inproc_sessions(0))
