@@ -181,26 +181,25 @@ def _unpack_lanes(words: np.ndarray, nbits: int) -> np.ndarray:
     return unpack_bit_words(pack_words(words), (nbits,)).astype(np.uint64)
 
 
-def _bit_and(sess: Session, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """AND on XOR-shared full-width packed bit tensors; one round for any
-    batch shape. y may broadcast against x, whose shape is the result's."""
-    a, b, c = (t.reshape(x.shape) for t in sess.draw_bit_triple(64 * x.size))
-    e_loc = x ^ a
-    f_loc = y ^ b
-    e_peer, f_peer = sess.exchange_bits(np.concatenate([e_loc, f_loc])).reshape((2,) + x.shape)
-    e = e_loc ^ e_peer
-    f = f_loc ^ f_peer
+def _bit_and(sess: Session, x: np.ndarray, y: np.ndarray, triple) -> np.ndarray:
+    """AND on XOR-shared full-width packed bit tensors, from a triple of
+    x.size words; one round for any batch shape. y may broadcast against x,
+    whose shape is the result's."""
+    a, b, c = triple.reshape((3,) + x.shape)
+    ef_loc = np.concatenate([x ^ a, y ^ b])
+    e, f = (ef_loc ^ sess.exchange_bits(ef_loc)).reshape((2,) + x.shape)
     z = c ^ (f & a) ^ (e & b)
     if sess.party == 0:
         z ^= e & f
     return z
 
 
-def _b2a_bits(sess: Session, bits: np.ndarray, nbits: int) -> np.ndarray:
-    """Packed XOR-shared bits to arithmetic shares of their 0/1 values, in bit order."""
-    r_bool, r_arith = sess.draw_shared_bit(nbits)
+def _b2a_bits(sess: Session, bits: np.ndarray, shared) -> np.ndarray:
+    """Packed XOR-shared bits to arithmetic shares of their 0/1 values, in
+    bit order, from shared random bits (r_bool, r_arith) of the same count."""
+    r_bool, r_arith = shared
     t_loc = bits.reshape(-1) ^ r_bool
-    t = _unpack_lanes(t_loc ^ sess.exchange_bits(t_loc), nbits)
+    t = _unpack_lanes(t_loc ^ sess.exchange_bits(t_loc), r_arith.size)
     out = r_arith - ((t * r_arith) << ONE)  # r XOR t = r + t - 2tr
     if sess.party == 0:
         out += t
@@ -243,21 +242,30 @@ def _ge_core(sess: Session, u, v) -> np.ndarray:
     pairs packs the level's live bits, 2s lanes per word, lane t of a group
     at t places right of its own bit positions. The last level (s = 32) ANDs
     only g. One B2A turns the sign bits into arithmetic shares.
+
+    All dealer material comes from one tape read: the level widths halve
+    from the lane count, so every triple's size is known up front.
     """
     d = np.asarray(np.subtract(u, v))
     flat = d.reshape(-1)
+    widths = [flat.size]
+    for _ in _CARRY_LEVELS:
+        widths.append((widths[-1] + 1) // 2)
+    triples, shared = sess.draw_bit_material(
+        [widths[0], *(2 * w for w in widths[1:-1]), widths[-1]], flat.size)
     mine = flat << ONE
     zeros = np.zeros_like(mine)
-    gp = np.stack([_bit_and(sess, *((mine, zeros) if sess.party == 0 else (zeros, mine))), mine])
-    for s, upper in _CARRY_LEVELS:
+    g = _bit_and(sess, *((mine, zeros) if sess.party == 0 else (zeros, mine)), triples[0])
+    gp = np.array([g, mine])
+    for (s, upper), triple in zip(_CARRY_LEVELS, triples[1:]):
         merged = _merge_pairs(np.concatenate([gp, gp << s]), s, upper)  # g, p, g<<s, p<<s
         # the last level updates only g: nothing reads its p
-        gp = _bit_and(sess, merged[2:3] if s == 32 else merged[2:], merged[1])
+        gp = _bit_and(sess, merged[2:3] if s == 32 else merged[2:], merged[1], triple)
         gp[0] ^= merged[0]
     # lane t of each 64-lane word sits t places right of bit 63
     top = (gp[0][:, None] << _LANE_SHIFTS).reshape(-1)[: flat.size]
     ge = _bool_not(sess, flat ^ top) >> 63
-    return _b2a_bits(sess, _pack_lanes(ge), ge.size).reshape(d.shape)
+    return _b2a_bits(sess, _pack_lanes(ge), shared).reshape(d.shape)
 
 
 def sec_ge(sess: Session, u, v) -> np.ndarray:
@@ -303,7 +311,7 @@ def comparator(sess: Session, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sess.meter.invoke("comparator", len(a))
     if a.shape[1] == 1:
         return _ge_core(sess, a[:, 0], b[:, 0])
-    lhs, rhs = _beaver_mul(sess, np.stack([a[:, 0], b[:, 0]]), np.stack([b[:, 1], a[:, 1]]), truncate=False)
+    lhs, rhs = _beaver_mul(sess, np.array([a[:, 0], b[:, 0]]), np.array([b[:, 1], a[:, 1]]), truncate=False)
     return _ge_core(sess, lhs, rhs)
 
 

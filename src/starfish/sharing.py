@@ -14,10 +14,12 @@ dealer had shipped it ahead of time: each draw charges the summed size of
 the arrays it hands out.
 
 Bit material (AND triples, and the random bits used by B2A) is drawn as
-packed words: one generator call yields every word of an item, and the pad
-bits past the requested bit count are zero. An item's offline charge is
-therefore its packed wire size, the same charge as when the dealer drew one
-byte per bit; only the random contents differ from that form.
+packed words, and the pad bits past the requested bit count are zero. A
+comparison takes all of its material in one generator call: the items are
+laid out one after another in the order the circuit consumes them, so the
+words are those of drawing each item in turn. An item's offline charge is
+its packed wire size, the same charge as when the dealer drew one byte per
+bit; only the random contents differ from that form.
 
 Seed tree: all randomness comes from numpy SeedSequence keyed as
 (seed, stream_tag, *indices). Stream tags: 1 dealer, 4 client data,
@@ -27,6 +29,7 @@ randomness of their own: every mask comes from the dealer tape.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
@@ -160,8 +163,7 @@ class DealerTape:
         The raw 64-bit outputs are the words integers(0, 2**64, uint64)
         would return from the same generator, without its per-call overhead.
         """
-        size = int(np.prod(shape, dtype=np.int64))
-        return self._rng.bit_generator.random_raw(size).reshape(shape)
+        return self._rng.bit_generator.random_raw(shape)
 
     def _split(self, full: np.ndarray) -> np.ndarray:
         s0 = self._words(np.asarray(full).shape)
@@ -182,28 +184,32 @@ class DealerTape:
             raise ShapeError(f"unknown beaver mode {mode}")
         return self._split(a), self._split(b), self._split(c)
 
-    def bit_triple(self, nbits: int):
-        """XOR-shared triple c = a & b over nbits bits, as packed words."""
-        nw = bit_word_count(nbits)
-        a, b, a0, b0, c0 = self._bit_words(self._words((5, nw)), nbits)
-        if self.party == 0:
-            return a0, b0, c0
-        return a ^ a0, b ^ b0, (a & b) ^ c0
+    def bit_material(self, triple_words: list[int], nbits: int):
+        """AND triples, then nbits random bits shared in both domains, from
+        one tape read.
 
-    def shared_bit(self, nbits: int):
-        """nbits random bits shared in both domains.
-
-        Returns (packed XOR share, arithmetic share of each bit's 0/1 value
-        in bit order).
+        triple_words lists the size in words of each triple, one or more.
+        Returns the XOR-shared triples as (3, words) arrays of packed words
+        a, b, c = a & b, and the shared bits as (packed XOR share, arithmetic
+        share of each bit's 0/1 value in bit order).
         """
         nw = bit_word_count(nbits)
-        raw = self._words(2 * nw + nbits)
-        r, r0 = self._bit_words(raw[: 2 * nw].reshape(2, nw), nbits)
-        s0 = raw[2 * nw :]
+        ends = list(itertools.accumulate(triple_words))
+        total = ends[-1]
+        raw = self._words(5 * total + 2 * nw + nbits)
+        # triple k is the words a, b, a0, b0, c0 of a (5, n_k) read
+        rows = np.concatenate([raw[5 * (e - n) : 5 * e].reshape(5, n)
+                               for n, e in zip(triple_words, ends)], axis=1)
+        if self.party == 1:
+            rows[2:4] ^= rows[:2]
+            rows[4] ^= rows[0] & rows[1]
+        triples = [rows[2:, e - n : e] for n, e in zip(triple_words, ends)]
+        r, r0 = self._bit_words(raw[5 * total : 5 * total + 2 * nw].reshape(2, nw), nbits)
+        s0 = raw[5 * total + 2 * nw :]
         if self.party == 0:
-            return r0, s0
+            return triples, (r0, s0)
         values = unpack_bit_words(pack_words(r), (nbits,)).astype(np.uint64)
-        return r ^ r0, np.subtract(values, s0)
+        return triples, (r ^ r0, np.subtract(values, s0))
 
     def inv_mask(self, m: int) -> np.ndarray:
         """Share of a random mask matrix with entries uniform on [-1, 1).
@@ -281,15 +287,10 @@ class Session:
         self._charge(*trip)
         return trip
 
-    def draw_bit_triple(self, nbits: int):
-        trip = self.dealer.bit_triple(nbits)
-        self._charge(*trip)
-        return trip
-
-    def draw_shared_bit(self, nbits: int):
-        pair = self.dealer.shared_bit(nbits)
-        self._charge(*pair)
-        return pair
+    def draw_bit_material(self, triple_words: list[int], nbits: int):
+        triples, shared = self.dealer.bit_material(triple_words, nbits)
+        self._charge(*triples, *shared)
+        return triples, shared
 
     def draw_inv_mask(self, m: int):
         r = self.dealer.inv_mask(m)

@@ -365,7 +365,11 @@ def starfish_run(
     config: UnlearnConfig,
     target: int,
 ) -> RunResult:
-    """Stage II: threshold determination, round selection, unlearning loop."""
+    """Stage II: threshold determination, round selection, unlearning loop.
+
+    Threshold determination runs only when a checking round can: with
+    t_c > T' (estimation-only mode) its record is absent from the transcript.
+    """
     if not (0 <= target < history.n):
         raise ConfigError(f"target {target} outside client range")
     codec = sess.codec
@@ -384,14 +388,16 @@ def starfish_run(
         })
         last = now
 
-    thresholds = threshold_determination(sess, history)
-    record("threshold_determination")
+    remaining = [j for j in range(history.n) if j != target]
+    # thresholds feed only sec_tc: with t_c > T' no checking round can run
+    thresh_rem = None
+    if config.t_c <= config.t_prime:
+        thresh_rem = threshold_determination(sess, history)[remaining]
+        record("threshold_determination")
     params = SelectionParams(t=history.t, sigma=config.sigma)
     selection = sec_rs(sess, history.selection_inputs(target), params)
     record("sec_rs")
 
-    remaining = [j for j in range(history.n) if j != target]
-    thresh_rem = thresholds[remaining]
     state = LbfgsState(capacity=config.buffer_b)
     m_hat = history.models[0].copy()
     trajectory = [m_hat.copy()]

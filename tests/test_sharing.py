@@ -108,23 +108,25 @@ NBITS = 100  # not a multiple of 64: the last word carries 28 pad bits
 def test_dealer_bit_triples_consistent():
     d0 = DealerTape(9, 0, CODEC)
     d1 = DealerTape(9, 1, CODEC)
-    a0, b0, c0 = d0.bit_triple(NBITS)
-    a1, b1, c1 = d1.bit_triple(NBITS)
-    a, b, c = a0 ^ a1, b0 ^ b1, c0 ^ c1
-    for words in (a, b, c, a0, b0, c0, a1, b1, c1):
-        assert words.dtype == np.uint64 and words.shape == (2,)
-        assert not any(_words_to_bits(words)[NBITS:]), "pad bits must be zero"
-    assert np.array_equal(c, a & b)
-    # the draw is random: neither all zeros nor all ones
-    assert 0 < sum(_words_to_bits(a)) < NBITS
-    assert 0 < sum(_words_to_bits(b)) < NBITS
+    sizes = [2, 1, 3]
+    trips0, _ = d0.bit_material(sizes, NBITS)
+    trips1, _ = d1.bit_material(sizes, NBITS)
+    assert len(trips0) == len(trips1) == len(sizes)
+    for n, (a0, b0, c0), (a1, b1, c1) in zip(sizes, trips0, trips1):
+        a, b, c = a0 ^ a1, b0 ^ b1, c0 ^ c1
+        for words in (a, b, c, a0, b0, c0, a1, b1, c1):
+            assert words.dtype == np.uint64 and words.shape == (n,)
+        assert np.array_equal(c, a & b)
+        # the draw is random: neither all zeros nor all ones
+        assert 0 < sum(_words_to_bits(a)) < 64 * n
+        assert 0 < sum(_words_to_bits(b)) < 64 * n
 
 
 def test_dealer_shared_bit_domains_agree():
     d0 = DealerTape(9, 0, CODEC)
     d1 = DealerTape(9, 1, CODEC)
-    xb0, xa0 = d0.shared_bit(NBITS)
-    xb1, xa1 = d1.shared_bit(NBITS)
+    _, (xb0, xa0) = d0.bit_material([2], NBITS)
+    _, (xb1, xa1) = d1.bit_material([2], NBITS)
     bits = _words_to_bits(xb0 ^ xb1)
     assert not any(bits[NBITS:]), "pad bits must be zero"
     assert xa0.shape == xa1.shape == (NBITS,)
@@ -135,18 +137,74 @@ def test_dealer_bit_draws_charge_packed_sizes():
     # offline bytes for bit material are the packed wire sizes: whole words
     s0, _ = make_inproc_sessions(4)
     with s0.op("sec_ge"):
-        s0.draw_bit_triple(NBITS)
+        s0.draw_bit_material([2], 0)
     assert s0.meter.stats("sec_ge").bytes_offline == 3 * 16
     with s0.op("sec_div"):
-        s0.draw_shared_bit(NBITS)
-    assert s0.meter.stats("sec_div").bytes_offline == 16 + 8 * NBITS
-    for nbits, charge in ((64, 24), (65, 48)):
-        with s0.op(f"triple{nbits}"):
-            s0.draw_bit_triple(nbits)
-        assert s0.meter.stats(f"triple{nbits}").bytes_offline == charge
+        s0.draw_bit_material([1], NBITS)
+    assert s0.meter.stats("sec_div").bytes_offline == 3 * 8 + 16 + 8 * NBITS
+    with s0.op("both"):
+        s0.draw_bit_material([1, 2], 65)
+    assert s0.meter.stats("both").bytes_offline == 3 * 8 + 3 * 16 + 16 + 8 * 65
     with s0.op("bit1"):
-        s0.draw_shared_bit(1)
-    assert s0.meter.stats("bit1").bytes_offline == 16
+        s0.draw_bit_material([1], 1)
+    assert s0.meter.stats("bit1").bytes_offline == 3 * 8 + 8 + 8
+
+
+def _ge_triple_words(lanes):
+    """Word counts of a comparison's AND triples: the generate layer over
+    every lane, then the six carry levels, each on half the words of the
+    previous one (g and p, the last level g only)."""
+    widths = [lanes]
+    for _ in range(6):
+        widths.append(-(-widths[-1] // 2))
+    return [widths[0]] + [2 * w for w in widths[1:6]] + [widths[6]]
+
+
+def _per_item_draws(seed, party, triple_words, nbits):
+    """The per-item rule, one tape read per item: a triple of n words is the
+    words (a, b, a0, b0, c0) of one (5, n) read; nbits shared bits are r, r0
+    (pad bits cleared) and s0 from one read of 2 * ceil(nbits / 64) + nbits
+    words. Returns the material and the tape after it."""
+    tape = DealerTape(seed, party, CODEC)
+    triples = []
+    for n in triple_words:
+        a, b, a0, b0, c0 = tape._words((5, n))
+        triples.append((a0, b0, c0) if party == 0 else (a ^ a0, b ^ b0, (a & b) ^ c0))
+    nw = (nbits + 63) // 64
+    raw = tape._words(2 * nw + nbits)
+    r, r0 = raw[: 2 * nw].reshape(2, nw)
+    if nbits % 64:
+        r[-1] &= np.uint64((1 << (nbits % 64)) - 1)
+        r0[-1] &= np.uint64((1 << (nbits % 64)) - 1)
+    s0 = raw[2 * nw :]
+    if party == 0:
+        return triples, (r0, s0), tape
+    values = np.array(_words_to_bits(r)[:nbits], dtype=np.uint64)
+    return triples, (r ^ r0, np.subtract(values, s0)), tape
+
+
+@pytest.mark.parametrize("lanes", [1, 63, 64, 65, 200])
+def test_dealer_one_read_matches_per_item_draws(lanes):
+    sizes = _ge_triple_words(lanes)
+    assert len(sizes) == 7
+    for party in (0, 1):
+        triples, shared = DealerTape(13, party, CODEC).bit_material(sizes, lanes)
+        ref_triples, ref_shared, _ = _per_item_draws(13, party, sizes, lanes)
+        assert len(triples) == len(ref_triples)
+        for got, ref in zip(triples, ref_triples):
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+        assert all(np.array_equal(g, r) for g, r in zip(shared, ref_shared))
+
+
+@pytest.mark.parametrize("lanes", [1, 63, 64, 65, 200])
+def test_sec_ge_consumes_the_per_item_draws(lanes):
+    # after one comparison both tapes stand where the per-item draws leave them
+    sessions = make_inproc_sessions(13)
+    x = share_pair(np.linspace(-3.0, 3.0, lanes))
+    run_pair(lambda s: sec_ge(s, x[s.party], np.zeros(lanes, dtype=np.uint64)), sessions)
+    for sess in sessions:
+        _, _, ref = _per_item_draws(13, sess.party, _ge_triple_words(lanes), lanes)
+        assert np.array_equal(sess.dealer._words(8), ref._words(8))
 
 
 def test_dealer_inv_mask_scalar_never_zero():

@@ -68,7 +68,11 @@ def test_inproc_channel_roundtrip_and_close():
     assert b.recv() == b"ping"
     b.send(b"pong")
     assert a.recv() == b"pong"
+    # frames queued before the close still arrive, in order
+    for frame in (b"one", b"two", b"three"):
+        a.send(frame)
     a.close()
+    assert [b.recv() for _ in range(3)] == [b"one", b"two", b"three"]
     with pytest.raises(TransportError):
         b.recv()
     with pytest.raises(TransportError):

@@ -348,9 +348,35 @@ def test_estimation_only_mode_is_gradient_descent_on_the_history():
     res, _, _ = simulate(cfg, task.pool(), target=0)
     plain = plaintext_starfish(cfg, task, target=0)
     assert res.check_rounds == 0
-    assert not any(r["op"] == "sec_tc" for r in res.transcript)
+    ops = [r["op"] for r in res.transcript]
+    assert "sec_tc" not in ops and "threshold_determination" not in ops
     assert np.array_equal(res.trajectory, plain.trajectory)
     assert all(v == 0 for v in res.corrections.values())
+    # at t_c == T' the last selected round checks, so the thresholds are made
+    task, cfg = _small_run(beta=0.6, buffer_b=0)
+    assert cfg.t_c == cfg.t_prime
+    res, _, _ = simulate(cfg, task.pool(), target=0)
+    plain = plaintext_starfish(cfg, task, target=0)
+    assert res.check_rounds == 1
+    assert [r["flags"] for r in res.transcript if r["op"] == "sec_tc"] == [f for _, f in plain.check_flags]
+    assert res.transcript[0]["op"] == "threshold_determination"
+    td = predict_cost("threshold_determination", {"clients": cfg.n, "t": cfg.t}, CODEC)
+    assert (res.transcript[0]["rounds"], res.transcript[0]["bytes"]) == td.as_tuple()
+
+
+def test_estimation_only_mode_skips_threshold_determination():
+    # t_c > T': no checking round can run, so no thresholds are determined;
+    # the folds still run, so the trajectory matches within the truncation budget
+    task, cfg = _small_run(beta=0.75, buffer_b=2)
+    assert cfg.t_c == cfg.t_prime + 1
+    res, _, sessions = simulate(cfg, task.pool(), target=1)
+    plain = plaintext_starfish(cfg, task, target=1)
+    assert [r["op"] for r in res.transcript][0] == "sec_rs"
+    assert "sec_max" not in sessions[0].meter.per_op  # the thresholds' tournament
+    assert np.array_equal(res.selected, plain.selected)
+    assert [r["flags"] for r in res.transcript if r["op"] == "sec_tc"] == [f for _, f in plain.check_flags] == []
+    budget = sessions[0].meter.truncations * 2.0 ** -12
+    assert float(np.max(np.abs(res.trajectory - plain.trajectory))) <= budget
 
 
 def test_simulate_rejects_bad_target():
