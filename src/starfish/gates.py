@@ -93,11 +93,12 @@ def _exchange_concat(sess: Session, parts: list[np.ndarray]) -> list[np.ndarray]
 def _beaver_mul(sess: Session, x, y, *, matmul: bool = False, truncate: bool = True):
     """Beaver product of x and y from a triple at the operands' own shapes:
     d = x - a and e = y - b ship lanes(x) + lanes(y) words in one round, and
-    numpy broadcasting forms c = a * b (or a @ b) and z."""
+    numpy broadcasting forms c = a * b (or a @ b) and z.
+
+    z = c + d*b + a*e, and party 0 adds d*e by taking d*(b + e) for d*b:
+    two local products per party, the same words mod 2^64."""
     x = np.asarray(x)
     y = np.asarray(y)
-    if matmul and x.shape[-1] != y.shape[-2 if y.ndim > 1 else 0]:
-        raise ShapeError(f"matmul shapes {x.shape} x {y.shape}")
     product = np.matmul if matmul else np.multiply
     a, b, c = sess.draw_beaver(x.shape, y.shape, "matmul" if matmul else "mul")
     d_loc = np.subtract(x, a)
@@ -105,9 +106,8 @@ def _beaver_mul(sess: Session, x, y, *, matmul: bool = False, truncate: bool = T
     d, e = _exchange_concat(sess, [d_loc, e_loc])
     d = np.add(d_loc, d)
     e = np.add(e_loc, e)
-    z = np.add(c, np.add(product(d, b), product(a, e)))
-    if sess.party == 0:
-        z = np.add(z, product(d, e))
+    db = product(d, np.add(b, e) if sess.party == 0 else b)
+    z = np.add(c, np.add(db, product(a, e)))
     if truncate:
         z = sess.truncate(z)
     return z

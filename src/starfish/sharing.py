@@ -11,7 +11,9 @@ material from the same dealer seed and keep only their own half. Draws
 happen in program order on both sides, which keeps the halves consistent.
 Consumed material is charged to the meter as offline bytes, as if a real
 dealer had shipped it ahead of time: each draw charges the summed size of
-the arrays it hands out.
+the arrays it hands out. Each Beaver triple comes from one tape read,
+whose words are those of drawing a, b and the three masks in turn; party 0's
+shares are the masks, so party 0 never forms the product.
 
 Bit material (AND triples, and the random bits used by B2A) is drawn as
 packed words, and the pad bits past the requested bit count are zero. A
@@ -30,6 +32,7 @@ randomness of their own: every mask comes from the dealer tape.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
@@ -173,16 +176,26 @@ class DealerTape:
 
     def beaver(self, shape_x, shape_y, mode: str = "mul"):
         """Triple (a, b, c) with a, b at the operands' shapes and c = a*b
-        (elementwise, broadcast) or a@b (matmul)."""
-        a = self._words(shape_x)
-        b = self._words(shape_y)
-        if mode == "mul":
-            c = np.multiply(a, b)
-        elif mode == "matmul":
-            c = np.matmul(a, b)
-        else:
+        (elementwise, broadcast) or a@b (matmul).
+
+        One tape read holds a, b and the masks a0, b0, c0, in the order of
+        drawing each in turn. Party 0's shares are the masks, so only party
+        1 forms the product.
+        """
+        if mode not in ("mul", "matmul"):
             raise ShapeError(f"unknown beaver mode {mode}")
-        return self._split(a), self._split(b), self._split(c)
+        shape_c = _product_shape(shape_x, shape_y, mode == "matmul")
+        nx, ny = math.prod(shape_x), math.prod(shape_y)
+        raw = self._words(2 * (nx + ny) + math.prod(shape_c))
+        a0 = raw[nx + ny : 2 * nx + ny].reshape(shape_x)
+        b0 = raw[2 * nx + ny : 2 * (nx + ny)].reshape(shape_y)
+        c0 = raw[2 * (nx + ny) :].reshape(shape_c)
+        if self.party == 0:
+            return a0, b0, c0
+        a = raw[:nx].reshape(shape_x)
+        b = raw[nx : nx + ny].reshape(shape_y)
+        c = np.matmul(a, b) if mode == "matmul" else np.multiply(a, b)
+        return np.subtract(a, a0), np.subtract(b, b0), np.subtract(c, c0)
 
     def bit_material(self, triple_words: list[int], nbits: int):
         """AND triples, then nbits random bits shared in both domains, from
@@ -231,6 +244,19 @@ class DealerTape:
         if nbits % 64:
             words[..., -1] &= np.uint64((1 << (nbits % 64)) - 1)
         return words
+
+
+def _product_shape(shape_x: tuple, shape_y: tuple, matmul: bool) -> tuple:
+    """Shape of a@b under numpy's matmul rules (1-D operands included), or
+    of a*b under its broadcast rules, without forming the product."""
+    if not matmul:
+        return shape_x if shape_x == shape_y else np.broadcast_shapes(shape_x, shape_y)
+    if not shape_x or not shape_y or shape_x[-1] != shape_y[-2 if len(shape_y) > 1 else 0]:
+        raise ShapeError(f"matmul shapes {shape_x} x {shape_y}")
+    bx, by = shape_x[:-2], shape_y[:-2]
+    batch = bx if bx == by else np.broadcast_shapes(bx, by)
+    # a 1-D operand contributes no row (x) or column (y) axis
+    return batch + shape_x[-2:-1] + (shape_y[-1:] if len(shape_y) > 1 else ())
 
 
 # -- session ---------------------------------------------------------------
@@ -315,7 +341,7 @@ class Session:
             raise TransportError(f"peer sent a {len(reply)}-byte payload, expected {arr.size} words")
         return unpack_words(reply, arr.shape)
 
-    def _roundtrip(self, payload: bytes) -> bytes:
+    def _roundtrip(self, payload: bytes) -> memoryview:
         op = self.current_op
         tag = OP_TAGS.get(op, OP_TAGS["other"])
         frame = build_frame(self.session_id, tag, payload)

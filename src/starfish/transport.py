@@ -33,6 +33,7 @@ from .errors import TransportError
 
 HEADER = struct.Struct("<QHH")  # session id, op tag, reserved
 LEN = struct.Struct("<I")
+PREFIX = struct.Struct("<IQHH")  # LEN then HEADER, packed and parsed in one call
 FRAME_OVERHEAD = LEN.size + HEADER.size  # 16 bytes per frame
 
 # Operation tags for the wire frame: one per gate that opens the innermost
@@ -88,21 +89,22 @@ def bit_payload_bytes(nbits: int) -> int:
     return 8 * bit_word_count(nbits)
 
 
-def build_frame(session_id: int, tag: int, payload_words: bytes) -> bytes:
-    payload = HEADER.pack(session_id, tag, 0) + payload_words
-    return LEN.pack(len(payload)) + payload
+def build_frame(session_id: int, tag: int, payload_words) -> bytes:
+    """The frame of a bytes-like payload whose len() counts bytes (bytes, or
+    a memoryview cast to bytes); the payload is copied once."""
+    return PREFIX.pack(HEADER.size + len(payload_words), session_id, tag, 0) + payload_words
 
 
-def parse_frame(frame: bytes) -> tuple[int, int, bytes]:
+def parse_frame(frame: bytes) -> tuple[int, int, memoryview]:
+    """Session id, op tag and the payload words, a view into frame."""
     if len(frame) < FRAME_OVERHEAD:
         raise TransportError("short frame")
-    (length,) = LEN.unpack_from(frame, 0)
+    length, sid, tag, reserved = PREFIX.unpack_from(frame)
     if length != len(frame) - LEN.size:
         raise TransportError("frame length mismatch")
-    sid, tag, reserved = HEADER.unpack_from(frame, LEN.size)
     if reserved != 0:
         raise TransportError("reserved field must be zero")
-    return sid, tag, frame[FRAME_OVERHEAD:]
+    return sid, tag, memoryview(frame)[FRAME_OVERHEAD:]
 
 
 # -- channels ------------------------------------------------------------
@@ -200,7 +202,8 @@ class TcpChannel:
         total = LEN.size + length
         if len(self._rbuf) < total:
             return None
-        frame = bytes(self._rbuf[:total])
+        with memoryview(self._rbuf) as view:
+            frame = bytes(view[:total])
         del self._rbuf[:total]
         return frame
 

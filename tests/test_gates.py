@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import CODEC, both, raw_share_pair, reveal, reveal_raw, share_pair
-from starfish import gates
+from starfish import gates, make_inproc_sessions, run_pair
 from starfish.costs import comparator_calls, predict_cost, topk_layers, words_round
 from starfish.errors import DivisionDomainError, RangeError, ShapeError, SingularRevealError
 from starfish.gates import (
@@ -24,6 +24,7 @@ from starfish.gates import (
     sec_srt,
 )
 from starfish.oracle import ERROR_BUDGETS, exact_gate_oracle
+from starfish.sharing import DealerTape
 
 RNG = np.random.default_rng(42)
 
@@ -57,6 +58,35 @@ def test_sec_mul_random_within_budget():
     got, _ = both(lambda s: reveal(s, sec_mul(s, a[s.party], b[s.party])))
     err = np.abs(got - exact_gate_oracle("sec_mul", x, y))
     assert float(err.max()) <= ERROR_BUDGETS["sec_mul"]
+
+
+@pytest.mark.parametrize("shape_x, shape_y, matmul", [
+    ((8,), (8,), False),
+    ((6, 1), (6, 5), False),
+    ((19, 4, 4), (19, 4, 4), True),
+    ((2, 3), (3,), True),
+])
+def test_beaver_mul_raw_shares(shape_x, shape_y, matmul):
+    # full-ring words at scale 1: the shares sum to the exact ring product,
+    # and party 0's share is c0 + d*b0 + a0*e + d*e from the same triple
+    rng = np.random.default_rng(17)
+    x = rng.integers(0, 2**64, size=shape_x, dtype=np.uint64)
+    y = rng.integers(0, 2**64, size=shape_y, dtype=np.uint64)
+    xs, ys = raw_share_pair(x, key=7), raw_share_pair(y, key=8)
+
+    def proto(s):
+        with s.op("sec_mul"):
+            return gates._beaver_mul(s, xs[s.party], ys[s.party], matmul=matmul, truncate=False)
+
+    z0, z1 = run_pair(proto, make_inproc_sessions(23))
+    product = np.matmul if matmul else np.multiply
+    assert np.array_equal(np.add(z0, z1), product(x, y))
+    mode = "matmul" if matmul else "mul"
+    (a0, b0, c0), (a1, b1, _) = (DealerTape(23, p, CODEC).beaver(shape_x, shape_y, mode) for p in (0, 1))
+    d = np.add(np.subtract(xs[0], a0), np.subtract(xs[1], a1))
+    e = np.add(np.subtract(ys[0], b0), np.subtract(ys[1], b1))
+    three = np.add(np.add(c0, product(d, b0)), np.add(product(a0, e), product(d, e)))
+    assert np.array_equal(z0, three)
 
 
 def test_sec_mul_matmul_identity_and_random():

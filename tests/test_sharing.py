@@ -13,7 +13,7 @@ from starfish import (
     sec_rec,
     sec_share,
 )
-from starfish.errors import ProtocolError, TransportError
+from starfish.errors import ProtocolError, ShapeError, TransportError
 from starfish.fixedpoint import to_signed
 from starfish.gates import sec_ge, sec_mul, sec_sel
 from starfish.sharing import DealerTape
@@ -95,6 +95,59 @@ def test_dealer_matmul_triples_consistent():
     a = np.add(a0, a1)
     b = np.add(b0, b1)
     assert np.array_equal(np.add(c0, c1), np.matmul(a, b))
+
+
+BEAVER_SHAPES = [
+    ((8,), (8,), "mul"),
+    ((6, 1), (6, 5), "mul"),
+    ((19, 4, 4), (19, 4, 4), "matmul"),
+    ((3,), (3,), "matmul"),
+    ((2, 3), (3,), "matmul"),
+    ((3,), (3, 2), "matmul"),
+]
+
+
+def _five_read_beaver(seed, party, shape_x, shape_y, mode):
+    """The five-read rule: a and b, then one mask per array of the triple,
+    each from its own tape read; party 1 keeps the array minus its mask.
+    Returns the triple and the tape after it."""
+    tape = DealerTape(seed, party, CODEC)
+    a = tape._words(shape_x)
+    b = tape._words(shape_y)
+    c = np.matmul(a, b) if mode == "matmul" else np.multiply(a, b)
+    triple = []
+    for full in (a, b, c):
+        s0 = tape._words(np.shape(full))
+        triple.append(s0 if party == 0 else np.subtract(full, s0))
+    return triple, tape
+
+
+@pytest.mark.parametrize("shape_x, shape_y, mode", BEAVER_SHAPES)
+def test_dealer_beaver_one_read_matches_per_item_draws(shape_x, shape_y, mode):
+    got = {}
+    for party in (0, 1):
+        tape = DealerTape(21, party, CODEC)
+        got[party] = tape.beaver(shape_x, shape_y, mode)
+        ref, ref_tape = _five_read_beaver(21, party, shape_x, shape_y, mode)
+        for g, r in zip(got[party], ref, strict=True):
+            assert np.shape(g) == np.shape(r) and np.asarray(g).dtype == np.uint64
+            assert np.array_equal(g, r)
+        # both tapes stand at the same position afterwards
+        assert np.array_equal(tape._words(8), ref_tape._words(8))
+    a, b, c = (np.add(s0, s1) for s0, s1 in zip(got[0], got[1]))
+    assert np.array_equal(c, np.matmul(a, b) if mode == "matmul" else np.multiply(a, b))
+
+
+@pytest.mark.parametrize("shape_x, shape_y, mode", [
+    ((4,), (4,), "dot"),
+    ((2, 3), (2, 3), "matmul"),
+    ((), (3,), "matmul"),
+])
+def test_dealer_beaver_rejects_bad_requests_before_reading(shape_x, shape_y, mode):
+    tape = DealerTape(21, 0, CODEC)
+    with pytest.raises(ShapeError):
+        tape.beaver(shape_x, shape_y, mode)
+    assert np.array_equal(tape._words(8), DealerTape(21, 0, CODEC)._words(8))
 
 
 def _words_to_bits(words):

@@ -6,8 +6,10 @@ import threading
 import numpy as np
 import pytest
 
+from starfish import make_inproc_sessions, run_pair
 from starfish import transport as tr
 from starfish.errors import TransportError
+from starfish.sharing import make_tcp_session
 
 
 def _free_port() -> int:
@@ -26,6 +28,57 @@ def test_frame_roundtrip():
     frame = tr.build_frame(7, tr.OP_TAGS["sec_mul"], b"payload")
     assert len(frame) == tr.FRAME_OVERHEAD + len(b"payload")
     assert tr.parse_frame(frame) == (7, tr.OP_TAGS["sec_mul"], b"payload")
+
+
+@pytest.mark.parametrize("payload", [
+    b"payload!",
+    memoryview(np.arange(5, dtype="<u8")).cast("B"),
+], ids=["bytes", "array"])
+def test_build_frame_layout(payload):
+    raw = bytes(payload)
+    frame = tr.build_frame(7, tr.OP_TAGS["sec_sp"], payload)
+    assert frame == tr.LEN.pack(tr.HEADER.size + len(raw)) + tr.HEADER.pack(7, tr.OP_TAGS["sec_sp"], 0) + raw
+    sid, tag, got = tr.parse_frame(frame)
+    assert (sid, tag, bytes(got)) == (7, tr.OP_TAGS["sec_sp"], raw)
+    # the payload is a view into the frame, not a copy
+    assert isinstance(got, memoryview) and got.obj is frame
+
+
+def _tcp_sessions(seed):
+    addr = f"127.0.0.1:{_free_port()}"
+    sessions = {}
+
+    def open_party(party):
+        sessions[party] = make_tcp_session(seed, party, addr)
+
+    th = threading.Thread(target=open_party, args=(0,))
+    th.start()
+    open_party(1)
+    th.join(timeout=30)
+    assert not th.is_alive()
+    return sessions[0], sessions[1]
+
+
+SESSION_PAIRS = {"inproc": make_inproc_sessions, "tcp": _tcp_sessions}
+
+
+@pytest.mark.parametrize("channel", SESSION_PAIRS)
+def test_exchange_over_channels(channel):
+    # a reply of the sent length unpacks to writable words; another length
+    # fails Session._exchange's check
+    words = {0: np.arange(6, dtype=np.uint64).reshape(2, 3), 1: np.full((2, 3), 2**64 - 1, np.uint64)}
+    sessions = SESSION_PAIRS[channel](3)
+    try:
+        got = run_pair(lambda s: s.exchange_words(words[s.party]), sessions)
+        for party, reply in enumerate(got):
+            assert np.array_equal(reply, words[1 - party]) and reply.dtype == np.uint64
+            assert reply.flags.writeable
+            reply += np.uint64(1)
+        with pytest.raises(TransportError, match=r"expected [45] words"):
+            run_pair(lambda s: s.exchange_words(np.zeros(4 + s.party, np.uint64)), sessions)
+    finally:
+        for sess in sessions:
+            sess.chan.close()
 
 
 def test_parse_frame_rejects_garbage():
