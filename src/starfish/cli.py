@@ -63,7 +63,6 @@ from .unlearn import (
     sec_ue,
     stage_one,
     starfish_run,
-    threshold_determination,
 )
 
 
@@ -433,13 +432,6 @@ def _audit_battery(cfg: RunConfig):
         u, v, payload = shared(s, 9, v8, p8, lambda _: np.arange(8, dtype=np.uint64))
         sec_srt(s, np.stack([u, v, payload], axis=1), 2, 8)
 
-    def run_td(s):
-        (shares,) = shared(s, 13, ((6, 4), 0.1, 1.0))
-        threshold_determination(s, HistoryStore(
-            party=s.party, codec=s.codec, eta_l=cfg.eta_l, models=np.zeros((7, 2)),
-            grads=np.zeros((6, 4, 2), dtype=np.uint64), norms=np.zeros((6, 4), dtype=np.uint64),
-            thresholds=shares))
-
     def run_ue(s):
         # per-pair folds, H @ G, aggregate reveal; the public dM of a secant
         # pair is drawn right after its shared dG is split
@@ -487,7 +479,6 @@ def _audit_battery(cfg: RunConfig):
          lambda s: sec_mi(s, *shared(s, 11, ((4,), 0.5, 2.0)))),
         ("sec_mi matrix 3x3", "sec_mi", {"m": 3}, lambda s: sec_mi(s, *shared(
             s, 12, lambda rng: 2.0 * np.eye(3) + 0.25 * rng.uniform(-1.0, 1.0, size=(3, 3))))),
-        ("threshold_determination n=4 T=6", "threshold_determination", {"clients": 4, "t": 6}, run_td),
         ("sec_ue n=4 m=3 pairs=2", "sec_ue", {"clients": 4, "m": 3, "pairs": 2}, run_ue),
         ("sec_tc n=4 m=3", "sec_tc", {"clients": 4, "m": 3}, lambda s: sec_tc(s, *shared(
             s, 15, ((4, 3), 0.25, 2.0), lambda rng: rng.uniform(0.1, 1.0, size=(4,))))),

@@ -185,6 +185,7 @@ def select_cost(kept: int, t_prime: int, width: int) -> CostEstimate:
     return sort_cost(kept, width + 1, width, t_prime) + words_round(t_prime)
 
 
+# prices sec_max, which only the audit and perfbench's threshold_determination read
 def max_cost(t: int, batch: int) -> CostEstimate:
     size = padded_size(t)
     total = ZERO
@@ -273,7 +274,8 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
         rows of item_words words, ordered by their first width (1 or 2) columns
       sec_rank: dict {"t", "width"}
       sec_mi: dict {"m", "batch"} (single accepted attempt)
-      threshold_determination: dict {"clients", "t"}
+      threshold_determination: dict {"clients", "t"}: a sec_max over T per
+        client, priced but not run (stage I shares each client's max)
       sec_ue: dict {"clients", "m", "pairs"}
       sec_tc: dict {"clients", "m"}
       sec_rs: dict {"t", "t_prime", "method", "kept"?}
@@ -301,6 +303,7 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
         return div_cost(_lanes(shape), codec)
     if name == "sec_mi":
         return mi_cost(shape["m"], shape.get("batch", 1))
+    # no protocol phase runs this; perfbench/run.py prices it for every request
     if name == "threshold_determination":
         return max_cost(shape["t"], shape["clients"])
     if name == "sec_ue":

@@ -274,6 +274,7 @@ def sec_ge(sess: Session, u, v) -> np.ndarray:
         return _ge_core(sess, u, v)
 
 
+# no protocol phase calls this; it stays while perfbench/run.py prices threshold_determination
 def sec_max(sess: Session, vals) -> np.ndarray:
     """Oblivious max over the last axis (tournament of sec_ge/sec_sel)."""
     vals = np.asarray(vals)

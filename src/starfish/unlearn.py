@@ -1,10 +1,11 @@
 """The Starfish protocol: assisted federated training, then secure unlearning.
 
-Stage I runs plain FedAvg while squirreling away shared per-client gradients,
-norms and tolerance thresholds. Stage II removes one client: pick the rounds
-that mattered most to it, replay them with L-BFGS-estimated gradients from
-everyone else, and periodically let clients whose estimates drifted past
-their threshold push exact corrections.
+Stage I runs plain FedAvg while squirreling away shared per-client gradients
+and norms, plus each client's largest tolerance threshold, which the client
+computes in the clear and shares once. Stage II removes one client: pick the
+rounds that mattered most to it, replay them with L-BFGS-estimated gradients
+from everyone else, and periodically let clients whose estimates drifted
+past their threshold push exact corrections.
 
 Clients are simulated in-process. Both server parties run the same code, so
 a client "sending shares" is a deterministic keyed split both sides derive
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ProtocolError, RangeError
 from .fixedpoint import WORD_BITS, FixedPointCodec, to_signed
-from .gates import const_share, mul_public, sec_ge, sec_max, sec_mi, sec_mul, sp_public
+from .gates import const_share, mul_public, sec_ge, sec_mi, sec_mul, sp_public
 from .roundsel import SelectionInputs, SelectionParams, sec_rs
 from .sharing import (
     STREAM_CLIENT_SHARES,
@@ -36,6 +37,7 @@ from .sharing import (
 
 _SHARE_STAGE1 = 0
 _SHARE_CORRECTION = 1
+_SHARE_THRESHOLD = 2
 
 
 @dataclass
@@ -121,6 +123,7 @@ def _meter_totals(sess: Session) -> tuple[int, int]:
 
 
 _SFH1 = struct.Struct("<4sBBHIIIHBBd")
+_SFH1_VERSION = 2
 
 
 @dataclass
@@ -137,7 +140,7 @@ class HistoryStore:
     models: np.ndarray      # (T+1, m) float64, public
     grads: np.ndarray       # (T, n, m) raw shares
     norms: np.ndarray       # (T, n) raw shares
-    thresholds: np.ndarray  # (T, n) raw shares
+    thresholds: np.ndarray  # (n,) raw shares of each client's max threshold
 
     @property
     def t(self) -> int:
@@ -164,7 +167,7 @@ class HistoryStore:
     def save(self, path) -> None:
         codec = self.codec
         header = _SFH1.pack(
-            b"SFH1", 1, self.party, 0,
+            b"SFH1", _SFH1_VERSION, self.party, 0,
             self.n, self.m, self.t,
             WORD_BITS, codec.precision_p, codec.range_e,
             self.eta_l,
@@ -183,12 +186,13 @@ class HistoryStore:
         if len(blob) < _SFH1.size or blob[:4] != b"SFH1":
             raise ConfigError(f"{path} is not a history file")
         magic, version, party, _, n, m, t, word_bits, p, e, eta_l = _SFH1.unpack_from(blob)
-        if version != 1:
-            raise ConfigError(f"unsupported history version {version}")
+        if version != _SFH1_VERSION:
+            raise ConfigError(f"{path} is history version {version}, expected {_SFH1_VERSION}; "
+                              "rerun starfish train")
         if word_bits != WORD_BITS:
             raise ConfigError(f"{path} has {word_bits}-bit words, expected {WORD_BITS}")
         # models, grads, norms and thresholds, all 8-byte words
-        size = _SFH1.size + 8 * ((t + 1) * m + t * n * m + 2 * t * n)
+        size = _SFH1.size + 8 * ((t + 1) * m + t * n * m + t * n + n)
         if len(blob) != size:
             raise ConfigError(f"{path} holds {len(blob)} bytes, its header implies {size}")
         codec = FixedPointCodec(precision_p=p, range_e=e)
@@ -201,7 +205,7 @@ class HistoryStore:
         models = take((t + 1) * m, "<f8").reshape(t + 1, m).copy()
         grads = take(t * n * m, "<u8").reshape(t, n, m).copy()
         norms = take(t * n, "<u8").reshape(t, n).copy()
-        thresholds = take(t * n, "<u8").reshape(t, n).copy()
+        thresholds = take(n, "<u8").copy()
         return cls(party=party, codec=codec, eta_l=eta_l, models=models,
                    grads=grads, norms=norms, thresholds=thresholds)
 
@@ -215,7 +219,9 @@ def stage_one(
     """Federated training with assistive-information sharing.
 
     Aggregation reveals only the summed gradient; per-client contributions
-    stay shared in the history.
+    stay shared in the history. A client's thresholds are all in the clear at
+    the client, and stage II reads only their max, so after round T each
+    client shares that max alone.
     """
     if pool.n != config.n:
         raise ConfigError(f"pool has {pool.n} clients, config says {config.n}")
@@ -225,7 +231,7 @@ def stage_one(
     models[0] = np.asarray(pool.initial_model, dtype=np.float64)
     grads = np.zeros((t, n, m), dtype=np.uint64)
     norms = np.zeros((t, n), dtype=np.uint64)
-    thresholds = np.zeros((t, n), dtype=np.uint64)
+    max_delta = np.zeros(n)
 
     for i in range(t):
         for j in range(n):
@@ -233,23 +239,22 @@ def stage_one(
             rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_STAGE1, i, j)
             grads[i, j] = sec_share(g, codec, rng)[sess.party].value
             norms[i, j] = sec_share(norm, codec, rng)[sess.party].value
-            thresholds[i, j] = sec_share(delta, codec, rng)[sess.party].value
+            max_delta[j] = max(max_delta[j], delta)
         total = sec_rec(sess, grads[i].sum(axis=0, dtype=np.uint64))
         avg = codec.decode(total) / n
         models[i + 1] = models[i] - config.eta_l * avg
         if on_round is not None:
             on_round(i, models[i + 1])
 
+    thresholds = np.zeros(n, dtype=np.uint64)
+    for j in range(n):
+        rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_THRESHOLD, j)
+        thresholds[j] = sec_share(max_delta[j], codec, rng)[sess.party].value
     return HistoryStore(party=sess.party, codec=codec, eta_l=config.eta_l,
                         models=models, grads=grads, norms=norms, thresholds=thresholds)
 
 
 # -- stage II building blocks ------------------------------------------------
-
-
-def threshold_determination(sess: Session, history: HistoryStore) -> np.ndarray:
-    """Per-client running threshold: max of the per-round shares."""
-    return sec_max(sess, np.ascontiguousarray(history.thresholds.T))
 
 
 @dataclass
@@ -365,10 +370,10 @@ def starfish_run(
     config: UnlearnConfig,
     target: int,
 ) -> RunResult:
-    """Stage II: threshold determination, round selection, unlearning loop.
+    """Stage II: round selection, then the unlearning loop.
 
-    Threshold determination runs only when a checking round can: with
-    t_c > T' (estimation-only mode) its record is absent from the transcript.
+    The correction thresholds are the per-client maxima stage I shared, so
+    the transcript starts at sec_rs.
     """
     if not (0 <= target < history.n):
         raise ConfigError(f"target {target} outside client range")
@@ -389,11 +394,6 @@ def starfish_run(
         last = now
 
     remaining = [j for j in range(history.n) if j != target]
-    # thresholds feed only sec_tc: with t_c > T' no checking round can run
-    thresh_rem = None
-    if config.t_c <= config.t_prime:
-        thresh_rem = threshold_determination(sess, history)[remaining]
-        record("threshold_determination")
     params = SelectionParams(t=history.t, sigma=config.sigma)
     selection = sec_rs(sess, history.selection_inputs(target), params)
     record("sec_rs")
@@ -412,7 +412,7 @@ def starfish_run(
             estimates = sec_ue(sess, g_round, state)
             if i % config.t_c == 0:
                 record("sec_ue")
-                flags = sec_tc(sess, estimates, thresh_rem)
+                flags = sec_tc(sess, estimates, history.thresholds[remaining])
                 check_rounds += 1
                 estimates = np.array(estimates, copy=True)
                 for idx, j in enumerate(remaining):

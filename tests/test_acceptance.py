@@ -368,7 +368,8 @@ def test_criterion_8_client_participation():
 
 def test_criterion_9_metering_and_invocation_multiset():
     """Measured online bytes equal the cost formulas; the unlearning stage
-    invokes n max scans, 1 selection, T' estimations and T'/T_c checks."""
+    invokes 1 selection, T' estimations and T'/T_c checks, and no max scan:
+    stage I shares each client's largest threshold."""
     rng = np.random.default_rng(909)
     x, y = _grid(rng, -2, 2, 8), _grid(rng, -2, 2, 8)
     a, b = share_pair(x, key=900), share_pair(y, key=901)
@@ -396,7 +397,7 @@ def test_criterion_9_metering_and_invocation_multiset():
     meter = sessions[0].meter
     counts = {op: meter.stats(op).invocations
               for op in ("sec_max", "sec_rs", "sec_ue", "sec_tc")}
-    assert counts == {"sec_max": cfg.n, "sec_rs": 1,
+    assert counts == {"sec_max": 0, "sec_rs": 1,
                       "sec_ue": cfg.t_prime, "sec_tc": cfg.t_prime // cfg.t_c}
     for rec in res.transcript:
         if rec["op"] == "sec_tc":

@@ -208,6 +208,22 @@ def test_unlearn_rejects_a_wide_word_history(small_cfg, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_unlearn_rejects_a_history_of_another_version(small_cfg, tmp_path, capsys):
+    # the SFH1 header's version byte follows the magic
+    out = tmp_path / "run"
+    assert _run(["train", "--config", small_cfg, "--out", out]) == 0
+    path = out / "history.p0.sfh1"
+    blob = bytearray(path.read_bytes())
+    assert blob[4] == 2
+    blob[4] = 1
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert _run(["unlearn", "--config", small_cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path} is history version 1" in err
+    assert "rerun starfish train" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("edit", [lambda blob: blob[:-100], lambda blob: blob + b"\0"],
                          ids=["truncated", "one-extra-byte"])
 def test_unlearn_rejects_a_history_of_the_wrong_length(small_cfg, tmp_path, capsys, edit):
@@ -272,7 +288,7 @@ def test_compare_full_sigma_matches_random_subset(tmp_path, capsys):
 def test_audit_passes(capsys):
     assert _run(["audit", "--seed", 0]) == 0
     printed = capsys.readouterr().out
-    assert "all 18 functionalities match" in printed
+    assert "all 17 functionalities match" in printed
     assert "MISMATCH" not in printed
     assert "sec_srt T=8 pair: comparators=24 (formula 24)" in printed
     # T=32 and T=128 run the top-k network (one and four merge levels);

@@ -17,15 +17,16 @@ from starfish import (
     run_pair,
     simulate,
 )
+from starfish.cli import RunConfig
 from starfish.costs import predict_cost, words_round
 from starfish.errors import ConfigError
-from starfish.oracle import _plain_estimate
+from starfish.oracle import _plain_estimate, plaintext_history
 from starfish.unlearn import (
+    _SFH1,
     client_round,
     sec_tc,
     sec_ue,
     stage_one,
-    threshold_determination,
 )
 
 
@@ -71,46 +72,6 @@ def test_client_round_zero_gradient():
     assert not np.any(g)
     assert norm == 0.0
     assert delta == 0.0
-
-
-# -- threshold determination -------------------------------------------------
-
-
-def _history_with_thresholds(per_round, party_shares):
-    t = len(per_round)
-    return HistoryStore(
-        party=0,
-        codec=CODEC,
-        eta_l=0.1,
-        models=np.zeros((t + 1, 2)),
-        grads=np.zeros((t, 1, 2), dtype=np.uint64),
-        norms=np.zeros((t, 1), dtype=np.uint64),
-        thresholds=party_shares,
-    )
-
-
-def test_threshold_determination_takes_the_max():
-    vals = np.array([[0.3], [0.7], [0.5]])  # (t, n) with one client
-    shares = share_pair(CODEC.quantize(vals), key=1)
-
-    def proto(sess):
-        hist = _history_with_thresholds(vals, shares[sess.party])
-        return reveal(sess, threshold_determination(sess, hist))
-
-    got, _ = both(proto)
-    assert np.array_equal(got, [float(CODEC.quantize(0.7))])
-
-
-def test_threshold_determination_multi_client():
-    vals = CODEC.quantize(np.array([[0.1, 0.9], [0.4, 0.2]]))  # (t=2, n=2)
-    shares = share_pair(vals, key=2)
-
-    def proto(sess):
-        hist = _history_with_thresholds(vals, shares[sess.party])
-        return reveal(sess, threshold_determination(sess, hist))
-
-    got, _ = both(proto)
-    assert np.array_equal(got, vals.max(axis=0))
 
 
 # -- gradient estimation -------------------------------------------------------
@@ -215,11 +176,16 @@ def test_history_store_roundtrip(tmp_path):
     task = quadratic_task(3, 4, seed=1)
     cfg = UnlearnConfig(n=3, m=4, t=5, sigma=0.6, alpha=0.4, beta=0.5,
                         buffer_b=1, eta_l=0.05, eta_u=0.1, seed=1)
+    n, m, t = cfg.n, cfg.m, cfg.t
 
     def proto(sess):
         hist = stage_one(sess, task.pool(), cfg)
+        assert hist.thresholds.shape == (n,)
         path = tmp_path / f"h{sess.party}.sfh1"
         hist.save(path)
+        # version 2: models, grads, norms and one threshold per client
+        assert path.read_bytes()[4] == 2
+        assert path.stat().st_size == _SFH1.size + 8 * ((t + 1) * m + t * n * m + t * n + n)
         back = HistoryStore.load(path)
         assert back.party == sess.party
         assert back.codec == sess.codec
@@ -241,10 +207,13 @@ def test_history_store_rejects_foreign_files(tmp_path):
 
 
 def test_history_model_updates():
-    hist = _history_with_thresholds(
-        np.zeros((2, 1)), np.zeros((2, 1), dtype=np.uint64)
+    hist = HistoryStore(
+        party=0, codec=CODEC, eta_l=0.1,
+        models=np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 2.0]]),
+        grads=np.zeros((2, 1, 2), dtype=np.uint64),
+        norms=np.zeros((2, 1), dtype=np.uint64),
+        thresholds=np.zeros(1, dtype=np.uint64),
     )
-    hist.models = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 2.0]])
     assert np.array_equal(hist.model_updates(), [[1.0, 2.0], [2.0, 0.0]])
 
 
@@ -286,6 +255,22 @@ def test_stage_one_round_callback():
             assert np.array_equal(model, got[i + 1])
 
 
+@pytest.mark.parametrize("overrides", [{}, {"n": 20, "m": 32, "t": 12}], ids=["cli-default", "n20-m32"])
+def test_stage_one_shares_each_clients_max_threshold(overrides):
+    # each client shares the max of its own thresholds; the pair reconstructs
+    # to the encoded max, which is the mirror's quantized max bit for bit
+    run = RunConfig(**overrides)
+    cfg, pool, codec = run.unlearn_config(), run.build_task().pool(), run.codec()
+    deltas = plaintext_history(cfg, pool, codec).deltas
+
+    got = run_pair(lambda sess: stage_one(sess, pool, cfg).thresholds,
+                   make_inproc_sessions(cfg.seed, codec=codec))
+    words = np.add(got[0], got[1])
+    assert words.shape == (cfg.n,)
+    assert np.array_equal(words, codec.encode(deltas.max(axis=0)))
+    assert np.array_equal(codec.decode(words), codec.quantize(deltas.max(axis=0)))
+
+
 # -- full stage II ------------------------------------------------------------------
 
 
@@ -313,9 +298,8 @@ def test_transcript_structure():
     task, cfg = _small_run()
     res, _, sessions = simulate(cfg, task.pool(), target=1)
     ops = [r["op"] for r in res.transcript]
-    assert ops[0] == "threshold_determination"
-    assert ops[1] == "sec_rs"
-    assert set(ops[2:]) <= {"sec_ue", "sec_tc"}
+    assert ops[0] == "sec_rs"
+    assert set(ops[1:]) <= {"sec_ue", "sec_tc"}
     tc_records = [r for r in res.transcript if r["op"] == "sec_tc"]
     assert len(tc_records) == res.check_rounds == len(res.selected) // cfg.t_c
     for rec in tc_records:
@@ -327,9 +311,6 @@ def test_transcript_structure():
     # each record holds its phase's traffic alone: the fixed-size phases
     # match their predictions, and the records add up to everything metered
     # after stage I's t model reveals
-    first = res.transcript[0]
-    td = predict_cost("threshold_determination", {"clients": cfg.n, "t": cfg.t}, CODEC)
-    assert (first["rounds"], first["bytes"]) == td.as_tuple()
     tc = predict_cost("sec_tc", {"clients": cfg.n - 1, "m": cfg.m}, CODEC)
     assert all((rec["rounds"], rec["bytes"]) == tc.as_tuple() for rec in tc_records)
     meter = sessions[0].meter
@@ -348,33 +329,30 @@ def test_estimation_only_mode_is_gradient_descent_on_the_history():
     res, _, _ = simulate(cfg, task.pool(), target=0)
     plain = plaintext_starfish(cfg, task, target=0)
     assert res.check_rounds == 0
-    ops = [r["op"] for r in res.transcript]
-    assert "sec_tc" not in ops and "threshold_determination" not in ops
+    assert "sec_tc" not in [r["op"] for r in res.transcript]
     assert np.array_equal(res.trajectory, plain.trajectory)
     assert all(v == 0 for v in res.corrections.values())
-    # at t_c == T' the last selected round checks, so the thresholds are made
+    # at t_c == T' the last selected round checks
     task, cfg = _small_run(beta=0.6, buffer_b=0)
     assert cfg.t_c == cfg.t_prime
     res, _, _ = simulate(cfg, task.pool(), target=0)
     plain = plaintext_starfish(cfg, task, target=0)
     assert res.check_rounds == 1
     assert [r["flags"] for r in res.transcript if r["op"] == "sec_tc"] == [f for _, f in plain.check_flags]
-    assert res.transcript[0]["op"] == "threshold_determination"
-    td = predict_cost("threshold_determination", {"clients": cfg.n, "t": cfg.t}, CODEC)
-    assert (res.transcript[0]["rounds"], res.transcript[0]["bytes"]) == td.as_tuple()
 
 
-def test_estimation_only_mode_skips_threshold_determination():
-    # t_c > T': no checking round can run, so no thresholds are determined;
-    # the folds still run, so the trajectory matches within the truncation budget
-    task, cfg = _small_run(beta=0.75, buffer_b=2)
-    assert cfg.t_c == cfg.t_prime + 1
+@pytest.mark.parametrize("beta, checks", [(0.75, 0), (0.25, 2)], ids=["estimation-only", "checking"])
+def test_stage_two_starts_at_selection_without_a_max(beta, checks):
+    # the thresholds come from stage I, so no sec_max runs in stage II, with
+    # or without checking rounds; the trajectory matches within the budget
+    task, cfg = _small_run(beta=beta, buffer_b=2)
     res, _, sessions = simulate(cfg, task.pool(), target=1)
     plain = plaintext_starfish(cfg, task, target=1)
-    assert [r["op"] for r in res.transcript][0] == "sec_rs"
-    assert "sec_max" not in sessions[0].meter.per_op  # the thresholds' tournament
+    assert res.transcript[0]["op"] == "sec_rs"
+    assert res.check_rounds == checks
+    assert "sec_max" not in sessions[0].meter.per_op
     assert np.array_equal(res.selected, plain.selected)
-    assert [r["flags"] for r in res.transcript if r["op"] == "sec_tc"] == [f for _, f in plain.check_flags] == []
+    assert [r["flags"] for r in res.transcript if r["op"] == "sec_tc"] == [f for _, f in plain.check_flags]
     budget = sessions[0].meter.truncations * 2.0 ** -12
     assert float(np.max(np.abs(res.trajectory - plain.trajectory))) <= budget
 
