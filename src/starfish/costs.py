@@ -211,30 +211,37 @@ def mi_cost(m: int, batch: int) -> CostEstimate:
 # -- composite protocol phases ------------------------------------------------
 
 
-def ue_cost(clients: int, m: int, pairs: int) -> CostEstimate:
-    """One secure update estimation round, all curvature lanes live.
+def ue_cost(clients: int, m: int, pairs: int, live=None) -> CostEstimate:
+    """One secure update estimation round.
 
-    Per buffered pair: the revealed zero screen on u, scalar reciprocal
-    (2 rounds), rho*dG, two Hessian matmuls, the rank-one term; then H @ G
-    per client and one aggregate reveal. The identity fast path (pairs=0)
-    is just the reveal.
+    live lists each buffered pair's live (nonzero-curvature) lane count,
+    every lane live by default. One screen runs over the pairs x clients
+    lanes: u squared, the zero test, its revealed flags. The live lanes of
+    all pairs then get their reciprocals (one batched sec_mi) and rho*dG
+    together. Each pair with a live lane folds in two Hessian matmul rounds,
+    the first also opening its rank-one term. H @ G per client and one
+    aggregate reveal close the round; with no live lane (or pairs=0) only
+    the reveal follows the screen.
     """
-    total = ZERO
-    for _ in range(pairs):
-        total += mul_cost(clients, clients) + ge_cost(clients) + words_round(clients)
-        total += mi_cost(1, clients)
-        total += mul_cost(clients, clients * m)
-        total += mul_cost(clients * m * m, clients * m * m) * 2
-        total += mul_cost(clients * m, clients * m)
-    if pairs > 0:
-        total += mul_cost(clients * m * m, clients * m)
-    total += words_round(m)
-    return total
+    live = [clients] * pairs if live is None else list(live)
+    total = words_round(m)
+    if pairs == 0:
+        return total
+    lanes = pairs * clients
+    total += mul_cost(lanes, lanes) + ge_cost(lanes) + words_round(lanes)
+    alive = sum(live)
+    if alive == 0:
+        return total
+    total += mi_cost(1, alive) + mul_cost(alive, alive * m)
+    for k in filter(None, live):
+        total += words_round(2 * k * m * m + 2 * k * m)  # V^T H and the rank-one term
+        total += mul_cost(k * m * m, k * m * m)
+    return total + mul_cost(clients * m * m, clients * m)
 
 
 def tc_cost(clients: int, m: int) -> CostEstimate:
-    total = mul_cost(clients * m, clients * m)  # gradient squares
-    total += mul_cost(clients, clients)         # threshold squares
+    lanes = clients * m + clients
+    total = mul_cost(lanes, lanes)    # gradient and threshold squares, one product
     total += ge_cost(clients * m)     # coordinate exceed bits
     total += ge_cost(clients)         # count >= 1
     total += words_round(clients)     # reveal flags
@@ -276,7 +283,8 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
       sec_mi: dict {"m", "batch"} (single accepted attempt)
       threshold_determination: dict {"clients", "t"}: a sec_max over T per
         client, priced but not run (stage I shares each client's max)
-      sec_ue: dict {"clients", "m", "pairs"}
+      sec_ue: dict {"clients", "m", "pairs", "live"?}: live lists each pair's
+        live lane count, every lane live if omitted
       sec_tc: dict {"clients", "m"}
       sec_rs: dict {"t", "t_prime", "method", "kept"?}
     """
@@ -307,7 +315,7 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
     if name == "threshold_determination":
         return max_cost(shape["t"], shape["clients"])
     if name == "sec_ue":
-        return ue_cost(shape["clients"], shape["m"], shape["pairs"])
+        return ue_cost(shape["clients"], shape["m"], shape["pairs"], shape.get("live"))
     if name == "sec_tc":
         return tc_cost(shape["clients"], shape["m"])
     if name == "sec_rs":

@@ -1,7 +1,8 @@
 """Two-party gates over additively shared ring tensors.
 
 Arithmetic gates use Beaver triples from the dealer tape, drawn at the
-operands' own shapes; numpy broadcasting forms the product. Comparison runs
+operands' own shapes; numpy broadcasting forms the product. Independent
+products can open in one round (sec_muls). Comparison runs
 on XOR-shared bits where each party contributes its own share as one
 addend. It needs only the sign of the sum, so it runs a carry-only prefix
 tree that computes the carry into the top bit (the MSB extraction of ABY3
@@ -90,27 +91,36 @@ def _exchange_concat(sess: Session, parts: list[np.ndarray]) -> list[np.ndarray]
 # -- Beaver multiplication core ---------------------------------------------
 
 
-def _beaver_mul(sess: Session, x, y, *, matmul: bool = False, truncate: bool = True):
-    """Beaver product of x and y from a triple at the operands' own shapes:
-    d = x - a and e = y - b ship lanes(x) + lanes(y) words in one round, and
-    numpy broadcasting forms c = a * b (or a @ b) and z.
+def _beaver_muls(sess: Session, products, *, truncate: bool = True) -> list[np.ndarray]:
+    """Independent Beaver products opened in one round, one per (x, y, matmul).
+
+    Each draws a triple at its operands' own shapes, in order: d = x - a and
+    e = y - b of every product ship lanes(x) + lanes(y) words in one frame,
+    and numpy broadcasting forms c = a * b (or a @ b) and z.
 
     z = c + d*b + a*e, and party 0 adds d*e by taking d*(b + e) for d*b:
     two local products per party, the same words mod 2^64."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    product = np.matmul if matmul else np.multiply
-    a, b, c = sess.draw_beaver(x.shape, y.shape, "matmul" if matmul else "mul")
-    d_loc = np.subtract(x, a)
-    e_loc = np.subtract(y, b)
-    d, e = _exchange_concat(sess, [d_loc, e_loc])
-    d = np.add(d_loc, d)
-    e = np.add(e_loc, e)
-    db = product(d, np.add(b, e) if sess.party == 0 else b)
-    z = np.add(c, np.add(db, product(a, e)))
-    if truncate:
-        z = sess.truncate(z)
-    return z
+    operands = [(np.asarray(x), np.asarray(y), matmul) for x, y, matmul in products]
+    triples = [sess.draw_beaver(x.shape, y.shape, "matmul" if matmul else "mul")
+               for x, y, matmul in operands]
+    masked = []
+    for (x, y, _), (a, b, _) in zip(operands, triples):
+        masked += [np.subtract(x, a), np.subtract(y, b)]
+    opened = _exchange_concat(sess, masked)
+    out = []
+    for k, ((_, _, matmul), (a, b, c)) in enumerate(zip(operands, triples)):
+        product = np.matmul if matmul else np.multiply
+        d = np.add(masked[2 * k], opened[2 * k])
+        e = np.add(masked[2 * k + 1], opened[2 * k + 1])
+        db = product(d, np.add(b, e) if sess.party == 0 else b)
+        z = np.add(c, np.add(db, product(a, e)))
+        out.append(sess.truncate(z) if truncate else z)
+    return out
+
+
+def _beaver_mul(sess: Session, x, y, *, matmul: bool = False, truncate: bool = True):
+    """One Beaver product of x and y (see _beaver_muls)."""
+    return _beaver_muls(sess, [(x, y, matmul)], truncate=truncate)[0]
 
 
 # -- arithmetic gates ----------------------------------------------------------
@@ -124,9 +134,16 @@ def sec_add(sess: Session, x, y) -> np.ndarray:
 
 def sec_mul(sess: Session, x, y, *, matmul: bool = False, truncate: bool = True) -> np.ndarray:
     """Beaver product of two shared tensors (one round)."""
-    n = 1 if matmul else int(np.broadcast(np.asarray(x), np.asarray(y)).size)
+    return sec_muls(sess, [(x, y, matmul)], truncate=truncate)[0]
+
+
+def sec_muls(sess: Session, products, *, truncate: bool = True) -> list[np.ndarray]:
+    """Independent Beaver products of (x, y, matmul) triples in one round; a
+    matmul counts as one invocation, an elementwise product as its lanes."""
+    n = sum(1 if matmul else int(np.broadcast(np.asarray(x), np.asarray(y)).size)
+            for x, y, matmul in products)
     with sess.op("sec_mul", n):
-        return _beaver_mul(sess, x, y, matmul=matmul, truncate=truncate)
+        return _beaver_muls(sess, products, truncate=truncate)
 
 
 def mul_public(sess: Session, x, raw, *, matmul: bool = False) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ProtocolError, RangeError
 from .fixedpoint import WORD_BITS, FixedPointCodec, to_signed
-from .gates import const_share, mul_public, sec_ge, sec_mi, sec_mul, sp_public
+from .gates import const_share, mul_public, sec_ge, sec_mi, sec_mul, sec_muls, sp_public
 from .roundsel import SelectionInputs, SelectionParams, sec_rs
 from .sharing import (
     STREAM_CLIENT_SHARES,
@@ -275,10 +275,14 @@ def sec_ue(sess: Session, gradients: np.ndarray, state: LbfgsState) -> np.ndarra
     """Estimate the remaining clients' current gradients.
 
     The inverse Hessian is rebuilt from the identity by folding the buffered
-    pairs as rank-one secant updates, then applied to the stored round
-    gradients. A pair's curvature denominator u = <dG, dM> is zero-tested
-    through a revealed flag first: flat lanes keep their current curvature
-    (1/u has no meaning there), live lanes proceed. With an empty buffer the
+    pairs, oldest first, as rank-one secant updates, then applied to the
+    stored round gradients. A pair's screen depends on neither H nor the
+    other pairs, so one pass screens the whole window: the curvature
+    denominators u = <dG, dM> of every (pair, client) lane are zero-tested
+    through revealed flags, and the live lanes get rho = 1/u and rho*dG
+    together. Flat lanes keep their current curvature (1/u has no meaning
+    there). Each fold then takes two rounds, the first also opening the
+    pair's rank-one term. With an empty buffer, or no live lane, the
     estimate is the stored gradient itself.
     """
     with sess.op("sec_ue"):
@@ -286,33 +290,28 @@ def sec_ue(sess: Session, gradients: np.ndarray, state: LbfgsState) -> np.ndarra
             return gradients.copy()
         codec = sess.codec
         nr, m = gradients.shape
-        def eye_shares(count):
-            block = np.broadcast_to(codec.encode(np.eye(m)), (count, m, m))
-            return const_share(sess, block.copy())
-        h = eye_shares(nr)
-        used = False
-        for dg, dm in state.pairs:
-            enc_dm = codec.encode(dm)
-            u = sp_public(sess, dg, enc_dm)
-            usq = sec_mul(sess, u, u, truncate=False)  # exact at double scale
-            zflag = sec_ge(sess, usq, const_share(sess, 1))
-            live = np.flatnonzero(to_signed(sec_rec(sess, zflag)) == 1)
-            if live.size == 0:
-                continue
-            rho = sec_mi(sess, u[live])
-            rdg = sec_mul(sess, rho[:, None], dg[live])
-            outer = mul_public(
-                sess, rdg[:, :, None],
-                np.broadcast_to(enc_dm, (live.size, 1, m)), matmul=True,
-            )
-            v = np.subtract(eye_shares(live.size), outer)
-            vt = np.ascontiguousarray(np.swapaxes(v, -1, -2))
-            folded = sec_mul(sess, sec_mul(sess, vt, h[live], matmul=True), v, matmul=True)
-            rank_one = sec_mul(sess, rdg[:, :, None], dg[live][:, None, :], matmul=True)
-            h[live] = np.add(folded, rank_one)
-            used = True
-        if not used:
+        dgs = np.stack([dg for dg, _ in state.pairs])
+        enc_dms = codec.encode(np.stack([dm for _, dm in state.pairs]))
+        u = sp_public(sess, dgs, enc_dms[:, None, :])
+        usq = sec_mul(sess, u, u, truncate=False)  # exact at double scale
+        zflag = sec_ge(sess, usq, const_share(sess, 1))
+        live = to_signed(sec_rec(sess, zflag)) == 1
+        if not live.any():
             return gradients.copy()
+        rho = sec_mi(sess, u[live])
+        # row-major order: each pair's live lanes are one contiguous block
+        rdgs = np.split(sec_mul(sess, rho[:, None], dgs[live]), np.cumsum(live.sum(axis=1))[:-1])
+        eye = codec.encode(np.eye(m))
+        h = const_share(sess, np.broadcast_to(eye, (nr, m, m)).copy())
+        for dg, enc_dm, lanes, rdg in zip(dgs, enc_dms, live, rdgs):
+            if not rdg.size:
+                continue
+            outer = mul_public(sess, rdg[:, :, None], np.broadcast_to(enc_dm, (len(rdg), 1, m)), matmul=True)
+            v = np.subtract(const_share(sess, np.broadcast_to(eye, outer.shape)), outer)
+            vt = np.ascontiguousarray(np.swapaxes(v, -1, -2))
+            vth, rank_one = sec_muls(sess, [(vt, h[lanes], True),
+                                            (rdg[:, :, None], dg[lanes][:, None, :], True)])
+            h[lanes] = np.add(sec_mul(sess, vth, v, matmul=True), rank_one)
         est = sec_mul(sess, h, gradients[:, :, None], matmul=True)
         return est[..., 0]
 
@@ -328,11 +327,14 @@ def sec_tc(sess: Session, estimates: np.ndarray, threshold_shares: np.ndarray) -
     """Reveal one flag per client: does any |coordinate| reach the threshold?
 
     Squares are compared at double scale without truncating, so the test is
-    exact on the encoded values.
+    exact on the encoded values. The coordinates and the thresholds are
+    squared as one product over their joined vector.
     """
     with sess.op("sec_tc"):
-        sq = sec_mul(sess, estimates, estimates, truncate=False)
-        dsq = sec_mul(sess, threshold_shares, threshold_shares, truncate=False)
+        joined = np.concatenate([estimates.reshape(-1), threshold_shares])
+        squares = sec_mul(sess, joined, joined, truncate=False)
+        sq = squares[: estimates.size].reshape(estimates.shape)
+        dsq = squares[estimates.size :]
         exceed = sec_ge(sess, sq, dsq[:, None])
         count = exceed.sum(axis=-1, dtype=np.uint64)
         flag = sec_ge(sess, count, const_share(sess, 1))

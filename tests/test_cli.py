@@ -288,7 +288,7 @@ def test_compare_full_sigma_matches_random_subset(tmp_path, capsys):
 def test_audit_passes(capsys):
     assert _run(["audit", "--seed", 0]) == 0
     printed = capsys.readouterr().out
-    assert "all 17 functionalities match" in printed
+    assert "all 18 functionalities match" in printed
     assert "MISMATCH" not in printed
     assert "sec_srt T=8 pair: comparators=24 (formula 24)" in printed
     # T=32 and T=128 run the top-k network (one and four merge levels);
@@ -351,23 +351,23 @@ README_CFG = "n = 20\nm = 8\nsigma = 0.6\nalpha = 0.4\nbeta = 0.1\nbuffer_b = 2\
 
 
 def test_diverged_recovery_exit_code(tmp_path, capsys):
-    # the README run.cfg at t=16: recovery round 10 meets a value the codec
-    # cannot represent
+    # the README run.cfg at t=16, seed 7: recovery round 8 meets a value the
+    # codec cannot represent
     cfg = tmp_path / "run.cfg"
     cfg.write_text(README_CFG + "t = 16\n")
     assert _run(["compare", "--config", cfg, "--seed", 7, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("protocol error: recovery diverged at round 10: ")
+    assert err.startswith("protocol error: recovery diverged at round 8: ")
     assert "Traceback" not in err
 
 
 def test_compare_keeps_the_secure_run_when_the_random_baseline_fails(tmp_path, capsys):
-    # the README run.cfg at t=40, seed 10: the secure run finishes, the
+    # the README run.cfg at t=24, seed 7: the secure run finishes, the
     # random-selection baseline meets a gradient the codec cannot represent
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(README_CFG + "t = 40\n")
+    cfg.write_text(README_CFG + "t = 24\n")
     out = tmp_path / "out"
-    assert _run(["compare", "--config", cfg, "--seed", 10, "--out", out]) == 0
+    assert _run(["compare", "--config", cfg, "--seed", 7, "--out", out]) == 0
     printed = capsys.readouterr().out
     assert "random-selection baseline: failed (RangeError: magnitude >= 2^11" in printed
     report = json.loads((out / "compare.json").read_text())

@@ -89,6 +89,29 @@ def test_beaver_mul_raw_shares(shape_x, shape_y, matmul):
     assert np.array_equal(z0, three)
 
 
+def test_sec_muls_opens_independent_products_in_one_round():
+    # an elementwise product and a matmul of other shapes share one frame;
+    # untruncated, both shares sum to the exact ring products
+    rng = np.random.default_rng(29)
+    shapes = [((5,), (5,), False), ((3, 2, 4), (3, 4, 1), True)]
+    raw = [tuple(rng.integers(0, 2**64, size=s, dtype=np.uint64) for s in (sx, sy))
+           for sx, sy, _ in shapes]
+    shares = [(raw_share_pair(x, key=30 + k), raw_share_pair(y, key=40 + k)) for k, (x, y) in enumerate(raw)]
+
+    def proto(s):
+        return gates.sec_muls(s, [(xs[s.party], ys[s.party], mm) for (xs, ys), (*_, mm) in zip(shares, shapes)],
+                              truncate=False)
+
+    sessions = make_inproc_sessions(31)
+    z0, z1 = run_pair(proto, sessions)
+    assert np.array_equal(np.add(z0[0], z1[0]), np.multiply(*raw[0]))
+    assert np.array_equal(np.add(z0[1], z1[1]), np.matmul(*raw[1]))
+    lanes = sum(x.size + y.size for x, y in raw)
+    for sess in sessions:
+        st = sess.meter.stats("sec_mul")
+        assert (st.rounds, st.bytes_online) == words_round(lanes).as_tuple()
+
+
 def test_sec_mul_matmul_identity_and_random():
     x = grid(RNG.uniform(-2, 2, size=(8, 8)))
     eye = grid(np.eye(8))

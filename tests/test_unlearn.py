@@ -23,6 +23,8 @@ from starfish.errors import ConfigError
 from starfish.oracle import _plain_estimate, plaintext_history
 from starfish.unlearn import (
     _SFH1,
+    _meter_totals,
+    aggregate_reveal,
     client_round,
     sec_tc,
     sec_ue,
@@ -124,6 +126,40 @@ def test_sec_ue_screens_flat_curvature():
 
     got, _ = both(proto)
     assert np.array_equal(got, g)
+
+
+def test_sec_ue_screens_the_window_in_one_pass():
+    # a flat pair, a partly live one and a fully live one: the one-pass screen
+    # folds each pair's live lanes, oldest first, like the pair-by-pair mirror
+    n, m = 4, 3
+    rng = np.random.default_rng(11)
+    g = CODEC.quantize(rng.uniform(-1.0, 1.0, size=(n, m)))
+    dgs = CODEC.quantize(rng.uniform(0.5, 1.5, size=(3, n, m)))
+    dgs[0] = 0.0
+    dgs[1, [1, 3]] = 0.0
+    dms = rng.uniform(0.5, 1.5, size=(3, m))
+    gsh = share_pair(g, key=20)
+    dgsh = [share_pair(dg, key=21 + k) for k, dg in enumerate(dgs)]
+    metered = {}
+
+    def proto(sess):
+        state = LbfgsState(capacity=3)
+        for dg, dm in zip(dgsh, dms):
+            state.push(dg[sess.party], dm)
+        est = sec_ue(sess, gsh[sess.party], state)
+        aggregate_reveal(sess, est, np.zeros(m), 0.1)
+        metered[sess.party] = (*_meter_totals(sess), sess.meter.truncations)
+        return reveal(sess, est)
+
+    got, _ = both(proto)
+    rounds, sent, truncations = metered[0]
+    live = [0, 2, 4]
+    assert truncations == sum(n + k + k * m + 4 * k * m * m for k in live) + n * m
+    mirror = _plain_estimate(g, list(zip(dgs, dms)), CODEC)
+    assert float(np.max(np.abs(got - mirror))) <= truncations * 2.0 ** -12
+    want = predict_cost("sec_ue", {"clients": n, "m": m, "pairs": 3, "live": live}, CODEC)
+    assert (rounds, sent) == want.as_tuple()
+    assert rounds == 1 + 8 + 1 + 2 + 1 + 2 * 2 + 1 + 1
 
 
 def test_lbfgs_state_window():
