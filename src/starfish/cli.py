@@ -59,6 +59,7 @@ from .unlearn import (
     _agreed_run,
     _meter_totals,
     aggregate_reveal,
+    sec_cu,
     sec_tc,
     sec_ue,
     stage_one,
@@ -432,25 +433,22 @@ def _audit_battery(cfg: RunConfig):
         u, v, payload = shared(s, 9, v8, p8, lambda _: np.arange(8, dtype=np.uint64))
         sec_srt(s, np.stack([u, v, payload], axis=1), 2, 8)
 
-    def run_ue(idx, first_dg):
-        def runner(s):
-            # window screen, per-pair folds, H @ G, aggregate reveal; the
-            # public dM of a secant pair is drawn right after its shared dG
-            # is split
-            dms = []
+    dm = np.array([1.0, -0.5, 0.75])  # the public displacement of the sec_ue and sec_cu rows
+    curvature = lambda rng: 2.0 * np.eye(3) + 0.25 * rng.uniform(-1.0, 1.0, size=(4, 3, 3))  # noqa: E731
 
-            def after_dm(draw):
-                def spec(rng):
-                    dms.append(rng.uniform(0.5, 1.5, size=(3,)))
-                    return draw(rng)
-                return spec
+    def run_ue(s):
+        # g + B dM, local, then the aggregate reveal
+        b, grads = shared(s, 14, curvature, ((4, 3), 0.25, 1.0))
+        state = LbfgsState(capacity=2, curvature=b, curved=np.ones(4, dtype=bool))
+        aggregate_reveal(s, sec_ue(s, grads, state, dm), np.zeros(3), 0.1)
 
-            dg = lambda rng: rng.uniform(0.5, 1.5, size=(4, 3))  # noqa: E731
-            dg1, dg2, grads = shared(s, idx, first_dg, after_dm(dg),
-                                     after_dm(lambda rng: floats(rng, (4, 3), 0.25, 1.0)))
-            state = LbfgsState(capacity=2, pairs=[(dg1, dms[0]), (dg2, dms[1])])
-            aggregate_reveal(s, sec_ue(s, grads, state), np.zeros(3), 0.1)
-        return runner
+    def run_cu(s):
+        # clients 2 and 3 hold a B; client 1's pair curves down along dM and is skipped
+        b, y = shared(s, 19, curvature, lambda rng: rng.uniform(1.0, 2.0, size=(4, 1)) * [[1], [-1], [1], [1]] * dm
+                      + 0.05 * rng.uniform(-1.0, 1.0, size=(4, 3)))
+        state = LbfgsState(capacity=2, curvature=b, curved=np.array([False, False, True, True]))
+        state.push(y, dm)
+        sec_cu(s, state)
 
     def run_rs(idx, t, t_prime):
         def runner(s):
@@ -483,10 +481,8 @@ def _audit_battery(cfg: RunConfig):
          lambda s: sec_mi(s, *shared(s, 11, ((4,), 0.5, 2.0)))),
         ("sec_mi matrix 3x3", "sec_mi", {"m": 3}, lambda s: sec_mi(s, *shared(
             s, 12, lambda rng: 2.0 * np.eye(3) + 0.25 * rng.uniform(-1.0, 1.0, size=(3, 3))))),
-        ("sec_ue n=4 m=3 pairs=2", "sec_ue", {"clients": 4, "m": 3, "pairs": 2},
-         run_ue(14, lambda rng: rng.uniform(0.5, 1.5, size=(4, 3)))),
-        ("sec_ue n=4 m=3 pairs=2, one flat", "sec_ue", {"clients": 4, "m": 3, "pairs": 2, "live": [0, 4]},
-         run_ue(19, lambda _: np.zeros((4, 3)))),
+        ("sec_ue n=4 m=3", "sec_ue", {"clients": 4, "m": 3}, run_ue),
+        ("sec_cu m=3, 2+2 pairs, one skipped", "sec_cu", {"m": 3, "fresh": (2, 1), "curved": (2, 2)}, run_cu),
         ("sec_tc n=4 m=3", "sec_tc", {"clients": 4, "m": 3}, lambda s: sec_tc(s, *shared(
             s, 15, ((4, 3), 0.25, 2.0), lambda rng: rng.uniform(0.1, 1.0, size=(4,))))),
         ("sec_rs T=32 T'=10 method 1", "sec_rs", {"t": 32, "t_prime": 10, "method": 1, "kept": 32},

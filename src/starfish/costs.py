@@ -22,7 +22,8 @@ The comparator is priced by the width of its keys: 1 for values, 2 for
 (u, v) fractions, which cross multiply first. RS_KEY_WIDTH gives the key
 width of each selection method.
 
-Shape conventions per functionality are documented in predict_cost.
+Shape conventions per functionality are documented in predict_cost; stage
+II's gradient estimate is local, its curvature update priced per batch.
 """
 
 from __future__ import annotations
@@ -211,32 +212,21 @@ def mi_cost(m: int, batch: int) -> CostEstimate:
 # -- composite protocol phases ------------------------------------------------
 
 
-def ue_cost(clients: int, m: int, pairs: int, live=None) -> CostEstimate:
-    """One secure update estimation round.
-
-    live lists each buffered pair's live (nonzero-curvature) lane count,
-    every lane live by default. One screen runs over the pairs x clients
-    lanes: u squared, the zero test, its revealed flags. The live lanes of
-    all pairs then get their reciprocals (one batched sec_mi) and rho*dG
-    together. Each pair with a live lane folds in two Hessian matmul rounds,
-    the first also opening its rank-one term. H @ G per client and one
-    aggregate reveal close the round; with no live lane (or pairs=0) only
-    the reveal follows the screen.
-    """
-    live = [clients] * pairs if live is None else list(live)
-    total = words_round(m)
-    if pairs == 0:
+def cu_cost(m: int, fresh, curved) -> CostEstimate:
+    """One sec_cu batch past the public step floor. fresh and curved are the
+    (pairs, kept) counts of clients without and with a B: one sec_ge and its
+    reveal screen y's per pair and s'Bs per curved pair; the kept pairs take
+    one sec_mi (rho, and pi per curved pair), a round for rho y and pi Bs,
+    and one for the outer products and each fresh pair's gamma."""
+    (fresh_pairs, fresh_kept), (curved_pairs, curved_kept) = fresh, curved
+    lanes = fresh_pairs + 2 * curved_pairs
+    total = ge_cost(lanes) + words_round(lanes)
+    kept = fresh_kept + curved_kept
+    if kept == 0:
         return total
-    lanes = pairs * clients
-    total += mul_cost(lanes, lanes) + ge_cost(lanes) + words_round(lanes)
-    alive = sum(live)
-    if alive == 0:
-        return total
-    total += mi_cost(1, alive) + mul_cost(alive, alive * m)
-    for k in filter(None, live):
-        total += words_round(2 * k * m * m + 2 * k * m)  # V^T H and the rank-one term
-        total += mul_cost(k * m * m, k * m * m)
-    return total + mul_cost(clients * m * m, clients * m)
+    total += mi_cost(1, kept + curved_kept)
+    total += words_round((kept + curved_kept) * (1 + m))
+    return total + words_round(2 * m * (kept + curved_kept + fresh_kept))
 
 
 def tc_cost(clients: int, m: int) -> CostEstimate:
@@ -283,8 +273,8 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
       sec_mi: dict {"m", "batch"} (single accepted attempt)
       threshold_determination: dict {"clients", "t"}: a sec_max over T per
         client, priced but not run (stage I shares each client's max)
-      sec_ue: dict {"clients", "m", "pairs", "live"?}: live lists each pair's
-        live lane count, every lane live if omitted
+      sec_ue: dict {"m", ...}: one estimate and its aggregate reveal
+      sec_cu: dict {"m", "fresh", "curved"}: (pairs, kept) counts (cu_cost)
       sec_tc: dict {"clients", "m"}
       sec_rs: dict {"t", "t_prime", "method", "kept"?}
     """
@@ -314,8 +304,10 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
     # no protocol phase runs this; perfbench/run.py prices it for every request
     if name == "threshold_determination":
         return max_cost(shape["t"], shape["clients"])
-    if name == "sec_ue":
-        return ue_cost(shape["clients"], shape["m"], shape["pairs"], shape.get("live"))
+    if name == "sec_ue":  # the estimate is local: only the aggregate reveal costs
+        return words_round(shape["m"])
+    if name == "sec_cu":
+        return cu_cost(shape["m"], shape["fresh"], shape["curved"])
     if name == "sec_tc":
         return tc_cost(shape["clients"], shape["m"])
     if name == "sec_rs":

@@ -68,15 +68,14 @@ class FixedPointCodec:
     def encode(self, x) -> np.ndarray:
         """Round half away from zero onto the 2^-p grid; RangeError if out of range."""
         arr = np.asarray(x, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        mag = np.abs(arr)
+        top = mag.max(initial=0.0)  # NaN or inf if any value is not finite
+        if not np.isfinite(top):
             raise RangeError("cannot encode non-finite values")
-        if np.any(np.abs(arr) >= self.max_value):
-            raise RangeError(
-                f"magnitude >= 2^{self.range_e - 1} not representable"
-            )
-        mag = np.floor(np.abs(arr) * self.scale + 0.5)
-        signed = np.where(arr < 0, -mag, mag)
-        return signed.astype(np.int64).view(np.uint64)
+        if top >= self.max_value:
+            raise RangeError(f"magnitude >= 2^{self.range_e - 1} not representable")
+        signed = np.copysign(np.floor(mag * self.scale + 0.5), arr)
+        return np.asarray(signed).astype(np.int64).view(np.uint64)
 
     def decode(self, v) -> np.ndarray:
         """Words back to floats at precision p."""

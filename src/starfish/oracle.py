@@ -7,10 +7,10 @@ closed-form recovery-distance bound, and exact-arithmetic oracles for the
 individual gates.
 
 The mirror deliberately tracks the fixed-point pipeline: client gradients are
-snapped to the codec grid before use and every discrete decision (keep flags,
-threshold flags, curvature screens) is evaluated on values both worlds agree
-on. What remains of the secure-vs-mirror drift is truncation noise, which the
-acceptance harness budgets per truncation event.
+snapped to the codec grid before use, each client's curvature matrix is a float
+B fed the same grid pairs, and every discrete decision (keep flags, threshold
+flags, pair screens) is evaluated on values both worlds agree on. The drift
+left is truncation noise, which the acceptance harness budgets per truncation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fixedpoint import FixedPointCodec
 from .sharing import STREAM_BASELINE, STREAM_DATA, keyed_rng
-from .unlearn import ClientPool, UnlearnConfig, client_round
+from .unlearn import CURVATURE_SHIFT, MIN_STEP_SQ, ClientPool, UnlearnConfig, client_round
 
 
 # -- synthetic convex tasks ---------------------------------------------------
@@ -345,33 +345,22 @@ class PlainRun:
         return self.trajectory[-1]
 
 
-def _plain_estimate(g_round: np.ndarray, pairs: list, codec: FixedPointCodec) -> np.ndarray:
-    """Float mirror of the shared gradient estimator.
-
-    Same rank-one recursion, same exact-zero curvature screen: a pair whose
-    inner product is identically zero never touches that client's lane.
-    """
-    if not pairs:
-        return g_round.copy()
-    nr, m = g_round.shape
-    eye = np.eye(m)
-    h = np.broadcast_to(eye, (nr, m, m)).copy()
-    used = False
-    for dg, dm in pairs:
-        dm_q = codec.quantize(dm)
-        u = dg @ dm_q
-        live = np.flatnonzero(u != 0.0)
-        if live.size == 0:
-            continue
-        rho = 1.0 / u[live]
-        rdg = rho[:, None] * dg[live]
-        v = eye - rdg[:, :, None] * dm_q[None, None, :]
-        vt = np.swapaxes(v, -1, -2)
-        h[live] = vt @ h[live] @ v + rdg[:, :, None] * dg[live][:, None, :]
-        used = True
-    if not used:
-        return g_round.copy()
-    return (h @ g_round[:, :, None])[..., 0]
+def _plain_curvature_update(curv: np.ndarray, curved: np.ndarray, rows, y, dm, codec: FixedPointCodec) -> None:
+    """Float mirror of unlearn.sec_cu on one batch of pairs (y rows, public
+    dm). The screen compares y's, exact on the grid like the secure one."""
+    s = codec.quantize(dm)
+    s_sq = float(s @ s)
+    if s_sq < MIN_STEP_SQ:
+        return
+    floor, ys, bs = s_sq / 2 ** CURVATURE_SHIFT, y @ s, curv[rows] @ s
+    keep = (ys > floor) & (~curved[rows] | (bs @ s > floor))
+    rows, y, bs, ys = rows[keep], y[keep], bs[keep], ys[keep]
+    fresh = ~curved[rows]
+    gamma = (y[fresh] ** 2).sum(axis=1) / ys[fresh]
+    new = curv[rows] - bs[:, :, None] * bs[:, None, :] / np.where(fresh, 1.0, bs @ s)[:, None, None]
+    new[fresh] = gamma[:, None, None] * (np.eye(s.size) - np.outer(s, s) / s_sq)
+    curv[rows] = new + y[:, :, None] * y[:, None, :] / ys[:, None, None]
+    curved[rows] = True
 
 
 def _plain_recovery(
@@ -383,8 +372,9 @@ def _plain_recovery(
     codec: FixedPointCodec,
 ) -> PlainRun:
     remaining = [j for j in range(config.n) if j != target]
+    nr, m = len(remaining), history.grads.shape[2]
     thresholds = codec.quantize(history.deltas.max(axis=0)[remaining])
-    pairs: list = []
+    curv, curved = np.zeros((nr, m, m)), np.zeros(nr, dtype=bool)
     m_hat = history.models[0].copy()
     trajectory = [m_hat.copy()]
     corrections = {j: 0 for j in remaining}
@@ -392,29 +382,25 @@ def _plain_recovery(
 
     for i, r in enumerate(selected, start=1):
         g_round = history.grads[r][remaining]
-        estimates = _plain_estimate(g_round, pairs, codec)
-        if i % config.t_c == 0:
-            flags = (np.abs(estimates) >= thresholds[:, None]).any(axis=1)
-            estimates = estimates.copy()
-            for idx, j in enumerate(remaining):
-                if flags[idx]:
-                    corrections[j] += 1
-                    estimates[idx] = codec.quantize(pool.gradient(j, m_hat))
-            check_flags.append((i, flags.astype(int).tolist()))
-        m_hat_prev = m_hat
-        m_hat = m_hat - config.eta_u * (estimates.sum(axis=0) / len(remaining))
+        dm = m_hat - history.models[r]
+        estimates = g_round + curv @ codec.quantize(dm)
+        warm = i <= config.buffer_b
+        exact = np.full(nr, warm)
+        if not warm and i % config.t_c == 0:
+            exact = (np.abs(estimates) >= thresholds[:, None]).any(axis=1)
+            check_flags.append((i, exact.astype(int).tolist()))
+        rows = np.flatnonzero(exact)
+        for idx in rows:
+            corrections[remaining[idx]] += not warm
+            estimates[idx] = codec.quantize(pool.gradient(remaining[idx], m_hat))
+        if rows.size and config.buffer_b > 0:
+            # sec_cu folds these in before the next estimate
+            _plain_curvature_update(curv, curved, rows, estimates[rows] - g_round[rows], dm, codec)
+        m_hat = m_hat - config.eta_u * (estimates.sum(axis=0) / nr)
         trajectory.append(m_hat.copy())
-        if config.buffer_b > 0:
-            pairs.append((estimates - g_round, m_hat_prev - history.models[r]))
-            del pairs[: -config.buffer_b]
 
-    return PlainRun(
-        trajectory=np.array(trajectory),
-        selected=np.asarray(selected, dtype=np.int64),
-        corrections=corrections,
-        check_flags=check_flags,
-        history=history,
-    )
+    return PlainRun(trajectory=np.array(trajectory), selected=np.asarray(selected, dtype=np.int64),
+                    corrections=corrections, check_flags=check_flags, history=history)
 
 
 def plaintext_starfish(config: UnlearnConfig, task, target: int, codec: FixedPointCodec | None = None) -> PlainRun:

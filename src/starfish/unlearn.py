@@ -3,9 +3,9 @@
 Stage I runs plain FedAvg while squirreling away shared per-client gradients
 and norms, plus each client's largest tolerance threshold, which the client
 computes in the clear and shares once. Stage II removes one client: pick the
-rounds that mattered most to it, replay them with L-BFGS-estimated gradients
-from everyone else, and periodically let clients whose estimates drifted
-past their threshold push exact corrections.
+rounds that mattered most to it, replay them with BFGS-estimated gradients
+from everyone else, and periodically let clients whose estimates drifted past
+their threshold push exact corrections, which train each client's B.
 
 Clients are simulated in-process. Both server parties run the same code, so
 a client "sending shares" is a deterministic keyed split both sides derive
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ProtocolError, RangeError
 from .fixedpoint import WORD_BITS, FixedPointCodec, to_signed
-from .gates import const_share, mul_public, sec_ge, sec_mi, sec_mul, sec_muls, sp_public
+from .gates import const_share, mul_public, sec_ge, sec_mi, sec_mul, sec_muls
 from .roundsel import SelectionInputs, SelectionParams, sec_rs
 from .sharing import (
     STREAM_CLIENT_SHARES,
@@ -110,7 +110,8 @@ def client_round(pool: ClientPool, j: int, model: np.ndarray, alpha: float, code
     if alpha >= 1.0 or not np.any(g):
         delta = 0.0
     else:
-        delta = float(np.quantile(np.abs(g), 1.0 - alpha, method="lower"))
+        k = int((g.size - 1) * (1.0 - alpha))  # np.quantile's "lower" index
+        delta = float(np.partition(np.abs(g), k)[k])
     return g, norm, delta
 
 
@@ -237,8 +238,8 @@ def stage_one(
         for j in range(n):
             g, norm, delta = client_round(pool, j, models[i], config.alpha, codec)
             rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_STAGE1, i, j)
-            grads[i, j] = sec_share(g, codec, rng)[sess.party].value
-            norms[i, j] = sec_share(norm, codec, rng)[sess.party].value
+            share = sec_share(np.append(g, norm), codec, rng)[sess.party].value  # g's words, then norm's
+            grads[i, j], norms[i, j] = share[:-1], share[-1]
             max_delta[j] = max(max_delta[j], delta)
         total = sec_rec(sess, grads[i].sum(axis=0, dtype=np.uint64))
         avg = codec.decode(total) / n
@@ -257,63 +258,86 @@ def stage_one(
 # -- stage II building blocks ------------------------------------------------
 
 
+# sec_cu keeps a pair only if |s|^2 >= MIN_STEP_SQ and y's and s'Bs exceed
+# |s|^2 / 2^CURVATURE_SHIFT, so 1/y's and 1/s'Bs stay below 2^10, in range
+CURVATURE_SHIFT = 1
+MIN_STEP_SQ = 2.0 ** -9
+
+
 @dataclass
 class LbfgsState:
-    """Sliding window of secant pairs, batched over the remaining clients."""
+    """Each remaining client's shared curvature matrix B (dense, no window)
+    and the secant pairs queued for sec_cu. capacity is buffer_b, the
+    warm-up rounds that seed every B; at 0 nothing is queued and B stays
+    zero. curved, public, marks the clients whose B has taken a pair."""
 
     capacity: int
-    pairs: list = field(default_factory=list)  # (dg shares (n_rem, m), dm float (m,))
+    curvature: np.ndarray | None = None  # (n_rem, m, m) shares of B
+    curved: np.ndarray | None = None     # (n_rem,) bool
+    pairs: list = field(default_factory=list)  # (rows, y shares (k, m), s float (m,))
 
-    def push(self, dg: np.ndarray, dm: np.ndarray) -> None:
-        if self.capacity <= 0:
-            return
-        self.pairs.append((dg, dm))
-        del self.pairs[: -self.capacity]
+    def push(self, dg: np.ndarray, dm: np.ndarray, rows=None) -> None:
+        """Queue the pairs (dg[rows], dm) of the clients in rows, all by default."""
+        if self.capacity > 0:
+            if self.curvature is None:
+                self.curvature = np.zeros(dg.shape + dg.shape[-1:], dtype=np.uint64)
+                self.curved = np.zeros(len(dg), dtype=bool)
+            rows = np.arange(len(dg)) if rows is None else np.asarray(rows)
+            self.pairs.append((rows, dg[rows], dm))
 
 
-def sec_ue(sess: Session, gradients: np.ndarray, state: LbfgsState) -> np.ndarray:
-    """Estimate the remaining clients' current gradients.
-
-    The inverse Hessian is rebuilt from the identity by folding the buffered
-    pairs, oldest first, as rank-one secant updates, then applied to the
-    stored round gradients. A pair's screen depends on neither H nor the
-    other pairs, so one pass screens the whole window: the curvature
-    denominators u = <dG, dM> of every (pair, client) lane are zero-tested
-    through revealed flags, and the live lanes get rho = 1/u and rho*dG
-    together. Flat lanes keep their current curvature (1/u has no meaning
-    there). Each fold then takes two rounds, the first also opening the
-    pair's rank-one term. With an empty buffer, or no live lane, the
-    estimate is the stored gradient itself.
-    """
+def sec_ue(sess: Session, gradients: np.ndarray, state: LbfgsState, dm=None) -> np.ndarray:
+    """Estimate the remaining clients' gradients at the recovered model,
+    g + B dm, where dm = m_hat - m_r is the public gap to the stored round's
+    model: a local product, no round. With no dm or no B, it is g itself."""
     with sess.op("sec_ue"):
-        if not state.pairs:
+        if dm is None or state.curvature is None:
             return gradients.copy()
+        return np.add(gradients, mul_public(sess, state.curvature, sess.codec.encode(dm), matmul=True))
+
+
+def sec_cu(sess: Session, state: LbfgsState) -> None:
+    """Fold the queued secant pairs into their clients' B by the BFGS update
+    B <- B - (Bs)(Bs)'/s'Bs + yy'/y's. A first pair starts from B0 = gamma I,
+    gamma = y'y/y's (Nocedal & Wright eq. 7.20): gamma (I - ss'/|s|^2) + yy'/y's.
+
+    s is public: a step below MIN_STEP_SQ is dropped in the clear. One sec_ge
+    compares y's and, for curved clients, s'Bs with |s|^2 / 2^CURVATURE_SHIFT
+    exactly at double scale and reveals which pairs to skip. Kept pairs take
+    one sec_mi for rho = 1/y's and pi = 1/s'Bs and two Beaver rounds: rho y
+    and pi Bs, then the outer products and gamma = y'(rho y)."""
+    with sess.op("sec_cu"):
         codec = sess.codec
-        nr, m = gradients.shape
-        dgs = np.stack([dg for dg, _ in state.pairs])
-        enc_dms = codec.encode(np.stack([dm for _, dm in state.pairs]))
-        u = sp_public(sess, dgs, enc_dms[:, None, :])
-        usq = sec_mul(sess, u, u, truncate=False)  # exact at double scale
-        zflag = sec_ge(sess, usq, const_share(sess, 1))
-        live = to_signed(sec_rec(sess, zflag)) == 1
-        if not live.any():
-            return gradients.copy()
-        rho = sec_mi(sess, u[live])
-        # row-major order: each pair's live lanes are one contiguous block
-        rdgs = np.split(sec_mul(sess, rho[:, None], dgs[live]), np.cumsum(live.sum(axis=1))[:-1])
-        eye = codec.encode(np.eye(m))
-        h = const_share(sess, np.broadcast_to(eye, (nr, m, m)).copy())
-        for dg, enc_dm, lanes, rdg in zip(dgs, enc_dms, live, rdgs):
-            if not rdg.size:
+        for rows, y, dm in state.pairs:
+            s_q = codec.quantize(dm)
+            s, s_sq = codec.encode(s_q), float(s_q @ s_q)
+            if s_sq < MIN_STEP_SQ:
                 continue
-            outer = mul_public(sess, rdg[:, :, None], np.broadcast_to(enc_dm, (len(rdg), 1, m)), matmul=True)
-            v = np.subtract(const_share(sess, np.broadcast_to(eye, outer.shape)), outer)
-            vt = np.ascontiguousarray(np.swapaxes(v, -1, -2))
-            vth, rank_one = sec_muls(sess, [(vt, h[lanes], True),
-                                            (rdg[:, :, None], dg[lanes][:, None, :], True)])
-            h[lanes] = np.add(sec_mul(sess, vth, v, matmul=True), rank_one)
-        est = sec_mul(sess, h, gradients[:, :, None], matmul=True)
-        return est[..., 0]
+            curved = state.curved[rows]
+            bs = mul_public(sess, state.curvature[rows[curved]], s, matmul=True)
+            lanes = np.concatenate([np.multiply(y, s).sum(axis=-1, dtype=np.uint64),
+                                    np.multiply(bs, s).sum(axis=-1, dtype=np.uint64)])
+            # |s|^2 at double scale is an integer below 2^53, exact in a float
+            floor = np.full(lanes.shape, int(s_sq * 4 ** codec.precision_p) >> CURVATURE_SHIFT, dtype=np.uint64)
+            skip = to_signed(sec_rec(sess, sec_ge(sess, const_share(sess, floor), lanes))) == 1
+            keep = ~skip[: rows.size]
+            keep[curved] &= ~skip[rows.size :]
+            if not keep.any():
+                continue
+            lanes = lanes[np.concatenate([keep, keep[curved]])]
+            rows, y, bs, curved = rows[keep], y[keep], bs[keep[curved]], curved[keep]
+            inv = sec_mi(sess, sess.truncate(lanes))
+            ry, pbs = sec_muls(sess, [(inv[: rows.size, None], y, False), (inv[rows.size :, None], bs, False)])
+            fresh = ~curved
+            rank_y, rank_b, gamma = sec_muls(sess, [(ry[:, :, None], y[:, None, :], True),
+                                                    (pbs[:, :, None], bs[:, None, :], True),
+                                                    (ry[fresh][:, None, :], y[fresh][:, :, None], True)])
+            new = state.curvature[rows]
+            new[curved] = np.subtract(new[curved], rank_b)
+            new[fresh] = mul_public(sess, gamma, codec.encode(np.eye(s.size) - np.outer(s_q, s_q) / s_sq))
+            state.curvature[rows] = np.add(new, rank_y)
+            state.curved[rows] = True
+        state.pairs = []
 
 
 def aggregate_reveal(sess: Session, estimates: np.ndarray, model: np.ndarray, eta: float):
@@ -372,11 +396,10 @@ def starfish_run(
     config: UnlearnConfig,
     target: int,
 ) -> RunResult:
-    """Stage II: round selection, then the unlearning loop.
-
-    The correction thresholds are the per-client maxima stage I shared, so
-    the transcript starts at sec_rs.
-    """
+    """Stage II: round selection, then the unlearning loop. The correction
+    thresholds are the per-client maxima stage I shared, so the transcript
+    starts at sec_rs. The first buffer_b rounds take every client's exact
+    gradient and run no check; sec_cu runs inside the sec_ue records."""
     if not (0 <= target < history.n):
         raise ConfigError(f"target {target} outside client range")
     codec = sess.codec
@@ -411,24 +434,28 @@ def starfish_run(
         # leaves the codec's range means the recovery diverged at round i
         try:
             g_round = history.grads[r][remaining]
-            estimates = sec_ue(sess, g_round, state)
-            if i % config.t_c == 0:
+            dm = m_hat - history.models[r]
+            sec_cu(sess, state)
+            estimates = sec_ue(sess, g_round, state, dm)
+            # warm-up rounds take every exact gradient, checking rounds those
+            # of the flagged clients
+            warm = i <= config.buffer_b
+            exact = np.full(len(remaining), warm)
+            if not warm and i % config.t_c == 0:
                 record("sec_ue")
-                flags = sec_tc(sess, estimates, history.thresholds[remaining])
+                exact = sec_tc(sess, estimates, history.thresholds[remaining]) == 1
                 check_rounds += 1
-                estimates = np.array(estimates, copy=True)
-                for idx, j in enumerate(remaining):
-                    if flags[idx]:
-                        corrections[j] += 1
-                        exact = codec.quantize(pool.gradient(j, m_hat))
-                        rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_CORRECTION, int(i), int(j))
-                        estimates[idx] = sec_share(exact, codec, rng)[sess.party].value
-                record("sec_tc", flags)
-            m_hat_prev = m_hat
+                record("sec_tc", exact)
+            rows = np.flatnonzero(exact)
+            for idx, j in zip(rows, np.asarray(remaining)[rows]):
+                corrections[j] += not warm
+                rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_CORRECTION, int(i), int(j))
+                estimates[idx] = sec_share(codec.quantize(pool.gradient(j, m_hat)), codec, rng)[sess.party].value
+            if rows.size:
+                state.push(np.subtract(estimates, g_round), dm, rows)
             m_hat, _ = aggregate_reveal(sess, estimates, m_hat, config.eta_u)
             trajectory.append(m_hat.copy())
             record("sec_ue")
-            state.push(np.subtract(estimates, g_round), m_hat_prev - history.models[r])
         except RangeError as exc:
             raise DivergenceError(i, str(exc)) from exc
 

@@ -20,12 +20,12 @@ from starfish import (
 from starfish.cli import RunConfig
 from starfish.costs import predict_cost, words_round
 from starfish.errors import ConfigError
-from starfish.oracle import _plain_estimate, plaintext_history
+from starfish.oracle import _plain_curvature_update, plaintext_history
 from starfish.unlearn import (
     _SFH1,
     _meter_totals,
-    aggregate_reveal,
     client_round,
+    sec_cu,
     sec_tc,
     sec_ue,
     stage_one,
@@ -62,6 +62,14 @@ def test_client_round_quantile_example():
     assert np.mean(np.abs(g) > delta) == 0.4
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.4, 0.7, 0.99])
+@pytest.mark.parametrize("m", [1, 5, 7, 32, 33])
+def test_client_round_threshold_is_the_lower_quantile(alpha, m):
+    vec = np.random.default_rng(m).normal(size=m)
+    _, _, delta = client_round(stub_pool(vec), 0, np.zeros(m), alpha=alpha, codec=CODEC)
+    assert delta == float(np.quantile(np.abs(CODEC.quantize(vec)), 1.0 - alpha, method="lower"))
+
+
 def test_client_round_full_alpha_pins_zero():
     pool = stub_pool([0.5, -0.25], [0.0, 0.0])
     _, _, delta = client_round(pool, 0, pool.initial_model, alpha=1.0, codec=CODEC)
@@ -80,96 +88,142 @@ def test_client_round_zero_gradient():
 
 
 def test_sec_ue_empty_buffer_is_identity():
+    # no B has taken a pair: the estimate is the stored gradient, at no cost,
+    # with or without a displacement
     g = CODEC.quantize(np.array([[0.7, -0.4]]))
     gsh = share_pair(g, key=3)
 
     def proto(sess):
-        est = sec_ue(sess, gsh[sess.party], LbfgsState(capacity=2))
-        return reveal(sess, est)
+        state = LbfgsState(capacity=2)
+        est = sec_ue(sess, gsh[sess.party], state)
+        state.push(gsh[sess.party], np.array([1.0, 0.0]))
+        return reveal(sess, np.concatenate([est, sec_ue(sess, gsh[sess.party], state, np.ones(2))]))
 
     got, sessions = both(proto)
-    assert np.array_equal(got, g)
+    assert np.array_equal(got, np.concatenate([g, g]))
     assert sessions[0].meter.stats("sec_ue").bytes_online == 0
 
 
 def test_sec_ue_unit_secant_reproduces_the_gradient():
-    # dG = dM = e1 makes the folded inverse Hessian the identity again
+    # a client's first pair gives B s = y exactly (the secant condition), so
+    # the estimate at the pair's own displacement is the exact gradient
     g = CODEC.quantize(np.array([[0.7, -0.4]]))
-    gsh = share_pair(g, key=4)
-    dgsh = share_pair(CODEC.quantize(np.array([[1.0, 0.0]])), key=5)
+    y = CODEC.quantize(np.array([[1.0, 0.5]]))
     dm = np.array([1.0, 0.0])
+    gsh, ysh = share_pair(g, key=4), share_pair(y, key=5)
 
     def proto(sess):
         state = LbfgsState(capacity=2)
-        state.push(dgsh[sess.party], dm)
-        return reveal(sess, sec_ue(sess, gsh[sess.party], state))
+        state.push(ysh[sess.party], dm)
+        sec_cu(sess, state)
+        assert state.curved.tolist() == [True]
+        return reveal(sess, sec_ue(sess, gsh[sess.party], state, dm))
 
     got, _ = both(proto)
-    assert np.max(np.abs(got - g)) <= 1e-2
+    assert np.max(np.abs(got - (g + y))) <= 1e-3
 
-    # the float mirror is exact on the same input
-    mirror = _plain_estimate(g, [(np.array([[1.0, 0.0]]), dm)], CODEC)
-    assert np.array_equal(mirror, g)
+    curv, curved = np.zeros((1, 2, 2)), np.zeros(1, dtype=bool)
+    _plain_curvature_update(curv, curved, np.array([0]), y, dm, CODEC)
+    assert np.allclose(g + curv @ dm, g + y, atol=1e-12)
 
 
 def test_sec_ue_screens_flat_curvature():
-    # dG orthogonal to dM: the pair is skipped, the estimate is the input
+    # y orthogonal to s: the pair is skipped after the screen's 9 rounds, the
+    # client keeps no B and the estimate is the input
     g = CODEC.quantize(np.array([[0.7, -0.4]]))
     gsh = share_pair(g, key=6)
-    dgsh = share_pair(CODEC.quantize(np.array([[0.0, 1.0]])), key=7)
+    ysh = share_pair(CODEC.quantize(np.array([[0.0, 1.0]])), key=7)
     dm = np.array([1.0, 0.0])
 
     def proto(sess):
         state = LbfgsState(capacity=2)
-        state.push(dgsh[sess.party], dm)
-        return reveal(sess, sec_ue(sess, gsh[sess.party], state))
+        state.push(ysh[sess.party], dm)
+        sec_cu(sess, state)
+        assert not state.curved.any() and not state.pairs
+        assert _meter_totals(sess)[0] == 9
+        return reveal(sess, sec_ue(sess, gsh[sess.party], state, dm))
 
     got, _ = both(proto)
     assert np.array_equal(got, g)
 
 
-def test_sec_ue_screens_the_window_in_one_pass():
-    # a flat pair, a partly live one and a fully live one: the one-pass screen
-    # folds each pair's live lanes, oldest first, like the pair-by-pair mirror
-    n, m = 4, 3
-    rng = np.random.default_rng(11)
-    g = CODEC.quantize(rng.uniform(-1.0, 1.0, size=(n, m)))
-    dgs = CODEC.quantize(rng.uniform(0.5, 1.5, size=(3, n, m)))
-    dgs[0] = 0.0
-    dgs[1, [1, 3]] = 0.0
-    dms = rng.uniform(0.5, 1.5, size=(3, m))
-    gsh = share_pair(g, key=20)
-    dgsh = [share_pair(dg, key=21 + k) for k, dg in enumerate(dgs)]
-    metered = {}
+@pytest.mark.parametrize("dealer_seed", [0, 1])
+@pytest.mark.parametrize("units", [-3, -1, 1, 2, 3])
+def test_sec_cu_skips_near_zero_curvature_on_any_dealer(dealer_seed, units):
+    # y's is 1-3 raw units from zero: the screen compares it exactly, at
+    # double scale, with |s|^2 / 2, so no truncation draw can keep the pair
+    ulp = 2.0 ** -CODEC.precision_p
+    y = np.array([[units * ulp, 1.0]])
+    dm = np.array([1.0, 0.0])
+    ysh = share_pair(y, key=8)
 
     def proto(sess):
-        state = LbfgsState(capacity=3)
-        for dg, dm in zip(dgsh, dms):
-            state.push(dg[sess.party], dm)
-        est = sec_ue(sess, gsh[sess.party], state)
-        aggregate_reveal(sess, est, np.zeros(m), 0.1)
-        metered[sess.party] = (*_meter_totals(sess), sess.meter.truncations)
-        return reveal(sess, est)
+        state = LbfgsState(capacity=2)
+        state.push(ysh[sess.party], dm)
+        sec_cu(sess, state)
+        return state.curved.tolist()
 
-    got, _ = both(proto)
-    rounds, sent, truncations = metered[0]
-    live = [0, 2, 4]
-    assert truncations == sum(n + k + k * m + 4 * k * m * m for k in live) + n * m
-    mirror = _plain_estimate(g, list(zip(dgs, dms)), CODEC)
-    assert float(np.max(np.abs(got - mirror))) <= truncations * 2.0 ** -12
-    want = predict_cost("sec_ue", {"clients": n, "m": m, "pairs": 3, "live": live}, CODEC)
-    assert (rounds, sent) == want.as_tuple()
-    assert rounds == 1 + 8 + 1 + 2 + 1 + 2 * 2 + 1 + 1
+    got, sessions = both(proto, seed=dealer_seed)
+    assert got == [False]
+    # the screen and its reveal, and no inverse
+    assert _meter_totals(sessions[0])[0] == 9
+    curv, curved = np.zeros((1, 2, 2)), np.zeros(1, dtype=bool)
+    _plain_curvature_update(curv, curved, np.array([0]), y, dm, CODEC)
+    assert not curved.any() and not curv.any()
 
 
-def test_lbfgs_state_window():
+def test_sec_cu_folds_fresh_and_curved_pairs_like_the_mirror():
+    # two batches: every client's first pair, client 2's skipped, then second
+    # pairs for clients 0 and 3, which hold a B, and client 2, which does not
+    # yet; each batch costs cu_cost, and B meets the secant condition B s = y
+    n, m = 4, 3
+    rng = np.random.default_rng(11)
+    basis = rng.uniform(-1.0, 1.0, size=(n, m, m))
+    hess = np.eye(m) * 2.0 + 0.2 * (basis + np.swapaxes(basis, 1, 2))
+    dms = rng.uniform(0.5, 1.5, size=(2, m))
+    ys = CODEC.quantize(hess @ CODEC.quantize(dms).T).transpose(2, 0, 1)
+    ys[0, 2] = -ys[0, 2]
+    rows = [np.arange(n), np.array([0, 2, 3])]
+    ysh = [share_pair(ys[0], key=20), share_pair(ys[1], key=21)]
+    metered = []
+
+    def proto(sess):
+        state = LbfgsState(capacity=2)
+        for k in range(2):
+            before = _meter_totals(sess)
+            state.push(ysh[k][sess.party], dms[k], rows[k])
+            sec_cu(sess, state)
+            if sess.party == 0:
+                metered.append(tuple(b - a for a, b in zip(before, _meter_totals(sess))))
+        if sess.party == 0:
+            metered.append(sess.meter.truncations)
+        return np.concatenate([reveal(sess, state.curvature).ravel(), state.curved])
+
+    out, _ = both(proto)
+    got, curved_flags = out[: n * m * m].reshape(n, m, m), out[n * m * m :].astype(bool).tolist()
+    assert curved_flags == [True] * n
+    curv, curved = np.zeros((n, m, m)), np.zeros(n, dtype=bool)
+    for k in range(2):
+        _plain_curvature_update(curv, curved, rows[k], ys[k][rows[k]], dms[k], CODEC)
+    assert curved.tolist() == curved_flags
+    assert float(np.max(np.abs(got - curv))) <= metered[2] * 2.0 ** -12
+    s = CODEC.quantize(dms[1])
+    assert np.allclose(curv[rows[1]] @ s, ys[1][rows[1]], atol=1e-9)
+    for (rounds, sent), shape in zip(metered, [{"fresh": (4, 3), "curved": (0, 0)},
+                                               {"fresh": (1, 1), "curved": (2, 2)}]):
+        assert (rounds, sent) == predict_cost("sec_cu", {"m": m, **shape}, CODEC).as_tuple()
+        assert rounds == 8 + 1 + 2 + 1 + 1
+
+
+def test_lbfgs_state_queues_pairs_only_with_a_warm_up():
     state = LbfgsState(capacity=2)
-    for i in range(4):
-        state.push(np.array([i]), np.array([i]))
-    assert [int(dg[0]) for dg, _ in state.pairs] == [2, 3]
+    state.push(np.arange(6, dtype=np.uint64).reshape(3, 2), np.array([1.0, 0.0]), [0, 2])
+    (rows, y, dm), = state.pairs
+    assert rows.tolist() == [0, 2] and y.tolist() == [[0, 1], [4, 5]]
+    assert state.curvature.shape == (3, 2, 2) and not state.curved.any()
     none = LbfgsState(capacity=0)
-    none.push(np.array([1]), np.array([1]))
-    assert none.pairs == []
+    none.push(np.ones((3, 2), dtype=np.uint64), np.array([1.0, 0.0]))
+    assert none.pairs == [] and none.curvature is None
 
 
 # -- correction flags ------------------------------------------------------------
@@ -337,7 +391,9 @@ def test_transcript_structure():
     assert ops[0] == "sec_rs"
     assert set(ops[1:]) <= {"sec_ue", "sec_tc"}
     tc_records = [r for r in res.transcript if r["op"] == "sec_tc"]
-    assert len(tc_records) == res.check_rounds == len(res.selected) // cfg.t_c
+    # warm-up rounds take every exact gradient and run no check
+    checks = sum(i % cfg.t_c == 0 for i in range(cfg.buffer_b + 1, len(res.selected) + 1))
+    assert len(tc_records) == res.check_rounds == checks
     for rec in tc_records:
         assert len(rec["flags"]) == cfg.n - 1
         assert rec["rounds"] > 0 and rec["bytes"] > 0
@@ -377,10 +433,11 @@ def test_estimation_only_mode_is_gradient_descent_on_the_history():
     assert [r["flags"] for r in res.transcript if r["op"] == "sec_tc"] == [f for _, f in plain.check_flags]
 
 
-@pytest.mark.parametrize("beta, checks", [(0.75, 0), (0.25, 2)], ids=["estimation-only", "checking"])
+@pytest.mark.parametrize("beta, checks", [(0.75, 0), (0.25, 1)], ids=["estimation-only", "checking"])
 def test_stage_two_starts_at_selection_without_a_max(beta, checks):
     # the thresholds come from stage I, so no sec_max runs in stage II, with
-    # or without checking rounds; the trajectory matches within the budget
+    # or without checking rounds; the trajectory matches within the budget.
+    # At beta=0.25 (t_c=2) the two warm-up rounds leave round 4 to check
     task, cfg = _small_run(beta=beta, buffer_b=2)
     res, _, sessions = simulate(cfg, task.pool(), target=1)
     plain = plaintext_starfish(cfg, task, target=1)
