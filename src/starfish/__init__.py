@@ -8,7 +8,6 @@ from .errors import (
     ProtocolError,
     RangeError,
     ShapeError,
-    SingularRevealError,
     StarfishError,
     TransportError,
     UnknownFunctionality,

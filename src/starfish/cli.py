@@ -30,7 +30,7 @@ import numpy as np
 from .costs import RS_KEY_WIDTH, comparator_calls, predict_cost, ranks
 from .errors import AssumptionError, ConfigError, ProtocolError, StarfishError
 from .fixedpoint import FixedPointCodec
-from .gates import sec_add, sec_div, sec_ge, sec_max, sec_mi, sec_mul, sec_sel, sec_sp, sec_srt
+from .gates import sec_add, sec_div, sec_ge, sec_max, sec_mul, sec_sel, sec_sp, sec_srt
 from .oracle import (
     bound_report,
     logistic_task,
@@ -59,7 +59,6 @@ from .unlearn import (
     _agreed_run,
     _meter_totals,
     aggregate_reveal,
-    sec_cu,
     sec_tc,
     sec_ue,
     stage_one,
@@ -433,22 +432,12 @@ def _audit_battery(cfg: RunConfig):
         u, v, payload = shared(s, 9, v8, p8, lambda _: np.arange(8, dtype=np.uint64))
         sec_srt(s, np.stack([u, v, payload], axis=1), 2, 8)
 
-    dm = np.array([1.0, -0.5, 0.75])  # the public displacement of the sec_ue and sec_cu rows
-    curvature = lambda rng: 2.0 * np.eye(3) + 0.25 * rng.uniform(-1.0, 1.0, size=(4, 3, 3))  # noqa: E731
-
     def run_ue(s):
-        # g + B dM, local, then the aggregate reveal
-        b, grads = shared(s, 14, curvature, ((4, 3), 0.25, 1.0))
-        state = LbfgsState(capacity=2, curvature=b, curved=np.ones(4, dtype=bool))
-        aggregate_reveal(s, sec_ue(s, grads, state, dm), np.zeros(3), 0.1)
-
-    def run_cu(s):
-        # clients 2 and 3 hold a B; client 1's pair curves down along dM and is skipped
-        b, y = shared(s, 19, curvature, lambda rng: rng.uniform(1.0, 2.0, size=(4, 1)) * [[1], [-1], [1], [1]] * dm
-                      + 0.05 * rng.uniform(-1.0, 1.0, size=(4, 3)))
-        state = LbfgsState(capacity=2, curvature=b, curved=np.array([False, False, True, True]))
-        state.push(y, dm)
-        sec_cu(s, state)
+        # g + B dM at a public dM, local, then the aggregate reveal
+        b, grads = shared(s, 14, lambda rng: 2.0 * np.eye(3) + 0.25 * rng.uniform(-1.0, 1.0, size=(4, 3, 3)),
+                          ((4, 3), 0.25, 1.0))
+        state = LbfgsState(capacity=2, curvature=b)
+        aggregate_reveal(s, sec_ue(s, grads, state, np.array([1.0, -0.5, 0.75])), np.zeros(3), 0.1)
 
     def run_rs(idx, t, t_prime):
         def runner(s):
@@ -477,12 +466,7 @@ def _audit_battery(cfg: RunConfig):
         ("sec_max 4x8", "sec_max", (4, 8), lambda s: sec_max(s, *shared(s, 8, ((4, 8), 0.25, 2.0)))),
         ("sec_srt T=8 pair", "sec_srt", {"t": 8, "item_words": 3, "width": 2, "count": 8}, run_srt),
         ("sec_div (8,)", "sec_div", (8,), lambda s: sec_div(s, *shared(s, 10, u8, p8))),
-        ("sec_mi scalars (4,)", "sec_mi", {"m": 1, "batch": 4},
-         lambda s: sec_mi(s, *shared(s, 11, ((4,), 0.5, 2.0)))),
-        ("sec_mi matrix 3x3", "sec_mi", {"m": 3}, lambda s: sec_mi(s, *shared(
-            s, 12, lambda rng: 2.0 * np.eye(3) + 0.25 * rng.uniform(-1.0, 1.0, size=(3, 3))))),
         ("sec_ue n=4 m=3", "sec_ue", {"clients": 4, "m": 3}, run_ue),
-        ("sec_cu m=3, 2+2 pairs, one skipped", "sec_cu", {"m": 3, "fresh": (2, 1), "curved": (2, 2)}, run_cu),
         ("sec_tc n=4 m=3", "sec_tc", {"clients": 4, "m": 3}, lambda s: sec_tc(s, *shared(
             s, 15, ((4, 3), 0.25, 2.0), lambda rng: rng.uniform(0.1, 1.0, size=(4,))))),
         ("sec_rs T=32 T'=10 method 1", "sec_rs", {"t": 32, "t_prime": 10, "method": 1, "kept": 32},

@@ -22,8 +22,9 @@ The comparator is priced by the width of its keys: 1 for values, 2 for
 (u, v) fractions, which cross multiply first. RS_KEY_WIDTH gives the key
 width of each selection method.
 
-Shape conventions per functionality are documented in predict_cost; stage
-II's gradient estimate is local, its curvature update priced per batch.
+Shape conventions per functionality are documented in predict_cost. Stage
+II's gradient estimate is local and each client updates its own curvature
+in the clear, so an estimate round costs only its aggregate reveal.
 """
 
 from __future__ import annotations
@@ -204,29 +205,7 @@ def div_cost(lanes: int, codec: FixedPointCodec) -> CostEstimate:
             + mul_cost(lanes, lanes))
 
 
-def mi_cost(m: int, batch: int) -> CostEstimate:
-    n = batch * m * m
-    return words_round(2 * n) + words_round(n)
-
-
 # -- composite protocol phases ------------------------------------------------
-
-
-def cu_cost(m: int, fresh, curved) -> CostEstimate:
-    """One sec_cu batch past the public step floor. fresh and curved are the
-    (pairs, kept) counts of clients without and with a B: one sec_ge and its
-    reveal screen y's per pair and s'Bs per curved pair; the kept pairs take
-    one sec_mi (rho, and pi per curved pair), a round for rho y and pi Bs,
-    and one for the outer products and each fresh pair's gamma."""
-    (fresh_pairs, fresh_kept), (curved_pairs, curved_kept) = fresh, curved
-    lanes = fresh_pairs + 2 * curved_pairs
-    total = ge_cost(lanes) + words_round(lanes)
-    kept = fresh_kept + curved_kept
-    if kept == 0:
-        return total
-    total += mi_cost(1, kept + curved_kept)
-    total += words_round((kept + curved_kept) * (1 + m))
-    return total + words_round(2 * m * (kept + curved_kept + fresh_kept))
 
 
 def tc_cost(clients: int, m: int) -> CostEstimate:
@@ -270,11 +249,9 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
       sec_srt: dict {"t", "item_words", "width", "count"}: the top count of T
         rows of item_words words, ordered by their first width (1 or 2) columns
       sec_rank: dict {"t", "width"}
-      sec_mi: dict {"m", "batch"} (single accepted attempt)
       threshold_determination: dict {"clients", "t"}: a sec_max over T per
         client, priced but not run (stage I shares each client's max)
       sec_ue: dict {"m", ...}: one estimate and its aggregate reveal
-      sec_cu: dict {"m", "fresh", "curved"}: (pairs, kept) counts (cu_cost)
       sec_tc: dict {"clients", "m"}
       sec_rs: dict {"t", "t_prime", "method", "kept"?}
     """
@@ -299,15 +276,11 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
         return rank_cost(shape["t"], shape["width"])
     if name == "sec_div":
         return div_cost(_lanes(shape), codec)
-    if name == "sec_mi":
-        return mi_cost(shape["m"], shape.get("batch", 1))
     # no protocol phase runs this; perfbench/run.py prices it for every request
     if name == "threshold_determination":
         return max_cost(shape["t"], shape["clients"])
     if name == "sec_ue":  # the estimate is local: only the aggregate reveal costs
         return words_round(shape["m"])
-    if name == "sec_cu":
-        return cu_cost(shape["m"], shape["fresh"], shape["curved"])
     if name == "sec_tc":
         return tc_cost(shape["clients"], shape["m"])
     if name == "sec_rs":

@@ -33,10 +33,6 @@ class DivisionDomainError(ProtocolError):
     """sec_div divisor outside its admissible domain."""
 
 
-class SingularRevealError(ProtocolError):
-    """sec_mi revealed a masked product that cannot be inverted."""
-
-
 class DivergenceError(ProtocolError):
     """Stage II recovery left the codec's range at a given recovery round."""
 

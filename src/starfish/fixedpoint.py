@@ -79,11 +79,7 @@ class FixedPointCodec:
 
     def decode(self, v) -> np.ndarray:
         """Words back to floats at precision p."""
-        return self.decode_at(v, self.precision_p)
-
-    def decode_at(self, v, scale_bits: int) -> np.ndarray:
-        """Decode at a non-default scale (products before truncation sit at 2p)."""
-        return np.asarray(to_signed(v), dtype=np.float64) / float(1 << scale_bits)
+        return np.asarray(to_signed(v), dtype=np.float64) / float(self.scale)
 
     def quantize(self, x) -> np.ndarray:
         """Snap floats to the representable grid (encode then decode)."""
@@ -91,14 +87,14 @@ class FixedPointCodec:
 
     # -- share truncation ----------------------------------------------
 
-    def truncate_local(self, v, party: int, bits: int | None = None) -> np.ndarray:
-        """Per-party share truncation by bits (p unless given).
+    def truncate_local(self, v, party: int) -> np.ndarray:
+        """Per-party share truncation by p bits.
 
         Party 0 shifts its share; party 1 shifts the negation and negates
         back. Reconstruction lands within one unit in the last place of the
         true shifted value except with probability about 2^-slack.
         """
-        shift = np.uint64(self.precision_p if bits is None else bits)
+        shift = np.uint64(self.precision_p)
         v = np.asarray(v, dtype=np.uint64)
         if party == 0:
             return v >> shift

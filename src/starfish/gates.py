@@ -46,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .costs import div_iterations, padded_size, topk_layers
-from .errors import RangeError, ShapeError, SingularRevealError
+from .errors import ShapeError
 from .fixedpoint import from_signed
 from .sharing import Session
 from .transport import bit_word_count, pack_bit_words, pack_words, unpack_bit_words, unpack_words
@@ -66,12 +66,6 @@ def add_public(sess: Session, x, raw) -> np.ndarray:
     if sess.party == 0:
         return np.add(x, np.asarray(raw, dtype=np.uint64))
     return np.asarray(x, dtype=np.uint64)
-
-
-def _open(sess: Session, x) -> np.ndarray:
-    """Reveal inside the current gate scope (attributed to that gate)."""
-    theirs = sess.exchange_words(np.asarray(x))
-    return np.add(x, theirs)
 
 
 def _exchange_concat(sess: Session, parts: list[np.ndarray]) -> list[np.ndarray]:
@@ -437,82 +431,3 @@ def sec_div(sess: Session, u, v) -> np.ndarray:
             remainder = np.subtract(remainder, _beaver_mul(sess, c, step, truncate=False))
             quot = np.add(quot, c << np.uint64(i))
         return _beaver_mul(sess, quot, sign, truncate=False)
-
-
-# -- masked inversion ------------------------------------------------------------
-
-# sec_mi draws a fresh mask this many times before giving up, and rejects a
-# revealed product whose condition number exceeds MI_MAX_COND.
-MI_TRIES = 8
-MI_MAX_COND = 1e8
-
-
-def _invert_longdouble(n: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan inverses of a (B, m, m) batch at extended precision.
-
-    Partial pivoting; each column step pivots, scales and eliminates in every
-    matrix of the batch at once. The pivot row is eliminated with a zero
-    factor, which leaves it as it is.
-    """
-    a = n.astype(np.longdouble)
-    inv = np.broadcast_to(np.eye(n.shape[-1], dtype=np.longdouble), a.shape).copy()
-    batch = np.arange(len(a))
-    for col in range(a.shape[-1]):
-        piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
-        if np.any(a[batch, piv, col] == 0):
-            raise SingularRevealError("masked matrix is singular")
-        if np.any(piv != col):
-            for t in (a, inv):
-                t[batch, col], t[batch, piv] = t[batch, piv], t[batch, col]
-        scale = a[:, col, col, None].copy()
-        a[:, col] /= scale
-        inv[:, col] /= scale
-        f = a[:, :, col, None].copy()
-        f[:, col] = 0
-        a -= f * a[:, None, col]
-        inv -= f * inv[:, None, col]
-    return inv
-
-
-def sec_mi(sess: Session, x) -> np.ndarray:
-    """Masked inverse (Bar-Ilan & Beaver): reveal N = X*R, invert in the
-    clear, return R * N^-1.
-
-    One shape rule: a tensor of rank < 2 is a batch of 1x1 matrices (the
-    reciprocals used for curvature scalars), anything else is (..., m, m).
-    Each try draws one dealer mask per matrix, with entries on [-1, 1), opens
-    every masked product in one round and checks all their condition numbers
-    at once; an exactly singular product reads inf. If any exceeds
-    MI_MAX_COND every mask is redrawn. The clear-side inverses are computed at
-    extended precision and re-encoded at 2p, so the final public product
-    needs only one truncation.
-    """
-    arr = np.asarray(x)
-    with sess.op("sec_mi"):
-        if arr.ndim >= 2 and arr.shape[-1] != arr.shape[-2]:
-            raise ShapeError(f"sec_mi needs a square matrix, got {arr.shape}")
-        m = arr.shape[-1] if arr.ndim >= 2 else 1
-        mat = arr.reshape(-1, m, m)
-        two_p = 2 * sess.codec.precision_p
-        for _ in range(MI_TRIES):
-            masks = np.stack([sess.draw_inv_mask(m) for _ in range(len(mat))])
-            revealed = _open(sess, _beaver_mul(sess, mat, masks, matmul=True, truncate=False))
-            dec = sess.codec.decode_at(revealed, two_p)
-            if np.all(np.linalg.cond(dec) <= MI_MAX_COND):
-                res = np.matmul(masks, _encode_at(_invert_longdouble(dec), two_p))
-                # one shift by 2p rather than two by p: a single rounding event
-                return sess.truncate(res, bits=two_p).reshape(arr.shape)
-        raise SingularRevealError(f"masked product stayed singular after {MI_TRIES} draws")
-
-
-def _encode_at(values: np.ndarray, scale_bits: int) -> np.ndarray:
-    """Ring words of values at 2^-scale_bits, rounding half away from zero.
-
-    The rounding is done at extended precision; an integer-valued longdouble
-    below 2^63 then casts to int64 exactly, where a float64 cast would not.
-    """
-    vals = np.asarray(values, dtype=np.longdouble) * np.longdouble(2.0) ** scale_bits
-    signed = np.copysign(np.floor(np.abs(vals) + 0.5), vals)
-    if np.any(np.abs(signed) >= np.longdouble(2.0) ** 63):
-        raise RangeError("value too large to re-encode at the extended scale")
-    return from_signed(signed)

@@ -7,10 +7,12 @@ closed-form recovery-distance bound, and exact-arithmetic oracles for the
 individual gates.
 
 The mirror deliberately tracks the fixed-point pipeline: client gradients are
-snapped to the codec grid before use, each client's curvature matrix is a float
-B fed the same grid pairs, and every discrete decision (keep flags, threshold
-flags, pair screens) is evaluated on values both worlds agree on. The drift
-left is truncation noise, which the acceptance harness budgets per truncation.
+snapped to the codec grid before use, and every discrete decision (keep
+flags, threshold flags) is evaluated on values both worlds agree on. Each
+client's curvature matrix is the float B that unlearn.client_fold builds, in
+the mirror and at the secure run's clients alike; the secure run shares it.
+The drift left is truncation noise, which the acceptance harness budgets per
+truncation.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ from .errors import (
     ConfigError,
     DivisionDomainError,
     ShapeError,
-    SingularRevealError,
     UnknownFunctionality,
 )
 from .fixedpoint import FixedPointCodec
 from .sharing import STREAM_BASELINE, STREAM_DATA, keyed_rng
-from .unlearn import CURVATURE_SHIFT, MIN_STEP_SQ, ClientPool, UnlearnConfig, client_round
+from .unlearn import ClientPool, UnlearnConfig, client_fold, client_round
 
 
 # -- synthetic convex tasks ---------------------------------------------------
@@ -345,24 +346,6 @@ class PlainRun:
         return self.trajectory[-1]
 
 
-def _plain_curvature_update(curv: np.ndarray, curved: np.ndarray, rows, y, dm, codec: FixedPointCodec) -> None:
-    """Float mirror of unlearn.sec_cu on one batch of pairs (y rows, public
-    dm). The screen compares y's, exact on the grid like the secure one."""
-    s = codec.quantize(dm)
-    s_sq = float(s @ s)
-    if s_sq < MIN_STEP_SQ:
-        return
-    floor, ys, bs = s_sq / 2 ** CURVATURE_SHIFT, y @ s, curv[rows] @ s
-    keep = (ys > floor) & (~curved[rows] | (bs @ s > floor))
-    rows, y, bs, ys = rows[keep], y[keep], bs[keep], ys[keep]
-    fresh = ~curved[rows]
-    gamma = (y[fresh] ** 2).sum(axis=1) / ys[fresh]
-    new = curv[rows] - bs[:, :, None] * bs[:, None, :] / np.where(fresh, 1.0, bs @ s)[:, None, None]
-    new[fresh] = gamma[:, None, None] * (np.eye(s.size) - np.outer(s, s) / s_sq)
-    curv[rows] = new + y[:, :, None] * y[:, None, :] / ys[:, None, None]
-    curved[rows] = True
-
-
 def _plain_recovery(
     config: UnlearnConfig,
     pool: ClientPool,
@@ -394,8 +377,8 @@ def _plain_recovery(
             corrections[remaining[idx]] += not warm
             estimates[idx] = codec.quantize(pool.gradient(remaining[idx], m_hat))
         if rows.size and config.buffer_b > 0:
-            # sec_cu folds these in before the next estimate
-            _plain_curvature_update(curv, curved, rows, estimates[rows] - g_round[rows], dm, codec)
+            # these clients fold their pairs, as in the secure run
+            client_fold(curv, curved, rows, estimates[rows] - g_round[rows], dm, codec)
         m_hat = m_hat - config.eta_u * (estimates.sum(axis=0) / nr)
         trajectory.append(m_hat.copy())
 
@@ -531,9 +514,7 @@ def bound_report(
 
 #: Absolute per-element error allowed between a secure gate and its exact
 #: oracle. Zero means the gate is exact on the grid. Truncating gates carry
-#: one probabilistic truncation (2^-p) plus representation slack; the masked
-#: inverse also amplifies by the revealed product's conditioning, so its
-#: budget assumes the benign operands the tests draw.
+#: one probabilistic truncation (2^-p) plus representation slack.
 ERROR_BUDGETS = {
     "sec_add": 0.0,
     "sec_rec": 0.0,
@@ -545,7 +526,6 @@ ERROR_BUDGETS = {
     "sec_mul": 2.0 ** -12,
     "sec_sp": 2.0 ** -12,
     "sec_div": 2.0 ** -12,
-    "sec_mi": 2.0 ** -9,
 }
 
 
@@ -586,29 +566,6 @@ def _exact_div(u, v) -> np.ndarray:
     return _from_fractions(out, u.shape)
 
 
-def _exact_minv(mat) -> np.ndarray:
-    """Gauss-Jordan over rationals on one square matrix; mirrors the singularity error."""
-    m = mat.shape[0]
-    a = [[Fraction(float(x)) for x in row] for row in mat]
-    inv = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularRevealError("exact inverse of a singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(m):
-            if r == col or a[r][col] == 0:
-                continue
-            factor = a[r][col]
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return np.array([[float(x) for x in row] for row in inv])
-
-
 def exact_gate_oracle(gate: str, *inputs):
     """Exact-arithmetic mirror of one gate's plaintext function.
 
@@ -646,14 +603,6 @@ def exact_gate_oracle(gate: str, *inputs):
         return (np.abs(est) >= delta[..., None]).any(axis=-1).astype(np.int64)
     if gate == "sec_div":
         return _exact_div(*inputs)
-    if gate == "sec_mi":
-        # sec_mi's shape rule: rank < 2 is a batch of 1x1 matrices
-        arr = np.asarray(inputs[0], dtype=np.float64)
-        if arr.ndim >= 2 and arr.shape[-1] != arr.shape[-2]:
-            raise ShapeError(f"matrix inverse needs a square matrix, got {arr.shape}")
-        m = arr.shape[-1] if arr.ndim >= 2 else 1
-        blocks = [_exact_minv(block) for block in arr.reshape(-1, m, m)]
-        return np.array(blocks, dtype=np.float64).reshape(arr.shape)
     raise UnknownFunctionality(f"no exact oracle for {gate!r}")
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolError, ShapeError, TransportError
-from .fixedpoint import FixedPointCodec, from_signed
+from .fixedpoint import FixedPointCodec
 from .transport import (
     OP_TAGS,
     bit_word_count,
@@ -224,20 +224,6 @@ class DealerTape:
         values = unpack_bit_words(pack_words(r), (nbits,)).astype(np.uint64)
         return triples, (r ^ r0, np.subtract(values, s0))
 
-    def inv_mask(self, m: int) -> np.ndarray:
-        """Share of a random mask matrix with entries uniform on [-1, 1).
-
-        Entries live on the encode grid so masked products stay inside the
-        representable range; redraws on bad conditioning are the caller's
-        job. The 1x1 case rejects an exact zero, which would be a singular
-        mask no retry could fix.
-        """
-        scale = self.codec.scale
-        raw = self._rng.integers(-scale, scale, size=(m, m), dtype=np.int64)
-        while m == 1 and raw[0, 0] == 0:
-            raw = self._rng.integers(-scale, scale, size=(m, m), dtype=np.int64)
-        return self._split(from_signed(raw))
-
     @staticmethod
     def _bit_words(words: np.ndarray, nbits: int) -> np.ndarray:
         """Random words over nbits bits: clear the pad bits of the last word."""
@@ -318,11 +304,6 @@ class Session:
         self._charge(*triples, *shared)
         return triples, shared
 
-    def draw_inv_mask(self, m: int):
-        r = self.dealer.inv_mask(m)
-        self._charge(r)
-        return r
-
     # -- rounds -----------------------------------------------------------
 
     def exchange_words(self, arr: np.ndarray) -> np.ndarray:
@@ -357,9 +338,9 @@ class Session:
 
     # -- truncation accounting -------------------------------------------
 
-    def truncate(self, v: np.ndarray, bits: int | None = None) -> np.ndarray:
+    def truncate(self, v: np.ndarray) -> np.ndarray:
         self.meter.add_truncations(np.asarray(v).size)
-        return self.codec.truncate_local(v, self.party, bits)
+        return self.codec.truncate_local(v, self.party)
 
 
 class _OpScope:

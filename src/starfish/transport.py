@@ -47,7 +47,6 @@ OP_TAGS = {
     "sec_max": 0x0017,
     "sec_srt": 0x0018,
     "sec_div": 0x0019,
-    "sec_mi": 0x001b,
     "sec_rank": 0x001c,
     "other": 0x00ff,
 }

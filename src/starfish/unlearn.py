@@ -5,7 +5,15 @@ and norms, plus each client's largest tolerance threshold, which the client
 computes in the clear and shares once. Stage II removes one client: pick the
 rounds that mattered most to it, replay them with BFGS-estimated gradients
 from everyone else, and periodically let clients whose estimates drifted past
-their threshold push exact corrections, which train each client's B.
+their threshold push exact corrections.
+
+Each estimate is g + B s, with s the public gap to the stored round's model.
+Every client that sends an exact gradient also holds its own secant pair in
+the clear: y is that gradient minus its stage-I gradient at the stored
+model, which it recomputes. So the client runs the BFGS update of its B
+itself and shares B, and stage II runs no curvature protocol. This departs
+from the paper, whose servers update the curvature on shares; the servers
+here see only shares of B, and nothing about the update is revealed.
 
 Clients are simulated in-process. Both server parties run the same code, so
 a client "sending shares" is a deterministic keyed split both sides derive
@@ -17,13 +25,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ProtocolError, RangeError
 from .fixedpoint import WORD_BITS, FixedPointCodec, to_signed
-from .gates import const_share, mul_public, sec_ge, sec_mi, sec_mul, sec_muls
+from .gates import const_share, mul_public, sec_ge, sec_mul
 from .roundsel import SelectionInputs, SelectionParams, sec_rs
 from .sharing import (
     STREAM_CLIENT_SHARES,
@@ -38,6 +46,7 @@ from .sharing import (
 _SHARE_STAGE1 = 0
 _SHARE_CORRECTION = 1
 _SHARE_THRESHOLD = 2
+_SHARE_CURVATURE = 3
 
 
 @dataclass
@@ -258,32 +267,47 @@ def stage_one(
 # -- stage II building blocks ------------------------------------------------
 
 
-# sec_cu keeps a pair only if |s|^2 >= MIN_STEP_SQ and y's and s'Bs exceed
-# |s|^2 / 2^CURVATURE_SHIFT, so 1/y's and 1/s'Bs stay below 2^10, in range
+# a client folds a pair only if |s|^2 >= MIN_STEP_SQ and y's and s'Bs exceed
+# |s|^2 / 2^CURVATURE_SHIFT: flat and near-flat pairs are skipped, which keeps
+# 1/y's and 1/s'Bs below 2^10
 CURVATURE_SHIFT = 1
 MIN_STEP_SQ = 2.0 ** -9
 
 
+def client_fold(curv: np.ndarray, curved: np.ndarray, rows, y, dm, codec: FixedPointCodec) -> None:
+    """The BFGS update B <- B - (Bs)(Bs)'/s'Bs + yy'/y's that each client in
+    rows runs in the clear on its own pair: its row of y and the public
+    s = quantize(dm). A first pair starts from B0 = gamma I, gamma = y'y/y's
+    (Nocedal & Wright eq. 7.20): gamma (I - ss'/|s|^2) + yy'/y's. curv
+    (n, m, m) holds the clients' float B, curved (n,) whether B has taken a
+    pair; the plaintext mirror folds with the same function."""
+    s = codec.quantize(dm)
+    s_sq = float(s @ s)
+    if s_sq < MIN_STEP_SQ:
+        return
+    floor, ys, bs = s_sq / 2 ** CURVATURE_SHIFT, y @ s, curv[rows] @ s
+    keep = (ys > floor) & (~curved[rows] | (bs @ s > floor))
+    rows, y, bs, ys = rows[keep], y[keep], bs[keep], ys[keep]
+    fresh = ~curved[rows]
+    gamma = (y[fresh] ** 2).sum(axis=1) / ys[fresh]
+    new = curv[rows] - bs[:, :, None] * bs[:, None, :] / np.where(fresh, 1.0, bs @ s)[:, None, None]
+    new[fresh] = gamma[:, None, None] * (np.eye(s.size) - np.outer(s, s) / s_sq)
+    curv[rows] = new + y[:, :, None] * y[:, None, :] / ys[:, None, None]
+    curved[rows] = True
+
+
 @dataclass
 class LbfgsState:
-    """Each remaining client's shared curvature matrix B (dense, no window)
-    and the secant pairs queued for sec_cu. capacity is buffer_b, the
-    warm-up rounds that seed every B; at 0 nothing is queued and B stays
-    zero. curved, public, marks the clients whose B has taken a pair."""
+    """The servers' shares of each remaining client's curvature matrix B
+    (dense, no window). capacity is buffer_b, the warm-up rounds that seed
+    every B; at 0 no client folds and B stays zero."""
 
     capacity: int
     curvature: np.ndarray | None = None  # (n_rem, m, m) shares of B
-    curved: np.ndarray | None = None     # (n_rem,) bool
-    pairs: list = field(default_factory=list)  # (rows, y shares (k, m), s float (m,))
 
-    def push(self, dg: np.ndarray, dm: np.ndarray, rows=None) -> None:
-        """Queue the pairs (dg[rows], dm) of the clients in rows, all by default."""
-        if self.capacity > 0:
-            if self.curvature is None:
-                self.curvature = np.zeros(dg.shape + dg.shape[-1:], dtype=np.uint64)
-                self.curved = np.zeros(len(dg), dtype=bool)
-            rows = np.arange(len(dg)) if rows is None else np.asarray(rows)
-            self.pairs.append((rows, dg[rows], dm))
+    # no protocol phase calls this; it stays while perfbench/gategrid.py pushes pairs
+    def push(self, _dg: np.ndarray, _dm: np.ndarray) -> None:
+        """Does nothing: each client folds its own pairs (client_fold)."""
 
 
 def sec_ue(sess: Session, gradients: np.ndarray, state: LbfgsState, dm=None) -> np.ndarray:
@@ -294,50 +318,6 @@ def sec_ue(sess: Session, gradients: np.ndarray, state: LbfgsState, dm=None) -> 
         if dm is None or state.curvature is None:
             return gradients.copy()
         return np.add(gradients, mul_public(sess, state.curvature, sess.codec.encode(dm), matmul=True))
-
-
-def sec_cu(sess: Session, state: LbfgsState) -> None:
-    """Fold the queued secant pairs into their clients' B by the BFGS update
-    B <- B - (Bs)(Bs)'/s'Bs + yy'/y's. A first pair starts from B0 = gamma I,
-    gamma = y'y/y's (Nocedal & Wright eq. 7.20): gamma (I - ss'/|s|^2) + yy'/y's.
-
-    s is public: a step below MIN_STEP_SQ is dropped in the clear. One sec_ge
-    compares y's and, for curved clients, s'Bs with |s|^2 / 2^CURVATURE_SHIFT
-    exactly at double scale and reveals which pairs to skip. Kept pairs take
-    one sec_mi for rho = 1/y's and pi = 1/s'Bs and two Beaver rounds: rho y
-    and pi Bs, then the outer products and gamma = y'(rho y)."""
-    with sess.op("sec_cu"):
-        codec = sess.codec
-        for rows, y, dm in state.pairs:
-            s_q = codec.quantize(dm)
-            s, s_sq = codec.encode(s_q), float(s_q @ s_q)
-            if s_sq < MIN_STEP_SQ:
-                continue
-            curved = state.curved[rows]
-            bs = mul_public(sess, state.curvature[rows[curved]], s, matmul=True)
-            lanes = np.concatenate([np.multiply(y, s).sum(axis=-1, dtype=np.uint64),
-                                    np.multiply(bs, s).sum(axis=-1, dtype=np.uint64)])
-            # |s|^2 at double scale is an integer below 2^53, exact in a float
-            floor = np.full(lanes.shape, int(s_sq * 4 ** codec.precision_p) >> CURVATURE_SHIFT, dtype=np.uint64)
-            skip = to_signed(sec_rec(sess, sec_ge(sess, const_share(sess, floor), lanes))) == 1
-            keep = ~skip[: rows.size]
-            keep[curved] &= ~skip[rows.size :]
-            if not keep.any():
-                continue
-            lanes = lanes[np.concatenate([keep, keep[curved]])]
-            rows, y, bs, curved = rows[keep], y[keep], bs[keep[curved]], curved[keep]
-            inv = sec_mi(sess, sess.truncate(lanes))
-            ry, pbs = sec_muls(sess, [(inv[: rows.size, None], y, False), (inv[rows.size :, None], bs, False)])
-            fresh = ~curved
-            rank_y, rank_b, gamma = sec_muls(sess, [(ry[:, :, None], y[:, None, :], True),
-                                                    (pbs[:, :, None], bs[:, None, :], True),
-                                                    (ry[fresh][:, None, :], y[fresh][:, :, None], True)])
-            new = state.curvature[rows]
-            new[curved] = np.subtract(new[curved], rank_b)
-            new[fresh] = mul_public(sess, gamma, codec.encode(np.eye(s.size) - np.outer(s_q, s_q) / s_sq))
-            state.curvature[rows] = np.add(new, rank_y)
-            state.curved[rows] = True
-        state.pairs = []
 
 
 def aggregate_reveal(sess: Session, estimates: np.ndarray, model: np.ndarray, eta: float):
@@ -399,7 +379,9 @@ def starfish_run(
     """Stage II: round selection, then the unlearning loop. The correction
     thresholds are the per-client maxima stage I shared, so the transcript
     starts at sec_rs. The first buffer_b rounds take every client's exact
-    gradient and run no check; sec_cu runs inside the sec_ue records."""
+    gradient and run no check. A client that sends an exact gradient folds
+    its pair into its own B and shares B, at no round, so each sec_ue record
+    is the aggregate reveal alone."""
     if not (0 <= target < history.n):
         raise ConfigError(f"target {target} outside client range")
     codec = sess.codec
@@ -424,6 +406,8 @@ def starfish_run(
     record("sec_rs")
 
     state = LbfgsState(capacity=config.buffer_b)
+    # the remaining clients' own B, each in the clear at its client
+    curv, curved = np.zeros((len(remaining), history.m, history.m)), np.zeros(len(remaining), dtype=bool)
     m_hat = history.models[0].copy()
     trajectory = [m_hat.copy()]
     corrections = {j: 0 for j in remaining}
@@ -435,24 +419,32 @@ def starfish_run(
         try:
             g_round = history.grads[r][remaining]
             dm = m_hat - history.models[r]
-            sec_cu(sess, state)
             estimates = sec_ue(sess, g_round, state, dm)
             # warm-up rounds take every exact gradient, checking rounds those
             # of the flagged clients
             warm = i <= config.buffer_b
             exact = np.full(len(remaining), warm)
             if not warm and i % config.t_c == 0:
-                record("sec_ue")
                 exact = sec_tc(sess, estimates, history.thresholds[remaining]) == 1
                 check_rounds += 1
                 record("sec_tc", exact)
             rows = np.flatnonzero(exact)
-            for idx, j in zip(rows, np.asarray(remaining)[rows]):
+            clients = np.asarray(remaining)[rows]
+            grads = codec.quantize([pool.gradient(j, m_hat) for j in clients]).reshape(rows.size, history.m)
+            for idx, j, g in zip(rows, clients, grads):
                 corrections[j] += not warm
                 rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_CORRECTION, int(i), int(j))
-                estimates[idx] = sec_share(codec.quantize(pool.gradient(j, m_hat)), codec, rng)[sess.party].value
-            if rows.size:
-                state.push(np.subtract(estimates, g_round), dm, rows)
+                estimates[idx] = sec_share(g, codec, rng)[sess.party].value
+            if rows.size and state.capacity > 0:
+                # each of these clients pairs its exact gradient with its own
+                # stage-I gradient at the public m_r, folds and shares its B
+                y = grads - codec.quantize([pool.gradient(j, history.models[r]) for j in clients])
+                client_fold(curv, curved, rows, y, dm, codec)
+                if state.curvature is None:
+                    state.curvature = np.zeros(curv.shape, dtype=np.uint64)
+                for idx, j in zip(rows, clients):
+                    rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_CURVATURE, int(i), int(j))
+                    state.curvature[idx] = sec_share(curv[idx], codec, rng)[sess.party].value
             m_hat, _ = aggregate_reveal(sess, estimates, m_hat, config.eta_u)
             trajectory.append(m_hat.copy())
             record("sec_ue")

@@ -34,7 +34,6 @@ from starfish.gates import (
     sec_div,
     sec_ge,
     sec_max,
-    sec_mi,
     sec_mul,
     sec_sel,
     sec_sp,
@@ -131,15 +130,6 @@ def test_criterion_1_gate_oracle_equivalence():
     a, b = share_pair(x, key=122), share_pair(y, key=123)
     got, _ = both(lambda s: reveal(s, sec_div(s, a[s.party], b[s.party])))
     check("sec_div", got, exact_gate_oracle("sec_div", x, y))
-
-    x = np.where(rng.integers(0, 2, 1024) == 1, 1.0, -1.0) * _grid(rng, 0.25, 30, 1024)
-    a = share_pair(x, key=124)
-    got, _ = both(lambda s: reveal(s, sec_mi(s, a[s.party])))
-    check("sec_mi", got, exact_gate_oracle("sec_mi", x))
-    mats = 2.0 * np.eye(3) + 0.25 * rng.uniform(-1, 1, size=(32, 3, 3))
-    a = share_pair(CODEC.quantize(mats), key=125)
-    got, _ = both(lambda s: reveal(s, sec_mi(s, a[s.party])))
-    check("sec_mi", got, exact_gate_oracle("sec_mi", CODEC.quantize(mats)))
 
     # 1000 independent four-item oblivious sorts with distinct keys
     trials = []

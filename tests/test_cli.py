@@ -288,7 +288,7 @@ def test_compare_full_sigma_matches_random_subset(tmp_path, capsys):
 def test_audit_passes(capsys):
     assert _run(["audit", "--seed", 0]) == 0
     printed = capsys.readouterr().out
-    assert "all 18 functionalities match" in printed
+    assert "all 15 functionalities match" in printed
     assert "MISMATCH" not in printed
     assert "sec_srt T=8 pair: comparators=24 (formula 24)" in printed
     # T=32 and T=128 run the top-k network (one and four merge levels);
@@ -363,13 +363,16 @@ def test_diverged_recovery_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_readme_run_recovers_within_the_bound(tmp_path, capsys):
-    # the README run.cfg at t=16, seed 7: the secure run, its mirror and the
-    # random-selection baseline all finish, with no checkpoint over the bound
+@pytest.mark.parametrize("t", [12, 16, 20, 24, 30, 40])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_readme_run_recovers_within_the_bound(tmp_path, capsys, seed, t):
+    # the README run.cfg over its grid of seeds and round counts: the secure
+    # run, its mirror and the random-selection baseline all finish, with no
+    # checkpoint over the bound
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(README_CFG + "t = 16\n")
+    cfg.write_text(README_CFG + f"t = {t}\n")
     out = tmp_path / "out"
-    assert _run(["compare", "--config", cfg, "--seed", 7, "--out", out]) == 0
+    assert _run(["compare", "--config", cfg, "--seed", seed, "--out", out]) == 0
     capsys.readouterr()
     report = json.loads((out / "compare.json").read_text())
     assert not [key for key in report if key.endswith("_error")]

@@ -180,13 +180,6 @@ def test_sec_div_cost():
     assert got == predict_cost("sec_div", (4,), CODEC).as_tuple()
 
 
-def test_mi_scalar_lane_convention():
-    # scalar reciprocal lanes are the m=1 batch case
-    want = predict_cost("sec_rec", (8,), CODEC) + predict_cost("sec_rec", (4,), CODEC)
-    got = predict_cost("sec_mi", {"m": 1, "batch": 4}, CODEC)
-    assert got.as_tuple() == (2, want.online_bytes)
-
-
 def test_selection_costs_match_the_meter_on_every_path():
     # kept in 2..40 crosses the non-monotone rank/sort rule several times;
     # odd kept adds one zero round, and kept = 5 (mod 10) selects every kept round

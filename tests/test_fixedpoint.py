@@ -54,11 +54,6 @@ def test_quantize_idempotent():
     assert np.array_equal(CODEC.quantize(q), q)
 
 
-def test_decode_at_double_scale():
-    prod = np.multiply(CODEC.encode(1.5), CODEC.encode(2.0))
-    assert CODEC.decode_at(prod, 2 * CODEC.precision_p) == 3.0
-
-
 @given(st.floats(min_value=-2047.0, max_value=2047.0, allow_nan=False))
 def test_roundtrip_half_ulp(x):
     assert abs(float(CODEC.decode(CODEC.encode(x))) - x) <= 2.0 ** -14
@@ -91,18 +86,6 @@ def test_truncation_exact_on_grid_multiples():
     s0 = rng.integers(0, 2**64, size=raw2p.shape, dtype=np.uint64)
     s1 = np.subtract(raw2p, s0)
     got = np.add(CODEC.truncate_local(s0, 0), CODEC.truncate_local(s1, 1))
-    assert np.array_equal(CODEC.decode(got), vals)
-
-
-def test_truncation_by_explicit_bit_count():
-    # sec_mi truncates a 2p-scale product by 2p bits in one step
-    rng = np.random.default_rng(9)
-    vals = CODEC.quantize(rng.uniform(-100.0, 100.0, size=1000))
-    raw4p = from_signed((vals * CODEC.scale).astype(np.int64) << np.int64(2 * CODEC.precision_p))
-    s0 = rng.integers(0, 2**64, size=raw4p.shape, dtype=np.uint64)
-    s1 = np.subtract(raw4p, s0)
-    bits = 2 * CODEC.precision_p
-    got = np.add(CODEC.truncate_local(s0, 0, bits), CODEC.truncate_local(s1, 1, bits))
     assert np.array_equal(CODEC.decode(got), vals)
 
 

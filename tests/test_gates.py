@@ -7,16 +7,14 @@ from hypothesis import given, settings, strategies as st
 from helpers import CODEC, both, raw_share_pair, reveal, reveal_raw, share_pair
 from starfish import gates, make_inproc_sessions, run_pair
 from starfish.costs import comparator_calls, predict_cost, topk_layers, words_round
-from starfish.errors import DivisionDomainError, RangeError, ShapeError, SingularRevealError
+from starfish.errors import DivisionDomainError
 from starfish.gates import (
-    MI_TRIES,
     comparator,
     const_share,
     sec_add,
     sec_div,
     sec_ge,
     sec_max,
-    sec_mi,
     sec_mul,
     sec_rank,
     sec_sel,
@@ -474,172 +472,6 @@ def test_sec_div_random_within_budget():
 def test_division_oracle_guards_zero():
     with pytest.raises(DivisionDomainError):
         exact_gate_oracle("sec_div", np.array([1.0]), np.array([0.0]))
-
-
-# -- masked inversion --------------------------------------------------------------
-
-
-def test_sec_mi_scalar_lanes():
-    x = grid(np.array([0.5, 2.0, -1.25, 3.0]))
-    xs = share_pair(x, key=64)
-    got, _ = both(lambda s: reveal(s, sec_mi(s, xs[s.party])))
-    err = np.abs(got - exact_gate_oracle("sec_mi", x))
-    assert float(err.max()) <= ERROR_BUDGETS["sec_mi"]
-
-
-def test_sec_mi_diagonal_example():
-    x = grid(np.diag([2.0, 4.0]))
-    xs = share_pair(x, key=65)
-    got, _ = both(lambda s: reveal(s, sec_mi(s, xs[s.party])))
-    assert np.max(np.abs(got - np.diag([0.5, 0.25]))) <= ERROR_BUDGETS["sec_mi"]
-
-
-def test_sec_mi_identity():
-    eye = grid(np.eye(3))
-    xs = share_pair(eye, key=66)
-    got, _ = both(lambda s: reveal(s, sec_mi(s, xs[s.party])))
-    assert np.max(np.abs(got - np.eye(3))) <= ERROR_BUDGETS["sec_mi"]
-
-
-def test_sec_mi_product_bound():
-    q, _ = np.linalg.qr(RNG.normal(size=(4, 4)))
-    x = grid(q @ np.diag([1.0, 1.3, 1.7, 2.0]) @ q.T)
-    xs = share_pair(x, key=67)
-    got, _ = both(lambda s: reveal(s, sec_mi(s, xs[s.party])))
-    residual = np.max(np.abs(got @ x - np.eye(4)))
-    assert residual <= 4 * 2.0 ** (-CODEC.precision_p + 2)
-
-
-class _ZeroFirstMask:
-    """Wraps a dealer's inv_mask; the first mask it hands out is all zero."""
-
-    def __init__(self, draw):
-        self._draw = draw
-        self._first = True
-
-    def __call__(self, m):
-        if self._first:
-            self._first = False
-            return np.zeros((m, m), dtype=np.uint64)
-        return self._draw(m)
-
-
-def test_sec_mi_retries_after_a_singular_mask():
-    from starfish import make_inproc_sessions, run_pair
-
-    x = grid(np.array([0.5, 2.0]))
-    xs = share_pair(x, key=72)
-    sessions = make_inproc_sessions(73)
-    for sess in sessions:
-        sess.dealer.inv_mask = _ZeroFirstMask(sess.dealer.inv_mask)
-    r0, r1 = run_pair(lambda s: reveal(s, sec_mi(s, xs[s.party])), sessions)
-    assert np.array_equal(r0, r1)
-    assert float(np.max(np.abs(r0 - 1.0 / x))) <= ERROR_BUDGETS["sec_mi"]
-    # two attempts: the zero-masked product is rejected, the redraw accepted
-    per_try = predict_cost("sec_mi", {"m": 1, "batch": 2}, CODEC).rounds
-    assert sessions[0].meter.stats("sec_mi").rounds == 2 * per_try
-
-
-def _well_conditioned(shape):
-    m = shape[-1]
-    return grid(2.0 * np.eye(m) + 0.3 * RNG.uniform(-1.0, 1.0, size=shape))
-
-
-@pytest.mark.parametrize("shape", [(5, 3, 3), (2, 3, 2, 2)])
-def test_sec_mi_batch_of_matrices(shape):
-    x = _well_conditioned(shape)
-    xs = share_pair(x, key=74)
-    got, sessions = both(lambda s: reveal(s, sec_mi(s, xs[s.party])))
-    assert got.shape == shape
-    assert float(np.max(np.abs(got - exact_gate_oracle("sec_mi", x)))) <= ERROR_BUDGETS["sec_mi"]
-    # one try for the whole batch: one masked product and one open
-    batch = int(np.prod(shape[:-2]))
-    want = predict_cost("sec_mi", {"m": shape[-1], "batch": batch}, CODEC).rounds
-    assert sessions[0].meter.stats("sec_mi").rounds == want
-
-
-def test_sec_mi_scalar():
-    x = grid(-2.5)
-    xs = share_pair(x, key=75)
-    got, _ = both(lambda s: reveal(s, sec_mi(s, xs[s.party])))
-    assert np.shape(got) == ()
-    assert abs(float(got) - float(exact_gate_oracle("sec_mi", x))) <= ERROR_BUDGETS["sec_mi"]
-
-
-def test_encode_at_rounds_like_python_ints():
-    two = np.longdouble(2.0)
-    k = np.arange(-6, 7).astype(np.longdouble)
-    vals = np.concatenate([
-        k + np.longdouble(0.5), k - np.longdouble(0.5), k + np.longdouble(0.25),
-        two ** 62 + k + np.longdouble(0.5), -(two ** 62) - k - np.longdouble(0.5),
-        two ** 62 + k, two ** 63 - np.longdouble(1.5) - np.abs(k),
-    ])
-    # the reference rule: round half away from zero, then int() per element
-    mag = np.floor(np.abs(vals) + np.longdouble(0.5))
-    ref = [int(v) % 2**64 for v in np.where(vals < 0, -mag, mag)]
-    assert gates._encode_at(vals, 0).tolist() == ref
-    # at a scale: the same words, in the input's shape
-    scaled = gates._encode_at(vals.reshape(7, 13) / two ** 26, 26)
-    assert scaled.shape == (7, 13) and scaled.reshape(-1).tolist() == ref
-    with pytest.raises(RangeError):
-        gates._encode_at(np.array([two ** 63 - np.longdouble(0.5)]), 0)
-
-
-class _SingularSecondMask:
-    """Wraps a dealer's inv_mask; counts draws and hands out an all-zero
-    second mask, so the second matrix of a batch's first try is singular."""
-
-    def __init__(self, draw):
-        self._draw = draw
-        self.draws = 0
-
-    def __call__(self, m):
-        self.draws += 1
-        if self.draws == 2:
-            return np.zeros((m, m), dtype=np.uint64)
-        return self._draw(m)
-
-
-def test_sec_mi_batch_redraws_every_mask_after_one_singular_product():
-    from starfish import make_inproc_sessions, run_pair
-
-    x = _well_conditioned((3, 2, 2))
-    xs = share_pair(x, key=76)
-    sessions = make_inproc_sessions(77)
-    for sess in sessions:
-        sess.dealer.inv_mask = _SingularSecondMask(sess.dealer.inv_mask)
-    r0, r1 = run_pair(lambda s: reveal(s, sec_mi(s, xs[s.party])), sessions)
-    assert np.array_equal(r0, r1)
-    assert float(np.max(np.abs(r0 - exact_gate_oracle("sec_mi", x)))) <= ERROR_BUDGETS["sec_mi"]
-    # the rejected try and the accepted one each drew a mask per matrix
-    assert [sess.dealer.inv_mask.draws for sess in sessions] == [6, 6]
-    per_try = predict_cost("sec_mi", {"m": 2, "batch": 3}, CODEC).rounds
-    assert sessions[0].meter.stats("sec_mi").rounds == 2 * per_try
-
-
-def test_sec_mi_zero_raises():
-    from starfish import make_inproc_sessions, run_pair
-
-    zero = share_pair(np.zeros(()), key=68)
-    sessions = make_inproc_sessions(69)
-    with pytest.raises(SingularRevealError):
-        run_pair(lambda sess: sec_mi(sess, zero[sess.party]), sessions)
-    # the give-up path ran every attempt: one masked product and one reveal each
-    per_try = predict_cost("sec_mi", {"m": 1}, CODEC).rounds
-    for sess in sessions:
-        assert sess.meter.stats("sec_mi").rounds == MI_TRIES * per_try
-
-
-def test_sec_mi_rejects_non_square():
-    from starfish import make_inproc_sessions, run_pair
-
-    bad = share_pair(np.zeros((2, 3)), key=70)
-
-    def proto(sess):
-        return sec_mi(sess, bad[sess.party])
-
-    with pytest.raises(ShapeError):
-        run_pair(proto, make_inproc_sessions(71))
 
 
 # -- properties ------------------------------------------------------------------

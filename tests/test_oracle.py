@@ -25,8 +25,6 @@ from starfish.errors import (
     AssumptionError,
     ConfigError,
     DivisionDomainError,
-    ShapeError,
-    SingularRevealError,
     UnknownFunctionality,
 )
 from starfish.oracle import (
@@ -292,21 +290,6 @@ def test_exact_oracle_comparisons():
         "sec_tc", np.array([[0.5, 0.1], [0.0, 0.0]]), np.array([0.3, 0.3])
     )
     assert flags.tolist() == [1, 0]
-
-
-def test_exact_oracle_matrix_inverse():
-    mat = np.array([[2.0, 0.0], [0.0, 0.5]])
-    assert np.array_equal(
-        exact_gate_oracle("sec_mi", mat), np.array([[0.5, 0.0], [0.0, 2.0]])
-    )
-    got = exact_gate_oracle("sec_mi", np.array([4.0, 0.5]))
-    assert np.array_equal(got, [0.25, 2.0])
-    with pytest.raises(SingularRevealError):
-        exact_gate_oracle("sec_mi", np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(SingularRevealError):
-        exact_gate_oracle("sec_mi", np.array([0.0]))
-    with pytest.raises(ShapeError):
-        exact_gate_oracle("sec_mi", np.zeros((2, 3)))
 
 
 def test_exact_oracle_domain_errors():

@@ -14,7 +14,6 @@ from starfish import (
     sec_share,
 )
 from starfish.errors import ProtocolError, ShapeError, TransportError
-from starfish.fixedpoint import to_signed
 from starfish.gates import sec_ge, sec_mul, sec_sel
 from starfish.sharing import DealerTape
 
@@ -258,14 +257,6 @@ def test_sec_ge_consumes_the_per_item_draws(lanes):
     for sess in sessions:
         _, _, ref = _per_item_draws(13, sess.party, _ge_triple_words(lanes), lanes)
         assert np.array_equal(sess.dealer._words(8), ref._words(8))
-
-
-def test_dealer_inv_mask_scalar_never_zero():
-    d0 = DealerTape(11, 0, CODEC)
-    d1 = DealerTape(11, 1, CODEC)
-    for _ in range(500):
-        m = np.add(d0.inv_mask(1), d1.inv_mask(1))
-        assert to_signed(m)[0, 0] != 0
 
 
 def test_keyed_rng_deterministic_and_keyed():

@@ -20,12 +20,11 @@ from starfish import (
 from starfish.cli import RunConfig
 from starfish.costs import predict_cost, words_round
 from starfish.errors import ConfigError
-from starfish.oracle import _plain_curvature_update, plaintext_history
+from starfish.oracle import plaintext_history
 from starfish.unlearn import (
     _SFH1,
-    _meter_totals,
+    client_fold,
     client_round,
-    sec_cu,
     sec_tc,
     sec_ue,
     stage_one,
@@ -106,76 +105,54 @@ def test_sec_ue_empty_buffer_is_identity():
 
 def test_sec_ue_unit_secant_reproduces_the_gradient():
     # a client's first pair gives B s = y exactly (the secant condition), so
-    # the estimate at the pair's own displacement is the exact gradient
+    # the estimate on its shared B at the pair's own displacement is the
+    # exact gradient, up to the product's truncation
     g = CODEC.quantize(np.array([[0.7, -0.4]]))
     y = CODEC.quantize(np.array([[1.0, 0.5]]))
     dm = np.array([1.0, 0.0])
-    gsh, ysh = share_pair(g, key=4), share_pair(y, key=5)
-
-    def proto(sess):
-        state = LbfgsState(capacity=2)
-        state.push(ysh[sess.party], dm)
-        sec_cu(sess, state)
-        assert state.curved.tolist() == [True]
-        return reveal(sess, sec_ue(sess, gsh[sess.party], state, dm))
-
-    got, _ = both(proto)
-    assert np.max(np.abs(got - (g + y))) <= 1e-3
-
     curv, curved = np.zeros((1, 2, 2)), np.zeros(1, dtype=bool)
-    _plain_curvature_update(curv, curved, np.array([0]), y, dm, CODEC)
-    assert np.allclose(g + curv @ dm, g + y, atol=1e-12)
-
-
-def test_sec_ue_screens_flat_curvature():
-    # y orthogonal to s: the pair is skipped after the screen's 9 rounds, the
-    # client keeps no B and the estimate is the input
-    g = CODEC.quantize(np.array([[0.7, -0.4]]))
-    gsh = share_pair(g, key=6)
-    ysh = share_pair(CODEC.quantize(np.array([[0.0, 1.0]])), key=7)
-    dm = np.array([1.0, 0.0])
+    client_fold(curv, curved, np.array([0]), y, dm, CODEC)
+    assert curved.tolist() == [True]
+    assert np.allclose(curv @ dm, y, atol=1e-12)
+    gsh, bsh = share_pair(g, key=4), share_pair(curv, key=5)
 
     def proto(sess):
-        state = LbfgsState(capacity=2)
-        state.push(ysh[sess.party], dm)
-        sec_cu(sess, state)
-        assert not state.curved.any() and not state.pairs
-        assert _meter_totals(sess)[0] == 9
+        state = LbfgsState(capacity=2, curvature=bsh[sess.party])
         return reveal(sess, sec_ue(sess, gsh[sess.party], state, dm))
 
-    got, _ = both(proto)
-    assert np.array_equal(got, g)
+    got, sessions = both(proto)
+    assert np.max(np.abs(got - (g + y))) <= 1e-3
+    assert sessions[0].meter.stats("sec_ue").rounds == 0
 
 
 @pytest.mark.parametrize("dealer_seed", [0, 1])
-@pytest.mark.parametrize("units", [-3, -1, 1, 2, 3])
-def test_sec_cu_skips_near_zero_curvature_on_any_dealer(dealer_seed, units):
-    # y's is 1-3 raw units from zero: the screen compares it exactly, at
-    # double scale, with |s|^2 / 2, so no truncation draw can keep the pair
+@pytest.mark.parametrize("units", [-3, -1, 0, 1, 2, 3])
+def test_client_fold_skips_near_zero_curvature_on_any_dealer(dealer_seed, units):
+    # y's is 0-3 raw units from zero, below |s|^2 / 2: the client skips the
+    # pair in the clear and keeps no B. Shared, that zero B truncates to
+    # exactly zero on any dealer stream, so the estimate is the input
     ulp = 2.0 ** -CODEC.precision_p
     y = np.array([[units * ulp, 1.0]])
     dm = np.array([1.0, 0.0])
-    ysh = share_pair(y, key=8)
+    curv, curved = np.zeros((1, 2, 2)), np.zeros(1, dtype=bool)
+    client_fold(curv, curved, np.array([0]), y, dm, CODEC)
+    assert not curved.any() and not curv.any()
+    g = CODEC.quantize(np.array([[0.7, -0.4]]))
+    gsh, bsh = share_pair(g, key=6), share_pair(curv, key=7)
 
     def proto(sess):
-        state = LbfgsState(capacity=2)
-        state.push(ysh[sess.party], dm)
-        sec_cu(sess, state)
-        return state.curved.tolist()
+        state = LbfgsState(capacity=2, curvature=bsh[sess.party])
+        return reveal(sess, sec_ue(sess, gsh[sess.party], state, dm))
 
-    got, sessions = both(proto, seed=dealer_seed)
-    assert got == [False]
-    # the screen and its reveal, and no inverse
-    assert _meter_totals(sessions[0])[0] == 9
-    curv, curved = np.zeros((1, 2, 2)), np.zeros(1, dtype=bool)
-    _plain_curvature_update(curv, curved, np.array([0]), y, dm, CODEC)
-    assert not curved.any() and not curv.any()
+    got, _ = both(proto, seed=dealer_seed)
+    assert np.array_equal(got, g)
 
 
-def test_sec_cu_folds_fresh_and_curved_pairs_like_the_mirror():
-    # two batches: every client's first pair, client 2's skipped, then second
-    # pairs for clients 0 and 3, which hold a B, and client 2, which does not
-    # yet; each batch costs cu_cost, and B meets the secant condition B s = y
+def test_client_fold_folds_fresh_and_curved_pairs():
+    # two batches: every client's first pair, client 2's skipped (it curves
+    # down along s), then second pairs for clients 0 and 3, which hold a B,
+    # and client 2, which does not yet. A fresh B is gamma (I - ss'/|s|^2)
+    # + yy'/y's, and every kept pair meets the secant condition B s = y
     n, m = 4, 3
     rng = np.random.default_rng(11)
     basis = rng.uniform(-1.0, 1.0, size=(n, m, m))
@@ -184,46 +161,51 @@ def test_sec_cu_folds_fresh_and_curved_pairs_like_the_mirror():
     ys = CODEC.quantize(hess @ CODEC.quantize(dms).T).transpose(2, 0, 1)
     ys[0, 2] = -ys[0, 2]
     rows = [np.arange(n), np.array([0, 2, 3])]
-    ysh = [share_pair(ys[0], key=20), share_pair(ys[1], key=21)]
-    metered = []
-
-    def proto(sess):
-        state = LbfgsState(capacity=2)
-        for k in range(2):
-            before = _meter_totals(sess)
-            state.push(ysh[k][sess.party], dms[k], rows[k])
-            sec_cu(sess, state)
-            if sess.party == 0:
-                metered.append(tuple(b - a for a, b in zip(before, _meter_totals(sess))))
-        if sess.party == 0:
-            metered.append(sess.meter.truncations)
-        return np.concatenate([reveal(sess, state.curvature).ravel(), state.curved])
-
-    out, _ = both(proto)
-    got, curved_flags = out[: n * m * m].reshape(n, m, m), out[n * m * m :].astype(bool).tolist()
-    assert curved_flags == [True] * n
     curv, curved = np.zeros((n, m, m)), np.zeros(n, dtype=bool)
-    for k in range(2):
-        _plain_curvature_update(curv, curved, rows[k], ys[k][rows[k]], dms[k], CODEC)
-    assert curved.tolist() == curved_flags
-    assert float(np.max(np.abs(got - curv))) <= metered[2] * 2.0 ** -12
-    s = CODEC.quantize(dms[1])
-    assert np.allclose(curv[rows[1]] @ s, ys[1][rows[1]], atol=1e-9)
-    for (rounds, sent), shape in zip(metered, [{"fresh": (4, 3), "curved": (0, 0)},
-                                               {"fresh": (1, 1), "curved": (2, 2)}]):
-        assert (rounds, sent) == predict_cost("sec_cu", {"m": m, **shape}, CODEC).as_tuple()
-        assert rounds == 8 + 1 + 2 + 1 + 1
+
+    client_fold(curv, curved, rows[0], ys[0], dms[0], CODEC)
+    assert curved.tolist() == [True, True, False, True]
+    assert not curv[2].any()
+    s, y = CODEC.quantize(dms[0]), ys[0, 0]
+    fresh = (y @ y) / (y @ s) * (np.eye(m) - np.outer(s, s) / (s @ s)) + np.outer(y, y) / (y @ s)
+    assert np.allclose(curv[0], fresh, atol=1e-12)
+    assert np.allclose(curv[[0, 1, 3]] @ s, ys[0, [0, 1, 3]], atol=1e-9)
+    untouched = curv[1].copy()
+
+    client_fold(curv, curved, rows[1], ys[1][rows[1]], dms[1], CODEC)
+    assert curved.tolist() == [True] * n
+    assert np.array_equal(curv[1], untouched)
+    assert np.allclose(curv, np.swapaxes(curv, 1, 2), atol=1e-12)
+    assert np.allclose(curv[rows[1]] @ CODEC.quantize(dms[1]), ys[1][rows[1]], atol=1e-9)
 
 
-def test_lbfgs_state_queues_pairs_only_with_a_warm_up():
-    state = LbfgsState(capacity=2)
-    state.push(np.arange(6, dtype=np.uint64).reshape(3, 2), np.array([1.0, 0.0]), [0, 2])
-    (rows, y, dm), = state.pairs
-    assert rows.tolist() == [0, 2] and y.tolist() == [[0, 1], [4, 5]]
-    assert state.curvature.shape == (3, 2, 2) and not state.curved.any()
-    none = LbfgsState(capacity=0)
-    none.push(np.ones((3, 2), dtype=np.uint64), np.array([1.0, 0.0]))
-    assert none.pairs == [] and none.curvature is None
+class _CountingPool(ClientPool):
+    """A client pool that logs every gradient request. Both party threads
+    call it; list.append is atomic where a += on a counter is not."""
+
+    def __init__(self, pool):
+        super().__init__(clients=pool.clients, initial_model=pool.initial_model)
+        self.calls = []
+
+    def gradient(self, j, model):
+        self.calls.append(j)
+        return super().gradient(j, model)
+
+
+@pytest.mark.parametrize("buffer_b", [0, 2])
+def test_clients_fold_only_with_a_warm_up(buffer_b):
+    # a client that sends an exact gradient also recomputes its stage-I
+    # gradient to fold its pair: two gradient calls per exact gradient. At
+    # buffer_b = 0 nobody folds, one call each, and B stays unshared
+    task, cfg = _small_run(beta=0.25, buffer_b=buffer_b)
+    pool = _CountingPool(task.pool())
+    res, _, _ = simulate(cfg, pool, target=1)
+    exact = sum(res.corrections.values()) + min(buffer_b, len(res.selected)) * (cfg.n - 1)
+    assert exact > 0
+    # both parties simulate every client; stage I asks each client once a round
+    assert len(pool.calls) // 2 - cfg.n * cfg.t == exact * (2 if buffer_b else 1)
+    plain = plaintext_starfish(cfg, task, target=1)
+    assert [r["flags"] for r in res.transcript if r["op"] == "sec_tc"] == [f for _, f in plain.check_flags]
 
 
 # -- correction flags ------------------------------------------------------------
@@ -405,6 +387,14 @@ def test_transcript_structure():
     # after stage I's t model reveals
     tc = predict_cost("sec_tc", {"clients": cfg.n - 1, "m": cfg.m}, CODEC)
     assert all((rec["rounds"], rec["bytes"]) == tc.as_tuple() for rec in tc_records)
+    # an estimate round is one aggregate reveal of m words: the clients fold
+    # and share their own B at no round, so a request's rounds and bytes
+    # follow from public sizes and revealed flags alone
+    ue_records = [r for r in res.transcript if r["op"] == "sec_ue"]
+    assert len(ue_records) == len(res.selected)
+    ue = predict_cost("sec_ue", {"clients": cfg.n - 1, "m": cfg.m}, CODEC)
+    assert ue.as_tuple() == words_round(cfg.m).as_tuple()
+    assert all((rec["rounds"], rec["bytes"]) == ue.as_tuple() for rec in ue_records)
     meter = sessions[0].meter
     stage_two = (sum(st.rounds for st in meter.per_op.values()) - cfg.t,
                  meter.total_online_bytes - cfg.t * words_round(cfg.m).online_bytes)
