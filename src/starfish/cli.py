@@ -30,7 +30,7 @@ import numpy as np
 from .costs import RS_KEY_WIDTH, comparator_calls, predict_cost, ranks
 from .errors import AssumptionError, ConfigError, ProtocolError, StarfishError
 from .fixedpoint import FixedPointCodec
-from .gates import sec_add, sec_div, sec_ge, sec_max, sec_mul, sec_sel, sec_sp, sec_srt
+from .gates import sec_add, sec_div, sec_ge, sec_lut, sec_max, sec_mul, sec_sel, sec_sp, sec_srt
 from .oracle import (
     bound_report,
     logistic_task,
@@ -439,6 +439,11 @@ def _audit_battery(cfg: RunConfig):
         state = LbfgsState(capacity=2, curvature=b)
         aggregate_reveal(s, sec_ue(s, grads, state, np.array([1.0, -0.5, 0.75])), np.zeros(3), 0.1)
 
+    def run_lut(idx, size, lanes):
+        # a public table from its own generator, indices in [0, size) split raw
+        table = keyed_rng(cfg.seed, STREAM_AUDIT, idx, 1).integers(0, 2, size=size)
+        return lambda s: sec_lut(s, *shared(s, idx, lambda rng: rng.integers(0, size, size=lanes)), table)
+
     def run_rs(idx, t, t_prime):
         def runner(s):
             # the public updates are drawn between the gradients and their split
@@ -463,6 +468,8 @@ def _audit_battery(cfg: RunConfig):
         ("sec_sel (8,)", "sec_sel", (8,),
          lambda s: sec_sel(s, *shared(s, 5, v8, v8, lambda rng: rng.integers(0, 2, size=(8,))))),
         ("sec_ge (8,)", "sec_ge", (8,), lambda s: sec_ge(s, *shared(s, 6, v8, v8))),
+        ("sec_lut M=8 (5,)", "sec_lut", (5,), run_lut(11, 8, 5)),
+        ("sec_lut M=128 (70,)", "sec_lut", (70,), run_lut(12, 128, 70)),
         ("sec_max 4x8", "sec_max", (4, 8), lambda s: sec_max(s, *shared(s, 8, ((4, 8), 0.25, 2.0)))),
         ("sec_srt T=8 pair", "sec_srt", {"t": 8, "item_words": 3, "width": 2, "count": 8}, run_srt),
         ("sec_div (8,)", "sec_div", (8,), lambda s: sec_div(s, *shared(s, 10, u8, p8))),

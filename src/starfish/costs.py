@@ -10,17 +10,18 @@ Comparisons (ge_cost) are priced as the carry-only sign circuit, whose
 levels shrink by half each time. Division (div_cost) is built on that
 comparison and Beaver products, one of each per quotient bit. Only division
 depends on the codec (its quotient bit count), so only the formulas that
-reach sec_div take one.
+reach sec_div take one. A table lookup (lut_cost) tests a small integer in
+two rounds, one masked opening and one bit reveal, whatever the table size.
 
 Round selection ranks the kept rounds by pairwise wins (sec_rank, constant
 rounds, T(T-1)/2 comparators) rather than running the top-T' network over
 them (sec_srt, priced layer by layer from topk_layers) wherever ranks()
 says that ships no more online bytes, each path counted with its own
-reveal: T flags after ranking, T' indices after the network. The rule reads
-only public sizes, so both parties and these formulas take the same path.
-The comparator is priced by the width of its keys: 1 for values, 2 for
-(u, v) fractions, which cross multiply first. RS_KEY_WIDTH gives the key
-width of each selection method.
+reveal: T flags from ranking's final lookup, T' indices after the network.
+The rule reads only public sizes, so both parties and these formulas take
+the same path. The comparator is priced by the width of its keys: 1 for
+values, 2 for (u, v) fractions, which cross multiply first. RS_KEY_WIDTH
+gives the key width of each selection method.
 
 Shape conventions per functionality are documented in predict_cost. Stage
 II's gradient estimate is local and each client updates its own curvature
@@ -99,6 +100,11 @@ def ge_cost(lanes: int) -> CostEstimate:
     return total + b2a_bits_cost(lanes)
 
 
+def lut_cost(lanes: int) -> CostEstimate:
+    """sec_lut: the masked indices open as words, the looked-up bits as packed bits."""
+    return words_round(lanes) + b2a_bits_cost(lanes)
+
+
 def mul_cost(x_lanes: int, y_lanes: int) -> CostEstimate:
     """A Beaver product, elementwise or matmul: both masked operands, one round."""
     return words_round(x_lanes + y_lanes)
@@ -162,28 +168,28 @@ def sort_cost(t: int, item_words: int, width: int, count: int) -> CostEstimate:
 
 
 def rank_cost(t: int, width: int) -> CostEstimate:
-    """sec_rank: one comparator layer over the T(T-1)/2 pairs, one [rank < count]."""
-    return comparator_cost(width, t * (t - 1) // 2) + ge_cost(t)
+    """sec_rank: one comparator layer over the T(T-1)/2 pairs, then [rank < count]
+    by one lookup, which reveals the flags."""
+    return comparator_cost(width, t * (t - 1) // 2) + lut_cost(t)
 
 
 def ranks(kept: int, t_prime: int, width: int) -> bool:
     """Whether selecting t_prime of kept items ranks them rather than running
     the top-t_prime network.
 
-    Ranking reveals kept membership flags; the network over rows of the key
-    plus a round index reveals t_prime indices. A tie in bytes goes to
-    ranking.
+    Ranking's lookup reveals kept membership flags; the network over rows
+    of the key plus a round index reveals t_prime indices. A tie in bytes
+    goes to ranking.
     """
-    rank = rank_cost(kept, width) + words_round(kept)
     sort = sort_cost(kept, width + 1, width, t_prime) + words_round(t_prime)
-    return rank.online_bytes <= sort.online_bytes
+    return rank_cost(kept, width).online_bytes <= sort.online_bytes
 
 
 def select_cost(kept: int, t_prime: int, width: int) -> CostEstimate:
     """Rank kept > t_prime scored items or run the top-t_prime network over
     them, and reveal the selection."""
     if ranks(kept, t_prime, width):
-        return rank_cost(kept, width) + words_round(kept)
+        return rank_cost(kept, width)
     return sort_cost(kept, width + 1, width, t_prime) + words_round(t_prime)
 
 
@@ -212,9 +218,7 @@ def tc_cost(clients: int, m: int) -> CostEstimate:
     lanes = clients * m + clients
     total = mul_cost(lanes, lanes)    # gradient and threshold squares, one product
     total += ge_cost(clients * m)     # coordinate exceed bits
-    total += ge_cost(clients)         # count >= 1
-    total += words_round(clients)     # reveal flags
-    return total
+    return total + lut_cost(clients)  # count >= 1, revealed
 
 
 # key width of each selection method: (u, v) fractions / quotients
@@ -241,7 +245,7 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
 
     Shape argument by functionality:
       sec_add/sec_share: ignored
-      sec_rec/sec_ge/sec_div: lane shape tuple
+      sec_rec/sec_ge/sec_lut/sec_div: lane shape tuple
       sec_mul/sec_sel: lane shape tuple of both operands, or for sec_mul a
         dict {"matmul": (sx, sy)}
       sec_sp: shape tuple (..., k)
@@ -268,6 +272,8 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
         return words_round(2 * lanes * shape[-1])
     if name == "sec_ge":
         return ge_cost(_lanes(shape))
+    if name == "sec_lut":
+        return lut_cost(_lanes(shape))
     if name == "sec_max":
         return max_cost(shape[-1], _lanes(shape[:-1]))
     if name == "sec_srt":

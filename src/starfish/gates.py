@@ -9,9 +9,11 @@ tree that computes the carry into the top bit (the MSB extraction of ABY3
 and SecureNN): as many rounds as a Kogge-Stone adder, about a quarter of its
 AND gates. That sign circuit is the only boolean circuit: division is
 restoring division on arithmetic shares, one comparison and one Beaver
-product per quotient bit. Batched lanes share one round trip: every gate
-here is vectorized, so "T comparisons in parallel" is one circuit over T
-lanes.
+product per quotient bit. A small integer in a public range [0, M) skips
+the circuit: sec_lut looks it up in a one-time truth table in two rounds,
+one masked opening and one reveal. Batched lanes share one round trip:
+every gate here is vectorized, so "T comparisons in parallel" is one
+circuit over T lanes.
 
 Sort and rank keys are (T, width) share matrices, one row per item: width 1
 holds values, width 2 holds fractions (u, v) with v > 0. One comparator
@@ -24,7 +26,7 @@ along, and pads to a power of two with minus-infinity rows (the most
 negative numerator, 1 in a denominator column, -1 in payload columns).
 sec_rank uses the same comparator for constant-round selection: one
 comparator layer over all pairs yields each item's rank, and only
-[rank < count] is computed, never the order.
+[rank < count] is looked up and revealed, never the order.
 
 Boolean kernel representation: an XOR-shared bit tensor is held in its
 wire form, the packed words described in transport. A full-width tensor has
@@ -285,6 +287,31 @@ def sec_ge(sess: Session, u, v) -> np.ndarray:
         return _ge_core(sess, u, v)
 
 
+def sec_lut(sess: Session, x, table) -> np.ndarray:
+    """The public bits table[x] of shared integers 0 <= x < M, for a public
+    bit table of M entries, M a power of two; 0/1 int64 at x's shape.
+
+    A one-time truth table (Ishai et al., TCC 2013): the dealer deals shares
+    of r, uniform in Z_M, and XOR shares of the table rotated by r. M
+    divides 2^64, so each party reduces its ring share mod M locally. One
+    round opens c = (x + r) mod M, which is uniform, and a second XOR-reveals
+    bit c of each party's table share.
+    """
+    table = np.asarray(table)
+    size = table.size
+    if size == 0 or size & (size - 1):
+        raise ShapeError(f"a lookup table needs a power-of-two size, got {size}")
+    x = np.asarray(x)
+    flat = x.reshape(-1)
+    with sess.op("sec_lut", flat.size):
+        r, rotated = sess.draw_lookup(flat.size, table)
+        mask = np.uint64(size - 1)
+        mine = np.add(flat, r) & mask
+        c = np.add(mine, sess.exchange_words(mine)) & mask
+        bits = _pack_lanes((rotated[np.arange(flat.size), c >> np.uint64(6)] >> (c & np.uint64(63))) & ONE)
+        return _unpack_lanes(bits ^ sess.exchange_bits(bits), flat.size).astype(np.int64).reshape(x.shape)
+
+
 # no protocol phase calls this; it stays while perfbench/run.py prices threshold_determination
 def sec_max(sess: Session, vals) -> np.ndarray:
     """Oblivious max over the last axis (tournament of sec_ge/sec_sel)."""
@@ -379,13 +406,13 @@ def sec_srt(sess: Session, rows: np.ndarray, width: int, count: int) -> np.ndarr
 
 
 def sec_rank(sess: Session, key: np.ndarray, count: int) -> np.ndarray:
-    """Shared [rank < count] flags of the T rows of a (T, width) key, in row order.
+    """Public [rank < count] flags of the T rows of a (T, width) key, in row order.
 
     Constant rounds: one comparator layer over all T(T-1)/2 pairs i < j,
     where item i beats item j iff [i >= j] (the earlier item wins ties, as
     in a stable descending sort), each item's losses summed locally, then
-    one comparison [count - 1 >= losses]. Only the membership of the top
-    count is computed, not their order.
+    one lookup [losses < count] over losses in [0, T). Only the membership
+    of the top count is revealed, not their order.
     """
     t = len(key)
     with sess.op("sec_rank", t):
@@ -397,7 +424,7 @@ def sec_rank(sess: Session, key: np.ndarray, count: int) -> np.ndarray:
         beats[i, j] = wins
         net = np.subtract(beats.sum(axis=0, dtype=np.uint64), beats.sum(axis=1, dtype=np.uint64))
         losses = add_public(sess, net, t - 1 - np.arange(t))
-        return _ge_core(sess, const_share(sess, count - 1), losses)
+        return sec_lut(sess, losses, np.arange(padded_size(t)) < count)
 
 
 # -- division ------------------------------------------------------------------

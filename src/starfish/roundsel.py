@@ -21,8 +21,9 @@ from them locally. What follows depends on public sizes only:
 
   kept <= T'      every kept round is selected; nothing more runs or is revealed.
   costs.ranks     sec_rank counts each round's pairwise wins in constant
-                  rounds and reveals one membership flag per kept round:
-                  the selected set, not its order.
+                  rounds and reveals one membership flag per kept round,
+                  looked up from its loss count: the selected set, not its
+                  order.
   otherwise       sec_srt runs its bitonic top-T' network over the key with
                   each round's index as a payload column and reveals the top
                   T' indices in rank order.
@@ -149,8 +150,7 @@ def sec_rs(
         key = np.stack([u, v], axis=1) if method == 1 else sec_div(sess, u, v)[:, None]
         width = key.shape[1]
         if ranks(kept.size, params.t_prime, width):
-            flags = sec_rec(sess, sec_rank(sess, key, params.t_prime))
-            indices = kept[to_signed(flags) == 1]
+            indices = kept[sec_rank(sess, key, params.t_prime) == 1]
         else:
             rows = np.column_stack([key, const_share(sess, from_signed(kept))])
             top = sec_srt(sess, rows, width, params.t_prime)

@@ -23,6 +23,10 @@ words are those of drawing each item in turn. An item's offline charge is
 its packed wire size, the same charge as when the dealer drew one byte per
 bit; only the random contents differ from that form.
 
+A lookup draw deals each lane a one-time truth table: a ring share of a
+rotation r, uniform in Z_M, and XOR shares of a public M-entry bit table
+rotated by r, packed like any bit tensor.
+
 Seed tree: all randomness comes from numpy SeedSequence keyed as
 (seed, stream_tag, *indices). Stream tags: 1 dealer, 4 client data,
 5 client share splits, 6 baselines, 7 audit inputs. The parties draw no
@@ -155,9 +159,8 @@ class DealerTape:
     order.
     """
 
-    def __init__(self, seed: int, party: int, codec: FixedPointCodec):
+    def __init__(self, seed: int, party: int):
         self.party = party
-        self.codec = codec
         self._rng = keyed_rng(seed, STREAM_DEALER)
 
     def _words(self, shape) -> np.ndarray:
@@ -223,6 +226,30 @@ class DealerTape:
             return triples, (r0, s0)
         values = unpack_bit_words(pack_words(r), (nbits,)).astype(np.uint64)
         return triples, (r ^ r0, np.subtract(values, s0))
+
+    def lookup(self, lanes: int, table: np.ndarray):
+        """A one-time truth table per lane for a public bit table of M
+        entries, M a power of two, from one tape read.
+
+        Returns this party's ring share of r, uniform in Z_M, and its XOR
+        share of the rotated table T[j] = table[(j - r) mod M], packed
+        ceil(M/64) words per lane, entry j at bit j % 64 of word j // 64. The
+        read holds r, party 0's share of r and party 0's table words in turn.
+        """
+        size = len(table)
+        nw = bit_word_count(size)
+        raw = self._words(lanes * (2 + nw))
+        s0 = raw[lanes : 2 * lanes]
+        t0 = self._bit_words(raw[2 * lanes :].reshape(lanes, nw), size)
+        if self.party == 0:
+            return s0, t0
+        r = raw[:lanes] & np.uint64(size - 1)
+        # entry j of lane k's table is table[(j - r_k) mod M]
+        source = (np.arange(size) - r[:, None].astype(np.int64)) & (size - 1)
+        rotated = np.zeros((lanes, 64 * nw), dtype=np.uint8)
+        rotated[:, :size] = np.asarray(table, dtype=np.uint8)[source]
+        packed = np.packbits(rotated, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+        return np.subtract(r, s0), packed ^ t0
 
     @staticmethod
     def _bit_words(words: np.ndarray, nbits: int) -> np.ndarray:
@@ -304,6 +331,11 @@ class Session:
         self._charge(*triples, *shared)
         return triples, shared
 
+    def draw_lookup(self, lanes: int, table: np.ndarray):
+        material = self.dealer.lookup(lanes, table)
+        self._charge(*material)
+        return material
+
     # -- rounds -----------------------------------------------------------
 
     def exchange_words(self, arr: np.ndarray) -> np.ndarray:
@@ -375,8 +407,8 @@ def sec_rec(sess: Session, x: np.ndarray) -> np.ndarray:
 def make_inproc_sessions(seed: int, codec: FixedPointCodec | None = None) -> tuple[Session, Session]:
     codec = codec or FixedPointCodec()
     chan0, chan1 = inproc_pair()
-    return (Session(0, chan0, codec, DealerTape(seed, 0, codec), TranscriptMeter(), session_id=seed),
-            Session(1, chan1, codec, DealerTape(seed, 1, codec), TranscriptMeter(), session_id=seed))
+    return (Session(0, chan0, codec, DealerTape(seed, 0), TranscriptMeter(), session_id=seed),
+            Session(1, chan1, codec, DealerTape(seed, 1), TranscriptMeter(), session_id=seed))
 
 
 def make_tcp_session(seed: int, party: int, address: str, codec: FixedPointCodec | None = None,
@@ -389,7 +421,7 @@ def make_tcp_session(seed: int, party: int, address: str, codec: FixedPointCodec
         raise ProtocolError(f"party must be 0 or 1, got {party}")
     codec = codec or FixedPointCodec()
     chan = tcp_listen(address) if party == 0 else tcp_connect(address)
-    return Session(party, chan, codec, DealerTape(seed, party, codec), TranscriptMeter(),
+    return Session(party, chan, codec, DealerTape(seed, party), TranscriptMeter(),
                    session_id=seed if session_id is None else session_id)
 
 

@@ -48,6 +48,7 @@ OP_TAGS = {
     "sec_srt": 0x0018,
     "sec_div": 0x0019,
     "sec_rank": 0x001c,
+    "sec_lut": 0x001d,
     "other": 0x00ff,
 }
 

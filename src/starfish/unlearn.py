@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ProtocolError, RangeError
-from .fixedpoint import WORD_BITS, FixedPointCodec, to_signed
-from .gates import const_share, mul_public, sec_ge, sec_mul
+from .fixedpoint import WORD_BITS, FixedPointCodec
+from .gates import mul_public, sec_ge, sec_lut, sec_mul
 from .roundsel import SelectionInputs, SelectionParams, sec_rs
 from .sharing import (
     STREAM_CLIENT_SHARES,
@@ -332,7 +332,9 @@ def sec_tc(sess: Session, estimates: np.ndarray, threshold_shares: np.ndarray) -
 
     Squares are compared at double scale without truncating, so the test is
     exact on the encoded values. The coordinates and the thresholds are
-    squared as one product over their joined vector.
+    squared as one product over their joined vector. A client's count of
+    exceeding coordinates is at most m, so [count >= 1] is one lookup in a
+    table of 2^bit_length(m) entries, which reveals the flags.
     """
     with sess.op("sec_tc"):
         joined = np.concatenate([estimates.reshape(-1), threshold_shares])
@@ -341,8 +343,7 @@ def sec_tc(sess: Session, estimates: np.ndarray, threshold_shares: np.ndarray) -
         dsq = squares[estimates.size :]
         exceed = sec_ge(sess, sq, dsq[:, None])
         count = exceed.sum(axis=-1, dtype=np.uint64)
-        flag = sec_ge(sess, count, const_share(sess, 1))
-        return to_signed(sec_rec(sess, flag)).astype(np.int64)
+        return sec_lut(sess, count, np.arange(1 << estimates.shape[-1].bit_length()) >= 1)
 
 
 # -- the full stage II -------------------------------------------------------

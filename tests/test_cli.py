@@ -1,6 +1,7 @@
 """Config parsing, subcommands, exit codes, artifact determinism."""
 
 import json
+import re
 import socket
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -288,8 +289,11 @@ def test_compare_full_sigma_matches_random_subset(tmp_path, capsys):
 def test_audit_passes(capsys):
     assert _run(["audit", "--seed", 0]) == 0
     printed = capsys.readouterr().out
-    assert "all 15 functionalities match" in printed
+    assert "all 17 functionalities match" in printed
     assert "MISMATCH" not in printed
+    # a check and a ranked selection each end in a two-round lookup
+    assert re.search(r"^sec_tc n=4 m=3 +11 / 11 ", printed, re.M)
+    assert re.search(r"^sec_rs T=12 T'=8 method 1 +20 / 20 ", printed, re.M)
     assert "sec_srt T=8 pair: comparators=24 (formula 24)" in printed
     # T=32 and T=128 run the top-k network (one and four merge levels);
     # T=12 ranks, one comparator call per pair
@@ -364,7 +368,7 @@ def test_diverged_recovery_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("t", [12, 16, 20, 24, 30, 40])
-@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("seed", [0, 7, 10])
 def test_readme_run_recovers_within_the_bound(tmp_path, capsys, seed, t):
     # the README run.cfg over its grid of seeds and round counts: the secure
     # run, its mirror and the random-selection baseline all finish, with no

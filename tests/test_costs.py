@@ -216,9 +216,10 @@ def test_selection_costs_match_the_meter_on_every_path():
 def test_rank_rule_at_six_selected_rounds():
     # the byte counts pick ranking at these kept sizes (T' = 6, T in 7..129)
     # and the top-6 network everywhere else, which ships the key plus a round
-    # index through blocks of 8. At width 2 the network also wins at T = 16,
-    # which fills its padded size; from 17 it pads to 32 rows
-    want = {1: [*range(7, 24)],
-            2: [*range(7, 16), *range(17, 23)]}
+    # index through blocks of 8. Ranking ends in a two-round lookup whose
+    # bits reveal the flags; at width 1 it also wins at T = 33, one row past
+    # the network's padded 32
+    want = {1: [*range(7, 25), 33],
+            2: [*range(7, 23)]}
     for width, ranked in want.items():
         assert [t for t in range(7, 130) if ranks(t, 6, width)] == ranked

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import CODEC, both, raw_share_pair, reveal, reveal_raw, share_pair
 from starfish import gates, make_inproc_sessions, run_pair
 from starfish.costs import comparator_calls, predict_cost, topk_layers, words_round
-from starfish.errors import DivisionDomainError
+from starfish.errors import DivisionDomainError, ShapeError
 from starfish.gates import (
     comparator,
     const_share,
@@ -16,6 +16,7 @@ from starfish.gates import (
     sec_ge,
     sec_max,
     sec_mul,
+    sec_lut,
     sec_rank,
     sec_sel,
     sec_sp,
@@ -80,7 +81,7 @@ def test_beaver_mul_raw_shares(shape_x, shape_y, matmul):
     product = np.matmul if matmul else np.multiply
     assert np.array_equal(np.add(z0, z1), product(x, y))
     mode = "matmul" if matmul else "mul"
-    (a0, b0, c0), (a1, b1, _) = (DealerTape(23, p, CODEC).beaver(shape_x, shape_y, mode) for p in (0, 1))
+    (a0, b0, c0), (a1, b1, _) = (DealerTape(23, p).beaver(shape_x, shape_y, mode) for p in (0, 1))
     d = np.add(np.subtract(xs[0], a0), np.subtract(xs[1], a1))
     e = np.add(np.subtract(ys[0], b0), np.subtract(ys[1], b1))
     three = np.add(np.add(c0, product(d, b0)), np.add(product(a0, e), product(d, e)))
@@ -430,15 +431,43 @@ def test_sec_rank_selects_the_stable_top_set_at_its_cost(width, t):
     for count in sorted({1, (t + 1) // 2, t - 1}):
 
         def proto(sess):
-            return reveal_raw(sess, sec_rank(sess, shares[sess.party], count))
+            return sec_rank(sess, shares[sess.party], count)
 
         got, sessions = both(proto)
         want = np.sort(np.argsort(-score, kind="stable")[:count])
         assert np.array_equal(np.flatnonzero(got == 1), want), (count, got, score)
-        st = sessions[0].meter.stats("sec_rank")
+        # the comparator layer, then the lookup that reveals the flags
+        meter = sessions[0].meter
+        rounds = meter.stats("sec_rank").rounds + meter.stats("sec_lut").rounds
         shape = {"t": t, "width": width}
-        assert (st.rounds, st.bytes_online) == predict_cost("sec_rank", shape, CODEC).as_tuple()
+        assert (rounds, meter.total_online_bytes) == predict_cost("sec_rank", shape, CODEC).as_tuple()
         assert sessions[0].meter.stats("comparator").invocations == t * (t - 1) // 2
+
+
+# -- table lookup ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [2, 8, 64, 128])
+@pytest.mark.parametrize("lanes", [1, 64, 65])
+def test_sec_lut_is_exact_on_every_index_at_its_cost(size, lanes):
+    # every x in [0, M), lanes per call; 128 entries span two table words,
+    # and 65 lanes make the revealed bits cross a word
+    table = np.random.default_rng(size).permutation(size) % 2
+    xs = (np.arange(-(-size // lanes) * lanes) % size).reshape(-1, lanes)
+    shares = raw_share_pair(xs, key=90 + lanes)
+
+    got, sessions = both(lambda s: np.array([sec_lut(s, x, table) for x in shares[s.party]]))
+    assert np.array_equal(got, table[xs])
+    st = sessions[0].meter.stats("sec_lut")
+    assert (st.rounds, st.bytes_online) == (predict_cost("sec_lut", (lanes,), CODEC) * len(xs)).as_tuple()
+
+
+def test_sec_lut_keeps_the_index_shape_and_rejects_other_table_sizes():
+    x = raw_share_pair(np.array([[3, 0, 2], [1, 3, 3]]), key=96)
+    got, _ = both(lambda s: sec_lut(s, x[s.party], [1, 0, 0, 1]))
+    assert np.array_equal(got, [[1, 1, 0], [0, 1, 1]])
+    with pytest.raises(ShapeError, match="power-of-two"):
+        sec_lut(make_inproc_sessions(0)[0], x[0], np.ones(6))
 
 
 # -- division --------------------------------------------------------------------

@@ -77,8 +77,8 @@ def test_meter_snapshot_shape():
 
 
 def test_dealer_triples_consistent():
-    d0 = DealerTape(9, 0, CODEC)
-    d1 = DealerTape(9, 1, CODEC)
+    d0 = DealerTape(9, 0)
+    d1 = DealerTape(9, 1)
     a0, b0, c0 = d0.beaver((4,), (4,))
     a1, b1, c1 = d1.beaver((4,), (4,))
     a = np.add(a0, a1)
@@ -87,8 +87,8 @@ def test_dealer_triples_consistent():
 
 
 def test_dealer_matmul_triples_consistent():
-    d0 = DealerTape(9, 0, CODEC)
-    d1 = DealerTape(9, 1, CODEC)
+    d0 = DealerTape(9, 0)
+    d1 = DealerTape(9, 1)
     a0, b0, c0 = d0.beaver((2, 3), (3, 2), mode="matmul")
     a1, b1, c1 = d1.beaver((2, 3), (3, 2), mode="matmul")
     a = np.add(a0, a1)
@@ -110,7 +110,7 @@ def _five_read_beaver(seed, party, shape_x, shape_y, mode):
     """The five-read rule: a and b, then one mask per array of the triple,
     each from its own tape read; party 1 keeps the array minus its mask.
     Returns the triple and the tape after it."""
-    tape = DealerTape(seed, party, CODEC)
+    tape = DealerTape(seed, party)
     a = tape._words(shape_x)
     b = tape._words(shape_y)
     c = np.matmul(a, b) if mode == "matmul" else np.multiply(a, b)
@@ -125,7 +125,7 @@ def _five_read_beaver(seed, party, shape_x, shape_y, mode):
 def test_dealer_beaver_one_read_matches_per_item_draws(shape_x, shape_y, mode):
     got = {}
     for party in (0, 1):
-        tape = DealerTape(21, party, CODEC)
+        tape = DealerTape(21, party)
         got[party] = tape.beaver(shape_x, shape_y, mode)
         ref, ref_tape = _five_read_beaver(21, party, shape_x, shape_y, mode)
         for g, r in zip(got[party], ref, strict=True):
@@ -143,10 +143,10 @@ def test_dealer_beaver_one_read_matches_per_item_draws(shape_x, shape_y, mode):
     ((), (3,), "matmul"),
 ])
 def test_dealer_beaver_rejects_bad_requests_before_reading(shape_x, shape_y, mode):
-    tape = DealerTape(21, 0, CODEC)
+    tape = DealerTape(21, 0)
     with pytest.raises(ShapeError):
         tape.beaver(shape_x, shape_y, mode)
-    assert np.array_equal(tape._words(8), DealerTape(21, 0, CODEC)._words(8))
+    assert np.array_equal(tape._words(8), DealerTape(21, 0)._words(8))
 
 
 def _words_to_bits(words):
@@ -158,8 +158,8 @@ NBITS = 100  # not a multiple of 64: the last word carries 28 pad bits
 
 
 def test_dealer_bit_triples_consistent():
-    d0 = DealerTape(9, 0, CODEC)
-    d1 = DealerTape(9, 1, CODEC)
+    d0 = DealerTape(9, 0)
+    d1 = DealerTape(9, 1)
     sizes = [2, 1, 3]
     trips0, _ = d0.bit_material(sizes, NBITS)
     trips1, _ = d1.bit_material(sizes, NBITS)
@@ -175,8 +175,8 @@ def test_dealer_bit_triples_consistent():
 
 
 def test_dealer_shared_bit_domains_agree():
-    d0 = DealerTape(9, 0, CODEC)
-    d1 = DealerTape(9, 1, CODEC)
+    d0 = DealerTape(9, 0)
+    d1 = DealerTape(9, 1)
     _, (xb0, xa0) = d0.bit_material([2], NBITS)
     _, (xb1, xa1) = d1.bit_material([2], NBITS)
     bits = _words_to_bits(xb0 ^ xb1)
@@ -202,6 +202,26 @@ def test_dealer_bit_draws_charge_packed_sizes():
     assert s0.meter.stats("bit1").bytes_offline == 3 * 8 + 8 + 8
 
 
+@pytest.mark.parametrize("size, lanes", [(2, 3), (8, 5), (64, 2), (128, 65)])
+def test_dealer_lookup_shares_a_rotated_table(size, lanes):
+    # the ring shares sum to r in [0, M) and the XOR shares to the table
+    # rotated by r, entry j at bit j of the lane's words, pad bits zero
+    table = np.random.default_rng(size).integers(0, 2, size=size)
+    (r0, t0), (r1, t1) = (DealerTape(11, party).lookup(lanes, table) for party in (0, 1))
+    r = np.add(r0, r1)
+    assert r.shape == (lanes,) and np.all(r < size)
+    for rk, words in zip(r.astype(np.int64), t0 ^ t1):
+        assert words.shape == ((size + 63) // 64,)
+        bits = _words_to_bits(words)
+        assert bits[:size] == [int(table[(j - rk) % size]) for j in range(size)]
+        assert not any(bits[size:])
+    # one draw charges both shares: a word of r and the packed table per lane
+    s0, _ = make_inproc_sessions(4)
+    with s0.op("sec_lut"):
+        s0.draw_lookup(lanes, table)
+    assert s0.meter.stats("sec_lut").bytes_offline == 8 * lanes * (1 + (size + 63) // 64)
+
+
 def _ge_triple_words(lanes):
     """Word counts of a comparison's AND triples: the generate layer over
     every lane, then the six carry levels, each on half the words of the
@@ -217,7 +237,7 @@ def _per_item_draws(seed, party, triple_words, nbits):
     words (a, b, a0, b0, c0) of one (5, n) read; nbits shared bits are r, r0
     (pad bits cleared) and s0 from one read of 2 * ceil(nbits / 64) + nbits
     words. Returns the material and the tape after it."""
-    tape = DealerTape(seed, party, CODEC)
+    tape = DealerTape(seed, party)
     triples = []
     for n in triple_words:
         a, b, a0, b0, c0 = tape._words((5, n))
@@ -240,7 +260,7 @@ def test_dealer_one_read_matches_per_item_draws(lanes):
     sizes = _ge_triple_words(lanes)
     assert len(sizes) == 7
     for party in (0, 1):
-        triples, shared = DealerTape(13, party, CODEC).bit_material(sizes, lanes)
+        triples, shared = DealerTape(13, party).bit_material(sizes, lanes)
         ref_triples, ref_shared, _ = _per_item_draws(13, party, sizes, lanes)
         assert len(triples) == len(ref_triples)
         for got, ref in zip(triples, ref_triples):
