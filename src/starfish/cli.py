@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .costs import RS_KEY_WIDTH, comparator_calls, predict_cost, ranks
 from .errors import AssumptionError, ConfigError, ProtocolError, StarfishError
 from .fixedpoint import FixedPointCodec
-from .gates import sec_add, sec_div, sec_ge, sec_lut, sec_max, sec_mul, sec_sel, sec_sp, sec_srt
+from .gates import sec_add, sec_div, sec_ge, sec_lut, sec_mul, sec_sel, sec_sp, sec_srt
 from .oracle import (
     bound_report,
     logistic_task,
@@ -59,7 +59,6 @@ from .unlearn import (
     _agreed_run,
     _meter_totals,
     aggregate_reveal,
-    sec_tc,
     sec_ue,
     stage_one,
     starfish_run,
@@ -284,19 +283,18 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_unlearn(cfg: RunConfig) -> int:
     """Unlearn cfg.target from the saved history of this configured run.
 
-    Besides the header's codec and shape, the history must come from this
-    run: its stored eta_l must equal the config's, and its first two models
-    must equal the plaintext mirror's after one round, which is bit-identical
-    to stage I. Another seed or task population moves the first model update.
-    A logistic task's reg does not: its first gradient is taken at the zero
-    start, where the l2 term vanishes.
+    The clients, simulated fresh in this process, replay stage I in the
+    clear (plaintext_history), which leaves each client's largest threshold
+    with the pool for the checks. Besides the header's codec and shape, the
+    history must come from this run: its stored eta_l must equal the
+    config's, and its models must equal the replay's, which are
+    bit-identical to stage I's. Another seed, task or eta_l moves them.
     """
     out = _out_dir(cfg)
-    task = cfg.build_task()
-    pool = task.pool()
+    pool = cfg.build_task().pool()
     ucfg = cfg.unlearn_config()
     codec = cfg.codec()
-    first_models = plaintext_history(replace(ucfg, t=1), pool, codec).models
+    models = plaintext_history(ucfg, pool, codec).models
 
     def proto(sess: Session):
         path = _history_path(out, sess.party)
@@ -311,7 +309,7 @@ def cmd_unlearn(cfg: RunConfig) -> int:
         if (hist.n, hist.m, hist.t) != (ucfg.n, ucfg.m, ucfg.t):
             raise ConfigError(
                 f"history shape (n={hist.n}, m={hist.m}, t={hist.t}) does not match config")
-        if hist.eta_l != ucfg.eta_l or not np.array_equal(hist.models[:2], first_models):
+        if hist.eta_l != ucfg.eta_l or not np.array_equal(hist.models, models):
             raise ConfigError(f"{path} holds the history of another run: its seed, task or eta_l "
                               "differs from the config's")
         return starfish_run(sess, hist, pool, ucfg, cfg.target)
@@ -470,12 +468,9 @@ def _audit_battery(cfg: RunConfig):
         ("sec_ge (8,)", "sec_ge", (8,), lambda s: sec_ge(s, *shared(s, 6, v8, v8))),
         ("sec_lut M=8 (5,)", "sec_lut", (5,), run_lut(11, 8, 5)),
         ("sec_lut M=128 (70,)", "sec_lut", (70,), run_lut(12, 128, 70)),
-        ("sec_max 4x8", "sec_max", (4, 8), lambda s: sec_max(s, *shared(s, 8, ((4, 8), 0.25, 2.0)))),
         ("sec_srt T=8 pair", "sec_srt", {"t": 8, "item_words": 3, "width": 2, "count": 8}, run_srt),
         ("sec_div (8,)", "sec_div", (8,), lambda s: sec_div(s, *shared(s, 10, u8, p8))),
         ("sec_ue n=4 m=3", "sec_ue", {"clients": 4, "m": 3}, run_ue),
-        ("sec_tc n=4 m=3", "sec_tc", {"clients": 4, "m": 3}, lambda s: sec_tc(s, *shared(
-            s, 15, ((4, 3), 0.25, 2.0), lambda rng: rng.uniform(0.1, 1.0, size=(4,))))),
         ("sec_rs T=32 T'=10 method 1", "sec_rs", {"t": 32, "t_prime": 10, "method": 1, "kept": 32},
          run_rs(16, 32, 10)),
         ("sec_rs T=128 T'=7 method 1", "sec_rs", {"t": 128, "t_prime": 7, "method": 1, "kept": 128},

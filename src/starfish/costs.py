@@ -25,7 +25,9 @@ gives the key width of each selection method.
 
 Shape conventions per functionality are documented in predict_cost. Stage
 II's gradient estimate is local and each client updates its own curvature
-in the clear, so an estimate round costs only its aggregate reveal.
+in the clear, so an estimate round costs only its aggregate reveal. Each
+client checks its own estimate in the clear too, so a check costs the
+servers nothing.
 """
 
 from __future__ import annotations
@@ -193,7 +195,8 @@ def select_cost(kept: int, t_prime: int, width: int) -> CostEstimate:
     return sort_cost(kept, width + 1, width, t_prime) + words_round(t_prime)
 
 
-# prices sec_max, which only the audit and perfbench's threshold_determination read
+# prices a max tournament over t values per batch lane, which no phase runs:
+# perfbench/run.py prices threshold_determination with it for every request
 def max_cost(t: int, batch: int) -> CostEstimate:
     size = padded_size(t)
     total = ZERO
@@ -212,13 +215,6 @@ def div_cost(lanes: int, codec: FixedPointCodec) -> CostEstimate:
 
 
 # -- composite protocol phases ------------------------------------------------
-
-
-def tc_cost(clients: int, m: int) -> CostEstimate:
-    lanes = clients * m + clients
-    total = mul_cost(lanes, lanes)    # gradient and threshold squares, one product
-    total += ge_cost(clients * m)     # coordinate exceed bits
-    return total + lut_cost(clients)  # count >= 1, revealed
 
 
 # key width of each selection method: (u, v) fractions / quotients
@@ -249,14 +245,13 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
       sec_mul/sec_sel: lane shape tuple of both operands, or for sec_mul a
         dict {"matmul": (sx, sy)}
       sec_sp: shape tuple (..., k)
-      sec_max: shape tuple (..., T), max over the last axis
       sec_srt: dict {"t", "item_words", "width", "count"}: the top count of T
         rows of item_words words, ordered by their first width (1 or 2) columns
       sec_rank: dict {"t", "width"}
-      threshold_determination: dict {"clients", "t"}: a sec_max over T per
-        client, priced but not run (stage I shares each client's max)
+      threshold_determination: dict {"clients", "t"}: a max tournament over
+        T per client, priced but not run (each client keeps its own max)
       sec_ue: dict {"m", ...}: one estimate and its aggregate reveal
-      sec_tc: dict {"clients", "m"}
+      sec_tc: dict {"clients", "m"}: one check, zero (the clients check)
       sec_rs: dict {"t", "t_prime", "method", "kept"?}
     """
     name = functionality
@@ -274,8 +269,6 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
         return ge_cost(_lanes(shape))
     if name == "sec_lut":
         return lut_cost(_lanes(shape))
-    if name == "sec_max":
-        return max_cost(shape[-1], _lanes(shape[:-1]))
     if name == "sec_srt":
         return sort_cost(shape["t"], shape["item_words"], shape["width"], shape["count"])
     if name == "sec_rank":
@@ -287,8 +280,8 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
         return max_cost(shape["t"], shape["clients"])
     if name == "sec_ue":  # the estimate is local: only the aggregate reveal costs
         return words_round(shape["m"])
-    if name == "sec_tc":
-        return tc_cost(shape["clients"], shape["m"])
+    if name == "sec_tc":  # each client checks its own estimate and sends a flag
+        return ZERO
     if name == "sec_rs":
         return rs_cost(shape["t"], shape["t_prime"], shape["method"], codec, shape.get("kept"))
     raise UnknownFunctionality(f"no cost model for {functionality!r}")

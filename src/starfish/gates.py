@@ -312,31 +312,6 @@ def sec_lut(sess: Session, x, table) -> np.ndarray:
         return _unpack_lanes(bits ^ sess.exchange_bits(bits), flat.size).astype(np.int64).reshape(x.shape)
 
 
-# no protocol phase calls this; it stays while perfbench/run.py prices threshold_determination
-def sec_max(sess: Session, vals) -> np.ndarray:
-    """Oblivious max over the last axis (tournament of sec_ge/sec_sel)."""
-    vals = np.asarray(vals)
-    with sess.op("sec_max", int(vals.size // vals.shape[-1])):
-        t = vals.shape[-1]
-        size = padded_size(t)
-        if size != t:
-            pad_val = const_share(sess, _minus_infinity(sess))
-            pad = np.broadcast_to(pad_val, vals.shape[:-1] + (size - t,)).copy()
-            vals = np.concatenate([vals, pad], axis=-1)
-        while vals.shape[-1] > 1:
-            half = vals.shape[-1] // 2
-            a = vals[..., :half]
-            b = vals[..., half:]
-            vals = _select(sess, b, a, _ge_core(sess, a, b))
-        return vals[..., 0]
-
-
-def _minus_infinity(sess: Session) -> np.ndarray:
-    """-2^(e-1) as a ring word, below every encodable value."""
-    codec = sess.codec
-    return from_signed(-(1 << (codec.precision_p + codec.range_e - 1)))
-
-
 # -- oblivious sort and rank ----------------------------------------------------
 
 
@@ -376,7 +351,8 @@ def sec_srt(sess: Session, rows: np.ndarray, width: int, count: int) -> np.ndarr
         size = padded_size(t)
         if size != t:
             pad = np.full(cols, from_signed(-1), dtype=np.uint64)
-            pad[0] = _minus_infinity(sess)
+            # -2^(e-1), below every encodable value
+            pad[0] = from_signed(-(1 << (sess.codec.precision_p + sess.codec.range_e - 1)))
             pad[1:width] = sess.codec.encode(1.0)
             rows = np.concatenate([rows, np.broadcast_to(const_share(sess, pad), (size - t, cols))])
         for k, j in topk_layers(t, count):

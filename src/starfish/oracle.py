@@ -11,8 +11,9 @@ snapped to the codec grid before use, and every discrete decision (keep
 flags, threshold flags) is evaluated on values both worlds agree on. Each
 client's curvature matrix is the float B that unlearn.client_fold builds, in
 the mirror and at the secure run's clients alike; the secure run shares it.
-The drift left is truncation noise, which the acceptance harness budgets per
-truncation.
+The clients' check flags come from unlearn.client_check in both worlds, so
+they are equal by construction. The drift left is truncation noise, which
+the acceptance harness budgets per truncation.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .fixedpoint import FixedPointCodec
 from .sharing import STREAM_BASELINE, STREAM_DATA, keyed_rng
-from .unlearn import ClientPool, UnlearnConfig, client_fold, client_round
+from .unlearn import ClientPool, UnlearnConfig, client_check, client_fold, client_round
 
 
 # -- synthetic convex tasks ---------------------------------------------------
@@ -273,7 +274,8 @@ def _as_pool(task) -> ClientPool:
 
 def plaintext_history(config: UnlearnConfig, pool: ClientPool, codec: FixedPointCodec) -> PlainHistory:
     """Mirror of stage I; the model track is bit-identical to the secure run
-    because gradient sums of grid values are exact in float64."""
+    because gradient sums of grid values are exact in float64. Like
+    stage_one, it leaves each client's largest threshold with the pool."""
     if pool.n != config.n:
         raise ConfigError(f"pool has {pool.n} clients, config says {config.n}")
     n, m, t = config.n, config.m, config.t
@@ -287,6 +289,7 @@ def plaintext_history(config: UnlearnConfig, pool: ClientPool, codec: FixedPoint
             grads[i, j], norms[i, j], deltas[i, j] = client_round(pool, j, models[i], config.alpha, codec)
         avg = grads[i].sum(axis=0) / n
         models[i + 1] = models[i] - config.eta_l * avg
+    pool.trained = (models.copy(), deltas.max(axis=0))
     return PlainHistory(models=models, grads=grads, norms=norms, deltas=deltas)
 
 
@@ -356,7 +359,7 @@ def _plain_recovery(
 ) -> PlainRun:
     remaining = [j for j in range(config.n) if j != target]
     nr, m = len(remaining), history.grads.shape[2]
-    thresholds = codec.quantize(history.deltas.max(axis=0)[remaining])
+    thresholds = history.deltas.max(axis=0)[remaining]
     curv, curved = np.zeros((nr, m, m)), np.zeros(nr, dtype=bool)
     m_hat = history.models[0].copy()
     trajectory = [m_hat.copy()]
@@ -370,7 +373,7 @@ def _plain_recovery(
         warm = i <= config.buffer_b
         exact = np.full(nr, warm)
         if not warm and i % config.t_c == 0:
-            exact = (np.abs(estimates) >= thresholds[:, None]).any(axis=1)
+            exact = client_check(g_round, curv, dm, thresholds, codec)
             check_flags.append((i, exact.astype(int).tolist()))
         rows = np.flatnonzero(exact)
         for idx in rows:
@@ -520,9 +523,7 @@ ERROR_BUDGETS = {
     "sec_rec": 0.0,
     "sec_ge": 0.0,
     "sec_sel": 0.0,
-    "sec_max": 0.0,
     "sec_srt": 0.0,
-    "sec_tc": 0.0,
     "sec_mul": 2.0 ** -12,
     "sec_sp": 2.0 ** -12,
     "sec_div": 2.0 ** -12,
@@ -589,18 +590,10 @@ def exact_gate_oracle(gate: str, *inputs):
     if gate == "sec_sel":
         v0, v1, b = inputs
         return np.where(np.asarray(b) != 0, np.asarray(v1, float), np.asarray(v0, float))
-    if gate == "sec_max":
-        (x,) = inputs
-        return np.max(np.asarray(x, float), axis=-1)
     if gate == "sec_srt":
         keys, payload = inputs
         order = np.argsort(-np.asarray(keys, float), kind="stable")
         return np.asarray(payload)[order]
-    if gate == "sec_tc":
-        est, delta = inputs
-        est = np.asarray(est, float)
-        delta = np.asarray(delta, float)
-        return (np.abs(est) >= delta[..., None]).any(axis=-1).astype(np.int64)
     if gate == "sec_div":
         return _exact_div(*inputs)
     raise UnknownFunctionality(f"no exact oracle for {gate!r}")

@@ -44,7 +44,6 @@ OP_TAGS = {
     "sec_sp": 0x0013,
     "sec_sel": 0x0014,
     "sec_ge": 0x0015,
-    "sec_max": 0x0017,
     "sec_srt": 0x0018,
     "sec_div": 0x0019,
     "sec_rank": 0x001c,

@@ -1,11 +1,11 @@
 """The Starfish protocol: assisted federated training, then secure unlearning.
 
 Stage I runs plain FedAvg while squirreling away shared per-client gradients
-and norms, plus each client's largest tolerance threshold, which the client
-computes in the clear and shares once. Stage II removes one client: pick the
-rounds that mattered most to it, replay them with BFGS-estimated gradients
-from everyone else, and periodically let clients whose estimates drifted past
-their threshold push exact corrections.
+and norms; each client keeps the largest of its tolerance thresholds in the
+clear. Stage II removes one client: pick the rounds that mattered most to
+it, replay them with BFGS-estimated gradients from everyone else, and
+periodically let clients whose estimates drifted past their threshold push
+exact corrections.
 
 Each estimate is g + B s, with s the public gap to the stored round's model.
 Every client that sends an exact gradient also holds its own secant pair in
@@ -14,6 +14,12 @@ model, which it recomputes. So the client runs the BFGS update of its B
 itself and shares B, and stage II runs no curvature protocol. This departs
 from the paper, whose servers update the curvature on shares; the servers
 here see only shares of B, and nothing about the update is revealed.
+
+A check departs from the paper the same way. Every input of the test is in
+the clear at the client it flags (its stage-I gradient, its B, the public
+gap and its largest threshold), so each remaining client forms its own
+estimate, tests it and sends one flag (client_check); stage II runs no
+comparison after selection.
 
 Clients are simulated in-process. Both server parties run the same code, so
 a client "sending shares" is a deterministic keyed split both sides derive
@@ -31,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ProtocolError, RangeError
 from .fixedpoint import WORD_BITS, FixedPointCodec
-from .gates import mul_public, sec_ge, sec_lut, sec_mul
+from .gates import mul_public
 from .roundsel import SelectionInputs, SelectionParams, sec_rs
 from .sharing import (
     STREAM_CLIENT_SHARES,
@@ -45,7 +51,6 @@ from .sharing import (
 
 _SHARE_STAGE1 = 0
 _SHARE_CORRECTION = 1
-_SHARE_THRESHOLD = 2
 _SHARE_CURVATURE = 3
 
 
@@ -93,10 +98,16 @@ class UnlearnConfig:
 
 @dataclass
 class ClientPool:
-    """Simulated client population: anything with gradient(model) -> (m,)."""
+    """Simulated client population: anything with gradient(model) -> (m,).
+
+    Each client keeps the largest of its stage-I thresholds in the clear.
+    trained holds them with the public models of the stage I that took
+    them; stage_one fills it, and so does its plaintext mirror.
+    """
 
     clients: list
     initial_model: np.ndarray
+    trained: tuple | None = None  # (models (T+1, m), largest thresholds (n,))
 
     @property
     def n(self) -> int:
@@ -104,6 +115,13 @@ class ClientPool:
 
     def gradient(self, j: int, model: np.ndarray) -> np.ndarray:
         return np.asarray(self.clients[j].gradient(model), dtype=np.float64)
+
+    def max_thresholds(self, models: np.ndarray) -> np.ndarray:
+        """The clients' largest thresholds from the stage I whose models these are."""
+        if self.trained is None or not np.array_equal(self.trained[0], models):
+            raise ConfigError("the clients hold no thresholds from this history's stage I; "
+                              "run stage I on this pool first")
+        return self.trained[1]
 
 
 def client_round(pool: ClientPool, j: int, model: np.ndarray, alpha: float, codec: FixedPointCodec):
@@ -133,7 +151,7 @@ def _meter_totals(sess: Session) -> tuple[int, int]:
 
 
 _SFH1 = struct.Struct("<4sBBHIIIHBBd")
-_SFH1_VERSION = 2
+_SFH1_VERSION = 3
 
 
 @dataclass
@@ -150,7 +168,6 @@ class HistoryStore:
     models: np.ndarray      # (T+1, m) float64, public
     grads: np.ndarray       # (T, n, m) raw shares
     norms: np.ndarray       # (T, n) raw shares
-    thresholds: np.ndarray  # (n,) raw shares of each client's max threshold
 
     @property
     def t(self) -> int:
@@ -187,7 +204,6 @@ class HistoryStore:
             fh.write(np.ascontiguousarray(self.models, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(self.grads, dtype="<u8").tobytes())
             fh.write(np.ascontiguousarray(self.norms, dtype="<u8").tobytes())
-            fh.write(np.ascontiguousarray(self.thresholds, dtype="<u8").tobytes())
 
     @classmethod
     def load(cls, path) -> "HistoryStore":
@@ -201,8 +217,8 @@ class HistoryStore:
                               "rerun starfish train")
         if word_bits != WORD_BITS:
             raise ConfigError(f"{path} has {word_bits}-bit words, expected {WORD_BITS}")
-        # models, grads, norms and thresholds, all 8-byte words
-        size = _SFH1.size + 8 * ((t + 1) * m + t * n * m + t * n + n)
+        # models, grads and norms, all 8-byte words
+        size = _SFH1.size + 8 * ((t + 1) * m + t * n * m + t * n)
         if len(blob) != size:
             raise ConfigError(f"{path} holds {len(blob)} bytes, its header implies {size}")
         codec = FixedPointCodec(precision_p=p, range_e=e)
@@ -215,9 +231,7 @@ class HistoryStore:
         models = take((t + 1) * m, "<f8").reshape(t + 1, m).copy()
         grads = take(t * n * m, "<u8").reshape(t, n, m).copy()
         norms = take(t * n, "<u8").reshape(t, n).copy()
-        thresholds = take(n, "<u8").copy()
-        return cls(party=party, codec=codec, eta_l=eta_l, models=models,
-                   grads=grads, norms=norms, thresholds=thresholds)
+        return cls(party=party, codec=codec, eta_l=eta_l, models=models, grads=grads, norms=norms)
 
 
 def stage_one(
@@ -230,8 +244,8 @@ def stage_one(
 
     Aggregation reveals only the summed gradient; per-client contributions
     stay shared in the history. A client's thresholds are all in the clear at
-    the client, and stage II reads only their max, so after round T each
-    client shares that max alone.
+    the client, and stage II's checks read only their max, so each client
+    keeps that max (in pool.trained) and shares none of them.
     """
     if pool.n != config.n:
         raise ConfigError(f"pool has {pool.n} clients, config says {config.n}")
@@ -256,12 +270,9 @@ def stage_one(
         if on_round is not None:
             on_round(i, models[i + 1])
 
-    thresholds = np.zeros(n, dtype=np.uint64)
-    for j in range(n):
-        rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_THRESHOLD, j)
-        thresholds[j] = sec_share(max_delta[j], codec, rng)[sess.party].value
+    pool.trained = (models.copy(), max_delta)
     return HistoryStore(party=sess.party, codec=codec, eta_l=config.eta_l,
-                        models=models, grads=grads, norms=norms, thresholds=thresholds)
+                        models=models, grads=grads, norms=norms)
 
 
 # -- stage II building blocks ------------------------------------------------
@@ -327,23 +338,16 @@ def aggregate_reveal(sess: Session, estimates: np.ndarray, model: np.ndarray, et
     return model - eta * avg, avg
 
 
-def sec_tc(sess: Session, estimates: np.ndarray, threshold_shares: np.ndarray) -> np.ndarray:
-    """Reveal one flag per client: does any |coordinate| reach the threshold?
-
-    Squares are compared at double scale without truncating, so the test is
-    exact on the encoded values. The coordinates and the thresholds are
-    squared as one product over their joined vector. A client's count of
-    exceeding coordinates is at most m, so [count >= 1] is one lookup in a
-    table of 2^bit_length(m) entries, which reveals the flags.
-    """
-    with sess.op("sec_tc"):
-        joined = np.concatenate([estimates.reshape(-1), threshold_shares])
-        squares = sec_mul(sess, joined, joined, truncate=False)
-        sq = squares[: estimates.size].reshape(estimates.shape)
-        dsq = squares[estimates.size :]
-        exceed = sec_ge(sess, sq, dsq[:, None])
-        count = exceed.sum(axis=-1, dtype=np.uint64)
-        return sec_lut(sess, count, np.arange(1 << estimates.shape[-1].bit_length()) >= 1)
+def client_check(stage1: np.ndarray, curv: np.ndarray, dm, thresholds, codec: FixedPointCodec) -> np.ndarray:
+    """The flags the remaining clients send at a checking round. Each forms
+    its estimate g + B s in the clear, from its stage-I gradient g at the
+    stored round's model, its own B and the public s = quantize(dm), and
+    flags itself when any |coordinate| reaches its largest stage-I threshold
+    on the codec grid. stage1 (n, m) holds the clients' g, curv (n, m, m)
+    their B, thresholds (n,) their raw largest thresholds; the plaintext
+    mirror checks with the same function."""
+    estimates = stage1 + curv @ codec.quantize(dm)
+    return (np.abs(estimates) >= codec.quantize(thresholds)[:, None]).any(axis=1)
 
 
 # -- the full stage II -------------------------------------------------------
@@ -356,7 +360,7 @@ class RunResult:
     transcript: list
     selected: np.ndarray          # chronological round indices
     corrections: dict             # client -> number of corrected rounds
-    check_rounds: int             # how many sec_tc rounds ran
+    check_rounds: int             # how many checking rounds ran
 
     def transcript_jsonl(self) -> str:
         return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in self.transcript)
@@ -377,12 +381,15 @@ def starfish_run(
     config: UnlearnConfig,
     target: int,
 ) -> RunResult:
-    """Stage II: round selection, then the unlearning loop. The correction
-    thresholds are the per-client maxima stage I shared, so the transcript
+    """Stage II: round selection, then the unlearning loop; the transcript
     starts at sec_rs. The first buffer_b rounds take every client's exact
-    gradient and run no check. A client that sends an exact gradient folds
-    its pair into its own B and shares B, at no round, so each sec_ue record
-    is the aggregate reveal alone."""
+    gradient and run no check. At a checking round every remaining client
+    recomputes its stage-I gradient, checks its own estimate against the
+    largest threshold it kept from stage I (pool.max_thresholds, read at the
+    first check) and sends its flag, so a sec_tc record holds the flags at
+    no round. A client that sends an exact gradient folds its pair into its
+    own B and shares B, at no round, so each sec_ue record is the aggregate
+    reveal alone."""
     if not (0 <= target < history.n):
         raise ConfigError(f"target {target} outside client range")
     codec = sess.codec
@@ -402,6 +409,11 @@ def starfish_run(
         last = now
 
     remaining = [j for j in range(history.n) if j != target]
+
+    def gradients(clients, model) -> np.ndarray:
+        """The clients' own gradients at model, on the codec grid."""
+        return codec.quantize([pool.gradient(j, model) for j in clients]).reshape(len(clients), history.m)
+
     params = SelectionParams(t=history.t, sigma=config.sigma)
     selection = sec_rs(sess, history.selection_inputs(target), params)
     record("sec_rs")
@@ -413,6 +425,7 @@ def starfish_run(
     trajectory = [m_hat.copy()]
     corrections = {j: 0 for j in remaining}
     check_rounds = 0
+    thresholds = None
 
     for i, r in enumerate(selection.chronological(), start=1):
         # the recovered model and its gradients are public: a value that
@@ -425,21 +438,26 @@ def starfish_run(
             # of the flagged clients
             warm = i <= config.buffer_b
             exact = np.full(len(remaining), warm)
+            stage1 = None
             if not warm and i % config.t_c == 0:
-                exact = sec_tc(sess, estimates, history.thresholds[remaining]) == 1
+                if thresholds is None:
+                    thresholds = pool.max_thresholds(history.models)[remaining]
+                stage1 = gradients(remaining, history.models[r])
+                exact = client_check(stage1, curv, dm, thresholds, codec)
                 check_rounds += 1
                 record("sec_tc", exact)
             rows = np.flatnonzero(exact)
             clients = np.asarray(remaining)[rows]
-            grads = codec.quantize([pool.gradient(j, m_hat) for j in clients]).reshape(rows.size, history.m)
+            grads = gradients(clients, m_hat)
             for idx, j, g in zip(rows, clients, grads):
                 corrections[j] += not warm
                 rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_CORRECTION, int(i), int(j))
                 estimates[idx] = sec_share(g, codec, rng)[sess.party].value
             if rows.size and state.capacity > 0:
                 # each of these clients pairs its exact gradient with its own
-                # stage-I gradient at the public m_r, folds and shares its B
-                y = grads - codec.quantize([pool.gradient(j, history.models[r]) for j in clients])
+                # stage-I gradient at the public m_r (from its check, or
+                # recomputed in a warm-up round), folds and shares its B
+                y = grads - (gradients(clients, history.models[r]) if stage1 is None else stage1[rows])
                 client_fold(curv, curved, rows, y, dm, codec)
                 if state.curvature is None:
                     state.curvature = np.zeros(curv.shape, dtype=np.uint64)

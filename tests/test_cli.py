@@ -12,6 +12,7 @@ import pytest
 from starfish.cli import RunConfig, _audit_battery, load_config, main, parse_config_text
 from starfish.costs import CostEstimate
 from starfish.errors import ConfigError, ProtocolError, RangeError
+from starfish.oracle import plaintext_starfish
 from starfish.sharing import make_inproc_sessions, run_pair
 from starfish.transport import OP_TAGS
 from starfish.unlearn import HistoryStore, simulate
@@ -174,6 +175,20 @@ def test_unlearn_rejects_the_history_of_another_run(small_cfg, tmp_path, capsys,
     assert _run(["unlearn", "--config", small_cfg, "--out", out]) == 0
 
 
+def test_unlearn_rejects_a_logistic_history_of_another_reg(tmp_path, capsys):
+    # the first gradient is taken at the zero start, where the l2 term
+    # vanishes, so only the models after the first round tell reg apart
+    base = SMALL + "task = logistic\n"
+    trained, other = tmp_path / "trained.cfg", tmp_path / "other.cfg"
+    trained.write_text(base + "reg = 0.5\n")
+    other.write_text(base + "reg = 0.6\n")
+    out = tmp_path / "run"
+    assert _run(["train", "--config", trained, "--out", out]) == 0
+    assert _run(["unlearn", "--config", other, "--out", out]) == 1
+    assert "holds the history of another run" in capsys.readouterr().err
+    assert _run(["unlearn", "--config", trained, "--out", out]) == 0
+
+
 def test_unlearn_rejects_a_history_of_another_codec(small_cfg, tmp_path, capsys):
     # the SFH1 header's precision p (<B) follows the word size
     offset = struct.calcsize("<4sBBHIIIH")
@@ -210,18 +225,19 @@ def test_unlearn_rejects_a_wide_word_history(small_cfg, tmp_path, capsys):
 
 
 def test_unlearn_rejects_a_history_of_another_version(small_cfg, tmp_path, capsys):
-    # the SFH1 header's version byte follows the magic
+    # the SFH1 header's version byte follows the magic; version 2 still held
+    # the clients' threshold shares
     out = tmp_path / "run"
     assert _run(["train", "--config", small_cfg, "--out", out]) == 0
     path = out / "history.p0.sfh1"
     blob = bytearray(path.read_bytes())
-    assert blob[4] == 2
-    blob[4] = 1
+    assert blob[4] == 3
+    blob[4] = 2
     path.write_bytes(bytes(blob))
     capsys.readouterr()
     assert _run(["unlearn", "--config", small_cfg, "--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{path} is history version 1" in err
+    assert err.startswith("error: ") and f"{path} is history version 2, expected 3" in err
     assert "rerun starfish train" in err and "Traceback" not in err
 
 
@@ -289,10 +305,9 @@ def test_compare_full_sigma_matches_random_subset(tmp_path, capsys):
 def test_audit_passes(capsys):
     assert _run(["audit", "--seed", 0]) == 0
     printed = capsys.readouterr().out
-    assert "all 17 functionalities match" in printed
+    assert "all 15 functionalities match" in printed
     assert "MISMATCH" not in printed
-    # a check and a ranked selection each end in a two-round lookup
-    assert re.search(r"^sec_tc n=4 m=3 +11 / 11 ", printed, re.M)
+    # a ranked selection ends in a two-round lookup
     assert re.search(r"^sec_rs T=12 T'=8 method 1 +20 / 20 ", printed, re.M)
     assert "sec_srt T=8 pair: comparators=24 (formula 24)" in printed
     # T=32 and T=128 run the top-k network (one and four merge levels);
@@ -372,7 +387,7 @@ def test_diverged_recovery_exit_code(tmp_path, capsys):
 def test_readme_run_recovers_within_the_bound(tmp_path, capsys, seed, t):
     # the README run.cfg over its grid of seeds and round counts: the secure
     # run, its mirror and the random-selection baseline all finish, with no
-    # checkpoint over the bound
+    # checkpoint over the bound, and the clients' flags equal the mirror's
     cfg = tmp_path / "run.cfg"
     cfg.write_text(README_CFG + f"t = {t}\n")
     out = tmp_path / "out"
@@ -382,6 +397,28 @@ def test_readme_run_recovers_within_the_bound(tmp_path, capsys, seed, t):
     assert not [key for key in report if key.endswith("_error")]
     assert report["bound"]["violations"] == 0
     assert report["distance_final"] <= 1e-3
+    run = load_config(cfg, seed=seed)
+    plain = plaintext_starfish(run.unlearn_config(), run.build_task(), run.target, codec=run.codec())
+    records = [json.loads(line) for line in (out / "transcript.jsonl").read_text().splitlines()]
+    flags = [rec["flags"] for rec in records if rec["op"] == "sec_tc"]
+    assert flags and flags == [f for _, f in plain.check_flags]
+
+
+@pytest.mark.parametrize("text, argv", [(SMALL, []), (README_CFG + "t = 40\n", ["--seed", 7])],
+                         ids=["small", "readme-seed7"])
+def test_unlearn_from_saved_history_matches_compare_and_simulate(tmp_path, capsys, text, argv):
+    # unlearn replays the clients' stage I in its own process; its transcript
+    # equals compare's in-process run byte for byte, and its model simulate's
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    run, cmp = tmp_path / "run", tmp_path / "cmp"
+    for command, out in (("train", run), ("unlearn", run), ("compare", cmp)):
+        assert _run([command, "--config", cfg, "--out", out, *argv]) == 0
+    capsys.readouterr()
+    assert (run / "transcript.jsonl").read_bytes() == (cmp / "transcript.jsonl").read_bytes()
+    rc = load_config(cfg, seed=argv[-1] if argv else None)
+    res, _, _ = simulate(rc.unlearn_config(), rc.build_task().pool(), rc.target, codec=rc.codec())
+    assert np.array_equal(np.load(run / "model.npy"), res.model)
 
 
 @pytest.mark.parametrize("target, error_key, nulled", [

@@ -22,7 +22,6 @@ from starfish.gates import (
     sec_add,
     sec_div,
     sec_ge,
-    sec_max,
     sec_mul,
     sec_sel,
     sec_sp,
@@ -152,12 +151,6 @@ def test_sec_ge2_cost():
     b = share_pair(CODEC.quantize(RNG.uniform(0.5, 2, size=(8, 2))), key=21)
     got = measured("other", lambda s: comparator(s, a[s.party], b[s.party]))
     assert got == comparator_cost(2, 8).as_tuple()
-
-
-def test_sec_max_cost():
-    a = share_pair(CODEC.quantize(RNG.uniform(-2, 2, size=(4, 8))), key=24)
-    got = measured("sec_max", lambda s: sec_max(s, a[s.party]))
-    assert got == predict_cost("sec_max", (4, 8), CODEC).as_tuple()
 
 
 def test_sec_srt_cost():

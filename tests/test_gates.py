@@ -14,7 +14,6 @@ from starfish.gates import (
     sec_add,
     sec_div,
     sec_ge,
-    sec_max,
     sec_mul,
     sec_lut,
     sec_rank,
@@ -229,28 +228,6 @@ def test_sec_ge2_ratio_cases():
     assert ge2((3.0, 4.0, 2.0, 3.0)) == 1   # 3/4 >= 2/3
     assert ge2((1.0, 2.0, 1.0, 2.0)) == 1   # equal ratios
     assert ge2((-1.0, 2.0, 1.0, 2.0)) == 0
-
-
-def test_sec_max_cases():
-    vals = grid(np.array([-1.0, 5.0, 3.0]))
-    a = share_pair(vals, key=40)
-    got, _ = both(lambda s: reveal(s, sec_max(s, a[s.party])))
-    assert float(got) == 5.0
-
-    single = share_pair(grid(np.array([2.25])), key=41)
-    got, _ = both(lambda s: reveal(s, sec_max(s, single[s.party])))
-    assert float(got) == 2.25
-
-    equal = share_pair(grid(np.full(5, 1.5)), key=42)
-    got, _ = both(lambda s: reveal(s, sec_max(s, equal[s.party])))
-    assert float(got) == 1.5
-
-
-def test_sec_max_batched_random():
-    vals = grid(RNG.uniform(-100, 100, size=(50, 8)))
-    a = share_pair(vals, key=43)
-    got, _ = both(lambda s: reveal(s, sec_max(s, a[s.party])))
-    assert np.array_equal(got, exact_gate_oracle("sec_max", vals))
 
 
 # -- sorting -------------------------------------------------------------------

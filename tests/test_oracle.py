@@ -281,15 +281,10 @@ def test_exact_oracle_comparisons():
     y = np.array([1.0, -1.0, 5.0])
     assert exact_gate_oracle("sec_ge", x, y).tolist() == [1, 0, 0]
     assert exact_gate_oracle("sec_sel", x, y, np.array([0, 1, 0])).tolist() == [1.0, -1.0, 3.0]
-    assert exact_gate_oracle("sec_max", np.array([[1.0, 5.0, -2.0]])).tolist() == [5.0]
     sorted_payload = exact_gate_oracle(
         "sec_srt", np.array([2.0, 9.0, 4.0]), np.array([20, 90, 40])
     )
     assert sorted_payload.tolist() == [90, 40, 20]
-    flags = exact_gate_oracle(
-        "sec_tc", np.array([[0.5, 0.1], [0.0, 0.0]]), np.array([0.3, 0.3])
-    )
-    assert flags.tolist() == [1, 0]
 
 
 def test_exact_oracle_domain_errors():

@@ -23,11 +23,12 @@ from starfish.errors import ConfigError
 from starfish.oracle import plaintext_history
 from starfish.unlearn import (
     _SFH1,
+    client_check,
     client_fold,
     client_round,
-    sec_tc,
     sec_ue,
     stage_one,
+    starfish_run,
 )
 
 
@@ -194,16 +195,18 @@ class _CountingPool(ClientPool):
 
 @pytest.mark.parametrize("buffer_b", [0, 2])
 def test_clients_fold_only_with_a_warm_up(buffer_b):
-    # a client that sends an exact gradient also recomputes its stage-I
-    # gradient to fold its pair: two gradient calls per exact gradient. At
-    # buffer_b = 0 nobody folds, one call each, and B stays unshared
+    # at a checking round every remaining client recomputes its stage-I
+    # gradient to check its estimate, and a flagged client folds with that
+    # gradient; in a warm-up round each client recomputes it to fold, so an
+    # exact gradient there costs two calls. At buffer_b = 0 nobody folds
     task, cfg = _small_run(beta=0.25, buffer_b=buffer_b)
     pool = _CountingPool(task.pool())
     res, _, _ = simulate(cfg, pool, target=1)
-    exact = sum(res.corrections.values()) + min(buffer_b, len(res.selected)) * (cfg.n - 1)
-    assert exact > 0
+    warm = min(buffer_b, len(res.selected)) * (cfg.n - 1)
+    assert res.check_rounds > 0 and sum(res.corrections.values()) > 0
     # both parties simulate every client; stage I asks each client once a round
-    assert len(pool.calls) // 2 - cfg.n * cfg.t == exact * (2 if buffer_b else 1)
+    assert len(pool.calls) // 2 - cfg.n * cfg.t == (
+        2 * warm + res.check_rounds * (cfg.n - 1) + sum(res.corrections.values()))
     plain = plaintext_starfish(cfg, task, target=1)
     assert [r["flags"] for r in res.transcript if r["op"] == "sec_tc"] == [f for _, f in plain.check_flags]
 
@@ -211,15 +214,12 @@ def test_clients_fold_only_with_a_warm_up(buffer_b):
 # -- correction flags ------------------------------------------------------------
 
 
-def _run_tc(estimates, thresholds, seed=8):
-    est = share_pair(CODEC.quantize(estimates), key=9)
-    thr = share_pair(CODEC.quantize(thresholds), key=10)
-
-    def proto(sess):
-        return sec_tc(sess, est[sess.party], thr[sess.party]).tolist()
-
-    got, _ = both(proto, seed=seed)
-    return got
+def _run_tc(estimates, thresholds):
+    # a check's flags (its sec_tc record) are client_check's: with B = 0 the
+    # estimate is the stage-I gradient itself
+    est = CODEC.quantize(estimates)
+    curv = np.zeros(est.shape + est.shape[-1:])
+    return client_check(est, curv, np.ones(est.shape[-1]), thresholds, CODEC).astype(int).tolist()
 
 
 def test_sec_tc_fires_on_a_large_coordinate():
@@ -241,6 +241,15 @@ def test_sec_tc_batched_clients():
     assert _run_tc(est, thr) == [1, 0, 1]
 
 
+def test_sec_tc_checks_the_estimate_on_the_grid():
+    # the estimate is g + B quantize(dm); |x| equal to the grid threshold fires
+    g = CODEC.quantize(np.array([[0.25, 0.0], [0.25, 0.0]]))
+    curv = np.array([np.eye(2), np.zeros((2, 2))])
+    thr = np.array([0.5 + 2.0 ** -15, 0.5])  # the first snaps to 0.5 and fires
+    assert client_check(g, curv, [0.25, 0.1], thr, CODEC).tolist() == [True, False]
+    assert client_check(g, curv, [0.25, 0.1], [0.5, 0.25], CODEC).tolist() == [True, True]
+
+
 # -- history persistence -----------------------------------------------------------
 
 
@@ -252,12 +261,11 @@ def test_history_store_roundtrip(tmp_path):
 
     def proto(sess):
         hist = stage_one(sess, task.pool(), cfg)
-        assert hist.thresholds.shape == (n,)
         path = tmp_path / f"h{sess.party}.sfh1"
         hist.save(path)
-        # version 2: models, grads, norms and one threshold per client
-        assert path.read_bytes()[4] == 2
-        assert path.stat().st_size == _SFH1.size + 8 * ((t + 1) * m + t * n * m + t * n + n)
+        # version 3: models, grads and norms; the clients keep their thresholds
+        assert path.read_bytes()[4] == 3
+        assert path.stat().st_size == _SFH1.size + 8 * ((t + 1) * m + t * n * m + t * n)
         back = HistoryStore.load(path)
         assert back.party == sess.party
         assert back.codec == sess.codec
@@ -265,7 +273,6 @@ def test_history_store_roundtrip(tmp_path):
         assert np.array_equal(back.models, hist.models)
         assert np.array_equal(back.grads, hist.grads)
         assert np.array_equal(back.norms, hist.norms)
-        assert np.array_equal(back.thresholds, hist.thresholds)
         return hist.models
 
     both(proto, seed=1)
@@ -284,7 +291,6 @@ def test_history_model_updates():
         models=np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 2.0]]),
         grads=np.zeros((2, 1, 2), dtype=np.uint64),
         norms=np.zeros((2, 1), dtype=np.uint64),
-        thresholds=np.zeros(1, dtype=np.uint64),
     )
     assert np.array_equal(hist.model_updates(), [[1.0, 2.0], [2.0, 0.0]])
 
@@ -329,18 +335,20 @@ def test_stage_one_round_callback():
 
 @pytest.mark.parametrize("overrides", [{}, {"n": 20, "m": 32, "t": 12}], ids=["cli-default", "n20-m32"])
 def test_stage_one_shares_each_clients_max_threshold(overrides):
-    # each client shares the max of its own thresholds; the pair reconstructs
-    # to the encoded max, which is the mirror's quantized max bit for bit
+    # no client shares a threshold: each keeps the max of its own, which
+    # stage I leaves with the pool next to the public models. They equal the
+    # mirror's bit for bit, and the mirror's replay leaves the same
     run = RunConfig(**overrides)
-    cfg, pool, codec = run.unlearn_config(), run.build_task().pool(), run.codec()
-    deltas = plaintext_history(cfg, pool, codec).deltas
+    cfg, codec = run.unlearn_config(), run.codec()
+    mirror = plaintext_history(cfg, run.build_task().pool(), codec)
+    pool = run.build_task().pool()
 
-    got = run_pair(lambda sess: stage_one(sess, pool, cfg).thresholds,
-                   make_inproc_sessions(cfg.seed, codec=codec))
-    words = np.add(got[0], got[1])
-    assert words.shape == (cfg.n,)
-    assert np.array_equal(words, codec.encode(deltas.max(axis=0)))
-    assert np.array_equal(codec.decode(words), codec.quantize(deltas.max(axis=0)))
+    hists = run_pair(lambda sess: stage_one(sess, pool, cfg), make_inproc_sessions(cfg.seed, codec=codec))
+    assert np.array_equal(pool.max_thresholds(hists[0].models), mirror.deltas.max(axis=0))
+    assert np.array_equal(pool.trained[0], mirror.models)
+    replayed = run.build_task().pool()
+    plaintext_history(cfg, replayed, codec)
+    assert all(np.array_equal(a, b) for a, b in zip(replayed.trained, pool.trained))
 
 
 # -- full stage II ------------------------------------------------------------------
@@ -375,18 +383,19 @@ def test_transcript_structure():
     tc_records = [r for r in res.transcript if r["op"] == "sec_tc"]
     # warm-up rounds take every exact gradient and run no check
     checks = sum(i % cfg.t_c == 0 for i in range(cfg.buffer_b + 1, len(res.selected) + 1))
-    assert len(tc_records) == res.check_rounds == checks
+    assert len(tc_records) == res.check_rounds == checks > 0
     for rec in tc_records:
         assert len(rec["flags"]) == cfg.n - 1
-        assert rec["rounds"] > 0 and rec["bytes"] > 0
     for rec in res.transcript:
         if rec["op"] != "sec_tc":
             assert rec["flags"] is None
     # each record holds its phase's traffic alone: the fixed-size phases
     # match their predictions, and the records add up to everything metered
-    # after stage I's t model reveals
+    # after stage I's t model reveals. The clients check their own estimates
+    # and send only their flags, so a check record is 0 rounds and 0 bytes
     tc = predict_cost("sec_tc", {"clients": cfg.n - 1, "m": cfg.m}, CODEC)
-    assert all((rec["rounds"], rec["bytes"]) == tc.as_tuple() for rec in tc_records)
+    assert tc.as_tuple() == (0, 0)
+    assert all((rec["rounds"], rec["bytes"]) == (0, 0) for rec in tc_records)
     # an estimate round is one aggregate reveal of m words: the clients fold
     # and share their own B at no round, so a request's rounds and bytes
     # follow from public sizes and revealed flags alone
@@ -444,6 +453,63 @@ def test_simulate_rejects_bad_target():
     task, cfg = _small_run()
     with pytest.raises(ConfigError):
         simulate(cfg, task.pool(), target=7)
+
+
+# -- the clients' state across requests -----------------------------------------------
+
+
+def _stage_two(hists, pool, cfg, target=1):
+    return run_pair(lambda sess: starfish_run(sess, hists[sess.party], pool, cfg, target),
+                    make_inproc_sessions(cfg.seed, codec=CODEC))
+
+
+def test_a_request_replays_no_client_state(monkeypatch):
+    # a long history and a short replay that never checks (t_c = 13 > T' = 7):
+    # a request asks each remaining client for an exact and a stage-I
+    # gradient in each warm-up round, 2 buffer_b (n - 1) = 12 calls per
+    # party, and re-derives no threshold
+    import starfish.unlearn as unlearn
+
+    run = RunConfig(n=4, m=4, t=128, eta_l=0.005, sigma=0.05)
+    cfg = run.unlearn_config()
+    assert cfg.t_c == 13 and cfg.t_prime == 7
+    pool = _CountingPool(run.build_task().pool())
+    hists = run_pair(lambda sess: stage_one(sess, pool, cfg), make_inproc_sessions(cfg.seed, codec=CODEC))
+    pool.calls.clear()
+    rounds = []
+    monkeypatch.setattr(unlearn, "client_round", lambda *args: rounds.append(args))
+    for target in range(cfg.n):
+        before = len(pool.calls)
+        _stage_two(hists, pool, cfg, target)
+        assert (len(pool.calls) - before) // 2 == 2 * cfg.buffer_b * (cfg.n - 1) == 12
+    assert rounds == []
+
+
+def test_a_check_needs_the_clients_thresholds():
+    # a fresh pool holds no thresholds: a run that checks stops with a
+    # ConfigError, one that never checks reads none and runs
+    for beta, checks in ((0.25, True), (0.75, False)):
+        task, cfg = _small_run(beta=beta)
+        hists = run_pair(lambda sess: stage_one(sess, task.pool(), cfg),
+                         make_inproc_sessions(cfg.seed, codec=CODEC))
+        if checks:
+            with pytest.raises(ConfigError, match="no thresholds from this history's stage I"):
+                _stage_two(hists, task.pool(), cfg)
+        else:
+            res, _ = _stage_two(hists, task.pool(), cfg)
+            assert res.check_rounds == 0
+
+
+def test_a_pool_trained_on_another_config_is_rejected():
+    # the pool's thresholds belong to the last stage I it ran; a history of
+    # another run does not match its models
+    task, cfg = _small_run(beta=0.25)
+    pool = task.pool()
+    hists = run_pair(lambda sess: stage_one(sess, pool, cfg), make_inproc_sessions(cfg.seed, codec=CODEC))
+    assert _stage_two(hists, pool, cfg)[0].check_rounds > 0
+    plaintext_history(UnlearnConfig(**{**vars(cfg), "eta_l": 0.07}), pool, CODEC)
+    with pytest.raises(ConfigError, match="no thresholds from this history's stage I"):
+        _stage_two(hists, pool, cfg)
 
 
 # -- configuration -----------------------------------------------------------------
