@@ -30,7 +30,7 @@ import numpy as np
 from .costs import RS_KEY_WIDTH, comparator_calls, predict_cost, ranks
 from .errors import AssumptionError, ConfigError, ProtocolError, StarfishError
 from .fixedpoint import FixedPointCodec
-from .gates import sec_add, sec_div, sec_ge, sec_lut, sec_mul, sec_sel, sec_sp, sec_srt
+from .gates import sec_add, sec_div, sec_ge, sec_lut, sec_mul, sec_sel, sec_srt
 from .oracle import (
     bound_report,
     logistic_task,
@@ -462,7 +462,6 @@ def _audit_battery(cfg: RunConfig):
         ("sec_mul (8,)", "sec_mul", (8,), lambda s: sec_mul(s, *shared(s, 2, v8, v8))),
         ("sec_mul matmul 4x4", "sec_mul", {"matmul": ((4, 4), (4, 4))},
          lambda s: sec_mul(s, *shared(s, 3, ((4, 4), 0.25, 1.0), ((4, 4), 0.25, 1.0)), matmul=True)),
-        ("sec_sp k=8", "sec_sp", (8,), lambda s: sec_sp(s, *shared(s, 4, u8, u8))),
         ("sec_sel (8,)", "sec_sel", (8,),
          lambda s: sec_sel(s, *shared(s, 5, v8, v8, lambda rng: rng.integers(0, 2, size=(8,))))),
         ("sec_ge (8,)", "sec_ge", (8,), lambda s: sec_ge(s, *shared(s, 6, v8, v8))),

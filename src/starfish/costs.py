@@ -244,7 +244,6 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
       sec_rec/sec_ge/sec_lut/sec_div: lane shape tuple
       sec_mul/sec_sel: lane shape tuple of both operands, or for sec_mul a
         dict {"matmul": (sx, sy)}
-      sec_sp: shape tuple (..., k)
       sec_srt: dict {"t", "item_words", "width", "count"}: the top count of T
         rows of item_words words, ordered by their first width (1 or 2) columns
       sec_rank: dict {"t", "width"}
@@ -262,9 +261,6 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
     if name in ("sec_mul", "sec_sel"):
         sx, sy = shape["matmul"] if isinstance(shape, dict) else (shape, shape)
         return mul_cost(_lanes(sx), _lanes(sy))
-    if name == "sec_sp":
-        lanes = _lanes(shape[:-1])
-        return words_round(2 * lanes * shape[-1])
     if name == "sec_ge":
         return ge_cost(_lanes(shape))
     if name == "sec_lut":

@@ -149,18 +149,6 @@ def mul_public(sess: Session, x, raw, *, matmul: bool = False) -> np.ndarray:
         return sess.truncate(np.matmul(x, pub) if matmul else np.multiply(x, pub))
 
 
-def sec_sp(sess: Session, x, y) -> np.ndarray:
-    """Inner product along the last axis, one truncation of the summed terms."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape[-1] != y.shape[-1]:
-        raise ShapeError(f"sec_sp shapes {x.shape} x {y.shape}")
-    x, y = np.broadcast_arrays(x, y)
-    with sess.op("sec_sp", int(x.size // x.shape[-1])):
-        z = _beaver_mul(sess, x[..., None, :], y[..., :, None], matmul=True)
-        return z[..., 0, 0]
-
-
 def sp_public(sess: Session, x, raw) -> np.ndarray:
     """Inner product with a public vector: local, zero communication."""
     x = np.asarray(x)

@@ -8,12 +8,13 @@ individual gates.
 
 The mirror deliberately tracks the fixed-point pipeline: client gradients are
 snapped to the codec grid before use, and every discrete decision (keep
-flags, threshold flags) is evaluated on values both worlds agree on. Each
-client's curvature matrix is the float B that unlearn.client_fold builds, in
-the mirror and at the secure run's clients alike; the secure run shares it.
-The clients' check flags come from unlearn.client_check in both worlds, so
-they are equal by construction. The drift left is truncation noise, which
-the acceptance harness budgets per truncation.
+flags, threshold flags) is evaluated on values both worlds agree on. The
+simulated clients are one layer that both worlds call: stage I's
+unlearn.clients_stage_one, and stage II's unlearn.RemainingClients, which
+checks, takes exact gradients and folds each client's float B. So stage-I
+values, check flags, corrections and every B are equal by construction; the
+secure run shares what the mirror uses in the clear. The drift left is
+truncation noise, which the acceptance harness budgets per truncation.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ from .errors import (
     AssumptionError,
     ConfigError,
     DivisionDomainError,
-    ShapeError,
     UnknownFunctionality,
 )
 from .fixedpoint import FixedPointCodec
 from .sharing import STREAM_BASELINE, STREAM_DATA, keyed_rng
-from .unlearn import ClientPool, UnlearnConfig, client_check, client_fold, client_round
+from .unlearn import ClientPool, RemainingClients, UnlearnConfig, clients_stage_one
 
 
 # -- synthetic convex tasks ---------------------------------------------------
@@ -285,10 +285,8 @@ def plaintext_history(config: UnlearnConfig, pool: ClientPool, codec: FixedPoint
     norms = np.zeros((t, n))
     deltas = np.zeros((t, n))
     for i in range(t):
-        for j in range(n):
-            grads[i, j], norms[i, j], deltas[i, j] = client_round(pool, j, models[i], config.alpha, codec)
-        avg = grads[i].sum(axis=0) / n
-        models[i + 1] = models[i] - config.eta_l * avg
+        grads[i], norms[i], deltas[i] = clients_stage_one(pool, models[i], config.alpha, codec)
+        models[i + 1] = models[i] - config.eta_l * (grads[i].sum(axis=0) / n)
     pool.trained = (models.copy(), deltas.max(axis=0))
     return PlainHistory(models=models, grads=grads, norms=norms, deltas=deltas)
 
@@ -357,36 +355,22 @@ def _plain_recovery(
     target: int,
     codec: FixedPointCodec,
 ) -> PlainRun:
-    remaining = [j for j in range(config.n) if j != target]
-    nr, m = len(remaining), history.grads.shape[2]
-    thresholds = history.deltas.max(axis=0)[remaining]
-    curv, curved = np.zeros((nr, m, m)), np.zeros(nr, dtype=bool)
+    clients = RemainingClients(pool, history.models, target, config, codec)
     m_hat = history.models[0].copy()
     trajectory = [m_hat.copy()]
-    corrections = {j: 0 for j in remaining}
     check_flags: list = []
 
     for i, r in enumerate(selected, start=1):
-        g_round = history.grads[r][remaining]
-        dm = m_hat - history.models[r]
-        estimates = g_round + curv @ codec.quantize(dm)
-        warm = i <= config.buffer_b
-        exact = np.full(nr, warm)
-        if not warm and i % config.t_c == 0:
-            exact = client_check(g_round, curv, dm, thresholds, codec)
-            check_flags.append((i, exact.astype(int).tolist()))
-        rows = np.flatnonzero(exact)
-        for idx in rows:
-            corrections[remaining[idx]] += not warm
-            estimates[idx] = codec.quantize(pool.gradient(remaining[idx], m_hat))
-        if rows.size and config.buffer_b > 0:
-            # these clients fold their pairs, as in the secure run
-            client_fold(curv, curved, rows, estimates[rows] - g_round[rows], dm, codec)
-        m_hat = m_hat - config.eta_u * (estimates.sum(axis=0) / nr)
+        estimates = history.grads[r][clients.ids] + clients.curv @ codec.quantize(m_hat - history.models[r])
+        rows, grads, flags = clients.step(i, r, m_hat)
+        if flags is not None:
+            check_flags.append((i, flags.astype(int).tolist()))
+        estimates[rows] = grads
+        m_hat = m_hat - config.eta_u * (estimates.sum(axis=0) / clients.ids.size)
         trajectory.append(m_hat.copy())
 
     return PlainRun(trajectory=np.array(trajectory), selected=np.asarray(selected, dtype=np.int64),
-                    corrections=corrections, check_flags=check_flags, history=history)
+                    corrections=clients.corrections, check_flags=check_flags, history=history)
 
 
 def plaintext_starfish(config: UnlearnConfig, task, target: int, codec: FixedPointCodec | None = None) -> PlainRun:
@@ -525,7 +509,6 @@ ERROR_BUDGETS = {
     "sec_sel": 0.0,
     "sec_srt": 0.0,
     "sec_mul": 2.0 ** -12,
-    "sec_sp": 2.0 ** -12,
     "sec_div": 2.0 ** -12,
 }
 
@@ -542,19 +525,6 @@ def _exact_mul(x, y) -> np.ndarray:
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
     vals = [a * b for a, b in zip(_fractions(x), _fractions(y))]
     return _from_fractions(vals, x.shape)
-
-
-def _exact_sp(x, y) -> np.ndarray:
-    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-    if x.ndim == 0:
-        raise ShapeError("inner product needs at least one axis")
-    flat_x = x.reshape(-1, x.shape[-1])
-    flat_y = y.reshape(-1, y.shape[-1])
-    vals = [
-        sum(Fraction(float(a)) * Fraction(float(b)) for a, b in zip(rx, ry))
-        for rx, ry in zip(flat_x, flat_y)
-    ]
-    return _from_fractions(vals, x.shape[:-1])
 
 
 def _exact_div(u, v) -> np.ndarray:
@@ -582,8 +552,6 @@ def exact_gate_oracle(gate: str, *inputs):
         return np.asarray(x, float)
     if gate == "sec_mul":
         return _exact_mul(*inputs)
-    if gate == "sec_sp":
-        return _exact_sp(*inputs)
     if gate == "sec_ge":
         x, y = np.broadcast_arrays(*(np.asarray(a, float) for a in inputs))
         return (x >= y).astype(np.int64)

@@ -41,7 +41,6 @@ FRAME_OVERHEAD = LEN.size + HEADER.size  # 16 bytes per frame
 OP_TAGS = {
     "sec_rec": 0x0002,
     "sec_mul": 0x0011,
-    "sec_sp": 0x0013,
     "sec_sel": 0x0014,
     "sec_ge": 0x0015,
     "sec_srt": 0x0018,

@@ -21,9 +21,13 @@ gap and its largest threshold), so each remaining client forms its own
 estimate, tests it and sends one flag (client_check); stage II runs no
 comparison after selection.
 
-Clients are simulated in-process. Both server parties run the same code, so
-a client "sending shares" is a deterministic keyed split both sides derive
-and keep their half of.
+Clients are simulated in-process, in one layer that the plaintext mirror
+calls too: clients_stage_one is every client's stage-I step, and
+RemainingClients.step a replay round's checks, exact gradients and folds.
+Both server parties run the same code, so the clients "sending shares" is a
+deterministic keyed split both sides derive and keep their half of: one
+split of the whole block the clients send, keyed by the seed, the kind of
+block (stage-I gradients and norms, exact gradients, B) and the round.
 """
 
 from __future__ import annotations
@@ -116,6 +120,10 @@ class ClientPool:
     def gradient(self, j: int, model: np.ndarray) -> np.ndarray:
         return np.asarray(self.clients[j].gradient(model), dtype=np.float64)
 
+    def gradients(self, clients, model: np.ndarray, codec: FixedPointCodec) -> np.ndarray:
+        """The clients' own gradients at model, on the codec grid: (len(clients), m)."""
+        return codec.quantize([self.gradient(j, model) for j in clients]).reshape(len(clients), model.size)
+
     def max_thresholds(self, models: np.ndarray) -> np.ndarray:
         """The clients' largest thresholds from the stage I whose models these are."""
         if self.trained is None or not np.array_equal(self.trained[0], models):
@@ -124,22 +132,27 @@ class ClientPool:
         return self.trained[1]
 
 
-def client_round(pool: ClientPool, j: int, model: np.ndarray, alpha: float, codec: FixedPointCodec):
-    """One client's local step: gradient, its norm, and the round threshold.
+def clients_stage_one(pool: ClientPool, model: np.ndarray, alpha: float, codec: FixedPointCodec):
+    """Every client's local step at model: gradients (n, m), their norms (n,)
+    and the round thresholds (n,).
 
-    The gradient is quantized to the protocol grid first so every derived
-    quantity matches what the servers can actually reconstruct. delta is the
-    value that exactly an alpha fraction of |g| coordinates strictly exceed
-    (lower-interpolation empirical quantile; alpha=1 pins it to zero).
+    The gradients are quantized to the protocol grid first so every derived
+    quantity matches what the servers can actually reconstruct. A threshold
+    is the value that exactly an alpha fraction of the client's |g|
+    coordinates strictly exceed (lower-interpolation empirical quantile);
+    alpha=1 pins it to zero, and so does a zero gradient.
     """
-    g = codec.quantize(pool.gradient(j, model))
-    norm = float(np.linalg.norm(g))
-    if alpha >= 1.0 or not np.any(g):
-        delta = 0.0
-    else:
-        k = int((g.size - 1) * (1.0 - alpha))  # np.quantile's "lower" index
-        delta = float(np.partition(np.abs(g), k)[k])
-    return g, norm, delta
+    g = pool.gradients(range(pool.n), model, codec)
+    if alpha >= 1.0:
+        return g, np.linalg.norm(g, axis=1), np.zeros(pool.n)
+    k = int((g.shape[1] - 1) * (1.0 - alpha))  # np.quantile's "lower" index
+    return g, np.linalg.norm(g, axis=1), np.partition(np.abs(g), k, axis=1)[:, k]
+
+
+def _upload(sess: Session, seed: int, kind: int, i: int, block: np.ndarray) -> np.ndarray:
+    """This party's share of the block the clients send at round i: one keyed
+    split per round and kind of block."""
+    return sec_share(block, sess.codec, keyed_rng(seed, STREAM_CLIENT_SHARES, kind, i))[sess.party].value
 
 
 def _meter_totals(sess: Session) -> tuple[int, int]:
@@ -258,12 +271,10 @@ def stage_one(
     max_delta = np.zeros(n)
 
     for i in range(t):
-        for j in range(n):
-            g, norm, delta = client_round(pool, j, models[i], config.alpha, codec)
-            rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_STAGE1, i, j)
-            share = sec_share(np.append(g, norm), codec, rng)[sess.party].value  # g's words, then norm's
-            grads[i, j], norms[i, j] = share[:-1], share[-1]
-            max_delta[j] = max(max_delta[j], delta)
+        g, norm, delta = clients_stage_one(pool, models[i], config.alpha, codec)
+        share = _upload(sess, config.seed, _SHARE_STAGE1, i, np.column_stack([g, norm]))  # g's words, then norm's
+        grads[i], norms[i] = share[:, :-1], share[:, -1]
+        max_delta = np.maximum(max_delta, delta)
         total = sec_rec(sess, grads[i].sum(axis=0, dtype=np.uint64))
         avg = codec.decode(total) / n
         models[i + 1] = models[i] - config.eta_l * avg
@@ -350,6 +361,48 @@ def client_check(stage1: np.ndarray, curv: np.ndarray, dm, thresholds, codec: Fi
     return (np.abs(estimates) >= codec.quantize(thresholds)[:, None]).any(axis=1)
 
 
+class RemainingClients:
+    """The clients left after removing target, in stage II, each with its
+    own state in the clear: its B (curv), whether B has taken a pair
+    (curved), its corrected rounds and, from the first check on, its largest
+    stage-I threshold. The secure run and the plaintext mirror both replay
+    them through step."""
+
+    def __init__(self, pool: ClientPool, models: np.ndarray, target: int,
+                 config: UnlearnConfig, codec: FixedPointCodec):
+        self.pool, self.models, self.config, self.codec = pool, models, config, codec
+        self.ids = np.array([j for j in range(pool.n) if j != target])
+        m = models.shape[1]
+        self.curv, self.curved = np.zeros((self.ids.size, m, m)), np.zeros(self.ids.size, dtype=bool)
+        self.corrections = dict.fromkeys(self.ids.tolist(), 0)
+        self.thresholds = None
+
+    def step(self, i: int, r: int, m_hat: np.ndarray):
+        """Replay round i on stored round r at the recovered model m_hat. A
+        warm-up round (i <= buffer_b) takes every exact gradient; a checking
+        round recomputes the stage-I gradients at m_r, checks them
+        (client_check) and takes the flagged clients' exact gradients. Each
+        client that sends folds its pair into its B (client_fold). Returns
+        (rows that send, their exact gradients, the flags or None)."""
+        config, codec = self.config, self.codec
+        warm = i <= config.buffer_b
+        check = not warm and i % config.t_c == 0
+        dm = m_hat - self.models[r]
+        stage1 = self.pool.gradients(self.ids, self.models[r], codec) if warm or check else None
+        rows, flags = np.arange(self.ids.size if warm else 0), None
+        if check:
+            if self.thresholds is None:
+                self.thresholds = self.pool.max_thresholds(self.models)[self.ids]
+            flags = client_check(stage1, self.curv, dm, self.thresholds, codec)
+            rows = np.flatnonzero(flags)
+            for j in self.ids[rows].tolist():
+                self.corrections[j] += 1
+        grads = self.pool.gradients(self.ids[rows], m_hat, codec)
+        if rows.size and config.buffer_b > 0:
+            client_fold(self.curv, self.curved, rows, grads - stage1[rows], dm, codec)
+        return rows, grads, flags
+
+
 # -- the full stage II -------------------------------------------------------
 
 
@@ -382,14 +435,11 @@ def starfish_run(
     target: int,
 ) -> RunResult:
     """Stage II: round selection, then the unlearning loop; the transcript
-    starts at sec_rs. The first buffer_b rounds take every client's exact
-    gradient and run no check. At a checking round every remaining client
-    recomputes its stage-I gradient, checks its own estimate against the
-    largest threshold it kept from stage I (pool.max_thresholds, read at the
-    first check) and sends its flag, so a sec_tc record holds the flags at
-    no round. A client that sends an exact gradient folds its pair into its
-    own B and shares B, at no round, so each sec_ue record is the aggregate
-    reveal alone."""
+    starts at sec_rs. The remaining clients run each round's warm-up or
+    check, exact gradients and folds (RemainingClients.step), so a sec_tc
+    record holds a check's flags at no round. The exact gradients and the B
+    of the clients that send are shared at no round, so each sec_ue record
+    is the aggregate reveal alone."""
     if not (0 <= target < history.n):
         raise ConfigError(f"target {target} outside client range")
     codec = sess.codec
@@ -408,62 +458,31 @@ def starfish_run(
         })
         last = now
 
-    remaining = [j for j in range(history.n) if j != target]
-
-    def gradients(clients, model) -> np.ndarray:
-        """The clients' own gradients at model, on the codec grid."""
-        return codec.quantize([pool.gradient(j, model) for j in clients]).reshape(len(clients), history.m)
-
     params = SelectionParams(t=history.t, sigma=config.sigma)
     selection = sec_rs(sess, history.selection_inputs(target), params)
     record("sec_rs")
 
+    clients = RemainingClients(pool, history.models, target, config, codec)
     state = LbfgsState(capacity=config.buffer_b)
-    # the remaining clients' own B, each in the clear at its client
-    curv, curved = np.zeros((len(remaining), history.m, history.m)), np.zeros(len(remaining), dtype=bool)
     m_hat = history.models[0].copy()
     trajectory = [m_hat.copy()]
-    corrections = {j: 0 for j in remaining}
     check_rounds = 0
-    thresholds = None
 
     for i, r in enumerate(selection.chronological(), start=1):
         # the recovered model and its gradients are public: a value that
         # leaves the codec's range means the recovery diverged at round i
         try:
-            g_round = history.grads[r][remaining]
-            dm = m_hat - history.models[r]
-            estimates = sec_ue(sess, g_round, state, dm)
-            # warm-up rounds take every exact gradient, checking rounds those
-            # of the flagged clients
-            warm = i <= config.buffer_b
-            exact = np.full(len(remaining), warm)
-            stage1 = None
-            if not warm and i % config.t_c == 0:
-                if thresholds is None:
-                    thresholds = pool.max_thresholds(history.models)[remaining]
-                stage1 = gradients(remaining, history.models[r])
-                exact = client_check(stage1, curv, dm, thresholds, codec)
+            estimates = sec_ue(sess, history.grads[r][clients.ids], state, m_hat - history.models[r])
+            rows, grads, flags = clients.step(i, r, m_hat)
+            if flags is not None:
                 check_rounds += 1
-                record("sec_tc", exact)
-            rows = np.flatnonzero(exact)
-            clients = np.asarray(remaining)[rows]
-            grads = gradients(clients, m_hat)
-            for idx, j, g in zip(rows, clients, grads):
-                corrections[j] += not warm
-                rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_CORRECTION, int(i), int(j))
-                estimates[idx] = sec_share(g, codec, rng)[sess.party].value
-            if rows.size and state.capacity > 0:
-                # each of these clients pairs its exact gradient with its own
-                # stage-I gradient at the public m_r (from its check, or
-                # recomputed in a warm-up round), folds and shares its B
-                y = grads - (gradients(clients, history.models[r]) if stage1 is None else stage1[rows])
-                client_fold(curv, curved, rows, y, dm, codec)
-                if state.curvature is None:
-                    state.curvature = np.zeros(curv.shape, dtype=np.uint64)
-                for idx, j in zip(rows, clients):
-                    rng = keyed_rng(config.seed, STREAM_CLIENT_SHARES, _SHARE_CURVATURE, int(i), int(j))
-                    state.curvature[idx] = sec_share(curv[idx], codec, rng)[sess.party].value
+                record("sec_tc", flags)
+            if rows.size:
+                estimates[rows] = _upload(sess, config.seed, _SHARE_CORRECTION, i, grads)
+                if state.capacity > 0:
+                    if state.curvature is None:
+                        state.curvature = np.zeros(clients.curv.shape, dtype=np.uint64)
+                    state.curvature[rows] = _upload(sess, config.seed, _SHARE_CURVATURE, i, clients.curv[rows])
             m_hat, _ = aggregate_reveal(sess, estimates, m_hat, config.eta_u)
             trajectory.append(m_hat.copy())
             record("sec_ue")
@@ -472,7 +491,7 @@ def starfish_run(
 
     return RunResult(model=m_hat, trajectory=np.array(trajectory), transcript=transcript,
                      selected=selection.chronological(),
-                     corrections=corrections, check_rounds=check_rounds)
+                     corrections=clients.corrections, check_rounds=check_rounds)
 
 
 def simulate(config: UnlearnConfig, pool: ClientPool, target: int, codec: FixedPointCodec | None = None):

@@ -35,7 +35,6 @@ from starfish.gates import (
     sec_ge,
     sec_mul,
     sec_sel,
-    sec_sp,
     sec_srt,
 )
 from starfish.oracle import ERROR_BUDGETS, PlainHistory, cosine_selection, selection_margin
@@ -81,11 +80,6 @@ def test_criterion_1_gate_oracle_equivalence():
     a, b = share_pair(x, key=102), share_pair(y, key=103)
     got, _ = both(lambda s: reveal(s, sec_mul(s, a[s.party], b[s.party])))
     check("sec_mul", got, exact_gate_oracle("sec_mul", x, y))
-
-    x, y = _grid(rng, -5, 5, (1024, 4)), _grid(rng, -5, 5, (1024, 4))
-    a, b = share_pair(x, key=104), share_pair(y, key=105)
-    got, _ = both(lambda s: reveal(s, sec_sp(s, a[s.party], b[s.party])))
-    check("sec_sp", got, exact_gate_oracle("sec_sp", x, y))
 
     # comparisons and selections must agree exactly, ties included
     x, y = _grid(rng, -2000, 2000, 1024), _grid(rng, -2000, 2000, 1024)
@@ -363,7 +357,6 @@ def test_criterion_9_metering_and_invocation_multiset():
     for op, proto, shape in (
         ("sec_add", lambda s: sec_add(s, a[s.party], b[s.party]), (8,)),
         ("sec_mul", lambda s: sec_mul(s, a[s.party], b[s.party]), (8,)),
-        ("sec_sp", lambda s: sec_sp(s, a[s.party], b[s.party]), (8,)),
         ("sec_rec", lambda s: sec_rec(s, a[s.party]), (8,)),
     ):
         sessions = make_inproc_sessions(9)

@@ -305,7 +305,7 @@ def test_compare_full_sigma_matches_random_subset(tmp_path, capsys):
 def test_audit_passes(capsys):
     assert _run(["audit", "--seed", 0]) == 0
     printed = capsys.readouterr().out
-    assert "all 15 functionalities match" in printed
+    assert "all 14 functionalities match" in printed
     assert "MISMATCH" not in printed
     # a ranked selection ends in a two-round lookup
     assert re.search(r"^sec_rs T=12 T'=8 method 1 +20 / 20 ", printed, re.M)

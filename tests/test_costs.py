@@ -24,7 +24,6 @@ from starfish.gates import (
     sec_ge,
     sec_mul,
     sec_sel,
-    sec_sp,
     sec_srt,
 )
 from starfish.roundsel import SelectionInputs, SelectionParams, sec_rs
@@ -118,12 +117,6 @@ def test_sec_mul_matmul_cost():
     b = share_pair(CODEC.quantize(RNG.uniform(-1, 1, size=(4, 4))), key=8)
     got = measured("sec_mul", lambda s: sec_mul(s, a[s.party], b[s.party], matmul=True))
     assert got == predict_cost("sec_mul", {"matmul": ((4, 4), (4, 4))}, CODEC).as_tuple()
-
-
-def test_sec_sp_cost():
-    a, b = vals(16, 12), vals(16, 13)
-    got = measured("sec_sp", lambda s: sec_sp(s, a[s.party], b[s.party]))
-    assert got == predict_cost("sec_sp", (16,), CODEC).as_tuple()
 
 
 def test_sec_rec_cost():

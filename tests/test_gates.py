@@ -18,7 +18,6 @@ from starfish.gates import (
     sec_lut,
     sec_rank,
     sec_sel,
-    sec_sp,
     sec_srt,
 )
 from starfish.oracle import ERROR_BUDGETS, exact_gate_oracle
@@ -122,29 +121,6 @@ def test_sec_mul_matmul_identity_and_random():
     got, _ = both(lambda s: reveal(s, sec_mul(s, b[s.party], c[s.party], matmul=True)))
     err = np.abs(got - x @ y)
     assert float(err.max()) <= 8 * 2.0 ** (-CODEC.precision_p + 1)
-
-
-def test_sec_sp_identities():
-    x = grid(RNG.uniform(-2, 2, size=8))
-    e1 = np.zeros(8)
-    e1[0] = 1.0
-    a, b = share_pair(grid(e1), key=13), share_pair(x, key=14)
-    got, _ = both(lambda s: reveal(s, sec_sp(s, a[s.party], b[s.party])))
-    assert float(got) == x[0]
-
-    z = share_pair(np.zeros(8), key=15)
-    got, _ = both(lambda s: reveal(s, sec_sp(s, b[s.party], z[s.party])))
-    assert float(got) == 0.0
-
-
-def test_sec_sp_long_vector_budget():
-    x, y = grid(RNG.uniform(-1, 1, size=64)), grid(RNG.uniform(-1, 1, size=64))
-    a, b = share_pair(x, key=16), share_pair(y, key=17)
-    got, _ = both(lambda s: reveal(s, sec_sp(s, a[s.party], b[s.party])))
-    exact = exact_gate_oracle("sec_sp", x, y)
-    assert abs(float(got) - float(exact)) <= 64 * 2.0 ** (-CODEC.precision_p + 1)
-    # the accumulation is exact in the ring; only one truncation happens
-    assert abs(float(got) - float(exact)) <= ERROR_BUDGETS["sec_sp"]
 
 
 def test_sec_mul_column_times_matrix_at_operand_shapes():

@@ -272,7 +272,6 @@ def test_exact_oracle_arithmetic():
     assert np.array_equal(exact_gate_oracle("sec_add", x, y), x + y)
     assert np.array_equal(exact_gate_oracle("sec_rec", x), x)
     assert np.array_equal(exact_gate_oracle("sec_mul", x, y), [0.125, -0.625, -6.0])
-    assert exact_gate_oracle("sec_sp", x, y) == pytest.approx(0.125 - 0.625 - 6.0)
     assert np.array_equal(exact_gate_oracle("sec_div", x, y), [2.0, -2.5, -1.5])
 
 

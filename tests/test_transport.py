@@ -36,10 +36,10 @@ def test_frame_roundtrip():
 ], ids=["bytes", "array"])
 def test_build_frame_layout(payload):
     raw = bytes(payload)
-    frame = tr.build_frame(7, tr.OP_TAGS["sec_sp"], payload)
-    assert frame == tr.LEN.pack(tr.HEADER.size + len(raw)) + tr.HEADER.pack(7, tr.OP_TAGS["sec_sp"], 0) + raw
+    frame = tr.build_frame(7, tr.OP_TAGS["sec_sel"], payload)
+    assert frame == tr.LEN.pack(tr.HEADER.size + len(raw)) + tr.HEADER.pack(7, tr.OP_TAGS["sec_sel"], 0) + raw
     sid, tag, got = tr.parse_frame(frame)
-    assert (sid, tag, bytes(got)) == (7, tr.OP_TAGS["sec_sp"], raw)
+    assert (sid, tag, bytes(got)) == (7, tr.OP_TAGS["sec_sel"], raw)
     # the payload is a view into the frame, not a copy
     assert isinstance(got, memoryview) and got.obj is frame
 

@@ -25,7 +25,7 @@ from starfish.unlearn import (
     _SFH1,
     client_check,
     client_fold,
-    client_round,
+    clients_stage_one,
     sec_ue,
     stage_one,
     starfish_run,
@@ -49,39 +49,47 @@ def stub_pool(*vectors):
     )
 
 
-# -- client-side round -----------------------------------------------------
+# -- the clients' stage-I step ------------------------------------------------
 
 
 def test_client_round_quantile_example():
     pool = stub_pool([0.1, 0.2, 0.3, 0.4, 0.5], [0.0] * 5)
-    g, norm, delta = client_round(pool, 0, pool.initial_model, alpha=0.4, codec=CODEC)
-    assert np.array_equal(g, CODEC.quantize([0.1, 0.2, 0.3, 0.4, 0.5]))
-    assert norm == float(np.linalg.norm(g))
+    g, norm, delta = clients_stage_one(pool, pool.initial_model, alpha=0.4, codec=CODEC)
+    assert np.array_equal(g[0], CODEC.quantize([0.1, 0.2, 0.3, 0.4, 0.5]))
+    assert norm[0] == float(np.linalg.norm(g[0]))
     # exactly a 0.4 fraction of coordinates strictly exceeds the threshold
-    assert delta == float(CODEC.quantize(0.3))
-    assert np.mean(np.abs(g) > delta) == 0.4
+    assert delta[0] == float(CODEC.quantize(0.3))
+    assert np.mean(np.abs(g[0]) > delta[0]) == 0.4
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.4, 0.7, 0.99])
 @pytest.mark.parametrize("m", [1, 5, 7, 32, 33])
 def test_client_round_threshold_is_the_lower_quantile(alpha, m):
+    # every client of the batch takes the quantile of its own row
     vec = np.random.default_rng(m).normal(size=m)
-    _, _, delta = client_round(stub_pool(vec), 0, np.zeros(m), alpha=alpha, codec=CODEC)
-    assert delta == float(np.quantile(np.abs(CODEC.quantize(vec)), 1.0 - alpha, method="lower"))
+    _, _, delta = clients_stage_one(stub_pool(vec, 2.0 * vec[::-1]), np.zeros(m), alpha=alpha, codec=CODEC)
+    assert delta[0] == float(np.quantile(np.abs(CODEC.quantize(vec)), 1.0 - alpha, method="lower"))
+    assert delta[1] == float(np.quantile(np.abs(CODEC.quantize(2.0 * vec)), 1.0 - alpha, method="lower"))
 
 
 def test_client_round_full_alpha_pins_zero():
     pool = stub_pool([0.5, -0.25], [0.0, 0.0])
-    _, _, delta = client_round(pool, 0, pool.initial_model, alpha=1.0, codec=CODEC)
-    assert delta == 0.0
+    _, _, delta = clients_stage_one(pool, pool.initial_model, alpha=1.0, codec=CODEC)
+    assert delta.tolist() == [0.0, 0.0]
 
 
 def test_client_round_zero_gradient():
-    pool = stub_pool([0.0, 0.0], [1.0, 1.0])
-    g, norm, delta = client_round(pool, 0, pool.initial_model, alpha=0.4, codec=CODEC)
-    assert not np.any(g)
-    assert norm == 0.0
-    assert delta == 0.0
+    # a zero-gradient client in a batch with others: its norm and threshold
+    # are zero, and the others' values are those they take alone
+    pool = stub_pool([0.0, 0.0], [1.0, 1.0], [0.5, -0.25])
+    g, norm, delta = clients_stage_one(pool, pool.initial_model, alpha=0.4, codec=CODEC)
+    assert not np.any(g[0])
+    assert norm[0] == 0.0
+    assert delta[0] == 0.0
+    for j in (1, 2):
+        alone = clients_stage_one(stub_pool(pool.clients[j].vec), pool.initial_model, alpha=0.4, codec=CODEC)
+        assert all(np.array_equal(got[j], own[0]) for got, own in zip((g, norm, delta), alone))
+        assert norm[j] > 0.0 and delta[j] > 0.0
 
 
 # -- gradient estimation -------------------------------------------------------
@@ -299,19 +307,20 @@ def test_history_model_updates():
 
 
 def test_stage_one_matches_plaintext_models():
-    from starfish.oracle import plaintext_history
-
     task = quadratic_task(3, 4, mu=1.0, lam_max=1.1, lip=1.1, seed=2)
     cfg = UnlearnConfig(n=3, m=4, t=6, sigma=0.6, alpha=0.4, beta=0.5,
                         buffer_b=1, eta_l=0.08, eta_u=0.2, seed=2)
     mirror = plaintext_history(cfg, task.pool(), CODEC)
-
-    def proto(sess):
-        return stage_one(sess, task.pool(), cfg).models
-
-    got, _ = both(proto, seed=2)
+    h0, h1 = run_pair(lambda sess: stage_one(sess, task.pool(), cfg), make_inproc_sessions(cfg.seed, codec=CODEC))
     # grid-value sums are exact in float64, so the tracks agree bit for bit
-    assert np.array_equal(got, mirror.models)
+    assert np.array_equal(h0.models, mirror.models) and np.array_equal(h1.models, mirror.models)
+    # the shares hold the mirror's quantized gradients and norms exactly
+    assert np.array_equal(np.add(h0.grads, h1.grads), CODEC.encode(mirror.grads))
+    assert np.array_equal(np.add(h0.norms, h1.norms), CODEC.encode(mirror.norms))
+    # each round's block is split once, and no mask is used twice: party 0's
+    # T n (m + 1) words are pairwise distinct
+    words = np.concatenate([h0.grads.ravel(), h0.norms.ravel()])
+    assert np.unique(words).size == words.size == cfg.t * cfg.n * (cfg.m + 1)
 
 
 def test_stage_one_round_callback():
@@ -477,12 +486,41 @@ def test_a_request_replays_no_client_state(monkeypatch):
     hists = run_pair(lambda sess: stage_one(sess, pool, cfg), make_inproc_sessions(cfg.seed, codec=CODEC))
     pool.calls.clear()
     rounds = []
-    monkeypatch.setattr(unlearn, "client_round", lambda *args: rounds.append(args))
+    monkeypatch.setattr(unlearn, "clients_stage_one", lambda *args: rounds.append(args))
     for target in range(cfg.n):
         before = len(pool.calls)
         _stage_two(hists, pool, cfg, target)
         assert (len(pool.calls) - before) // 2 == 2 * cfg.buffer_b * (cfg.n - 1) == 12
     assert rounds == []
+
+
+def test_a_request_splits_each_upload_once_with_fresh_masks(monkeypatch):
+    # two warm-up rounds and a check that flags: the clients that send split
+    # their exact gradients and their B once per round and kind, and party
+    # 0's words of all those splits are pairwise distinct
+    import threading
+
+    import starfish.unlearn as unlearn
+
+    task, cfg = _small_run(beta=0.25)
+    pool = task.pool()
+    hists = run_pair(lambda sess: stage_one(sess, pool, cfg), make_inproc_sessions(cfg.seed, codec=CODEC))
+    splits, real = {}, unlearn.sec_share
+
+    def spy(v, codec, rng):
+        shares = real(v, codec, rng)
+        splits.setdefault(threading.get_ident(), []).append(shares[0].value.ravel())
+        return shares
+
+    monkeypatch.setattr(unlearn, "sec_share", spy)
+    res, _ = _stage_two(hists, pool, cfg)
+    flags = [r["flags"] for r in res.transcript if r["op"] == "sec_tc"]
+    assert cfg.buffer_b == 2 and any(map(any, flags))
+    sending = cfg.buffer_b + sum(map(any, flags))
+    assert sorted(map(len, splits.values())) == [2 * sending] * 2
+    words = np.concatenate(next(iter(splits.values())))
+    sent = cfg.buffer_b * (cfg.n - 1) + sum(res.corrections.values())
+    assert np.unique(words).size == words.size == sent * (cfg.m + cfg.m * cfg.m)
 
 
 def test_a_check_needs_the_clients_thresholds():
