@@ -6,9 +6,11 @@ parts are the frame overhead (16 bytes), the 64-bit ring word
 (fixedpoint.WORD_BITS), the packed-bit payload rule (whole 64-bit words) and
 the six carry levels over a 64-bit word. Every Beaver product, elementwise
 or matmul, ships its two masked operands at their own shapes (mul_cost).
-Comparisons (ge_cost) are priced as the carry-only sign circuit, whose
-levels shrink by half each time. Division (div_cost) is built on that
-comparison and Beaver products, one of each per quotient bit. Only division
+The carry-only sign circuit (sign_cost) has levels that shrink by half
+each time; a comparison (ge_cost) adds the B2A of its bits. A bit injection
+(inject_cost) multiplies the sign bits into rows of words in one frame: the
+top-T' network's selects and each quotient bit of division (div_cost),
+which pays one sign circuit and one injection per quotient bit. Only division
 depends on the codec (its quotient bit count), so only the formulas that
 reach sec_div take one. A table lookup (lut_cost) tests a small integer in
 two rounds, one masked opening and one bit reveal, whatever the table size.
@@ -91,15 +93,26 @@ def b2a_bits_cost(nbits: int) -> CostEstimate:
     return CostEstimate(1, FRAME_OVERHEAD + bit_payload_bytes(nbits))
 
 
-def ge_cost(lanes: int) -> CostEstimate:
-    """Sign-only comparison: the generate layer, the six carry-only levels of
-    a 64-bit word (level k ships its g and p ANDs for 2^k lanes per word;
-    the last level only its g AND), and the B2A of the sign bits."""
+def sign_cost(lanes: int) -> CostEstimate:
+    """The carry-only sign circuit: the generate layer and the six carry-only
+    levels of a 64-bit word (level k ships its g and p ANDs for 2^k lanes per
+    word; the last level only its g AND)."""
     levels = ks_level_count(WORD_BITS)
     total = and_round(lanes * WORD_BITS)
     for k in range(1, levels + 1):
         total += and_round((1 if k == levels else 2) * WORD_BITS * -(-lanes >> k))
-    return total + b2a_bits_cost(lanes)
+    return total
+
+
+def ge_cost(lanes: int) -> CostEstimate:
+    """sec_ge: the sign circuit and the B2A of its bits."""
+    return sign_cost(lanes) + b2a_bits_cost(lanes)
+
+
+def inject_cost(lanes: int, words: int) -> CostEstimate:
+    """A bit injection into lanes rows of words words: one frame of the masked
+    bits, packed, and the masked rows."""
+    return words_round(lanes * words + -(-lanes // WORD_BITS))
 
 
 def lut_cost(lanes: int) -> CostEstimate:
@@ -115,7 +128,7 @@ def mul_cost(x_lanes: int, y_lanes: int) -> CostEstimate:
 def comparator_cost(width: int, lanes: int) -> CostEstimate:
     """gates.comparator on lanes rows of width-column keys."""
     cross = mul_cost(2 * lanes, 2 * lanes) if width == 2 else ZERO
-    return cross + ge_cost(lanes)
+    return cross + sign_cost(lanes)
 
 
 def padded_size(t: int) -> int:
@@ -162,17 +175,19 @@ def comparator_calls(t: int, count: int) -> int:
 
 
 def sort_cost(t: int, item_words: int, width: int, count: int) -> CostEstimate:
-    """sec_srt: per layer one comparator and one select of whole rows by a bit column."""
+    """sec_srt: per layer one comparator and one injection of its bits into
+    the row differences."""
     total = ZERO
     for pairs in _layer_pairs(t, count):
-        total += comparator_cost(width, pairs) + mul_cost(pairs, pairs * item_words)
+        total += comparator_cost(width, pairs) + inject_cost(pairs, item_words)
     return total
 
 
 def rank_cost(t: int, width: int) -> CostEstimate:
-    """sec_rank: one comparator layer over the T(T-1)/2 pairs, then [rank < count]
-    by one lookup, which reveals the flags."""
-    return comparator_cost(width, t * (t - 1) // 2) + lut_cost(t)
+    """sec_rank: one comparator layer over the T(T-1)/2 pairs and the B2A of
+    its bits, then [rank < count] by one lookup, which reveals the flags."""
+    pairs = t * (t - 1) // 2
+    return comparator_cost(width, pairs) + b2a_bits_cost(pairs) + lut_cost(t)
 
 
 def ranks(kept: int, t_prime: int, width: int) -> bool:
@@ -208,10 +223,10 @@ def max_cost(t: int, batch: int) -> CostEstimate:
 
 
 def div_cost(lanes: int, codec: FixedPointCodec) -> CostEstimate:
-    """Signs, magnitudes, one comparison and one product per quotient bit, the sign."""
-    step = ge_cost(lanes) + mul_cost(lanes, lanes)
-    return (ge_cost(2 * lanes) + mul_cost(3 * lanes, 3 * lanes) + step * div_iterations(codec)
-            + mul_cost(lanes, lanes))
+    """The operands' signs and magnitudes, one sign circuit and one injection
+    per quotient bit, then the quotient's sign: each a one-word injection."""
+    step = sign_cost(lanes) + inject_cost(lanes, 1)
+    return sign_cost(2 * lanes) + inject_cost(2 * lanes, 1) + step * div_iterations(codec) + inject_cost(lanes, 1)
 
 
 # -- composite protocol phases ------------------------------------------------
@@ -228,7 +243,7 @@ def rs_cost(t: int, t_prime: int, method: int, codec: FixedPointCodec, kept: int
     nothing past the revealed zero-norm flags runs.
     """
     kept = t if kept is None else kept
-    total = ge_cost(t) + words_round(t)          # zero-norm flags, revealed
+    total = ge_cost(t)  # zero-norm flags: the sign bits revealed in the round of their B2A
     if kept <= t_prime:
         return total
     if method == 2:

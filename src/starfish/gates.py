@@ -7,9 +7,11 @@ on XOR-shared bits where each party contributes its own share as one
 addend. It needs only the sign of the sum, so it runs a carry-only prefix
 tree that computes the carry into the top bit (the MSB extraction of ABY3
 and SecureNN): as many rounds as a Kogge-Stone adder, about a quarter of its
-AND gates. That sign circuit is the only boolean circuit: division is
-restoring division on arithmetic shares, one comparison and one Beaver
-product per quotient bit. A small integer in a public range [0, M) skips
+AND gates. That sign circuit is the only boolean circuit. Its XOR-shared
+bits leave it in one more round: a B2A (sec_ge, sec_rank's wins), a bit
+injection, which multiplies them straight into an arithmetic share
+(sec_srt's selects, each quotient bit of sec_div's restoring division), or
+a reveal (reveal_ge). A small integer in a public range [0, M) skips
 the circuit: sec_lut looks it up in a one-time truth table in two rounds,
 one masked opening and one reveal. Batched lanes share one round trip:
 every gate here is vectorized, so "T comparisons in parallel" is one
@@ -21,8 +23,9 @@ orders both, fractions by cross multiplication, and costs prices it by
 width. sec_srt returns the top count rows best first through a bitonic
 top-k network: bitonic-sorted blocks of padded_size(count) rows, merged
 pairwise by half-cleaners that keep only each pair's max; at count >= T it
-is the full bitonic sort. It moves whole rows, so a payload column rides
-along, and pads to a power of two with minus-infinity rows (the most
+is the full bitonic sort. It moves whole rows by injecting each
+comparator bit into the row difference, so a payload column rides along,
+and pads to a power of two with minus-infinity rows (the most
 negative numerator, 1 in a denominator column, -1 in payload columns).
 sec_rank uses the same comparator for constant-round selection: one
 comparator layer over all pairs yields each item's rank, and only
@@ -35,12 +38,13 @@ is its own bit decomposition and the carry tree's shifts and sign bits are
 word shifts (x << s, x >> 63). A tensor with one bit per lane (comparison
 bits) is lane-packed: 64 lanes per word, ceil(L/64) words. Level k of the
 carry-only tree keeps 64/2^k live bits per lane and ships 2^k lanes per
-word (see _ge_core).
+word (see _ge_bits).
 
 Scale conventions: encoded reals sit at 2^-p. Products of two encoded
 operands land at 2^-2p and are truncated back unless the caller opts out
-(bit-valued operands, exact cross multiplications). Comparison outputs are
-arithmetic shares of {0, 1} at scale 1.
+(bit-valued operands, exact cross multiplications). The comparator returns
+lane-packed XOR-shared bits; sec_ge's outputs are arithmetic shares of
+{0, 1} at scale 1.
 """
 
 from __future__ import annotations
@@ -157,16 +161,12 @@ def sp_public(sess: Session, x, raw) -> np.ndarray:
         return sess.truncate(z)
 
 
-def _select(sess: Session, v0, v1, b) -> np.ndarray:
-    # the Beaver output holds the dealer's fresh share of c, so the result is
-    # already a fresh sharing: a zero share on top would re-randomize nothing
-    return np.add(v0, _beaver_mul(sess, b, np.subtract(v1, v0), truncate=False))
-
-
 def sec_sel(sess: Session, v0, v1, b) -> np.ndarray:
     """Oblivious select v0 + b*(v1 - v0); b may broadcast against v0 and v1."""
     with sess.op("sec_sel", int(np.asarray(b).size)):
-        return _select(sess, v0, v1, b)
+        # the Beaver output holds the dealer's fresh share of c, so the result
+        # is already a fresh sharing: a zero share on top would re-randomize nothing
+        return np.add(v0, _beaver_mul(sess, b, np.subtract(v1, v0), truncate=False))
 
 
 # -- boolean kernel (representation: see the module docstring) ----------------
@@ -195,16 +195,40 @@ def _bit_and(sess: Session, x: np.ndarray, y: np.ndarray, triple) -> np.ndarray:
     return z
 
 
-def _b2a_bits(sess: Session, bits: np.ndarray, shared) -> np.ndarray:
-    """Packed XOR-shared bits to arithmetic shares of their 0/1 values, in
-    bit order, from shared random bits (r_bool, r_arith) of the same count."""
-    r_bool, r_arith = shared
-    t_loc = bits.reshape(-1) ^ r_bool
-    t = _unpack_lanes(t_loc ^ sess.exchange_bits(t_loc), r_arith.size)
-    out = r_arith - ((t * r_arith) << ONE)  # r XOR t = r + t - 2tr
+def _open_bits(sess: Session, bits: np.ndarray, nbits: int) -> np.ndarray:
+    """The public values of nbits packed XOR-shared bits as 0/1 int64."""
+    return unpack_bit_words(pack_words(bits ^ sess.exchange_bits(bits)), (nbits,)).astype(np.int64)
+
+
+def _bit_inject(sess: Session, bits: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
+    """b * x for packed XOR-shared bits b, one per row of the arithmetic
+    share x, and the arithmetic share of b (ABY3's bit injection).
+
+    The dealer deals a random bit r per row in both domains, a uniform a at
+    x's shape and c = r * a. One frame opens t = b XOR r as packed bits and
+    e = x - a as words; with b = t + r - 2tr and r * x = r * e + c, each
+    party forms t * x + (1 - 2t)(r * e + c) locally. The dealer's share of c
+    makes the result a fresh sharing.
+    """
+    x = np.asarray(x)
+    rows = len(x)
+    r_bool, r_arith, a, c = sess.draw_injection(x.shape)
+    t_loc, e_loc = bits ^ r_bool, np.subtract(x, a)
+    t_peer, e_peer = _exchange_concat(sess, [t_loc, e_loc])
+    t = _unpack_lanes(t_loc ^ t_peer, rows)
+    col = t.reshape((rows,) + (1,) * (x.ndim - 1)) == 1
+    y = np.add(np.multiply(r_arith.reshape(col.shape), np.add(e_loc, e_peer)), c)
+    b = r_arith - ((t * r_arith) << ONE)  # t XOR r = t + r - 2tr
     if sess.party == 0:
-        out += t
-    return out
+        b += t
+    return np.where(col, np.subtract(x, y), y), b
+
+
+def _b2a_bits(sess: Session, bits: np.ndarray, nbits: int) -> np.ndarray:
+    """nbits packed XOR-shared bits to arithmetic shares of their 0/1 values,
+    in bit order: an injection into rows of no words, whose frame opens only
+    the masked bits."""
+    return _bit_inject(sess, bits, np.empty((nbits, 0), dtype=np.uint64))[1]
 
 
 def _bool_not(sess: Session, words: np.ndarray) -> np.ndarray:
@@ -230,8 +254,9 @@ def _merge_pairs(words: np.ndarray, s: np.uint64, upper: np.uint64) -> np.ndarra
     return merged
 
 
-def _ge_core(sess: Session, u, v) -> np.ndarray:
-    """Arithmetic share of [u >= v] via the sign bit of u - v.
+def _ge_bits(sess: Session, u, v) -> np.ndarray:
+    """Packed XOR shares of [u >= v] via the sign bit of u - v, one bit per
+    lane of the broadcast operands in flat order.
 
     The parties' shares d0, d1 of d = u - v are the addends of an XOR-shared
     sum whose bit 63 is d0_63 ^ d1_63 ^ c63, with c63 the carry out of
@@ -242,18 +267,16 @@ def _ge_core(sess: Session, u, v) -> np.ndarray:
     2s-bit block once the earlier levels' shifts are undone, so merging word
     pairs packs the level's live bits, 2s lanes per word, lane t of a group
     at t places right of its own bit positions. The last level (s = 32) ANDs
-    only g. One B2A turns the sign bits into arithmetic shares.
+    only g.
 
-    All dealer material comes from one tape read: the level widths halve
-    from the lane count, so every triple's size is known up front.
+    All AND triples come from one tape read: the level widths halve from
+    the lane count, so every triple's size is known up front.
     """
-    d = np.asarray(np.subtract(u, v))
-    flat = d.reshape(-1)
+    flat = np.asarray(np.subtract(u, v)).reshape(-1)
     widths = [flat.size]
     for _ in _CARRY_LEVELS:
         widths.append((widths[-1] + 1) // 2)
-    triples, shared = sess.draw_bit_material(
-        [widths[0], *(2 * w for w in widths[1:-1]), widths[-1]], flat.size)
+    triples = sess.draw_bit_triples([widths[0], *(2 * w for w in widths[1:-1]), widths[-1]])
     mine = flat << ONE
     zeros = np.zeros_like(mine)
     g = _bit_and(sess, *((mine, zeros) if sess.party == 0 else (zeros, mine)), triples[0])
@@ -265,14 +288,23 @@ def _ge_core(sess: Session, u, v) -> np.ndarray:
         gp[0] ^= merged[0]
     # lane t of each 64-lane word sits t places right of bit 63
     top = (gp[0][:, None] << _LANE_SHIFTS).reshape(-1)[: flat.size]
-    ge = _bool_not(sess, flat ^ top) >> 63
-    return _b2a_bits(sess, _pack_lanes(ge), shared).reshape(d.shape)
+    return _pack_lanes(_bool_not(sess, flat ^ top) >> 63)
 
 
 def sec_ge(sess: Session, u, v) -> np.ndarray:
-    """Exact signed comparison; output is a shared {0,1} at scale 1."""
-    with sess.op("sec_ge", int(np.broadcast(np.asarray(u), np.asarray(v)).size)):
-        return _ge_core(sess, u, v)
+    """Exact signed comparison; output is a shared {0,1} at scale 1: the sign
+    bits, then their B2A."""
+    lanes = np.broadcast(np.asarray(u), np.asarray(v))
+    with sess.op("sec_ge", lanes.size):
+        return _b2a_bits(sess, _ge_bits(sess, u, v), lanes.size).reshape(lanes.shape)
+
+
+def reveal_ge(sess: Session, u, v) -> np.ndarray:
+    """Public [u >= v] as 0/1 int64 at the broadcast shape: the sign bits are
+    XOR-revealed in the round where sec_ge converts them, at sec_ge's cost."""
+    lanes = np.broadcast(np.asarray(u), np.asarray(v))
+    with sess.op("sec_ge", lanes.size):
+        return _open_bits(sess, _ge_bits(sess, u, v), lanes.size).reshape(lanes.shape)
 
 
 def sec_lut(sess: Session, x, table) -> np.ndarray:
@@ -297,14 +329,14 @@ def sec_lut(sess: Session, x, table) -> np.ndarray:
         mine = np.add(flat, r) & mask
         c = np.add(mine, sess.exchange_words(mine)) & mask
         bits = _pack_lanes((rotated[np.arange(flat.size), c >> np.uint64(6)] >> (c & np.uint64(63))) & ONE)
-        return _unpack_lanes(bits ^ sess.exchange_bits(bits), flat.size).astype(np.int64).reshape(x.shape)
+        return _open_bits(sess, bits, flat.size).reshape(x.shape)
 
 
 # -- oblivious sort and rank ----------------------------------------------------
 
 
 def comparator(sess: Session, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Shared [a >= b] per row of two (L, width) key matrices.
+    """Packed XOR shares of [a >= b] per row of two (L, width) key matrices.
 
     Width 1 compares values. Width 2 compares fractions u/v with positive
     denominators: both exact cross products u_a*v_b and u_b*v_a come from
@@ -312,9 +344,9 @@ def comparator(sess: Session, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     sess.meter.invoke("comparator", len(a))
     if a.shape[1] == 1:
-        return _ge_core(sess, a[:, 0], b[:, 0])
+        return _ge_bits(sess, a[:, 0], b[:, 0])
     lhs, rhs = _beaver_mul(sess, np.array([a[:, 0], b[:, 0]]), np.array([b[:, 1], a[:, 1]]), truncate=False)
-    return _ge_core(sess, lhs, rhs)
+    return _ge_bits(sess, lhs, rhs)
 
 
 def sec_srt(sess: Session, rows: np.ndarray, width: int, count: int) -> np.ndarray:
@@ -353,14 +385,11 @@ def sec_srt(sess: Session, rows: np.ndarray, width: int, count: int) -> np.ndarr
             lo_idx = hi_idx + span
             hi, lo = rows[hi_idx], rows[lo_idx]
             b = comparator(sess, hi[:, :width], lo[:, :width])
-            sess.meter.invoke("sec_sel", len(hi_idx))
             # positions sorting ascending flip the comparator bit locally; a
             # half-cleaner always keeps the max (every hi_idx has bit k clear)
-            desc = (hi_idx & k) == 0
-            s = np.multiply(b, from_signed(np.where(desc, 1, -1)))
             if sess.party == 0:
-                s = np.add(s, from_signed(np.where(desc, 0, 1)))
-            top = _select(sess, lo, hi, s[:, None])
+                b = b ^ _pack_lanes((hi_idx & k) != 0)
+            top = np.add(lo, _bit_inject(sess, b, np.subtract(hi, lo))[0])
             if j:
                 rows[hi_idx] = top
                 rows[lo_idx] = np.subtract(hi + lo, top)
@@ -381,7 +410,7 @@ def sec_rank(sess: Session, key: np.ndarray, count: int) -> np.ndarray:
     t = len(key)
     with sess.op("sec_rank", t):
         i, j = np.triu_indices(t, 1)
-        wins = comparator(sess, key[i], key[j])
+        wins = _b2a_bits(sess, comparator(sess, key[i], key[j]), len(i))
         # an item loses to each earlier item that beats it (its column sum)
         # and to each later item it does not beat (T-1-index minus its row sum)
         beats = np.zeros((t, t), dtype=np.uint64)
@@ -397,11 +426,13 @@ def sec_rank(sess: Session, key: np.ndarray, count: int) -> np.ndarray:
 def sec_div(sess: Session, u, v) -> np.ndarray:
     """Fixed-point quotient round toward zero of (u << p) / v.
 
-    Restoring division on arithmetic shares. One batched comparison gives
-    the signs of u and v, one Beaver round the magnitudes and the product of
-    the signs. Then for each of the div_iterations quotient bits i, high to
-    low, c = [R >= |v| << i] and R -= c * (|v| << i), with R starting at
-    |u| << p; one last Beaver round applies the sign to sum(c << i).
+    Restoring division on arithmetic shares. One batched sign circuit gives
+    the bits b = [x >= 0] of u and v, and one injection the magnitudes
+    |x| = 2bx - x. Then for each of the div_iterations quotient bits i, high
+    to low, a sign circuit gives c = [R >= |v| << i] and one injection both
+    c * (|v| << i), which R loses, and c's arithmetic share, with R starting
+    at |u| << p. The quotient q = sum(c << i) is negative where exactly one
+    of u and v is: one last injection of b_u XOR b_v gives q - 2q there.
 
     Exact for v != 0 and a representable quotient, |q| < 2^(e-1). Outside
     that domain (v = 0 included) the magnitude saturates at every quotient
@@ -410,15 +441,17 @@ def sec_div(sess: Session, u, v) -> np.ndarray:
     """
     u, v = np.broadcast_arrays(u, v)
     with sess.op("sec_div", int(u.size)):
-        # s = 2 [x >= 0] - 1: +1 on non-negative x, -1 on negative
-        ge = _ge_core(sess, np.stack([u, v]), np.zeros_like(u))
-        s_u, s_v = add_public(sess, ge << ONE, from_signed(-1))
-        au, av, sign = _beaver_mul(sess, np.stack([u, v, s_u]), np.stack([s_u, s_v, s_v]), truncate=False)
+        lanes = u.size
+        x = np.concatenate([u.reshape(-1), v.reshape(-1)])  # one injection row per lane
+        nonneg = _ge_bits(sess, x, np.zeros_like(x))
+        au, av = np.split(np.subtract(_bit_inject(sess, nonneg, x)[0] << ONE, x), 2)
         remainder = au << np.uint64(sess.codec.precision_p)
         quot = np.zeros_like(au)
         for i in range(div_iterations(sess.codec) - 1, -1, -1):
             step = av << np.uint64(i)
-            c = _ge_core(sess, remainder, step)
-            remainder = np.subtract(remainder, _beaver_mul(sess, c, step, truncate=False))
+            c_step, c = _bit_inject(sess, _ge_bits(sess, remainder, step), step)
+            remainder = np.subtract(remainder, c_step)
             quot = np.add(quot, c << np.uint64(i))
-        return _beaver_mul(sess, quot, sign, truncate=False)
+        signs = _unpack_lanes(nonneg, 2 * lanes)
+        negated = _bit_inject(sess, _pack_lanes(signs[:lanes] ^ signs[lanes:]), quot)[0]
+        return np.subtract(quot, negated << ONE).reshape(u.shape)

@@ -43,7 +43,7 @@ import numpy as np
 from .costs import ranks
 from .errors import ConfigError
 from .fixedpoint import WORD_BITS, from_signed, to_signed
-from .gates import const_share, sec_div, sec_ge, sec_rank, sec_srt, sp_public
+from .gates import const_share, reveal_ge, sec_div, sec_rank, sec_srt, sp_public
 from .sharing import Session, sec_rec
 
 KAPPA = 128  # statistical security parameter of the method-switching formula
@@ -113,9 +113,7 @@ class SelectionResult:
 
 def _keep_nonzero(sess: Session, magnitudes) -> np.ndarray:
     """Reveal [magnitude > 0] flags and return kept round indices."""
-    flags = sec_ge(sess, magnitudes, const_share(sess, 1))
-    revealed = to_signed(sec_rec(sess, flags))
-    return np.flatnonzero(revealed == 1)
+    return np.flatnonzero(reveal_ge(sess, magnitudes, const_share(sess, 1)))
 
 
 def sec_rs(

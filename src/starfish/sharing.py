@@ -15,13 +15,16 @@ the arrays it hands out. Each Beaver triple comes from one tape read,
 whose words are those of drawing a, b and the three masks in turn; party 0's
 shares are the masks, so party 0 never forms the product.
 
-Bit material (AND triples, and the random bits used by B2A) is drawn as
-packed words, and the pad bits past the requested bit count are zero. A
-comparison takes all of its material in one generator call: the items are
-laid out one after another in the order the circuit consumes them, so the
-words are those of drawing each item in turn. An item's offline charge is
-its packed wire size, the same charge as when the dealer drew one byte per
-bit; only the random contents differ from that form.
+Bit material (AND triples, and the random bits of a bit injection) is
+drawn as packed words, and the pad bits past the requested bit count are
+zero. A comparison takes all of its AND triples in one generator call: the
+triples are laid out one after another in the order the circuit consumes
+them, so the words are those of drawing each triple in turn. An item's
+offline charge is its packed wire size, the same charge as when the dealer
+drew one byte per bit; only the random contents differ from that form. A
+bit injection deals a random bit per row of its arithmetic operand in both
+domains, next to a Beaver-style pair a, c = r * a at the operand's shape; a
+B2A is an injection into rows of no words.
 
 A lookup draw deals each lane a one-time truth table: a ring share of a
 rotation r, uniform in Z_M, and XOR shares of a public M-entry bit table
@@ -200,32 +203,41 @@ class DealerTape:
         c = np.matmul(a, b) if mode == "matmul" else np.multiply(a, b)
         return np.subtract(a, a0), np.subtract(b, b0), np.subtract(c, c0)
 
-    def bit_material(self, triple_words: list[int], nbits: int):
-        """AND triples, then nbits random bits shared in both domains, from
-        one tape read.
-
-        triple_words lists the size in words of each triple, one or more.
-        Returns the XOR-shared triples as (3, words) arrays of packed words
-        a, b, c = a & b, and the shared bits as (packed XOR share, arithmetic
-        share of each bit's 0/1 value in bit order).
-        """
-        nw = bit_word_count(nbits)
+    def bit_triples(self, triple_words: list[int]) -> list[np.ndarray]:
+        """XOR-shared AND triples from one tape read, as (3, words) arrays of
+        packed words a, b, c = a & b; triple_words lists the size in words of
+        each, one or more."""
         ends = list(itertools.accumulate(triple_words))
-        total = ends[-1]
-        raw = self._words(5 * total + 2 * nw + nbits)
+        raw = self._words(5 * ends[-1])
         # triple k is the words a, b, a0, b0, c0 of a (5, n_k) read
         rows = np.concatenate([raw[5 * (e - n) : 5 * e].reshape(5, n)
                                for n, e in zip(triple_words, ends)], axis=1)
         if self.party == 1:
             rows[2:4] ^= rows[:2]
             rows[4] ^= rows[0] & rows[1]
-        triples = [rows[2:, e - n : e] for n, e in zip(triple_words, ends)]
-        r, r0 = self._bit_words(raw[5 * total : 5 * total + 2 * nw].reshape(2, nw), nbits)
-        s0 = raw[5 * total + 2 * nw :]
+        return [rows[2:, e - n : e] for n, e in zip(triple_words, ends)]
+
+    def injection(self, shape):
+        """Material for a bit injection into an x of this shape, from one tape
+        read: a random bit r per row of x, shared in both domains, a uniform a
+        at x's shape and c = r * a, each row of a times its row's bit.
+
+        The read holds r and r0 (packed, pad bits cleared) and s0, then a and
+        the masks a0, c0; party 0's shares are r0, s0, a0 and c0. Returns
+        (packed XOR share of r, arithmetic share of r in row order, share of
+        a, share of c). A B2A of n bits takes the bits of shape (n, 0).
+        """
+        rows, size = shape[0], math.prod(shape)
+        nw = bit_word_count(rows)
+        raw = self._words(2 * nw + rows + 3 * size)
+        r, r0 = self._bit_words(raw[: 2 * nw].reshape(2, nw), rows)
+        s0 = raw[2 * nw : 2 * nw + rows]
+        a, a0, c0 = raw[2 * nw + rows :].reshape((3, *shape))
         if self.party == 0:
-            return triples, (r0, s0)
-        values = unpack_bit_words(pack_words(r), (nbits,)).astype(np.uint64)
-        return triples, (r ^ r0, np.subtract(values, s0))
+            return r0, s0, a0, c0
+        values = unpack_bit_words(pack_words(r), (rows,)).astype(np.uint64)
+        c = np.multiply(values.reshape((rows,) + (1,) * (len(shape) - 1)), a)
+        return r ^ r0, np.subtract(values, s0), np.subtract(a, a0), np.subtract(c, c0)
 
     def lookup(self, lanes: int, table: np.ndarray):
         """A one-time truth table per lane for a public bit table of M
@@ -326,10 +338,15 @@ class Session:
         self._charge(*trip)
         return trip
 
-    def draw_bit_material(self, triple_words: list[int], nbits: int):
-        triples, shared = self.dealer.bit_material(triple_words, nbits)
-        self._charge(*triples, *shared)
-        return triples, shared
+    def draw_bit_triples(self, triple_words: list[int]) -> list[np.ndarray]:
+        triples = self.dealer.bit_triples(triple_words)
+        self._charge(*triples)
+        return triples
+
+    def draw_injection(self, shape):
+        material = self.dealer.injection(shape)
+        self._charge(*material)
+        return material
 
     def draw_lookup(self, lanes: int, table: np.ndarray):
         material = self.dealer.lookup(lanes, table)

@@ -10,6 +10,7 @@ from starfish import (
     sec_rec,
     sec_share,
 )
+from starfish import gates
 from starfish.fixedpoint import to_signed
 
 CODEC = FixedPointCodec()
@@ -48,3 +49,8 @@ def reveal(sess, x):
 
 def reveal_raw(sess, x):
     return to_signed(sec_rec(sess, x))
+
+
+def reveal_bits(sess, bits, nbits):
+    """Open the first nbits of packed XOR-shared bits as 0/1 int64."""
+    return gates._open_bits(sess, bits, nbits)

@@ -12,7 +12,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from helpers import CODEC, both, raw_share_pair, reveal, reveal_raw, share_pair
+from helpers import CODEC, both, raw_share_pair, reveal, reveal_bits, reveal_raw, share_pair
 from starfish import (
     UnlearnConfig,
     bound_report,
@@ -101,7 +101,7 @@ def test_criterion_1_gate_oracle_equivalence():
             break
     a = share_pair(np.stack([u1, v1], axis=1), key=110)
     b = share_pair(np.stack([u2, v2], axis=1), key=111)
-    got, _ = both(lambda s: reveal_raw(s, comparator(s, a[s.party], b[s.party])))
+    got, _ = both(lambda s: reveal_bits(s, comparator(s, a[s.party], b[s.party]), 1024))
     check("sec_ge", got, (u1 / v1 >= u2 / v2).astype(np.int64), budget=0.0)
 
     # correction flags, which each client computes from its own estimate

@@ -139,11 +139,16 @@ def _run_recorded(proto, seed=0):
     return r0, frames
 
 
-def _ge_cost_list(lanes):
+def _sign_cost_list(lanes):
     """The generate layer, six carry-only levels at 2^k lanes per word (g and
-    p ANDs, the last level's g alone), the B2A."""
+    p ANDs, the last level's g alone)."""
     levels = [costs.and_round((2 if k < 6 else 1) * WIDTH * -(-lanes // 2**k)) for k in range(1, 7)]
-    return [costs.and_round(lanes * WIDTH), *levels, costs.b2a_bits_cost(lanes)]
+    return [costs.and_round(lanes * WIDTH), *levels]
+
+
+def _ge_cost_list(lanes):
+    """The sign circuit, then the B2A of its bits."""
+    return [*_sign_cost_list(lanes), costs.b2a_bits_cost(lanes)]
 
 
 def _bytes(estimates):
@@ -216,9 +221,9 @@ def test_sec_div_matches_reference(lanes, data):
     out, frames = _run_recorded(proto, seed)
     iterations = gates.div_iterations(CODEC)
     assert np.array_equal(out, ref_div(u, v, CODEC.precision_p, iterations))
-    step = _ge_cost_list(lanes) + [costs.mul_cost(lanes, lanes)]
-    expected = (_ge_cost_list(2 * lanes) + [costs.mul_cost(3 * lanes, 3 * lanes)] + step * iterations
-                + [costs.mul_cost(lanes, lanes)])
+    step = _sign_cost_list(lanes) + [costs.inject_cost(lanes, 1)]
+    expected = (_sign_cost_list(2 * lanes) + [costs.inject_cost(2 * lanes, 1)] + step * iterations
+                + [costs.inject_cost(lanes, 1)])
     assert frames[:-1] == _bytes(expected)
     assert sum(frames[:-1]) == costs.div_cost(lanes, CODEC).online_bytes
 

@@ -12,7 +12,9 @@ from starfish.costs import (
     ks_level_count,
     padded_size,
     predict_cost,
+    rank_cost,
     ranks,
+    sort_cost,
     topk_layers,
     words_round,
 )
@@ -200,12 +202,13 @@ def test_selection_costs_match_the_meter_on_every_path():
 
 
 def test_rank_rule_at_six_selected_rounds():
-    # the byte counts pick ranking at these kept sizes (T' = 6, T in 7..129)
-    # and the top-6 network everywhere else, which ships the key plus a round
-    # index through blocks of 8. Ranking ends in a two-round lookup whose
-    # bits reveal the flags; at width 1 it also wins at T = 33, one row past
-    # the network's padded 32
-    want = {1: [*range(7, 25), 33],
-            2: [*range(7, 23)]}
-    for width, ranked in want.items():
+    # at T' = 6, ranks() picks ranking exactly where its comparator layer,
+    # B2A and lookup ship no more bytes than the top-6 network over the key
+    # plus a round index, with the T' indices it reveals. Ranking's pairs
+    # grow with T^2, so it wins from the smallest history, T = 7, up to the
+    # low twenties and nowhere past them
+    for width in (1, 2):
+        network = [(sort_cost(t, width + 1, width, 6) + words_round(6)).online_bytes for t in range(7, 130)]
+        ranked = [t for t, sort in zip(range(7, 130), network) if rank_cost(t, width).online_bytes <= sort]
         assert [t for t in range(7, 130) if ranks(t, 6, width)] == ranked
+        assert ranked[0] == 7 and 20 <= ranked[-1] < 25

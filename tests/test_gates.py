@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import CODEC, both, raw_share_pair, reveal, reveal_raw, share_pair
+from helpers import CODEC, both, raw_share_pair, reveal, reveal_bits, reveal_raw, share_pair
 from starfish import gates, make_inproc_sessions, run_pair
-from starfish.costs import comparator_calls, predict_cost, topk_layers, words_round
+from starfish.costs import comparator_calls, inject_cost, predict_cost, topk_layers, words_round
 from starfish.errors import DivisionDomainError, ShapeError
+from starfish.fixedpoint import from_signed
 from starfish.gates import (
     comparator,
-    const_share,
     sec_add,
     sec_div,
     sec_ge,
@@ -198,12 +198,89 @@ def test_sec_ge2_ratio_cases():
     def ge2(nums):
         a = share_pair(grid([nums[:2]]), key=29)
         b = share_pair(grid([nums[2:]]), key=30)
-        got, _ = both(lambda s: reveal_raw(s, comparator(s, a[s.party], b[s.party])))
+        got, _ = both(lambda s: reveal_bits(s, comparator(s, a[s.party], b[s.party]), 1))
         return int(got[0])
 
     assert ge2((3.0, 4.0, 2.0, 3.0)) == 1   # 3/4 >= 2/3
     assert ge2((1.0, 2.0, 1.0, 2.0)) == 1   # equal ratios
     assert ge2((-1.0, 2.0, 1.0, 2.0)) == 0
+
+
+# -- bit injection ---------------------------------------------------------------
+
+
+INJECT_X = [0, 1, int(from_signed(-1)), 1 << 63, 2**64 - 1]
+
+
+def _bit_shares(bits, key):
+    """Packed XOR shares of 0/1 bits, zero pad bits in both."""
+    mask = np.random.default_rng(key).integers(0, 2, size=bits.size)
+    return {0: gates._pack_lanes(mask), 1: gates._pack_lanes(mask ^ bits)}
+
+
+@pytest.mark.parametrize("lanes", [1, 63, 64, 65, 8192])
+@pytest.mark.parametrize("cols", [None, 3], ids=["1d", "rows"])
+@pytest.mark.parametrize("pattern", ["zeros", "ones", "mixed"])
+def test_bit_injection_is_exact_at_its_cost(lanes, cols, pattern):
+    # b * x and the arithmetic share of b for edge-valued x, one bit per row
+    bits = {"zeros": np.zeros(lanes, dtype=np.int64), "ones": np.ones(lanes, dtype=np.int64),
+            "mixed": np.random.default_rng(lanes).integers(0, 2, size=lanes)}[pattern]
+    shape = (lanes,) if cols is None else (lanes, cols)
+    x = np.resize(np.array(INJECT_X, dtype=np.uint64), shape)
+    xs, bs = raw_share_pair(x, key=120 + lanes), _bit_shares(bits, key=lanes)
+
+    sessions = make_inproc_sessions(lanes)
+    (z0, b0), (z1, b1) = run_pair(lambda s: gates._bit_inject(s, bs[s.party], xs[s.party]), sessions)
+    col = bits.astype(np.uint64).reshape((lanes,) + (1,) * (len(shape) - 1))
+    assert np.array_equal(np.add(z0, z1), np.multiply(col, x))
+    assert np.array_equal(np.add(b0, b1), bits.astype(np.uint64))
+    words = 1 if cols is None else cols
+    st = sessions[0].meter.stats("other")
+    assert (st.rounds, st.bytes_online) == inject_cost(lanes, words).as_tuple()
+    # r in both domains, then a and c = r * a at x's shape
+    assert st.bytes_offline == 8 * (-(-lanes // 64) + lanes + 2 * lanes * words)
+
+
+def _inject_openings(bit, seeds, lanes=65, cols=2):
+    """Per dealer seed, the opened t words (packed, pad bits cut) and e words
+    of one injection of all-`bit` bits into a constant x, taken from the
+    frames both parties send."""
+    x = raw_share_pair(np.full((lanes, cols), 5, dtype=np.uint64), key=130)
+    bs = _bit_shares(np.full(lanes, bit), key=131)
+    nw = -(-lanes // 64)
+    opened_t, opened_e = [], []
+    for seed in seeds:
+        sessions = make_inproc_sessions(seed)
+        sent = {}
+        for sess in sessions:
+            send = sess.chan.send
+            sess.chan.send = lambda frame, p=sess.party, send=send: (sent.setdefault(p, frame), send(frame))
+        run_pair(lambda s: gates._bit_inject(s, bs[s.party], x[s.party]), sessions)
+        words = [np.frombuffer(sent[p][16:], dtype="<u8") for p in (0, 1)]
+        opened_t.append(words[0][:nw] ^ words[1][:nw])
+        opened_e.append(np.add(words[0][nw:], words[1][nw:]))
+    live = np.arange(64 * nw) < lanes
+    t_bits = np.unpackbits(np.array(opened_t).view(np.uint8), axis=1, bitorder="little")[:, live]
+    e_bits = np.unpackbits(np.array(opened_e).view(np.uint8), axis=1, bitorder="little")
+    return np.array(opened_t), np.array(opened_e), np.concatenate([t_bits, e_bits], axis=1)
+
+
+def test_bit_injection_openings_are_independent_of_the_bits_and_fresh():
+    # over a fixed set of dealer seeds, each live bit of the opened t and e
+    # words is set as often under all-zero bits as under all-one bits, and no
+    # opened word repeats within one input's runs. A mask left out of t, or
+    # a reused across rows, fails one of the two
+    seeds = range(300)
+    t0, e0, bits0 = _inject_openings(0, seeds)
+    t1, e1, bits1 = _inject_openings(1, seeds)
+    n = len(seeds)
+    pooled = (bits0.sum(axis=0) + bits1.sum(axis=0)) / (2 * n)
+    spread = np.sqrt(2 * n * pooled * (1 - pooled))
+    z = (bits0.sum(axis=0).astype(float) - bits1.sum(axis=0)) / np.where(spread > 0, spread, 1)
+    assert spread.min() > 0 and np.abs(z).max() < 6
+    for t, e in ((t0, e0), (t1, e1)):
+        assert len(np.unique(e)) == e.size
+        assert len(np.unique(t[:, 0])) == len(t)  # the first word holds 64 live bits
 
 
 # -- sorting -------------------------------------------------------------------
@@ -326,11 +403,11 @@ def test_sec_srt_top_count_at_its_cost(width, t, count):
     assert calls == comparator_calls(t, count)
     if count >= t:
         # the full bitonic sort: l(l+1)/2 stages of N/2 compare-exchanges at
-        # N = 2^l, each a comparator (8 rounds, one more to cross multiply
-        # width-2 keys) and one select round
+        # N = 2^l, each a comparator's sign circuit (7 rounds, one more to
+        # cross multiply width-2 keys) and one injection round
         ell = max(t - 1, 0).bit_length()
         stages = ell * (ell + 1) // 2
-        assert (calls, st.rounds) == (stages * (1 << ell) // 2, stages * (8 + width))
+        assert (calls, st.rounds) == (stages * (1 << ell) // 2, stages * (7 + width))
 
 
 @pytest.mark.parametrize("t", [5, 8, 13, 128])

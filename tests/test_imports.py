@@ -1,12 +1,13 @@
-"""Every name a package module imports is used in that module, and every
-parameter a package function declares is read in its body."""
+"""Every name a package or test module imports is used in that module, and
+every parameter a package function declares is read in its body."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "starfish"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "starfish"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -27,7 +28,7 @@ def used_names(tree: ast.Module) -> set[str]:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = {name: line for name, line in imported_names(tree).items()

@@ -11,7 +11,7 @@ from starfish import (
     run_pair,
     switching_threshold,
 )
-from starfish.costs import comparator_calls, ge_cost, predict_cost, words_round
+from starfish.costs import RS_KEY_WIDTH, comparator_calls, ge_cost, predict_cost, ranks
 from starfish.errors import ConfigError
 from starfish import roundsel
 from starfish.oracle import PlainHistory, cosine_selection
@@ -38,8 +38,8 @@ def test_switching_threshold_monotone_in_word_size():
 
 def test_switching_threshold_matches_cost_crossover():
     # with every round kept and all but one selected (so both methods sort),
-    # the cost model's online bytes cross over between 2^12 and 2^13 rounds
-    # and its rounds between 2^20 and 2^21. The paper's auto-switch point
+    # the cost model's online bytes cross over between 2^11 and 2^12 rounds
+    # and its rounds between 2^19 and 2^20. The paper's auto-switch point
     # lies above both: this engine's division is cheaper than the paper's
     # word-size model assumes, so method 2 is taken later than it pays off
     def cost(t, method):
@@ -48,13 +48,13 @@ def test_switching_threshold_matches_cost_crossover():
     def online(t, method):
         return cost(t, method).online_bytes
 
-    assert online(2**11, 1) == 7_667_672 < online(2**11, 2) == 8_407_000
-    assert online(2**12, 1) == 18_063_704 < online(2**12, 2) == 18_556_568
-    assert online(2**13, 2) == 40_900_584 < online(2**13, 1) == 42_047_352
-    assert cost(2**20, 1).rounds == 2110 < cost(2**20, 2).rounds == 2126
-    assert cost(2**21, 2).rounds == 2315 < cost(2**21, 1).rounds == 2320
-    assert online(2**27, 2) == 2_044_538_708_824 < online(2**27, 1) == 2_833_772_506_328
-    assert online(2**28, 2) == 4_357_311_492_888 < online(2**28, 1) == 6_086_102_941_272
+    assert online(2**10, 1) == 2_975_800 < online(2**10, 2) == 3_334_360
+    assert online(2**11, 1) == 7_109_544 < online(2**11, 2) == 7_373_592
+    assert online(2**12, 2) == 16_294_424 < online(2**12, 1) == 16_751_720
+    assert cost(2**19, 1).rounds == 1719 < cost(2**19, 2).rounds == 1730
+    assert cost(2**20, 2).rounds == 1890 < cost(2**20, 1).rounds == 1899
+    assert online(2**27, 2) == 1_809_406_020_120 < online(2**27, 1) == 2_629_761_553_704
+    assert online(2**28, 2) == 3_856_981_350_424 < online(2**28, 1) == 5_648_016_270_568
     t_delta = SelectionParams(t=1, sigma=1.0).t_delta
     assert t_delta == switching_threshold(64, 128) == 158_000_786
     assert 2**27 < t_delta < 2**28
@@ -132,7 +132,8 @@ def test_sec_rs_known_cosines(method):
 
 
 def test_full_sigma_returns_a_permutation():
-    # every kept round is selected, so only the zero-norm flags are computed
+    # every kept round is selected, so only the zero-norm flags are computed:
+    # a comparison whose sign bits are revealed in the round of their B2A
     grads, norms, deltas = _spec_instance()
     (order, chron, _), sessions = _run_selection(
         grads, norms, deltas, SelectionParams(t=4, sigma=1.0)
@@ -140,7 +141,7 @@ def test_full_sigma_returns_a_permutation():
     assert order == chron == [0, 1, 2, 3]
     meter = sessions[0].meter
     rounds = sum(st.rounds for st in meter.per_op.values())
-    assert (rounds, meter.total_online_bytes) == (ge_cost(4) + words_round(4)).as_tuple()
+    assert (rounds, meter.total_online_bytes) == ge_cost(4).as_tuple()
     assert meter.stats("comparator").invocations == 0
 
 
@@ -255,3 +256,21 @@ def test_comparator_count_at_thirty_two():
         grads, norms, deltas, SelectionParams(t=32, sigma=0.3, t_prime=10)
     )
     assert sessions[0].meter.stats("comparator").invocations == comparator_calls(32, 10) == 208
+
+
+def test_network_selection_where_it_undercuts_ranking():
+    # at 16 kept rounds and T' = 5, one bit injection per layer makes the
+    # top-5 network ship fewer bytes than ranking's comparator layer, B2A and
+    # lookup; the network's selection equals the mirror's at its predicted cost
+    t, t_prime = 16, 5
+    assert not ranks(t, t_prime, RS_KEY_WIDTH[1])
+    grads, norms, deltas, _ = _tie_free_instance(t, 3, seed=t + t_prime)
+    hist = PlainHistory(models=np.vstack([np.zeros(3), np.cumsum(deltas, axis=0)]),
+                        grads=grads[:, None, :], norms=norms[:, None], deltas=np.zeros((t, 1)))
+    params = SelectionParams(t=t, sigma=1.0, t_prime=t_prime)
+    (_, chron, _), sessions = _run_selection(grads, norms, hist.model_updates(), params, method=1)
+    assert chron == cosine_selection(hist, 0, t_prime, CODEC).tolist()
+    meter = sessions[0].meter
+    got = (sum(st.rounds for st in meter.per_op.values()), meter.total_online_bytes)
+    assert got == predict_cost("sec_rs", {"t": t, "t_prime": t_prime, "method": 1}, CODEC).as_tuple()
+    assert meter.stats("sec_srt").rounds and not meter.stats("sec_rank").rounds

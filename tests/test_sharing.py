@@ -161,8 +161,8 @@ def test_dealer_bit_triples_consistent():
     d0 = DealerTape(9, 0)
     d1 = DealerTape(9, 1)
     sizes = [2, 1, 3]
-    trips0, _ = d0.bit_material(sizes, NBITS)
-    trips1, _ = d1.bit_material(sizes, NBITS)
+    trips0 = d0.bit_triples(sizes)
+    trips1 = d1.bit_triples(sizes)
     assert len(trips0) == len(trips1) == len(sizes)
     for n, (a0, b0, c0), (a1, b1, c1) in zip(sizes, trips0, trips1):
         a, b, c = a0 ^ a1, b0 ^ b1, c0 ^ c1
@@ -177,8 +177,8 @@ def test_dealer_bit_triples_consistent():
 def test_dealer_shared_bit_domains_agree():
     d0 = DealerTape(9, 0)
     d1 = DealerTape(9, 1)
-    _, (xb0, xa0) = d0.bit_material([2], NBITS)
-    _, (xb1, xa1) = d1.bit_material([2], NBITS)
+    xb0, xa0, _, _ = d0.injection((NBITS, 0))  # a B2A's bits
+    xb1, xa1, _, _ = d1.injection((NBITS, 0))
     bits = _words_to_bits(xb0 ^ xb1)
     assert not any(bits[NBITS:]), "pad bits must be zero"
     assert xa0.shape == xa1.shape == (NBITS,)
@@ -189,17 +189,38 @@ def test_dealer_bit_draws_charge_packed_sizes():
     # offline bytes for bit material are the packed wire sizes: whole words
     s0, _ = make_inproc_sessions(4)
     with s0.op("sec_ge"):
-        s0.draw_bit_material([2], 0)
+        s0.draw_bit_triples([2])
     assert s0.meter.stats("sec_ge").bytes_offline == 3 * 16
     with s0.op("sec_div"):
-        s0.draw_bit_material([1], NBITS)
-    assert s0.meter.stats("sec_div").bytes_offline == 3 * 8 + 16 + 8 * NBITS
+        s0.draw_injection((NBITS, 0))
+    assert s0.meter.stats("sec_div").bytes_offline == 16 + 8 * NBITS
     with s0.op("both"):
-        s0.draw_bit_material([1, 2], 65)
+        s0.draw_bit_triples([1, 2])
+        s0.draw_injection((65, 0))
     assert s0.meter.stats("both").bytes_offline == 3 * 8 + 3 * 16 + 16 + 8 * 65
     with s0.op("bit1"):
-        s0.draw_bit_material([1], 1)
-    assert s0.meter.stats("bit1").bytes_offline == 3 * 8 + 8 + 8
+        s0.draw_injection((1, 0))
+    assert s0.meter.stats("bit1").bytes_offline == 8 + 8
+    # an injection into (65, 3) rows: r in both domains, then a and c at the rows' shape
+    with s0.op("inject"):
+        s0.draw_injection((65, 3))
+    assert s0.meter.stats("inject").bytes_offline == 16 + 8 * 65 + 2 * 8 * 65 * 3
+
+
+@pytest.mark.parametrize("shape", [(1,), (65,), (65, 3)])
+def test_dealer_injection_material_is_consistent(shape):
+    # r's XOR and arithmetic shares open to the same bits, one per row, pad
+    # bits zero; a is uniform at the shape and c is each row of a times its bit
+    (rb0, ra0, a0, c0), (rb1, ra1, a1, c1) = (DealerTape(15, p).injection(shape) for p in (0, 1))
+    rows = shape[0]
+    bits = _words_to_bits(rb0 ^ rb1)
+    assert rb0.shape == ((rows + 63) // 64,) and not any(bits[rows:])
+    r = np.add(ra0, ra1)
+    assert r.tolist() == bits[:rows]
+    a, c = np.add(a0, a1), np.add(c0, c1)
+    assert a.shape == c.shape == shape
+    assert np.array_equal(c, np.multiply(r.reshape((rows,) + (1,) * (len(shape) - 1)), a))
+    assert len(np.unique(a)) == a.size
 
 
 @pytest.mark.parametrize("size, lanes", [(2, 3), (8, 5), (64, 2), (128, 65)])
@@ -260,7 +281,8 @@ def test_dealer_one_read_matches_per_item_draws(lanes):
     sizes = _ge_triple_words(lanes)
     assert len(sizes) == 7
     for party in (0, 1):
-        triples, shared = DealerTape(13, party).bit_material(sizes, lanes)
+        tape = DealerTape(13, party)
+        triples, shared = tape.bit_triples(sizes), tape.injection((lanes, 0))[:2]
         ref_triples, ref_shared, _ = _per_item_draws(13, party, sizes, lanes)
         assert len(triples) == len(ref_triples)
         for got, ref in zip(triples, ref_triples):
