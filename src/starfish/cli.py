@@ -465,8 +465,10 @@ def _audit_battery(cfg: RunConfig):
         ("sec_sel (8,)", "sec_sel", (8,),
          lambda s: sec_sel(s, *shared(s, 5, v8, v8, lambda rng: rng.integers(0, 2, size=(8,))))),
         ("sec_ge (8,)", "sec_ge", (8,), lambda s: sec_ge(s, *shared(s, 6, v8, v8))),
-        ("sec_lut M=8 (5,)", "sec_lut", (5,), run_lut(11, 8, 5)),
-        ("sec_lut M=128 (70,)", "sec_lut", (70,), run_lut(12, 128, 70)),
+        # 65 lanes pack the masked wires across a word boundary
+        ("sec_ge (65,)", "sec_ge", (65,), lambda s: sec_ge(s, *shared(s, 19, ((65,), 0.25, 2.0), ((65,), 0.25, 2.0)))),
+        ("sec_lut M=8 (5,)", "sec_lut", {"lanes": (5,), "size": 8}, run_lut(11, 8, 5)),
+        ("sec_lut M=128 (70,)", "sec_lut", {"lanes": (70,), "size": 128}, run_lut(12, 128, 70)),
         ("sec_srt T=8 pair", "sec_srt", {"t": 8, "item_words": 3, "width": 2, "count": 8}, run_srt),
         ("sec_div (8,)", "sec_div", (8,), lambda s: sec_div(s, *shared(s, 10, u8, p8))),
         ("sec_ue n=4 m=3", "sec_ue", {"clients": 4, "m": 3}, run_ue),

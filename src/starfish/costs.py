@@ -3,17 +3,18 @@
 Each formula mirrors the implemented circuit exchange by exchange, so the
 audit can demand exact equality between prediction and meter. The moving
 parts are the frame overhead (16 bytes), the 64-bit ring word
-(fixedpoint.WORD_BITS), the packed-bit payload rule (whole 64-bit words) and
-the six carry levels over a 64-bit word. Every Beaver product, elementwise
-or matmul, ships its two masked operands at their own shapes (mul_cost).
-The carry-only sign circuit (sign_cost) has levels that shrink by half
-each time; a comparison (ge_cost) adds the B2A of its bits. A bit injection
-(inject_cost) multiplies the sign bits into rows of words in one frame: the
-top-T' network's selects and each quotient bit of division (div_cost),
-which pays one sign circuit and one injection per quotient bit. Only division
-depends on the codec (its quotient bit count), so only the formulas that
-reach sec_div take one. A table lookup (lut_cost) tests a small integer in
-two rounds, one masked opening and one bit reveal, whatever the table size.
+(fixedpoint.WORD_BITS) and the packed-bit payload rule (whole 64-bit
+words). Every Beaver product, elementwise or matmul, ships its two masked
+operands at their own shapes (mul_cost). The sign circuit (sign_cost)
+opens the masked difference as a word per lane, then the masked wires of
+its two AND levels as packed bits (SIGN_LEVEL_BITS per lane); a comparison
+(ge_cost) adds the B2A of its bits. A bit injection (inject_cost)
+multiplies the sign bits into rows of words in one frame: the top-T'
+network's selects and each quotient bit of division (div_cost), which pays
+one sign circuit and one injection per quotient bit. Only division depends
+on the codec (its quotient bit count), so only the formulas that reach
+sec_div take one. A table lookup (lut_cost) tests a small integer in two
+rounds, the masked index as log2(M) packed bits and one bit reveal.
 
 Round selection ranks the kept rounds by pairwise wins (sec_rank, constant
 rounds, T(T-1)/2 comparators) rather than running the top-T' network over
@@ -64,14 +65,6 @@ def _lanes(shape) -> int:
     return prod(shape) if shape else 1
 
 
-def ks_level_count(width: int) -> int:
-    n, s = 0, 1
-    while s < width:
-        n += 1
-        s <<= 1
-    return n
-
-
 def div_iterations(codec: FixedPointCodec) -> int:
     """Quotient bit count of sec_div: a representable quotient is below 2^(p + e - 1) raw."""
     return codec.precision_p + codec.range_e - 1
@@ -84,29 +77,29 @@ def words_round(nwords: int) -> CostEstimate:
     return CostEstimate(1, FRAME_OVERHEAD + WORD_BYTES * nwords)
 
 
-def and_round(nbits: int) -> CostEstimate:
-    # an AND layer ships the two masked operands together
-    return CostEstimate(1, FRAME_OVERHEAD + bit_payload_bytes(2 * nbits))
-
-
-def b2a_bits_cost(nbits: int) -> CostEstimate:
+def bits_round(nbits: int) -> CostEstimate:
+    """One round of nbits packed bits."""
     return CostEstimate(1, FRAME_OVERHEAD + bit_payload_bytes(nbits))
 
 
+# masked bits per lane each AND level of the sign circuit opens: four digit
+# groups (6 wires each, and the lowest digit's [=] for the three upper
+# groups' EQ), then the groups (6 wires)
+SIGN_LEVEL_BITS = (27, 6)
+
+
 def sign_cost(lanes: int) -> CostEstimate:
-    """The carry-only sign circuit: the generate layer and the six carry-only
-    levels of a 64-bit word (level k ships its g and p ANDs for 2^k lanes per
-    word; the last level only its g AND)."""
-    levels = ks_level_count(WORD_BITS)
-    total = and_round(lanes * WORD_BITS)
-    for k in range(1, levels + 1):
-        total += and_round((1 if k == levels else 2) * WORD_BITS * -(-lanes >> k))
+    """The sign circuit: the masked difference opens as words, then two AND
+    levels open their masked wires as packed bits."""
+    total = words_round(lanes)
+    for bits in SIGN_LEVEL_BITS:
+        total += bits_round(bits * lanes)
     return total
 
 
 def ge_cost(lanes: int) -> CostEstimate:
     """sec_ge: the sign circuit and the B2A of its bits."""
-    return sign_cost(lanes) + b2a_bits_cost(lanes)
+    return sign_cost(lanes) + bits_round(lanes)
 
 
 def inject_cost(lanes: int, words: int) -> CostEstimate:
@@ -115,9 +108,10 @@ def inject_cost(lanes: int, words: int) -> CostEstimate:
     return words_round(lanes * words + -(-lanes // WORD_BITS))
 
 
-def lut_cost(lanes: int) -> CostEstimate:
-    """sec_lut: the masked indices open as words, the looked-up bits as packed bits."""
-    return words_round(lanes) + b2a_bits_cost(lanes)
+def lut_cost(lanes: int, size: int) -> CostEstimate:
+    """sec_lut into a table of size entries: the masked indices open as
+    log2(size) packed bits each, then the looked-up bits."""
+    return bits_round(lanes * (size.bit_length() - 1)) + bits_round(lanes)
 
 
 def mul_cost(x_lanes: int, y_lanes: int) -> CostEstimate:
@@ -187,7 +181,7 @@ def rank_cost(t: int, width: int) -> CostEstimate:
     """sec_rank: one comparator layer over the T(T-1)/2 pairs and the B2A of
     its bits, then [rank < count] by one lookup, which reveals the flags."""
     pairs = t * (t - 1) // 2
-    return comparator_cost(width, pairs) + b2a_bits_cost(pairs) + lut_cost(t)
+    return comparator_cost(width, pairs) + bits_round(pairs) + lut_cost(t, padded_size(t))
 
 
 def ranks(kept: int, t_prime: int, width: int) -> bool:
@@ -211,13 +205,14 @@ def select_cost(kept: int, t_prime: int, width: int) -> CostEstimate:
 
 
 # prices a max tournament over t values per batch lane, which no phase runs:
-# perfbench/run.py prices threshold_determination with it for every request
+# perfbench/run.py prices threshold_determination with it for every request.
+# Each level compares the pairs and injects each bit into its pair's difference.
 def max_cost(t: int, batch: int) -> CostEstimate:
     size = padded_size(t)
     total = ZERO
     while size > 1:
         half = size // 2
-        total += ge_cost(batch * half) + mul_cost(batch * half, batch * half)
+        total += sign_cost(batch * half) + inject_cost(batch * half, 1)
         size = half
     return total
 
@@ -256,7 +251,9 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
 
     Shape argument by functionality:
       sec_add/sec_share: ignored
-      sec_rec/sec_ge/sec_lut/sec_div: lane shape tuple
+      sec_rec/sec_ge/sec_div: lane shape tuple
+      sec_lut: dict {"lanes", "size"}: a lane shape tuple of indices into a
+        table of size entries
       sec_mul/sec_sel: lane shape tuple of both operands, or for sec_mul a
         dict {"matmul": (sx, sy)}
       sec_srt: dict {"t", "item_words", "width", "count"}: the top count of T
@@ -279,7 +276,7 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
     if name == "sec_ge":
         return ge_cost(_lanes(shape))
     if name == "sec_lut":
-        return lut_cost(_lanes(shape))
+        return lut_cost(_lanes(shape["lanes"]), shape["size"])
     if name == "sec_srt":
         return sort_cost(shape["t"], shape["item_words"], shape["width"], shape["count"])
     if name == "sec_rank":

@@ -2,20 +2,18 @@
 
 Arithmetic gates use Beaver triples from the dealer tape, drawn at the
 operands' own shapes; numpy broadcasting forms the product. Independent
-products can open in one round (sec_muls). Comparison runs
-on XOR-shared bits where each party contributes its own share as one
-addend. It needs only the sign of the sum, so it runs a carry-only prefix
-tree that computes the carry into the top bit (the MSB extraction of ABY3
-and SecureNN): as many rounds as a Kogge-Stone adder, about a quarter of its
-AND gates. That sign circuit is the only boolean circuit. Its XOR-shared
-bits leave it in one more round: a B2A (sec_ge, sec_rank's wins), a bit
-injection, which multiplies them straight into an arithmetic share
-(sec_srt's selects, each quotient bit of sec_div's restoring division), or
-a reveal (reveal_ge). A small integer in a public range [0, M) skips
-the circuit: sec_lut looks it up in a one-time truth table in two rounds,
-one masked opening and one reveal. Batched lanes share one round trip:
-every gate here is vectorized, so "T comparisons in parallel" is one
-circuit over T lanes.
+products can open in one round (sec_muls). Comparison takes the sign of
+d = u - v in three rounds (_ge_bits): a masked opening c = d + r, then two
+levels of multi-input ANDs over the bits that compare c's digits with the
+dealer's one-hot digit tables of r. That sign circuit is the only boolean
+circuit. Its XOR-shared bits leave it in one more round: a B2A (sec_ge,
+sec_rank's wins), a bit injection, which multiplies them straight into an
+arithmetic share (sec_srt's selects, each quotient bit of sec_div's
+restoring division), or a reveal (reveal_ge). A small integer in a public
+range [0, M) skips the circuit: sec_lut looks it up in a one-time truth
+table in two rounds, one masked opening and one reveal. Batched lanes share
+one round trip: every gate here is vectorized, so "T comparisons in
+parallel" is one circuit over T lanes.
 
 Sort and rank keys are (T, width) share matrices, one row per item: width 1
 holds values, width 2 holds fractions (u, v) with v > 0. One comparator
@@ -32,13 +30,12 @@ comparator layer over all pairs yields each item's rank, and only
 [rank < count] is looked up and revealed, never the order.
 
 Boolean kernel representation: an XOR-shared bit tensor is held in its
-wire form, the packed words described in transport. A full-width tensor has
-one word per lane, bit k of the value at bit k of the word, so a ring word
-is its own bit decomposition and the carry tree's shifts and sign bits are
-word shifts (x << s, x >> 63). A tensor with one bit per lane (comparison
-bits) is lane-packed: 64 lanes per word, ceil(L/64) words. Level k of the
-carry-only tree keeps 64/2^k live bits per lane and ships 2^k lanes per
-word (see _ge_bits).
+wire form, the packed words described in transport. A tensor with one bit
+per lane (comparison bits) is lane-packed: 64 lanes per word, ceil(L/64)
+words. The sign circuit holds each of its wires as one lane-packed row, so
+an AND of wires is a word AND over 64 lanes; a round that opens several
+rows ships them as one bit tensor of rows * L bits, without pad bits
+between rows.
 
 Scale conventions: encoded reals sit at 2^-p. Products of two encoded
 operands land at 2^-2p and are truncated back unless the caller opts out
@@ -54,8 +51,8 @@ import numpy as np
 from .costs import div_iterations, padded_size, topk_layers
 from .errors import ShapeError
 from .fixedpoint import from_signed
-from .sharing import Session
-from .transport import bit_word_count, pack_bit_words, pack_words, unpack_bit_words, unpack_words
+from .sharing import Session, digits
+from .transport import bit_word_count, pack_words, unpack_bit_words
 
 ONE = np.uint64(1)
 
@@ -172,27 +169,21 @@ def sec_sel(sess: Session, v0, v1, b) -> np.ndarray:
 # -- boolean kernel (representation: see the module docstring) ----------------
 
 
+def _bytes(words: np.ndarray) -> np.ndarray:
+    """The little-endian bytes of packed words, along their last axis."""
+    return np.asarray(words, dtype="<u8").view(np.uint8)
+
+
 def _pack_lanes(bits: np.ndarray) -> np.ndarray:
-    """Per-lane 0/1 words to a lane-packed tensor (zero pad bits)."""
-    return unpack_words(pack_bit_words(bits), bit_word_count(bits.size))
+    """Per-lane 0/1 values to a lane-packed tensor (zero pad bits)."""
+    out = np.zeros(8 * bit_word_count(bits.size), dtype=np.uint8)
+    out[: -(-bits.size // 8)] = np.packbits(bits.reshape(-1), bitorder="little")
+    return out.view("<u8")
 
 
 def _unpack_lanes(words: np.ndarray, nbits: int) -> np.ndarray:
     """The first nbits bits of packed words as 0/1 words, one per bit."""
     return unpack_bit_words(pack_words(words), (nbits,)).astype(np.uint64)
-
-
-def _bit_and(sess: Session, x: np.ndarray, y: np.ndarray, triple) -> np.ndarray:
-    """AND on XOR-shared full-width packed bit tensors, from a triple of
-    x.size words; one round for any batch shape. y may broadcast against x,
-    whose shape is the result's."""
-    a, b, c = triple.reshape((3,) + x.shape)
-    ef_loc = np.concatenate([x ^ a, y ^ b])
-    e, f = (ef_loc ^ sess.exchange_bits(ef_loc)).reshape((2,) + x.shape)
-    z = c ^ (f & a) ^ (e & b)
-    if sess.party == 0:
-        z ^= e & f
-    return z
 
 
 def _open_bits(sess: Session, bits: np.ndarray, nbits: int) -> np.ndarray:
@@ -231,64 +222,121 @@ def _b2a_bits(sess: Session, bits: np.ndarray, nbits: int) -> np.ndarray:
     return _bit_inject(sess, bits, np.empty((nbits, 0), dtype=np.uint64))[1]
 
 
-def _bool_not(sess: Session, words: np.ndarray) -> np.ndarray:
-    return ~words if sess.party == 0 else words
-
-
 # -- comparison gates ---------------------------------------------------------
 
 
-# (s, mask of the upper s bits of every 2s-bit block) for the six carry levels
-_CARRY_LEVELS = [(np.uint64(s), np.uint64(sum(1 << q for q in range(64) if q & s)))
-                 for s in (1, 2, 4, 8, 16, 32)]
-_LANE_SHIFTS = np.arange(64, dtype=np.uint64)
+def _level(terms) -> tuple:
+    """Index tables of one AND level, whose output row t is the XOR of the
+    monomials of terms[t], each a tuple of input rows (ABY2.0's multi-input
+    AND, Patra et al., USENIX Security 2021).
+
+    A monomial of one row enters unopened. Every row of a longer monomial
+    opens as m = x ^ lam under its own fresh mask lam, and the dealer deals
+    the mask product lam_S of each subset S of two or more of its rows, so
+    that x_A = XOR over S of lam_S * m_{A - S}, where party 0 holds the empty
+    product lam_{} = 1: a share is local once m is public. Returns (opened
+    rows, subsets, unopened rows, pairs, term starts). A subsets row indexes
+    the masks of one dealt product, padded with k, the opened count. Each
+    pair is one lam_S * m_{A - S}: the row of lam_S in [masks, products,
+    party 0's one, unopened rows], then the rows of m_{A - S} in [opened
+    values, ones], padded to four.
+    """
+    col = {w: i for i, w in enumerate(sorted({w for t in terms for a in t if len(a) > 1 for w in a}))}
+    k = len(col)
+    linear = [a[0] for t in terms for a in t if len(a) == 1]
+    splits, starts = [], []
+    for t in terms:
+        starts.append(len(splits))
+        for a in t:
+            if len(a) == 1:
+                splits.append((None, ()))
+                continue
+            pos = [col[w] for w in a]
+            for bits in range(1 << len(pos)):
+                splits.append((tuple(p for i, p in enumerate(pos) if bits >> i & 1),
+                               tuple(p for i, p in enumerate(pos) if not bits >> i & 1)))
+    products = sorted({s for s, _ in splits if s and len(s) > 1}, key=lambda s: (len(s), s))
+    row = {s: k + i for i, s in enumerate(products)} | {(p,): p for p in range(k)} | {(): k + len(products)}
+    unopened = iter(range(k + len(products) + 1, k + len(products) + 1 + len(linear)))
+    pair_rows = [next(unopened) if s is None else row[s] for s, _ in splits]
+    pair_mono = [rest + (k,) * (4 - len(rest)) for _, rest in splits]
+    return (np.array(sorted(col)), np.array([s + (k,) * (4 - len(s)) for s in products]).reshape(-1, 4),
+            np.array(linear, dtype=np.int64), np.array(pair_rows), np.array(pair_mono), np.array(starts))
 
 
-def _merge_pairs(words: np.ndarray, s: np.uint64, upper: np.uint64) -> np.ndarray:
-    """Pairs of words along the last axis to one: the upper s bits of each
-    2s-bit block of the first, the same bits of the second shifted into the
-    lower s. An odd last word stays alone."""
-    kept = words & upper
-    merged = kept[..., ::2]
-    merged[..., : kept.shape[-1] // 2] |= kept[..., 1::2] >> s
-    return merged
+def _lt_term(eq: list, lt: list) -> list:
+    """The monomials of [x < y] over digits, most significant first, from
+    their [x_i < y_i] rows lt and [x_i = y_i] rows eq: lt_0 ^ eq_0 lt_1 ^
+    eq_0 eq_1 lt_2 ^ eq_0 eq_1 eq_2 lt_3 (the terms exclude each other)."""
+    return [tuple(eq[:i]) + (lt[i],) for i in range(len(lt))]
+
+
+# level 1 reads the rows eq_0..eq_15, lt_0..lt_15 of the digits and returns
+# LT_0..LT_3 and EQ_1..EQ_3 of the four groups of four; level 2 combines them
+_GROUPS = [[4 * j + 3 - i for i in range(4)] for j in range(4)]  # most significant first
+_LEVELS = [
+    _level([_lt_term(g, [16 + d for d in g]) for g in _GROUPS] + [[tuple(g)] for g in _GROUPS[1:]]),
+    _level([_lt_term([6, 5, 4], [3, 2, 1, 0])]),
+]
+_DEALT = [(len(opened), subsets) for opened, subsets, *_ in _LEVELS]
+# per digit: the table entry at c_i ([c_i = r_i]) and the entries above it ([c_i < r_i])
+_ENTRY_MASKS = np.array([1, 0xFFFE], dtype=np.uint16).reshape(2, 1, 1)
+
+
+def _planes(bits: np.ndarray) -> np.ndarray:
+    """(rows, lanes) 0/1 values to lane-packed rows (zero pad bits)."""
+    rows, lanes = bits.shape
+    out = np.zeros((rows, 8 * bit_word_count(lanes)), dtype=np.uint8)
+    out[:, : -(-lanes // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def _open_planes(sess: Session, planes: np.ndarray, lanes: int) -> np.ndarray:
+    """The public values of XOR-shared lane-packed rows, opened in one round
+    as one bit tensor of rows * lanes bits (no pad bits between rows)."""
+    if lanes % 64 == 0:
+        return planes ^ sess.exchange_bits(planes)
+    bits = np.unpackbits(_bytes(planes), axis=1, count=lanes, bitorder="little")
+    theirs = np.unpackbits(_bytes(sess.exchange_bits(_pack_lanes(bits))), count=bits.size, bitorder="little")
+    return _planes(bits ^ theirs.reshape(bits.shape))
+
+
+def _and_level(sess: Session, wires: np.ndarray, material: np.ndarray, level: tuple, lanes: int) -> np.ndarray:
+    """One round of multi-input ANDs (see _level) on lane-packed XOR-shared rows."""
+    opened, _, linear, pair_rows, pair_mono, starts = level
+    values = _open_planes(sess, wires[opened] ^ material[: len(opened)], lanes)
+    ones = np.full((1, values.shape[1]), ~np.uint64(0))
+    own = ones if sess.party == 0 else np.zeros_like(ones)
+    masks = np.concatenate([material, own, wires[linear]])
+    monomials = np.bitwise_and.reduce(np.concatenate([values, ones])[pair_mono], axis=1)
+    return np.bitwise_xor.reduceat(masks[pair_rows] & monomials, starts, axis=0)
 
 
 def _ge_bits(sess: Session, u, v) -> np.ndarray:
-    """Packed XOR shares of [u >= v] via the sign bit of u - v, one bit per
-    lane of the broadcast operands in flat order.
+    """Packed XOR shares of [u >= v] via the sign bit of d = u - v, one bit
+    per lane of the broadcast operands in flat order.
 
-    The parties' shares d0, d1 of d = u - v are the addends of an XOR-shared
-    sum whose bit 63 is d0_63 ^ d1_63 ^ c63, with c63 the carry out of
-    (d0 << 1) + (d1 << 1). One full-width AND layer gives the generate bits g
-    (the propagate bits p are local). Six carry-only levels follow: level s
-    updates (g, p) <- (g ^ p & g<<s, p & p<<s) only at the bits -1 mod 2s,
-    the prefix nodes the top carry needs. Those are the upper s bits of each
-    2s-bit block once the earlier levels' shifts are undone, so merging word
-    pairs packs the level's live bits, 2s lanes per word, lane t of a group
-    at t places right of its own bit positions. The last level (s = 32) ANDs
-    only g.
-
-    All AND triples come from one tape read: the level widths halve from
-    the lane count, so every triple's size is known up front.
+    One round opens c = d + r for a uniform dealt r, the masked opening of
+    Rabbit (Makri et al., FC 2021). Then MSB(d) = MSB(c) ^ MSB(r) ^ [c' < r'],
+    with c' and r' the words mod 2^63, exact on the whole ring. The dealer
+    deals XOR shares of the one-hot vector of each digit of r' (see
+    sharing.digits); each party reads its own share at c's public digit c_i:
+    the entry there is its share of [c_i = r_i], the XOR of the entries above
+    it its share of [c_i < r_i]. Two AND levels (_LEVELS) combine the digits
+    in groups of four, then the groups, into [c' < r'].
     """
     flat = np.asarray(np.subtract(u, v)).reshape(-1)
-    widths = [flat.size]
-    for _ in _CARRY_LEVELS:
-        widths.append((widths[-1] + 1) // 2)
-    triples = sess.draw_bit_triples([widths[0], *(2 * w for w in widths[1:-1]), widths[-1]])
-    mine = flat << ONE
-    zeros = np.zeros_like(mine)
-    g = _bit_and(sess, *((mine, zeros) if sess.party == 0 else (zeros, mine)), triples[0])
-    gp = np.array([g, mine])
-    for (s, upper), triple in zip(_CARRY_LEVELS, triples[1:]):
-        merged = _merge_pairs(np.concatenate([gp, gp << s]), s, upper)  # g, p, g<<s, p<<s
-        # the last level updates only g: nothing reads its p
-        gp = _bit_and(sess, merged[2:3] if s == 32 else merged[2:], merged[1], triple)
-        gp[0] ^= merged[0]
-    # lane t of each 64-lane word sits t places right of bit 63
-    top = (gp[0][:, None] << _LANE_SHIFTS).reshape(-1)[: flat.size]
-    return _pack_lanes(_bool_not(sess, flat ^ top) >> 63)
+    lanes = flat.size
+    r, msb, tables, material = sess.draw_comparison(lanes, _DEALT)
+    mine = np.add(flat, r)
+    c = np.add(mine, sess.exchange_words(mine))
+    entries = tables & (_ENTRY_MASKS << digits(c))
+    wires = _planes(np.bitwise_count(entries).reshape(-1, lanes) & 1)  # eq rows, then lt rows
+    for level, m in zip(_LEVELS, material):
+        wires = _and_level(sess, wires, m, level, lanes)
+    out = wires[0] ^ msb
+    # [u >= v] = NOT MSB(d); party 0 adds the public NOT MSB(c)
+    return out ^ _pack_lanes(~c >> np.uint64(63)) if sess.party == 0 else out
 
 
 def sec_ge(sess: Session, u, v) -> np.ndarray:
@@ -314,8 +362,9 @@ def sec_lut(sess: Session, x, table) -> np.ndarray:
     A one-time truth table (Ishai et al., TCC 2013): the dealer deals shares
     of r, uniform in Z_M, and XOR shares of the table rotated by r. M
     divides 2^64, so each party reduces its ring share mod M locally. One
-    round opens c = (x + r) mod M, which is uniform, and a second XOR-reveals
-    bit c of each party's table share.
+    round opens c = (x + r) mod M, which is uniform, each party sending its
+    share mod M as log2(M) packed bits, and a second XOR-reveals bit c of
+    each party's table share.
     """
     table = np.asarray(table)
     size = table.size
@@ -327,7 +376,10 @@ def sec_lut(sess: Session, x, table) -> np.ndarray:
         r, rotated = sess.draw_lookup(flat.size, table)
         mask = np.uint64(size - 1)
         mine = np.add(flat, r) & mask
-        c = np.add(mine, sess.exchange_words(mine)) & mask
+        shifts = np.arange(size.bit_length() - 1, dtype=np.uint64)
+        theirs = sess.exchange_bits(_pack_lanes((mine[:, None] >> shifts) & ONE))
+        theirs = _unpack_lanes(theirs, mine.size * shifts.size).reshape(mine.size, shifts.size) << shifts
+        c = np.add(mine, theirs.sum(axis=1, dtype=np.uint64)) & mask
         bits = _pack_lanes((rotated[np.arange(flat.size), c >> np.uint64(6)] >> (c & np.uint64(63))) & ONE)
         return _open_bits(sess, bits, flat.size).reshape(x.shape)
 

@@ -11,20 +11,25 @@ material from the same dealer seed and keep only their own half. Draws
 happen in program order on both sides, which keeps the halves consistent.
 Consumed material is charged to the meter as offline bytes, as if a real
 dealer had shipped it ahead of time: each draw charges the summed size of
-the arrays it hands out. Each Beaver triple comes from one tape read,
-whose words are those of drawing a, b and the three masks in turn; party 0's
-shares are the masks, so party 0 never forms the product.
+the arrays it hands out, except a comparison draw (below). Each Beaver
+triple comes from one tape read, whose words are those of drawing a, b and
+the three masks in turn; party 0's shares are the masks, so party 0 never
+forms the product.
 
-Bit material (AND triples, and the random bits of a bit injection) is
-drawn as packed words, and the pad bits past the requested bit count are
-zero. A comparison takes all of its AND triples in one generator call: the
-triples are laid out one after another in the order the circuit consumes
-them, so the words are those of drawing each triple in turn. An item's
-offline charge is its packed wire size, the same charge as when the dealer
-drew one byte per bit; only the random contents differ from that form. A
-bit injection deals a random bit per row of its arithmetic operand in both
-domains, next to a Beaver-style pair a, c = r * a at the operand's shape; a
-B2A is an injection into rows of no words.
+Bit material (the random bits of a bit injection, the masks of a
+comparison) is drawn as packed words, and the pad bits past the requested
+bit count are zero. An item's offline charge is its packed wire size, the
+same charge as when the dealer drew one byte per bit; only the random
+contents differ from that form. A bit injection deals a random bit per row
+of its arithmetic operand in both domains, next to a Beaver-style pair a,
+c = r * a at the operand's shape; a B2A is an injection into rows of no
+words.
+
+A comparison draw deals each lane a uniform word r, shared additively, XOR
+shares of MSB(r) and of the one-hot vector of each digit of r mod 2^63
+(248 bits), and for each of the circuit's AND levels fresh masks and XOR
+shares of their products over the subsets the level names. It is charged
+packed densely: the words of r and every other bit back to back.
 
 A lookup draw deals each lane a one-time truth table: a ring share of a
 rotation r, uniform in Z_M, and XOR shares of a public M-entry bit table
@@ -38,7 +43,6 @@ randomness of their own: every mask comes from the dealer tape.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from collections import defaultdict
@@ -50,6 +54,7 @@ from .errors import ProtocolError, ShapeError, TransportError
 from .fixedpoint import FixedPointCodec
 from .transport import (
     OP_TAGS,
+    bit_payload_bytes,
     bit_word_count,
     build_frame,
     inproc_pair,
@@ -66,6 +71,19 @@ STREAM_DATA = 4
 STREAM_CLIENT_SHARES = 5
 STREAM_BASELINE = 6
 STREAM_AUDIT = 7
+
+# a comparison splits r mod 2^63 into 16 digits, least significant first:
+# 15 of 4 bits and a top digit of 3, each dealt as a one-hot table
+DIGITS = 16
+TOP_DIGIT_BITS = 3
+ONE_HOT_BITS = 16 * (DIGITS - 1) + (1 << TOP_DIGIT_BITS)
+_DIGIT_SHIFTS = np.arange(0, 4 * DIGITS, 4, dtype=np.uint64)[:, None]
+_DIGIT_MASKS = np.array([15] * (DIGITS - 1) + [(1 << TOP_DIGIT_BITS) - 1], dtype=np.uint64)[:, None]
+
+
+def digits(words: np.ndarray) -> np.ndarray:
+    """The (16, lanes) uint8 digits of ring words mod 2^63, least significant first."""
+    return ((words >> _DIGIT_SHIFTS) & _DIGIT_MASKS).astype(np.uint8)
 
 
 def keyed_rng(seed: int, *key: int) -> np.random.Generator:
@@ -203,20 +221,6 @@ class DealerTape:
         c = np.matmul(a, b) if mode == "matmul" else np.multiply(a, b)
         return np.subtract(a, a0), np.subtract(b, b0), np.subtract(c, c0)
 
-    def bit_triples(self, triple_words: list[int]) -> list[np.ndarray]:
-        """XOR-shared AND triples from one tape read, as (3, words) arrays of
-        packed words a, b, c = a & b; triple_words lists the size in words of
-        each, one or more."""
-        ends = list(itertools.accumulate(triple_words))
-        raw = self._words(5 * ends[-1])
-        # triple k is the words a, b, a0, b0, c0 of a (5, n_k) read
-        rows = np.concatenate([raw[5 * (e - n) : 5 * e].reshape(5, n)
-                               for n, e in zip(triple_words, ends)], axis=1)
-        if self.party == 1:
-            rows[2:4] ^= rows[:2]
-            rows[4] ^= rows[0] & rows[1]
-        return [rows[2:, e - n : e] for n, e in zip(triple_words, ends)]
-
     def injection(self, shape):
         """Material for a bit injection into an x of this shape, from one tape
         read: a random bit r per row of x, shared in both domains, a uniform a
@@ -262,6 +266,48 @@ class DealerTape:
         rotated[:, :size] = np.asarray(table, dtype=np.uint8)[source]
         packed = np.packbits(rotated, axis=1, bitorder="little").view("<u8").astype(np.uint64)
         return np.subtract(r, s0), packed ^ t0
+
+    def comparison(self, lanes: int, levels):
+        """Material for a masked comparison of lanes lanes, from one tape read.
+
+        Each lane gets a uniform word r, shared additively; XOR shares of
+        MSB(r), lane-packed; and XOR shares of the one-hot vector of each
+        digit of r mod 2^63 (see digits), entry v of digit i at bit v of a
+        (16, lanes) array of 16-bit words. Each AND level is a pair (k,
+        subsets): k fresh lane-packed masks per lane and, per row of the
+        (s, 4) array subsets, the AND of the masks it indexes (padding
+        index k). A level's material is the XOR shares of its k masks, then
+        of its s products, as (k + s, words) lane-packed rows.
+
+        The read holds r and party 0's shares of r, MSB(r) and the tables,
+        then per level the masks and party 0's shares of them and their
+        products; pad bits are cleared.
+        """
+        nw = bit_word_count(lanes)
+        sizes = [lanes, lanes, nw, 4 * lanes]
+        for k, subsets in levels:
+            sizes += [k * nw, (k + len(subsets)) * nw]
+        words, parts, end = self._words(sum(sizes)), [], 0
+        for n in sizes:
+            parts.append(words[end : end + n])
+            end += n
+        r, r0, msb0, tables0, *raw = parts
+        msb0 = self._bit_words(msb0, lanes)
+        tables0 = tables0.astype("<u8", copy=False).view("<u2").reshape(DIGITS, lanes)
+        tables0[-1] &= (1 << (1 << TOP_DIGIT_BITS)) - 1  # the top digit's table has 8 entries
+        shares0 = [self._bit_words(s.reshape(-1, nw), lanes) for s in raw[1::2]]
+        if self.party == 0:
+            return r0, msb0, tables0, shares0
+        msb = np.zeros(8 * nw, dtype=np.uint8)
+        msb[: -(-lanes // 8)] = np.packbits((r >> np.uint64(63)).astype(np.uint8), bitorder="little")
+        tables = tables0 ^ (np.uint16(1) << digits(r))
+        material = []
+        for (k, subsets), masks, s0 in zip(levels, raw[::2], shares0):
+            masks = self._bit_words(masks.reshape(k, nw), lanes)
+            ones = np.full((1, nw), ~np.uint64(0))
+            products = np.bitwise_and.reduce(np.concatenate([masks, ones])[subsets], axis=1)
+            material.append(np.concatenate([masks, products]) ^ s0)
+        return np.subtract(r, r0), msb0 ^ msb.view("<u8"), tables, material
 
     @staticmethod
     def _bit_words(words: np.ndarray, nbits: int) -> np.ndarray:
@@ -338,11 +384,6 @@ class Session:
         self._charge(*trip)
         return trip
 
-    def draw_bit_triples(self, triple_words: list[int]) -> list[np.ndarray]:
-        triples = self.dealer.bit_triples(triple_words)
-        self._charge(*triples)
-        return triples
-
     def draw_injection(self, shape):
         material = self.dealer.injection(shape)
         self._charge(*material)
@@ -351,6 +392,14 @@ class Session:
     def draw_lookup(self, lanes: int, table: np.ndarray):
         material = self.dealer.lookup(lanes, table)
         self._charge(*material)
+        return material
+
+    def draw_comparison(self, lanes: int, levels):
+        """DealerTape.comparison, charged packed densely: the shares of r as
+        words and every other bit of the draw back to back."""
+        material = self.dealer.comparison(lanes, levels)
+        bits = 1 + ONE_HOT_BITS + sum(k + len(subsets) for k, subsets in levels)
+        self.meter.add_offline(self.current_op, 8 * lanes + bit_payload_bytes(bits * lanes))
         return material
 
     # -- rounds -----------------------------------------------------------

@@ -2,11 +2,13 @@
 
 The bit reference keeps one bit per uint8, LSB first along the last axis,
 and runs the Kogge-Stone adder in the clear; the comparison reads the sign
-bit of its full sum where the kernel runs a carry-only tree. The division
-reference runs sec_div's restoring division on ring words as Python ints.
-Every secure result reconstructs to a deterministic function of its inputs,
-so it must equal the reference exactly, for any input (division by zero
-and non-representable quotients included, where both saturate).
+bit of its full sum. A second reference runs the sign circuit's algebra on
+Python ints: the masked opening c = d + r, then [c mod 2^63 < r mod 2^63]
+from 16 digits in groups of four. The division reference runs sec_div's
+restoring division on ring words as Python ints. Every secure result
+reconstructs to a deterministic function of its inputs, so it must equal
+the reference exactly, for any input (division by zero and
+non-representable quotients included, where both saturate).
 """
 
 import numpy as np
@@ -70,6 +72,35 @@ def ref_ge(su, sv):
     """[u >= v] from the shares: NOT the sign bit of the A2B of u - v."""
     total = ref_a2b(su[0] - sv[0], su[1] - sv[1])
     return (1 - total[..., -1]).astype(np.uint64)
+
+
+def ref_digit_lt(c, r):
+    """[c' < r'] for c' = c mod 2^63, r' = r mod 2^63 the way the sign
+    circuit forms it: per digit (15 of 4 bits, a top one of 3) the bits
+    [c_i < r_i] and [c_i = r_i], then LT = lt3 ^ eq3 lt2 ^ eq3 eq2 lt1 ^
+    eq3 eq2 eq1 lt0 over each group of four digits (and EQ of the upper
+    three groups), then the same over the four groups."""
+    dc = [(c >> 4 * i) & (15 if i < 15 else 7) for i in range(16)]
+    dr = [(r >> 4 * i) & (15 if i < 15 else 7) for i in range(16)]
+
+    def combine(lt, eq):  # most significant first
+        return lt[0] ^ eq[0] & lt[1] ^ eq[0] & eq[1] & lt[2] ^ eq[0] & eq[1] & eq[2] & lt[3]
+
+    groups = [[4 * j + 3 - i for i in range(4)] for j in range(4)]
+    lt = [combine([int(dc[i] < dr[i]) for i in g], [int(dc[i] == dr[i]) for i in g]) for g in groups]
+    eq = [int(all(dc[i] == dr[i] for i in g)) for g in groups]
+    return combine(lt[::-1], eq[::-1])
+
+
+def test_reference_sign_from_a_masked_opening():
+    # MSB(d) = MSB(c) ^ MSB(r) ^ [c' < r'] for c = d + r, on the whole ring
+    rng = np.random.default_rng(3)
+    r = rng.integers(0, 2**64, size=400, dtype=np.uint64).tolist()
+    d = EDGE_DIFFS * 20 + rng.integers(0, 2**64, size=260, dtype=np.uint64).tolist()
+    for dk, rk in zip(d, r):
+        c = (dk + rk) & MASK
+        assert ref_digit_lt(c, rk) == int(c % 2**63 < rk % 2**63)
+        assert dk >> 63 == (c >> 63) ^ (rk >> 63) ^ ref_digit_lt(c, rk)
 
 
 def ref_div(u, v, p, iterations):
@@ -140,15 +171,15 @@ def _run_recorded(proto, seed=0):
 
 
 def _sign_cost_list(lanes):
-    """The generate layer, six carry-only levels at 2^k lanes per word (g and
-    p ANDs, the last level's g alone)."""
-    levels = [costs.and_round((2 if k < 6 else 1) * WIDTH * -(-lanes // 2**k)) for k in range(1, 7)]
-    return [costs.and_round(lanes * WIDTH), *levels]
+    """The masked difference as a word per lane, then the two AND levels:
+    27 masked wires per lane (six per group of four digits, and the lowest
+    digit's [=] of the three upper groups), then 6 (of the groups)."""
+    return [costs.words_round(lanes), costs.bits_round(27 * lanes), costs.bits_round(6 * lanes)]
 
 
 def _ge_cost_list(lanes):
     """The sign circuit, then the B2A of its bits."""
-    return [*_sign_cost_list(lanes), costs.b2a_bits_cost(lanes)]
+    return [*_sign_cost_list(lanes), costs.bits_round(lanes)]
 
 
 def _bytes(estimates):
@@ -179,29 +210,24 @@ def test_sec_ge_matches_reference(lanes, data):
     assert sum(frames[:-1]) == costs.ge_cost(lanes).online_bytes
 
 
-# u - v at the sign boundary; on even lanes party 0's share of u - v is fixed
-# so that the carry into bit 63 ripples through every position (all ones) or
-# through none (zero)
-EDGE_DIFFS = [0, 1, MASK, 1 << 63, (1 << 63) - 1]
-EDGE_SHARES = [0, MASK, 1 << 63, 1]
+# u - v at the sign boundary: 0 and 2^63 open c' = r' (every digit equal),
+# 1 and 2^63 + 1 open c' = r' + 1, 2^63 - 1 and 2^64 - 1 open c' = r' - 1
+EDGE_DIFFS = [0, 1, 1 << 62, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, MASK]
 
 
-@pytest.mark.parametrize("lanes", (1, 3, 63, 64, 65, 130))
+@pytest.mark.parametrize("lanes", (1, 3, 63, 64, 65, 130, 8192))
 def test_sec_ge_edge_values(lanes):
     rng = np.random.default_rng(lanes)
     u = rng.integers(0, 2**64, size=lanes, dtype=np.uint64)
-    v = u - np.array([EDGE_DIFFS[i % 5] for i in range(lanes)], dtype=np.uint64)
+    v = u - np.array([EDGE_DIFFS[i % 7] for i in range(lanes)], dtype=np.uint64)
     su, sv = _split(u, lanes), _split(v, lanes + 1)
-    su[0][::2] = [EDGE_SHARES[i % 4] for i in range(0, lanes, 2)]
-    sv[0][::2] = 0
-    su[1], sv[1] = u - su[0], v - sv[0]
 
     def proto(sess):
         return sec_rec(sess, gates.sec_ge(sess, su[sess.party], sv[sess.party]))
 
     out, frames = _run_recorded(proto, lanes)
     assert np.array_equal(out, ref_ge(su, sv))
-    assert out.tolist() == [int(EDGE_DIFFS[i % 5] < 1 << 63) for i in range(lanes)]
+    assert out.tolist() == [int(EDGE_DIFFS[i % 7] < 1 << 63) for i in range(lanes)]
     assert frames[:-1] == _bytes(_ge_cost_list(lanes))
 
 

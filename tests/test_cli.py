@@ -305,10 +305,12 @@ def test_compare_full_sigma_matches_random_subset(tmp_path, capsys):
 def test_audit_passes(capsys):
     assert _run(["audit", "--seed", 0]) == 0
     printed = capsys.readouterr().out
-    assert "all 14 functionalities match" in printed
+    assert "all 15 functionalities match" in printed
     assert "MISMATCH" not in printed
-    # a ranked selection ends in a two-round lookup
-    assert re.search(r"^sec_rs T=12 T'=8 method 1 +19 / 19 ", printed, re.M)
+    # a comparison is 4 rounds; a ranked selection ends in a two-round lookup
+    assert re.search(r"^sec_ge \(8,\) +4 / 4 ", printed, re.M)
+    assert re.search(r"^sec_ge \(65,\) +4 / 4 ", printed, re.M)
+    assert re.search(r"^sec_rs T=12 T'=8 method 1 +11 / 11 ", printed, re.M)
     assert "sec_srt T=8 pair: comparators=24 (formula 24)" in printed
     # T=32 and T=128 run the top-k network (one and four merge levels);
     # T=12 ranks, one comparator call per pair

@@ -206,6 +206,48 @@ def test_sec_ge2_ratio_cases():
     assert ge2((-1.0, 2.0, 1.0, 2.0)) == 0
 
 
+def _ge_openings(diff, seeds, lanes=65):
+    """Per dealer seed, every bit the sign circuit opens for u - v = diff in
+    each lane, from the frames both parties send: the c words, then both AND
+    levels' masked wires (27 and 6 per lane, pad bits cut). Returns the c
+    words, each level's words with 64 live bits, and all live bits."""
+    us = raw_share_pair(np.full(lanes, 7 + diff, dtype=np.uint64), key=140)
+    vs = raw_share_pair(np.full(lanes, 7, dtype=np.uint64), key=141)
+    opened = []
+    for seed in seeds:
+        sessions = make_inproc_sessions(seed)
+        sent = {0: [], 1: []}
+        for sess in sessions:
+            send = sess.chan.send
+            sess.chan.send = lambda frame, p=sess.party, send=send: (sent[p].append(frame), send(frame))
+        run_pair(lambda s: gates._ge_bits(s, us[s.party], vs[s.party]), sessions)
+        (c0, *m0), (c1, *m1) = ([np.frombuffer(f[16:], dtype="<u8") for f in sent[p]] for p in (0, 1))
+        opened.append([np.add(c0, c1), *(a ^ b for a, b in zip(m0, m1))])
+    c = np.array([o[0] for o in opened])
+    levels = [np.array([o[k] for o in opened]) for k in (1, 2)]
+    full = [m[:, : wires * lanes // 64] for m, wires in zip(levels, (27, 6))]
+    bits = [np.unpackbits(c.view(np.uint8), axis=1, bitorder="little")]
+    bits += [np.unpackbits(m.view(np.uint8), axis=1, bitorder="little")[:, : wires * lanes]
+             for m, wires in zip(levels, (27, 6))]
+    return c, full, np.concatenate(bits, axis=1)
+
+
+def test_sign_circuit_openings_are_independent_of_the_inputs_and_fresh():
+    # over a fixed set of dealer seeds, each live bit the circuit opens is set
+    # as often for u - v = 0 as for u - v = 2^63 - 1 (the same sign), and no
+    # opened word repeats across one input's runs and lanes. An r shared by
+    # the lanes, or a mask shared by the lanes, fails the second
+    seeds = range(300)
+    (c0, full0, bits0), (c1, full1, bits1) = (_ge_openings(diff, seeds) for diff in (0, 2**63 - 1))
+    n = len(seeds)
+    pooled = (bits0.sum(axis=0) + bits1.sum(axis=0)) / (2 * n)
+    spread = np.sqrt(2 * n * pooled * (1 - pooled))
+    z = (bits0.sum(axis=0).astype(float) - bits1.sum(axis=0)) / np.where(spread > 0, spread, 1)
+    assert spread.min() > 0 and np.abs(z).max() < 6
+    for words in (c0, c1, *full0, *full1):
+        assert len(np.unique(words)) == words.size
+
+
 # -- bit injection ---------------------------------------------------------------
 
 
@@ -403,11 +445,11 @@ def test_sec_srt_top_count_at_its_cost(width, t, count):
     assert calls == comparator_calls(t, count)
     if count >= t:
         # the full bitonic sort: l(l+1)/2 stages of N/2 compare-exchanges at
-        # N = 2^l, each a comparator's sign circuit (7 rounds, one more to
+        # N = 2^l, each a comparator's sign circuit (3 rounds, one more to
         # cross multiply width-2 keys) and one injection round
         ell = max(t - 1, 0).bit_length()
         stages = ell * (ell + 1) // 2
-        assert (calls, st.rounds) == (stages * (1 << ell) // 2, stages * (7 + width))
+        assert (calls, st.rounds) == (stages * (1 << ell) // 2, stages * (3 + width))
 
 
 @pytest.mark.parametrize("t", [5, 8, 13, 128])
@@ -477,7 +519,7 @@ def test_sec_rank_selects_the_stable_top_set_at_its_cost(width, t):
 # -- table lookup ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("size", [2, 8, 64, 128])
+@pytest.mark.parametrize("size", [1, 2, 8, 64, 128])
 @pytest.mark.parametrize("lanes", [1, 64, 65])
 def test_sec_lut_is_exact_on_every_index_at_its_cost(size, lanes):
     # every x in [0, M), lanes per call; 128 entries span two table words,
@@ -489,7 +531,8 @@ def test_sec_lut_is_exact_on_every_index_at_its_cost(size, lanes):
     got, sessions = both(lambda s: np.array([sec_lut(s, x, table) for x in shares[s.party]]))
     assert np.array_equal(got, table[xs])
     st = sessions[0].meter.stats("sec_lut")
-    assert (st.rounds, st.bytes_online) == (predict_cost("sec_lut", (lanes,), CODEC) * len(xs)).as_tuple()
+    shape = {"lanes": (lanes,), "size": size}
+    assert (st.rounds, st.bytes_online) == (predict_cost("sec_lut", shape, CODEC) * len(xs)).as_tuple()
 
 
 def test_sec_lut_keeps_the_index_shape_and_rejects_other_table_sizes():

@@ -38,26 +38,26 @@ def test_switching_threshold_monotone_in_word_size():
 
 def test_switching_threshold_matches_cost_crossover():
     # with every round kept and all but one selected (so both methods sort),
-    # the cost model's online bytes cross over between 2^11 and 2^12 rounds
-    # and its rounds between 2^19 and 2^20. The paper's auto-switch point
-    # lies above both: this engine's division is cheaper than the paper's
-    # word-size model assumes, so method 2 is taken later than it pays off
+    # method 2 ships fewer online bytes than method 1 from one power of two
+    # on and takes fewer rounds from a later one, and neither crosses back up
+    # to 2^28. The paper's auto-switch point lies above both: this engine's
+    # division is cheaper than the paper's word-size model assumes, so method
+    # 2 is taken later than it pays off
     def cost(t, method):
         return predict_cost("sec_rs", {"t": t, "t_prime": t - 1, "method": method}, CODEC)
 
-    def online(t, method):
-        return cost(t, method).online_bytes
+    def crossover(metric):
+        wins = [metric(cost(2**e, 2)) < metric(cost(2**e, 1)) for e in range(1, 29)]
+        first = wins.index(True)
+        assert all(wins[first:])
+        return 2 ** (first + 1)
 
-    assert online(2**10, 1) == 2_975_800 < online(2**10, 2) == 3_334_360
-    assert online(2**11, 1) == 7_109_544 < online(2**11, 2) == 7_373_592
-    assert online(2**12, 2) == 16_294_424 < online(2**12, 1) == 16_751_720
-    assert cost(2**19, 1).rounds == 1719 < cost(2**19, 2).rounds == 1730
-    assert cost(2**20, 2).rounds == 1890 < cost(2**20, 1).rounds == 1899
-    assert online(2**27, 2) == 1_809_406_020_120 < online(2**27, 1) == 2_629_761_553_704
-    assert online(2**28, 2) == 3_856_981_350_424 < online(2**28, 1) == 5_648_016_270_568
+    by_bytes = crossover(lambda c: c.online_bytes)
+    by_rounds = crossover(lambda c: c.rounds)
+    assert (by_bytes, by_rounds) == (2**7, 2**14)
     t_delta = SelectionParams(t=1, sigma=1.0).t_delta
     assert t_delta == switching_threshold(64, 128) == 158_000_786
-    assert 2**27 < t_delta < 2**28
+    assert by_rounds < 2**27 < t_delta < 2**28
 
 
 def test_switching_threshold_validation():
@@ -218,7 +218,7 @@ def test_methods_agree_on_random_instances():
 # ranked, or run through the top-k network
 ZERO_UPDATE_CASES = [pytest.param(8, 6, None, id="all-kept"),
                      pytest.param(8, 3, "sec_rank", id="rank"),
-                     pytest.param(16, 2, "sec_srt", id="sort")]
+                     pytest.param(18, 2, "sec_srt", id="sort")]
 
 
 @pytest.mark.parametrize("method", [1, 2])
@@ -227,6 +227,8 @@ def test_zero_update_is_never_selected(t, t_prime, path, method):
     # an exactly-zero public update has no direction: its round leaves the
     # selection at zero rounds (here the two best-scoring rounds), and the
     # secure selection equals the mirror's
+    if path:
+        assert ranks(t - 2, t_prime, RS_KEY_WIDTH[method]) == (path == "sec_rank")
     grads, norms, deltas, scores = _tie_free_instance(t, 3, seed=t + t_prime)
     zero = np.argsort(-scores)[:2]
     deltas[zero] = 0.0
@@ -259,11 +261,11 @@ def test_comparator_count_at_thirty_two():
 
 
 def test_network_selection_where_it_undercuts_ranking():
-    # at 16 kept rounds and T' = 5, one bit injection per layer makes the
-    # top-5 network ship fewer bytes than ranking's comparator layer, B2A and
-    # lookup; the network's selection equals the mirror's at its predicted cost
-    t, t_prime = 16, 5
-    assert not ranks(t, t_prime, RS_KEY_WIDTH[1])
+    # the smallest history where the top-T' network, T' >= 3, ships fewer
+    # bytes than ranking's comparator layer, B2A and lookup (ranks() says
+    # so); the network's selection equals the mirror's at its predicted cost
+    t, t_prime = next((t, k) for t in range(4, 64) for k in range(3, t) if not ranks(t, k, RS_KEY_WIDTH[1]))
+    assert ranks(t - 1, t_prime, RS_KEY_WIDTH[1])
     grads, norms, deltas, _ = _tie_free_instance(t, 3, seed=t + t_prime)
     hist = PlainHistory(models=np.vstack([np.zeros(3), np.cumsum(deltas, axis=0)]),
                         grads=grads[:, None, :], norms=norms[:, None], deltas=np.zeros((t, 1)))

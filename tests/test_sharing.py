@@ -14,6 +14,7 @@ from starfish import (
     sec_share,
 )
 from starfish.errors import ProtocolError, ShapeError, TransportError
+from starfish import gates
 from starfish.gates import sec_ge, sec_mul, sec_sel
 from starfish.sharing import DealerTape
 
@@ -157,21 +158,34 @@ def _words_to_bits(words):
 NBITS = 100  # not a multiple of 64: the last word carries 28 pad bits
 
 
-def test_dealer_bit_triples_consistent():
-    d0 = DealerTape(9, 0)
-    d1 = DealerTape(9, 1)
-    sizes = [2, 1, 3]
-    trips0 = d0.bit_triples(sizes)
-    trips1 = d1.bit_triples(sizes)
-    assert len(trips0) == len(trips1) == len(sizes)
-    for n, (a0, b0, c0), (a1, b1, c1) in zip(sizes, trips0, trips1):
-        a, b, c = a0 ^ a1, b0 ^ b1, c0 ^ c1
-        for words in (a, b, c, a0, b0, c0, a1, b1, c1):
-            assert words.dtype == np.uint64 and words.shape == (n,)
-        assert np.array_equal(c, a & b)
-        # the draw is random: neither all zeros nor all ones
-        assert 0 < sum(_words_to_bits(a)) < 64 * n
-        assert 0 < sum(_words_to_bits(b)) < 64 * n
+@pytest.mark.parametrize("lanes", [1, 65, 200])
+def test_dealer_comparison_material_is_consistent(lanes):
+    # the ring shares sum to r; the MSB shares XOR to r's top bit; the table
+    # shares XOR to the one-hot vector of each digit of r mod 2^63 (15 of 4
+    # bits, then 3); each level's rows XOR to its masks, then to the AND of
+    # the masks each subset names; pad bits are zero
+    (r0, m0, t0, l0), (r1, m1, t1, l1) = (DealerTape(21, p).comparison(lanes, gates._DEALT) for p in (0, 1))
+    r = np.add(r0, r1)
+    assert len(np.unique(r)) == lanes
+    msb = _words_to_bits(m0 ^ m1)
+    assert msb[:lanes] == [int(x) >> 63 for x in r] and not any(msb[lanes:])
+    tables = (t0 ^ t1).astype(np.int64).T
+    assert tables.shape == (lanes, 16)
+    for rk, row in zip(r.tolist(), tables.tolist()):
+        want = [(rk >> 4 * i) & (15 if i < 15 else 7) for i in range(16)]
+        assert row == [1 << d for d in want]
+    # the top digit's table has 8 entries, every one of them masked
+    assert not np.any(t0[15] >> 8)
+    assert lanes < 65 or np.bitwise_or.reduce(t0[15]) == 0xFF
+    for (k, subsets), s0, s1 in zip(gates._DEALT, l0, l1):
+        full = s0 ^ s1
+        assert full.shape == (k + len(subsets), (lanes + 63) // 64)
+        bits = np.array([_words_to_bits(row) for row in full])
+        assert not bits[:, lanes:].any()
+        masks = bits[:k, :lanes]
+        for row, subset in zip(bits[k:, :lanes], subsets):
+            assert np.array_equal(row, np.bitwise_and.reduce(masks[[i for i in subset if i < k]], axis=0))
+        assert 0 < masks.sum() < masks.size
 
 
 def test_dealer_shared_bit_domains_agree():
@@ -186,18 +200,21 @@ def test_dealer_shared_bit_domains_agree():
 
 
 def test_dealer_bit_draws_charge_packed_sizes():
-    # offline bytes for bit material are the packed wire sizes: whole words
+    # offline bytes for bit material are the packed wire sizes: whole words.
+    # A comparison charges a word of r per lane and its 442 - 64 bits per
+    # lane packed back to back: MSB(r), the 248 table bits and 129 level bits
     s0, _ = make_inproc_sessions(4)
+    assert 1 + 248 + sum(k + len(subsets) for k, subsets in gates._DEALT) == 442 - 64
     with s0.op("sec_ge"):
-        s0.draw_bit_triples([2])
-    assert s0.meter.stats("sec_ge").bytes_offline == 3 * 16
+        s0.draw_comparison(1, gates._DEALT)
+    assert s0.meter.stats("sec_ge").bytes_offline == 8 + 8 * 6
     with s0.op("sec_div"):
         s0.draw_injection((NBITS, 0))
     assert s0.meter.stats("sec_div").bytes_offline == 16 + 8 * NBITS
     with s0.op("both"):
-        s0.draw_bit_triples([1, 2])
+        s0.draw_comparison(65, gates._DEALT)
         s0.draw_injection((65, 0))
-    assert s0.meter.stats("both").bytes_offline == 3 * 8 + 3 * 16 + 16 + 8 * 65
+    assert s0.meter.stats("both").bytes_offline == 8 * 65 + 8 * -(-378 * 65 // 64) + 16 + 8 * 65
     with s0.op("bit1"):
         s0.draw_injection((1, 0))
     assert s0.meter.stats("bit1").bytes_offline == 8 + 8
@@ -243,51 +260,61 @@ def test_dealer_lookup_shares_a_rotated_table(size, lanes):
     assert s0.meter.stats("sec_lut").bytes_offline == 8 * lanes * (1 + (size + 63) // 64)
 
 
-def _ge_triple_words(lanes):
-    """Word counts of a comparison's AND triples: the generate layer over
-    every lane, then the six carry levels, each on half the words of the
-    previous one (g and p, the last level g only)."""
-    widths = [lanes]
-    for _ in range(6):
-        widths.append(-(-widths[-1] // 2))
-    return [widths[0]] + [2 * w for w in widths[1:6]] + [widths[6]]
-
-
-def _per_item_draws(seed, party, triple_words, nbits):
-    """The per-item rule, one tape read per item: a triple of n words is the
-    words (a, b, a0, b0, c0) of one (5, n) read; nbits shared bits are r, r0
-    (pad bits cleared) and s0 from one read of 2 * ceil(nbits / 64) + nbits
-    words. Returns the material and the tape after it."""
+def _per_item_draws(seed, party, lanes):
+    """The per-item rule, one tape read per item: a comparison's r, party 0's
+    shares of r, MSB(r) (pad bits cleared) and the tables (four words of
+    16-bit entries per lane, digit-major), then per level its masks and party 0's shares,
+    each lane-packed; then a B2A's nbits = lanes shared bits, r and r0 (pad
+    bits cleared) and s0. Returns the material and the tape after it."""
     tape = DealerTape(seed, party)
-    triples = []
-    for n in triple_words:
-        a, b, a0, b0, c0 = tape._words((5, n))
-        triples.append((a0, b0, c0) if party == 0 else (a ^ a0, b ^ b0, (a & b) ^ c0))
-    nw = (nbits + 63) // 64
-    raw = tape._words(2 * nw + nbits)
-    r, r0 = raw[: 2 * nw].reshape(2, nw)
-    if nbits % 64:
-        r[-1] &= np.uint64((1 << (nbits % 64)) - 1)
-        r0[-1] &= np.uint64((1 << (nbits % 64)) - 1)
+    nw = (lanes + 63) // 64
+
+    def bit_words(n):
+        words = tape._words((n, nw))
+        if lanes % 64:
+            words[:, -1] &= np.uint64((1 << (lanes % 64)) - 1)
+        return words
+
+    r, r0, msb0 = tape._words(lanes), tape._words(lanes), bit_words(1)[0]
+    tables0 = np.array([(int(w) >> 16 * q) & 0xFFFF for w in tape._words(4 * lanes) for q in range(4)])
+    tables0 = tables0.reshape(16, lanes)
+    tables0[15] &= 0xFF
+    levels = [(bit_words(k), bit_words(k + len(subsets))) for k, subsets in gates._DEALT]
+    raw = tape._words(2 * nw + lanes)
+    b, b0 = raw[: 2 * nw].reshape(2, nw)
+    if lanes % 64:
+        b[-1] &= np.uint64((1 << (lanes % 64)) - 1)
+        b0[-1] &= np.uint64((1 << (lanes % 64)) - 1)
     s0 = raw[2 * nw :]
     if party == 0:
-        return triples, (r0, s0), tape
-    values = np.array(_words_to_bits(r)[:nbits], dtype=np.uint64)
-    return triples, (r ^ r0, np.subtract(values, s0)), tape
+        return (r0, msb0, tables0, [share for _, share in levels]), (b0, s0), tape
+    onehot = [[1 << ((int(x) >> 4 * i) & (15 if i < 15 else 7)) for i in range(16)] for x in r]
+    msb = np.array(_words_to_bits_as_words([int(x) >> 63 for x in r]), dtype=np.uint64)
+    full = []
+    for (k, subsets), (masks, share) in zip(gates._DEALT, levels):
+        products = [np.bitwise_and.reduce(masks[[i for i in subset if i < k]], axis=0) for subset in subsets]
+        full.append(np.concatenate([masks, np.array(products).reshape(-1, nw)]) ^ share)
+    values = np.array(_words_to_bits(b)[:lanes], dtype=np.uint64)
+    comparison = (np.subtract(r, r0), msb0 ^ msb, tables0 ^ np.array(onehot).T, full)
+    return comparison, (b ^ b0, np.subtract(values, s0)), tape
+
+
+def _words_to_bits_as_words(bits):
+    """Reference pack: bit i at bit i % 64 of word i // 64."""
+    return [sum(b << (i % 64) for i, b in enumerate(bits) if i // 64 == w) for w in range(-(-len(bits) // 64))]
 
 
 @pytest.mark.parametrize("lanes", [1, 63, 64, 65, 200])
 def test_dealer_one_read_matches_per_item_draws(lanes):
-    sizes = _ge_triple_words(lanes)
-    assert len(sizes) == 7
     for party in (0, 1):
         tape = DealerTape(13, party)
-        triples, shared = tape.bit_triples(sizes), tape.injection((lanes, 0))[:2]
-        ref_triples, ref_shared, _ = _per_item_draws(13, party, sizes, lanes)
-        assert len(triples) == len(ref_triples)
-        for got, ref in zip(triples, ref_triples):
-            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
-        assert all(np.array_equal(g, r) for g, r in zip(shared, ref_shared))
+        (r, msb, tables, levels), shared = tape.comparison(lanes, gates._DEALT), tape.injection((lanes, 0))[:2]
+        (ref_r, ref_msb, ref_tables, ref_levels), ref_shared, _ = _per_item_draws(13, party, lanes)
+        assert np.array_equal(r, ref_r) and np.array_equal(msb, ref_msb)
+        assert np.array_equal(tables.astype(np.int64), ref_tables)
+        assert len(levels) == len(ref_levels) == 2
+        assert all(np.array_equal(g, w) for g, w in zip(levels, ref_levels))
+        assert all(np.array_equal(g, w) for g, w in zip(shared, ref_shared))
 
 
 @pytest.mark.parametrize("lanes", [1, 63, 64, 65, 200])
@@ -297,7 +324,7 @@ def test_sec_ge_consumes_the_per_item_draws(lanes):
     x = share_pair(np.linspace(-3.0, 3.0, lanes))
     run_pair(lambda s: sec_ge(s, x[s.party], np.zeros(lanes, dtype=np.uint64)), sessions)
     for sess in sessions:
-        _, _, ref = _per_item_draws(13, sess.party, _ge_triple_words(lanes), lanes)
+        *_, ref = _per_item_draws(13, sess.party, lanes)
         assert np.array_equal(sess.dealer._words(8), ref._words(8))
 
 
