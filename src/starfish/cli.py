@@ -30,7 +30,7 @@ import numpy as np
 from .costs import RS_KEY_WIDTH, comparator_calls, predict_cost, ranks
 from .errors import AssumptionError, ConfigError, ProtocolError, StarfishError
 from .fixedpoint import FixedPointCodec
-from .gates import sec_add, sec_div, sec_ge, sec_lut, sec_mul, sec_sel, sec_srt
+from .gates import sec_div, sec_ge, sec_lut, sec_mul, sec_srt
 from .oracle import (
     bound_report,
     logistic_task,
@@ -457,13 +457,8 @@ def _audit_battery(cfg: RunConfig):
         return runner
 
     return [
-        ("sec_add (8,)", "sec_add", (8,), lambda s: sec_add(s, *shared(s, 0, v8, v8))),
         ("sec_rec (8,)", "sec_rec", (8,), lambda s: sec_rec(s, *shared(s, 1, v8))),
         ("sec_mul (8,)", "sec_mul", (8,), lambda s: sec_mul(s, *shared(s, 2, v8, v8))),
-        ("sec_mul matmul 4x4", "sec_mul", {"matmul": ((4, 4), (4, 4))},
-         lambda s: sec_mul(s, *shared(s, 3, ((4, 4), 0.25, 1.0), ((4, 4), 0.25, 1.0)), matmul=True)),
-        ("sec_sel (8,)", "sec_sel", (8,),
-         lambda s: sec_sel(s, *shared(s, 5, v8, v8, lambda rng: rng.integers(0, 2, size=(8,))))),
         ("sec_ge (8,)", "sec_ge", (8,), lambda s: sec_ge(s, *shared(s, 6, v8, v8))),
         # 65 lanes pack the masked wires across a word boundary
         ("sec_ge (65,)", "sec_ge", (65,), lambda s: sec_ge(s, *shared(s, 19, ((65,), 0.25, 2.0), ((65,), 0.25, 2.0)))),

@@ -4,17 +4,17 @@ Each formula mirrors the implemented circuit exchange by exchange, so the
 audit can demand exact equality between prediction and meter. The moving
 parts are the frame overhead (16 bytes), the 64-bit ring word
 (fixedpoint.WORD_BITS) and the packed-bit payload rule (whole 64-bit
-words). Every Beaver product, elementwise or matmul, ships its two masked
-operands at their own shapes (mul_cost). The sign circuit (sign_cost)
-opens the masked difference as a word per lane, then the masked wires of
-its two AND levels as packed bits (SIGN_LEVEL_BITS per lane); a comparison
-(ge_cost) adds the B2A of its bits. A bit injection (inject_cost)
-multiplies the sign bits into rows of words in one frame: the top-T'
-network's selects and each quotient bit of division (div_cost), which pays
-one sign circuit and one injection per quotient bit. Only division depends
-on the codec (its quotient bit count), so only the formulas that reach
-sec_div take one. A table lookup (lut_cost) tests a small integer in two
-rounds, the masked index as log2(M) packed bits and one bit reveal.
+words). A Beaver product ships its two masked operands at their own shapes
+(mul_cost). The sign circuit (sign_cost) opens the masked difference as a
+word per lane, then the masked wires of its two AND levels as packed bits
+(SIGN_LEVEL_BITS per lane); a comparison (ge_cost) adds the B2A of its
+bits. A bit injection (inject_cost) multiplies the sign bits into rows of
+words in one frame: the top-T' network's selects and each quotient bit of
+division (div_cost), which pays one sign circuit and one injection per
+quotient bit. Only division depends on the codec (its quotient bit count),
+so only the formulas that reach sec_div take one. A table lookup (lut_cost)
+tests a small integer in two rounds, the masked index as log2(M) packed
+bits and one bit reveal.
 
 Round selection ranks the kept rounds by pairwise wins (sec_rank, constant
 rounds, T(T-1)/2 comparators) rather than running the top-T' network over
@@ -115,7 +115,7 @@ def lut_cost(lanes: int, size: int) -> CostEstimate:
 
 
 def mul_cost(x_lanes: int, y_lanes: int) -> CostEstimate:
-    """A Beaver product, elementwise or matmul: both masked operands, one round."""
+    """A Beaver product: both masked operands, one round."""
     return words_round(x_lanes + y_lanes)
 
 
@@ -250,12 +250,11 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
     """Predicted (rounds, online bytes) one party sends for one invocation.
 
     Shape argument by functionality:
-      sec_add/sec_share: ignored
-      sec_rec/sec_ge/sec_div: lane shape tuple
+      sec_share: ignored
+      sec_rec/sec_mul/sec_ge/sec_div: lane shape tuple (sec_mul: of both
+        operands)
       sec_lut: dict {"lanes", "size"}: a lane shape tuple of indices into a
         table of size entries
-      sec_mul/sec_sel: lane shape tuple of both operands, or for sec_mul a
-        dict {"matmul": (sx, sy)}
       sec_srt: dict {"t", "item_words", "width", "count"}: the top count of T
         rows of item_words words, ordered by their first width (1 or 2) columns
       sec_rank: dict {"t", "width"}
@@ -266,13 +265,12 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
       sec_rs: dict {"t", "t_prime", "method", "kept"?}
     """
     name = functionality
-    if name in ("sec_add", "sec_share"):
+    if name == "sec_share":
         return ZERO
     if name == "sec_rec":
         return words_round(_lanes(shape))
-    if name in ("sec_mul", "sec_sel"):
-        sx, sy = shape["matmul"] if isinstance(shape, dict) else (shape, shape)
-        return mul_cost(_lanes(sx), _lanes(sy))
+    if name == "sec_mul":
+        return mul_cost(_lanes(shape), _lanes(shape))
     if name == "sec_ge":
         return ge_cost(_lanes(shape))
     if name == "sec_lut":

@@ -1,14 +1,14 @@
 """Two-party gates over additively shared ring tensors.
 
-Arithmetic gates use Beaver triples from the dealer tape, drawn at the
-operands' own shapes; numpy broadcasting forms the product. Independent
-products can open in one round (sec_muls). Comparison takes the sign of
-d = u - v in three rounds (_ge_bits): a masked opening c = d + r, then two
-levels of multi-input ANDs over the bits that compare c's digits with the
-dealer's one-hot digit tables of r. That sign circuit is the only boolean
-circuit. Its XOR-shared bits leave it in one more round: a B2A (sec_ge,
-sec_rank's wins), a bit injection, which multiplies them straight into an
-arithmetic share (sec_srt's selects, each quotient bit of sec_div's
+Addition of shares is local: np.add. A product uses one Beaver triple from
+the dealer tape, drawn at the operands' own shapes; numpy broadcasting
+forms it. A product with a public matrix is local. Comparison takes the
+sign of d = u - v in three rounds (_ge_bits): a masked opening c = d + r,
+then two levels of multi-input ANDs over the bits that compare c's digits
+with the dealer's one-hot digit tables of r. That sign circuit is the only
+boolean circuit. Its XOR-shared bits leave it in one more round: a B2A
+(sec_ge, sec_rank's wins), a bit injection, which multiplies them straight
+into an arithmetic share (sec_srt's selects, each quotient bit of sec_div's
 restoring division), or a reveal (reveal_ge). A small integer in a public
 range [0, M) skips the circuit: sec_lut looks it up in a one-time truth
 table in two rounds, one masked opening and one reveal. Batched lanes share
@@ -38,8 +38,8 @@ rows ships them as one bit tensor of rows * L bits, without pad bits
 between rows.
 
 Scale conventions: encoded reals sit at 2^-p. Products of two encoded
-operands land at 2^-2p and are truncated back unless the caller opts out
-(bit-valued operands, exact cross multiplications). The comparator returns
+operands land at 2^-2p and sec_mul truncates them back; the comparator's
+exact cross multiplications keep the raw product. The comparator returns
 lane-packed XOR-shared bits; sec_ge's outputs are arithmetic shares of
 {0, 1} at scale 1.
 """
@@ -88,66 +88,35 @@ def _exchange_concat(sess: Session, parts: list[np.ndarray]) -> list[np.ndarray]
 # -- Beaver multiplication core ---------------------------------------------
 
 
-def _beaver_muls(sess: Session, products, *, truncate: bool = True) -> list[np.ndarray]:
-    """Independent Beaver products opened in one round, one per (x, y, matmul).
+def _beaver_mul(sess: Session, x, y) -> np.ndarray:
+    """The raw Beaver product x * y in one round, broadcast as numpy does.
 
-    Each draws a triple at its operands' own shapes, in order: d = x - a and
-    e = y - b of every product ship lanes(x) + lanes(y) words in one frame,
-    and numpy broadcasting forms c = a * b (or a @ b) and z.
-
-    z = c + d*b + a*e, and party 0 adds d*e by taking d*(b + e) for d*b:
-    two local products per party, the same words mod 2^64."""
-    operands = [(np.asarray(x), np.asarray(y), matmul) for x, y, matmul in products]
-    triples = [sess.draw_beaver(x.shape, y.shape, "matmul" if matmul else "mul")
-               for x, y, matmul in operands]
-    masked = []
-    for (x, y, _), (a, b, _) in zip(operands, triples):
-        masked += [np.subtract(x, a), np.subtract(y, b)]
-    opened = _exchange_concat(sess, masked)
-    out = []
-    for k, ((_, _, matmul), (a, b, c)) in enumerate(zip(operands, triples)):
-        product = np.matmul if matmul else np.multiply
-        d = np.add(masked[2 * k], opened[2 * k])
-        e = np.add(masked[2 * k + 1], opened[2 * k + 1])
-        db = product(d, np.add(b, e) if sess.party == 0 else b)
-        z = np.add(c, np.add(db, product(a, e)))
-        out.append(sess.truncate(z) if truncate else z)
-    return out
-
-
-def _beaver_mul(sess: Session, x, y, *, matmul: bool = False, truncate: bool = True):
-    """One Beaver product of x and y (see _beaver_muls)."""
-    return _beaver_muls(sess, [(x, y, matmul)], truncate=truncate)[0]
+    The triple is drawn at the operands' own shapes: d = x - a and e = y - b
+    ship lanes(x) + lanes(y) words in one frame. z = c + d*b + a*e, and
+    party 0 adds d*e by taking d*(b + e) for d*b: two local products per
+    party, the same words mod 2^64."""
+    x, y = np.asarray(x), np.asarray(y)
+    a, b, c = sess.draw_beaver(x.shape, y.shape)
+    d_loc, e_loc = np.subtract(x, a), np.subtract(y, b)
+    d_peer, e_peer = _exchange_concat(sess, [d_loc, e_loc])
+    d, e = np.add(d_loc, d_peer), np.add(e_loc, e_peer)
+    db = np.multiply(d, np.add(b, e) if sess.party == 0 else b)
+    return np.add(c, np.add(db, np.multiply(a, e)))
 
 
 # -- arithmetic gates ----------------------------------------------------------
 
 
-def sec_add(sess: Session, x, y) -> np.ndarray:
-    """Share-wise addition. Zero rounds, zero bytes."""
-    with sess.op("sec_add", int(np.broadcast(np.asarray(x), np.asarray(y)).size)):
-        return np.add(x, y)
+def sec_mul(sess: Session, x, y) -> np.ndarray:
+    """Beaver product of two encoded shared tensors (one round), truncated."""
+    with sess.op("sec_mul", int(np.broadcast(np.asarray(x), np.asarray(y)).size)):
+        return sess.truncate(_beaver_mul(sess, x, y))
 
 
-def sec_mul(sess: Session, x, y, *, matmul: bool = False, truncate: bool = True) -> np.ndarray:
-    """Beaver product of two shared tensors (one round)."""
-    return sec_muls(sess, [(x, y, matmul)], truncate=truncate)[0]
-
-
-def sec_muls(sess: Session, products, *, truncate: bool = True) -> list[np.ndarray]:
-    """Independent Beaver products of (x, y, matmul) triples in one round; a
-    matmul counts as one invocation, an elementwise product as its lanes."""
-    n = sum(1 if matmul else int(np.broadcast(np.asarray(x), np.asarray(y)).size)
-            for x, y, matmul in products)
-    with sess.op("sec_mul", n):
-        return _beaver_muls(sess, products, truncate=truncate)
-
-
-def mul_public(sess: Session, x, raw, *, matmul: bool = False) -> np.ndarray:
-    """Product with a public ring tensor: no triple, no communication."""
-    with sess.op("sec_mul", 1 if matmul else int(np.asarray(x).size)):
-        pub = np.asarray(raw, dtype=np.uint64)
-        return sess.truncate(np.matmul(x, pub) if matmul else np.multiply(x, pub))
+def mul_public(sess: Session, x, raw) -> np.ndarray:
+    """Matrix product with a public ring tensor: no triple, no communication."""
+    with sess.op("sec_mul"):
+        return sess.truncate(np.matmul(x, np.asarray(raw, dtype=np.uint64)))
 
 
 def sp_public(sess: Session, x, raw) -> np.ndarray:
@@ -156,14 +125,6 @@ def sp_public(sess: Session, x, raw) -> np.ndarray:
     with sess.op("sec_sp", int(x.size // x.shape[-1])):
         z = np.multiply(x, np.asarray(raw, dtype=np.uint64)).sum(axis=-1, dtype=np.uint64)
         return sess.truncate(z)
-
-
-def sec_sel(sess: Session, v0, v1, b) -> np.ndarray:
-    """Oblivious select v0 + b*(v1 - v0); b may broadcast against v0 and v1."""
-    with sess.op("sec_sel", int(np.asarray(b).size)):
-        # the Beaver output holds the dealer's fresh share of c, so the result
-        # is already a fresh sharing: a zero share on top would re-randomize nothing
-        return np.add(v0, _beaver_mul(sess, b, np.subtract(v1, v0), truncate=False))
 
 
 # -- boolean kernel (representation: see the module docstring) ----------------
@@ -397,7 +358,7 @@ def comparator(sess: Session, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sess.meter.invoke("comparator", len(a))
     if a.shape[1] == 1:
         return _ge_bits(sess, a[:, 0], b[:, 0])
-    lhs, rhs = _beaver_mul(sess, np.array([a[:, 0], b[:, 0]]), np.array([b[:, 1], a[:, 1]]), truncate=False)
+    lhs, rhs = _beaver_mul(sess, np.array([a[:, 0], b[:, 0]]), np.array([b[:, 1], a[:, 1]]))
     return _ge_bits(sess, lhs, rhs)
 
 

@@ -503,10 +503,8 @@ def bound_report(
 #: oracle. Zero means the gate is exact on the grid. Truncating gates carry
 #: one probabilistic truncation (2^-p) plus representation slack.
 ERROR_BUDGETS = {
-    "sec_add": 0.0,
     "sec_rec": 0.0,
     "sec_ge": 0.0,
-    "sec_sel": 0.0,
     "sec_srt": 0.0,
     "sec_mul": 2.0 ** -12,
     "sec_div": 2.0 ** -12,
@@ -540,13 +538,10 @@ def _exact_div(u, v) -> np.ndarray:
 def exact_gate_oracle(gate: str, *inputs):
     """Exact-arithmetic mirror of one gate's plaintext function.
 
-    Inputs are plain float values already on the codec grid; comparisons and
-    selections come back as int64, everything else as float64 computed over
-    rationals. Domain errors match the secure gates.
+    Inputs are plain float values already on the codec grid; comparisons come
+    back as int64, a sort as its reordered payload, everything else as
+    float64 computed over rationals. Domain errors match the secure gates.
     """
-    if gate == "sec_add":
-        x, y = inputs
-        return np.asarray(x, float) + np.asarray(y, float)
     if gate == "sec_rec":
         (x,) = inputs
         return np.asarray(x, float)
@@ -555,9 +550,6 @@ def exact_gate_oracle(gate: str, *inputs):
     if gate == "sec_ge":
         x, y = np.broadcast_arrays(*(np.asarray(a, float) for a in inputs))
         return (x >= y).astype(np.int64)
-    if gate == "sec_sel":
-        v0, v1, b = inputs
-        return np.where(np.asarray(b) != 0, np.asarray(v1, float), np.asarray(v0, float))
     if gate == "sec_srt":
         keys, payload = inputs
         order = np.argsort(-np.asarray(keys, float), kind="stable")

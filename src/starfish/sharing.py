@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProtocolError, ShapeError, TransportError
+from .errors import ProtocolError, TransportError
 from .fixedpoint import FixedPointCodec
 from .transport import (
     OP_TAGS,
@@ -192,23 +192,15 @@ class DealerTape:
         """
         return self._rng.bit_generator.random_raw(shape)
 
-    def _split(self, full: np.ndarray) -> np.ndarray:
-        s0 = self._words(np.asarray(full).shape)
-        if self.party == 0:
-            return s0
-        return np.subtract(full, s0)
-
-    def beaver(self, shape_x, shape_y, mode: str = "mul"):
+    def beaver(self, shape_x, shape_y):
         """Triple (a, b, c) with a, b at the operands' shapes and c = a*b
-        (elementwise, broadcast) or a@b (matmul).
+        under numpy broadcasting.
 
         One tape read holds a, b and the masks a0, b0, c0, in the order of
         drawing each in turn. Party 0's shares are the masks, so only party
         1 forms the product.
         """
-        if mode not in ("mul", "matmul"):
-            raise ShapeError(f"unknown beaver mode {mode}")
-        shape_c = _product_shape(shape_x, shape_y, mode == "matmul")
+        shape_c = np.broadcast_shapes(shape_x, shape_y)
         nx, ny = math.prod(shape_x), math.prod(shape_y)
         raw = self._words(2 * (nx + ny) + math.prod(shape_c))
         a0 = raw[nx + ny : 2 * nx + ny].reshape(shape_x)
@@ -218,8 +210,7 @@ class DealerTape:
             return a0, b0, c0
         a = raw[:nx].reshape(shape_x)
         b = raw[nx : nx + ny].reshape(shape_y)
-        c = np.matmul(a, b) if mode == "matmul" else np.multiply(a, b)
-        return np.subtract(a, a0), np.subtract(b, b0), np.subtract(c, c0)
+        return np.subtract(a, a0), np.subtract(b, b0), np.subtract(np.multiply(a, b), c0)
 
     def injection(self, shape):
         """Material for a bit injection into an x of this shape, from one tape
@@ -317,19 +308,6 @@ class DealerTape:
         return words
 
 
-def _product_shape(shape_x: tuple, shape_y: tuple, matmul: bool) -> tuple:
-    """Shape of a@b under numpy's matmul rules (1-D operands included), or
-    of a*b under its broadcast rules, without forming the product."""
-    if not matmul:
-        return shape_x if shape_x == shape_y else np.broadcast_shapes(shape_x, shape_y)
-    if not shape_x or not shape_y or shape_x[-1] != shape_y[-2 if len(shape_y) > 1 else 0]:
-        raise ShapeError(f"matmul shapes {shape_x} x {shape_y}")
-    bx, by = shape_x[:-2], shape_y[:-2]
-    batch = bx if bx == by else np.broadcast_shapes(bx, by)
-    # a 1-D operand contributes no row (x) or column (y) axis
-    return batch + shape_x[-2:-1] + (shape_y[-1:] if len(shape_y) > 1 else ())
-
-
 # -- session ---------------------------------------------------------------
 
 
@@ -379,8 +357,8 @@ class Session:
         """Offline bytes of what the dealer handed out to this party."""
         self.meter.add_offline(self.current_op, sum(m.nbytes for m in material))
 
-    def draw_beaver(self, shape_x, shape_y, mode: str = "mul"):
-        trip = self.dealer.beaver(shape_x, shape_y, mode)
+    def draw_beaver(self, shape_x, shape_y):
+        trip = self.dealer.beaver(shape_x, shape_y)
         self._charge(*trip)
         return trip
 

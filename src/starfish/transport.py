@@ -36,12 +36,14 @@ LEN = struct.Struct("<I")
 PREFIX = struct.Struct("<IQHH")  # LEN then HEADER, packed and parsed in one call
 FRAME_OVERHEAD = LEN.size + HEADER.size  # 16 bytes per frame
 
+# seconds a TCP party waits for its peer: to connect, to drain a send, to reply
+TCP_TIMEOUT_S = 30.0
+
 # Operation tags for the wire frame: one per gate that opens the innermost
 # op scope around a round; 0x00ff marks traffic outside any labelled gate.
 OP_TAGS = {
     "sec_rec": 0x0002,
     "sec_mul": 0x0011,
-    "sec_sel": 0x0014,
     "sec_ge": 0x0015,
     "sec_srt": 0x0018,
     "sec_div": 0x0019,
@@ -59,15 +61,6 @@ def pack_words(arr: np.ndarray) -> bytes:
 
 def unpack_words(buf: bytes, shape) -> np.ndarray:
     return np.frombuffer(buf, dtype="<u8").astype(np.uint64).reshape(shape)
-
-
-def pack_bit_words(bits: np.ndarray) -> bytes:
-    """One-bit-per-element tensor (0/1 values) to little-endian words, zero padded."""
-    raw = np.packbits(np.asarray(bits, dtype=np.uint8).reshape(-1), bitorder="little")
-    pad = (-len(raw)) % 8
-    if pad:
-        raw = np.concatenate([raw, np.zeros(pad, dtype=np.uint8)])
-    return raw.tobytes()
 
 
 def unpack_bit_words(buf: bytes, shape) -> np.ndarray:
@@ -160,7 +153,7 @@ class TcpChannel:
     def send(self, frame: bytes) -> None:
         view = memoryview(frame)
         while view:
-            rl, wl, _ = select.select([self._sock], [self._sock], [], 30.0)
+            rl, wl, _ = select.select([self._sock], [self._sock], [], TCP_TIMEOUT_S)
             if not rl and not wl:
                 raise TransportError("peer stalled")
             if rl:
@@ -177,7 +170,7 @@ class TcpChannel:
             frame = self._take_frame()
             if frame is not None:
                 return frame
-            rl, _, _ = select.select([self._sock], [], [], 30.0)
+            rl, _, _ = select.select([self._sock], [], [], TCP_TIMEOUT_S)
             if not rl:
                 raise TransportError("recv timeout")
             self._pull()
@@ -214,10 +207,14 @@ class TcpChannel:
 
 
 def tcp_listen(addr: str) -> TcpChannel:
+    """Accept one peer on addr, or raise TransportError after TCP_TIMEOUT_S."""
     host, port = addr.rsplit(":", 1)
-    srv = socket.create_server((host, int(port)))
-    conn, _ = srv.accept()
-    srv.close()
+    with socket.create_server((host, int(port))) as srv:
+        srv.settimeout(TCP_TIMEOUT_S)
+        try:
+            conn, _ = srv.accept()
+        except TimeoutError as exc:
+            raise TransportError(f"no peer connected to {addr} within {TCP_TIMEOUT_S:g} s") from exc
     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return TcpChannel(conn)
 

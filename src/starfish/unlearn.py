@@ -339,7 +339,7 @@ def sec_ue(sess: Session, gradients: np.ndarray, state: LbfgsState, dm=None) -> 
     with sess.op("sec_ue"):
         if dm is None or state.curvature is None:
             return gradients.copy()
-        return np.add(gradients, mul_public(sess, state.curvature, sess.codec.encode(dm), matmul=True))
+        return np.add(gradients, mul_public(sess, state.curvature, sess.codec.encode(dm)))
 
 
 def aggregate_reveal(sess: Session, estimates: np.ndarray, model: np.ndarray, eta: float):

@@ -12,7 +12,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from helpers import CODEC, both, raw_share_pair, reveal, reveal_bits, reveal_raw, share_pair
+from helpers import CODEC, both, reveal, reveal_bits, reveal_raw, share_pair
 from starfish import (
     UnlearnConfig,
     bound_report,
@@ -30,11 +30,9 @@ from starfish.cli import main
 from starfish.costs import comparator_calls, predict_cost
 from starfish.gates import (
     comparator,
-    sec_add,
     sec_div,
     sec_ge,
     sec_mul,
-    sec_sel,
     sec_srt,
 )
 from starfish.oracle import ERROR_BUDGETS, PlainHistory, cosine_selection, selection_margin
@@ -69,10 +67,8 @@ def test_criterion_1_gate_oracle_equivalence():
         worst[gate] = max(err, worst.get(gate, 0.0))
 
     # elementwise arithmetic, one lane per trial
-    x, y = _grid(rng, -100, 100, 1024), _grid(rng, -100, 100, 1024)
-    a, b = share_pair(x, key=100), share_pair(y, key=101)
-    got, _ = both(lambda s: reveal(s, sec_add(s, a[s.party], b[s.party])))
-    check("sec_add", got, exact_gate_oracle("sec_add", x, y))
+    x = _grid(rng, -100, 100, 1024)
+    a = share_pair(x, key=100)
     got, _ = both(lambda s: reveal(s, a[s.party]))  # reveal is one sec_rec
     check("sec_rec", got, exact_gate_oracle("sec_rec", x))
 
@@ -81,17 +77,12 @@ def test_criterion_1_gate_oracle_equivalence():
     got, _ = both(lambda s: reveal(s, sec_mul(s, a[s.party], b[s.party])))
     check("sec_mul", got, exact_gate_oracle("sec_mul", x, y))
 
-    # comparisons and selections must agree exactly, ties included
+    # comparisons must agree exactly, ties included
     x, y = _grid(rng, -2000, 2000, 1024), _grid(rng, -2000, 2000, 1024)
     y[:100] = x[:100]
     a, b = share_pair(x, key=106), share_pair(y, key=107)
     got, _ = both(lambda s: reveal_raw(s, sec_ge(s, a[s.party], b[s.party])))
     check("sec_ge", got, exact_gate_oracle("sec_ge", x, y))
-
-    bits = rng.integers(0, 2, size=1024)
-    c = raw_share_pair(bits.astype(np.uint64), key=108)
-    got, _ = both(lambda s: reveal(s, sec_sel(s, a[s.party], b[s.party], c[s.party])))
-    check("sec_sel", got, exact_gate_oracle("sec_sel", x, y, bits))
 
     # ratio comparison on tie-free fractions
     while True:
@@ -355,7 +346,6 @@ def test_criterion_9_metering_and_invocation_multiset():
     x, y = _grid(rng, -2, 2, 8), _grid(rng, -2, 2, 8)
     a, b = share_pair(x, key=900), share_pair(y, key=901)
     for op, proto, shape in (
-        ("sec_add", lambda s: sec_add(s, a[s.party], b[s.party]), (8,)),
         ("sec_mul", lambda s: sec_mul(s, a[s.party], b[s.party]), (8,)),
         ("sec_rec", lambda s: sec_rec(s, a[s.party]), (8,)),
     ):
@@ -365,8 +355,6 @@ def test_criterion_9_metering_and_invocation_multiset():
         for sess in sessions:
             stats = sess.meter.stats(op)
             assert (stats.rounds, stats.bytes_online) == (want.rounds, want.online_bytes)
-        if op == "sec_add":
-            assert want.online_bytes == 0
 
     # worst-case flags: alpha=1 pins every threshold to zero, so every
     # check fires for every client and the invocation counts are extremal

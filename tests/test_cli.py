@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from starfish import transport
 from starfish.cli import RunConfig, _audit_battery, load_config, main, parse_config_text
 from starfish.costs import CostEstimate
 from starfish.errors import ConfigError, ProtocolError, RangeError
@@ -305,7 +306,7 @@ def test_compare_full_sigma_matches_random_subset(tmp_path, capsys):
 def test_audit_passes(capsys):
     assert _run(["audit", "--seed", 0]) == 0
     printed = capsys.readouterr().out
-    assert "all 15 functionalities match" in printed
+    assert "all 12 functionalities match" in printed
     assert "MISMATCH" not in printed
     # a comparison is 4 rounds; a ranked selection ends in a two-round lookup
     assert re.search(r"^sec_ge \(8,\) +4 / 4 ", printed, re.M)
@@ -515,6 +516,17 @@ def test_tcp_train_parties_with_different_configs_stop_at_round_one(tmp_path, ca
     assert err.count("the parties' configurations differ") == 2
     assert "Traceback" not in err
     assert not (tmp_path / "run" / "history.p0.sfh1").exists()
+
+
+def test_tcp_listener_stops_when_its_peer_never_connects(tmp_path, monkeypatch, capsys):
+    # party 1 rejects its config before dialing; party 0 gives up on the
+    # accept instead of waiting for it forever
+    monkeypatch.setattr(transport, "TCP_TIMEOUT_S", 0.5)
+    cfgs = _write_cfgs(tmp_path, SMALL.replace("m = 3\n", ""), "m = 3\n", "m = 0\n")
+    assert _tcp_pair("train", cfgs, tmp_path / "run") == [2, 1]
+    err = capsys.readouterr().err
+    assert "no peer connected" in err and "must be positive" in err
+    assert "Traceback" not in err
 
 
 def test_tcp_unlearn_parties_with_different_configs_stop_at_round_one(small_cfg, tmp_path, capsys):

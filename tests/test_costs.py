@@ -23,11 +23,9 @@ from starfish import gates
 from starfish.errors import UnknownFunctionality
 from starfish.gates import (
     comparator,
-    sec_add,
     sec_div,
     sec_ge,
     sec_mul,
-    sec_sel,
     sec_srt,
 )
 from starfish.roundsel import SelectionInputs, SelectionParams, sec_rs
@@ -111,12 +109,6 @@ def test_lut_cost_opens_the_index_bits(size):
             2, 32 + bit_payload_bytes(lanes * (size.bit_length() - 1)) + bit_payload_bytes(lanes))
 
 
-def test_sec_add_free():
-    a, b = vals(8, 1), vals(8, 2)
-    got = measured("sec_add", lambda s: sec_add(s, a[s.party], b[s.party]))
-    assert got == predict_cost("sec_add", (8,), CODEC).as_tuple() == (0, 0)
-
-
 def test_sec_mul_scalar_cost():
     a, b = vals(1, 3), vals(1, 4)
     got = measured("sec_mul", lambda s: sec_mul(s, a[s.party][0], b[s.party][0]))
@@ -130,24 +122,10 @@ def test_sec_mul_lanes_cost():
     assert got == predict_cost("sec_mul", (8,), CODEC).as_tuple()
 
 
-def test_sec_mul_matmul_cost():
-    a = share_pair(CODEC.quantize(RNG.uniform(-1, 1, size=(4, 4))), key=7)
-    b = share_pair(CODEC.quantize(RNG.uniform(-1, 1, size=(4, 4))), key=8)
-    got = measured("sec_mul", lambda s: sec_mul(s, a[s.party], b[s.party], matmul=True))
-    assert got == predict_cost("sec_mul", {"matmul": ((4, 4), (4, 4))}, CODEC).as_tuple()
-
-
 def test_sec_rec_cost():
     a = vals(8, 14)
     got = measured("sec_rec", lambda s: sec_rec(s, a[s.party]))
     assert got == predict_cost("sec_rec", (8,), CODEC).as_tuple()
-
-
-def test_sec_sel_cost():
-    a, b = vals(8, 15), vals(8, 16)
-    bits = raw_share_pair(RNG.integers(0, 2, size=8).astype(np.uint64), key=17)
-    got = measured("sec_sel", lambda s: sec_sel(s, a[s.party], b[s.party], bits[s.party]))
-    assert got == predict_cost("sec_sel", (8,), CODEC).as_tuple()
 
 
 def test_sec_ge_cost():

@@ -11,13 +11,11 @@ from starfish.errors import DivisionDomainError, ShapeError
 from starfish.fixedpoint import from_signed
 from starfish.gates import (
     comparator,
-    sec_add,
     sec_div,
     sec_ge,
     sec_mul,
     sec_lut,
     sec_rank,
-    sec_sel,
     sec_srt,
 )
 from starfish.oracle import ERROR_BUDGETS, exact_gate_oracle
@@ -30,17 +28,7 @@ def grid(x):
     return CODEC.quantize(np.asarray(x, dtype=np.float64))
 
 
-# -- addition and multiplication -------------------------------------------
-
-
-def test_sec_add_exact():
-    x = grid(RNG.uniform(-100, 100, size=64))
-    y = grid(RNG.uniform(-100, 100, size=64))
-    a, b = share_pair(x, key=1), share_pair(y, key=2)
-    got, sessions = both(lambda s: reveal(s, sec_add(s, a[s.party], b[s.party])))
-    assert np.array_equal(got, exact_gate_oracle("sec_add", x, y))
-    add_stats = sessions[0].meter.stats("sec_add")
-    assert (add_stats.rounds, add_stats.bytes_online) == (0, 0)  # addition is local
+# -- multiplication ----------------------------------------------------------
 
 
 def test_sec_mul_known_product():
@@ -57,13 +45,8 @@ def test_sec_mul_random_within_budget():
     assert float(err.max()) <= ERROR_BUDGETS["sec_mul"]
 
 
-@pytest.mark.parametrize("shape_x, shape_y, matmul", [
-    ((8,), (8,), False),
-    ((6, 1), (6, 5), False),
-    ((19, 4, 4), (19, 4, 4), True),
-    ((2, 3), (3,), True),
-])
-def test_beaver_mul_raw_shares(shape_x, shape_y, matmul):
+@pytest.mark.parametrize("shape_x, shape_y", [((8,), (8,)), ((6, 1), (6, 5))], ids=["lanes", "broadcast"])
+def test_beaver_mul_raw_shares(shape_x, shape_y):
     # full-ring words at scale 1: the shares sum to the exact ring product,
     # and party 0's share is c0 + d*b0 + a0*e + d*e from the same triple
     rng = np.random.default_rng(17)
@@ -73,54 +56,15 @@ def test_beaver_mul_raw_shares(shape_x, shape_y, matmul):
 
     def proto(s):
         with s.op("sec_mul"):
-            return gates._beaver_mul(s, xs[s.party], ys[s.party], matmul=matmul, truncate=False)
+            return gates._beaver_mul(s, xs[s.party], ys[s.party])
 
     z0, z1 = run_pair(proto, make_inproc_sessions(23))
-    product = np.matmul if matmul else np.multiply
-    assert np.array_equal(np.add(z0, z1), product(x, y))
-    mode = "matmul" if matmul else "mul"
-    (a0, b0, c0), (a1, b1, _) = (DealerTape(23, p).beaver(shape_x, shape_y, mode) for p in (0, 1))
+    assert np.array_equal(np.add(z0, z1), x * y)
+    (a0, b0, c0), (a1, b1, _) = (DealerTape(23, p).beaver(shape_x, shape_y) for p in (0, 1))
     d = np.add(np.subtract(xs[0], a0), np.subtract(xs[1], a1))
     e = np.add(np.subtract(ys[0], b0), np.subtract(ys[1], b1))
-    three = np.add(np.add(c0, product(d, b0)), np.add(product(a0, e), product(d, e)))
+    three = np.add(np.add(c0, d * b0), np.add(a0 * e, d * e))
     assert np.array_equal(z0, three)
-
-
-def test_sec_muls_opens_independent_products_in_one_round():
-    # an elementwise product and a matmul of other shapes share one frame;
-    # untruncated, both shares sum to the exact ring products
-    rng = np.random.default_rng(29)
-    shapes = [((5,), (5,), False), ((3, 2, 4), (3, 4, 1), True)]
-    raw = [tuple(rng.integers(0, 2**64, size=s, dtype=np.uint64) for s in (sx, sy))
-           for sx, sy, _ in shapes]
-    shares = [(raw_share_pair(x, key=30 + k), raw_share_pair(y, key=40 + k)) for k, (x, y) in enumerate(raw)]
-
-    def proto(s):
-        return gates.sec_muls(s, [(xs[s.party], ys[s.party], mm) for (xs, ys), (*_, mm) in zip(shares, shapes)],
-                              truncate=False)
-
-    sessions = make_inproc_sessions(31)
-    z0, z1 = run_pair(proto, sessions)
-    assert np.array_equal(np.add(z0[0], z1[0]), np.multiply(*raw[0]))
-    assert np.array_equal(np.add(z0[1], z1[1]), np.matmul(*raw[1]))
-    lanes = sum(x.size + y.size for x, y in raw)
-    for sess in sessions:
-        st = sess.meter.stats("sec_mul")
-        assert (st.rounds, st.bytes_online) == words_round(lanes).as_tuple()
-
-
-def test_sec_mul_matmul_identity_and_random():
-    x = grid(RNG.uniform(-2, 2, size=(8, 8)))
-    eye = grid(np.eye(8))
-    a, b = share_pair(eye, key=5), share_pair(x, key=6)
-    got, _ = both(lambda s: reveal(s, sec_mul(s, a[s.party], b[s.party], matmul=True)))
-    assert np.array_equal(got, x)  # the identity product lands back on the grid
-
-    y = grid(RNG.uniform(-2, 2, size=(8, 8)))
-    c = share_pair(y, key=7)
-    got, _ = both(lambda s: reveal(s, sec_mul(s, b[s.party], c[s.party], matmul=True)))
-    err = np.abs(got - x @ y)
-    assert float(err.max()) <= 8 * 2.0 ** (-CODEC.precision_p + 1)
 
 
 def test_sec_mul_column_times_matrix_at_operand_shapes():
@@ -130,7 +74,13 @@ def test_sec_mul_column_times_matrix_at_operand_shapes():
     y = RNG.integers(-1000, 1000, size=(p, w))
     a = raw_share_pair(x.astype(np.uint64), key=25)
     b = raw_share_pair(y.astype(np.uint64), key=26)
-    got, sessions = both(lambda s: reveal_raw(s, sec_mul(s, a[s.party], b[s.party], truncate=False)))
+
+    def raw_product(s):
+        with s.op("sec_mul"):
+            z = gates._beaver_mul(s, a[s.party], b[s.party])
+        return reveal_raw(s, z)
+
+    got, sessions = both(raw_product)
     assert np.array_equal(got, x * y)
     st = sessions[0].meter.stats("sec_mul")
     assert (st.rounds, st.bytes_online) == words_round(p + p * w).as_tuple()
@@ -138,42 +88,6 @@ def test_sec_mul_column_times_matrix_at_operand_shapes():
 
 
 # -- selection and comparison ------------------------------------------------
-
-
-def test_sec_sel_exact():
-    v0 = grid(RNG.uniform(-5, 5, size=1000))
-    v1 = grid(RNG.uniform(-5, 5, size=1000))
-    bits = RNG.integers(0, 2, size=1000)
-    a, b = share_pair(v0, key=18), share_pair(v1, key=19)
-    c = raw_share_pair(bits.astype(np.uint64), key=20)
-    got, _ = both(lambda s: reveal(s, sec_sel(s, a[s.party], b[s.party], c[s.party])))
-    assert np.array_equal(got, exact_gate_oracle("sec_sel", v0, v1, bits))
-
-
-def test_sec_sel_endpoints():
-    a, b = share_pair(grid(-1.5), key=21), share_pair(grid(2.5), key=22)
-    zero = raw_share_pair(np.uint64(0), key=23)
-    one = raw_share_pair(np.uint64(1), key=24)
-    got, _ = both(lambda s: reveal(s, sec_sel(s, a[s.party], b[s.party], zero[s.party])))
-    assert float(got) == -1.5
-    got, _ = both(lambda s: reveal(s, sec_sel(s, a[s.party], b[s.party], one[s.party])))
-    assert float(got) == 2.5
-
-
-@pytest.mark.parametrize("shapes", [((8,), (8,)), ((4, 1), (4, 3))], ids=["lanes", "column"])
-def test_sec_sel_offline_charge_is_its_triple(shapes):
-    # the Beaver output is already a fresh sharing: no zero share is drawn
-    b_shape, v_shape = shapes
-    bits = RNG.integers(0, 2, size=b_shape)
-    v0, v1 = grid(RNG.uniform(-5, 5, size=v_shape)), grid(RNG.uniform(-5, 5, size=v_shape))
-    a, b = share_pair(v0, key=27), share_pair(v1, key=28)
-    c = raw_share_pair(bits.astype(np.uint64), key=29)
-    got, sessions = both(lambda s: reveal(s, sec_sel(s, a[s.party], b[s.party], c[s.party])))
-    assert np.array_equal(got, np.where(bits == 1, v1, v0))
-    st = sessions[0].meter.stats("sec_sel")
-    lanes_b, lanes_v = bits.size, v0.size
-    assert st.bytes_offline == 8 * (lanes_b + lanes_v + lanes_v)
-    assert (st.rounds, st.bytes_online) == words_round(lanes_b + lanes_v).as_tuple()
 
 
 def test_sec_ge_known_cases():

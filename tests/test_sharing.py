@@ -13,9 +13,9 @@ from starfish import (
     sec_rec,
     sec_share,
 )
-from starfish.errors import ProtocolError, ShapeError, TransportError
+from starfish.errors import ProtocolError, TransportError
 from starfish import gates
-from starfish.gates import sec_ge, sec_mul, sec_sel
+from starfish.gates import sec_ge, sec_lut, sec_mul, sec_srt
 from starfish.sharing import DealerTape
 
 
@@ -54,10 +54,13 @@ def test_meter_matches_transport_totals():
     shares = share_pair(np.linspace(-1.0, 1.0, 32), key=50)
 
     def proto(sess):
+        # word frames (sec_mul, sec_rec), packed bit frames (sec_ge's levels,
+        # sec_lut) and injection frames of bits and words (sec_srt)
         x = shares[sess.party]
         y = sec_mul(sess, x, x)
-        g = sec_ge(sess, x, y)
-        return sess.codec.decode(sec_rec(sess, sec_sel(sess, x, y, g)))
+        flags = sec_lut(sess, sec_ge(sess, x, y), np.array([1, 0]))
+        top = sec_srt(sess, np.stack([x, y], axis=1), 1, 4)
+        return np.concatenate([flags, sess.codec.decode(sec_rec(sess, top)).ravel()])
 
     r0, r1 = run_pair(proto, sessions)
     assert np.array_equal(r0, r1)
@@ -65,6 +68,8 @@ def test_meter_matches_transport_totals():
         assert sess.meter.total_online_bytes == sent[sess.party]
         per_op = sum(st.bytes_online for st in sess.meter.per_op.values())
         assert per_op == sess.meter.total_online_bytes
+        sending = {op for op, st in sess.meter.per_op.items() if st.bytes_online}
+        assert sending == {"sec_mul", "sec_ge", "sec_lut", "sec_srt", "sec_rec"}
 
 
 def test_meter_snapshot_shape():
@@ -87,34 +92,17 @@ def test_dealer_triples_consistent():
     assert np.array_equal(np.add(c0, c1), np.multiply(a, b))
 
 
-def test_dealer_matmul_triples_consistent():
-    d0 = DealerTape(9, 0)
-    d1 = DealerTape(9, 1)
-    a0, b0, c0 = d0.beaver((2, 3), (3, 2), mode="matmul")
-    a1, b1, c1 = d1.beaver((2, 3), (3, 2), mode="matmul")
-    a = np.add(a0, a1)
-    b = np.add(b0, b1)
-    assert np.array_equal(np.add(c0, c1), np.matmul(a, b))
+BEAVER_SHAPES = [((8,), (8,)), ((6, 1), (6, 5)), ((2, 1, 4), (3, 1))]
 
 
-BEAVER_SHAPES = [
-    ((8,), (8,), "mul"),
-    ((6, 1), (6, 5), "mul"),
-    ((19, 4, 4), (19, 4, 4), "matmul"),
-    ((3,), (3,), "matmul"),
-    ((2, 3), (3,), "matmul"),
-    ((3,), (3, 2), "matmul"),
-]
-
-
-def _five_read_beaver(seed, party, shape_x, shape_y, mode):
+def _five_read_beaver(seed, party, shape_x, shape_y):
     """The five-read rule: a and b, then one mask per array of the triple,
     each from its own tape read; party 1 keeps the array minus its mask.
     Returns the triple and the tape after it."""
     tape = DealerTape(seed, party)
     a = tape._words(shape_x)
     b = tape._words(shape_y)
-    c = np.matmul(a, b) if mode == "matmul" else np.multiply(a, b)
+    c = np.multiply(a, b)
     triple = []
     for full in (a, b, c):
         s0 = tape._words(np.shape(full))
@@ -122,32 +110,20 @@ def _five_read_beaver(seed, party, shape_x, shape_y, mode):
     return triple, tape
 
 
-@pytest.mark.parametrize("shape_x, shape_y, mode", BEAVER_SHAPES)
-def test_dealer_beaver_one_read_matches_per_item_draws(shape_x, shape_y, mode):
+@pytest.mark.parametrize("shape_x, shape_y", BEAVER_SHAPES)
+def test_dealer_beaver_one_read_matches_per_item_draws(shape_x, shape_y):
     got = {}
     for party in (0, 1):
         tape = DealerTape(21, party)
-        got[party] = tape.beaver(shape_x, shape_y, mode)
-        ref, ref_tape = _five_read_beaver(21, party, shape_x, shape_y, mode)
+        got[party] = tape.beaver(shape_x, shape_y)
+        ref, ref_tape = _five_read_beaver(21, party, shape_x, shape_y)
         for g, r in zip(got[party], ref, strict=True):
             assert np.shape(g) == np.shape(r) and np.asarray(g).dtype == np.uint64
             assert np.array_equal(g, r)
         # both tapes stand at the same position afterwards
         assert np.array_equal(tape._words(8), ref_tape._words(8))
     a, b, c = (np.add(s0, s1) for s0, s1 in zip(got[0], got[1]))
-    assert np.array_equal(c, np.matmul(a, b) if mode == "matmul" else np.multiply(a, b))
-
-
-@pytest.mark.parametrize("shape_x, shape_y, mode", [
-    ((4,), (4,), "dot"),
-    ((2, 3), (2, 3), "matmul"),
-    ((), (3,), "matmul"),
-])
-def test_dealer_beaver_rejects_bad_requests_before_reading(shape_x, shape_y, mode):
-    tape = DealerTape(21, 0)
-    with pytest.raises(ShapeError):
-        tape.beaver(shape_x, shape_y, mode)
-    assert np.array_equal(tape._words(8), DealerTape(21, 0)._words(8))
+    assert np.array_equal(c, np.multiply(a, b))
 
 
 def _words_to_bits(words):

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from starfish import make_inproc_sessions, run_pair
+from starfish import gates, make_inproc_sessions, run_pair
 from starfish import transport as tr
 from starfish.errors import TransportError
 from starfish.sharing import make_tcp_session
@@ -36,10 +36,10 @@ def test_frame_roundtrip():
 ], ids=["bytes", "array"])
 def test_build_frame_layout(payload):
     raw = bytes(payload)
-    frame = tr.build_frame(7, tr.OP_TAGS["sec_sel"], payload)
-    assert frame == tr.LEN.pack(tr.HEADER.size + len(raw)) + tr.HEADER.pack(7, tr.OP_TAGS["sec_sel"], 0) + raw
+    frame = tr.build_frame(7, tr.OP_TAGS["sec_lut"], payload)
+    assert frame == tr.LEN.pack(tr.HEADER.size + len(raw)) + tr.HEADER.pack(7, tr.OP_TAGS["sec_lut"], 0) + raw
     sid, tag, got = tr.parse_frame(frame)
-    assert (sid, tag, bytes(got)) == (7, tr.OP_TAGS["sec_sel"], raw)
+    assert (sid, tag, bytes(got)) == (7, tr.OP_TAGS["sec_lut"], raw)
     # the payload is a view into the frame, not a copy
     assert isinstance(got, memoryview) and got.obj is frame
 
@@ -101,9 +101,15 @@ def test_word_packing_roundtrip():
 
 
 def test_bit_packing_roundtrip_and_padding():
+    # the wire rule: bit i of the flat sequence at bit i % 64 of word i // 64,
+    # the pad bits after the last one zero
     rng = np.random.default_rng(0)
     bits = rng.integers(0, 2, size=(3, 67), dtype=np.uint8)
-    buf = tr.pack_bit_words(bits)
+    words = gates._pack_lanes(bits)
+    flat = bits.reshape(-1)
+    assert [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(flat.size)] == flat.tolist()
+    assert int(words[-1]) >> (flat.size % 64) == 0
+    buf = tr.pack_words(words)
     assert len(buf) == tr.bit_payload_bytes(bits.size)
     assert len(buf) % 8 == 0
     assert np.array_equal(tr.unpack_bit_words(buf, bits.shape), bits)
@@ -156,3 +162,9 @@ def test_tcp_channel_roundtrip():
 def test_tcp_connect_gives_up():
     with pytest.raises(TransportError):
         tr.tcp_connect(f"127.0.0.1:{_free_port()}", attempts=2)
+
+
+def test_tcp_listen_gives_up_without_a_peer(monkeypatch):
+    monkeypatch.setattr(tr, "TCP_TIMEOUT_S", 0.2)
+    with pytest.raises(TransportError, match="no peer connected"):
+        tr.tcp_listen(f"127.0.0.1:{_free_port()}")
