@@ -30,7 +30,7 @@ import numpy as np
 from .costs import RS_KEY_WIDTH, comparator_calls, predict_cost, ranks
 from .errors import AssumptionError, ConfigError, ProtocolError, StarfishError
 from .fixedpoint import FixedPointCodec
-from .gates import sec_div, sec_ge, sec_lut, sec_mul, sec_srt
+from .gates import sec_div, sec_ge, sec_lut, sec_srt
 from .oracle import (
     bound_report,
     logistic_task,
@@ -458,7 +458,6 @@ def _audit_battery(cfg: RunConfig):
 
     return [
         ("sec_rec (8,)", "sec_rec", (8,), lambda s: sec_rec(s, *shared(s, 1, v8))),
-        ("sec_mul (8,)", "sec_mul", (8,), lambda s: sec_mul(s, *shared(s, 2, v8, v8))),
         ("sec_ge (8,)", "sec_ge", (8,), lambda s: sec_ge(s, *shared(s, 6, v8, v8))),
         # 65 lanes pack the masked wires across a word boundary
         ("sec_ge (65,)", "sec_ge", (65,), lambda s: sec_ge(s, *shared(s, 19, ((65,), 0.25, 2.0), ((65,), 0.25, 2.0)))),

@@ -4,9 +4,9 @@ Each formula mirrors the implemented circuit exchange by exchange, so the
 audit can demand exact equality between prediction and meter. The moving
 parts are the frame overhead (16 bytes), the 64-bit ring word
 (fixedpoint.WORD_BITS) and the packed-bit payload rule (whole 64-bit
-words). A Beaver product ships its two masked operands at their own shapes
-(mul_cost). The sign circuit (sign_cost) opens the masked difference as a
-word per lane, then the masked wires of its two AND levels as packed bits
+words). A Beaver product ships its two masked operands at their own shapes.
+The sign circuit (sign_cost) opens the masked difference as a word per
+lane, then the masked wires of its two AND levels as packed bits
 (SIGN_LEVEL_BITS per lane); a comparison (ge_cost) adds the B2A of its
 bits. A bit injection (inject_cost) multiplies the sign bits into rows of
 words in one frame: the top-T' network's selects and each quotient bit of
@@ -114,14 +114,10 @@ def lut_cost(lanes: int, size: int) -> CostEstimate:
     return bits_round(lanes * (size.bit_length() - 1)) + bits_round(lanes)
 
 
-def mul_cost(x_lanes: int, y_lanes: int) -> CostEstimate:
-    """A Beaver product: both masked operands, one round."""
-    return words_round(x_lanes + y_lanes)
-
-
 def comparator_cost(width: int, lanes: int) -> CostEstimate:
-    """gates.comparator on lanes rows of width-column keys."""
-    cross = mul_cost(2 * lanes, 2 * lanes) if width == 2 else ZERO
+    """gates.comparator on lanes rows of width-column keys: at width 2 one
+    Beaver round of both cross products opens 2 + 2 masked words per row."""
+    cross = words_round(4 * lanes) if width == 2 else ZERO
     return cross + sign_cost(lanes)
 
 
@@ -251,8 +247,7 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
 
     Shape argument by functionality:
       sec_share: ignored
-      sec_rec/sec_mul/sec_ge/sec_div: lane shape tuple (sec_mul: of both
-        operands)
+      sec_rec/sec_ge/sec_div: lane shape tuple
       sec_lut: dict {"lanes", "size"}: a lane shape tuple of indices into a
         table of size entries
       sec_srt: dict {"t", "item_words", "width", "count"}: the top count of T
@@ -269,8 +264,6 @@ def predict_cost(functionality: str, shape, codec: FixedPointCodec) -> CostEstim
         return ZERO
     if name == "sec_rec":
         return words_round(_lanes(shape))
-    if name == "sec_mul":
-        return mul_cost(_lanes(shape), _lanes(shape))
     if name == "sec_ge":
         return ge_cost(_lanes(shape))
     if name == "sec_lut":

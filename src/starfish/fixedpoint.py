@@ -7,11 +7,12 @@ the ring arithmetic. numpy *scalars* warn on wraparound, so code that may
 see a 0-d value calls the ufunc rather than an operator. Ownership of a
 share is implicit in which party's session holds the array.
 
-Range budget: encoded values stay below 2^(e-1) in magnitude at scale 2^-p,
-so a product of two of them sits below 2^(2p + 2e - 2) before truncation.
-The statistical slack on top of that keeps probabilistic share truncation
-from wrapping except with probability about 2^-slack, hence
-2p + 2e + slack <= 64.
+Scale rule: encoded values sit at scale 2^-p, below 2^(e-1) in magnitude.
+Nothing truncates: a product keeps the scale its factors give it, so an
+inner product of two encoded operands sits at 2^-2p, and a cross product of
+such a numerator with an encoded norm at 2^-3p, below 2^(3p + 2e - 2) in
+magnitude. The comparator's difference of two cross products fits the
+signed word when 3p + 2e <= 64.
 """
 
 from __future__ import annotations
@@ -41,19 +42,18 @@ class FixedPointCodec:
     """Parameters of the fixed-point embedding.
 
     precision_p fractional bits, values bounded by 2^(range_e - 1) in
-    magnitude, slack bits of truncation headroom (see the module docstring).
+    magnitude (see the module docstring for the scale rule).
     """
 
     precision_p: int = 13
     range_e: int = 12
-    slack: int = 14
 
     def __post_init__(self):
-        if self.precision_p < 1 or self.range_e < 1 or self.slack < 0:
-            raise RangeError("codec parameters must be positive (slack >= 0)")
-        budget = 2 * self.precision_p + 2 * self.range_e + self.slack
+        if self.precision_p < 1 or self.range_e < 1:
+            raise RangeError("codec parameters must be positive")
+        budget = 3 * self.precision_p + 2 * self.range_e
         if budget > WORD_BITS:
-            raise RangeError(f"2p + 2e + slack = {budget} exceeds the {WORD_BITS}-bit word")
+            raise RangeError(f"3p + 2e = {budget} exceeds the {WORD_BITS}-bit word")
 
     @property
     def scale(self) -> int:
@@ -84,18 +84,3 @@ class FixedPointCodec:
     def quantize(self, x) -> np.ndarray:
         """Snap floats to the representable grid (encode then decode)."""
         return self.decode(self.encode(np.asarray(x, dtype=np.float64)))
-
-    # -- share truncation ----------------------------------------------
-
-    def truncate_local(self, v, party: int) -> np.ndarray:
-        """Per-party share truncation by p bits.
-
-        Party 0 shifts its share; party 1 shifts the negation and negates
-        back. Reconstruction lands within one unit in the last place of the
-        true shifted value except with probability about 2^-slack.
-        """
-        shift = np.uint64(self.precision_p)
-        v = np.asarray(v, dtype=np.uint64)
-        if party == 0:
-            return v >> shift
-        return np.negative(np.negative(v) >> shift)

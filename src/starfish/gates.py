@@ -2,18 +2,18 @@
 
 Addition of shares is local: np.add. A product uses one Beaver triple from
 the dealer tape, drawn at the operands' own shapes; numpy broadcasting
-forms it. A product with a public matrix is local. Comparison takes the
-sign of d = u - v in three rounds (_ge_bits): a masked opening c = d + r,
-then two levels of multi-input ANDs over the bits that compare c's digits
-with the dealer's one-hot digit tables of r. That sign circuit is the only
-boolean circuit. Its XOR-shared bits leave it in one more round: a B2A
-(sec_ge, sec_rank's wins), a bit injection, which multiplies them straight
-into an arithmetic share (sec_srt's selects, each quotient bit of sec_div's
-restoring division), or a reveal (reveal_ge). A small integer in a public
-range [0, M) skips the circuit: sec_lut looks it up in a one-time truth
-table in two rounds, one masked opening and one reveal. Batched lanes share
-one round trip: every gate here is vectorized, so "T comparisons in
-parallel" is one circuit over T lanes.
+forms it. Comparison takes the sign of d = u - v in three rounds
+(_ge_bits): a masked opening c = d + r, then two levels of multi-input ANDs
+over the bits that compare c's digits with the dealer's one-hot digit
+tables of r. That sign circuit is the only boolean circuit. Its XOR-shared
+bits leave it in one more round: a B2A (sec_ge, sec_rank's wins), a bit
+injection, which multiplies them straight into an arithmetic share
+(sec_srt's selects, each quotient bit of sec_div's restoring division), or
+a reveal (reveal_ge). A small integer in a public range [0, M) skips the
+circuit: sec_lut looks it up in a one-time truth table in two rounds, one
+masked opening and one reveal. Batched lanes share one round trip: every
+gate here is vectorized, so "T comparisons in parallel" is one circuit over
+T lanes.
 
 Sort and rank keys are (T, width) share matrices, one row per item: width 1
 holds values, width 2 holds fractions (u, v) with v > 0. One comparator
@@ -37,9 +37,10 @@ an AND of wires is a word AND over 64 lanes; a round that opens several
 rows ships them as one bit tensor of rows * L bits, without pad bits
 between rows.
 
-Scale conventions: encoded reals sit at 2^-p. Products of two encoded
-operands land at 2^-2p and sec_mul truncates them back; the comparator's
-exact cross multiplications keep the raw product. The comparator returns
+Scale conventions (see fixedpoint): encoded reals sit at 2^-p and no gate
+truncates. A product keeps the scale of its factors: sec_div takes its
+numerator at 2^-2p and returns a quotient at 2^-p, and the comparator's
+cross multiplications keep the raw product. The comparator returns
 lane-packed XOR-shared bits; sec_ge's outputs are arithmetic shares of
 {0, 1} at scale 1.
 """
@@ -102,29 +103,6 @@ def _beaver_mul(sess: Session, x, y) -> np.ndarray:
     d, e = np.add(d_loc, d_peer), np.add(e_loc, e_peer)
     db = np.multiply(d, np.add(b, e) if sess.party == 0 else b)
     return np.add(c, np.add(db, np.multiply(a, e)))
-
-
-# -- arithmetic gates ----------------------------------------------------------
-
-
-def sec_mul(sess: Session, x, y) -> np.ndarray:
-    """Beaver product of two encoded shared tensors (one round), truncated."""
-    with sess.op("sec_mul", int(np.broadcast(np.asarray(x), np.asarray(y)).size)):
-        return sess.truncate(_beaver_mul(sess, x, y))
-
-
-def mul_public(sess: Session, x, raw) -> np.ndarray:
-    """Matrix product with a public ring tensor: no triple, no communication."""
-    with sess.op("sec_mul"):
-        return sess.truncate(np.matmul(x, np.asarray(raw, dtype=np.uint64)))
-
-
-def sp_public(sess: Session, x, raw) -> np.ndarray:
-    """Inner product with a public vector: local, zero communication."""
-    x = np.asarray(x)
-    with sess.op("sec_sp", int(x.size // x.shape[-1])):
-        z = np.multiply(x, np.asarray(raw, dtype=np.uint64)).sum(axis=-1, dtype=np.uint64)
-        return sess.truncate(z)
 
 
 # -- boolean kernel (representation: see the module docstring) ----------------
@@ -384,8 +362,8 @@ def sec_srt(sess: Session, rows: np.ndarray, width: int, count: int) -> np.ndarr
         size = padded_size(t)
         if size != t:
             pad = np.full(cols, from_signed(-1), dtype=np.uint64)
-            # -2^(e-1), below every encodable value
-            pad[0] = from_signed(-(1 << (sess.codec.precision_p + sess.codec.range_e - 1)))
+            # -2^(e-1) at 2^-2p, below every numerator and every quotient
+            pad[0] = from_signed(-(1 << (2 * sess.codec.precision_p + sess.codec.range_e - 1)))
             pad[1:width] = sess.codec.encode(1.0)
             rows = np.concatenate([rows, np.broadcast_to(const_share(sess, pad), (size - t, cols))])
         for k, j in topk_layers(t, count):
@@ -437,14 +415,15 @@ def sec_rank(sess: Session, key: np.ndarray, count: int) -> np.ndarray:
 
 
 def sec_div(sess: Session, u, v) -> np.ndarray:
-    """Fixed-point quotient round toward zero of (u << p) / v.
+    """Fixed-point quotient round toward zero of u / v, for a numerator u at
+    2^-2p and a divisor v at 2^-p: the quotient sits at 2^-p.
 
     Restoring division on arithmetic shares. One batched sign circuit gives
     the bits b = [x >= 0] of u and v, and one injection the magnitudes
     |x| = 2bx - x. Then for each of the div_iterations quotient bits i, high
     to low, a sign circuit gives c = [R >= |v| << i] and one injection both
     c * (|v| << i), which R loses, and c's arithmetic share, with R starting
-    at |u| << p. The quotient q = sum(c << i) is negative where exactly one
+    at |u|. The quotient q = sum(c << i) is negative where exactly one
     of u and v is: one last injection of b_u XOR b_v gives q - 2q there.
 
     Exact for v != 0 and a representable quotient, |q| < 2^(e-1). Outside
@@ -458,8 +437,7 @@ def sec_div(sess: Session, u, v) -> np.ndarray:
         x = np.concatenate([u.reshape(-1), v.reshape(-1)])  # one injection row per lane
         nonneg = _ge_bits(sess, x, np.zeros_like(x))
         au, av = np.split(np.subtract(_bit_inject(sess, nonneg, x)[0] << ONE, x), 2)
-        remainder = au << np.uint64(sess.codec.precision_p)
-        quot = np.zeros_like(au)
+        remainder, quot = au, np.zeros_like(au)
         for i in range(div_iterations(sess.codec) - 1, -1, -1):
             step = av << np.uint64(i)
             c_step, c = _bit_inject(sess, _ge_bits(sess, remainder, step), step)

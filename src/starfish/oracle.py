@@ -6,15 +6,15 @@ live a float64 mirror of the two-stage protocol, retraining baselines, the
 closed-form recovery-distance bound, and exact-arithmetic oracles for the
 individual gates.
 
-The mirror deliberately tracks the fixed-point pipeline: client gradients are
-snapped to the codec grid before use, and every discrete decision (keep
-flags, threshold flags) is evaluated on values both worlds agree on. The
-simulated clients are one layer that both worlds call: stage I's
-unlearn.clients_stage_one, and stage II's unlearn.RemainingClients, which
-checks, takes exact gradients and folds each client's float B. So stage-I
-values, check flags, corrections and every B are equal by construction; the
-secure run shares what the mirror uses in the clear. The drift left is
-truncation noise, which the acceptance harness budgets per truncation.
+The mirror computes the integers the secure run's shares sum to, so the
+two are equal bit for bit. Client gradients are snapped to the codec grid
+before use. The simulated clients are one layer that both worlds call:
+stage I's unlearn.clients_stage_one, and stage II's
+unlearn.RemainingClients, which checks, takes exact gradients and folds each
+client's float B. So stage-I values, check flags, corrections and every B
+are equal by construction. No gate truncates, so selection compares the
+exact cross products sec_rs compares, under its own rules, and each
+recovery round sums the words g + B dm at 2^-2p that the servers reveal.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .errors import (
     DivisionDomainError,
     UnknownFunctionality,
 )
-from .fixedpoint import FixedPointCodec
+from .costs import RS_KEY_WIDTH, padded_size, ranks, topk_layers
+from .fixedpoint import FixedPointCodec, to_signed
 from .sharing import STREAM_BASELINE, STREAM_DATA, keyed_rng
 from .unlearn import ClientPool, RemainingClients, UnlearnConfig, clients_stage_one
 
@@ -293,43 +294,67 @@ def plaintext_history(config: UnlearnConfig, pool: ClientPool, codec: FixedPoint
 
 def selection_scores(history: PlainHistory, target: int, codec: FixedPointCodec):
     """Cosine scores of the target's stored gradients against the public
-    model updates, evaluated on the grid the secure selector sees.
+    model updates, as the exact fractions sec_rs compares: int64 rows (u, v)
+    of u = <g, encode(Delta/|Delta|)> at 2^-2p and the encoded norm v at
+    2^-p, the integers the servers' shares sum to.
 
-    Returns (scores, keep): rounds whose stored gradient norm snaps to zero,
-    or whose model update is exactly zero (it has no direction), are
-    unkeepable and get a -inf score.
+    Returns (scores, keep): rounds whose stored gradient norm encodes to
+    zero, or whose model update is exactly zero (it has no direction), are
+    unkeepable.
     """
     updates = history.model_updates()
     dnorm = np.linalg.norm(updates, axis=1)
-    directions = codec.quantize(updates / np.where(dnorm > 0.0, dnorm, 1.0)[:, None])
-    grads = history.grads[:, target]
-    gnorm = codec.quantize(history.norms[:, target])
-    keep = (gnorm > 0.0) & (dnorm > 0.0)
-    u = (grads * directions).sum(axis=1)
-    v = np.where(keep, gnorm, 1.0)
-    return np.where(keep, u / v, -np.inf), keep
+    directions = codec.encode(updates / np.where(dnorm > 0.0, dnorm, 1.0)[:, None])
+    u = np.multiply(codec.encode(history.grads[:, target]), directions).sum(axis=1, dtype=np.uint64)
+    scores = to_signed(np.stack([u, codec.encode(history.norms[:, target])], axis=1))
+    return scores, (scores[:, 1] > 0) & (dnorm > 0.0)
 
 
-def cosine_selection(history: PlainHistory, target: int, t_prime: int, codec: FixedPointCodec) -> np.ndarray:
-    """Chronological indices of the top-t_prime rounds by cosine score."""
+def _ge(a, b) -> np.ndarray:
+    """The comparator's [a >= b] on (u, v) key rows with v > 0, by exact cross products."""
+    return a[..., 0] * b[..., 1] >= b[..., 0] * a[..., 1]
+
+
+def _top_network(key: np.ndarray, count: int, codec: FixedPointCodec) -> np.ndarray:
+    """Row positions of sec_srt's top count of (u, v) key rows, best first:
+    its bitonic network (costs.topk_layers) replayed in the clear. The pad
+    rows hold sec_srt's padding numerator over 1, below every key."""
+    t = len(key)
+    pad = [-(1 << (2 * codec.precision_p + codec.range_e - 1)), 1, -1]
+    rows = np.vstack([np.column_stack([key, np.arange(t)]), np.tile(pad, (padded_size(t) - t, 1))])
+    for k, j in topk_layers(t, count):
+        span = j or k
+        idx = np.arange(len(rows))
+        hi_idx = idx[(idx & span) == 0]
+        hi, lo = rows[hi_idx], rows[hi_idx + span]
+        top = np.where((_ge(hi, lo) ^ ((hi_idx & k) != 0))[:, None], hi, lo)
+        if j:
+            rows[hi_idx], rows[hi_idx + span] = top, hi + lo - top
+        else:
+            rows = top
+    return rows[: min(count, t), 2]
+
+
+def cosine_selection(history: PlainHistory, target: int, t_prime: int, codec: FixedPointCodec,
+                     method: int = 1) -> np.ndarray:
+    """Chronological indices of the rounds sec_rs selects, from the same
+    integers and under its rules: every kept round when at most t_prime are
+    kept; else, where costs.ranks picks ranking, the rounds with fewer than
+    t_prime losses, an earlier round beating a later one it ties; else the
+    top t_prime of its network. Method 2 compares the quotients sec_div
+    forms, round toward zero, over 1."""
     scores, keep = selection_scores(history, target, codec)
     kept = np.flatnonzero(keep)
-    order = kept[np.argsort(-scores[kept], kind="stable")]
-    return np.sort(order[: min(t_prime, kept.size)])
-
-
-def selection_margin(history: PlainHistory, target: int, t_prime: int, codec: FixedPointCodec) -> float:
-    """Score gap across the selection boundary (inf if nothing is rejected).
-
-    Tie-free harnesses assert this is wide relative to one truncation ulp
-    over the smallest gradient norm (the score's denominator), which is the
-    slack the secure comparator can consume.
-    """
-    scores, keep = selection_scores(history, target, codec)
-    ranked = np.sort(scores[keep])[::-1]
-    if ranked.size <= t_prime:
-        return math.inf
-    return float(ranked[t_prime - 1] - ranked[t_prime])
+    if kept.size <= t_prime:
+        return kept
+    key = scores[kept]
+    if method == 2:
+        key = np.column_stack([np.sign(key[:, 0]) * (np.abs(key[:, 0]) // key[:, 1]), np.ones_like(kept)])
+    if ranks(kept.size, t_prime, RS_KEY_WIDTH[method]):
+        beats = _ge(key[:, None], key[None, :])  # [row i >= row j]
+        losses = np.triu(beats, 1).sum(axis=0) + np.triu(~beats, 1).sum(axis=1)
+        return kept[losses < t_prime]
+    return np.sort(kept[_top_network(key, t_prime, codec)])
 
 
 @dataclass
@@ -355,18 +380,28 @@ def _plain_recovery(
     target: int,
     codec: FixedPointCodec,
 ) -> PlainRun:
+    """Stage II on the words the servers' shares sum to: each estimate is
+    g + B dm at 2^-2p, with B the encoded curvature the clients last sent."""
     clients = RemainingClients(pool, history.models, target, config, codec)
+    shift = np.uint64(codec.precision_p)
+    held = None  # the servers' B
     m_hat = history.models[0].copy()
     trajectory = [m_hat.copy()]
     check_flags: list = []
 
     for i, r in enumerate(selected, start=1):
-        estimates = history.grads[r][clients.ids] + clients.curv @ codec.quantize(m_hat - history.models[r])
+        estimates = codec.encode(history.grads[r][clients.ids]) << shift
+        if held is not None:
+            estimates = np.add(estimates, np.matmul(held, codec.encode(m_hat - history.models[r])))
         rows, grads, flags = clients.step(i, r, m_hat)
         if flags is not None:
             check_flags.append((i, flags.astype(int).tolist()))
-        estimates[rows] = grads
-        m_hat = m_hat - config.eta_u * (estimates.sum(axis=0) / clients.ids.size)
+        if rows.size:
+            estimates[rows] = codec.encode(grads) << shift
+            if config.buffer_b > 0:
+                held = codec.encode(clients.curv)
+        total = estimates.sum(axis=0, dtype=np.uint64)
+        m_hat = m_hat - config.eta_u * (codec.decode(total) / codec.scale / clients.ids.size)
         trajectory.append(m_hat.copy())
 
     return PlainRun(trajectory=np.array(trajectory), selected=np.asarray(selected, dtype=np.int64),
@@ -500,39 +535,22 @@ def bound_report(
 
 
 #: Absolute per-element error allowed between a secure gate and its exact
-#: oracle. Zero means the gate is exact on the grid. Truncating gates carry
-#: one probabilistic truncation (2^-p) plus representation slack.
+#: oracle. Zero means the gate is exact on the grid; sec_div rounds its
+#: quotient toward zero, less than one unit of 2^-p.
 ERROR_BUDGETS = {
     "sec_rec": 0.0,
     "sec_ge": 0.0,
     "sec_srt": 0.0,
-    "sec_mul": 2.0 ** -12,
     "sec_div": 2.0 ** -12,
 }
 
 
-def _fractions(arr) -> list:
-    return [Fraction(float(x)) for x in np.asarray(arr, dtype=np.float64).ravel()]
-
-
-def _from_fractions(values, shape) -> np.ndarray:
-    return np.array([float(v) for v in values], dtype=np.float64).reshape(shape)
-
-
-def _exact_mul(x, y) -> np.ndarray:
-    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-    vals = [a * b for a, b in zip(_fractions(x), _fractions(y))]
-    return _from_fractions(vals, x.shape)
-
-
 def _exact_div(u, v) -> np.ndarray:
     u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-    out = []
-    for a, b in zip(_fractions(u), _fractions(v)):
-        if b == 0:
-            raise DivisionDomainError("division by exact zero")
-        out.append(a / b)
-    return _from_fractions(out, u.shape)
+    if np.any(v == 0):
+        raise DivisionDomainError("division by exact zero")
+    return np.array([float(Fraction(a) / Fraction(b)) for a, b in zip(u.ravel().tolist(), v.ravel().tolist())],
+                    dtype=np.float64).reshape(u.shape)
 
 
 def exact_gate_oracle(gate: str, *inputs):
@@ -545,8 +563,6 @@ def exact_gate_oracle(gate: str, *inputs):
     if gate == "sec_rec":
         (x,) = inputs
         return np.asarray(x, float)
-    if gate == "sec_mul":
-        return _exact_mul(*inputs)
     if gate == "sec_ge":
         x, y = np.broadcast_arrays(*(np.asarray(a, float) for a in inputs))
         return (x >= y).astype(np.int64)

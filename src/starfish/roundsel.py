@@ -43,7 +43,7 @@ import numpy as np
 from .costs import ranks
 from .errors import ConfigError
 from .fixedpoint import WORD_BITS, from_signed, to_signed
-from .gates import const_share, reveal_ge, sec_div, sec_rank, sec_srt, sp_public
+from .gates import const_share, reveal_ge, sec_div, sec_rank, sec_srt
 from .sharing import Session, sec_rec
 
 KAPPA = 128  # statistical security parameter of the method-switching formula
@@ -133,7 +133,6 @@ def sec_rs(
     with sess.op("sec_rs"):
         if method is None:
             method = 1 if params.t <= params.t_delta else 2
-        codec = sess.codec
         delta_norms = np.linalg.norm(np.asarray(inputs.deltas, dtype=np.float64), axis=-1)
 
         kept = _keep_nonzero(sess, inputs.target_norms)
@@ -143,7 +142,7 @@ def sec_rs(
         # the cosine ignores the scale of the public update, so encode its
         # direction: a small update on the grid would lose its digits
         directions = inputs.deltas[kept] / delta_norms[kept, None]
-        u = sp_public(sess, inputs.target_grads[kept], codec.encode(directions))
+        u = np.multiply(inputs.target_grads[kept], sess.codec.encode(directions)).sum(axis=1, dtype=np.uint64)
         v = inputs.target_norms[kept]
         key = np.stack([u, v], axis=1) if method == 1 else sec_div(sess, u, v)[:, None]
         width = key.shape[1]

@@ -142,7 +142,7 @@ class TranscriptMeter:
     def __init__(self):
         self.per_op: dict[str, OpStats] = defaultdict(OpStats)
         self.total_online_bytes = 0
-        self.truncations = 0
+        self.truncations = 0  # nothing truncates; the benchmark still reads it
 
     def invoke(self, op: str, n: int = 1) -> None:
         self.per_op[op].invocations += n
@@ -155,9 +155,6 @@ class TranscriptMeter:
 
     def add_offline(self, op: str, nbytes: int) -> None:
         self.per_op[op].bytes_offline += nbytes
-
-    def add_truncations(self, n: int) -> None:
-        self.truncations += int(n)
 
     def snapshot(self) -> dict:
         return {
@@ -411,12 +408,6 @@ class Session:
         if rtag != tag:
             raise TransportError(f"op tag mismatch: got {rtag:#x}, expected {tag:#x}")
         return reply
-
-    # -- truncation accounting -------------------------------------------
-
-    def truncate(self, v: np.ndarray) -> np.ndarray:
-        self.meter.add_truncations(np.asarray(v).size)
-        return self.codec.truncate_local(v, self.party)
 
 
 class _OpScope:

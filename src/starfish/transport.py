@@ -43,7 +43,6 @@ TCP_TIMEOUT_S = 30.0
 # op scope around a round; 0x00ff marks traffic outside any labelled gate.
 OP_TAGS = {
     "sec_rec": 0x0002,
-    "sec_mul": 0x0011,
     "sec_ge": 0x0015,
     "sec_srt": 0x0018,
     "sec_div": 0x0019,

@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ProtocolError, RangeError
 from .fixedpoint import WORD_BITS, FixedPointCodec
-from .gates import mul_public
 from .roundsel import SelectionInputs, SelectionParams, sec_rs
 from .sharing import (
     STREAM_CLIENT_SHARES,
@@ -335,17 +334,20 @@ class LbfgsState:
 def sec_ue(sess: Session, gradients: np.ndarray, state: LbfgsState, dm=None) -> np.ndarray:
     """Estimate the remaining clients' gradients at the recovered model,
     g + B dm, where dm = m_hat - m_r is the public gap to the stored round's
-    model: a local product, no round. With no dm or no B, it is g itself."""
+    model: a local product, no round. The estimate sits at 2^-2p, the scale
+    of B dm: g shifted up by p bits, plus the product, which is exact. With
+    no dm or no B, it is g itself."""
     with sess.op("sec_ue"):
+        estimates = gradients << np.uint64(sess.codec.precision_p)
         if dm is None or state.curvature is None:
-            return gradients.copy()
-        return np.add(gradients, mul_public(sess, state.curvature, sess.codec.encode(dm)))
+            return estimates
+        return np.add(estimates, np.matmul(state.curvature, sess.codec.encode(dm)))
 
 
 def aggregate_reveal(sess: Session, estimates: np.ndarray, model: np.ndarray, eta: float):
-    """Average the shared estimates, reveal, and step the recovered model."""
+    """Average the shared estimates at 2^-2p, reveal, and step the recovered model."""
     total = sec_rec(sess, estimates.sum(axis=0, dtype=np.uint64))
-    avg = sess.codec.decode(total) / estimates.shape[0]
+    avg = sess.codec.decode(total) / sess.codec.scale / estimates.shape[0]
     return model - eta * avg, avg
 
 
@@ -478,7 +480,8 @@ def starfish_run(
                 check_rounds += 1
                 record("sec_tc", flags)
             if rows.size:
-                estimates[rows] = _upload(sess, config.seed, _SHARE_CORRECTION, i, grads)
+                exact = _upload(sess, config.seed, _SHARE_CORRECTION, i, grads)
+                estimates[rows] = exact << np.uint64(codec.precision_p)  # at sec_ue's 2^-2p
                 if state.capacity > 0:
                     if state.curvature is None:
                         state.curvature = np.zeros(clients.curv.shape, dtype=np.uint64)

@@ -103,7 +103,7 @@ def test_reference_sign_from_a_masked_opening():
         assert dk >> 63 == (c >> 63) ^ (rk >> 63) ^ ref_digit_lt(c, rk)
 
 
-def ref_div(u, v, p, iterations):
+def ref_div(u, v, iterations):
     """sec_div step by step on ring words: sigma = +-1 from the sign bit,
     magnitudes by multiplying with it, one compare-and-subtract per quotient
     bit, where the comparison reads the sign bit of the ring difference,
@@ -112,7 +112,7 @@ def ref_div(u, v, p, iterations):
     for a, b in zip(np.asarray(u).tolist(), np.asarray(v).tolist()):
         sa, sb = (1 if x >> 63 == 0 else MASK for x in (a, b))
         au, av = a * sa & MASK, b * sb & MASK
-        rem, quot = au << p & MASK, 0
+        rem, quot = au, 0
         for i in range(iterations - 1, -1, -1):
             step = av << i & MASK
             if ((rem - step) & MASK) >> 63 == 0:
@@ -134,13 +134,14 @@ def test_reference_adder_is_addition():
 
 def test_reference_division_is_round_toward_zero():
     rng = np.random.default_rng(0)
+    # numerators at 2^-2p, divisors and quotients at 2^-p
     limit = 1 << (CODEC.precision_p + CODEC.range_e - 1)
-    u = rng.integers(-limit + 1, limit, size=200)
+    u = rng.integers(-(limit << CODEC.precision_p) + 1, limit << CODEC.precision_p, size=200)
     v = rng.integers(-limit + 1, limit, size=200)
     v[:100] = rng.integers(-300, 300, size=100) | 1
-    q = [(abs(a) << CODEC.precision_p) // abs(b) * (1 if (a < 0) == (b < 0) else -1) for a, b in zip(u, v)]
+    q = [abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1) for a, b in zip(u, v)]
     ok = np.abs(q) < limit
-    got = ref_div(from_signed(u), from_signed(v), CODEC.precision_p, costs.div_iterations(CODEC))
+    got = ref_div(from_signed(u), from_signed(v), costs.div_iterations(CODEC))
     assert ok.sum() > 100
     assert to_signed(got)[ok].tolist() == np.array(q)[ok].tolist()
 
@@ -236,7 +237,8 @@ def test_sec_ge_edge_values(lanes):
 @given(data=st.data())
 def test_sec_div_matches_reference(lanes, data):
     reals = st.floats(min_value=-2047.0, max_value=2047.0, allow_nan=False)
-    u = CODEC.encode(data.draw(st.lists(reals, min_size=lanes, max_size=lanes)))
+    # the numerator at 2^-2p
+    u = CODEC.encode(data.draw(st.lists(reals, min_size=lanes, max_size=lanes))) << np.uint64(CODEC.precision_p)
     v = CODEC.encode(data.draw(st.lists(reals, min_size=lanes, max_size=lanes)))
     seed = data.draw(st.integers(0, 2**32))
     su, sv = _split(u, seed), _split(v, seed + 1)
@@ -246,7 +248,7 @@ def test_sec_div_matches_reference(lanes, data):
 
     out, frames = _run_recorded(proto, seed)
     iterations = gates.div_iterations(CODEC)
-    assert np.array_equal(out, ref_div(u, v, CODEC.precision_p, iterations))
+    assert np.array_equal(out, ref_div(u, v, iterations))
     step = _sign_cost_list(lanes) + [costs.inject_cost(lanes, 1)]
     expected = (_sign_cost_list(2 * lanes) + [costs.inject_cost(2 * lanes, 1)] + step * iterations
                 + [costs.inject_cost(lanes, 1)])
@@ -256,7 +258,7 @@ def test_sec_div_matches_reference(lanes, data):
 
 def test_sec_div_saturates_outside_its_domain():
     top = (1 << (CODEC.precision_p + CODEC.range_e - 1)) - 1
-    u = CODEC.encode([1.0, -1.0, 0.0, 2000.0, -2000.0, 3.0])
+    u = CODEC.encode([1.0, -1.0, 0.0, 2000.0, -2000.0, 3.0]) << np.uint64(CODEC.precision_p)
     v = CODEC.encode([0.0, 0.0, 0.0, 0.5, 0.5, -1.5])
     su, sv = _split(u, 1), _split(v, 2)
 

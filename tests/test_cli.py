@@ -306,7 +306,7 @@ def test_compare_full_sigma_matches_random_subset(tmp_path, capsys):
 def test_audit_passes(capsys):
     assert _run(["audit", "--seed", 0]) == 0
     printed = capsys.readouterr().out
-    assert "all 12 functionalities match" in printed
+    assert "all 11 functionalities match" in printed
     assert "MISMATCH" not in printed
     # a comparison is 4 rounds; a ranked selection ends in a two-round lookup
     assert re.search(r"^sec_ge \(8,\) +4 / 4 ", printed, re.M)
@@ -390,7 +390,8 @@ def test_diverged_recovery_exit_code(tmp_path, capsys):
 def test_readme_run_recovers_within_the_bound(tmp_path, capsys, seed, t):
     # the README run.cfg over its grid of seeds and round counts: the secure
     # run, its mirror and the random-selection baseline all finish, with no
-    # checkpoint over the bound, and the clients' flags equal the mirror's
+    # checkpoint over the bound; the secure run equals its mirror, flags and
+    # model alike
     cfg = tmp_path / "run.cfg"
     cfg.write_text(README_CFG + f"t = {t}\n")
     out = tmp_path / "out"
@@ -400,6 +401,7 @@ def test_readme_run_recovers_within_the_bound(tmp_path, capsys, seed, t):
     assert not [key for key in report if key.endswith("_error")]
     assert report["bound"]["violations"] == 0
     assert report["distance_final"] <= 1e-3
+    assert report["distance_plain_mirror"] == 0.0
     run = load_config(cfg, seed=seed)
     plain = plaintext_starfish(run.unlearn_config(), run.build_task(), run.target, codec=run.codec())
     records = [json.loads(line) for line in (out / "transcript.jsonl").read_text().splitlines()]

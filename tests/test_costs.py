@@ -25,7 +25,6 @@ from starfish.gates import (
     comparator,
     sec_div,
     sec_ge,
-    sec_mul,
     sec_srt,
 )
 from starfish.roundsel import SelectionInputs, SelectionParams, sec_rs
@@ -107,19 +106,6 @@ def test_lut_cost_opens_the_index_bits(size):
     for lanes in (1, 5, 64, 70):
         assert lut_cost(lanes, size).as_tuple() == (
             2, 32 + bit_payload_bytes(lanes * (size.bit_length() - 1)) + bit_payload_bytes(lanes))
-
-
-def test_sec_mul_scalar_cost():
-    a, b = vals(1, 3), vals(1, 4)
-    got = measured("sec_mul", lambda s: sec_mul(s, a[s.party][0], b[s.party][0]))
-    # one round carrying the two masked operands: frame + 2 words
-    assert got == predict_cost("sec_mul", (), CODEC).as_tuple() == (1, 32)
-
-
-def test_sec_mul_lanes_cost():
-    a, b = vals(8, 5), vals(8, 6)
-    got = measured("sec_mul", lambda s: sec_mul(s, a[s.party], b[s.party]))
-    assert got == predict_cost("sec_mul", (8,), CODEC).as_tuple()
 
 
 def test_sec_rec_cost():

@@ -8,12 +8,11 @@ from helpers import CODEC, both, raw_share_pair, reveal, reveal_bits, reveal_raw
 from starfish import gates, make_inproc_sessions, run_pair
 from starfish.costs import comparator_calls, inject_cost, predict_cost, topk_layers, words_round
 from starfish.errors import DivisionDomainError, ShapeError
-from starfish.fixedpoint import from_signed
+from starfish.fixedpoint import from_signed, to_signed
 from starfish.gates import (
     comparator,
     sec_div,
     sec_ge,
-    sec_mul,
     sec_lut,
     sec_rank,
     sec_srt,
@@ -31,20 +30,6 @@ def grid(x):
 # -- multiplication ----------------------------------------------------------
 
 
-def test_sec_mul_known_product():
-    a, b = share_pair(grid(2.0), key=1), share_pair(grid(3.0), key=2)
-    got, _ = both(lambda s: reveal(s, sec_mul(s, a[s.party], b[s.party])))
-    assert abs(float(got) - 6.0) <= ERROR_BUDGETS["sec_mul"]
-
-
-def test_sec_mul_random_within_budget():
-    x, y = grid(RNG.uniform(-3, 3, size=1000)), grid(RNG.uniform(-3, 3, size=1000))
-    a, b = share_pair(x, key=3), share_pair(y, key=4)
-    got, _ = both(lambda s: reveal(s, sec_mul(s, a[s.party], b[s.party])))
-    err = np.abs(got - exact_gate_oracle("sec_mul", x, y))
-    assert float(err.max()) <= ERROR_BUDGETS["sec_mul"]
-
-
 @pytest.mark.parametrize("shape_x, shape_y", [((8,), (8,)), ((6, 1), (6, 5))], ids=["lanes", "broadcast"])
 def test_beaver_mul_raw_shares(shape_x, shape_y):
     # full-ring words at scale 1: the shares sum to the exact ring product,
@@ -55,7 +40,7 @@ def test_beaver_mul_raw_shares(shape_x, shape_y):
     xs, ys = raw_share_pair(x, key=7), raw_share_pair(y, key=8)
 
     def proto(s):
-        with s.op("sec_mul"):
+        with s.op("beaver"):
             return gates._beaver_mul(s, xs[s.party], ys[s.party])
 
     z0, z1 = run_pair(proto, make_inproc_sessions(23))
@@ -76,13 +61,13 @@ def test_sec_mul_column_times_matrix_at_operand_shapes():
     b = raw_share_pair(y.astype(np.uint64), key=26)
 
     def raw_product(s):
-        with s.op("sec_mul"):
+        with s.op("beaver"):
             z = gates._beaver_mul(s, a[s.party], b[s.party])
         return reveal_raw(s, z)
 
     got, sessions = both(raw_product)
     assert np.array_equal(got, x * y)
-    st = sessions[0].meter.stats("sec_mul")
+    st = sessions[0].meter.stats("beaver")
     assert (st.rounds, st.bytes_online) == words_round(p + p * w).as_tuple()
     assert st.bytes_offline == 8 * (p + p * w + p * w)  # a, b, and c = a * b
 
@@ -460,17 +445,22 @@ def test_sec_lut_keeps_the_index_shape_and_rejects_other_table_sizes():
 # -- division --------------------------------------------------------------------
 
 
+def numerator(x, key):
+    """Shares of encoded values shifted to 2^-2p, sec_div's numerator scale."""
+    return raw_share_pair(CODEC.encode(x) << np.uint64(CODEC.precision_p), key=key)
+
+
 def test_sec_div_known_quotients():
-    u, v = share_pair(grid(6.0), key=51), share_pair(grid(2.0), key=52)
+    u, v = numerator(6.0, key=51), share_pair(grid(2.0), key=52)
     got, _ = both(lambda s: reveal(s, sec_div(s, u[s.party], v[s.party])))
     assert float(got) == 3.0
 
     x = grid(RNG.uniform(-10, 10, size=16))
-    xs, ones = share_pair(x, key=53), share_pair(grid(np.ones(16)), key=54)
+    xs, ones = numerator(x, key=53), share_pair(grid(np.ones(16)), key=54)
     got, _ = both(lambda s: reveal(s, sec_div(s, xs[s.party], ones[s.party])))
     assert np.array_equal(got, x)
 
-    u, v = share_pair(grid(1.0), key=55), share_pair(grid(3.0), key=56)
+    u, v = numerator(1.0, key=55), share_pair(grid(3.0), key=56)
     got, _ = both(lambda s: reveal(s, sec_div(s, u[s.party], v[s.party])))
     assert abs(float(got) - 1.0 / 3.0) <= 2.0 ** -CODEC.precision_p
 
@@ -479,7 +469,7 @@ def test_sec_div_random_within_budget():
     n = 200
     u = grid(RNG.uniform(-30, 30, size=n))
     v = grid(RNG.uniform(0.5, 30, size=n) * RNG.choice([-1.0, 1.0], size=n))
-    us, vs = share_pair(u, key=57), share_pair(v, key=58)
+    us, vs = numerator(u, key=57), share_pair(v, key=58)
     got, _ = both(lambda s: reveal(s, sec_div(s, us[s.party], vs[s.party])))
     err = np.abs(got - exact_gate_oracle("sec_div", u, v))
     assert float(err.max()) <= ERROR_BUDGETS["sec_div"]
@@ -498,11 +488,17 @@ floats = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.tuples(floats, floats), min_size=1, max_size=8))
 def test_mul_property(pairs):
-    x = grid([a for a, _ in pairs])
-    y = grid([b for _, b in pairs])
-    a, b = share_pair(x, key=80), share_pair(y, key=81)
-    got, _ = both(lambda s: reveal(s, sec_mul(s, a[s.party], b[s.party])))
-    assert np.max(np.abs(got - x * y)) <= ERROR_BUDGETS["sec_mul"]
+    # the raw product of two encoded operands is exact at 2^-2p
+    x = CODEC.encode([a for a, _ in pairs])
+    y = CODEC.encode([b for _, b in pairs])
+    a, b = share_pair(CODEC.decode(x), key=80), share_pair(CODEC.decode(y), key=81)
+
+    def proto(s):
+        with s.op("beaver"):
+            return reveal_raw(s, gates._beaver_mul(s, a[s.party], b[s.party]))
+
+    got, _ = both(proto)
+    assert np.array_equal(got, to_signed(x) * to_signed(y))
 
 
 @settings(max_examples=20, deadline=None)

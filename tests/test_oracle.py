@@ -32,7 +32,6 @@ from starfish.oracle import (
     cosine_selection,
     plaintext_history,
     random_selection_baseline,
-    selection_margin,
     selection_scores,
 )
 
@@ -150,14 +149,21 @@ def _cosine_history(grads):
     )
 
 
+def cosines(scores):
+    """The (u, v) score rows as floats: u at 2^-2p over v at 2^-p."""
+    return scores[:, 0] / scores[:, 1] / CODEC.scale
+
+
 def test_cosine_selection_known_scores():
     hist = _cosine_history([[1, 0], [0, 1], [-1, 0], [1, math.sqrt(3)]])
     scores, keep = selection_scores(hist, 0, CODEC)
     assert keep.all()
-    assert np.allclose(scores, [1.0, 0.0, -1.0, 0.5], atol=1e-3)
+    # u = <encode(g), encode(direction)>, v = encode(|g|): exact integers
+    assert scores[:, 0].tolist() == [CODEC.scale ** 2, 0, -CODEC.scale ** 2, CODEC.scale ** 2]
+    assert scores[:, 1].tolist() == CODEC.encode([1.0, 1.0, 1.0, 2.0]).tolist()
+    assert np.allclose(cosines(scores), [1.0, 0.0, -1.0, 0.5], atol=1e-3)
     assert np.array_equal(cosine_selection(hist, 0, 2, CODEC), [0, 3])
-    assert selection_margin(hist, 0, 2, CODEC) == pytest.approx(0.5, abs=1e-3)
-    assert selection_margin(hist, 0, 4, CODEC) == math.inf
+    assert np.array_equal(cosine_selection(hist, 0, 4, CODEC), [0, 1, 2, 3])
 
 
 def test_cosine_selection_skips_zero_norm_rounds():
@@ -172,7 +178,7 @@ def test_zero_update_round_is_unkeepable():
     hist.models[2] = hist.models[1]  # second round did not move the model
     scores, keep = selection_scores(hist, 0, CODEC)
     assert keep.tolist() == [True, False, True]
-    assert scores[1] == -np.inf
+    assert scores[1, 0] == 0  # no direction: u is zero
     assert np.array_equal(cosine_selection(hist, 0, 3, CODEC), [0, 2])
 
 
@@ -182,7 +188,7 @@ def test_update_below_one_grid_step_keeps_its_score():
     lengths = np.array([2.0, 1.0, 3.0, 1e-6])
     hist.models[1:] = np.cumsum(lengths)[:, None] * [1.0, 0.0]
     scores, _ = selection_scores(hist, 0, CODEC)
-    assert np.allclose(scores, [1.0, 0.0, -1.0, 0.5], atol=1e-3)
+    assert np.allclose(cosines(scores), [1.0, 0.0, -1.0, 0.5], atol=1e-3)
 
 
 def test_full_sigma_matches_random_baseline_selection():
@@ -270,7 +276,6 @@ def test_exact_oracle_arithmetic():
     x = CODEC.quantize(np.array([0.5, -1.25, 3.0]))
     y = CODEC.quantize(np.array([0.25, 0.5, -2.0]))
     assert np.array_equal(exact_gate_oracle("sec_rec", x), x)
-    assert np.array_equal(exact_gate_oracle("sec_mul", x, y), [0.125, -0.625, -6.0])
     assert np.array_equal(exact_gate_oracle("sec_div", x, y), [2.0, -2.5, -1.5])
 
 

@@ -14,7 +14,7 @@ from starfish import (
 from starfish.costs import RS_KEY_WIDTH, comparator_calls, ge_cost, predict_cost, ranks
 from starfish.errors import ConfigError
 from starfish import roundsel
-from starfish.oracle import PlainHistory, cosine_selection
+from starfish.oracle import PlainHistory, cosine_selection, selection_scores
 from starfish.roundsel import sec_rs
 
 RNG = np.random.default_rng(11)
@@ -181,37 +181,32 @@ def test_updates_below_one_grid_step_select_by_direction(method):
     assert sorted(order) == chron == [0, 3]
 
 
-# -- random tie-free instances -----------------------------------------------------
+# -- random instances --------------------------------------------------------------
 
 
-def _tie_free_instance(t, m, seed):
+def _instance(t, m, seed):
+    """(gradients, norms, history) of one client, drawn with no tie filter:
+    the secure selection equals the mirror's on any margin."""
     rng = np.random.default_rng(seed)
-    while True:
-        grads = CODEC.quantize(rng.uniform(-2, 2, size=(t, m)))
-        deltas = CODEC.quantize(rng.uniform(-2, 2, size=(t, m)))
-        norms = CODEC.quantize(np.linalg.norm(grads, axis=1))
-        dnorms = np.linalg.norm(deltas, axis=1)
-        if np.any(norms == 0) or np.any(CODEC.encode(dnorms) == 0):
-            continue
-        scores = (grads * CODEC.quantize(deltas)).sum(axis=1) / (norms * CODEC.quantize(dnorms))
-        gaps = np.abs(np.subtract.outer(scores, scores))
-        if np.min(gaps[~np.eye(t, dtype=bool)]) > 1e-3:
-            return grads, norms, deltas, scores
+    grads = CODEC.quantize(rng.uniform(-2, 2, size=(t, m)))
+    deltas = CODEC.quantize(rng.uniform(-2, 2, size=(t, m)))
+    norms = CODEC.quantize(np.linalg.norm(grads, axis=1))
+    hist = PlainHistory(models=np.vstack([np.zeros(m), np.cumsum(deltas, axis=0)]),
+                        grads=grads[:, None, :], norms=norms[:, None], deltas=np.zeros((t, 1)))
+    return grads, norms, hist
 
 
 def test_methods_agree_on_random_instances():
     for seed in range(6):
         t = int(RNG.integers(5, 17))
-        grads, norms, deltas, scores = _tie_free_instance(t, 3, seed)
+        grads, norms, hist = _instance(t, 3, seed)
         params = SelectionParams(t=t, sigma=0.5)
-        want = np.sort(np.argsort(-scores, kind="stable")[: params.t_prime]).tolist()
-        picks = []
         for method in (1, 2):
             (_, chron, _), _ = _run_selection(
-                grads, norms, deltas, params, method=method, seed=seed
+                grads, norms, hist.model_updates(), params, method=method, seed=seed
             )
-            picks.append(chron)
-        assert all(p == want for p in picks), (seed, picks, want)
+            want = cosine_selection(hist, 0, params.t_prime, CODEC, method=method).tolist()
+            assert chron == want, (seed, method, chron, want)
 
 
 # (T, T') where the T - 2 rounds with a nonzero update are all selected,
@@ -229,19 +224,18 @@ def test_zero_update_is_never_selected(t, t_prime, path, method):
     # secure selection equals the mirror's
     if path:
         assert ranks(t - 2, t_prime, RS_KEY_WIDTH[method]) == (path == "sec_rank")
-    grads, norms, deltas, scores = _tie_free_instance(t, 3, seed=t + t_prime)
-    zero = np.argsort(-scores)[:2]
+    grads, norms, hist = _instance(t, 3, seed=t + t_prime)
+    scores, _ = selection_scores(hist, 0, CODEC)
+    zero = np.argsort(-(scores[:, 0] / scores[:, 1]))[:2]
+    deltas = hist.model_updates()
     deltas[zero] = 0.0
-    hist = PlainHistory(models=np.vstack([np.zeros(3), np.cumsum(deltas, axis=0)]),
-                        grads=grads[:, None, :], norms=norms[:, None], deltas=np.zeros((t, 1)))
+    hist.models = np.vstack([np.zeros(3), np.cumsum(deltas, axis=0)])
     updates = hist.model_updates()
     assert np.array_equal(np.flatnonzero(~updates.any(axis=1)), np.sort(zero))
     params = SelectionParams(t=t, sigma=1.0, t_prime=t_prime)
     (_, chron, _), sessions = _run_selection(grads, norms, updates, params, method=method)
     assert not set(zero.tolist()) & set(chron)
-    assert chron == cosine_selection(hist, 0, t_prime, CODEC).tolist()
-    rest = np.setdiff1d(np.arange(t), zero)
-    assert chron == sorted(rest[np.argsort(-scores[rest])[:t_prime]].tolist())
+    assert chron == cosine_selection(hist, 0, t_prime, CODEC, method=method).tolist()
     # the zero-norm flags still run over all T rounds
     meter = sessions[0].meter
     got = (sum(st.rounds for st in meter.per_op.values()), meter.total_online_bytes)
@@ -253,9 +247,9 @@ def test_zero_update_is_never_selected(t, t_prime, path, method):
 def test_comparator_count_at_thirty_two():
     # T=32, T'=10 runs the top-k network (smaller histories at this T' rank):
     # sorted blocks of 16 (160 calls), then one merge level (16 + 4 * 8)
-    grads, norms, deltas, _ = _tie_free_instance(32, 3, seed=99)
+    grads, norms, hist = _instance(32, 3, seed=99)
     (_, _, _), sessions = _run_selection(
-        grads, norms, deltas, SelectionParams(t=32, sigma=0.3, t_prime=10)
+        grads, norms, hist.model_updates(), SelectionParams(t=32, sigma=0.3, t_prime=10)
     )
     assert sessions[0].meter.stats("comparator").invocations == comparator_calls(32, 10) == 208
 
@@ -266,9 +260,7 @@ def test_network_selection_where_it_undercuts_ranking():
     # so); the network's selection equals the mirror's at its predicted cost
     t, t_prime = next((t, k) for t in range(4, 64) for k in range(3, t) if not ranks(t, k, RS_KEY_WIDTH[1]))
     assert ranks(t - 1, t_prime, RS_KEY_WIDTH[1])
-    grads, norms, deltas, _ = _tie_free_instance(t, 3, seed=t + t_prime)
-    hist = PlainHistory(models=np.vstack([np.zeros(3), np.cumsum(deltas, axis=0)]),
-                        grads=grads[:, None, :], norms=norms[:, None], deltas=np.zeros((t, 1)))
+    grads, norms, hist = _instance(t, 3, seed=t + t_prime)
     params = SelectionParams(t=t, sigma=1.0, t_prime=t_prime)
     (_, chron, _), sessions = _run_selection(grads, norms, hist.model_updates(), params, method=1)
     assert chron == cosine_selection(hist, 0, t_prime, CODEC).tolist()

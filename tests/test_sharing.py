@@ -15,7 +15,7 @@ from starfish import (
 )
 from starfish.errors import ProtocolError, TransportError
 from starfish import gates
-from starfish.gates import sec_ge, sec_lut, sec_mul, sec_srt
+from starfish.gates import sec_ge, sec_lut, sec_srt
 from starfish.sharing import DealerTape
 
 
@@ -54,10 +54,10 @@ def test_meter_matches_transport_totals():
     shares = share_pair(np.linspace(-1.0, 1.0, 32), key=50)
 
     def proto(sess):
-        # word frames (sec_mul, sec_rec), packed bit frames (sec_ge's levels,
-        # sec_lut) and injection frames of bits and words (sec_srt)
+        # word frames (sec_rec), packed bit frames (sec_ge's levels, sec_lut)
+        # and injection frames of bits and words (sec_srt)
         x = shares[sess.party]
-        y = sec_mul(sess, x, x)
+        y = np.add(x, x)
         flags = sec_lut(sess, sec_ge(sess, x, y), np.array([1, 0]))
         top = sec_srt(sess, np.stack([x, y], axis=1), 1, 4)
         return np.concatenate([flags, sess.codec.decode(sec_rec(sess, top)).ravel()])
@@ -69,7 +69,7 @@ def test_meter_matches_transport_totals():
         per_op = sum(st.bytes_online for st in sess.meter.per_op.values())
         assert per_op == sess.meter.total_online_bytes
         sending = {op for op, st in sess.meter.per_op.items() if st.bytes_online}
-        assert sending == {"sec_mul", "sec_ge", "sec_lut", "sec_srt", "sec_rec"}
+        assert sending == {"sec_ge", "sec_lut", "sec_srt", "sec_rec"}
 
 
 def test_meter_snapshot_shape():

@@ -25,9 +25,9 @@ def test_frame_overhead_constant():
 
 
 def test_frame_roundtrip():
-    frame = tr.build_frame(7, tr.OP_TAGS["sec_mul"], b"payload")
+    frame = tr.build_frame(7, tr.OP_TAGS["sec_div"], b"payload")
     assert len(frame) == tr.FRAME_OVERHEAD + len(b"payload")
-    assert tr.parse_frame(frame) == (7, tr.OP_TAGS["sec_mul"], b"payload")
+    assert tr.parse_frame(frame) == (7, tr.OP_TAGS["sec_div"], b"payload")
 
 
 @pytest.mark.parametrize("payload", [
