@@ -305,14 +305,50 @@ class DealerTape:
         return words
 
 
+# -- client feed -------------------------------------------------------------
+
+
+class ClientFeed:
+    """What the simulated clients send, computed once for the server
+    sessions that read it.
+
+    The first reader of a key computes its value, or keeps the error that
+    computing it raised; each of the `readers` sessions reads the entry
+    once, and the last read deletes it. An in-process pair shares one feed
+    of two readers, so each client runs once per pair; a TCP session holds
+    its own feed of one.
+    """
+
+    def __init__(self, readers: int = 1):
+        self.readers = readers
+        self._lock = threading.Lock()
+        self._entries: dict = {}
+
+    def get(self, key, compute):
+        with self._lock:
+            if key not in self._entries:
+                try:
+                    self._entries[key] = [compute(), None, self.readers]
+                except Exception as exc:  # noqa: BLE001 - each reader raises it
+                    self._entries[key] = [None, exc, self.readers]
+            entry = self._entries[key]
+            entry[2] -= 1
+            if not entry[2]:
+                del self._entries[key]
+        if entry[1] is not None:
+            raise entry[1]
+        return entry[0]
+
+
 # -- session ---------------------------------------------------------------
 
 
 class Session:
-    """One party's protocol context: channel, dealer view, meter.
+    """One party's protocol context: channel, dealer view, meter and the
+    client feed it reads the clients' uploads from.
 
     A session is single threaded; it may be handed between threads but not
-    used from two at once.
+    used from two at once. Only its feed may be shared with the peer's.
     """
 
     def __init__(
@@ -323,6 +359,7 @@ class Session:
         dealer: DealerTape,
         meter: TranscriptMeter,
         session_id: int,
+        feed: ClientFeed | None = None,
     ):
         if party not in (0, 1):
             raise ProtocolError(f"party must be 0 or 1, got {party}")
@@ -332,6 +369,7 @@ class Session:
         self.dealer = dealer
         self.meter = meter
         self.session_id = session_id & 0xFFFFFFFFFFFFFFFF
+        self.feed = ClientFeed() if feed is None else feed
         self._op_stack: list[str] = []
 
     # -- op labelling ----------------------------------------------------
@@ -440,10 +478,17 @@ def sec_rec(sess: Session, x: np.ndarray) -> np.ndarray:
 
 
 def make_inproc_sessions(seed: int, codec: FixedPointCodec | None = None) -> tuple[Session, Session]:
+    """Both parties' sessions over an in-process channel.
+
+    The pair shares one client feed of two readers: the first party to ask
+    for a client's upload simulates the client, splits the upload once and
+    keeps both shares there, and each party takes its own.
+    """
     codec = codec or FixedPointCodec()
     chan0, chan1 = inproc_pair()
-    return (Session(0, chan0, codec, DealerTape(seed, 0), TranscriptMeter(), session_id=seed),
-            Session(1, chan1, codec, DealerTape(seed, 1), TranscriptMeter(), session_id=seed))
+    feed = ClientFeed(readers=2)
+    return (Session(0, chan0, codec, DealerTape(seed, 0), TranscriptMeter(), session_id=seed, feed=feed),
+            Session(1, chan1, codec, DealerTape(seed, 1), TranscriptMeter(), session_id=seed, feed=feed))
 
 
 def make_tcp_session(seed: int, party: int, address: str, codec: FixedPointCodec | None = None,
@@ -451,7 +496,9 @@ def make_tcp_session(seed: int, party: int, address: str, codec: FixedPointCodec
     """One party's session over a socket; party 0 listens, party 1 dials.
 
     Every frame carries session_id (the seed by default) and a reply under
-    another id is rejected, so the parties must agree on it."""
+    another id is rejected, so the parties must agree on it. The session
+    reads a client feed of its own, so each process simulates every client
+    once."""
     if party not in (0, 1):
         raise ProtocolError(f"party must be 0 or 1, got {party}")
     codec = codec or FixedPointCodec()
@@ -464,8 +511,10 @@ def run_pair(proto, sessions: tuple[Session, Session]):
     """Run one protocol function as both parties on two threads.
 
     proto(session) is called per party; returns (result0, result1).
-    On failure in one party the peer channel is closed so the other side
-    unblocks; the originating exception is re-raised.
+    The threads run in lockstep at every round, and the client values they
+    both read come from the pair's shared feed, computed by whichever thread
+    asks first. On failure in one party the peer channel is closed so the
+    other side unblocks; the originating exception is re-raised.
     """
     results: list = [None, None]
     errors: list = [None, None]

@@ -24,10 +24,14 @@ comparison after selection.
 Clients are simulated in-process, in one layer that the plaintext mirror
 calls too: clients_stage_one is every client's stage-I step, and
 RemainingClients.step a replay round's checks, exact gradients and folds.
-Both server parties run the same code, so the clients "sending shares" is a
-deterministic keyed split both sides derive and keep their half of: one
-split of the whole block the clients send, keyed by the seed, the kind of
-block (stage-I gradients and norms, exact gradients, B) and the round.
+The servers reach the clients only through their session's client feed
+(sharing.ClientFeed). A client "sending shares" is one split of the whole
+block the clients send, keyed by the seed, the kind of block (stage-I
+gradients and norms, exact gradients, B) and the round; the feed keeps both
+shares and each party takes its own. An in-process pair shares one feed, so
+whichever party asks first runs the clients' round and the other reads it;
+over TCP each process runs its own clients, and the keyed split gives it
+the same shares.
 """
 
 from __future__ import annotations
@@ -148,10 +152,11 @@ def clients_stage_one(pool: ClientPool, model: np.ndarray, alpha: float, codec: 
     return g, np.linalg.norm(g, axis=1), np.partition(np.abs(g), k, axis=1)[:, k]
 
 
-def _upload(sess: Session, seed: int, kind: int, i: int, block: np.ndarray) -> np.ndarray:
-    """This party's share of the block the clients send at round i: one keyed
-    split per round and kind of block."""
-    return sec_share(block, sess.codec, keyed_rng(seed, STREAM_CLIENT_SHARES, kind, i))[sess.party].value
+def _split(codec: FixedPointCodec, seed: int, kind: int, i: int, block: np.ndarray) -> tuple:
+    """Both shares of the block the clients send at round i: one keyed split
+    per round and kind of block."""
+    s0, s1 = sec_share(block, codec, keyed_rng(seed, STREAM_CLIENT_SHARES, kind, i))
+    return s0.value, s1.value
 
 
 def _meter_totals(sess: Session) -> tuple[int, int]:
@@ -269,10 +274,13 @@ def stage_one(
     norms = np.zeros((t, n), dtype=np.uint64)
     max_delta = np.zeros(n)
 
-    for i in range(t):
+    def upload(i: int):
         g, norm, delta = clients_stage_one(pool, models[i], config.alpha, codec)
-        share = _upload(sess, config.seed, _SHARE_STAGE1, i, np.column_stack([g, norm]))  # g's words, then norm's
-        grads[i], norms[i] = share[:, :-1], share[:, -1]
+        return _split(codec, config.seed, _SHARE_STAGE1, i, np.column_stack([g, norm])), delta  # g's words, then norm's
+
+    for i in range(t):
+        shares, delta = sess.feed.get(("stage1", i), lambda: upload(i))
+        grads[i], norms[i] = shares[sess.party][:, :-1], shares[sess.party][:, -1]
         max_delta = np.maximum(max_delta, delta)
         total = sec_rec(sess, grads[i].sum(axis=0, dtype=np.uint64))
         avg = codec.decode(total) / n
@@ -439,9 +447,10 @@ def starfish_run(
     """Stage II: round selection, then the unlearning loop; the transcript
     starts at sec_rs. The remaining clients run each round's warm-up or
     check, exact gradients and folds (RemainingClients.step), so a sec_tc
-    record holds a check's flags at no round. The exact gradients and the B
-    of the clients that send are shared at no round, so each sec_ue record
-    is the aggregate reveal alone."""
+    record holds a check's flags at no round; they run through the
+    session's client feed, once per in-process pair. The exact gradients
+    and the B of the clients that send are shared at no round, so each
+    sec_ue record is the aggregate reveal alone."""
     if not (0 <= target < history.n):
         raise ConfigError(f"target {target} outside client range")
     codec = sess.codec
@@ -464,8 +473,21 @@ def starfish_run(
     selection = sec_rs(sess, history.selection_inputs(target), params)
     record("sec_rs")
 
-    clients = RemainingClients(pool, history.models, target, config, codec)
+    clients = sess.feed.get("clients", lambda: RemainingClients(pool, history.models, target, config, codec))
     state = LbfgsState(capacity=config.buffer_b)
+
+    def upload(i: int, r: int, m_hat: np.ndarray):
+        """What the clients send at replay round i: the rows that send, the
+        check's flags or None, and both shares of the senders' exact
+        gradients and of their B (None when nobody sends or folds)."""
+        rows, grads, flags = clients.step(i, r, m_hat)
+        exact = curv = None
+        if rows.size:
+            exact = _split(codec, config.seed, _SHARE_CORRECTION, i, grads)
+            if state.capacity > 0:
+                curv = _split(codec, config.seed, _SHARE_CURVATURE, i, clients.curv[rows])
+        return rows, flags, exact, curv
+
     m_hat = history.models[0].copy()
     trajectory = [m_hat.copy()]
     check_rounds = 0
@@ -475,17 +497,16 @@ def starfish_run(
         # leaves the codec's range means the recovery diverged at round i
         try:
             estimates = sec_ue(sess, history.grads[r][clients.ids], state, m_hat - history.models[r])
-            rows, grads, flags = clients.step(i, r, m_hat)
+            rows, flags, exact, curv = sess.feed.get(("replay", i), lambda: upload(i, r, m_hat))
             if flags is not None:
                 check_rounds += 1
                 record("sec_tc", flags)
-            if rows.size:
-                exact = _upload(sess, config.seed, _SHARE_CORRECTION, i, grads)
-                estimates[rows] = exact << np.uint64(codec.precision_p)  # at sec_ue's 2^-2p
-                if state.capacity > 0:
-                    if state.curvature is None:
-                        state.curvature = np.zeros(clients.curv.shape, dtype=np.uint64)
-                    state.curvature[rows] = _upload(sess, config.seed, _SHARE_CURVATURE, i, clients.curv[rows])
+            if exact is not None:
+                estimates[rows] = exact[sess.party] << np.uint64(codec.precision_p)  # at sec_ue's 2^-2p
+            if curv is not None:
+                if state.curvature is None:
+                    state.curvature = np.zeros(clients.curv.shape, dtype=np.uint64)
+                state.curvature[rows] = curv[sess.party]
             m_hat, _ = aggregate_reveal(sess, estimates, m_hat, config.eta_u)
             trajectory.append(m_hat.copy())
             record("sec_ue")

@@ -22,10 +22,12 @@ from starfish import (
 )
 from starfish.cli import RunConfig
 from starfish.costs import predict_cost, words_round
-from starfish.errors import ConfigError
+from starfish.errors import ConfigError, DivergenceError, RangeError
 from starfish.oracle import plaintext_history
+from starfish.sharing import ClientFeed
 from starfish.unlearn import (
     _SFH1,
+    RemainingClients,
     client_check,
     client_fold,
     clients_stage_one,
@@ -198,8 +200,9 @@ def test_client_fold_folds_fresh_and_curved_pairs():
 
 
 class _CountingPool(ClientPool):
-    """A client pool that logs every gradient request. Both party threads
-    call it; list.append is atomic where a += on a counter is not."""
+    """A client pool that logs every gradient request. Either party thread
+    may call it, whichever asks the feed first; list.append is atomic where
+    a += on a counter is not."""
 
     def __init__(self, pool):
         super().__init__(clients=pool.clients, initial_model=pool.initial_model)
@@ -221,8 +224,8 @@ def test_clients_fold_only_with_a_warm_up(buffer_b):
     res, _, _ = simulate(cfg, pool, target=1)
     warm = min(buffer_b, len(res.selected)) * (cfg.n - 1)
     assert res.check_rounds > 0 and sum(res.corrections.values()) > 0
-    # both parties simulate every client; stage I asks each client once a round
-    assert len(pool.calls) // 2 - cfg.n * cfg.t == (
+    # the pair simulates each client once; stage I asks each client once a round
+    assert len(pool.calls) - cfg.n * cfg.t == (
         2 * warm + res.check_rounds * (cfg.n - 1) + sum(res.corrections.values()))
     plain = plaintext_starfish(cfg, task, target=1)
     assert [r["flags"] for r in res.transcript if r["op"] == "sec_tc"] == [f for _, f in plain.check_flags]
@@ -523,7 +526,7 @@ def test_a_request_replays_no_client_state(monkeypatch):
     # a long history and a short replay that never checks (t_c = 13 > T' = 7):
     # a request asks each remaining client for an exact and a stage-I
     # gradient in each warm-up round, 2 buffer_b (n - 1) = 12 calls per
-    # party, and re-derives no threshold
+    # request, and re-derives no threshold
     import starfish.unlearn as unlearn
 
     run = RunConfig(n=4, m=4, t=128, eta_l=0.005, sigma=0.05)
@@ -537,26 +540,24 @@ def test_a_request_replays_no_client_state(monkeypatch):
     for target in range(cfg.n):
         before = len(pool.calls)
         _stage_two(hists, pool, cfg, target)
-        assert (len(pool.calls) - before) // 2 == 2 * cfg.buffer_b * (cfg.n - 1) == 12
+        assert len(pool.calls) - before == 2 * cfg.buffer_b * (cfg.n - 1) == 12
     assert rounds == []
 
 
 def test_a_request_splits_each_upload_once_with_fresh_masks(monkeypatch):
     # two warm-up rounds and a check that flags: the clients that send split
-    # their exact gradients and their B once per round and kind, and party
-    # 0's words of all those splits are pairwise distinct
-    import threading
-
+    # their exact gradients and their B once per round and kind for the
+    # pair, and party 0's words of all those splits are pairwise distinct
     import starfish.unlearn as unlearn
 
     task, cfg = _small_run(beta=0.25)
     pool = task.pool()
     hists = run_pair(lambda sess: stage_one(sess, pool, cfg), make_inproc_sessions(cfg.seed, codec=CODEC))
-    splits, real = {}, unlearn.sec_share
+    splits, real = [], unlearn.sec_share
 
     def spy(v, codec, rng):
         shares = real(v, codec, rng)
-        splits.setdefault(threading.get_ident(), []).append(shares[0].value.ravel())
+        splits.append(shares[0].value.ravel())
         return shares
 
     monkeypatch.setattr(unlearn, "sec_share", spy)
@@ -564,8 +565,8 @@ def test_a_request_splits_each_upload_once_with_fresh_masks(monkeypatch):
     flags = [r["flags"] for r in res.transcript if r["op"] == "sec_tc"]
     assert cfg.buffer_b == 2 and any(map(any, flags))
     sending = cfg.buffer_b + sum(map(any, flags))
-    assert sorted(map(len, splits.values())) == [2 * sending] * 2
-    words = np.concatenate(next(iter(splits.values())))
+    assert len(splits) == 2 * sending
+    words = np.concatenate(splits)
     sent = cfg.buffer_b * (cfg.n - 1) + sum(res.corrections.values())
     assert np.unique(words).size == words.size == sent * (cfg.m + cfg.m * cfg.m)
 
@@ -595,6 +596,94 @@ def test_a_pool_trained_on_another_config_is_rejected():
     plaintext_history(UnlearnConfig(**{**vars(cfg), "eta_l": 0.07}), pool, CODEC)
     with pytest.raises(ConfigError, match="no thresholds from this history's stage I"):
         _stage_two(hists, pool, cfg)
+
+
+# -- the client feed ------------------------------------------------------------------
+
+
+def _own_feeds(seed, codec=CODEC):
+    """An in-process pair shaped like two TCP processes: each session reads a
+    feed of its own, so each simulates every client itself."""
+    sessions = make_inproc_sessions(seed, codec=codec)
+    for sess in sessions:
+        sess.feed = ClientFeed()
+    return sessions
+
+
+def _train_and_unlearn(sessions, pool, cfg, targets):
+    """Stage I, then a request per target, all on one session pair."""
+    hists = run_pair(lambda sess: stage_one(sess, pool, cfg), sessions)
+    return hists, [run_pair(lambda sess: starfish_run(sess, hists[sess.party], pool, cfg, target), sessions)
+                   for target in targets]
+
+
+def _assert_same_run(a, b):
+    assert a.transcript == b.transcript and a.corrections == b.corrections
+    assert np.array_equal(a.selected, b.selected) and np.array_equal(a.trajectory, b.trajectory)
+
+
+@pytest.mark.parametrize("case", ["small", "estimate-wide"])
+def test_a_feed_per_session_equals_the_shared_feed(case):
+    # a pair whose sessions each read their own feed simulates every client
+    # twice, as two TCP processes do; its histories and results equal those
+    # of the pair that shares one feed and simulates each client once
+    if case == "small":
+        task, cfg = _small_run(beta=0.25)
+        target = 1
+    else:
+        run = RunConfig(n=20, m=32, t=12)
+        task, cfg, target = run.build_task(), run.unlearn_config(), 0
+    shared = _train_and_unlearn(make_inproc_sessions(cfg.seed, codec=CODEC), task.pool(), cfg, [target])
+    own = _train_and_unlearn(_own_feeds(cfg.seed), task.pool(), cfg, [target])
+    res = shared[1][0][0]
+    if case == "small":
+        assert res.check_rounds > 0 and sum(res.corrections.values()) > 0
+    for party in (0, 1):
+        a, b = shared[0][party], own[0][party]
+        assert np.array_equal(a.models, b.models)
+        assert np.array_equal(a.grads, b.grads) and np.array_equal(a.norms, b.norms)
+        _assert_same_run(shared[1][0][party], own[1][0][party])
+
+
+def test_the_feed_keeps_no_entry_past_its_readers():
+    # every entry is deleted at its second read, so a finished pair holds
+    # nothing, and one pair that trains and then serves two requests in turn
+    # equals a fresh pair per request
+    task, cfg = _small_run(beta=0.25)
+    _, _, sessions = simulate(cfg, task.pool(), target=1)
+    assert sessions[0].feed is sessions[1].feed and not sessions[0].feed._entries
+    sessions = make_inproc_sessions(cfg.seed, codec=CODEC)
+    _, requests = _train_and_unlearn(sessions, task.pool(), cfg, [0, 2])
+    assert not sessions[0].feed._entries
+    for target, results in zip([0, 2], requests):
+        fresh, _, _ = simulate(cfg, task.pool(), target)
+        for res in results:
+            _assert_same_run(res, fresh)
+
+
+def test_a_client_round_that_raises_raises_in_both_parties(monkeypatch):
+    # the README run.cfg at t=16, seed 7, with eta_u = 1: the clients' round
+    # 8 meets a gradient beyond the codec range. The party that runs it keeps
+    # the RangeError in the feed and the other reads it, so both stop with a
+    # DivergenceError caused by that one error, and the shared clients step
+    # each round once
+    run = RunConfig(n=20, m=8, t=16, sigma=0.6, alpha=0.4, beta=0.1, buffer_b=2, task="quadratic",
+                    eta_u=1.0, seed=7)
+    cfg, pool = run.unlearn_config(), run.build_task().pool()
+    steps, step = [], RemainingClients.step
+    monkeypatch.setattr(RemainingClients, "step", lambda self, i, *args: steps.append(i) or step(self, i, *args))
+
+    def proto(sess):
+        hist = stage_one(sess, pool, cfg)
+        try:
+            starfish_run(sess, hist, pool, cfg, run.target)
+        except DivergenceError as exc:
+            return exc
+
+    errors = run_pair(proto, make_inproc_sessions(cfg.seed, codec=run.codec()))
+    assert [(type(e), e.round_index) for e in errors] == [(DivergenceError, 8)] * 2
+    assert isinstance(errors[0].__cause__, RangeError) and errors[0].__cause__ is errors[1].__cause__
+    assert steps == list(range(1, 9))
 
 
 # -- configuration -----------------------------------------------------------------
