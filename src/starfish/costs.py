@@ -228,17 +228,16 @@ RS_KEY_WIDTH = {1: 2, 2: 1}
 
 
 def rs_cost(t: int, t_prime: int, method: int, codec: FixedPointCodec, kept: int | None = None) -> CostEstimate:
-    """Round selection with no zero-norm exclusions unless kept is given.
+    """Round selection over kept rounds, those whose public update is
+    nonzero: all t unless kept is given. Dropping the others is local.
 
     When no more than t_prime rounds are kept they are all selected, and
-    nothing past the revealed zero-norm flags runs.
+    nothing runs.
     """
     kept = t if kept is None else kept
-    total = ge_cost(t)  # zero-norm flags: the sign bits revealed in the round of their B2A
     if kept <= t_prime:
-        return total
-    if method == 2:
-        total += div_cost(kept, codec)
+        return ZERO
+    total = div_cost(kept, codec) if method == 2 else ZERO
     return total + select_cost(kept, t_prime, RS_KEY_WIDTH[method])
 
 

@@ -6,14 +6,13 @@ forms it. Comparison takes the sign of d = u - v in three rounds
 (_ge_bits): a masked opening c = d + r, then two levels of multi-input ANDs
 over the bits that compare c's digits with the dealer's one-hot digit
 tables of r. That sign circuit is the only boolean circuit. Its XOR-shared
-bits leave it in one more round: a B2A (sec_ge, sec_rank's wins), a bit
+bits leave it in one more round: a B2A (sec_ge, sec_rank's wins) or a bit
 injection, which multiplies them straight into an arithmetic share
-(sec_srt's selects, each quotient bit of sec_div's restoring division), or
-a reveal (reveal_ge). A small integer in a public range [0, M) skips the
-circuit: sec_lut looks it up in a one-time truth table in two rounds, one
-masked opening and one reveal. Batched lanes share one round trip: every
-gate here is vectorized, so "T comparisons in parallel" is one circuit over
-T lanes.
+(sec_srt's selects, each quotient bit of sec_div's restoring division). A
+small integer in a public range [0, M) skips the circuit: sec_lut looks it
+up in a one-time truth table in two rounds, one masked opening and one
+reveal. Batched lanes share one round trip: every gate here is vectorized,
+so "T comparisons in parallel" is one circuit over T lanes.
 
 Sort and rank keys are (T, width) share matrices, one row per item: width 1
 holds values, width 2 holds fractions (u, v) with v > 0. One comparator
@@ -53,7 +52,7 @@ from .costs import div_iterations, padded_size, topk_layers
 from .errors import ShapeError
 from .fixedpoint import from_signed
 from .sharing import Session, digits
-from .transport import bit_word_count, pack_words, unpack_bit_words
+from .transport import _pack_lanes, _planes, _unpack_lanes, pack_words, unpack_bit_words
 
 ONE = np.uint64(1)
 
@@ -111,18 +110,6 @@ def _beaver_mul(sess: Session, x, y) -> np.ndarray:
 def _bytes(words: np.ndarray) -> np.ndarray:
     """The little-endian bytes of packed words, along their last axis."""
     return np.asarray(words, dtype="<u8").view(np.uint8)
-
-
-def _pack_lanes(bits: np.ndarray) -> np.ndarray:
-    """Per-lane 0/1 values to a lane-packed tensor (zero pad bits)."""
-    out = np.zeros(8 * bit_word_count(bits.size), dtype=np.uint8)
-    out[: -(-bits.size // 8)] = np.packbits(bits.reshape(-1), bitorder="little")
-    return out.view("<u8")
-
-
-def _unpack_lanes(words: np.ndarray, nbits: int) -> np.ndarray:
-    """The first nbits bits of packed words as 0/1 words, one per bit."""
-    return unpack_bit_words(pack_words(words), (nbits,)).astype(np.uint64)
 
 
 def _open_bits(sess: Session, bits: np.ndarray, nbits: int) -> np.ndarray:
@@ -222,14 +209,6 @@ _DEALT = [(len(opened), subsets) for opened, subsets, *_ in _LEVELS]
 _ENTRY_MASKS = np.array([1, 0xFFFE], dtype=np.uint16).reshape(2, 1, 1)
 
 
-def _planes(bits: np.ndarray) -> np.ndarray:
-    """(rows, lanes) 0/1 values to lane-packed rows (zero pad bits)."""
-    rows, lanes = bits.shape
-    out = np.zeros((rows, 8 * bit_word_count(lanes)), dtype=np.uint8)
-    out[:, : -(-lanes // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return out.view("<u8")
-
-
 def _open_planes(sess: Session, planes: np.ndarray, lanes: int) -> np.ndarray:
     """The public values of XOR-shared lane-packed rows, opened in one round
     as one bit tensor of rows * lanes bits (no pad bits between rows)."""
@@ -278,20 +257,13 @@ def _ge_bits(sess: Session, u, v) -> np.ndarray:
     return out ^ _pack_lanes(~c >> np.uint64(63)) if sess.party == 0 else out
 
 
+# no protocol phase calls this; perfbench/gategrid.py times it and the audit prices it
 def sec_ge(sess: Session, u, v) -> np.ndarray:
     """Exact signed comparison; output is a shared {0,1} at scale 1: the sign
     bits, then their B2A."""
     lanes = np.broadcast(np.asarray(u), np.asarray(v))
     with sess.op("sec_ge", lanes.size):
         return _b2a_bits(sess, _ge_bits(sess, u, v), lanes.size).reshape(lanes.shape)
-
-
-def reveal_ge(sess: Session, u, v) -> np.ndarray:
-    """Public [u >= v] as 0/1 int64 at the broadcast shape: the sign bits are
-    XOR-revealed in the round where sec_ge converts them, at sec_ge's cost."""
-    lanes = np.broadcast(np.asarray(u), np.asarray(v))
-    with sess.op("sec_ge", lanes.size):
-        return _open_bits(sess, _ge_bits(sess, u, v), lanes.size).reshape(lanes.shape)
 
 
 def sec_lut(sess: Session, x, table) -> np.ndarray:

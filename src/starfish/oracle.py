@@ -298,16 +298,16 @@ def selection_scores(history: PlainHistory, target: int, codec: FixedPointCodec)
     of u = <g, encode(Delta/|Delta|)> at 2^-2p and the encoded norm v at
     2^-p, the integers the servers' shares sum to.
 
-    Returns (scores, keep): rounds whose stored gradient norm encodes to
-    zero, or whose model update is exactly zero (it has no direction), are
-    unkeepable.
+    Returns (scores, keep): rounds whose model update is exactly zero (it
+    has no direction) are unkeepable. A zero gradient scores u = 0 over the
+    one grid step its client reports as its norm.
     """
     updates = history.model_updates()
     dnorm = np.linalg.norm(updates, axis=1)
     directions = codec.encode(updates / np.where(dnorm > 0.0, dnorm, 1.0)[:, None])
     u = np.multiply(codec.encode(history.grads[:, target]), directions).sum(axis=1, dtype=np.uint64)
     scores = to_signed(np.stack([u, codec.encode(history.norms[:, target])], axis=1))
-    return scores, (scores[:, 1] > 0) & (dnorm > 0.0)
+    return scores, dnorm > 0.0
 
 
 def _ge(a, b) -> np.ndarray:

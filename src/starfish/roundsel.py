@@ -12,12 +12,14 @@ path picks accordingly. The score is a key matrix with one row per kept
 round: (u, v) under method 1, the quotient under method 2, ordered by the
 one gates.comparator. u is the inner product of the target's gradient with
 the direction Delta/|Delta| of the public update, and v is the gradient's
-norm, which stage I shares next to the gradient. Only an exactly-zero update
-has no direction.
+norm, which stage I shares next to the gradient. A client reports at least
+one grid step for it (unlearn.clients_stage_one), so an exactly-zero
+gradient competes with u = 0, cosine 0, between the positive and the
+negative cosines.
 
-Zero-norm rounds are dropped first through revealed flags, which makes the
-kept rounds public; rounds with an exactly-zero public update are dropped
-from them locally. What follows depends on public sizes only:
+Only an exactly-zero update has no direction. Its rounds are dropped before
+anything runs: the updates are public, so the kept rounds are too, at no
+cost and with nothing revealed. What follows depends on public sizes only:
 
   kept <= T'      every kept round is selected; nothing more runs or is revealed.
   costs.ranks     sec_rank counts each round's pairwise wins in constant
@@ -43,7 +45,7 @@ import numpy as np
 from .costs import ranks
 from .errors import ConfigError
 from .fixedpoint import WORD_BITS, from_signed, to_signed
-from .gates import const_share, reveal_ge, sec_div, sec_rank, sec_srt
+from .gates import const_share, sec_div, sec_rank, sec_srt
 from .sharing import Session, sec_rec
 
 KAPPA = 128  # statistical security parameter of the method-switching formula
@@ -84,7 +86,8 @@ class SelectionInputs:
     """Per-round material for one target client, leading axis = round.
 
     target_grads and target_norms are this party's raw shares; deltas are
-    the public global model updates M_i - M_{i-1}.
+    the public global model updates M_i - M_{i-1}. Every target norm is at
+    least one grid step, 2^-p (see unlearn.clients_stage_one).
     """
 
     target_grads: np.ndarray
@@ -102,18 +105,13 @@ class SelectionResult:
 
     indices: np.ndarray
     method: int
-    kept: np.ndarray           # rounds that survived the zero-norm filter
+    kept: np.ndarray           # rounds whose public update is nonzero
 
     def chronological(self) -> np.ndarray:
         return np.sort(self.indices)
 
 
 # -- selection pipeline --------------------------------------------------------
-
-
-def _keep_nonzero(sess: Session, magnitudes) -> np.ndarray:
-    """Reveal [magnitude > 0] flags and return kept round indices."""
-    return np.flatnonzero(reveal_ge(sess, magnitudes, const_share(sess, 1)))
 
 
 def sec_rs(
@@ -124,19 +122,15 @@ def sec_rs(
 ) -> SelectionResult:
     """Select the T' most cosine-similar rounds for the target client.
 
-    Zero-gradient rounds are filtered out through revealed flags before the
-    oblivious part; they carry no signal worth unlearning. Rounds whose
-    public update is exactly zero have no direction and are dropped too,
-    at no cost. If no more than T' rounds survive, all survivors are
-    returned.
+    Rounds whose public update is exactly zero have no direction and are
+    dropped at no cost; a zero-gradient round stays and scores cosine 0. If
+    no more than T' rounds are kept, all of them are returned.
     """
     with sess.op("sec_rs"):
         if method is None:
             method = 1 if params.t <= params.t_delta else 2
         delta_norms = np.linalg.norm(np.asarray(inputs.deltas, dtype=np.float64), axis=-1)
-
-        kept = _keep_nonzero(sess, inputs.target_norms)
-        kept = kept[delta_norms[kept] > 0]  # a zero update has no direction
+        kept = np.flatnonzero(delta_norms > 0)  # a zero update has no direction
         if kept.size <= params.t_prime:
             return SelectionResult(indices=kept, method=method, kept=kept)
         # the cosine ignores the scale of the public update, so encode its

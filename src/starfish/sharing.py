@@ -54,6 +54,9 @@ from .errors import ProtocolError, TransportError
 from .fixedpoint import FixedPointCodec
 from .transport import (
     OP_TAGS,
+    _pack_lanes,
+    _planes,
+    _unpack_lanes,
     bit_payload_bytes,
     bit_word_count,
     build_frame,
@@ -62,7 +65,6 @@ from .transport import (
     parse_frame,
     tcp_connect,
     tcp_listen,
-    unpack_bit_words,
     unpack_words,
 )
 
@@ -227,7 +229,7 @@ class DealerTape:
         a, a0, c0 = raw[2 * nw + rows :].reshape((3, *shape))
         if self.party == 0:
             return r0, s0, a0, c0
-        values = unpack_bit_words(pack_words(r), (rows,)).astype(np.uint64)
+        values = _unpack_lanes(r, rows)
         c = np.multiply(values.reshape((rows,) + (1,) * (len(shape) - 1)), a)
         return r ^ r0, np.subtract(values, s0), np.subtract(a, a0), np.subtract(c, c0)
 
@@ -250,10 +252,7 @@ class DealerTape:
         r = raw[:lanes] & np.uint64(size - 1)
         # entry j of lane k's table is table[(j - r_k) mod M]
         source = (np.arange(size) - r[:, None].astype(np.int64)) & (size - 1)
-        rotated = np.zeros((lanes, 64 * nw), dtype=np.uint8)
-        rotated[:, :size] = np.asarray(table, dtype=np.uint8)[source]
-        packed = np.packbits(rotated, axis=1, bitorder="little").view("<u8").astype(np.uint64)
-        return np.subtract(r, s0), packed ^ t0
+        return np.subtract(r, s0), _planes(np.asarray(table, dtype=np.uint8)[source]) ^ t0
 
     def comparison(self, lanes: int, levels):
         """Material for a masked comparison of lanes lanes, from one tape read.
@@ -286,8 +285,6 @@ class DealerTape:
         shares0 = [self._bit_words(s.reshape(-1, nw), lanes) for s in raw[1::2]]
         if self.party == 0:
             return r0, msb0, tables0, shares0
-        msb = np.zeros(8 * nw, dtype=np.uint8)
-        msb[: -(-lanes // 8)] = np.packbits((r >> np.uint64(63)).astype(np.uint8), bitorder="little")
         tables = tables0 ^ (np.uint16(1) << digits(r))
         material = []
         for (k, subsets), masks, s0 in zip(levels, raw[::2], shares0):
@@ -295,7 +292,7 @@ class DealerTape:
             ones = np.full((1, nw), ~np.uint64(0))
             products = np.bitwise_and.reduce(np.concatenate([masks, ones])[subsets], axis=1)
             material.append(np.concatenate([masks, products]) ^ s0)
-        return np.subtract(r, r0), msb0 ^ msb.view("<u8"), tables, material
+        return np.subtract(r, r0), msb0 ^ _pack_lanes(r >> np.uint64(63)), tables, material
 
     @staticmethod
     def _bit_words(words: np.ndarray, nbits: int) -> np.ndarray:

@@ -74,6 +74,26 @@ def bit_word_count(nbits: int) -> int:
     return (nbits + 63) // 64
 
 
+def _pack_lanes(bits: np.ndarray) -> np.ndarray:
+    """Per-lane 0/1 values to a lane-packed tensor (zero pad bits)."""
+    out = np.zeros(8 * bit_word_count(bits.size), dtype=np.uint8)
+    out[: -(-bits.size // 8)] = np.packbits(bits.reshape(-1), bitorder="little")
+    return out.view("<u8")
+
+
+def _unpack_lanes(words: np.ndarray, nbits: int) -> np.ndarray:
+    """The first nbits bits of packed words as 0/1 words, one per bit."""
+    return unpack_bit_words(pack_words(words), (nbits,)).astype(np.uint64)
+
+
+def _planes(bits: np.ndarray) -> np.ndarray:
+    """(rows, lanes) 0/1 values to lane-packed rows (zero pad bits)."""
+    rows, lanes = bits.shape
+    out = np.zeros((rows, 8 * bit_word_count(lanes)), dtype=np.uint8)
+    out[:, : -(-lanes // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
 def bit_payload_bytes(nbits: int) -> int:
     """Wire size of a packed bit payload (whole little-endian words)."""
     return 8 * bit_word_count(nbits)

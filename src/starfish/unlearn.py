@@ -140,16 +140,20 @@ def clients_stage_one(pool: ClientPool, model: np.ndarray, alpha: float, codec: 
     and the round thresholds (n,).
 
     The gradients are quantized to the protocol grid first so every derived
-    quantity matches what the servers can actually reconstruct. A threshold
-    is the value that exactly an alpha fraction of the client's |g|
-    coordinates strictly exceed (lower-interpolation empirical quantile);
-    alpha=1 pins it to zero, and so does a zero gradient.
+    quantity matches what the servers can actually reconstruct. A norm is at
+    least one grid step, 2^-p: a nonzero grid gradient's already is, and an
+    exactly-zero gradient, whose cosine numerator is 0, reports one step, so
+    every score (u, v) has v > 0 and scores cosine 0. A threshold is the
+    value that exactly an alpha fraction of the client's |g| coordinates
+    strictly exceed (lower-interpolation empirical quantile); alpha=1 pins it
+    to zero, and so does a zero gradient.
     """
     g = pool.gradients(range(pool.n), model, codec)
+    norms = np.maximum(np.linalg.norm(g, axis=1), 1.0 / codec.scale)
     if alpha >= 1.0:
-        return g, np.linalg.norm(g, axis=1), np.zeros(pool.n)
+        return g, norms, np.zeros(pool.n)
     k = int((g.shape[1] - 1) * (1.0 - alpha))  # np.quantile's "lower" index
-    return g, np.linalg.norm(g, axis=1), np.partition(np.abs(g), k, axis=1)[:, k]
+    return g, norms, np.partition(np.abs(g), k, axis=1)[:, k]
 
 
 def _split(codec: FixedPointCodec, seed: int, kind: int, i: int, block: np.ndarray) -> tuple:

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import CODEC
 from starfish import make_inproc_sessions, run_pair, sec_rec
-from starfish import costs, gates
+from starfish import costs, gates, transport
 from starfish.fixedpoint import from_signed, to_signed
 from starfish.transport import FRAME_OVERHEAD
 
@@ -277,9 +277,9 @@ def test_sec_div_saturates_outside_its_domain():
 @given(data=st.data())
 def test_lane_packing_roundtrip_and_zero_pad(lanes, data):
     bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=lanes, max_size=lanes)), np.uint64)
-    words = gates._pack_lanes(bits)
+    words = transport._pack_lanes(bits)
     assert words.dtype == np.uint64 and words.shape == (-(-lanes // 64),)
     for i, w in enumerate(words.tolist()):
         expect = sum(int(b) << k for k, b in enumerate(bits[64 * i : 64 * i + 64]))
         assert w == expect  # bit i of the sequence is bit i % 64 of word i // 64; pad is zero
-    assert np.array_equal(gates._unpack_lanes(words, lanes), bits)
+    assert np.array_equal(transport._unpack_lanes(words, lanes), bits)

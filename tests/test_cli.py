@@ -308,10 +308,14 @@ def test_audit_passes(capsys):
     printed = capsys.readouterr().out
     assert "all 11 functionalities match" in printed
     assert "MISMATCH" not in printed
-    # a comparison is 4 rounds; a ranked selection ends in a two-round lookup
+    # a comparison is 4 rounds; a ranked selection is a comparator layer (4
+    # rounds for fractions), its B2A and a two-round lookup, with no round
+    # before it
     assert re.search(r"^sec_ge \(8,\) +4 / 4 ", printed, re.M)
     assert re.search(r"^sec_ge \(65,\) +4 / 4 ", printed, re.M)
-    assert re.search(r"^sec_rs T=12 T'=8 method 1 +11 / 11 ", printed, re.M)
+    assert re.search(r"^sec_rs T=12 T'=8 method 1 +7 / 7 ", printed, re.M)
+    assert re.search(r"^sec_rs T=32 T'=10 method 1 +76 / 76 ", printed, re.M)
+    assert re.search(r"^sec_rs T=128 T'=7 method 1 +111 / 111 ", printed, re.M)
     assert "sec_srt T=8 pair: comparators=24 (formula 24)" in printed
     # T=32 and T=128 run the top-k network (one and four merge levels);
     # T=12 ranks, one comparator call per pair

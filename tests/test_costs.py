@@ -150,7 +150,8 @@ def test_sec_div_cost():
 
 def test_selection_costs_match_the_meter_on_every_path():
     # kept in 2..40 crosses the non-monotone rank/sort rule several times;
-    # odd kept adds one zero round, and kept = 5 (mod 10) selects every kept round
+    # odd kept adds one round whose public update is zero, and kept = 5
+    # (mod 10) selects every kept round
     from starfish import make_inproc_sessions, run_pair
 
     m = 2
@@ -160,8 +161,8 @@ def test_selection_costs_match_the_meter_on_every_path():
         t = kept + kept % 2
         t_prime = kept if kept % 10 == 5 else max(1, kept // 3)
         grads = CODEC.quantize(rng.uniform(0.3, 1.0, size=(t, m)) * rng.choice([-1.0, 1.0], size=(t, m)))
-        grads[kept:] = 0.0
         deltas = rng.uniform(0.5, 1.0, size=(t, m))
+        deltas[kept:] = 0.0
         gsh = share_pair(grads, key=100 + kept)
         nsh = share_pair(np.linalg.norm(grads, axis=1), key=200 + kept)
         params = SelectionParams(t=t, sigma=1.0, t_prime=t_prime)
@@ -172,8 +173,9 @@ def test_selection_costs_match_the_meter_on_every_path():
 
             sessions = make_inproc_sessions(kept)
             got_kept, _ = run_pair(proto, sessions)
-            assert got_kept.size == kept
+            assert got_kept.tolist() == list(range(kept))
             meter = sessions[0].meter
+            assert "sec_ge" not in meter.per_op
             got = (sum(st.rounds for st in meter.per_op.values()), meter.total_online_bytes)
             shape = {"t": t, "t_prime": t_prime, "method": method, "kept": kept}
             assert got == predict_cost("sec_rs", shape, CODEC).as_tuple(), (kept, method)

@@ -166,13 +166,6 @@ def test_cosine_selection_known_scores():
     assert np.array_equal(cosine_selection(hist, 0, 4, CODEC), [0, 1, 2, 3])
 
 
-def test_cosine_selection_skips_zero_norm_rounds():
-    hist = _cosine_history([[1, 0], [0, 0], [0.5, 0], [0.2, 0]])
-    _, keep = selection_scores(hist, 0, CODEC)
-    assert keep.tolist() == [True, False, True, True]
-    assert np.array_equal(cosine_selection(hist, 0, 3, CODEC), [0, 2, 3])
-
-
 def test_zero_update_round_is_unkeepable():
     hist = _cosine_history([[1, 0], [0, 1], [0.5, 0]])
     hist.models[2] = hist.models[1]  # second round did not move the model

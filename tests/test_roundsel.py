@@ -1,5 +1,7 @@
 """Round selection: the switching threshold and both comparison methods."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,12 @@ from starfish import (
     run_pair,
     switching_threshold,
 )
-from starfish.costs import RS_KEY_WIDTH, comparator_calls, ge_cost, predict_cost, ranks
+from starfish.costs import RS_KEY_WIDTH, comparator_calls, predict_cost, ranks
 from starfish.errors import ConfigError
 from starfish import roundsel
 from starfish.oracle import PlainHistory, cosine_selection, selection_scores
 from starfish.roundsel import sec_rs
+from starfish.unlearn import ClientPool, clients_stage_one
 
 RNG = np.random.default_rng(11)
 
@@ -116,6 +119,8 @@ def _run_selection(grads, norms, deltas, params, method=None, seed=7):
     sessions = make_inproc_sessions(seed)
     r0, r1 = run_pair(proto, sessions)
     assert r0 == r1
+    # selection runs no comparison ahead of its scores
+    assert "sec_ge" not in sessions[0].meter.per_op
     return r0, sessions
 
 
@@ -132,8 +137,7 @@ def test_sec_rs_known_cosines(method):
 
 
 def test_full_sigma_returns_a_permutation():
-    # every kept round is selected, so only the zero-norm flags are computed:
-    # a comparison whose sign bits are revealed in the round of their B2A
+    # every kept round is selected, so nothing is computed or revealed
     grads, norms, deltas = _spec_instance()
     (order, chron, _), sessions = _run_selection(
         grads, norms, deltas, SelectionParams(t=4, sigma=1.0)
@@ -141,7 +145,7 @@ def test_full_sigma_returns_a_permutation():
     assert order == chron == [0, 1, 2, 3]
     meter = sessions[0].meter
     rounds = sum(st.rounds for st in meter.per_op.values())
-    assert (rounds, meter.total_online_bytes) == ge_cost(4).as_tuple()
+    assert (rounds, meter.total_online_bytes) == (0, 0)
     assert meter.stats("comparator").invocations == 0
 
 
@@ -155,19 +159,6 @@ def test_method_auto_switch(monkeypatch):
     monkeypatch.setattr(roundsel, "switching_threshold", lambda *_: 10)
     (_, _, meth), _ = _run_selection(grads, norms, deltas, params)
     assert meth == 1
-
-
-def test_zero_norm_rounds_are_excluded():
-    grads, norms, deltas = _spec_instance()
-    grads = grads.copy()
-    norms = norms.copy()
-    grads[1] = 0.0
-    norms[1] = 0.0
-    (order, chron, _), _ = _run_selection(
-        grads, norms, deltas, SelectionParams(t=4, sigma=1.0)
-    )
-    assert 1 not in order
-    assert chron == [0, 2, 3]  # all survivors, fewer than t_prime
 
 
 @pytest.mark.parametrize("method", [1, 2])
@@ -236,7 +227,52 @@ def test_zero_update_is_never_selected(t, t_prime, path, method):
     (_, chron, _), sessions = _run_selection(grads, norms, updates, params, method=method)
     assert not set(zero.tolist()) & set(chron)
     assert chron == cosine_selection(hist, 0, t_prime, CODEC, method=method).tolist()
-    # the zero-norm flags still run over all T rounds
+    # the zero-update rounds leave at no cost
+    meter = sessions[0].meter
+    got = (sum(st.rounds for st in meter.per_op.values()), meter.total_online_bytes)
+    shape = {"t": t, "t_prime": t_prime, "method": method, "kept": t - 2}
+    assert got == predict_cost("sec_rs", shape, CODEC).as_tuple()
+    assert next((op for op in ("sec_rank", "sec_srt") if meter.stats(op).rounds), None) == path
+
+
+def _client_norms(grads):
+    """The norms the clients report for these gradients, one per row
+    (clients_stage_one)."""
+    clients = [SimpleNamespace(gradient=lambda _, g=g: g) for g in grads]
+    pool = ClientPool(clients, np.zeros(grads.shape[1]))
+    return clients_stage_one(pool, pool.initial_model, 0.4, CODEC)[1]
+
+
+@pytest.mark.parametrize("method", [1, 2])
+@pytest.mark.parametrize("t, t_prime, path", ZERO_UPDATE_CASES)
+@pytest.mark.parametrize("others", [-1, 1], ids=["beats-negative", "loses-to-positive"])
+def test_zero_gradient_round_scores_cosine_zero(t, t_prime, path, method, others):
+    # a round whose gradient is exactly zero reports one grid step as its
+    # norm and scores cosine 0: it beats every kept round of negative cosine
+    # and loses to every one of positive cosine, and the secure selection
+    # equals the mirror's. Two zero updates keep the T - 2 rounds the case's
+    # path runs over
+    grads, _, hist = _instance(t, 3, seed=t + t_prime)
+    deltas = hist.model_updates()
+    deltas[:2] = 0.0
+    hist.models = np.vstack([np.zeros(3), np.cumsum(deltas, axis=0)])
+    updates = hist.model_updates()
+    zero = t // 2
+    grads = grads * (others * np.sign((grads * updates).sum(axis=1)))[:, None]
+    grads[:2] = grads[2]  # the zero-update rounds keep a nonzero gradient
+    grads[zero] = 0.0
+    norms = _client_norms(grads)
+    assert norms[zero] == 1.0 / CODEC.scale and (norms > 0).all()
+    hist.grads, hist.norms = grads[:, None, :], norms[:, None]
+    scores, keep = selection_scores(hist, 0, CODEC)
+    assert keep.tolist() == [False] * 2 + [True] * (t - 2)
+    assert scores[zero].tolist() == [0, 1]
+    assert (np.sign(scores[2:, 0]) == others).sum() == t - 3
+
+    params = SelectionParams(t=t, sigma=1.0, t_prime=t_prime)
+    (_, chron, _), sessions = _run_selection(grads, norms, updates, params, method=method)
+    assert chron == cosine_selection(hist, 0, t_prime, CODEC, method=method).tolist()
+    assert (zero in chron) == (others < 0 or path is None)
     meter = sessions[0].meter
     got = (sum(st.rounds for st in meter.per_op.values()), meter.total_online_bytes)
     shape = {"t": t, "t_prime": t_prime, "method": method, "kept": t - 2}

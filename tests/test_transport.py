@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from starfish import gates, make_inproc_sessions, run_pair
+from starfish import make_inproc_sessions, run_pair
 from starfish import transport as tr
 from starfish.errors import TransportError
 from starfish.sharing import make_tcp_session
@@ -105,7 +105,7 @@ def test_bit_packing_roundtrip_and_padding():
     # the pad bits after the last one zero
     rng = np.random.default_rng(0)
     bits = rng.integers(0, 2, size=(3, 67), dtype=np.uint8)
-    words = gates._pack_lanes(bits)
+    words = tr._pack_lanes(bits)
     flat = bits.reshape(-1)
     assert [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(flat.size)] == flat.tolist()
     assert int(words[-1]) >> (flat.size % 64) == 0

@@ -84,12 +84,14 @@ def test_client_round_full_alpha_pins_zero():
 
 
 def test_client_round_zero_gradient():
-    # a zero-gradient client in a batch with others: its norm and threshold
-    # are zero, and the others' values are those they take alone
+    # a zero-gradient client in a batch with others: its norm is one grid
+    # step, its threshold zero, and the others' values are those they take
+    # alone
     pool = stub_pool([0.0, 0.0], [1.0, 1.0], [0.5, -0.25])
     g, norm, delta = clients_stage_one(pool, pool.initial_model, alpha=0.4, codec=CODEC)
     assert not np.any(g[0])
-    assert norm[0] == 0.0
+    assert norm[0] == 1.0 / CODEC.scale
+    assert CODEC.encode(norm[0]) == 1
     assert delta[0] == 0.0
     for j in (1, 2):
         alone = clients_stage_one(stub_pool(pool.clients[j].vec), pool.initial_model, alpha=0.4, codec=CODEC)
@@ -468,6 +470,8 @@ def test_transcript_structure():
     stage_two = (sum(st.rounds for st in meter.per_op.values()) - cfg.t,
                  meter.total_online_bytes - cfg.t * words_round(cfg.m).online_bytes)
     assert tuple(sum(rec[k] for rec in res.transcript) for k in ("rounds", "bytes")) == stage_two
+    # round selection runs no comparison ahead of its scores
+    assert "sec_ge" not in meter.per_op
     # jsonl rendering: one record per line
     lines = res.transcript_jsonl().strip().split("\n")
     assert len(lines) == len(res.transcript)
