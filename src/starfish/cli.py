@@ -59,6 +59,7 @@ from .unlearn import (
     _agreed_run,
     _meter_totals,
     aggregate_reveal,
+    check_finite,
     sec_ue,
     stage_one,
     starfish_run,
@@ -114,6 +115,7 @@ class RunConfig:
     out: str = "starfish-out"
 
     def __post_init__(self):
+        check_finite(self)
         if self.task not in ("quadratic", "logistic"):
             raise ConfigError(f"task must be quadratic or logistic, got {self.task!r}")
         if self.transport not in ("inproc", "tcp"):

@@ -36,6 +36,7 @@ servers nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from .errors import UnknownFunctionality
@@ -180,13 +181,15 @@ def rank_cost(t: int, width: int) -> CostEstimate:
     return comparator_cost(width, pairs) + bits_round(pairs) + lut_cost(t, padded_size(t))
 
 
+@lru_cache(maxsize=256)
 def ranks(kept: int, t_prime: int, width: int) -> bool:
     """Whether selecting t_prime of kept items ranks them rather than running
     the top-t_prime network.
 
     Ranking's lookup reveals kept membership flags; the network over rows
     of the key plus a round index reveals t_prime indices. A tie in bytes
-    goes to ranking.
+    goes to ranking. A pure function of public sizes, cached: every request
+    asks it once per party.
     """
     sort = sort_cost(kept, width + 1, width, t_prime) + words_round(t_prime)
     return rank_cost(kept, width).online_bytes <= sort.online_bytes

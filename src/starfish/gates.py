@@ -14,6 +14,12 @@ up in a one-time truth table in two rounds, one masked opening and one
 reveal. Batched lanes share one round trip: every gate here is vectorized,
 so "T comparisons in parallel" is one circuit over T lanes.
 
+Every layer's shapes follow from public sizes, so a gate draws all of its
+dealer material at entry, one tape read per kind (see sharing), and hands
+each layer its slice: _beaver_mul, _bit_inject, _ge_bits and comparator
+take their material as an argument. sec_srt reads its layers' rows and
+flip bits from a plan cached per (T, count).
+
 Sort and rank keys are (T, width) share matrices, one row per item: width 1
 holds values, width 2 holds fractions (u, v) with v > 0. One comparator
 orders both, fractions by cross multiplication, and costs prices it by
@@ -45,6 +51,8 @@ lane-packed XOR-shared bits; sec_ge's outputs are arithmetic shares of
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -88,15 +96,15 @@ def _exchange_concat(sess: Session, parts: list[np.ndarray]) -> list[np.ndarray]
 # -- Beaver multiplication core ---------------------------------------------
 
 
-def _beaver_mul(sess: Session, x, y) -> np.ndarray:
+def _beaver_mul(sess: Session, x, y, triple) -> np.ndarray:
     """The raw Beaver product x * y in one round, broadcast as numpy does.
 
-    The triple is drawn at the operands' own shapes: d = x - a and e = y - b
-    ship lanes(x) + lanes(y) words in one frame. z = c + d*b + a*e, and
-    party 0 adds d*e by taking d*(b + e) for d*b: two local products per
+    The triple (a, b, c) is dealt at the operands' own shapes: d = x - a and
+    e = y - b ship lanes(x) + lanes(y) words in one frame. z = c + d*b + a*e,
+    and party 0 adds d*e by taking d*(b + e) for d*b: two local products per
     party, the same words mod 2^64."""
     x, y = np.asarray(x), np.asarray(y)
-    a, b, c = sess.draw_beaver(x.shape, y.shape)
+    a, b, c = triple
     d_loc, e_loc = np.subtract(x, a), np.subtract(y, b)
     d_peer, e_peer = _exchange_concat(sess, [d_loc, e_loc])
     d, e = np.add(d_loc, d_peer), np.add(e_loc, e_peer)
@@ -117,19 +125,19 @@ def _open_bits(sess: Session, bits: np.ndarray, nbits: int) -> np.ndarray:
     return unpack_bit_words(pack_words(bits ^ sess.exchange_bits(bits)), (nbits,)).astype(np.int64)
 
 
-def _bit_inject(sess: Session, bits: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
+def _bit_inject(sess: Session, bits: np.ndarray, x, material) -> tuple[np.ndarray, np.ndarray]:
     """b * x for packed XOR-shared bits b, one per row of the arithmetic
     share x, and the arithmetic share of b (ABY3's bit injection).
 
-    The dealer deals a random bit r per row in both domains, a uniform a at
-    x's shape and c = r * a. One frame opens t = b XOR r as packed bits and
-    e = x - a as words; with b = t + r - 2tr and r * x = r * e + c, each
-    party forms t * x + (1 - 2t)(r * e + c) locally. The dealer's share of c
-    makes the result a fresh sharing.
+    The material, drawn at x's shape, is a random bit r per row in both
+    domains, a uniform a at x's shape and c = r * a. One frame opens t = b
+    XOR r as packed bits and e = x - a as words; with b = t + r - 2tr and
+    r * x = r * e + c, each party forms t * x + (1 - 2t)(r * e + c) locally.
+    The dealer's share of c makes the result a fresh sharing.
     """
     x = np.asarray(x)
     rows = len(x)
-    r_bool, r_arith, a, c = sess.draw_injection(x.shape)
+    r_bool, r_arith, a, c = material
     t_loc, e_loc = bits ^ r_bool, np.subtract(x, a)
     t_peer, e_peer = _exchange_concat(sess, [t_loc, e_loc])
     t = _unpack_lanes(t_loc ^ t_peer, rows)
@@ -141,11 +149,11 @@ def _bit_inject(sess: Session, bits: np.ndarray, x) -> tuple[np.ndarray, np.ndar
     return np.where(col, np.subtract(x, y), y), b
 
 
-def _b2a_bits(sess: Session, bits: np.ndarray, nbits: int) -> np.ndarray:
+def _b2a_bits(sess: Session, bits: np.ndarray, nbits: int, material) -> np.ndarray:
     """nbits packed XOR-shared bits to arithmetic shares of their 0/1 values,
-    in bit order: an injection into rows of no words, whose frame opens only
-    the masked bits."""
-    return _bit_inject(sess, bits, np.empty((nbits, 0), dtype=np.uint64))[1]
+    in bit order: an injection into rows of no words, drawn at (nbits, 0),
+    whose frame opens only the masked bits."""
+    return _bit_inject(sess, bits, np.empty((nbits, 0), dtype=np.uint64), material)[1]
 
 
 # -- comparison gates ---------------------------------------------------------
@@ -230,9 +238,10 @@ def _and_level(sess: Session, wires: np.ndarray, material: np.ndarray, level: tu
     return np.bitwise_xor.reduceat(masks[pair_rows] & monomials, starts, axis=0)
 
 
-def _ge_bits(sess: Session, u, v) -> np.ndarray:
+def _ge_bits(sess: Session, u, v, material) -> np.ndarray:
     """Packed XOR shares of [u >= v] via the sign bit of d = u - v, one bit
-    per lane of the broadcast operands in flat order.
+    per lane of the broadcast operands in flat order, from the material of
+    a comparison of that many lanes.
 
     One round opens c = d + r for a uniform dealt r, the masked opening of
     Rabbit (Makri et al., FC 2021). Then MSB(d) = MSB(c) ^ MSB(r) ^ [c' < r'],
@@ -245,12 +254,12 @@ def _ge_bits(sess: Session, u, v) -> np.ndarray:
     """
     flat = np.asarray(np.subtract(u, v)).reshape(-1)
     lanes = flat.size
-    r, msb, tables, material = sess.draw_comparison(lanes, _DEALT)
+    r, msb, tables, levels = material
     mine = np.add(flat, r)
     c = np.add(mine, sess.exchange_words(mine))
     entries = tables & (_ENTRY_MASKS << digits(c))
     wires = _planes(np.bitwise_count(entries).reshape(-1, lanes) & 1)  # eq rows, then lt rows
-    for level, m in zip(_LEVELS, material):
+    for level, m in zip(_LEVELS, levels):
         wires = _and_level(sess, wires, m, level, lanes)
     out = wires[0] ^ msb
     # [u >= v] = NOT MSB(d); party 0 adds the public NOT MSB(c)
@@ -263,7 +272,9 @@ def sec_ge(sess: Session, u, v) -> np.ndarray:
     bits, then their B2A."""
     lanes = np.broadcast(np.asarray(u), np.asarray(v))
     with sess.op("sec_ge", lanes.size):
-        return _b2a_bits(sess, _ge_bits(sess, u, v), lanes.size).reshape(lanes.shape)
+        (comparison,) = sess.draw_comparison([lanes.size], _DEALT)
+        (injection,) = sess.draw_injection([(lanes.size, 0)])
+        return _b2a_bits(sess, _ge_bits(sess, u, v, comparison), lanes.size, injection).reshape(lanes.shape)
 
 
 def sec_lut(sess: Session, x, table) -> np.ndarray:
@@ -298,18 +309,29 @@ def sec_lut(sess: Session, x, table) -> np.ndarray:
 # -- oblivious sort and rank ----------------------------------------------------
 
 
-def comparator(sess: Session, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Packed XOR shares of [a >= b] per row of two (L, width) key matrices.
+def _draw_comparators(sess: Session, lanes: list[int], width: int) -> list[tuple]:
+    """The material of one comparator layer of lanes[i] rows of
+    width-column keys for each i, from one tape read per kind: the Beaver
+    triple of the cross products at width 2 (None at width 1), then the
+    comparison's."""
+    triples = sess.draw_beaver([((2, n), (2, n)) for n in lanes]) if width == 2 else [None] * len(lanes)
+    return list(zip(triples, sess.draw_comparison(lanes, _DEALT)))
+
+
+def comparator(sess: Session, a: np.ndarray, b: np.ndarray, material: tuple) -> np.ndarray:
+    """Packed XOR shares of [a >= b] per row of two (L, width) key matrices,
+    from one layer of _draw_comparators.
 
     Width 1 compares values. Width 2 compares fractions u/v with positive
     denominators: both exact cross products u_a*v_b and u_b*v_a come from
     one Beaver round.
     """
     sess.meter.invoke("comparator", len(a))
+    triple, comparison = material
     if a.shape[1] == 1:
-        return _ge_bits(sess, a[:, 0], b[:, 0])
-    lhs, rhs = _beaver_mul(sess, np.array([a[:, 0], b[:, 0]]), np.array([b[:, 1], a[:, 1]]))
-    return _ge_bits(sess, lhs, rhs)
+        return _ge_bits(sess, a[:, 0], b[:, 0], comparison)
+    lhs, rhs = _beaver_mul(sess, np.array([a[:, 0], b[:, 0]]), np.array([b[:, 1], a[:, 1]]), triple)
+    return _ge_bits(sess, lhs, rhs, comparison)
 
 
 def sec_srt(sess: Session, rows: np.ndarray, width: int, count: int) -> np.ndarray:
@@ -338,27 +360,46 @@ def sec_srt(sess: Session, rows: np.ndarray, width: int, count: int) -> np.ndarr
             pad[0] = from_signed(-(1 << (2 * sess.codec.precision_p + sess.codec.range_e - 1)))
             pad[1:width] = sess.codec.encode(1.0)
             rows = np.concatenate([rows, np.broadcast_to(const_share(sess, pad), (size - t, cols))])
-        for k, j in topk_layers(t, count):
-            # row i against row i + span for each i with bit span clear: a
-            # stage compares at distance j, a half-cleaner (j = 0) row i of
-            # each descending block of k against row i of the ascending one
-            span = j or k
-            idx = np.arange(len(rows))
-            hi_idx = idx[(idx & span) == 0]
-            lo_idx = hi_idx + span
+        plan = _topk_plan(t, count)
+        pairs = [len(hi_idx) for hi_idx, *_ in plan]
+        layers = zip(plan, _draw_comparators(sess, pairs, width), sess.draw_injection([(n, cols) for n in pairs]))
+        for (hi_idx, lo_idx, flips, cleaner), compare, inject in layers:
             hi, lo = rows[hi_idx], rows[lo_idx]
-            b = comparator(sess, hi[:, :width], lo[:, :width])
-            # positions sorting ascending flip the comparator bit locally; a
-            # half-cleaner always keeps the max (every hi_idx has bit k clear)
+            b = comparator(sess, hi[:, :width], lo[:, :width], compare)
             if sess.party == 0:
-                b = b ^ _pack_lanes((hi_idx & k) != 0)
-            top = np.add(lo, _bit_inject(sess, b, np.subtract(hi, lo))[0])
-            if j:
+                b = b ^ flips
+            top = np.add(lo, _bit_inject(sess, b, np.subtract(hi, lo), inject)[0])
+            if cleaner:
+                rows = top
+            else:
                 rows[hi_idx] = top
                 rows[lo_idx] = np.subtract(hi + lo, top)
-            else:
-                rows = top
         return rows[: min(count, t)]
+
+
+@functools.lru_cache(maxsize=64)
+def _topk_plan(t: int, count: int) -> tuple:
+    """Per layer of topk_layers(t, count): the rows it compares, hi_idx
+    against lo_idx, the packed comparator bits that flip, and whether it is
+    a half-cleaner, which keeps only the hi rows.
+
+    Row i meets row i + span for each i with bit span clear: a stage
+    compares at distance j, a half-cleaner (j = 0) row i of each descending
+    block of k against row i of the ascending one. Positions sorting
+    ascending flip the comparator bit; a half-cleaner always keeps the max
+    (every hi_idx has bit k clear).
+    """
+    plan, size = [], padded_size(t)
+    for k, j in topk_layers(t, count):
+        idx = np.arange(size)
+        hi_idx = idx[(idx & (j or k)) == 0]
+        layer = (hi_idx, hi_idx + (j or k), _pack_lanes((hi_idx & k) != 0))
+        for arr in layer:
+            arr.flags.writeable = False
+        plan.append((*layer, not j))
+        if not j:
+            size //= 2
+    return tuple(plan)
 
 
 def sec_rank(sess: Session, key: np.ndarray, count: int) -> np.ndarray:
@@ -373,7 +414,9 @@ def sec_rank(sess: Session, key: np.ndarray, count: int) -> np.ndarray:
     t = len(key)
     with sess.op("sec_rank", t):
         i, j = np.triu_indices(t, 1)
-        wins = _b2a_bits(sess, comparator(sess, key[i], key[j]), len(i))
+        (compare,) = _draw_comparators(sess, [len(i)], key.shape[1])
+        (inject,) = sess.draw_injection([(len(i), 0)])
+        wins = _b2a_bits(sess, comparator(sess, key[i], key[j], compare), len(i), inject)
         # an item loses to each earlier item that beats it (its column sum)
         # and to each later item it does not beat (T-1-index minus its row sum)
         beats = np.zeros((t, t), dtype=np.uint64)
@@ -405,16 +448,18 @@ def sec_div(sess: Session, u, v) -> np.ndarray:
     """
     u, v = np.broadcast_arrays(u, v)
     with sess.op("sec_div", int(u.size)):
-        lanes = u.size
+        lanes, bits = u.size, div_iterations(sess.codec)
+        compares = sess.draw_comparison([2 * lanes] + [lanes] * bits, _DEALT)
+        injects = sess.draw_injection([(2 * lanes,)] + [(lanes,)] * (bits + 1))
         x = np.concatenate([u.reshape(-1), v.reshape(-1)])  # one injection row per lane
-        nonneg = _ge_bits(sess, x, np.zeros_like(x))
-        au, av = np.split(np.subtract(_bit_inject(sess, nonneg, x)[0] << ONE, x), 2)
+        nonneg = _ge_bits(sess, x, np.zeros_like(x), compares[0])
+        au, av = np.split(np.subtract(_bit_inject(sess, nonneg, x, injects[0])[0] << ONE, x), 2)
         remainder, quot = au, np.zeros_like(au)
-        for i in range(div_iterations(sess.codec) - 1, -1, -1):
+        for i, compare, inject in zip(range(bits - 1, -1, -1), compares[1:], injects[1:]):
             step = av << np.uint64(i)
-            c_step, c = _bit_inject(sess, _ge_bits(sess, remainder, step), step)
+            c_step, c = _bit_inject(sess, _ge_bits(sess, remainder, step, compare), step, inject)
             remainder = np.subtract(remainder, c_step)
             quot = np.add(quot, c << np.uint64(i))
         signs = _unpack_lanes(nonneg, 2 * lanes)
-        negated = _bit_inject(sess, _pack_lanes(signs[:lanes] ^ signs[lanes:]), quot)[0]
+        negated = _bit_inject(sess, _pack_lanes(signs[:lanes] ^ signs[lanes:]), quot, injects[-1])[0]
         return np.subtract(quot, negated << ONE).reshape(u.shape)

@@ -11,10 +11,19 @@ material from the same dealer seed and keep only their own half. Draws
 happen in program order on both sides, which keeps the halves consistent.
 Consumed material is charged to the meter as offline bytes, as if a real
 dealer had shipped it ahead of time: each draw charges the summed size of
-the arrays it hands out, except a comparison draw (below). Each Beaver
-triple comes from one tape read, whose words are those of drawing a, b and
-the three masks in turn; party 0's shares are the masks, so party 0 never
-forms the product.
+the arrays it hands out, except a comparison draw (below).
+
+A Beaver, injection or comparison draw takes a list of per-layer shapes
+and returns per-layer material from one tape read, as an offline phase
+would: a gate of many layers (sec_srt, sec_rank, sec_div) draws every
+layer's material at entry, one read per kind, and a single-layer gate
+draws a list of one. Within a read each array of the material holds the
+layers side by side, each lane-packed layer from a whole word, so one
+layer reads the words of drawing its arrays in turn. Party 0's shares are
+words of the tape; party 1 forms its corrections for all layers in one
+pass (the products, the tables, the MSB and injection bits), so party 0
+never forms a product. Each layer keeps its own pad bits and is charged as
+if drawn alone.
 
 Bit material (the random bits of a bit injection, the masks of a
 comparison) is drawn as packed words, and the pad bits past the requested
@@ -43,10 +52,12 @@ randomness of their own: every mask comes from the dealer tape.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -54,9 +65,7 @@ from .errors import ProtocolError, TransportError
 from .fixedpoint import FixedPointCodec
 from .transport import (
     OP_TAGS,
-    _pack_lanes,
     _planes,
-    _unpack_lanes,
     bit_payload_bytes,
     bit_word_count,
     build_frame,
@@ -86,6 +95,50 @@ _DIGIT_MASKS = np.array([15] * (DIGITS - 1) + [(1 << TOP_DIGIT_BITS) - 1], dtype
 def digits(words: np.ndarray) -> np.ndarray:
     """The (16, lanes) uint8 digits of ring words mod 2^63, least significant first."""
     return ((words >> _DIGIT_SHIFTS) & _DIGIT_MASKS).astype(np.uint8)
+
+
+def _spans(sizes):
+    """The (start, end) of each of these sizes laid side by side."""
+    return pairwise([0, *accumulate(sizes)])
+
+
+def _parts(words: np.ndarray, sizes) -> list[np.ndarray]:
+    """Consecutive views of words of these sizes."""
+    return [words[i:j] for i, j in _spans(sizes)]
+
+
+@functools.lru_cache(maxsize=128)
+def _lane_plan(lanes: tuple) -> tuple:
+    """Lane-packed layers of these lane counts side by side, each from a
+    whole word: the first word of each layer and the total, the bit
+    position of every lane, and per word the mask of its live bits."""
+    starts = [0, *accumulate(bit_word_count(n) for n in lanes)]
+    positions = np.concatenate([np.zeros(0, dtype=np.int64)]
+                               + [np.arange(64 * w, 64 * w + n) for w, n in zip(starts, lanes)])
+    live = np.full(starts[-1], ~np.uint64(0))
+    for end, n in zip(starts[1:], lanes):
+        if n % 64:
+            live[end - 1] = (1 << n % 64) - 1
+    positions.flags.writeable = live.flags.writeable = False
+    return tuple(starts), positions, live
+
+
+@functools.lru_cache(maxsize=128)
+def _beaver_plan(shapes: tuple) -> tuple:
+    """Beaver products of these (shape_x, shape_y) operands laid side by
+    side: the shape of each product c, the word counts of a, b and c per
+    layer, and the positions of each product's factors among the a words
+    and among the b words."""
+    shape_c = tuple(np.broadcast_shapes(*pair) for pair in shapes)
+    counts = tuple(tuple(math.prod(s) for s in kind)
+                   for kind in ([sx for sx, _ in shapes], [sy for _, sy in shapes], shape_c))
+    index = []
+    for i, sizes in enumerate(counts[:2]):
+        index.append(np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            np.broadcast_to(np.arange(start, end).reshape(pair[i]), sc).ravel()
+            for (start, end), pair, sc in zip(_spans(sizes), shapes, shape_c)]))
+        index[-1].flags.writeable = False
+    return shape_c, counts, *index
 
 
 def keyed_rng(seed: int, *key: int) -> np.random.Generator:
@@ -191,47 +244,55 @@ class DealerTape:
         """
         return self._rng.bit_generator.random_raw(shape)
 
-    def beaver(self, shape_x, shape_y):
-        """Triple (a, b, c) with a, b at the operands' shapes and c = a*b
-        under numpy broadcasting.
+    def beaver(self, shapes):
+        """Per layer of shapes, a list of (shape_x, shape_y), a triple (a, b,
+        c) with a, b at the operands' shapes and c = a*b under numpy
+        broadcasting.
 
-        One tape read holds a, b and the masks a0, b0, c0, in the order of
-        drawing each in turn. Party 0's shares are the masks, so only party
-        1 forms the product.
+        One tape read holds every layer's a, then b, then the masks a0, b0
+        and c0, each kind with the layers side by side; for one layer these
+        are the words of drawing a, b and the three masks in turn. Party 0's
+        shares are the masks, so only party 1 forms the products, all in one
+        pass.
         """
-        shape_c = np.broadcast_shapes(shape_x, shape_y)
-        nx, ny = math.prod(shape_x), math.prod(shape_y)
-        raw = self._words(2 * (nx + ny) + math.prod(shape_c))
-        a0 = raw[nx + ny : 2 * nx + ny].reshape(shape_x)
-        b0 = raw[2 * nx + ny : 2 * (nx + ny)].reshape(shape_y)
-        c0 = raw[2 * (nx + ny) :].reshape(shape_c)
-        if self.party == 0:
-            return a0, b0, c0
-        a = raw[:nx].reshape(shape_x)
-        b = raw[nx : nx + ny].reshape(shape_y)
-        return np.subtract(a, a0), np.subtract(b, b0), np.subtract(np.multiply(a, b), c0)
+        shape_c, (nx, ny, nc), ia, ib = _beaver_plan(tuple(shapes))
+        x, y = sum(nx), sum(ny)
+        a, b, a0, b0, c0 = _parts(self._words(2 * (x + y) + sum(nc)), [x, y, x, y, sum(nc)])
+        if self.party == 1:  # party 1's shares in place of party 0's
+            a0, b0, c0 = np.subtract(a, a0), np.subtract(b, b0), np.subtract(np.multiply(a[ia], b[ib]), c0)
+        return [(a0[i:j].reshape(sx), b0[k:l].reshape(sy), c0[m:n].reshape(sc))
+                for (sx, sy), sc, (i, j), (k, l), (m, n)
+                in zip(shapes, shape_c, _spans(nx), _spans(ny), _spans(nc))]
 
-    def injection(self, shape):
-        """Material for a bit injection into an x of this shape, from one tape
-        read: a random bit r per row of x, shared in both domains, a uniform a
-        at x's shape and c = r * a, each row of a times its row's bit.
+    def injection(self, shapes):
+        """Per layer of shapes, material for a bit injection into an x of
+        that shape: a random bit r per row of x, shared in both domains, a
+        uniform a at x's shape and c = r * a, each row of a times its row's
+        bit.
 
-        The read holds r and r0 (packed, pad bits cleared) and s0, then a and
-        the masks a0, c0; party 0's shares are r0, s0, a0 and c0. Returns
-        (packed XOR share of r, arithmetic share of r in row order, share of
-        a, share of c). A B2A of n bits takes the bits of shape (n, 0).
+        One tape read holds r and r0 (packed, each layer from a whole word,
+        pad bits cleared) and s0, then a and the masks a0, c0, each kind with
+        the layers side by side; party 0's shares are r0, s0, a0 and c0.
+        Returns per layer (packed XOR share of r, arithmetic share of r in
+        row order, share of a, share of c). A B2A of n bits takes the bits of
+        shape (n, 0).
         """
-        rows, size = shape[0], math.prod(shape)
-        nw = bit_word_count(rows)
-        raw = self._words(2 * nw + rows + 3 * size)
-        r, r0 = self._bit_words(raw[: 2 * nw].reshape(2, nw), rows)
-        s0 = raw[2 * nw : 2 * nw + rows]
-        a, a0, c0 = raw[2 * nw + rows :].reshape((3, *shape))
-        if self.party == 0:
-            return r0, s0, a0, c0
-        values = _unpack_lanes(r, rows)
-        c = np.multiply(values.reshape((rows,) + (1,) * (len(shape) - 1)), a)
-        return r ^ r0, np.subtract(values, s0), np.subtract(a, a0), np.subtract(c, c0)
+        rows, sizes = [s[0] for s in shapes], [math.prod(s) for s in shapes]
+        starts, positions, live = _lane_plan(tuple(rows))
+        nw, total = starts[-1], sum(rows)
+        raw = self._words(2 * nw + total + 3 * sum(sizes))
+        bits = raw[: 2 * nw].reshape(2, nw)
+        bits &= live
+        r, r0 = bits
+        s0 = raw[2 * nw : 2 * nw + total]
+        a, a0, c0 = raw[2 * nw + total :].reshape(3, -1)
+        if self.party == 1:  # party 1's shares in place of party 0's
+            values = np.unpackbits(r.view(np.uint8), bitorder="little")[positions].astype(np.uint64)
+            per_row = np.repeat(np.array([math.prod(s[1:]) for s in shapes], dtype=np.int64), rows)
+            c = np.multiply(np.repeat(values, per_row), a)
+            r0, s0, a0, c0 = r ^ r0, np.subtract(values, s0), np.subtract(a, a0), np.subtract(c, c0)
+        return [(r0[w:x], s0[i:j], a0[k:l].reshape(shape), c0[k:l].reshape(shape))
+                for shape, (w, x), (i, j), (k, l) in zip(shapes, pairwise(starts), _spans(rows), _spans(sizes))]
 
     def lookup(self, lanes: int, table: np.ndarray):
         """A one-time truth table per lane for a public bit table of M
@@ -246,7 +307,9 @@ class DealerTape:
         nw = bit_word_count(size)
         raw = self._words(lanes * (2 + nw))
         s0 = raw[lanes : 2 * lanes]
-        t0 = self._bit_words(raw[2 * lanes :].reshape(lanes, nw), size)
+        t0 = raw[2 * lanes :].reshape(lanes, nw)
+        if size % 64:
+            t0[:, -1] &= np.uint64((1 << size % 64) - 1)  # clear the pad bits
         if self.party == 0:
             return s0, t0
         r = raw[:lanes] & np.uint64(size - 1)
@@ -254,8 +317,9 @@ class DealerTape:
         source = (np.arange(size) - r[:, None].astype(np.int64)) & (size - 1)
         return np.subtract(r, s0), _planes(np.asarray(table, dtype=np.uint8)[source]) ^ t0
 
-    def comparison(self, lanes: int, levels):
-        """Material for a masked comparison of lanes lanes, from one tape read.
+    def comparison(self, lanes, levels):
+        """Per layer of lanes, a list of lane counts, material for a masked
+        comparison of that many lanes.
 
         Each lane gets a uniform word r, shared additively; XOR shares of
         MSB(r), lane-packed; and XOR shares of the one-hot vector of each
@@ -266,40 +330,35 @@ class DealerTape:
         index k). A level's material is the XOR shares of its k masks, then
         of its s products, as (k + s, words) lane-packed rows.
 
-        The read holds r and party 0's shares of r, MSB(r) and the tables,
-        then per level the masks and party 0's shares of them and their
-        products; pad bits are cleared.
+        One tape read holds r and party 0's shares of r, MSB(r) and the
+        tables, then per level the masks and party 0's shares of them and
+        their products, each kind with the layers side by side and every
+        lane-packed layer from a whole word; pad bits are cleared. Party 1
+        builds its tables, MSB bits and products for all layers at once.
         """
-        nw = bit_word_count(lanes)
-        sizes = [lanes, lanes, nw, 4 * lanes]
+        starts, positions, live = _lane_plan(tuple(lanes))
+        nw, total = starts[-1], sum(lanes)
+        sizes = [total, total, nw, 4 * total]
         for k, subsets in levels:
             sizes += [k * nw, (k + len(subsets)) * nw]
-        words, parts, end = self._words(sum(sizes)), [], 0
-        for n in sizes:
-            parts.append(words[end : end + n])
-            end += n
-        r, r0, msb0, tables0, *raw = parts
-        msb0 = self._bit_words(msb0, lanes)
-        tables0 = tables0.astype("<u8", copy=False).view("<u2").reshape(DIGITS, lanes)
+        r, r0, msb0, tables0, *raw = _parts(self._words(sum(sizes)), sizes)
+        msb0 &= live
+        tables0 = tables0.astype("<u8", copy=False).view("<u2").reshape(DIGITS, total)
         tables0[-1] &= (1 << (1 << TOP_DIGIT_BITS)) - 1  # the top digit's table has 8 entries
-        shares0 = [self._bit_words(s.reshape(-1, nw), lanes) for s in raw[1::2]]
-        if self.party == 0:
-            return r0, msb0, tables0, shares0
-        tables = tables0 ^ (np.uint16(1) << digits(r))
-        material = []
-        for (k, subsets), masks, s0 in zip(levels, raw[::2], shares0):
-            masks = self._bit_words(masks.reshape(k, nw), lanes)
+        material = [s.reshape(k + len(subsets), nw) & live for (k, subsets), s in zip(levels, raw[1::2])]
+        if self.party == 1:  # party 1's shares in place of party 0's
+            tables0 = tables0 ^ (np.uint16(1) << digits(r))
+            msb = np.zeros(64 * nw, dtype=np.uint8)
+            msb[positions] = r >> np.uint64(63)
+            msb0 = msb0 ^ np.packbits(msb, bitorder="little").view("<u8")
             ones = np.full((1, nw), ~np.uint64(0))
-            products = np.bitwise_and.reduce(np.concatenate([masks, ones])[subsets], axis=1)
-            material.append(np.concatenate([masks, products]) ^ s0)
-        return np.subtract(r, r0), msb0 ^ _pack_lanes(r >> np.uint64(63)), tables, material
-
-    @staticmethod
-    def _bit_words(words: np.ndarray, nbits: int) -> np.ndarray:
-        """Random words over nbits bits: clear the pad bits of the last word."""
-        if nbits % 64:
-            words[..., -1] &= np.uint64((1 << (nbits % 64)) - 1)
-        return words
+            for i, ((k, subsets), masks) in enumerate(zip(levels, raw[::2])):
+                masks = masks.reshape(k, nw) & live
+                products = np.bitwise_and.reduce(np.concatenate([masks, ones])[subsets], axis=1)
+                material[i] = np.concatenate([masks, products]) ^ material[i]
+            r0 = np.subtract(r, r0)
+        return [(r0[i:j], msb0[w:x], tables0[:, i:j], [m[:, w:x] for m in material])
+                for (i, j), (w, x) in zip(_spans(lanes), pairwise(starts))]
 
 
 # -- client feed -------------------------------------------------------------
@@ -389,14 +448,14 @@ class Session:
         """Offline bytes of what the dealer handed out to this party."""
         self.meter.add_offline(self.current_op, sum(m.nbytes for m in material))
 
-    def draw_beaver(self, shape_x, shape_y):
-        trip = self.dealer.beaver(shape_x, shape_y)
-        self._charge(*trip)
-        return trip
+    def draw_beaver(self, shapes):
+        triples = self.dealer.beaver(shapes)
+        self._charge(*(m for triple in triples for m in triple))
+        return triples
 
-    def draw_injection(self, shape):
-        material = self.dealer.injection(shape)
-        self._charge(*material)
+    def draw_injection(self, shapes):
+        material = self.dealer.injection(shapes)
+        self._charge(*(m for layer in material for m in layer))
         return material
 
     def draw_lookup(self, lanes: int, table: np.ndarray):
@@ -404,12 +463,12 @@ class Session:
         self._charge(*material)
         return material
 
-    def draw_comparison(self, lanes: int, levels):
-        """DealerTape.comparison, charged packed densely: the shares of r as
-        words and every other bit of the draw back to back."""
+    def draw_comparison(self, lanes, levels):
+        """DealerTape.comparison, each layer charged packed densely: the
+        shares of r as words and every other bit of the layer back to back."""
         material = self.dealer.comparison(lanes, levels)
         bits = 1 + ONE_HOT_BITS + sum(k + len(subsets) for k, subsets in levels)
-        self.meter.add_offline(self.current_op, 8 * lanes + bit_payload_bytes(bits * lanes))
+        self.meter.add_offline(self.current_op, sum(8 * n + bit_payload_bytes(bits * n) for n in lanes))
         return material
 
     # -- rounds -----------------------------------------------------------

@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,6 +60,18 @@ _SHARE_STAGE1 = 0
 _SHARE_CORRECTION = 1
 _SHARE_CURVATURE = 3
 
+# the largest history a run may hold: T * n * (m + 1) words per party, 128 MiB
+MAX_HISTORY_WORDS = 1 << 24
+
+
+def check_finite(config) -> None:
+    """Raise ConfigError on the first float field of a config dataclass
+    that is nan or infinite."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{field.name} must be finite, got {value}")
+
 
 @dataclass
 class UnlearnConfig:
@@ -75,10 +87,14 @@ class UnlearnConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if self.n < 2:
             raise ConfigError("need at least two clients to unlearn one")
         if self.m < 1 or self.t < 1:
             raise ConfigError("model size and round count must be positive")
+        if self.t * self.n * (self.m + 1) > MAX_HISTORY_WORDS:
+            raise ConfigError(f"a history of t * n * (m + 1) = {self.t * self.n * (self.m + 1)} words per party "
+                              f"exceeds the limit of {MAX_HISTORY_WORDS}")
         if not (0.0 < self.sigma <= 1.0):
             raise ConfigError(f"sigma must be in (0, 1], got {self.sigma}")
         if not (0.0 < self.alpha <= 1.0):

@@ -51,6 +51,13 @@ def reveal_raw(sess, x):
     return to_signed(sec_rec(sess, x))
 
 
+def compare(sess, a, b):
+    """gates.comparator on the rows of two key matrices, a lone layer with
+    its own draw."""
+    (material,) = gates._draw_comparators(sess, [len(a)], a.shape[1])
+    return gates.comparator(sess, a, b, material)
+
+
 def reveal_bits(sess, bits, nbits):
     """Open the first nbits of packed XOR-shared bits as 0/1 int64."""
     return gates._open_bits(sess, bits, nbits)

@@ -12,7 +12,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from helpers import CODEC, both, raw_share_pair, reveal, reveal_bits, reveal_raw, share_pair
+from helpers import CODEC, both, compare, raw_share_pair, reveal, reveal_bits, reveal_raw, share_pair
 from starfish import (
     UnlearnConfig,
     bound_report,
@@ -29,7 +29,6 @@ from starfish import oracle, roundsel
 from starfish.cli import main
 from starfish.costs import comparator_calls, predict_cost
 from starfish.gates import (
-    comparator,
     sec_div,
     sec_ge,
     sec_srt,
@@ -86,7 +85,7 @@ def test_criterion_1_gate_oracle_equivalence():
             break
     a = share_pair(np.stack([u1, v1], axis=1), key=110)
     b = share_pair(np.stack([u2, v2], axis=1), key=111)
-    got, _ = both(lambda s: reveal_bits(s, comparator(s, a[s.party], b[s.party]), 1024))
+    got, _ = both(lambda s: reveal_bits(s, compare(s, a[s.party], b[s.party]), 1024))
     check("sec_ge", got, (u1 / v1 >= u2 / v2).astype(np.int64), budget=0.0)
 
     # correction flags, which each client computes from its own estimate

@@ -104,6 +104,31 @@ def test_run_config_checks_keyword_values(key, value, message):
         RunConfig(**{key: value})
 
 
+@pytest.mark.parametrize("text, message", [
+    ("mu = nan\n", "mu must be finite"),
+    ("beta = inf\n", "beta must be finite"),
+    ("task = logistic\nscale = nan\n", "scale must be finite"),
+], ids=["mu", "beta", "logistic-scale"])
+def test_non_finite_values_are_config_errors(tmp_path, capsys, text, message):
+    # each used to escape as a traceback from the task, stage II or eigh
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert _run(["compare", "--config", path, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_an_oversized_history_is_a_config_error():
+    # T * n * (m + 1) words per party are checked before anything is
+    # allocated; the constructor alone, so a broken check allocates nothing
+    with pytest.raises(ConfigError, match="2000000000 words per party exceeds the limit of 16777216"):
+        RunConfig(t=100_000_000)
+    limit = (1 << 24) // (4 * 5)  # the default n = 4, m = 4
+    assert RunConfig(t=limit).t == limit
+    with pytest.raises(ConfigError, match="words per party exceeds"):
+        RunConfig(t=limit + 1)
+
+
 def test_run_config_builds_both_task_families():
     quad = RunConfig().build_task()
     assert quad.kind == "quadratic" and quad.n == 4

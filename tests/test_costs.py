@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import CODEC, raw_share_pair, share_pair
+from helpers import CODEC, compare, raw_share_pair, share_pair
 from starfish.costs import (
     CostEstimate,
     comparator_calls,
@@ -22,7 +22,6 @@ from starfish.costs import (
 from starfish import gates
 from starfish.errors import UnknownFunctionality
 from starfish.gates import (
-    comparator,
     sec_div,
     sec_ge,
     sec_srt,
@@ -124,7 +123,7 @@ def test_sec_ge2_cost():
     # the comparator on width-2 (u, v) keys alone, outside any gate scope
     a = share_pair(CODEC.quantize(RNG.uniform(0.5, 2, size=(8, 2))), key=20)
     b = share_pair(CODEC.quantize(RNG.uniform(0.5, 2, size=(8, 2))), key=21)
-    got = measured("other", lambda s: comparator(s, a[s.party], b[s.party]))
+    got = measured("other", lambda s: compare(s, a[s.party], b[s.party]))
     assert got == comparator_cost(2, 8).as_tuple()
 
 

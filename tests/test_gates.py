@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import CODEC, both, raw_share_pair, reveal, reveal_bits, reveal_raw, share_pair
+from helpers import CODEC, both, compare, raw_share_pair, reveal, reveal_bits, reveal_raw, share_pair
 from starfish import gates, make_inproc_sessions, run_pair
 from starfish.costs import comparator_calls, inject_cost, predict_cost, topk_layers, words_round
 from starfish.errors import DivisionDomainError, ShapeError
@@ -30,6 +30,17 @@ def grid(x):
 # -- multiplication ----------------------------------------------------------
 
 
+def _beaver_mul(s, x, y):
+    """gates._beaver_mul with a triple of its own, drawn at the operands' shapes."""
+    x, y = np.asarray(x), np.asarray(y)
+    return gates._beaver_mul(s, x, y, s.draw_beaver([(x.shape, y.shape)])[0])
+
+
+def _bit_inject(s, bits, x):
+    """gates._bit_inject with material of its own, drawn at x's shape."""
+    return gates._bit_inject(s, bits, x, s.draw_injection([np.shape(x)])[0])
+
+
 @pytest.mark.parametrize("shape_x, shape_y", [((8,), (8,)), ((6, 1), (6, 5))], ids=["lanes", "broadcast"])
 def test_beaver_mul_raw_shares(shape_x, shape_y):
     # full-ring words at scale 1: the shares sum to the exact ring product,
@@ -41,11 +52,11 @@ def test_beaver_mul_raw_shares(shape_x, shape_y):
 
     def proto(s):
         with s.op("beaver"):
-            return gates._beaver_mul(s, xs[s.party], ys[s.party])
+            return _beaver_mul(s, xs[s.party], ys[s.party])
 
     z0, z1 = run_pair(proto, make_inproc_sessions(23))
     assert np.array_equal(np.add(z0, z1), x * y)
-    (a0, b0, c0), (a1, b1, _) = (DealerTape(23, p).beaver(shape_x, shape_y) for p in (0, 1))
+    ((a0, b0, c0),), ((a1, b1, _),) = (DealerTape(23, p).beaver([(shape_x, shape_y)]) for p in (0, 1))
     d = np.add(np.subtract(xs[0], a0), np.subtract(xs[1], a1))
     e = np.add(np.subtract(ys[0], b0), np.subtract(ys[1], b1))
     three = np.add(np.add(c0, d * b0), np.add(a0 * e, d * e))
@@ -62,7 +73,7 @@ def test_sec_mul_column_times_matrix_at_operand_shapes():
 
     def raw_product(s):
         with s.op("beaver"):
-            z = gates._beaver_mul(s, a[s.party], b[s.party])
+            z = _beaver_mul(s, a[s.party], b[s.party])
         return reveal_raw(s, z)
 
     got, sessions = both(raw_product)
@@ -97,7 +108,7 @@ def test_sec_ge2_ratio_cases():
     def ge2(nums):
         a = share_pair(grid([nums[:2]]), key=29)
         b = share_pair(grid([nums[2:]]), key=30)
-        got, _ = both(lambda s: reveal_bits(s, comparator(s, a[s.party], b[s.party]), 1))
+        got, _ = both(lambda s: reveal_bits(s, compare(s, a[s.party], b[s.party]), 1))
         return int(got[0])
 
     assert ge2((3.0, 4.0, 2.0, 3.0)) == 1   # 3/4 >= 2/3
@@ -119,7 +130,8 @@ def _ge_openings(diff, seeds, lanes=65):
         for sess in sessions:
             send = sess.chan.send
             sess.chan.send = lambda frame, p=sess.party, send=send: (sent[p].append(frame), send(frame))
-        run_pair(lambda s: gates._ge_bits(s, us[s.party], vs[s.party]), sessions)
+        run_pair(lambda s: gates._ge_bits(s, us[s.party], vs[s.party], s.draw_comparison([lanes], gates._DEALT)[0]),
+                 sessions)
         (c0, *m0), (c1, *m1) = ([np.frombuffer(f[16:], dtype="<u8") for f in sent[p]] for p in (0, 1))
         opened.append([np.add(c0, c1), *(a ^ b for a, b in zip(m0, m1))])
     c = np.array([o[0] for o in opened])
@@ -171,7 +183,7 @@ def test_bit_injection_is_exact_at_its_cost(lanes, cols, pattern):
     xs, bs = raw_share_pair(x, key=120 + lanes), _bit_shares(bits, key=lanes)
 
     sessions = make_inproc_sessions(lanes)
-    (z0, b0), (z1, b1) = run_pair(lambda s: gates._bit_inject(s, bs[s.party], xs[s.party]), sessions)
+    (z0, b0), (z1, b1) = run_pair(lambda s: _bit_inject(s, bs[s.party], xs[s.party]), sessions)
     col = bits.astype(np.uint64).reshape((lanes,) + (1,) * (len(shape) - 1))
     assert np.array_equal(np.add(z0, z1), np.multiply(col, x))
     assert np.array_equal(np.add(b0, b1), bits.astype(np.uint64))
@@ -196,7 +208,7 @@ def _inject_openings(bit, seeds, lanes=65, cols=2):
         for sess in sessions:
             send = sess.chan.send
             sess.chan.send = lambda frame, p=sess.party, send=send: (sent.setdefault(p, frame), send(frame))
-        run_pair(lambda s: gates._bit_inject(s, bs[s.party], x[s.party]), sessions)
+        run_pair(lambda s: _bit_inject(s, bs[s.party], x[s.party]), sessions)
         words = [np.frombuffer(sent[p][16:], dtype="<u8") for p in (0, 1)]
         opened_t.append(words[0][:nw] ^ words[1][:nw])
         opened_e.append(np.add(words[0][nw:], words[1][nw:]))
@@ -359,10 +371,10 @@ def test_sec_srt_walks_the_topk_layers(monkeypatch, t, count):
     count = t if count == "t" else count
     calls = []
 
-    def recording(sess, a, b):
+    def recording(sess, a, b, material):
         if sess.party == 0:
             calls.append(len(a))
-        return comparator(sess, a, b)
+        return comparator(sess, a, b, material)
 
     monkeypatch.setattr(gates, "comparator", recording)
     key, score = _order_instance(1, t)
@@ -495,7 +507,7 @@ def test_mul_property(pairs):
 
     def proto(s):
         with s.op("beaver"):
-            return reveal_raw(s, gates._beaver_mul(s, a[s.party], b[s.party]))
+            return reveal_raw(s, _beaver_mul(s, a[s.party], b[s.party]))
 
     got, _ = both(proto)
     assert np.array_equal(got, to_signed(x) * to_signed(y))

@@ -85,8 +85,8 @@ def test_meter_snapshot_shape():
 def test_dealer_triples_consistent():
     d0 = DealerTape(9, 0)
     d1 = DealerTape(9, 1)
-    a0, b0, c0 = d0.beaver((4,), (4,))
-    a1, b1, c1 = d1.beaver((4,), (4,))
+    ((a0, b0, c0),) = d0.beaver([((4,), (4,))])
+    ((a1, b1, c1),) = d1.beaver([((4,), (4,))])
     a = np.add(a0, a1)
     b = np.add(b0, b1)
     assert np.array_equal(np.add(c0, c1), np.multiply(a, b))
@@ -115,7 +115,7 @@ def test_dealer_beaver_one_read_matches_per_item_draws(shape_x, shape_y):
     got = {}
     for party in (0, 1):
         tape = DealerTape(21, party)
-        got[party] = tape.beaver(shape_x, shape_y)
+        (got[party],) = tape.beaver([(shape_x, shape_y)])
         ref, ref_tape = _five_read_beaver(21, party, shape_x, shape_y)
         for g, r in zip(got[party], ref, strict=True):
             assert np.shape(g) == np.shape(r) and np.asarray(g).dtype == np.uint64
@@ -136,11 +136,16 @@ NBITS = 100  # not a multiple of 64: the last word carries 28 pad bits
 
 @pytest.mark.parametrize("lanes", [1, 65, 200])
 def test_dealer_comparison_material_is_consistent(lanes):
-    # the ring shares sum to r; the MSB shares XOR to r's top bit; the table
-    # shares XOR to the one-hot vector of each digit of r mod 2^63 (15 of 4
-    # bits, then 3); each level's rows XOR to its masks, then to the AND of
-    # the masks each subset names; pad bits are zero
-    (r0, m0, t0, l0), (r1, m1, t1, l1) = (DealerTape(21, p).comparison(lanes, gates._DEALT) for p in (0, 1))
+    ((r0, m0, t0, l0),), ((r1, m1, t1, l1),) = (DealerTape(21, p).comparison([lanes], gates._DEALT) for p in (0, 1))
+    _check_comparison(lanes, (r0, m0, t0, l0), (r1, m1, t1, l1))
+
+
+def _check_comparison(lanes, share0, share1):
+    """The ring shares sum to r; the MSB shares XOR to r's top bit; the table
+    shares XOR to the one-hot vector of each digit of r mod 2^63 (15 of 4
+    bits, then 3); each level's rows XOR to its masks, then to the AND of
+    the masks each subset names; pad bits are zero."""
+    (r0, m0, t0, l0), (r1, m1, t1, l1) = share0, share1
     r = np.add(r0, r1)
     assert len(np.unique(r)) == lanes
     msb = _words_to_bits(m0 ^ m1)
@@ -167,8 +172,8 @@ def test_dealer_comparison_material_is_consistent(lanes):
 def test_dealer_shared_bit_domains_agree():
     d0 = DealerTape(9, 0)
     d1 = DealerTape(9, 1)
-    xb0, xa0, _, _ = d0.injection((NBITS, 0))  # a B2A's bits
-    xb1, xa1, _, _ = d1.injection((NBITS, 0))
+    ((xb0, xa0, _, _),) = d0.injection([(NBITS, 0)])  # a B2A's bits
+    ((xb1, xa1, _, _),) = d1.injection([(NBITS, 0)])
     bits = _words_to_bits(xb0 ^ xb1)
     assert not any(bits[NBITS:]), "pad bits must be zero"
     assert xa0.shape == xa1.shape == (NBITS,)
@@ -182,29 +187,34 @@ def test_dealer_bit_draws_charge_packed_sizes():
     s0, _ = make_inproc_sessions(4)
     assert 1 + 248 + sum(k + len(subsets) for k, subsets in gates._DEALT) == 442 - 64
     with s0.op("sec_ge"):
-        s0.draw_comparison(1, gates._DEALT)
+        s0.draw_comparison([1], gates._DEALT)
     assert s0.meter.stats("sec_ge").bytes_offline == 8 + 8 * 6
     with s0.op("sec_div"):
-        s0.draw_injection((NBITS, 0))
+        s0.draw_injection([(NBITS, 0)])
     assert s0.meter.stats("sec_div").bytes_offline == 16 + 8 * NBITS
     with s0.op("both"):
-        s0.draw_comparison(65, gates._DEALT)
-        s0.draw_injection((65, 0))
+        s0.draw_comparison([65], gates._DEALT)
+        s0.draw_injection([(65, 0)])
     assert s0.meter.stats("both").bytes_offline == 8 * 65 + 8 * -(-378 * 65 // 64) + 16 + 8 * 65
     with s0.op("bit1"):
-        s0.draw_injection((1, 0))
+        s0.draw_injection([(1, 0)])
     assert s0.meter.stats("bit1").bytes_offline == 8 + 8
     # an injection into (65, 3) rows: r in both domains, then a and c at the rows' shape
     with s0.op("inject"):
-        s0.draw_injection((65, 3))
+        s0.draw_injection([(65, 3)])
     assert s0.meter.stats("inject").bytes_offline == 16 + 8 * 65 + 2 * 8 * 65 * 3
 
 
 @pytest.mark.parametrize("shape", [(1,), (65,), (65, 3)])
 def test_dealer_injection_material_is_consistent(shape):
-    # r's XOR and arithmetic shares open to the same bits, one per row, pad
-    # bits zero; a is uniform at the shape and c is each row of a times its bit
-    (rb0, ra0, a0, c0), (rb1, ra1, a1, c1) = (DealerTape(15, p).injection(shape) for p in (0, 1))
+    ((rb0, ra0, a0, c0),), ((rb1, ra1, a1, c1),) = (DealerTape(15, p).injection([shape]) for p in (0, 1))
+    _check_injection(shape, (rb0, ra0, a0, c0), (rb1, ra1, a1, c1))
+
+
+def _check_injection(shape, share0, share1):
+    """r's XOR and arithmetic shares open to the same bits, one per row, pad
+    bits zero; a is uniform at the shape and c is each row of a times its bit."""
+    (rb0, ra0, a0, c0), (rb1, ra1, a1, c1) = share0, share1
     rows = shape[0]
     bits = _words_to_bits(rb0 ^ rb1)
     assert rb0.shape == ((rows + 63) // 64,) and not any(bits[rows:])
@@ -214,6 +224,66 @@ def test_dealer_injection_material_is_consistent(shape):
     assert a.shape == c.shape == shape
     assert np.array_equal(c, np.multiply(r.reshape((rows,) + (1,) * (len(shape) - 1)), a))
     assert len(np.unique(a)) == a.size
+
+
+# layers of several sizes in one draw: a lone lane, a whole word, words
+# with pad bits, rows of words and a B2A's rows of none
+LAYER_LANES = [1, 64, 65, 200, 3]
+LAYER_SHAPES = [(1,), (64, 2), (65, 3), (70, 0), (3,)]
+LAYER_BEAVER = [((8,), (8,)), ((2, 65), (2, 65)), ((6, 1), (6, 5)), ((2, 1, 4), (3, 1))]
+
+
+def _reads(tape):
+    """Count the tape reads of one dealer."""
+    calls = []
+    words = tape._words
+    tape._words = lambda shape: calls.append(shape) or words(shape)
+    return calls
+
+
+def test_dealer_draws_every_layer_from_one_read():
+    # each kind reads the tape once for all its layers, and every layer's
+    # material is consistent on its own
+    tapes = [DealerTape(17, p) for p in (0, 1)]
+    reads = [_reads(tape) for tape in tapes]
+    triples = [tape.beaver(LAYER_BEAVER) for tape in tapes]
+    comparisons = [tape.comparison(LAYER_LANES, gates._DEALT) for tape in tapes]
+    injections = [tape.injection(LAYER_SHAPES) for tape in tapes]
+    assert [len(r) for r in reads] == [3, 3]
+    for (shape_x, shape_y), share0, share1 in zip(LAYER_BEAVER, *triples, strict=True):
+        assert [np.shape(m) for m in share0] == [shape_x, shape_y, np.broadcast_shapes(shape_x, shape_y)]
+        a, b, c = (np.add(m0, m1) for m0, m1 in zip(share0, share1))
+        assert np.array_equal(c, np.multiply(a, b))
+    for lanes, share0, share1 in zip(LAYER_LANES, *comparisons, strict=True):
+        _check_comparison(lanes, share0, share1)
+    for shape, share0, share1 in zip(LAYER_SHAPES, *injections, strict=True):
+        _check_injection(shape, share0, share1)
+    # no two layers share material: the comparisons' r and the injections' a
+    for kind, i in ((comparisons, 0), (injections, 2)):
+        words = np.concatenate([layer[i].ravel() for layer in kind[0]])
+        assert len(np.unique(words)) == words.size
+
+
+def test_dealer_layer_charges_add_up():
+    # a draw of several layers charges the sum of the layers' own charges
+    together, apart = make_inproc_sessions(4)[0], make_inproc_sessions(4)[0]
+    with together.op("x"):
+        together.draw_beaver(LAYER_BEAVER)
+        together.draw_comparison(LAYER_LANES, gates._DEALT)
+        together.draw_injection(LAYER_SHAPES)
+    with apart.op("x"):
+        for pair in LAYER_BEAVER:
+            apart.draw_beaver([pair])
+        for lanes in LAYER_LANES:
+            apart.draw_comparison([lanes], gates._DEALT)
+        for shape in LAYER_SHAPES:
+            apart.draw_injection([shape])
+    assert together.meter.stats("x").bytes_offline == apart.meter.stats("x").bytes_offline > 0
+
+
+def test_dealer_draws_no_layers():
+    tape = DealerTape(3, 1)
+    assert tape.beaver([]) == tape.comparison([], gates._DEALT) == tape.injection([]) == []
 
 
 @pytest.mark.parametrize("size, lanes", [(2, 3), (8, 5), (64, 2), (128, 65)])
@@ -284,7 +354,8 @@ def _words_to_bits_as_words(bits):
 def test_dealer_one_read_matches_per_item_draws(lanes):
     for party in (0, 1):
         tape = DealerTape(13, party)
-        (r, msb, tables, levels), shared = tape.comparison(lanes, gates._DEALT), tape.injection((lanes, 0))[:2]
+        ((r, msb, tables, levels),) = tape.comparison([lanes], gates._DEALT)
+        ((*shared, _, _),) = tape.injection([(lanes, 0)])
         (ref_r, ref_msb, ref_tables, ref_levels), ref_shared, _ = _per_item_draws(13, party, lanes)
         assert np.array_equal(r, ref_r) and np.array_equal(msb, ref_msb)
         assert np.array_equal(tables.astype(np.int64), ref_tables)
